@@ -1,9 +1,13 @@
 """Basic dyadic n-cubes inside the unit cube, with exact measure accounting.
 
 A cube is the open box prod_i (c_i * 2**-s, (c_i + 1) * 2**-s).  Measure and
-coverage computations use half-open grid semantics, under which dyadic
-refinement partitions a cube exactly; this agrees with the open reading up to
-null boundaries.
+coverage computations use half-open grid semantics, under which two basic
+dyadic cubes are nested or disjoint; this agrees with the open reading up to
+null boundaries.  A finite union is therefore the disjoint union of its
+maximal cubes (the hyperoctree view of a cube family), and its measure is an
+integer count of finest-scale cells over one power of two.  Nothing is
+refined, so neither the number of cubes nor the gap between their scales is
+capped.
 """
 
 from __future__ import annotations
@@ -14,13 +18,6 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .rationals import Vector, pow2
-
-# Guard against accidental combinatorial blowups in refinement-based routines.
-REFINEMENT_CAP = 4_000_000
-
-
-class RefinementBlowupError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True, order=True)
@@ -80,20 +77,6 @@ class DyadicCube:
             corner = tuple(b + o for b, o in zip(base, offsets))
             yield DyadicCube(self.dimension, self.scale + 1, corner)
 
-    def refined_corners(self, target_scale: int) -> Iterator[tuple[int, ...]]:
-        """Corners of the subcells at target_scale tiling this cube."""
-        if target_scale < self.scale:
-            raise ValueError("target scale must refine the cube's scale")
-        shift = target_scale - self.scale
-        width = 1 << shift
-        if width ** self.dimension > REFINEMENT_CAP:
-            raise RefinementBlowupError(
-                f"refining scale {self.scale} to {target_scale} in dim {self.dimension}"
-            )
-        base = tuple(c << shift for c in self.corner)
-        for offsets in product(range(width), repeat=self.dimension):
-            yield tuple(b + o for b, o in zip(base, offsets))
-
     def to_json(self) -> dict:
         return {"dim": self.dimension, "scale": self.scale, "corner": list(self.corner)}
 
@@ -106,41 +89,68 @@ def unit_cube(dimension: int) -> DyadicCube:
     return DyadicCube(dimension, 0, (0,) * dimension)
 
 
+def maximal_cubes(cubes: Iterable[DyadicCube]) -> list[DyadicCube]:
+    """The cubes not inside another cube of the family, each once, by scale.
+
+    Cubes are nested or disjoint, so the result is pairwise disjoint and has
+    the family's union.  A cube is dropped when an ancestor or an equal cube
+    is already kept; ancestors are looked up by (scale, corner >> shift) key
+    at the scales kept so far.
+    """
+    kept: set[tuple[int, tuple[int, ...]]] = set()
+    kept_scales: list[int] = []
+    result: list[DyadicCube] = []
+    for cube in sorted(cubes, key=lambda c: c.scale):
+        scale, corner = cube.scale, cube.corner
+        if any(
+            (s, tuple(c >> (scale - s) for c in corner)) in kept for s in kept_scales
+        ):
+            continue
+        if not kept_scales or kept_scales[-1] != scale:
+            kept_scales.append(scale)
+        kept.add((scale, corner))
+        result.append(cube)
+    return result
+
+
+def _cells_at(cubes: Sequence[DyadicCube], scale: int) -> int:
+    """Number of scale-`scale` grid cells in disjoint cubes no finer than it."""
+    return sum(1 << ((scale - c.scale) * c.dimension) for c in cubes)
+
+
 def union_measure(cubes: Iterable[DyadicCube]) -> Fraction:
     """Exact Lebesgue measure of a finite union, overlaps counted once.
 
-    Refines everything to the common (finest) scale and deduplicates the
-    resulting grid cells.
+    Sums the volumes of the maximal cubes as a count of finest-scale cells
+    over one power of two.
     """
-    cubes = list(cubes)
-    if not cubes:
+    kept = maximal_cubes(cubes)
+    if not kept:
         return Fraction(0)
-    dims = {c.dimension for c in cubes}
+    dims = {c.dimension for c in kept}
     if len(dims) > 1:
         raise ValueError(f"mixed dimensions in cube union: {sorted(dims)}")
-    dimension = dims.pop()
-    common = max(c.scale for c in cubes)
-    total = sum((1 << ((common - c.scale) * dimension)) for c in cubes)
-    if total > REFINEMENT_CAP:
-        raise RefinementBlowupError(f"union refinement needs {total} cells")
-    seen: set[tuple[int, ...]] = set()
-    for cube in cubes:
-        seen.update(cube.refined_corners(common))
-    return len(seen) * pow2(-common * dimension)
+    finest = kept[-1].scale
+    return Fraction(_cells_at(kept, finest), 1 << (finest * dims.pop()))
 
 
 def cube_union_contains(cubes: Sequence[DyadicCube], target: DyadicCube) -> bool:
-    """Whether the union of cubes covers target (half-open grid semantics)."""
-    relevant = [c for c in cubes if c.intersects(target)]
-    if any(c.contains_cube(target) for c in relevant):
-        return True
-    if not relevant:
+    """Whether the union of cubes covers target (half-open grid semantics).
+
+    Either one cube contains the target, or the cubes inside the target fill
+    its volume.
+    """
+    inside = []
+    for cube in cubes:
+        if cube.contains_cube(target):
+            return True
+        if target.contains_cube(cube):
+            inside.append(cube)
+    kept = maximal_cubes(inside)
+    if not kept:
         return False
-    common = max(max(c.scale for c in relevant), target.scale)
-    covered: set[tuple[int, ...]] = set()
-    for cube in relevant:
-        covered.update(cube.refined_corners(common))
-    return all(corner in covered for corner in target.refined_corners(common))
+    finest = kept[-1].scale
+    return _cells_at(kept, finest) == 1 << ((finest - target.scale) * target.dimension)
 
 
 def subtract_covered(cube: DyadicCube, covering: Sequence[DyadicCube]) -> list[DyadicCube]:

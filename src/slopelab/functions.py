@@ -22,6 +22,7 @@ from .rationals import (
     ceil_sqrt,
     dot,
     in_unit_cube,
+    int_ceil_log2,
     is_dyadic,
     norm_sq,
     pow2,
@@ -82,17 +83,12 @@ def exact_function(
     )
 
 
-def _int_ceil_log2(k: int) -> int:
-    # ceil(log2(k)) for k >= 1
-    return (k - 1).bit_length()
-
-
 def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
     """x |-> <m, x> with exact evaluation and modulus i + ceil(log2(1 + ||m||))."""
     m = as_vector(coeffs)
     if not m:
         raise ValueError("linear form needs dimension >= 1")
-    shift = _int_ceil_log2(1 + ceil_sqrt(norm_sq(m)))
+    shift = int_ceil_log2(1 + ceil_sqrt(norm_sq(m)))
     return exact_function(
         len(m),
         lambda point: dot(m, point),
@@ -146,7 +142,7 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
     dims = {p.dimension for p in parts}
     if len(dims) > 1:
         raise ValueError("summands must share a dimension")
-    count_shift = _int_ceil_log2(len(parts))
+    count_shift = int_ceil_log2(len(parts))
 
     def evaluator(point: Vector, precision: int) -> Fraction:
         inner = precision + count_shift

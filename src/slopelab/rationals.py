@@ -123,6 +123,11 @@ def ceil_log2(value: Fraction) -> int:
     return f if compare_pow2(value, f) == 0 else f + 1
 
 
+def int_ceil_log2(k: int) -> int:
+    """ceil(log2(k)) for an integer k >= 1."""
+    return (k - 1).bit_length()
+
+
 def compare_pow2(value: Fraction, exponent: int) -> int:
     """sign(value - 2**exponent) without materializing huge powers."""
     if value <= 0:

@@ -20,16 +20,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cubes import DyadicCube, cube_union_contains, subtract_covered, union_measure
+from .cubes import (
+    DyadicCube,
+    cube_union_contains,
+    maximal_cubes,
+    subtract_covered,
+    union_measure,
+)
 from .functions import ComputableFunction
 from .nullsets import NestedTest
 from .rationals import (
     POW2_MATERIALIZE_CAP,
     compare_pow2,
     in_unit_cube,
+    int_ceil_log2,
     is_dyadic,
     pow2,
-    pow2_upper,
 )
 
 
@@ -186,10 +192,9 @@ class Partition:
             entry["covers_enumeration"] = union_raw == union_sources == cells_volume
             if not entry["covers_enumeration"]:
                 raise PartitionError(f"stage {m}: cells do not tile the visible stage")
-            for a in range(len(stage.sources)):
-                for b in range(a + 1, len(stage.sources)):
-                    if stage.sources[a].intersects(stage.sources[b]):
-                        raise PartitionError(f"stage {m}: overlapping sources")
+            # a source inside another one, or equal to it, is not maximal
+            if len(maximal_cubes(stage.sources)) < len(stage.sources):
+                raise PartitionError(f"stage {m}: overlapping sources")
             scales = [b.cell_scale for b in stage.blocks]
             entry["volumes_nonincreasing"] = all(
                 s1 <= s2 for s1, s2 in zip(scales, scales[1:])
@@ -428,24 +433,21 @@ class ExclusionReport:
         return self.visible_upper <= self.closed_form_bound <= self.analytic_bound
 
 
-def _union_length(intervals: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
-    spans = sorted((lo, hi) for lo, hi in intervals if lo < hi)
-    total = Fraction(0)
-    cur: tuple[Fraction, Fraction] | None = None
+def _dyadic_union_length(spans: list[tuple[int, int]], exponent: int) -> Fraction:
+    """Length of a union of intervals [lo, hi] * 2**-exponent, lo < hi integers."""
+    if not spans:
+        return Fraction(0)
+    spans.sort()
+    total = 0
+    start, end = spans[0]
     for lo, hi in spans:
-        if cur is None or lo > cur[1]:
-            if cur is not None:
-                total += cur[1] - cur[0]
-            cur = (lo, hi)
-        else:
-            cur = (cur[0], max(cur[1], hi))
-    if cur is not None:
-        total += cur[1] - cur[0]
-    return total
-
-
-def _int_ceil_log2(k: int) -> int:
-    return (k - 1).bit_length()
+        if lo > end:
+            total += end - start
+            start, end = lo, hi
+        elif hi > end:
+            end = hi
+    total += end - start
+    return Fraction(total, 1 << exponent)
 
 
 @dataclass(eq=False)
@@ -514,7 +516,7 @@ class TentSystem:
 
     def _stage_threshold_scale(self, precision: int) -> int:
         # cells of side <= 8**-precision / (precision + 1)
-        return 3 * precision + _int_ceil_log2(precision + 2)
+        return 3 * precision + int_ceil_log2(precision + 2)
 
     def evaluate(self, point: Sequence[Fraction], precision: int) -> CertifiedValue:
         """Truncated sum with certified one-sided error at most 2**-precision.
@@ -654,41 +656,55 @@ class TentSystem:
 
         Sums 2**-(i+j) * side over all cells of all later stages by blocks;
         unrepresentably small block terms are clamped upward, and stages
-        beyond the build contribute their analytic 16**-i envelope.
+        beyond the build contribute their analytic 16**-i envelope.  Terms are
+        summed as integer numerators over the finest term's power of two.
         """
-        total = Fraction(0)
-        for i in range(stage + 1, self.depth + 1):
-            for block in self.partition.blocks_at(i):
-                total += pow2_upper(-(i + block.cell_scale + block.start_index - 1))
-        total += Fraction(16) ** (-(self.depth + 1)) * Fraction(16, 15)
-        return total
+        exponents = [
+            min(i + block.cell_scale + block.start_index - 1, POW2_MATERIALIZE_CAP)
+            for i in range(stage + 1, self.depth + 1)
+            for block in self.partition.blocks_at(i)
+        ]
+        tail = Fraction(16) ** (-(self.depth + 1)) * Fraction(16, 15)
+        if not exponents:
+            return tail
+        finest = max(exponents)
+        return Fraction(sum(1 << (finest - e) for e in exponents), 1 << finest) + tail
 
     def exclusion_visible(self, stage: int, axis: int, per_block: int = 16) -> ExclusionReport:
         """Exact union of the budget-visible corner intervals along an axis.
 
         Visible means the first per_block cells of every block; intervals too
-        thin to materialize are clamped into an explicit slack term.
+        thin to materialize are clamped into an explicit slack term of
+        2**-POW2_MATERIALIZE_CAP each.  Every endpoint is an integer numerator
+        over 2**e, for e the largest materialized eps exponent.
         """
         if not 1 <= axis < self.dimension:
             raise ValueError("corner intervals live on axes >= 1")
-        intervals: list[tuple[Fraction, Fraction]] = []
-        slack = Fraction(0)
-        count = 0
+        tents: list[TentFunction] = []
+        clamped = 0
         for i in range(stage + 1, self.depth + 1):
             for block in self.partition.blocks_at(i):
                 for local in range(min(per_block, block.count)):
                     tent = tent_for(block.cell(local), i, block.start_index + local)
-                    count += 2
                     if tent.eps_exponent > POW2_MATERIALIZE_CAP:
-                        slack += 2 * pow2_upper(-tent.eps_exponent)
-                        continue
-                    intervals.extend(tent.exclusion_intervals(axis))
+                        clamped += 1
+                    else:
+                        tents.append(tent)
+        finest = max((t.eps_exponent for t in tents), default=0)
+        spans: list[tuple[int, int]] = []
+        for tent in tents:
+            cell = tent.cell
+            lo = cell.corner[axis] << (finest - cell.scale)
+            hi = lo + (1 << (finest - cell.scale))
+            eps = 1 << (finest - tent.eps_exponent)
+            spans.append((lo, lo + eps))
+            spans.append((hi - eps, hi))
         return ExclusionReport(
             stage=stage,
             axis=axis,
-            visible_union=_union_length(intervals),
-            visible_slack=slack,
-            interval_count=count,
+            visible_union=_dyadic_union_length(spans, finest),
+            visible_slack=2 * clamped * pow2(-POW2_MATERIALIZE_CAP),
+            interval_count=2 * (len(tents) + clamped),
             closed_form_bound=self.exclusion_bound(stage),
             analytic_bound=pow2(-3 * stage),
         )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from slopelab.cubes import (
     DyadicCube,
     cube_union_contains,
+    maximal_cubes,
     subtract_covered,
     union_measure,
     unit_cube,
@@ -116,6 +117,64 @@ def test_union_measure_monotone_and_subadditive(cubes):
     total = union_measure(cubes)
     assert union_measure(cubes[:-1]) <= total
     assert total <= sum(c.volume() for c in cubes)
+
+
+@st.composite
+def mixed_scale_family(draw, dim):
+    """A target cube and a family mixing scales up to 8 apart around it.
+
+    The family holds random cubes, and sometimes a tiling of the target made
+    by splitting it and then one child per level, possibly with the first
+    tile left out.  The finest scale times the dimension stays <= 12, so the
+    oracle grid is small.
+    """
+    finest = 12 // dim
+    low = draw(st.integers(0, finest - 1))
+    high = draw(st.integers(low + 1, min(finest, low + 8)))
+
+    def cube(scale):
+        corner = tuple(draw(st.integers(0, (1 << scale) - 1)) for _ in range(dim))
+        return DyadicCube(dim, scale, corner)
+
+    def tiling(piece):
+        tiles = list(piece.children())
+        if piece.scale + 1 < high and draw(st.booleans()):
+            k = draw(st.integers(0, len(tiles) - 1))
+            tiles[k : k + 1] = tiling(tiles[k])
+        return tiles
+
+    target = cube(low)
+    family = [cube(draw(st.integers(low, high))) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        family += tiling(target)[draw(st.integers(0, 1)) :]
+    return target, draw(st.permutations(family))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_mixed_scale_union_matches_brute_grid(dim, data):
+    target, family = data.draw(mixed_scale_family(dim))
+    common = max(c.scale for c in family + [target])
+    kept = maximal_cubes(family)
+    assert all(not a.intersects(b) for i, a in enumerate(kept) for b in kept[i + 1 :])
+    measure = brute_grid_measure(family, common)
+    assert union_measure(family) == measure
+    # the target is covered iff adding it leaves the union's measure unchanged
+    covered = brute_grid_measure(family + [target], common) == measure
+    assert cube_union_contains(family, target) == covered
+
+
+def test_coarse_and_fine_cube_union_is_exact():
+    # the fine cube lies inside the unit square, twelve scales below it
+    assert union_measure([unit_cube(2), DyadicCube(2, 12, (2049, 7))]) == 1
+
+
+def test_fine_cubes_do_not_cover_the_unit_square():
+    corners = [(0, 0), (0, 2047), (2047, 0), (2047, 2047)]
+    quads = [DyadicCube(2, 11, c) for c in corners]
+    assert not cube_union_contains(quads, unit_cube(2))
+    assert union_measure(quads) == 4 * pow2(-22)
 
 
 def test_union_coverage():

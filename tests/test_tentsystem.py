@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slopelab.cubes import DyadicCube, unit_cube
+from slopelab.cubes import DyadicCube, union_measure, unit_cube
 from slopelab.derivatives import diff_class_b
 from slopelab.nullsets import constant_unit_test, explicit_test
-from slopelab.rationals import pow2
+from slopelab.rationals import POW2_MATERIALIZE_CAP, pow2, pow2_upper
 from slopelab.tentsystem import (
     Block,
     BuildBudgetError,
@@ -72,6 +74,42 @@ def test_shuffled_mock_partition_rejected():
     )
     with pytest.raises(PartitionError):
         mock.verify_properties()
+
+
+def test_overlapping_sources_rejected():
+    # the sources agree with the raw cubes and the cells in measure, but the
+    # second source lies inside the first
+    whole = DyadicCube(2, 1, (0, 0))
+    inner = DyadicCube(2, 3, (1, 2))
+    mock = Partition(
+        dimension=2,
+        stages=[
+            StageData(
+                blocks=[Block(0, 1, whole, 1, 1)],
+                sources=[whole, inner],
+                raw=[whole],
+                exhausted=True,
+            )
+        ],
+    )
+    with pytest.raises(PartitionError, match="stage 0: overlapping sources"):
+        mock.verify_properties()
+
+
+def test_mixed_scale_stage_builds_and_verifies():
+    # stage 1 mixes a scale-12 cube with a scale-2 cube; stage 2 nests in the
+    # coarse one
+    stages = [
+        [DyadicCube(2, 1, (0, 0))],
+        [DyadicCube(2, 12, (1500, 1200)), DyadicCube(2, 2, (0, 0))],
+        [DyadicCube(2, 16, (3, 3))],
+    ]
+    system = build_tent_system(explicit_test(stages), depth=2, cutoff=0, budget=4)
+    report = system.partition.verify_properties()
+    assert [s["covers_enumeration"] for s in report["stages"]] == [True] * 3
+    assert report["stages"][2]["nested_with_ratio"]
+    assert union_measure(system.partition.stages[1].sources) == pow2(-24) + pow2(-4)
+    assert system.partition.blocks_at(1)[1].cell_scale == 15
 
 
 def test_overlapping_enumeration_is_normalized():
@@ -368,3 +406,78 @@ def test_evaluate_contains_the_analytic_series(toy_system8):
         cv = toy_system8.evaluate(TARGET, m)
         assert cv.lower <= truth_lower
         assert truth_upper <= cv.upper
+
+
+# ---------------------------------------------------------------------------
+# Exclusion sums against the per-interval Fraction computation
+
+
+def fraction_union_length(intervals):
+    """Oracle: length of a union of Fraction intervals, merged one by one."""
+    spans = sorted((lo, hi) for lo, hi in intervals if lo < hi)
+    total = Fraction(0)
+    cur = None
+    for lo, hi in spans:
+        if cur is None or lo > cur[1]:
+            if cur is not None:
+                total += cur[1] - cur[0]
+            cur = (lo, hi)
+        else:
+            cur = (cur[0], max(cur[1], hi))
+    if cur is not None:
+        total += cur[1] - cur[0]
+    return total
+
+
+def fraction_exclusion(system, stage, axis, per_block):
+    """Oracle: (union, slack, interval count, bound) summed term by term."""
+    intervals = []
+    slack = Fraction(0)
+    count = 0
+    bound = Fraction(0)
+    for i in range(stage + 1, system.depth + 1):
+        for block in system.partition.blocks_at(i):
+            bound += pow2_upper(-(i + block.cell_scale + block.start_index - 1))
+            for local in range(min(per_block, block.count)):
+                tent = tent_for(block.cell(local), i, block.start_index + local)
+                count += 2
+                if tent.eps_exponent > POW2_MATERIALIZE_CAP:
+                    slack += 2 * pow2_upper(-tent.eps_exponent)
+                else:
+                    intervals.extend(tent.exclusion_intervals(axis))
+    bound += Fraction(16) ** (-(system.depth + 1)) * Fraction(16, 15)
+    return fraction_union_length(intervals), slack, count, bound
+
+
+@pytest.fixture(scope="module")
+def clamped_system():
+    # the second stage-2 block starts past index 2**24, so its tents are
+    # too thin to materialize and its bound term is clamped
+    stages = [
+        [unit_cube(3)],
+        [unit_cube(3)],
+        [DyadicCube(3, 1, (0, 0, 0)), DyadicCube(3, 1, (1, 1, 1))],
+    ]
+    return build_tent_system(explicit_test(stages), depth=2, cutoff=0, budget=2)
+
+
+def test_clamped_slack_counts_thin_tents(clamped_system):
+    report = clamped_system.exclusion_visible(1, 2)
+    assert report.visible_slack == 2 * 16 * pow2(-POW2_MATERIALIZE_CAP)
+    assert report.interval_count == 64
+    assert report.within_bound
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_exclusion_sums_match_fraction_oracle(toy_system5, toy_system8, clamped_system, data):
+    system = data.draw(st.sampled_from([toy_system5, toy_system8, clamped_system]))
+    stage = data.draw(st.integers(0, system.depth))
+    axis = data.draw(st.integers(1, system.dimension - 1))
+    per_block = data.draw(st.integers(1, 40))
+    report = system.exclusion_visible(stage, axis, per_block)
+    union, slack, count, bound = fraction_exclusion(system, stage, axis, per_block)
+    assert report.visible_union == union
+    assert report.visible_slack == slack
+    assert report.interval_count == count
+    assert report.closed_form_bound == system.exclusion_bound(stage) == bound
