@@ -10,6 +10,7 @@ martingale and counterexample layers rely on for zero-tolerance checks.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -98,7 +99,7 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
 
 
 def constant_function(value: Fraction | int | str, dimension: int = 1) -> ComputableFunction:
-    v = Fraction(value) if not isinstance(value, str) else Fraction(value)
+    v = Fraction(value)
     return exact_function(
         dimension,
         lambda _point: v,
@@ -158,7 +159,7 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
 
 
 def scale_function(factor: Fraction | int | str, f: ComputableFunction) -> ComputableFunction:
-    c = Fraction(factor) if not isinstance(factor, str) else Fraction(factor)
+    c = Fraction(factor)
     shift = 0 if c == 0 else max(0, ceil_log2(abs(c)))
 
     def evaluator(point: Vector, precision: int) -> Fraction:
@@ -183,7 +184,7 @@ def kn_decompose(
     The caller certifies lipschitz_bound >= Lip(f); only lower bounds are
     certifiable from finitely many samples, so no bound is ever inferred.
     """
-    bound = Fraction(lipschitz_bound) if not isinstance(lipschitz_bound, str) else Fraction(lipschitz_bound)
+    bound = Fraction(lipschitz_bound)
     if bound <= 0:
         raise ValueError("Lipschitz bound must be positive")
     m = tuple(bound for _ in range(f.dimension))
@@ -445,8 +446,7 @@ class ShiftMod1:
 
 def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) -> ComputableFunction:
     """Exact one-variable piecewise-linear interpolant through (x, y) pairs."""
-    knots = [(Fraction(x) if not isinstance(x, str) else Fraction(x),
-              Fraction(y) if not isinstance(y, str) else Fraction(y)) for x, y in points]
+    knots = [(Fraction(x), Fraction(y)) for x, y in points]
     if len(knots) < 2:
         raise ValueError("need at least two knots")
     xs = [x for x, _ in knots]
@@ -464,10 +464,10 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
         x = point[0]
         if not 0 <= x <= 1:
             raise ValueError(f"{x} outside [0, 1]")
-        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-            if x <= x1:
-                return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-        raise AssertionError("unreachable")
+        # the segment ending at the first knot >= x; a knot takes its left segment
+        segment = bisect_left(xs, x, 1) - 1
+        x0, y0 = knots[segment]
+        return y0 + (x - x0) * slopes[segment]
 
     return exact_function(
         1,
@@ -497,7 +497,7 @@ def identity_1d() -> ComputableFunction:
 
 
 def abs_distance_1d(center: Fraction | str) -> ComputableFunction:
-    c = Fraction(center) if not isinstance(center, str) else Fraction(center)
+    c = Fraction(center)
     return exact_function(
         1, lambda p: abs(p[0] - c), lambda i: i, descriptor={"kind": "abs", "center": str(c)}
     )

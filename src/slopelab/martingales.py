@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from itertools import count
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .bits import Bits, BitSource, bits_of_fraction, fraction_from_bits, interleave
 from .functions import ComputableFunction
@@ -26,31 +27,75 @@ class MonotonicityError(ValueError):
     pass
 
 
+Level = Callable[[int], Fraction]  # index -> capital, for one string length
+
+
+def _index(sigma: Bits) -> int:
+    """sigma read as a binary numeral, first bit most significant."""
+    index = 0
+    for b in sigma:
+        index = 2 * index + b
+    return index
+
+
+def _sigma(length: int, index: int) -> Bits:
+    """The string of this length whose bits spell index; inverse of _index."""
+    return tuple((index >> shift) & 1 for shift in range(length - 1, -1, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class Martingale:
-    """Nonnegative exact capital function on binary strings."""
+    """Nonnegative exact capital function on binary strings.
 
-    fn: Callable[[Bits], Fraction]
+    A string sigma is held as (length, index) with index = sigma read in
+    binary, so sigma0 and sigma1 are (length + 1, 2 * index) and
+    (length + 1, 2 * index + 1).  ``capital(length, index)`` is one value.
+    ``levels``, when given, returns a fresh iterator over the levels of
+    length 0, 1, 2, ..., each agreeing with ``capital`` at that length, so a
+    walk over whole levels can share work between them; without it, level L
+    is ``capital(L, .)``.
+    """
+
+    capital: Callable[[int, int], Fraction]
     label: str = "martingale"
+    levels: Callable[[], Iterator[Level]] | None = None
 
     def at(self, sigma: Sequence[int]) -> Fraction:
         sigma = tuple(int(b) for b in sigma)
         if any(b not in (0, 1) for b in sigma):
             raise ValueError("strings are over {0, 1}")
-        value = self.fn(sigma)
-        if value < 0:
-            raise ValueError(f"{self.label}: negative capital {value} at {sigma}")
+        index = _index(sigma)
+        return self._nonnegative(len(sigma), index, self.capital(len(sigma), index))
+
+    def _nonnegative(self, length: int, index: int, value: Fraction) -> Fraction:
+        if value.numerator < 0:  # a Fraction's sign; cheaper than comparing Fractions
+            raise ValueError(f"{self.label}: negative capital {value} at {_sigma(length, index)}")
         return value
 
 
 def check_fairness(m: Martingale, depth: int) -> Bits | None:
-    """Exact fairness check on all strings of length < depth; witness or None."""
+    """Exact fairness check on all strings of length < depth; witness or None.
+
+    Level L is compared with level L + 1, and only those two are live.
+    Strings are visited length-major in lexicographic order, each one's
+    children checked for a negative capital before its own fairness law, so
+    the witness and any negative-capital error are the first in that order.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if depth == 0:
+        return None
+    levels = m.levels() if m.levels is not None else (partial(m.capital, n) for n in count())
+    parent = next(levels)
+    m._nonnegative(0, 0, parent(0))
     for length in range(depth):
-        for sigma in product((0, 1), repeat=length):
-            if 2 * m.at(sigma) != m.at(sigma + (0,)) + m.at(sigma + (1,)):
-                return sigma
+        child = next(levels)
+        for index in range(1 << length):
+            left = m._nonnegative(length + 1, 2 * index, child(2 * index))
+            right = m._nonnegative(length + 1, 2 * index + 1, child(2 * index + 1))
+            if 2 * parent(index) != left + right:
+                return _sigma(length, index)
+        parent = child
     return None
 
 
@@ -58,13 +103,13 @@ def constant_martingale(value: Fraction | int | str = 1) -> Martingale:
     v = Fraction(value)
     if v < 0:
         raise ValueError("capital must be nonnegative")
-    return Martingale(lambda _s: v, label="constant")
+    return Martingale(lambda _length, _index: v, label="constant")
 
 
 def all_on_ones_martingale() -> Martingale:
     """Stake everything on the next bit being 1; capital 2**|sigma| on 11...1."""
     return Martingale(
-        lambda s: Fraction(1 << len(s)) if all(b == 1 for b in s) else Fraction(0),
+        lambda length, index: Fraction(1 << length) if index == (1 << length) - 1 else Fraction(0),
         label="all-on-ones",
     )
 
@@ -72,20 +117,24 @@ def all_on_ones_martingale() -> Martingale:
 def table_martingale(values: Mapping[str, Fraction | str], depth: int) -> Martingale:
     """Martingale from an explicit table on strings of length <= depth.
 
-    Strings beyond the table keep their parent's capital (a valid extension).
+    Strings beyond the table keep their longest tabled prefix's capital (a
+    valid extension); keys that are not 0/1 strings are never looked up.
     The table itself is NOT validated here; run check_fairness to audit it.
     """
-    parsed = {k: Fraction(v) for k, v in values.items()}
+    parsed = {}
+    for key, value in values.items():
+        v = Fraction(value)
+        if all(c in "01" for c in key):
+            parsed[len(key), int(key or "0", 2)] = v
 
-    def fn(sigma: Bits) -> Fraction:
-        key = "".join(map(str, sigma))
-        while key not in parsed:
-            if not key:
+    def capital(length: int, index: int) -> Fraction:
+        while (length, index) not in parsed:
+            if length == 0:
                 raise ValueError("table lacks the empty string")
-            key = key[:-1]
-        return parsed[key]
+            length, index = length - 1, index >> 1
+        return parsed[length, index]
 
-    return Martingale(fn, label=f"table(depth={depth})")
+    return Martingale(capital, label=f"table(depth={depth})")
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +147,12 @@ def dyadic_interval(sigma: Bits) -> tuple[Fraction, Fraction]:
     return left, left + pow2(-len(sigma))
 
 
+def _dyadic_slope(f: ComputableFunction, length: int, index: int) -> Fraction:
+    """Slope of f over [index / 2**length, (index + 1) / 2**length]."""
+    width = 1 << length
+    return (f.eval((Fraction(index + 1, width),)) - f.eval((Fraction(index, width),))) * width
+
+
 def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
     """Slope of f over the interval coded by sigma; exact for exact f.
 
@@ -108,8 +163,7 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
         raise ValueError("slope martingales read one-variable functions")
     if not f.exact:
         raise ValueError("exact slopes need an exact function; use approx_interval_slope")
-    left, right = dyadic_interval(sigma)
-    return (f.eval((right,)) - f.eval((left,))) / (right - left)
+    return _dyadic_slope(f, len(sigma), _index(sigma))
 
 
 def approx_interval_slope(f: ComputableFunction, sigma: Bits, precision: int) -> Fraction:
@@ -130,12 +184,37 @@ def audit_monotone(f: ComputableFunction, scale: int = 6) -> None:
             )
 
 
+def _grid_slope(grid: list[Fraction], width: int, index: int) -> Fraction:
+    return (grid[index + 1] - grid[index]) * width
+
+
+def _slope_levels(f: ComputableFunction) -> Iterator[Level]:
+    """Slopes of f over the dyadic intervals, one level at a time.
+
+    Level L reads f on the grid k / 2**L: the slope over interval k is the
+    first difference at k times 2**L.  The next grid keeps this one's values
+    at its even points, so f is evaluated once per grid point, 2**L + 1
+    times up to level L, and only the grid is held, never the slopes.
+    """
+    grid = [f.eval((Fraction(0),)), f.eval((Fraction(1),))]
+    width = 1
+    while True:
+        yield partial(_grid_slope, grid, width)
+        width *= 2
+        midpoints = [f.eval((Fraction(k, width),)) for k in range(1, width, 2)]
+        grid = [v for pair in zip(grid, midpoints) for v in pair] + [grid[-1]]
+
+
 def slope_martingale(f: ComputableFunction, audit_scale: int = 6) -> Martingale:
     """Capital(sigma) = slope of the monotone f over [sigma]; nonnegative, fair."""
     if not f.exact:
         raise ValueError("slope_martingale needs exact dyadic evaluation")
     audit_monotone(f, audit_scale)
-    return Martingale(lambda sigma: interval_slope(f, sigma), label="slope")
+    return Martingale(
+        lambda length, index: _dyadic_slope(f, length, index),
+        label="slope",
+        levels=lambda: _slope_levels(f),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +373,12 @@ def run_bet(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     prefix = source.prefix(depth)
-    trajectory = tuple(m.at(prefix[:k]) for k in range(depth + 1))
+    index = 0
+    capitals = [m._nonnegative(0, 0, m.capital(0, 0))]
+    for length, bit in enumerate(prefix, 1):
+        index = 2 * index + bit
+        capitals.append(m._nonnegative(length, index, m.capital(length, index)))
+    trajectory = tuple(capitals)
     tail = trajectory[(depth + 1) // 2 :]
     crossings: dict[Fraction, int | None] = {}
     for threshold in thresholds:

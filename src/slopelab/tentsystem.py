@@ -137,6 +137,15 @@ class StageData:
     exhausted: bool
 
 
+def _cells_volume(blocks: Sequence[Block], dimension: int) -> Fraction:
+    """Total volume of the blocks' cells, as a count of finest cells over one power of two."""
+    if not blocks:
+        return Fraction(0)
+    finest = max(b.cell_scale for b in blocks)
+    cells = sum(b.count << ((finest - b.cell_scale) * dimension) for b in blocks)
+    return Fraction(cells, 1 << (finest * dimension))
+
+
 @dataclass(eq=False)
 class Partition:
     """Indexed family of stage cells with provenance, kept in lazy blocks."""
@@ -185,10 +194,7 @@ class Partition:
             entry = {"stage": m}
             union_raw = union_measure(stage.raw)
             union_sources = union_measure(stage.sources)
-            cells_volume = sum(
-                (b.count * pow2(-b.cell_scale * self.dimension) for b in stage.blocks),
-                Fraction(0),
-            )
+            cells_volume = _cells_volume(stage.blocks, self.dimension)
             entry["covers_enumeration"] = union_raw == union_sources == cells_volume
             if not entry["covers_enumeration"]:
                 raise PartitionError(f"stage {m}: cells do not tile the visible stage")

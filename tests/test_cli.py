@@ -306,6 +306,42 @@ def test_tent_system_bundle_verification_cli(tmp_path):
     assert main(["tent-system", "--check-bundle", str(tampered)]) == 1
 
 
+def test_tent_system_bundle_past_the_pow2_cap_ends_cleanly(tmp_path, capsys):
+    # cells of scale 20000 in dimension 2 still tile the last stage; their
+    # volume 2**-40000 used to escape as an OverflowError traceback
+    config = write_config(
+        tmp_path,
+        "tent.json",
+        {
+            "test": {"kind": "concentric", "point": ["1/3", "1/3"], "scale_step": 2},
+            "depth": 3,
+            "budget": 4,
+        },
+    )
+    bundle = tmp_path / "bundle.json"
+    assert main(["tent-system", "--config", config, "--bundle", str(bundle)]) == 0
+    data = json.loads(bundle.read_text())
+    data["stages"][-1]["blocks"][0]["cell_scale"] = 20000
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["tent-system", "--check-bundle", str(edited)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verified"] is True
+    assert captured.err == ""
+
+
+def test_overflow_in_a_command_exits_2(monkeypatch, capsys):
+    import slopelab.cli as cli
+
+    def overflow(_args):
+        raise OverflowError("2**-40000 exceeds the materialization cap")
+
+    monkeypatch.setattr(cli, "cmd_bet", overflow)
+    assert main(["bet", "--config", "unused.json"]) == 2
+    assert capsys.readouterr().err == "error: 2**-40000 exceeds the materialization cap\n"
+
+
 def test_tent_system_reports_unattainable_precision(tmp_path, capsys):
     config = write_config(
         tmp_path,

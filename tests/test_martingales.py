@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from slopelab.bits import bits_of_fraction, constant_bits, pattern_bits
 from slopelab.functions import (
+    ComputableFunction,
     abs_distance_1d,
     cube_1d,
     identity_1d,
@@ -135,12 +136,13 @@ def test_bet_run_csv_format():
 def test_run_bet_uses_exactly_the_prefix():
     calls = []
 
-    def probe(sigma):
-        calls.append(tuple(sigma))
+    def probe(length, index):
+        calls.append((length, index))
         return F(1)
 
     run_bet(Martingale(probe), pattern_bits([0, 1]), 4)
-    assert calls == [(), (0,), (0, 1), (0, 1, 0), (0, 1, 0, 1)]
+    # (length, index) of (), (0,), (0, 1), (0, 1, 0), (0, 1, 0, 1)
+    assert calls == [(0, 0), (1, 0), (2, 1), (3, 2), (4, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +267,147 @@ def test_slope_average_identity_for_arbitrary_pwlinear(seed):
             assert 2 * interval_slope(f, sigma) == interval_slope(
                 f, sigma + (0,)
             ) + interval_slope(f, sigma + (1,))
+
+
+# ---------------------------------------------------------------------------
+# The level walk against the node-by-node reference
+
+
+def fairness_oracle(m, depth):
+    """The node-by-node audit on bit tuples that check_fairness replaced."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    for length in range(depth):
+        for sigma in product((0, 1), repeat=length):
+            if 2 * m.at(sigma) != m.at(sigma + (0,)) + m.at(sigma + (1,)):
+                return sigma
+    return None
+
+
+def trajectory_oracle(m, source, depth):
+    """The capital path as run_bet computed it: m.at on every prefix."""
+    prefix = source.prefix(depth)
+    return tuple(m.at(prefix[:k]) for k in range(depth + 1))
+
+
+def outcome(call, *args):
+    try:
+        return ("value", call(*args))
+    except Exception as exc:  # the exception's type and text are compared
+        return ("raise", type(exc), str(exc))
+
+
+def assert_matches_oracles(m, audit_depths, rng, path_depth):
+    for depth in audit_depths:
+        assert outcome(check_fairness, m, depth) == outcome(fairness_oracle, m, depth)
+    for _ in range(3):
+        source = pattern_bits([rng.randrange(2) for _ in range(rng.randint(1, 6))])
+        run = outcome(lambda: run_bet(m, source, path_depth).trajectory)
+        assert run == outcome(trajectory_oracle, m, source, path_depth)
+
+
+def table_oracle(values: dict, sigma) -> F:
+    """The string-keyed lookup table_martingale replaced: trim to a tabled prefix."""
+    key = "".join(map(str, sigma))
+    while key not in values:
+        if not key:
+            raise ValueError("table lacks the empty string")
+        key = key[:-1]
+    return F(values[key])
+
+
+def slope_oracle(f, sigma) -> F:
+    """Slope over [sigma] through the bit-tuple interval and a division."""
+    left, right = dyadic_interval(sigma)
+    return (f.eval((right,)) - f.eval((left,))) / (right - left)
+
+
+def random_table(rng: random.Random, depth: int) -> dict:
+    """A fair table from bets in [-1, 1], then a few entries corrupted or dropped."""
+    values = {"": F(rng.randrange(0, 9), 4)}
+    for length in range(depth):
+        for sigma in product("01", repeat=length):
+            key = "".join(sigma)
+            bet = F(rng.randrange(-8, 9), 8)
+            values[key + "0"] = values[key] * (1 + bet)
+            values[key + "1"] = values[key] * (1 - bet)
+    keys = sorted(values)
+    for _ in range(rng.randrange(3)):
+        values[rng.choice(keys)] = F(rng.randrange(-8, 17), 4)  # may be negative
+    if rng.random() < 0.3:
+        values.pop(rng.choice(keys[1:]))  # its strings fall back to a shorter prefix
+    return values
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_table_martingales_match_node_by_node_oracles(seed):
+    rng = random.Random(seed)
+    depth = rng.randint(1, 4)
+    table = random_table(rng, depth)
+    m = table_martingale(table, depth)
+    assert_matches_oracles(m, range(depth + 3), rng, depth + 3)
+    for length in range(depth + 3):
+        for sigma in product((0, 1), repeat=length):
+            assert outcome(m.capital, length, int("0" + "".join(map(str, sigma)), 2)) == outcome(
+                table_oracle, table, sigma
+            )
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=20, deadline=None)
+def test_closed_form_martingales_match_node_by_node_oracles(seed):
+    rng = random.Random(seed)
+    for m in (all_on_ones_martingale(), constant_martingale(F(rng.randrange(0, 50), rng.randint(1, 7)))):
+        assert_matches_oracles(m, range(8), rng, 12)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=20, deadline=None)
+def test_slope_martingales_match_node_by_node_oracles(seed):
+    rng = random.Random(seed)
+    f = random_monotone_pwlinear(rng)
+    m = slope_martingale(f)
+    assert_matches_oracles(m, (0, 1, 7), rng, 24)
+    for length in (0, 1, 5, 40):
+        sigma = tuple(rng.randrange(2) for _ in range(length))
+        assert m.at(sigma) == slope_oracle(f, sigma)
+
+
+def test_fine_scale_dip_raises_like_the_oracles():
+    # nondecreasing on the scale-6 audit grid, decreasing on [1/128, 1/64]
+    f = piecewise_linear([(0, 0), (F(1, 128), F(1, 32)), (F(1, 64), F(1, 64)), (1, 1)])
+    m = slope_martingale(f)
+    dip = (0, 0, 0, 0, 0, 0, 1)
+    message = f"slope: negative capital -2 at {dip}"
+    assert outcome(check_fairness, m, 8) == ("raise", ValueError, message)
+    assert outcome(fairness_oracle, m, 8) == ("raise", ValueError, message)
+    assert check_fairness(m, 6) is None
+    source = pattern_bits(dip, repeat=False)
+    assert outcome(lambda: run_bet(m, source, 9)) == ("raise", ValueError, message)
+    assert outcome(trajectory_oracle, m, source, 9) == ("raise", ValueError, message)
+
+
+def test_fairness_witness_precedes_a_later_negative_capital():
+    # "0" is unfair; "11" is negative but comes later in length-major order
+    table = {"": "1", "0": "1", "1": "1", "00": "1", "01": "2", "10": "2", "11": "-1"}
+    m = table_martingale(table, 2)
+    assert check_fairness(m, 2) == fairness_oracle(m, 2) == (0,)
+    with pytest.raises(ValueError, match=r"negative capital -1 at \(1, 1\)"):
+        m.at((1, 1))
+
+
+def test_slope_audit_evaluates_f_once_per_grid_point():
+    calls = []
+    square = square_1d()
+
+    def counted(point, precision):
+        calls.append(point)
+        return square.eval(point, precision)
+
+    f = ComputableFunction(1, counted, square.modulus, exact=True)
+    m = slope_martingale(f)
+    calls.clear()
+    assert check_fairness(m, 10) is None
+    assert len(calls) == 2**10 + 1
+    assert len(set(calls)) == len(calls)

@@ -57,6 +57,15 @@ def test_partition_properties_verified(toy_system5):
             assert entry["nested_with_ratio"]
 
 
+def test_partition_past_the_pow2_cap_verifies(toy_test):
+    # stage 75 of the toy has cells of scale 8552, so cell_scale * dimension
+    # is past POW2_MATERIALIZE_CAP; the cell volume is an integer cell count
+    partition = build_partition(toy_test, 75, 4)
+    assert partition.first_cell_scale(75) * 2 > POW2_MATERIALIZE_CAP
+    report = partition.verify_properties()
+    assert all(entry["covers_enumeration"] for entry in report["stages"])
+
+
 def test_shuffled_mock_partition_rejected():
     # two blocks at one stage with increasing cell volume violate the order
     big = Block(0, 1, DyadicCube(1, 1, (0,)), 2, 1)
