@@ -69,6 +69,7 @@ from .martingales import (
     BetRun,
     Martingale,
     MonotonicityError,
+    NegativeCapitalError,
     OracleFunction,
     UniformMartingale,
     all_on_ones_martingale,

@@ -107,19 +107,19 @@ def cmd_bet(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     try:
         martingale = sz.martingale_from_descriptor(_require(config, "martingale"))
-    except mg.MonotonicityError as exc:
+        source = sz.source_from_descriptor(_require(config, "source"))
+        depth = int(config.get("depth", args.depth or 16))
+        witness = mg.check_fairness(martingale, min(depth, int(config.get("audit_depth", 8))))
+        if witness is not None:
+            sys.stderr.write(
+                f"fairness audit failed at sigma = {''.join(map(str, witness))!r}\n"
+            )
+            return 1
+        thresholds = [parse_rational(t) for t in config.get("thresholds", [])]
+        run = mg.run_bet(martingale, source, depth, thresholds)
+    except (mg.MonotonicityError, mg.NegativeCapitalError) as exc:
         sys.stderr.write(f"martingale rejected: {exc}\n")
         return 1
-    source = sz.source_from_descriptor(_require(config, "source"))
-    depth = int(config.get("depth", args.depth or 16))
-    witness = mg.check_fairness(martingale, min(depth, int(config.get("audit_depth", 8))))
-    if witness is not None:
-        sys.stderr.write(
-            f"fairness audit failed at sigma = {''.join(map(str, witness))!r}\n"
-        )
-        return 1
-    thresholds = [parse_rational(t) for t in config.get("thresholds", [])]
-    run = mg.run_bet(martingale, source, depth, thresholds)
     if args.format == "csv":
         _write_out(run.to_csv(), args.out)
     else:

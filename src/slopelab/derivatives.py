@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .functions import (
     AffineIsometry,
@@ -117,6 +117,36 @@ def slope_dir(
     return SlopeReport(x, "direction", v, h, value, 2 * _eval_error(f, precision) / abs(h))
 
 
+def _tail_bracket(
+    f: ComputableFunction,
+    x: Vector,
+    axis: int,
+    steps: Sequence[Fraction],
+    precision: int,
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] | None:
+    """Lowest and highest two-sided slope along axis over the tail of steps.
+
+    Each step h is tried as h and then -h, skipping those that leave the
+    cube.  The tail is the steps from len(steps) // 2 on, or all of them
+    when none of those is feasible.  Returns the (step, slope) pairs of the
+    first minimum and the first maximum, or None when no step is feasible.
+    """
+    observations: list[tuple[int, Fraction, Fraction]] = []
+    for rank, h in enumerate(steps):
+        for signed in (h, -h):
+            try:
+                observations.append((rank, signed, slope_axis(f, x, axis, signed, precision).value))
+            except ValueError:
+                continue
+    if not observations:
+        return None
+    tail_start = len(steps) // 2
+    tail = [obs for obs in observations if obs[0] >= tail_start] or observations
+    lo = min(tail, key=lambda t: t[2])
+    hi = max(tail, key=lambda t: t[2])
+    return lo[1:], hi[1:]
+
+
 def partial_probe(
     f: ComputableFunction,
     x: Sequence[Fraction],
@@ -135,34 +165,22 @@ def partial_probe(
     x = tuple(x)
     if not schedule:
         raise ValueError("schedule must be nonempty")
-    observations: list[tuple[int, Fraction, Fraction]] = []
-    for rank, h in enumerate(schedule):
-        for signed in (h, -h):
-            try:
-                report = slope_axis(f, x, axis, signed, precision)
-            except ValueError:
-                continue
-            observations.append((rank, signed, report.value))
-    if not observations:
+    bracket = _tail_bracket(f, x, axis, schedule, precision)
+    if bracket is None:
         raise ValueError("schedule leaves the cube at every step")
-    tail_start = len(schedule) // 2
-    tail = [obs for obs in observations if obs[0] >= tail_start] or observations
-    lo = min(tail, key=lambda t: t[2])
-    hi = max(tail, key=lambda t: t[2])
-    oscillation = hi[2] - lo[2]
-    bracket = (lo[2], hi[2])
-    if threshold is not None and oscillation >= threshold:
+    (lo_step, lo), (hi_step, hi) = bracket
+    if threshold is not None and hi - lo >= threshold:
         witness = {
             "op": "partial",
             "axis": axis,
             "point": x,
-            "low": {"step": lo[1], "slope": lo[2]},
-            "high": {"step": hi[1], "slope": hi[2]},
-            "oscillation": oscillation,
+            "low": {"step": lo_step, "slope": lo},
+            "high": {"step": hi_step, "slope": hi},
+            "oscillation": hi - lo,
             "threshold": threshold,
         }
-        return ProbeVerdict("partial", VIOLATED, len(schedule), witness, bracket)
-    return ProbeVerdict("partial", CONSISTENT, len(schedule), None, bracket)
+        return ProbeVerdict("partial", VIOLATED, len(schedule), witness, (lo, hi))
+    return ProbeVerdict("partial", CONSISTENT, len(schedule), None, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -306,36 +324,26 @@ def diff_class_a(
     of the upper one.
     """
     x = tuple(x)
+    steps = [pow2(-k) for k in range(1, depth + 1)]
     brackets: list[tuple[Fraction, Fraction]] = []
     worst: dict | None = None
     for axis in range(f.dimension):
-        observations: list[tuple[int, Fraction, Fraction]] = []
-        for k in range(1, depth + 1):
-            h = pow2(-k)
-            for signed in (h, -h):
-                try:
-                    observations.append((k, signed, slope_axis(f, x, axis, signed, precision).value))
-                except ValueError:
-                    continue
-        if not observations:
+        bracket = _tail_bracket(f, x, axis, steps, precision)
+        if bracket is None:
             raise ValueError(f"no feasible step along axis {axis}")
-        tail_start = depth // 2 + 1
-        tail = [obs for obs in observations if obs[0] >= tail_start] or observations
-        lo = min(tail, key=lambda t: t[2])
-        hi = max(tail, key=lambda t: t[2])
-        brackets.append((lo[2], hi[2]))
-        if separation is not None and hi[2] - lo[2] >= separation:
-            candidate = {
-                "op": "class-a",
-                "axis": axis,
-                "point": x,
-                "lower": {"step": lo[1], "slope": lo[2]},
-                "upper": {"step": hi[1], "slope": hi[2]},
-                "separation": hi[2] - lo[2],
-                "threshold": separation,
-            }
-            if worst is None or candidate["separation"] > worst["separation"]:
-                worst = candidate
+        (lo_step, lo), (hi_step, hi) = bracket
+        brackets.append((lo, hi))
+        if separation is not None and hi - lo >= separation:
+            if worst is None or hi - lo > worst["separation"]:
+                worst = {
+                    "op": "class-a",
+                    "axis": axis,
+                    "point": x,
+                    "lower": {"step": lo_step, "slope": lo},
+                    "upper": {"step": hi_step, "slope": hi},
+                    "separation": hi - lo,
+                    "threshold": separation,
+                }
     if worst is not None:
         return ProbeVerdict("class-a", VIOLATED, depth, worst, tuple(brackets))
     return ProbeVerdict("class-a", CONSISTENT, depth, None, tuple(brackets))
@@ -355,15 +363,20 @@ def first_order_remainder(
     return abs(fxh - fx - dot(row, h))
 
 
-def _grid_vectors(dimension: int, depth: int) -> list[Vector]:
-    vectors = []
-    for k in range(1, depth + 1):
+def _grid_vectors(dimension: int, levels: Iterable[int]) -> Iterator[Vector]:
+    """The nonzero vectors h * s, s in {-1, 0, 1}**dimension, h = 2**-k for k in levels."""
+    for k in levels:
         h = pow2(-k)
         for signs in product((-1, 0, 1), repeat=dimension):
-            if all(s == 0 for s in signs):
-                continue
-            vectors.append(tuple(h * s for s in signs))
-    return vectors
+            if any(signs):
+                yield tuple(h * s for s in signs)
+
+
+def _grid_steps(levels: Iterable[int]) -> Iterator[Fraction]:
+    """The signed steps 2**-k and -2**-k for k in levels."""
+    for k in levels:
+        yield pow2(-k)
+        yield -pow2(-k)
 
 
 def diff_class_b(
@@ -377,17 +390,31 @@ def diff_class_b(
     ε and δ range over 2**-1..2**-depth; h and b grids extend two levels
     deeper so small δ are never vacuous.  A finite grid can only refute the
     bounded form, never prove the limit.
+
+    The pairs (h, b) a δ admits (||h|| < δ and |b| < δ) shrink with δ, so
+    some δ works for ε exactly when δ = 2**-depth does.  Only the pairs of
+    the two finest levels are built; a violation reports the first of them,
+    in grid order, that fails the largest failing ε.
     """
     x = tuple(x)
-    h_vectors = [h for h in _grid_vectors(f.dimension, depth + 2) if in_unit_cube(vadd(x, h))]
-    b_steps = [
-        b
-        for k in range(1, depth + 3)
-        for b in (pow2(-k), -pow2(-k))
-        if all(in_unit_cube(vadd(x, vscale(b, unit_axis(f.dimension, i)))) for i in range(f.dimension))
-    ]
-    if not h_vectors or not b_steps:
+    axes = [unit_axis(f.dimension, i) for i in range(f.dimension)]
+
+    def b_feasible(b: Fraction) -> bool:
+        return all(in_unit_cube(vadd(x, vscale(b, e))) for e in axes)
+
+    grid = range(1, depth + 3)
+    h_feasible = any(in_unit_cube(vadd(x, h)) for h in _grid_vectors(f.dimension, grid))
+    if not h_feasible or not any(b_feasible(b) for b in _grid_steps(grid)):
         raise ValueError("no feasible probe steps at this point")
+    delta = pow2(-depth)
+    delta_sq = delta * delta
+    fine = range(max(1, depth + 1), depth + 3)
+    h_vectors = [
+        h
+        for h in _grid_vectors(f.dimension, fine)
+        if norm_sq(h) < delta_sq and in_unit_cube(vadd(x, h))
+    ]
+    b_steps = [b for b in _grid_steps(fine) if b_feasible(b)]  # all below δ
     value_cache: dict[Vector, Fraction] = {}
 
     def cached(point: Vector) -> Fraction:
@@ -396,47 +423,33 @@ def diff_class_b(
         return value_cache[point]
 
     fx = cached(x)
-    rows: dict[Fraction, list[Fraction]] = {}
-    for b in b_steps:
-        rows[b] = [
-            (cached(tuple(xi + (b if i == axis else 0) for i, xi in enumerate(x))) - fx) / b
-            for axis in range(f.dimension)
-        ]
-    remainders: dict[tuple[Vector, Fraction], tuple[Fraction, Fraction]] = {}
+    rows = {
+        b: [(cached(vadd(x, vscale(b, e))) - fx) / b for e in axes] for b in b_steps
+    }
+    remainders: list[tuple[Vector, Fraction, Fraction, Fraction]] = []
     for h in h_vectors:
         fxh = cached(vadd(x, h))
         hsq = norm_sq(h)
         for b in b_steps:
-            remainders[(h, b)] = (abs(fxh - fx - dot(rows[b], h)), hsq)
+            remainders.append((h, b, abs(fxh - fx - dot(rows[b], h)), hsq))
+    worst = max((rem * rem / hsq for _, _, rem, hsq in remainders), default=Fraction(0))
     for e in range(1, depth + 1):
         eps = pow2(-e)
-        found_delta = False
-        smallest_delta_failure: dict | None = None
-        for d in range(1, depth + 1):
-            delta = pow2(-d)
-            delta_sq = delta * delta
-            ok = True
-            for (h, b), (rem, hsq) in remainders.items():
-                if hsq >= delta_sq or b * b >= delta_sq:
-                    continue
-                if rem * rem > eps * eps * hsq:
-                    ok = False
-                    smallest_delta_failure = {
-                        "op": "class-b",
-                        "point": x,
-                        "epsilon": eps,
-                        "delta": delta,
-                        "h": h,
-                        "b": b,
-                        "row": tuple(rows[b]),
-                        "remainder": rem,
-                    }
-                    break
-            if ok:
-                found_delta = True
-                break
-        if not found_delta:
-            return ProbeVerdict("class-b", VIOLATED, depth, smallest_delta_failure, None)
+        if worst > eps * eps:
+            h, b, rem = next(
+                (h, b, rem) for h, b, rem, hsq in remainders if rem * rem > eps * eps * hsq
+            )
+            witness = {
+                "op": "class-b",
+                "point": x,
+                "epsilon": eps,
+                "delta": delta,
+                "h": h,
+                "b": b,
+                "row": tuple(rows[b]),
+                "remainder": rem,
+            }
+            return ProbeVerdict("class-b", VIOLATED, depth, witness, None)
     return ProbeVerdict("class-b", CONSISTENT, depth, None, None)
 
 

@@ -27,6 +27,10 @@ class MonotonicityError(ValueError):
     pass
 
 
+class NegativeCapitalError(ValueError):
+    """A capital below zero: the strategy is not a martingale."""
+
+
 Level = Callable[[int], Fraction]  # index -> capital, for one string length
 
 
@@ -69,7 +73,9 @@ class Martingale:
 
     def _nonnegative(self, length: int, index: int, value: Fraction) -> Fraction:
         if value.numerator < 0:  # a Fraction's sign; cheaper than comparing Fractions
-            raise ValueError(f"{self.label}: negative capital {value} at {_sigma(length, index)}")
+            raise NegativeCapitalError(
+                f"{self.label}: negative capital {value} at {_sigma(length, index)}"
+            )
         return value
 
 
@@ -118,16 +124,19 @@ def table_martingale(values: Mapping[str, Fraction | str], depth: int) -> Martin
     """Martingale from an explicit table on strings of length <= depth.
 
     Strings beyond the table keep their longest tabled prefix's capital (a
-    valid extension); keys that are not 0/1 strings are never looked up.
-    The table itself is NOT validated here; run check_fairness to audit it.
+    valid extension).  A key that is not a 0/1 string raises ValueError.
+    The capitals are NOT validated here; run check_fairness to audit them.
     """
     parsed = {}
     for key, value in values.items():
-        v = Fraction(value)
-        if all(c in "01" for c in key):
-            parsed[len(key), int(key or "0", 2)] = v
+        if any(c not in "01" for c in key):
+            raise ValueError(f"table key {key!r} is not a 0/1 string")
+        parsed[len(key), int(key or "0", 2)] = Fraction(value)
+    top = max((length for length, _ in parsed), default=0)
 
     def capital(length: int, index: int) -> Fraction:
+        if length > top:
+            length, index = top, index >> (length - top)
         while (length, index) not in parsed:
             if length == 0:
                 raise ValueError("table lacks the empty string")

@@ -186,6 +186,47 @@ def test_bet_command_aborts_on_corrupt_table(tmp_path, capsys):
     assert "fairness" in capsys.readouterr().err
 
 
+def test_bet_command_rejects_a_slope_negative_below_the_audit_grid(tmp_path, capsys):
+    # nondecreasing on the scale-6 audit grid, slope -2 on [1/128, 1/64]
+    points = [["0/1", "0/1"], ["1/128", "1/32"], ["1/64", "1/64"], ["1/1", "1/1"]]
+    config = write_config(
+        tmp_path,
+        "bet.json",
+        {
+            "martingale": {"kind": "slope", "function": {"kind": "pwlinear", "points": points}},
+            "source": {"kind": "rational", "value": "1/3"},
+            "depth": 16,
+        },
+    )
+    assert main(["bet", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "martingale rejected: slope: negative capital -2 at (0, 0, 0, 0, 0, 0, 1)\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["1 ", "x", "012"])
+def test_bet_command_rejects_table_keys_that_are_not_binary_strings(tmp_path, capsys, key):
+    config = write_config(
+        tmp_path,
+        "bet.json",
+        {
+            "martingale": {
+                "kind": "table",
+                "depth": 1,
+                "values": {"": "1/1", "0": "1/1", "1": "1/1", key: "7/1"},
+            },
+            "source": {"kind": "pattern", "bits": "1"},
+            "depth": 4,
+        },
+    )
+    assert main(["bet", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: table key {key!r} is not a 0/1 string\n"
+
+
 def test_tent_system_command(tmp_path):
     config = write_config(
         tmp_path,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from slopelab.derivatives import (
     CONSISTENT,
     VIOLATED,
+    ProbeVerdict,
     WSearchError,
     diff_class_a,
     diff_class_b,
@@ -21,13 +23,17 @@ from slopelab.derivatives import (
     slope_row,
 )
 from slopelab.functions import (
+    ComputableFunction,
     abs_diff_2d,
     abs_distance_1d,
     constant_function,
+    exact_function,
     linear_form,
+    piecewise_linear,
     product_xy,
 )
-from slopelab.rationals import unit_axis
+from slopelab.rationals import dot, in_unit_cube, norm_sq, pow2, unit_axis, vadd, vscale
+from slopelab.serialize import function_from_descriptor
 from slopelab.tentsystem import tent_for
 from slopelab.cubes import DyadicCube
 
@@ -256,3 +262,180 @@ def test_quotient_identity_breaks_when_transform_misses_the_direction():
         rhs = (f_hat.eval(vadd(x, vscale(t, u))) - f_hat.eval(x)) / t
         assert lhs != rhs
         assert lhs == F(18, 5) + F(2, 64)  # the perturbation shows up verbatim
+
+
+# ---------------------------------------------------------------------------
+# Class B at the smallest δ against the full ε/δ scan
+
+
+def class_b_oracle(f, x, depth, precision=64):
+    """The full-grid ε/δ scan that diff_class_b replaced."""
+    x = tuple(x)
+    h_vectors = [
+        tuple(pow2(-k) * s for s in signs)
+        for k in range(1, depth + 3)
+        for signs in product((-1, 0, 1), repeat=f.dimension)
+        if any(signs) and in_unit_cube(vadd(x, tuple(pow2(-k) * s for s in signs)))
+    ]
+    b_steps = [
+        b
+        for k in range(1, depth + 3)
+        for b in (pow2(-k), -pow2(-k))
+        if all(in_unit_cube(vadd(x, vscale(b, unit_axis(f.dimension, i)))) for i in range(f.dimension))
+    ]
+    if not h_vectors or not b_steps:
+        raise ValueError("no feasible probe steps at this point")
+    value_cache = {}
+
+    def cached(point):
+        if point not in value_cache:
+            value_cache[point] = f.eval(point, precision)
+        return value_cache[point]
+
+    fx = cached(x)
+    rows = {}
+    for b in b_steps:
+        rows[b] = [
+            (cached(tuple(xi + (b if i == axis else 0) for i, xi in enumerate(x))) - fx) / b
+            for axis in range(f.dimension)
+        ]
+    remainders = {}
+    for h in h_vectors:
+        fxh = cached(vadd(x, h))
+        hsq = norm_sq(h)
+        for b in b_steps:
+            remainders[(h, b)] = (abs(fxh - fx - dot(rows[b], h)), hsq)
+    for e in range(1, depth + 1):
+        eps = pow2(-e)
+        found_delta = False
+        smallest_delta_failure = None
+        for d in range(1, depth + 1):
+            delta = pow2(-d)
+            delta_sq = delta * delta
+            ok = True
+            for (h, b), (rem, hsq) in remainders.items():
+                if hsq >= delta_sq or b * b >= delta_sq:
+                    continue
+                if rem * rem > eps * eps * hsq:
+                    ok = False
+                    smallest_delta_failure = {
+                        "op": "class-b",
+                        "point": x,
+                        "epsilon": eps,
+                        "delta": delta,
+                        "h": h,
+                        "b": b,
+                        "row": tuple(rows[b]),
+                        "remainder": rem,
+                    }
+                    break
+            if ok:
+                found_delta = True
+                break
+        if not found_delta:
+            return ProbeVerdict("class-b", VIOLATED, depth, smallest_delta_failure, None)
+    return ProbeVerdict("class-b", CONSISTENT, depth, None, None)
+
+
+def class_b_outcome(call, *args):
+    try:
+        return ("value", call(*args))
+    except Exception as exc:  # the exception's type and text are compared
+        return ("raise", type(exc), str(exc))
+
+
+def rationals_in(lo, hi, max_denominator=64):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=max_denominator)
+
+
+# where the probe points cluster, so kinks sit on them often
+KINKS = st.sampled_from([F(1, 2), F(1, 4), F(3, 4), F(1, 3)])
+
+
+BASE_KINDS = ("abs", "square", "cube", "pwlinear", "linear", "product", "abs-diff", "min-flip")
+
+
+@st.composite
+def probe_descriptors(draw, kinds=BASE_KINDS + ("sum", "scale", "clamp-extend")):
+    """Descriptors of the eleven probe kinds, in dimensions 1-3."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "abs":
+        return {"kind": "abs", "center": str(draw(KINKS | rationals_in(F(0), F(1))))}
+    if kind in ("square", "cube", "product", "abs-diff", "min-flip"):
+        return {"kind": kind}
+    if kind == "pwlinear":
+        knots = KINKS | rationals_in(F(1, 64), F(63, 64))
+        inner = draw(st.lists(knots, min_size=1, max_size=4, unique=True))
+        xs = [F(0)] + sorted(inner) + [F(1)]
+        ys = draw(st.lists(rationals_in(F(-2), F(2), 8), min_size=len(xs), max_size=len(xs)))
+        return {"kind": "pwlinear", "points": [[str(a), str(b)] for a, b in zip(xs, ys)]}
+    if kind == "linear":
+        dimension = draw(st.integers(1, 3))
+        coeffs = draw(st.lists(rationals_in(F(-9), F(9), 4), min_size=dimension, max_size=dimension))
+        return {"kind": "linear", "coeffs": [str(c) for c in coeffs]}
+    inner = draw(probe_descriptors(BASE_KINDS))
+    if kind == "scale":
+        return {"kind": "scale", "by": str(draw(rationals_in(F(-4), F(4), 4))), "of": inner}
+    if kind == "clamp-extend":
+        return {"kind": "clamp-extend", "of": inner}
+    other = draw(probe_descriptors(BASE_KINDS))
+    if function_from_descriptor(other).dimension != function_from_descriptor(inner).dimension:
+        other = {"kind": "linear", "coeffs": ["1/2"] * function_from_descriptor(inner).dimension}
+    return {"kind": "sum", "of": [inner, other]}
+
+
+coordinates = st.one_of(
+    KINKS,
+    st.sampled_from([F(0), F(1), F(1, 2)]),
+    st.builds(lambda k, j: F(k, 2**j), st.integers(0, 64), st.just(6)),
+    st.builds(lambda k, q: F(k, q), st.integers(1, 20), st.sampled_from([3, 5, 7, 21])).filter(
+        lambda c: c < 1
+    ),
+    st.builds(lambda side, j: side + (pow2(-j) if side else -pow2(-j)), st.integers(0, 1), st.integers(1, 10)),
+)
+
+
+@given(probe_descriptors(), st.data(), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_class_b_at_smallest_delta_matches_full_scan(desc, data, depth):
+    f = function_from_descriptor(desc)
+    x = tuple(data.draw(st.lists(coordinates, min_size=f.dimension, max_size=f.dimension)))
+    new = class_b_outcome(diff_class_b, f, x, depth)
+    old = class_b_outcome(class_b_oracle, f, x, depth)
+    assert new == old  # status, depth and every witness field, or the same exception
+    if new[0] == "value" and new[1].violated and in_unit_cube(x):
+        assert replay(f, new[1])
+
+
+@pytest.mark.parametrize(
+    "f, x, depth",
+    [
+        # four-dimensional kink: the level below δ has vectors with ||h|| = δ,
+        # which δ does not admit
+        (exact_function(4, lambda p: abs(sum(p) - 2), lambda i: i + 2), (F(1, 2),) * 4, 2),
+        # the first remainder of the failing ε sits exactly on its bound; the
+        # witness is the first pair strictly over it
+        (piecewise_linear([(0, 0), (F(1, 2), 0), (F(33, 64), F(1, 64)), (1, F(1, 64))]), (F(1, 2),), 4),
+    ],
+)
+def test_class_b_boundary_cases_match_full_scan(f, x, depth):
+    verdict = diff_class_b(f, x, depth)
+    assert verdict.violated
+    assert verdict == class_b_oracle(f, x, depth)
+
+
+def test_class_b_evaluation_count_does_not_grow_with_depth():
+    base = product_xy()
+    points = []
+
+    def counted(point, precision):
+        points.append(point)
+        return base.eval(point, precision)
+
+    f = ComputableFunction(2, counted, base.modulus, exact=True)
+    counts = []
+    for depth in (6, 10):
+        points.clear()
+        assert diff_class_b(f, (F(1, 3), F(1, 3)), depth).status == CONSISTENT
+        counts.append(len(set(points)))
+    assert counts[0] == counts[1] == 17  # x and the 16 points of the two finest levels

@@ -19,6 +19,7 @@ from slopelab.functions import (
 from slopelab.martingales import (
     Martingale,
     MonotonicityError,
+    NegativeCapitalError,
     all_on_ones_martingale,
     approx_interval_slope,
     audit_monotone,
@@ -380,12 +381,13 @@ def test_fine_scale_dip_raises_like_the_oracles():
     m = slope_martingale(f)
     dip = (0, 0, 0, 0, 0, 0, 1)
     message = f"slope: negative capital -2 at {dip}"
-    assert outcome(check_fairness, m, 8) == ("raise", ValueError, message)
-    assert outcome(fairness_oracle, m, 8) == ("raise", ValueError, message)
+    rejected = ("raise", NegativeCapitalError, message)
+    assert outcome(check_fairness, m, 8) == rejected
+    assert outcome(fairness_oracle, m, 8) == rejected
     assert check_fairness(m, 6) is None
     source = pattern_bits(dip, repeat=False)
-    assert outcome(lambda: run_bet(m, source, 9)) == ("raise", ValueError, message)
-    assert outcome(trajectory_oracle, m, source, 9) == ("raise", ValueError, message)
+    assert outcome(lambda: run_bet(m, source, 9)) == rejected
+    assert outcome(trajectory_oracle, m, source, 9) == rejected
 
 
 def test_fairness_witness_precedes_a_later_negative_capital():
