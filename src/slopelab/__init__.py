@@ -11,7 +11,6 @@ from .bits import (
     CauchyName,
     DyadicCoordinateError,
     bits_of_fraction,
-    bits_of_point,
     constant_bits,
     fraction_from_bits,
     interleave,
@@ -41,13 +40,10 @@ from .derivatives import (
 from .functions import (
     AffineIsometry,
     ComputableFunction,
-    GramBasis,
     ShiftMod1,
-    VectorFunction,
     abs_diff_2d,
     abs_distance_1d,
     clamp_extend,
-    clamp_p1,
     clamp_point,
     compose_affine,
     constant_function,
@@ -102,7 +98,6 @@ from .nullsets import (
     stream_from_cubes,
 )
 from .rationals import (
-    DyadicRational,
     compare_pow2,
     decimal_string,
     format_rational,

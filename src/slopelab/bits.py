@@ -70,11 +70,6 @@ def bits_of_fraction(value: Fraction) -> BitSource:
     return BitSource(bit, label=f"0.{num}/{den}")
 
 
-def bits_of_point(point: Sequence[Fraction]) -> list[BitSource]:
-    """Coordinatewise binary expansions of a point of the unit cube."""
-    return [bits_of_fraction(coord) for coord in point]
-
-
 def fraction_from_bits(bits: Sequence[int]) -> Fraction:
     """Sum of bit(k) * 2**-(k+1): the dyadic left end of the coded interval."""
     total = 0

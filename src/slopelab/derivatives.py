@@ -70,10 +70,6 @@ def dyadic_schedule(depth: int, start: int = 2) -> list[Fraction]:
     return [pow2(-k) for k in range(start, depth + 1)]
 
 
-def _eval(f: ComputableFunction, point: Vector, precision: int) -> Fraction:
-    return f.eval(point, precision)
-
-
 def _eval_error(f: ComputableFunction, precision: int) -> Fraction:
     return Fraction(0) if f.exact else pow2(-precision)
 
@@ -88,7 +84,7 @@ def slope_axis(
     shifted = tuple(xi + (h if i == axis else 0) for i, xi in enumerate(x))
     if not in_unit_cube(x) or not in_unit_cube(shifted):
         raise ValueError(f"step {h} along axis {axis} leaves the unit cube")
-    value = (_eval(f, shifted, precision) - _eval(f, x, precision)) / h
+    value = (f.eval(shifted, precision) - f.eval(x, precision)) / h
     return SlopeReport(x, "axis", axis, h, value, 2 * _eval_error(f, precision) / abs(h))
 
 
@@ -113,7 +109,7 @@ def slope_dir(
     shifted = vadd(x, vscale(h, v))
     if not in_unit_cube(x) or not in_unit_cube(shifted):
         raise ValueError(f"step {h} along {v} leaves the unit cube")
-    value = (_eval(f, shifted, precision) - _eval(f, x, precision)) / h
+    value = (f.eval(shifted, precision) - f.eval(x, precision)) / h
     return SlopeReport(x, "direction", v, h, value, 2 * _eval_error(f, precision) / abs(h))
 
 
@@ -236,9 +232,7 @@ def dir_derivative_via_basis(
         )
     offset, z = chosen
     f_hat = clamp_extend(f)
-    shifted = AffineIsometry(
-        transform.matrix, offset, transform.inverse_matrix, transform.tolerance
-    )
+    shifted = AffineIsometry(transform.matrix, offset)
     g = compose_affine(f, shifted)
     panel = tuple(t_panel) if t_panel is not None else tuple(pow2(-k) for k in range(1, 13))
     failures = []
@@ -356,11 +350,20 @@ def first_order_remainder(
     b: Fraction,
     precision: int = 64,
 ) -> Fraction:
-    """|f(x+h) - f(x) - row(x, b) . h| with the slope row at step b (exact for exact f)."""
-    row = [r.value for r in slope_row(f, x, b, precision)]
+    """|f(x+h) - f(x) - row . h| with row_i = (f(x + b e_i) - f(x)) / b (exact for exact f).
+
+    The row is built as diff_class_b builds it: each x + b e_i must lie in
+    the cube, x itself need not.
+    """
+    x = tuple(x)
     fx = f.eval(x, precision)
-    fxh = f.eval(vadd(x, h), precision)
-    return abs(fxh - fx - dot(row, h))
+    row = []
+    for axis in range(f.dimension):
+        shifted = vadd(x, vscale(b, unit_axis(f.dimension, axis)))
+        if not in_unit_cube(shifted):
+            raise ValueError(f"step {b} along axis {axis} leaves the unit cube")
+        row.append((f.eval(shifted, precision) - fx) / b)
+    return abs(f.eval(vadd(x, h), precision) - fx - dot(row, h))
 
 
 def _grid_vectors(dimension: int, levels: Iterable[int]) -> Iterator[Vector]:

@@ -27,8 +27,6 @@ from .rationals import (
     is_dyadic,
     norm_sq,
     pow2,
-    sqrt_exact,
-    sqrt_lower,
     unit_axis,
     vadd,
     vscale,
@@ -52,20 +50,6 @@ class ComputableFunction:
         if len(point) != self.dimension:
             raise ValueError(f"expected {self.dimension} coordinates, got {len(point)}")
         return self.evaluator(point, precision)
-
-
-@dataclass(frozen=True, eq=False)
-class VectorFunction:
-    """Vector-valued map represented as a tuple of scalar components."""
-
-    components: tuple[ComputableFunction, ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.components[0].dimension
-
-    def apply(self, point: Sequence[Fraction], precision: int = 0) -> Vector:
-        return tuple(c.eval(point, precision) for c in self.components)
 
 
 def exact_function(
@@ -111,19 +95,6 @@ def constant_function(value: Fraction | int | str, dimension: int = 1) -> Comput
 def clamp_point(point: Sequence[Fraction]) -> Vector:
     """Componentwise min with 1; identity on the unit cube, 1-Lipschitz."""
     return tuple(min(Fraction(1), x) for x in point)
-
-
-def clamp_p1(dimension: int) -> VectorFunction:
-    components = tuple(
-        exact_function(
-            dimension,
-            (lambda axis: lambda point: min(Fraction(1), point[axis]))(i),
-            lambda level: level,
-            descriptor={"kind": "clamp-component", "axis": i, "dimension": dimension},
-        )
-        for i in range(dimension)
-    )
-    return VectorFunction(components)
 
 
 def clamp_extend(f: ComputableFunction) -> ComputableFunction:
@@ -225,112 +196,41 @@ def lipschitz_lower_bound(f: ComputableFunction, scale: int, precision: int = 64
 # Orthonormal bases and rational isometries
 
 
-@dataclass(frozen=True)
-class GramBasis:
-    vectors: tuple[Vector, ...]
-    tolerance: Fraction  # measured max |<b_i, b_j> - delta_ij|, 0 on the exact path
+def gram_schmidt_basis(u: Sequence[Fraction | int | str]) -> tuple[Vector, ...]:
+    """Orthonormal basis with u first, for an exactly-unit rational u.
 
-
-def _measure_orthonormality(vectors: Sequence[Vector]) -> Fraction:
-    worst = Fraction(0)
-    for i, a in enumerate(vectors):
-        for j, b in enumerate(vectors):
-            target = Fraction(1 if i == j else 0)
-            worst = max(worst, abs(dot(a, b) - target))
-    return worst
-
-
-def gram_schmidt_basis(
-    u: Sequence[Fraction | int | str], tolerance: Fraction = Fraction(0)
-) -> GramBasis:
-    """Orthonormal basis with u first; exact for every exactly-unit rational u.
-
-    Exactly-unit vectors are completed by the rational reflection that swaps
-    the first standard vector with u, so all entries stay rational.  Inputs
-    that are only unit within a declared tolerance go through Gram-Schmidt
-    with 80-bit rational square roots; either way the tolerance field records
-    the measured orthonormality defect (0 on the exact path).
+    The basis is the rational reflection that swaps the first standard
+    vector with u, so every entry stays rational and orthonormality is exact.
+    Rational unit vectors are dense on the sphere, so no direction needs more.
     """
     first = as_vector(u)
     n = len(first)
-    if all(x == 0 for x in first):
-        raise ValueError("zero vector cannot start a basis")
-    if abs(norm_sq(first) - 1) > max(tolerance, Fraction(0)):
+    if norm_sq(first) != 1:
         raise ValueError(f"not a unit vector: ||u||^2 = {norm_sq(first)}")
-    if norm_sq(first) == 1:
-        e1 = unit_axis(n, 0)
-        v = vsub(first, e1)
-        vv = norm_sq(v)
-        basis = []
-        for axis in range(n):
-            e = unit_axis(n, axis)
-            basis.append(e if vv == 0 else vsub(e, vscale(2 * dot(v, e) / vv, v)))
-        return GramBasis(tuple(basis), _measure_orthonormality(basis))
-    basis: list[Vector] = [first]
-    for axis in range(n):
-        if len(basis) == n:
-            break
-        candidate = unit_axis(n, axis)
-        w = candidate
-        for b in basis:
-            w = vsub(w, vscale(dot(candidate, b) / norm_sq(b), b))
-        sq = norm_sq(w)
-        if sq == 0:
-            continue
-        root = sqrt_exact(sq)
-        if root is None:
-            root = sqrt_lower(sq)
-        basis.append(vscale(1 / root, w))
-    if len(basis) != n:
-        raise ValueError("failed to complete the basis")
-    return GramBasis(tuple(basis), _measure_orthonormality(basis))
+    v = vsub(first, unit_axis(n, 0))
+    vv = norm_sq(v)
+    axes = [unit_axis(n, axis) for axis in range(n)]
+    if vv == 0:
+        return tuple(axes)
+    return tuple(vsub(e, vscale(2 * dot(v, e) / vv, v)) for e in axes)
 
 
 Matrix = tuple[Vector, ...]
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(unit_axis(n, i) for i in range(n))
-
-
-def _transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(row[i] for row in m) for i in range(len(m[0])))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = _transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def _mat_apply(m: Matrix, x: Sequence[Fraction]) -> Vector:
     return tuple(dot(row, x) for row in m)
 
 
-def _invert(matrix: Matrix) -> Matrix:
-    n = len(matrix)
-    aug = [list(row) + list(unit_axis(n, i)) for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        factor = aug[col][col]
-        aug[col] = [v / factor for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                scale = aug[r][col]
-                aug[r] = [v - scale * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 @dataclass(frozen=True, eq=False)
 class AffineIsometry:
-    """x |-> matrix @ x + offset with a stored exact inverse."""
+    """x |-> matrix @ x + offset for an exactly orthogonal matrix.
+
+    affine_isometry checks the matrix; the inverse is its transpose.
+    """
 
     matrix: Matrix
     offset: Vector
-    inverse_matrix: Matrix
-    tolerance: Fraction
 
     @property
     def dimension(self) -> int:
@@ -340,13 +240,14 @@ class AffineIsometry:
         return vadd(_mat_apply(self.matrix, x), self.offset)
 
     def apply_inverse(self, y: Sequence[Fraction]) -> Vector:
-        return _mat_apply(self.inverse_matrix, vsub(y, self.offset))
-
-    def is_exactly_orthogonal(self) -> bool:
-        return self.tolerance == 0
+        return _mat_apply(tuple(zip(*self.matrix)), vsub(y, self.offset))
 
 
-def affine_isometry(matrix: Sequence[Sequence[Fraction | int | str]], offset: Sequence[Fraction | int | str] | None = None) -> AffineIsometry:
+def affine_isometry(
+    matrix: Sequence[Sequence[Fraction | int | str]],
+    offset: Sequence[Fraction | int | str] | None = None,
+) -> AffineIsometry:
+    """The map x |-> matrix @ x + offset; raises unless matrix^T matrix = I exactly."""
     rows = tuple(as_vector(row) for row in matrix)
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -354,33 +255,32 @@ def affine_isometry(matrix: Sequence[Sequence[Fraction | int | str]], offset: Se
     off = as_vector(offset) if offset is not None else tuple(Fraction(0) for _ in range(n))
     if len(off) != n:
         raise ValueError("offset dimension mismatch")
-    gram = _mat_mul(_transpose(rows), rows)
-    deviation = max(
-        abs(gram[i][j] - (1 if i == j else 0)) for i in range(n) for j in range(n)
-    )
-    inverse = _transpose(rows) if deviation == 0 else _invert(rows)
-    return AffineIsometry(rows, off, inverse, deviation)
+    columns = tuple(zip(*rows))
+    for i, a in enumerate(columns):
+        for j, b in enumerate(columns):
+            product = dot(a, b)
+            if product != (1 if i == j else 0):
+                raise ValueError(
+                    f"matrix is not exactly orthogonal: column {i} . column {j} = {product}"
+                )
+    return AffineIsometry(rows, off)
 
 
 def isometry_between(
     u: Sequence[Fraction | int | str],
     v: Sequence[Fraction | int | str],
     offset: Sequence[Fraction | int | str] | None = None,
-    tolerance: Fraction = Fraction(0),
 ) -> AffineIsometry:
     """Linear isometry taking the basis completed from u to the one from v.
 
-    Maps u to v exactly; with exactly orthonormal bases the inverse is the
-    transpose and distances are preserved exactly.
+    Both bases are exactly orthonormal, so the map takes u to v exactly,
+    its inverse is the transpose, and distances are preserved exactly.
     """
-    bu = gram_schmidt_basis(u, tolerance)
-    bv = gram_schmidt_basis(v, tolerance)
-    n = len(bu.vectors)
+    bu = gram_schmidt_basis(u)
+    bv = gram_schmidt_basis(v)
+    n = len(bu)
     matrix = tuple(
-        tuple(
-            sum((bv.vectors[k][r] * bu.vectors[k][c] for k in range(n)), Fraction(0))
-            for c in range(n)
-        )
+        tuple(sum((bv[k][r] * bu[k][c] for k in range(n)), Fraction(0)) for c in range(n))
         for r in range(n)
     )
     return affine_isometry(matrix, offset)
@@ -390,13 +290,12 @@ def compose_affine(f: ComputableFunction, transform: AffineIsometry) -> Computab
     """g(z) = f(P1(matrix @ z + offset)); isometry + clamp are non-expansive."""
     if transform.dimension != f.dimension:
         raise ValueError("dimension mismatch between function and isometry")
-    modulus = f.modulus if transform.tolerance == 0 else (lambda i: f.modulus(i + 1))
     return ComputableFunction(
         dimension=f.dimension,
         evaluator=lambda point, precision: f.eval(
             clamp_point(transform.apply(point)), precision
         ),
-        modulus=modulus,
+        modulus=f.modulus,
         exact=f.exact,
         descriptor={
             "kind": "affine-compose",

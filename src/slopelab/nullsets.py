@@ -20,48 +20,24 @@ StreamFactory = Callable[[], Iterator[DyadicCube]]
 
 @dataclass(eq=False)
 class CubeStream:
-    """Deterministic enumeration of dyadic cubes with exact measure-so-far."""
+    """Deterministic enumeration of dyadic cubes, kept as it is read."""
 
     factory: StreamFactory
     label: str = "stream"
     _emitted: list[DyadicCube] = field(default_factory=list, repr=False)
     _iterator: Iterator[DyadicCube] | None = field(default=None, repr=False)
     _exhausted: bool = field(default=False, repr=False)
-    _consumed: int = field(default=0, repr=False)
-
-    def _pull(self) -> DyadicCube | None:
-        if self._iterator is None:
-            self._iterator = self.factory()
-        try:
-            cube = next(self._iterator)
-        except StopIteration:
-            self._exhausted = True
-            return None
-        self._emitted.append(cube)
-        return cube
-
-    def next(self) -> DyadicCube | None:
-        """The next cube of the enumeration, or None once it ends."""
-        if self._consumed < len(self._emitted):
-            cube = self._emitted[self._consumed]
-        else:
-            cube = self._pull()
-        if cube is not None:
-            self._consumed += 1
-        return cube
-
-    @property
-    def emitted(self) -> list[DyadicCube]:
-        """The accumulated cover enumerated so far."""
-        return list(self._emitted)
-
-    def measure_so_far(self) -> Fraction:
-        return union_measure(self._emitted)
 
     def take(self, budget: int) -> list[DyadicCube]:
         """First budget cubes (fewer when the enumeration ends)."""
         while len(self._emitted) < budget and not self._exhausted:
-            self._pull()
+            if self._iterator is None:
+                self._iterator = self.factory()
+            cube = next(self._iterator, None)
+            if cube is None:
+                self._exhausted = True
+            else:
+                self._emitted.append(cube)
         return list(self._emitted[:budget])
 
     def exhausted_within(self, budget: int) -> bool:

@@ -8,7 +8,7 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
@@ -29,9 +29,21 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     return Fraction(text.strip())
 
 
+def _digits(n: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    str() refuses integers longer than the interpreter's digit limit (4300
+    by default); Decimal converts without that limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" form, denominator always present."""
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def decimal_string(value: Fraction, digits: int) -> str:
@@ -43,7 +55,7 @@ def decimal_string(value: Fraction, digits: int) -> str:
     units, rem = divmod(scaled.numerator, scaled.denominator)
     if 2 * rem >= scaled.denominator:
         units += 1
-    text = str(units).rjust(digits + 1, "0")
+    text = _digits(units).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
@@ -53,36 +65,6 @@ def is_dyadic(value: Fraction) -> bool:
     """True iff value = k / 2**s for integers k, s >= 0."""
     den = value.denominator
     return den & (den - 1) == 0
-
-
-@dataclass(frozen=True)
-class DyadicRational:
-    """Value mantissa * 2**exponent with mantissa odd or zero."""
-
-    mantissa: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.mantissa != 0 and self.mantissa % 2 == 0:
-            raise ValueError("mantissa must be odd or zero")
-
-    @staticmethod
-    def from_fraction(value: Fraction) -> "DyadicRational":
-        if not is_dyadic(value):
-            raise ValueError(f"{value} is not a dyadic rational")
-        num, den = value.numerator, value.denominator
-        exponent = -(den.bit_length() - 1)
-        if num == 0:
-            return DyadicRational(0, 0)
-        while num % 2 == 0:
-            num //= 2
-            exponent += 1
-        return DyadicRational(num, exponent)
-
-    def as_fraction(self) -> Fraction:
-        if self.exponent >= 0:
-            return Fraction(self.mantissa * (1 << self.exponent))
-        return Fraction(self.mantissa, 1 << -self.exponent)
 
 
 def pow2(exponent: int) -> Fraction:
@@ -154,36 +136,12 @@ def ceil_sqrt(value: Fraction) -> int:
     return k if k * k >= value else k + 1
 
 
-def sqrt_exact(value: Fraction) -> Fraction | None:
-    """Exact square root when value is a square of a rational, else None."""
-    if value < 0:
-        return None
-    num_root = isqrt(value.numerator)
-    den_root = isqrt(value.denominator)
-    if num_root * num_root == value.numerator and den_root * den_root == value.denominator:
-        return Fraction(num_root, den_root)
-    return None
-
-
-def sqrt_lower(value: Fraction, bits: int = 80) -> Fraction:
-    """Rational lower bound on sqrt(value) within 2**-bits."""
-    if value < 0:
-        raise ValueError("sqrt_lower requires a nonnegative value")
-    scaled = value * (Fraction(1) * (1 << (2 * bits)))
-    root = isqrt(scaled.numerator // scaled.denominator)
-    return Fraction(root, 1 << bits)
-
-
 # ---------------------------------------------------------------------------
 # Rational vectors
 
 
 def as_vector(values: Iterable[Fraction | int | str]) -> Vector:
     return tuple(parse_rational(v) for v in values)
-
-
-def format_vector(vec: Sequence[Fraction]) -> list[str]:
-    return [format_rational(v) for v in vec]
 
 
 def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:

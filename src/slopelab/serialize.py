@@ -8,6 +8,7 @@ configs produce byte-identical reports.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -16,13 +17,17 @@ from . import martingales as mg
 from . import nullsets as ns
 from .bits import BitSource, bits_of_fraction, constant_bits, interleave, pattern_bits
 from .cubes import DyadicCube
-from .derivatives import ProbeVerdict, SlopeReport
-from .rationals import format_rational, parse_rational
-from .tentsystem import CertifiedValue, ExclusionReport, OscillationReport
+from .rationals import _digits, format_rational, parse_rational
+from .tentsystem import ExclusionReport
 
 
 def to_plain(value: Any) -> Any:
-    """Recursively render exact values as JSON-safe plain data."""
+    """Recursively render exact values as JSON-safe plain data.
+
+    A dataclass renders as the mapping of its fields.  A cell index is a
+    decimal string, since it can outgrow the integers JSON readers hold, and
+    an exclusion report also carries its within_bound verdict.
+    """
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, dict):
@@ -34,54 +39,13 @@ def to_plain(value: Any) -> Any:
         return [to_plain(v) for v in value]
     if isinstance(value, DyadicCube):
         return value.to_json()
-    if isinstance(value, SlopeReport):
-        return {
-            "point": to_plain(value.point),
-            "kind": value.kind,
-            "descriptor": to_plain(value.descriptor),
-            "step": to_plain(value.step),
-            "value": to_plain(value.value),
-            "error": to_plain(value.error),
-        }
-    if isinstance(value, ProbeVerdict):
-        return {
-            "op": value.op,
-            "status": value.status,
-            "depth": value.depth,
-            "witness": to_plain(value.witness),
-            "bracket": to_plain(value.bracket),
-        }
-    if isinstance(value, CertifiedValue):
-        return {"value": to_plain(value.value), "error": to_plain(value.error)}
-    if isinstance(value, OscillationReport):
-        return {
-            "stage": value.stage,
-            "cell_index": str(value.cell_index),
-            "cell_side": to_plain(value.cell_side),
-            "step": to_plain(value.step),
-            "totals": {str(k): to_plain(v) for k, v in value.totals.items()},
-            "per_stage": {
-                str(sign): [[k, to_plain(s)] for k, s in slopes]
-                for sign, slopes in value.per_stage.items()
-            },
-            "bound": to_plain(value.bound),
-            "vacuous": value.vacuous,
-            "passed": value.passed,
-            "full_stage_slope": value.full_stage_slope,
-            "tail_ok": value.tail_ok,
-            "unbuilt_tail_bound": to_plain(value.unbuilt_tail_bound),
-        }
-    if isinstance(value, ExclusionReport):
-        return {
-            "stage": value.stage,
-            "axis": value.axis,
-            "visible_union": to_plain(value.visible_union),
-            "visible_slack": to_plain(value.visible_slack),
-            "interval_count": value.interval_count,
-            "closed_form_bound": to_plain(value.closed_form_bound),
-            "analytic_bound": to_plain(value.analytic_bound),
-            "within_bound": value.within_bound,
-        }
+    if is_dataclass(value):
+        plain = {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
+        if "cell_index" in plain:
+            plain["cell_index"] = _digits(value.cell_index)
+        if isinstance(value, ExclusionReport):
+            plain["within_bound"] = value.within_bound
+        return plain
     return value
 
 

@@ -8,7 +8,6 @@ from slopelab.bits import (
     CauchyName,
     DyadicCoordinateError,
     bits_of_fraction,
-    bits_of_point,
     constant_bits,
     fraction_from_bits,
     interleave,
@@ -41,7 +40,7 @@ def test_dyadic_coordinates_rejected():
     with pytest.raises(DyadicCoordinateError):
         bits_of_fraction(Fraction(1, 2))
     with pytest.raises(DyadicCoordinateError):
-        bits_of_point((Fraction(1, 3), Fraction(0)))
+        bits_of_fraction(Fraction(0))
     with pytest.raises(ValueError):
         bits_of_fraction(Fraction(3, 2))
 

@@ -1,5 +1,8 @@
+import hashlib
 import json
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,31 @@ def test_affine_descriptor_requires_isometry():
     }
     g = function_from_descriptor(desc)
     assert g.eval((F(1, 4), F(0))) == F(1, 4) * F(18, 5)
+    # a stretch breaks any modulus derived from the inner one: composed with
+    # abs-diff, h(i + 1) = i + 2 allows 1/16 at i = 4 for points 1/64 apart,
+    # but (0, 0) and (1/64, 0) would differ by 1/4
+    stretch = [["16/1", "0/1"], ["0/1", "1/1"]]
+    shear = [["1/1", "1/1"], ["0/1", "1/1"]]
+    nearly_orthogonal = [["193/320", "4/5"], ["4/5", "-3/5"]]  # 3/5 + 1/64 in the corner
+    for matrix in (stretch, shear, nearly_orthogonal):
+        with pytest.raises(ValueError, match="not exactly orthogonal"):
+            function_from_descriptor({**desc, "matrix": matrix, "of": {"kind": "abs-diff"}})
+
+
+def test_probe_command_rejects_a_matrix_that_is_not_an_isometry(tmp_path, capsys):
+    function = {
+        "kind": "affine-compose",
+        "matrix": [["16/1", "0/1"], ["0/1", "1/1"]],
+        "of": {"kind": "product"},
+    }
+    config = write_config(
+        tmp_path, "stretch.json", {"function": function, "points": [["1/3", "1/3"]], "depth": 4}
+    )
+    assert main(["probe", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrix is not exactly orthogonal")
+    assert captured.err.count("\n") == 1
 
 
 def test_source_and_martingale_descriptors():
@@ -421,6 +449,26 @@ def test_tent_system_reports_are_byte_identical(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_tent_system_renders_integers_past_the_str_digit_limit(tmp_path, capsys):
+    # the second stage-2 block starts past index 2**24, so the exclusion
+    # slack has the denominator 2**16384: 4933 digits, past str()'s 4300
+    cube = {"dim": 3, "scale": 0, "corner": [0, 0, 0]}
+    stages = [[cube], [cube], [{**cube, "scale": 1}, {"dim": 3, "scale": 1, "corner": [1, 1, 1]}]]
+    config = write_config(
+        tmp_path,
+        "clamped.json",
+        {"test": {"kind": "explicit", "stages": stages}, "depth": 2, "cutoff": 0, "budget": 2},
+    )
+    assert main(["tent-system", "--config", config]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["failures"] == []
+    entry = next(e for e in report["exclusion"] if (e["stage"], e["axis"]) == (1, 2))
+    numerator, denominator = (int(Decimal(part)) for part in entry["visible_slack"].split("/"))
+    assert F(numerator, denominator) == 2 * 16 * F(1, 2**16384)
+
+
 def test_dore_maleva_decimal_rendering(tmp_path):
     config = write_config(tmp_path, "dm.json", {"stages": 2, "geometry": False})
     out = tmp_path / "dm.json.out"
@@ -428,3 +476,79 @@ def test_dore_maleva_decimal_rendering(tmp_path):
     report = json.loads(out.read_text())
     assert report["table"][0]["remaining_decimal"] == "0.5556"
     assert report["table"][1]["remaining_decimal"] == "0.3086"
+
+
+# ---------------------------------------------------------------------------
+# The configs/ runs, pinned byte for byte
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# arguments, exit code, sha256 of stdout, sha256 of stderr
+GOLDEN_RUNS = [
+    pytest.param(
+        ["probe", "--config", "probe-kink.json"],
+        0,
+        "16923abde9b1915991c9211448b078c34d21e34d1298d3054022b11eafff76e7",
+        EMPTY_SHA256,
+        id="probe-kink",
+    ),
+    pytest.param(
+        ["bet", "--config", "bet-square.json"],
+        0,
+        "8613a174325f53988a979d78b1e836cc74246005e03e04c1e6d442a0aaaabed9",
+        EMPTY_SHA256,
+        id="bet-square",
+    ),
+    pytest.param(
+        ["bet", "--config", "bet-square.json", "--format", "csv"],
+        0,
+        "21550df1fe026ea96bc2631bb93c02ace0b3019ba87caa31f52ae50dbdfa21c1",
+        EMPTY_SHA256,
+        id="bet-square-csv",
+    ),
+    pytest.param(
+        ["bet", "--config", "bet-square.json", "--decimals", "30"],
+        0,
+        "2517043a381c2b53c79537d65425cf50a83384712ebd0ff0bc999922b06093e2",
+        EMPTY_SHA256,
+        id="bet-square-decimals",
+    ),
+    pytest.param(
+        ["tent-system", "--config", "tent-toy.json", "--seed", "1"],
+        0,
+        "906ca44623df98afc7e3a3ca93653cedcab454ca18a75f297c5a91aa7cb885c4",
+        EMPTY_SHA256,
+        id="tent-toy",
+    ),
+    pytest.param(
+        ["dore-maleva", "--config", "dore-maleva-default.json", "--decimals", "6"],
+        0,
+        "57e1041899dca82a1f581b243cf91af63fdab74165195238ef77c7710524df1f",
+        EMPTY_SHA256,
+        id="dore-maleva-default",
+    ),
+]
+TENT_TOY_BUNDLE_SHA256 = "b50bf329c8624c0d4885d929fe80841d8ffd98a24330c47ac498aea2effc6499"
+
+
+def sha256(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args, code, out_sha, err_sha", GOLDEN_RUNS)
+def test_configs_reports_match_golden_digests(args, code, out_sha, err_sha, capsys):
+    args = [str(CONFIGS / a) if a.endswith(".json") else a for a in args]
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert (sha256(captured.out), sha256(captured.err)) == (out_sha, err_sha)
+
+
+def test_tent_toy_bundle_matches_golden_digest(tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    args = ["tent-system", "--config", str(CONFIGS / "tent-toy.json"), "--seed", "1"]
+    assert main([*args, "--bundle", str(bundle)]) == 0
+    capsys.readouterr()
+    assert sha256(bundle.read_bytes()) == TENT_TOY_BUNDLE_SHA256

@@ -241,20 +241,33 @@ def test_replay_rejects_consistent_verdicts():
     assert not replay(linear_form([1]), verdict)
 
 
+def test_replay_class_b_witness_at_a_point_outside_the_cube():
+    # diff_class_b needs only the steps x + h and x + b e_i in the cube, so
+    # replay must rebuild the row the same way and not reject x itself
+    f = abs_distance_1d(F(0))
+    verdict = diff_class_b(f, (F(-1, 8),), 1)
+    assert verdict.status == VIOLATED
+    assert replay(f, verdict)
+
+
 def test_quotient_identity_breaks_when_transform_misses_the_direction():
     # regression guard: the pre-limit identity needs the transform to carry
     # the first axis exactly onto the direction; a perturbed first column
-    # (the inexact-basis failure mode) must break it at every step
-    from slopelab.functions import affine_isometry, clamp_extend, compose_affine
+    # must break it at every step.  affine_isometry refuses such a matrix,
+    # so the skewed map is built directly; it has no transpose inverse, so
+    # z is chosen and x = apply(z).
+    from slopelab.functions import AffineIsometry, affine_isometry, clamp_extend, compose_affine
     from slopelab.rationals import vadd, vscale
 
+    matrix = ((F(3, 5) + F(1, 64), F(4, 5)), (F(4, 5), F(-3, 5)))
+    with pytest.raises(ValueError):
+        affine_isometry(matrix)
+    skewed = AffineIsometry(matrix, (F(0), F(0)))
     f = linear_form([2, 3])
-    skewed = affine_isometry([[F(3, 5) + F(1, 64), F(4, 5)], [F(4, 5), F(-3, 5)]])
-    assert skewed.tolerance > 0
     g = compose_affine(f, skewed)
     f_hat = clamp_extend(f)
-    x = (F(1, 4), F(1, 4))
-    z = skewed.apply_inverse(x)
+    z = (F(1, 4), F(1, 8))
+    x = skewed.apply(z)
     u = (F(3, 5), F(4, 5))
     for k in range(2, 8):
         t = F(1, 2**k)
@@ -403,7 +416,7 @@ def test_class_b_at_smallest_delta_matches_full_scan(desc, data, depth):
     new = class_b_outcome(diff_class_b, f, x, depth)
     old = class_b_outcome(class_b_oracle, f, x, depth)
     assert new == old  # status, depth and every witness field, or the same exception
-    if new[0] == "value" and new[1].violated and in_unit_cube(x):
+    if new[0] == "value" and new[1].violated:
         assert replay(f, new[1])
 
 

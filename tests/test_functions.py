@@ -8,7 +8,6 @@ from slopelab.functions import (
     abs_distance_1d,
     affine_isometry,
     clamp_extend,
-    clamp_p1,
     clamp_point,
     compose_affine,
     constant_function,
@@ -59,10 +58,9 @@ def test_linear_form_modulus_contract_on_100_random_pairs():
 
 
 def test_clamp_behavior():
-    clamp = clamp_p1(2)
-    assert clamp.apply((F(1, 2), F(3, 2))) == (F(1, 2), F(1))
+    assert clamp_point((F(1, 2), F(3, 2))) == (F(1, 2), F(1))
     inside = (F(1, 3), F(2, 3))
-    assert clamp.apply(inside) == inside
+    assert clamp_point(inside) == inside
     assert clamp_point((F(7, 2), F(-1, 2))) == (F(1), F(-1, 2))
 
 
@@ -112,20 +110,23 @@ def test_lipschitz_lower_bounds():
 
 def test_gram_schmidt_standard_and_pythagorean():
     std = gram_schmidt_basis([1, 0, 0])
-    assert std.vectors == (unit_axis(3, 0), unit_axis(3, 1), unit_axis(3, 2))
-    assert std.tolerance == 0
+    assert std == (unit_axis(3, 0), unit_axis(3, 1), unit_axis(3, 2))
     b = gram_schmidt_basis([F(3, 5), F(4, 5)])
-    assert b.tolerance == 0
-    assert b.vectors[0] == (F(3, 5), F(4, 5))
-    assert b.vectors[1] in ((F(-4, 5), F(3, 5)), (F(4, 5), F(-3, 5)))
-    for i, u in enumerate(b.vectors):
-        for j, v in enumerate(b.vectors):
+    assert b[0] == (F(3, 5), F(4, 5))
+    assert b[1] in ((F(-4, 5), F(3, 5)), (F(4, 5), F(-3, 5)))
+    assert_orthonormal(b)
+
+
+def assert_orthonormal(vectors):
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
             assert dot(u, v) == (1 if i == j else 0)
 
 
 def test_gram_schmidt_exact_in_three_dimensions():
     b = gram_schmidt_basis([F(2, 3), F(2, 3), F(1, 3)])
-    assert b.tolerance == 0
+    assert b[0] == (F(2, 3), F(2, 3), F(1, 3))
+    assert_orthonormal(b)
 
 
 def test_gram_schmidt_rejects_bad_input():
@@ -133,21 +134,14 @@ def test_gram_schmidt_rejects_bad_input():
         gram_schmidt_basis([0, 0])
     with pytest.raises(ValueError):
         gram_schmidt_basis([F(1, 2), F(1, 2)])
-
-
-def test_gram_schmidt_tolerant_path_records_defect():
-    b = gram_schmidt_basis([F(5, 7), F(5, 7)], tolerance=F(2, 49))
-    # the measured defect is dominated by the input's own non-unitness
-    assert 0 < b.tolerance <= F(1, 49)
-    # the completed vector is orthogonal to the input exactly
-    assert dot(b.vectors[0], b.vectors[1]) == 0
+    with pytest.raises(ValueError):
+        gram_schmidt_basis([F(5, 7), F(5, 7)])  # unit only within 1/49
 
 
 def test_isometry_between():
     u, v = (F(1), F(0)), (F(3, 5), F(4, 5))
     iso = isometry_between(u, v)
     assert iso.apply(u) == v
-    assert iso.tolerance == 0
     assert iso.apply_inverse(v) == u
     # exact distance preservation on rational samples
     rng = random.Random(3)

@@ -174,14 +174,3 @@ def test_rect_union_area_handles_overlap():
         (F(1, 4), F(3, 4), F(1, 4), F(3, 4)),
     ]
     assert rect_union_area(rects) == F(7, 16)
-
-
-def test_stream_next_and_measure_so_far():
-    cubes = [DyadicCube(1, 1, (0,)), DyadicCube(1, 1, (1,))]
-    stream = stream_from_cubes(cubes)
-    assert stream.next() == cubes[0]
-    assert stream.measure_so_far() == F(1, 2)
-    assert stream.next() == cubes[1]
-    assert stream.measure_so_far() == 1
-    assert stream.next() is None
-    assert stream.emitted == cubes

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopelab.rationals import (
-    DyadicRational,
     ceil_log2,
     ceil_sqrt,
     compare_pow2,
@@ -15,7 +14,6 @@ from slopelab.rationals import (
     parse_rational,
     pow2,
     pow2_upper,
-    sqrt_exact,
 )
 
 
@@ -32,17 +30,6 @@ def test_is_dyadic():
     assert is_dyadic(Fraction(1))
     assert not is_dyadic(Fraction(1, 3))
     assert not is_dyadic(Fraction(5, 6))
-
-
-def test_dyadic_canonical_form():
-    d = DyadicRational.from_fraction(Fraction(3, 8))
-    assert (d.mantissa, d.exponent) == (3, -3)
-    assert d.as_fraction() == Fraction(3, 8)
-    assert DyadicRational.from_fraction(Fraction(0)).mantissa == 0
-    with pytest.raises(ValueError):
-        DyadicRational.from_fraction(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        DyadicRational(4, 0)
 
 
 @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6)))
@@ -80,12 +67,10 @@ def test_ceil_log2():
     assert ceil_log2(Fraction(1, 3)) == -1
 
 
-def test_ceil_sqrt_and_exact_sqrt():
+def test_ceil_sqrt():
     assert ceil_sqrt(Fraction(13)) == 4
     assert ceil_sqrt(Fraction(16)) == 4
     assert ceil_sqrt(Fraction(1, 4)) == 1
-    assert sqrt_exact(Fraction(9, 16)) == Fraction(3, 4)
-    assert sqrt_exact(Fraction(2)) is None
 
 
 def test_decimal_string_rounds_exactly_without_floats():
