@@ -35,7 +35,6 @@ from .derivatives import (
     replay,
     slope_axis,
     slope_dir,
-    slope_row,
 )
 from .functions import (
     AffineIsometry,
@@ -61,23 +60,18 @@ from .functions import (
     sum_functions,
 )
 from .martingales import (
-    AxisSection,
     BetRun,
     Martingale,
     MonotonicityError,
     NegativeCapitalError,
-    OracleFunction,
-    UniformMartingale,
     all_on_ones_martingale,
-    axis_section_family,
+    box_slope_martingale,
     check_fairness,
     constant_martingale,
     interval_slope,
     run_bet,
-    section_along_axis,
     slope_martingale,
     table_martingale,
-    uniform_slope_martingale,
 )
 from .nullsets import (
     CubeStream,
@@ -116,7 +110,6 @@ from .tentsystem import (
     TentSystem,
     build_partition,
     build_tent_system,
-    system_from_bundle,
     tent_for,
 )
 

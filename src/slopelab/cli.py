@@ -141,11 +141,30 @@ def cmd_bet(args: argparse.Namespace) -> int:
 # tent-system
 
 
+def _verify_bundle(bundle: object) -> None:
+    """Rebuild the system a bundle names; raise unless it is byte for byte the same."""
+    if not isinstance(bundle, dict) or bundle.get("format") != "tent-system/1":
+        raise ValueError("unrecognized bundle format")
+    if bundle.get("test") is None:
+        raise ValueError("bundle has no test descriptor to rebuild from")
+    stages = bundle.get("stages")
+    if not isinstance(stages, list) or not stages:
+        raise ValueError("bundle has no stages")
+    test = sz.nested_test_from_descriptor(bundle["test"])
+    rebuilt = ts.build_tent_system(
+        test, len(stages) - 1, int(_require(bundle, "cutoff")), int(_require(bundle, "budget"))
+    )
+    if sz.canonical_json(rebuilt.to_bundle()) != sz.canonical_json(bundle):
+        raise ValueError("bundle differs from the system its test descriptor builds")
+
+
 def cmd_tent_system(args: argparse.Namespace) -> int:
     if args.check_bundle:
         try:
-            system = ts.system_from_bundle(_load_config(args.check_bundle))
-        except (ts.PartitionError, ValueError) as exc:
+            _verify_bundle(_load_config(args.check_bundle))
+        except (
+            ValueError, KeyError, TypeError, AttributeError, OverflowError, ts.BuildBudgetError
+        ) as exc:
             sys.stderr.write(f"bundle verification failed: {exc}\n")
             return 1
         _write_out(

@@ -88,13 +88,6 @@ def slope_axis(
     return SlopeReport(x, "axis", axis, h, value, 2 * _eval_error(f, precision) / abs(h))
 
 
-def slope_row(
-    f: ComputableFunction, x: Sequence[Fraction], b: Fraction, precision: int = 64
-) -> tuple[SlopeReport, ...]:
-    """Row of axis slopes sharing one step b."""
-    return tuple(slope_axis(f, x, axis, b, precision) for axis in range(f.dimension))
-
-
 def slope_dir(
     f: ComputableFunction,
     x: Sequence[Fraction],

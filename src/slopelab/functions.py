@@ -4,7 +4,7 @@ A function is a pair (evaluator, modulus): the evaluator returns a rational
 within 2**-precision of the true value, and the modulus h certifies
 ||x - y|| <= 2**-h(i)  =>  |f(x) - f(y)| <= 2**-i.  Functions built from
 rational data evaluate exactly (error 0) and carry exact=True, which the
-martingale and counterexample layers rely on for zero-tolerance checks.
+martingale and counterexample layers rely on for exact checks.
 """
 
 from __future__ import annotations

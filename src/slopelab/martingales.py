@@ -4,7 +4,9 @@ A martingale assigns each finite 0/1 string a nonnegative capital obeying the
 fairness law 2*B(sigma) = B(sigma0) + B(sigma1) exactly.  Slope martingales
 read the capital off a monotone function: the value on sigma is the slope of
 the function over the dyadic interval coded by sigma, and fairness is then an
-algebraic identity that holds for any function, monotone or not.
+algebraic identity that holds for any function, monotone or not.  Box-slope
+martingales carry this to n variables: the capital is the mean slope along
+one axis over the box that the interleaved bits of sigma code.
 
 Success of a strategy is a liminf over an infinite play, so simulations only
 report finite-depth capital statistics, never a randomness verdict.
@@ -15,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import count, product
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .bits import Bits, BitSource, bits_of_fraction, fraction_from_bits, interleave
+from .bits import Bits, BitSource
 from .functions import ComputableFunction
-from .rationals import Vector, pow2
+from .rationals import parse_rational
 
 
 class MonotonicityError(ValueError):
@@ -131,7 +133,7 @@ def table_martingale(values: Mapping[str, Fraction | str], depth: int) -> Martin
     for key, value in values.items():
         if any(c not in "01" for c in key):
             raise ValueError(f"table key {key!r} is not a 0/1 string")
-        parsed[len(key), int(key or "0", 2)] = Fraction(value)
+        parsed[len(key), int(key or "0", 2)] = parse_rational(value)
     top = max((length for length, _ in parsed), default=0)
 
     def capital(length: int, index: int) -> Fraction:
@@ -150,12 +152,6 @@ def table_martingale(values: Mapping[str, Fraction | str], depth: int) -> Martin
 # Slope martingales
 
 
-def dyadic_interval(sigma: Bits) -> tuple[Fraction, Fraction]:
-    """The dyadic interval of reals whose expansion extends sigma."""
-    left = fraction_from_bits(sigma)
-    return left, left + pow2(-len(sigma))
-
-
 def _dyadic_slope(f: ComputableFunction, length: int, index: int) -> Fraction:
     """Slope of f over [index / 2**length, (index + 1) / 2**length]."""
     width = 1 << length
@@ -171,15 +167,8 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
     if f.dimension != 1:
         raise ValueError("slope martingales read one-variable functions")
     if not f.exact:
-        raise ValueError("exact slopes need an exact function; use approx_interval_slope")
+        raise ValueError("exact slopes need an exact function")
     return _dyadic_slope(f, len(sigma), _index(sigma))
-
-
-def approx_interval_slope(f: ComputableFunction, sigma: Bits, precision: int) -> Fraction:
-    """Certified slope over [sigma]: within 2**-precision of the true slope."""
-    left, right = dyadic_interval(sigma)
-    inner = precision + len(sigma) + 1
-    return (f.eval((right,), inner) - f.eval((left,), inner)) / (right - left)
 
 
 def audit_monotone(f: ComputableFunction, scale: int = 6) -> None:
@@ -226,130 +215,53 @@ def slope_martingale(f: ComputableFunction, audit_scale: int = 6) -> Martingale:
     )
 
 
-# ---------------------------------------------------------------------------
-# Uniform martingales: an oracle-sequence parameter with a use bound
+def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Martingale:
+    """Capital(sigma) = mean slope of f along axis over the box sigma codes.
 
-
-@dataclass(frozen=True, eq=False)
-class OracleFunction:
-    """Family g(Y, h) of one-variable functions indexed by an oracle sequence.
-
-    evaluate(prefix, h, precision) must be within 2**-precision of g(Y, h)
-    whenever len(prefix) >= use(precision); longer prefixes must not move the
-    result beyond that error.
-    """
-
-    evaluate: Callable[[Bits, Fraction, int], Fraction]
-    use: Callable[[int], int]
-    label: str = "oracle-fn"
-
-
-def oracle_free(f: ComputableFunction) -> OracleFunction:
-    """Wrap a one-variable function as an oracle family that ignores its oracle."""
-    if f.dimension != 1:
-        raise ValueError("expected a one-variable function")
-    return OracleFunction(
-        evaluate=lambda _prefix, h, precision: f.eval((h,), precision),
-        use=lambda _precision: 0,
-        label="oracle-free",
-    )
-
-
-def axis_section_family(f: ComputableFunction, axis: int) -> OracleFunction:
-    """g(Y, h) = f(point decoded from Y with h inserted at the axis).
-
-    The oracle interleaves the other n-1 coordinates; decoding L bits per
-    coordinate perturbs the point by at most sqrt(n) * 2**-L, which the
-    modulus turns into a certified output error.
+    Bit p of sigma refines coordinate p mod n, as bits.interleave lays them
+    out.  If the box is [a, b] along the axis times C, the capital is the
+    average, over the left corners y of the scale-horizon grid of C, of
+    (f(b, y) - f(a, y)) / (b - a): the discrete form of the measure
+    d_axis f * lambda.  A split along the axis telescopes and any other split
+    halves the grid, so the law is exact on every string whose other
+    coordinates are no finer than 2**-horizon; a finer one raises ValueError.
+    For n = 1 the capital is interval_slope.  A decrease of f along the axis
+    on the grid surfaces as NegativeCapitalError.
     """
     n = f.dimension
+    if not f.exact:
+        raise ValueError("box_slope_martingale needs exact dyadic evaluation")
     if not 0 <= axis < n:
-        raise ValueError("axis out of range")
-    others = n - 1
-    pad = max(1, (n - 1).bit_length() + 1)
+        raise ValueError(f"axis {axis} out of range for dimension {n}")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    label = f"box-slope(axis={axis}, horizon={horizon})"
 
-    def coords_bits(precision: int) -> int:
-        return f.modulus(precision + 1) + pad
+    def capital(length: int, index: int) -> Fraction:
+        sigma = _sigma(length, index)
+        spans = []  # the grid indices of C, one range per other coordinate
+        for j in range(n):
+            bits = sigma[j::n]
+            if j == axis:
+                cell, scale = _index(bits), len(bits)
+            elif len(bits) > horizon:
+                raise ValueError(
+                    f"{label}: a string of length {length} is finer than the "
+                    f"horizon {horizon} in coordinate {j}"
+                )
+            else:
+                spread = 1 << (horizon - len(bits))
+                start = _index(bits) * spread
+                spans.append(range(start, start + spread))
+        width, rise = 1 << scale, Fraction(0)
+        corners = list(product(*spans))
+        for corner in corners:
+            y = [Fraction(t, 1 << horizon) for t in corner]
+            a, b = (tuple(y[:axis] + [Fraction(k, width)] + y[axis:]) for k in (cell, cell + 1))
+            rise += f.eval(b) - f.eval(a)
+        return rise * width / len(corners)
 
-    def use(precision: int) -> int:
-        return others * coords_bits(precision)
-
-    def evaluate(prefix: Bits, h: Fraction, precision: int) -> Fraction:
-        length = coords_bits(precision)
-        if len(prefix) < others * length:
-            raise ValueError(
-                f"oracle prefix of {len(prefix)} bits is below the use bound {others * length}"
-            )
-        decoded = []
-        for j in range(others):
-            decoded.append(fraction_from_bits(tuple(prefix[j + others * k] for k in range(length))))
-        point = decoded[:axis] + [h] + decoded[axis:]
-        return f.eval(tuple(point), precision + 1)
-
-    return OracleFunction(evaluate=evaluate, use=use, label=f"axis-section({axis})")
-
-
-@dataclass(frozen=True, eq=False)
-class UniformMartingale:
-    """Slope martingale of the oracle section, queried through a use bound.
-
-    At finite precision the fairness residual |2v(sigma) - v(sigma0) -
-    v(sigma1)| stays below 3 * 2**-precision; it vanishes in the limit.
-    """
-
-    family: OracleFunction
-    oracle: BitSource | None = None
-
-    def _inner_precision(self, sigma_len: int, precision: int) -> int:
-        return precision + sigma_len + 2
-
-    def use_bound(self, sigma_len: int, precision: int) -> int:
-        return self.family.use(self._inner_precision(sigma_len, precision))
-
-    def value_with_prefix(self, prefix: Bits, sigma: Sequence[int], precision: int) -> Fraction:
-        """Certified within 2**-(precision+1); deterministic in the used prefix."""
-        sigma = tuple(int(b) for b in sigma)
-        needed = self.use_bound(len(sigma), precision)
-        if len(prefix) < needed:
-            raise ValueError(f"prefix has {len(prefix)} bits; use bound is {needed}")
-        used = tuple(prefix[:needed])
-        inner = self._inner_precision(len(sigma), precision)
-        left, right = dyadic_interval(sigma)
-        lo = self.family.evaluate(used, left, inner)
-        hi = self.family.evaluate(used, right, inner)
-        return (hi - lo) / (right - left)
-
-    def value(self, sigma: Sequence[int], precision: int) -> Fraction:
-        if self.oracle is None:
-            raise ValueError("no oracle attached; use value_with_prefix")
-        sigma = tuple(int(b) for b in sigma)
-        prefix = self.oracle.prefix(self.use_bound(len(sigma), precision))
-        return self.value_with_prefix(prefix, sigma, precision)
-
-
-def uniform_slope_martingale(
-    family: OracleFunction,
-    oracle: BitSource | None = None,
-    audit_scale: int = 4,
-    audit_precision: int = 24,
-) -> UniformMartingale:
-    """Uniform martingale M(Y, sigma) = slope of g(Y, .) over [sigma].
-
-    The section must be monotone for every oracle; here it is audited on a
-    dyadic grid for the attached oracle, within certified tolerance.
-    """
-    m = UniformMartingale(family, oracle)
-    if oracle is not None:
-        width = 1 << audit_scale
-        prefix = oracle.prefix(family.use(audit_precision))
-        tol = 2 * pow2(-audit_precision)
-        values = [
-            family.evaluate(prefix, Fraction(k, width), audit_precision) for k in range(width + 1)
-        ]
-        for a, b in zip(values, values[1:]):
-            if b < a - tol:
-                raise MonotonicityError("oracle section decreases on the audit grid")
-    return m
+    return Martingale(capital, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -400,51 +312,3 @@ def run_bet(
         min_tail_capital=min(tail),
         threshold_crossings=crossings,
     )
-
-
-# ---------------------------------------------------------------------------
-# Axis sections of multivariate functions
-
-
-@dataclass(frozen=True, eq=False)
-class AxisSection:
-    """One-variable restriction along an axis plus its oracle encoding."""
-
-    section: ComputableFunction
-    oracle: BitSource
-    base_point: Vector
-    axis: int
-
-
-def section_along_axis(f: ComputableFunction, z: Sequence[Fraction], axis: int) -> AxisSection:
-    """The section h |-> f(y + h e_axis) with y = z minus its axis coordinate.
-
-    The oracle interleaves the binary expansions of the other coordinates,
-    which must be non-dyadic; with no other coordinates the encoding is the
-    all-zeros source.
-    """
-    z = tuple(z)
-    if len(z) != f.dimension:
-        raise ValueError("point dimension mismatch")
-    if not 0 <= axis < f.dimension:
-        raise ValueError("axis out of range")
-    y = tuple(Fraction(0) if i == axis else zi for i, zi in enumerate(z))
-
-    def fn(point: Vector, precision: int) -> Fraction:
-        h = point[0]
-        target = tuple(h if i == axis else yi for i, yi in enumerate(y))
-        return f.eval(target, precision)
-
-    section = ComputableFunction(
-        dimension=1,
-        evaluator=fn,
-        modulus=f.modulus,
-        exact=f.exact,
-        descriptor={"kind": "axis-section", "axis": axis, "of": f.descriptor},
-    )
-    other_coords = [zi for i, zi in enumerate(z) if i != axis]
-    if other_coords:
-        oracle = interleave([bits_of_fraction(c) for c in other_coords])
-    else:
-        oracle = BitSource(lambda _k: 0, label="empty-encoding")
-    return AxisSection(section=section, oracle=oracle, base_point=y, axis=axis)

@@ -8,6 +8,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
@@ -20,13 +21,37 @@ POW2_MATERIALIZE_CAP = 1 << 14
 Vector = tuple[Fraction, ...]
 
 
+# "p/q" or "p" in the grammar Fraction(str) accepts for integer literals
+_INTEGER_RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?\s*")
+
+
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse a "p/q" or "p" literal into an exact Fraction."""
+    """Parse a "p/q" or "p" literal, or any string Fraction accepts, exactly.
+
+    Integer parts of any length are read exactly; anything that is not a
+    string, an int or a Fraction, and a zero denominator, raise ValueError.
+    """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    return Fraction(text.strip())
+    if not isinstance(text, str):
+        raise ValueError(f'{text!r} is not a rational literal; write it as a "p/q" string')
+    ratio = _INTEGER_RATIO.fullmatch(text)
+    if ratio is None:
+        return Fraction(text)  # decimal and exponent forms
+    numerator, denominator = _integer(ratio[1]), _integer(ratio[2] or "1")
+    if denominator == 0:
+        raise ValueError(f"rational literal {text!r} has a zero denominator")
+    return Fraction(numerator, denominator)
+
+
+def _integer(literal: str) -> int:
+    """int() of a literal of any length; Decimal, which costs memory, only past int()'s limit."""
+    try:
+        return int(literal)
+    except ValueError:
+        return int(Decimal(literal))
 
 
 def _digits(n: int) -> str:

@@ -479,9 +479,6 @@ class TentSystem:
     def depth(self) -> int:
         return self.partition.stage_count - 1
 
-    def tent_at(self, stage: int, index: int) -> TentFunction:
-        return tent_for(self.partition.cell(stage, index), stage, index)
-
     def locate_tent(self, stage: int, point: Sequence[Fraction]) -> TentFunction | None:
         hit = self.partition.locate(stage, point)
         if hit is None:
@@ -742,40 +739,6 @@ class TentSystem:
                 for s in self.partition.stages
             ],
         }
-
-
-def system_from_bundle(bundle: dict) -> TentSystem:
-    """Rebuild a system from its bundle; partition properties are re-verified."""
-    if bundle.get("format") != "tent-system/1":
-        raise ValueError("unrecognized bundle format")
-    stages = []
-    for m, s in enumerate(bundle["stages"]):
-        blocks = [
-            Block(
-                stage=m,
-                start_index=int(b["start_index"]),
-                source=DyadicCube.from_json(b["source"]),
-                cell_scale=int(b["cell_scale"]),
-                delta_scale=int(b["delta_scale"]),
-            )
-            for b in s["blocks"]
-        ]
-        stages.append(
-            StageData(
-                blocks=blocks,
-                sources=[DyadicCube.from_json(c) for c in s["sources"]],
-                raw=[DyadicCube.from_json(c) for c in s["raw"]],
-                exhausted=bool(s["exhausted"]),
-            )
-        )
-    partition = Partition(dimension=int(bundle["dimension"]), stages=stages)
-    partition.verify_properties()
-    return TentSystem(
-        partition=partition,
-        cutoff=int(bundle["cutoff"]),
-        budget=int(bundle["budget"]),
-        test_descriptor=bundle.get("test"),
-    )
 
 
 def build_tent_system(

@@ -255,6 +255,56 @@ def test_bet_command_rejects_table_keys_that_are_not_binary_strings(tmp_path, ca
     assert captured.err == f"error: table key {key!r} is not a 0/1 string\n"
 
 
+def test_bet_command_reads_a_threshold_past_the_str_digit_limit(tmp_path, capsys):
+    huge = "1" + "0" * 5000  # past str()'s 4300 digits
+    config = write_config(
+        tmp_path,
+        "bet.json",
+        {
+            "martingale": {"kind": "constant", "value": "1/1"},
+            "source": {"kind": "constant", "bit": 0},
+            "depth": 4,
+            "thresholds": [huge, "1/1"],
+        },
+    )
+    assert main(["bet", "--config", config]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["threshold_crossings"] == {f"{huge}/1": None, "1/1": 0}
+
+
+def bet_config(thresholds=(), values=None):
+    table = {"": "1/1", "0": "1/1", "1": "1/1", **(values or {})}
+    return {
+        "martingale": {"kind": "table", "depth": 1, "values": table},
+        "source": {"kind": "constant", "bit": 0},
+        "depth": 4,
+        "thresholds": list(thresholds),
+    }
+
+
+ZERO_DENOMINATOR = "error: rational literal '1/0' has a zero denominator\n"
+NOT_A_LITERAL = 'error: 0.5 is not a rational literal; write it as a "p/q" string\n'
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("bet", bet_config(thresholds=["1/0"]), ZERO_DENOMINATOR),
+        ("bet", bet_config(values={"1": "1/0"}), ZERO_DENOMINATOR),
+        ("probe", {"function": {"kind": "abs", "center": "1/0"}, "points": [["1/3"]]}, ZERO_DENOMINATOR),
+        ("bet", bet_config(thresholds=[0.5]), NOT_A_LITERAL),
+        ("bet", bet_config(values={"1": 0.5}), NOT_A_LITERAL),
+        ("probe", {"function": {"kind": "abs", "center": "1/2"}, "points": [[0.5]]}, NOT_A_LITERAL),
+    ],
+    ids=["zero-threshold", "zero-table-value", "zero-center", "float-threshold", "float-table-value", "float-point"],
+)
+def test_bad_rational_literals_are_config_errors(tmp_path, capsys, command, payload, message):
+    config = write_config(tmp_path, "config.json", payload)
+    assert main([command, "--config", config]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_tent_system_command(tmp_path):
     config = write_config(
         tmp_path,
@@ -394,10 +444,76 @@ def test_tent_system_bundle_past_the_pow2_cap_ends_cleanly(tmp_path, capsys):
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(data), encoding="utf-8")
     capsys.readouterr()
-    assert main(["tent-system", "--check-bundle", str(edited)]) == 0
+    # the edited cell scale is not what the embedded descriptor builds
+    assert main(["tent-system", "--check-bundle", str(edited)]) == 1
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["verified"] is True
-    assert captured.err == ""
+    assert captured.out == ""
+    assert captured.err == (
+        "bundle verification failed: bundle differs from the system its test descriptor builds\n"
+    )
+
+
+def toy_bundle(tmp_path, capsys):
+    """The bundle of configs/tent-toy.json: concentric at (1/3, 1/3), depth 5, budget 4."""
+    bundle = tmp_path / "toy-bundle.json"
+    config = str(CONFIGS / "tent-toy.json")
+    assert main(["tent-system", "--config", config, "--seed", "1", "--bundle", str(bundle)]) == 0
+    capsys.readouterr()
+    return json.loads(bundle.read_text())
+
+
+def check_bundle(tmp_path, capsys, data):
+    path = tmp_path / "checked.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["tent-system", "--check-bundle", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_bundle_round_trip(tmp_path, capsys):
+    data = toy_bundle(tmp_path, capsys)
+    code, out, err = check_bundle(tmp_path, capsys, data)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "bundle": str(tmp_path / "checked.json"),
+        "command": "tent-system",
+        "verified": True,
+    }
+    # the cutoff is a parameter of the sum, not of the partition, and a
+    # prefix of the stages is the shallower build: both name valid systems
+    assert check_bundle(tmp_path, capsys, {**data, "cutoff": 3})[0] == 0
+    assert check_bundle(tmp_path, capsys, {**data, "stages": data["stages"][:3]})[0] == 0
+
+
+def edit_stage_block(data):
+    stages = [dict(s) for s in data["stages"]]
+    blocks = [dict(b) for b in stages[2]["blocks"]]
+    blocks[0]["cell_scale"] -= 9
+    stages[2]["blocks"] = blocks
+    return {**data, "stages": stages}
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (edit_stage_block, "bundle differs from the system its test descriptor builds"),
+        (lambda d: {**d, "format": "other/1"}, "unrecognized bundle format"),
+        (lambda d: {**d, "stages": []}, "bundle has no stages"),
+        (
+            lambda d: {**d, "test": {**d["test"], "point": ["1/5", "1/3"]}},
+            "bundle differs from the system its test descriptor builds",
+        ),
+        (lambda d: {**d, "test": None}, "bundle has no test descriptor to rebuild from"),
+        (lambda d: {k: v for k, v in d.items() if k != "test"}, "bundle has no test descriptor to rebuild from"),
+        (lambda d: {**d, "cutoff": -1}, "cutoff must be >= 0"),
+        (lambda d: {**d, "budget": 4.0}, "bundle differs from the system its test descriptor builds"),
+        (lambda d: {**d, "test": {**d["test"], "point": ["1/0", "1/3"]}}, "rational literal '1/0' has a zero denominator"),
+    ],
+    ids=["cell-scale", "format", "no-stages", "test-point", "null-test", "no-test", "cutoff", "float-budget", "zero-denominator"],
+)
+def test_tampered_bundle_rejected(tmp_path, capsys, edit, reason):
+    code, out, err = check_bundle(tmp_path, capsys, edit(toy_bundle(tmp_path, capsys)))
+    assert (code, out, err) == (1, "", f"bundle verification failed: {reason}\n")
 
 
 def test_overflow_in_a_command_exits_2(monkeypatch, capsys):

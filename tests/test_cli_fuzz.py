@@ -1,0 +1,122 @@
+"""Fuzzed configs and bundles: every run ends in exit 0, 1 or 2, never a traceback.
+
+Rational literals mix valid "p/q" strings with zero denominators, integers
+past str()'s 4300-digit limit, JSON floats and junk.  Bundle edits replace or
+drop one field of a small concentric-test bundle; --check-bundle may pass only
+when the edited bundle is exactly the system its own fields rebuild.
+"""
+
+import copy
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slopelab.cli import main
+from slopelab.nullsets import concentric_test
+from slopelab.serialize import canonical_json, nested_test_from_descriptor
+from slopelab.tentsystem import build_tent_system
+
+LITERALS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(1, 40)),
+    st.builds("{}/0".format, st.integers(-3, 3)),
+    st.builds(lambda sign, lead: f"{sign}{lead}{'0' * 5000}", st.sampled_from(["", "-"]), st.integers(1, 9)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.none(),
+)
+
+
+def run(tmp_path_factory, args, payload):
+    """main() on a config holding payload; the report goes to a file."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    config = folder / "config.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    code = main([*args, str(config), "--out", str(folder / "out")])
+    assert code in (0, 1, 2)
+    return code
+
+
+@given(
+    st.lists(LITERALS, max_size=3),
+    st.fixed_dictionaries({"": LITERALS, "0": LITERALS, "1": LITERALS}),
+)
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_bet_literals_end_in_an_exit_code(tmp_path_factory, thresholds, values):
+    payload = {
+        "martingale": {"kind": "table", "depth": 1, "values": values},
+        "source": {"kind": "constant", "bit": 1},
+        "depth": 4,
+        "thresholds": thresholds,
+    }
+    run(tmp_path_factory, ["bet", "--config"], payload)
+
+
+@given(LITERALS, st.lists(st.lists(LITERALS, min_size=1, max_size=1), min_size=1, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_probe_literals_end_in_an_exit_code(tmp_path_factory, center, points):
+    payload = {"function": {"kind": "abs", "center": center}, "points": points, "depth": 2}
+    run(tmp_path_factory, ["probe", "--config"], payload)
+
+
+# ---------------------------------------------------------------------------
+# Bundles
+
+
+BASE = json.loads(
+    canonical_json(build_tent_system(concentric_test(["1/3", "1/3"], 2), 3, 0, 4).to_bundle())
+)
+
+
+def paths(value, prefix=()):
+    """Every path to a field of a JSON value, parents before children."""
+    yield prefix
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from paths(child, prefix + (key,))
+
+
+FIELDS = [path for path in paths(BASE) if path]
+DELETE = object()
+REPLACEMENTS = st.one_of(
+    st.integers(-2, 8), LITERALS, st.booleans(), st.just([]), st.just({}), st.just(DELETE)
+)
+
+
+def edited(path, replacement):
+    bundle = copy.deepcopy(BASE)
+    *parents, last = path
+    owner = bundle
+    for key in parents:
+        owner = owner[key]
+    if replacement is DELETE:
+        del owner[last]
+    else:
+        owner[last] = replacement
+    return bundle
+
+
+def rebuild_matches(bundle):
+    """The oracle: the bundle's own fields rebuild it byte for byte."""
+    cutoff, budget = bundle.get("cutoff"), bundle.get("budget")
+    if type(cutoff) is not int or type(budget) is not int or cutoff < 0:
+        return False
+    try:
+        test = nested_test_from_descriptor(bundle["test"])
+        system = build_tent_system(test, len(bundle["stages"]) - 1, cutoff, budget)
+    except Exception:  # any refusal means the bundle does not rebuild
+        return False
+    return canonical_json(system.to_bundle()) == canonical_json(bundle)
+
+
+@given(st.sampled_from(FIELDS), REPLACEMENTS)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_bundle_edits_verify_only_when_they_rebuild(tmp_path_factory, path, replacement):
+    bundle = edited(path, replacement)
+    code = run(tmp_path_factory, ["tent-system", "--check-bundle"], bundle)
+    assert code == (0 if rebuild_matches(bundle) else 1)
+    if canonical_json(bundle) == canonical_json(BASE):
+        assert code == 0
+    elif path[0] == "stages" and len(path) >= 2:
+        # the stages are a function of the untouched descriptor and budget
+        assert code == 1

@@ -6,35 +6,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopelab.bits import bits_of_fraction, constant_bits, pattern_bits
+from slopelab.bits import (
+    bits_of_fraction,
+    constant_bits,
+    fraction_from_bits,
+    interleave,
+    pattern_bits,
+)
 from slopelab.functions import (
     ComputableFunction,
     abs_distance_1d,
     cube_1d,
+    exact_function,
     identity_1d,
+    kn_decompose,
     linear_form,
     piecewise_linear,
+    product_xy,
     square_1d,
+    sum_functions,
 )
 from slopelab.martingales import (
     Martingale,
     MonotonicityError,
     NegativeCapitalError,
     all_on_ones_martingale,
-    approx_interval_slope,
     audit_monotone,
-    axis_section_family,
+    box_slope_martingale,
     check_fairness,
     constant_martingale,
-    dyadic_interval,
     interval_slope,
     run_bet,
-    section_along_axis,
     slope_martingale,
     table_martingale,
-    uniform_slope_martingale,
 )
-from slopelab.rationals import pow2
 
 F = Fraction
 
@@ -108,13 +113,6 @@ def test_random_monotone_pwlinear_slope_martingales_fair(seed):
     assert check_fairness(m, 7) is None
 
 
-def test_dyadic_interval_and_approx_slope():
-    assert dyadic_interval((1, 0)) == (F(1, 2), F(3, 4))
-    f = square_1d()
-    exact = interval_slope(f, (1, 0))
-    assert approx_interval_slope(f, (1, 0), 20) == exact
-
-
 def test_run_bet_trajectories():
     flat = run_bet(constant_martingale(1), constant_bits(0), 8)
     assert flat.trajectory == (F(1),) * 9
@@ -144,115 +142,6 @@ def test_run_bet_uses_exactly_the_prefix():
     run_bet(Martingale(probe), pattern_bits([0, 1]), 4)
     # (length, index) of (), (0,), (0, 1), (0, 1, 0), (0, 1, 0, 1)
     assert calls == [(0, 0), (1, 0), (2, 1), (3, 2), (4, 5)]
-
-
-# ---------------------------------------------------------------------------
-# Uniform martingales
-
-
-def test_uniform_martingale_ignoring_oracle():
-    from slopelab.martingales import oracle_free
-
-    m = uniform_slope_martingale(oracle_free(identity_1d()), bits_of_fraction(F(1, 3)))
-    for sigma in ((), (1,), (0, 1, 1)):
-        assert m.value(sigma, 10) == 1
-
-
-def test_uniform_martingale_of_affine_section():
-    f = linear_form([2, 3])
-    family = axis_section_family(f, 0)
-    oracle = bits_of_fraction(F(1, 3))  # encodes the second coordinate
-    m = uniform_slope_martingale(family, oracle)
-    for sigma in ((), (1,), (0, 0), (1, 0, 1)):
-        assert m.value(sigma, 12) == 2
-
-
-def test_uniform_martingale_fairness_residual_bounded():
-    f = linear_form([2, 3])
-    m = uniform_slope_martingale(axis_section_family(f, 1), bits_of_fraction(F(1, 7)))
-    precision = 10
-    for sigma in ((), (0,), (1, 1)):
-        residual = abs(
-            2 * m.value(sigma, precision)
-            - m.value(tuple(sigma) + (0,), precision)
-            - m.value(tuple(sigma) + (1,), precision)
-        )
-        assert residual <= 3 * pow2(-precision)
-
-
-def test_uniform_martingale_use_bound_stability():
-    f = linear_form([2, 3])
-    family = axis_section_family(f, 0)
-    oracle = bits_of_fraction(F(2, 3))
-    m = uniform_slope_martingale(family, oracle)
-    sigma, precision = (1, 0), 8
-    need = m.use_bound(len(sigma), precision)
-    base = m.value_with_prefix(oracle.prefix(need), sigma, precision)
-    extended = m.value_with_prefix(oracle.prefix(need + 40), sigma, precision)
-    assert base == extended  # truncation makes stability exact
-    with pytest.raises(ValueError):
-        m.value_with_prefix(oracle.prefix(max(need - 1, 0)), sigma, precision)
-
-
-def test_two_oracles_agreeing_on_use_bound_give_identical_values():
-    f = linear_form([2, 3])
-    family = axis_section_family(f, 0)
-    sigma, precision = (0, 1), 8
-    m = uniform_slope_martingale(family)
-    need = m.use_bound(len(sigma), precision)
-    prefix = bits_of_fraction(F(1, 3)).prefix(need)
-    # a different continuation beyond the use bound
-    other = tuple(prefix) + (1, 1, 1, 1)
-    assert m.value_with_prefix(prefix, sigma, precision) == m.value_with_prefix(
-        other, sigma, precision
-    )
-
-
-def test_uniform_monotonicity_audit_rejects_decreasing_section():
-    from slopelab.martingales import oracle_free
-
-    with pytest.raises(MonotonicityError):
-        uniform_slope_martingale(
-            oracle_free(piecewise_linear([(0, 1), (1, 0)])), constant_bits(0)
-        )
-
-
-# ---------------------------------------------------------------------------
-# Axis sections
-
-
-def test_section_along_axis_values_and_slope():
-    f = linear_form([2, 3])
-    z = (F(1, 3), F(1, 7))
-    sec = section_along_axis(f, z, 1)
-    # section slope is the coefficient of the chosen axis
-    assert (sec.section.eval((F(1, 2),)) - sec.section.eval((F(1, 4),))) / F(1, 4) == 3
-    # section at h = z_i recovers f(z)
-    assert sec.section.eval((z[1],)) == f.eval(z)
-    # encoding carries the other coordinate's bits
-    assert sec.oracle.prefix(6) == bits_of_fraction(F(1, 3)).prefix(6)
-
-
-def test_section_rejects_dyadic_companions():
-    f = linear_form([2, 3])
-    with pytest.raises(ValueError):
-        section_along_axis(f, (F(1, 2), F(1, 3)), 1)
-
-
-def test_section_of_orthant_increasing_function_is_monotone():
-    from slopelab.functions import abs_diff_2d, kn_decompose
-
-    g, _ = kn_decompose(abs_diff_2d(), 2)
-    sec = section_along_axis(g, (F(1, 3), F(1, 5)), 0)
-    values = [sec.section.eval((F(k, 16),)) for k in range(17)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-def test_one_dimensional_section_has_trivial_encoding():
-    f = square_1d()
-    sec = section_along_axis(f, (F(1, 3),), 0)
-    assert sec.oracle.prefix(4) == (0, 0, 0, 0)
-    assert sec.section.eval((F(1, 4),)) == F(1, 16)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -319,7 +208,8 @@ def table_oracle(values: dict, sigma) -> F:
 
 def slope_oracle(f, sigma) -> F:
     """Slope over [sigma] through the bit-tuple interval and a division."""
-    left, right = dyadic_interval(sigma)
+    left = fraction_from_bits(sigma)
+    right = left + F(1, 2 ** len(sigma))
     return (f.eval((right,)) - f.eval((left,))) / (right - left)
 
 
@@ -413,3 +303,123 @@ def test_slope_audit_evaluates_f_once_per_grid_point():
     assert check_fairness(m, 10) is None
     assert len(calls) == 2**10 + 1
     assert len(set(calls)) == len(calls)
+
+
+# ---------------------------------------------------------------------------
+# Box-slope martingales
+
+
+def deepest_length(n, axis, horizon):
+    """The longest string whose other coordinates are no finer than the horizon."""
+    return n * horizon + min(j for j in range(n) if j != axis)
+
+
+def box_slope_oracle(f, axis, horizon, sigma):
+    """Decode sigma coordinate by coordinate and average the 1-D sections' slopes."""
+    n = f.dimension
+    corners = []  # per other coordinate: left corners of the horizon grid in its cell
+    for j in range(n):
+        if j != axis:
+            bits = sigma[j::n]
+            left = fraction_from_bits(bits)
+            corners.append([left + F(t, 2**horizon) for t in range(2 ** (horizon - len(bits)))])
+    slopes = []
+    for y in product(*corners):
+        y = list(y)
+        section = exact_function(
+            1, lambda h, y=y: f.eval(tuple(y[:axis] + [h[0]] + y[axis:])), lambda i: i
+        )
+        slopes.append(interval_slope(section, sigma[axis::n]))
+    return sum(slopes, F(0)) / len(slopes)
+
+
+def random_exact_function(rng: random.Random, n: int):
+    """One pwlinear part per coordinate plus products x_i * x_j, and a Lipschitz bound."""
+    parts, bound = [], F(0)
+    for _ in range(n):
+        xs = [F(0), F(rng.randint(1, 7), 8), F(1)]
+        ys = [F(rng.randint(-8, 8), 8) for _ in xs]
+        parts.append(piecewise_linear(list(zip(xs, ys))))
+        bound += max(abs(ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k]) for k in range(2))
+    pairs = [(i, j, F(rng.randint(-4, 4), 4)) for i in range(n) for j in range(i + 1, n)]
+    bound += sum(abs(c) for _, _, c in pairs)
+
+    def fn(x):
+        value = sum((g.eval((x[i],)) for i, g in enumerate(parts)), F(0))
+        return value + sum((c * x[i] * x[j] for i, j, c in pairs), F(0))
+
+    return exact_function(n, fn, lambda i: i + 8), bound + 1
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)]))
+@settings(max_examples=30, deadline=None)
+def test_box_slope_martingales_are_fair_and_match_the_section_oracle(seed, shape):
+    n, horizon = shape
+    rng = random.Random(seed)
+    f, bound = random_exact_function(rng, n)
+    g, _ = kn_decompose(f, bound)  # nondecreasing along every axis
+    axis = rng.randrange(n)
+    m = box_slope_martingale(g, axis, horizon)
+    deepest = deepest_length(n, axis, horizon)
+    assert check_fairness(m, deepest) is None
+    for length in range(deepest + 1):
+        sigma = tuple(rng.randrange(2) for _ in range(length))
+        assert m.at(sigma) == box_slope_oracle(g, axis, horizon, sigma)
+
+
+def test_box_slope_settles_at_the_grid_bias_of_x_times_y_plus_x():
+    # d/dx (xy + x) = y + 1; at horizon 5 the capital reads y at the left
+    # corner 5/16 of the point's y-cell, not at y = 1/3
+    f = sum_functions([product_xy(), linear_form([1, 0])])
+    m = box_slope_martingale(f, 0, 5)
+    third = bits_of_fraction(F(1, 3))
+    run = run_bet(m, interleave([third, third]), 11)
+    assert run.trajectory[10] == run.trajectory[11] == F(21, 16)
+    assert check_fairness(m, 10) is None
+
+
+def test_box_slope_in_one_dimension_is_the_slope_martingale():
+    box, slope = box_slope_martingale(square_1d(), 0, 0), slope_martingale(square_1d())
+    for length in range(7):
+        for sigma in product((0, 1), repeat=length):
+            assert box.at(sigma) == slope.at(sigma)
+    deep = bits_of_fraction(F(1, 3)).prefix(40)
+    assert box.at(deep) == slope.at(deep)
+
+
+def test_box_slope_of_a_linear_form_is_its_coefficient():
+    f = linear_form([2, 3])
+    for axis, coefficient in ((0, 2), (1, 3)):
+        m = box_slope_martingale(f, axis, 3)
+        for length in range(deepest_length(2, axis, 3) + 1):
+            for sigma in product((0, 1), repeat=length):
+                assert m.at(sigma) == coefficient
+
+
+def test_box_slope_rejects_a_decrease_along_the_axis():
+    m = box_slope_martingale(linear_form([-1, 1]), 0, 2)
+    with pytest.raises(NegativeCapitalError, match=r"box-slope\(axis=0, horizon=2\): negative capital -1 at \(\)"):
+        check_fairness(m, 4)
+    assert box_slope_martingale(linear_form([-1, 1]), 1, 2).at((1, 0, 1)) == 1
+
+
+def test_box_slope_rejects_strings_finer_than_the_horizon():
+    f = linear_form([2, 3])
+    m = box_slope_martingale(f, 0, 2)
+    assert m.at((0,) * 5) == 2  # coordinate 1 holds bits 1 and 3
+    with pytest.raises(ValueError, match="finer than the horizon 2 in coordinate 1"):
+        m.at((0,) * 6)
+    with pytest.raises(ValueError, match="finer than the horizon 2 in coordinate 0"):
+        box_slope_martingale(f, 1, 2).at((0,) * 5)
+    with pytest.raises(ValueError, match="horizon 2"):
+        check_fairness(m, 6)
+
+
+def test_box_slope_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="axis 2 out of range"):
+        box_slope_martingale(linear_form([2, 3]), 2, 3)
+    inexact = ComputableFunction(2, lambda point, _precision: F(0), lambda i: i, exact=False)
+    with pytest.raises(ValueError, match="exact"):
+        box_slope_martingale(inexact, 0, 3)
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        box_slope_martingale(linear_form([2, 3]), 0, -1)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopelab.rationals import (
@@ -22,6 +22,47 @@ def test_parse_and_format_round_trip():
     assert parse_rational("-7") == Fraction(-7)
     assert format_rational(Fraction(5, 1)) == "5/1"
     assert parse_rational(format_rational(Fraction(-2, 9))) == Fraction(-2, 9)
+
+
+LITERAL_PARTS = st.sampled_from(["", " ", "-", "+", "0", "7", "12", "1_0", "/", "/3", ".", ".5", "e", "E-2", "x"])
+
+
+def fraction_or_none(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def parsed_or_none(text):
+    try:
+        return parse_rational(text)
+    except ValueError:  # never ZeroDivisionError
+        return None
+
+
+@given(st.lists(LITERAL_PARTS, max_size=5).map("".join))
+@settings(max_examples=200, deadline=None)
+def test_parse_rational_agrees_with_fraction_on_strings(text):
+    assert parsed_or_none(text) == fraction_or_none(text)
+
+
+@given(st.integers(-(10**6000), 10**6000), st.integers(1, 10**6000))
+@example(10**5000 + 1, 3)
+@settings(max_examples=20, deadline=None)
+def test_parse_rational_reads_integers_of_any_length(p, q):
+    # format_rational renders past str()'s 4300-digit limit; parsing reads it back
+    assert parse_rational(format_rational(Fraction(p, q))) == Fraction(p, q)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1/0", "-3/000", 0.5, None, True, [1], {"p": 1}],
+    ids=["zero", "zeros", "float", "null", "bool", "list", "object"],
+)
+def test_parse_rational_rejects_what_is_not_a_rational(value):
+    with pytest.raises(ValueError):
+        parse_rational(value)
 
 
 def test_is_dyadic():

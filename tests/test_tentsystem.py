@@ -19,7 +19,6 @@ from slopelab.tentsystem import (
     TentSystem,
     build_partition,
     build_tent_system,
-    system_from_bundle,
     tent_for,
 )
 
@@ -333,29 +332,6 @@ def test_sum_is_first_order_consistent_off_the_deep_stages(toy_system5):
             assert diff_class_b(f, q, 6).status == "consistent-to-depth"
     outside = (F(1, 5), F(1, 5))
     assert diff_class_b(f, outside, 4).status == "consistent-to-depth"
-
-
-# ---------------------------------------------------------------------------
-# Bundles
-
-
-def test_bundle_round_trip(toy_system5):
-    bundle = toy_system5.to_bundle()
-    clone = system_from_bundle(bundle)
-    assert clone.to_bundle() == bundle
-    assert clone.truncated_value(TARGET) == toy_system5.truncated_value(TARGET)
-
-
-def test_tampered_bundle_rejected(toy_system5):
-    bundle = toy_system5.to_bundle()
-    tampered = {**bundle, "stages": [dict(s) for s in bundle["stages"]]}
-    blocks = [dict(b) for b in tampered["stages"][2]["blocks"]]
-    blocks[0] = {**blocks[0], "cell_scale": blocks[0]["cell_scale"] - 9}
-    tampered["stages"][2]["blocks"] = blocks
-    with pytest.raises(PartitionError):
-        system_from_bundle(tampered)
-    with pytest.raises(ValueError):
-        system_from_bundle({**bundle, "format": "other/1"})
 
 
 def test_lower_stage_slopes_hit_exact_powers(toy_system5):
