@@ -24,7 +24,6 @@ from .derivatives import (
     VIOLATED,
     BasisReduction,
     ProbeVerdict,
-    SlopeReport,
     diff_class_a,
     diff_class_b,
     dir_derivative_via_basis,
@@ -46,7 +45,6 @@ from .functions import (
     clamp_point,
     compose_affine,
     constant_function,
-    exact_function,
     gram_schmidt_basis,
     isometry_between,
     kn_decompose,

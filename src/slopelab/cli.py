@@ -5,7 +5,8 @@ Every command reads a JSON config, writes machine-readable output (exact
 run held.  Reports contain nothing environment-dependent, so identical
 configs yield byte-identical bytes.
 
-Exit codes: 0 pass, 1 assertion failure, 2 usage or config error.
+Exit codes: 0 pass, 1 assertion failure, 2 usage or config error; EXITS in
+main maps each error to its code and its one stderr line.
 """
 
 from __future__ import annotations
@@ -29,12 +30,19 @@ class ConfigError(ValueError):
     pass
 
 
+class BundleRejected(Exception):
+    """A bundle that is not the system its own fields rebuild."""
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            config = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object, not {type(config).__name__}")
+    return config
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -50,6 +58,24 @@ def _require(config: dict, key: str) -> object:
     return config[key]
 
 
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(config: dict, key: str, kind: type, default: object = None):
+    """config[key], which must be a JSON value of the given kind; required without a default."""
+    value = _require(config, key) if default is None else config.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be {_JSON_KINDS[kind]}, not {value!r}")
+    return value
+
+
+def _integers(config: dict, key: str, default: list[int]) -> list[int]:
+    values = _typed(config, key, list, default)
+    if not all(type(v) is int for v in values):
+        raise ConfigError(f"config key {key!r} must list integers, not {values!r}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # probe
 
@@ -57,8 +83,8 @@ def _require(config: dict, key: str) -> object:
 def cmd_probe(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     f = sz.function_from_descriptor(_require(config, "function"))
-    points = [sz.parse_point(p) for p in _require(config, "points")]
-    depth = int(config.get("depth", args.depth or 6))
+    points = [sz.parse_point(p) for p in _typed(config, "points", list)]
+    depth = _typed(config, "depth", int, args.depth or 6)
     oscillation = config.get("oscillation_threshold")
     separation = config.get("separation_threshold")
     osc_thr = parse_rational(oscillation) if oscillation is not None else None
@@ -73,7 +99,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         ]
         entry["class_a"] = sz.to_plain(dv.diff_class_a(f, point, depth, sep_thr))
         entry["class_b"] = sz.to_plain(dv.diff_class_b(f, point, depth))
-        directions = config.get("defect")
+        directions = _typed(config, "defect", dict, {})
         if directions:
             entry["defect"] = sz.to_plain(
                 dv.linearity_defect(
@@ -105,21 +131,15 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def cmd_bet(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    try:
-        martingale = sz.martingale_from_descriptor(_require(config, "martingale"))
-        source = sz.source_from_descriptor(_require(config, "source"))
-        depth = int(config.get("depth", args.depth or 16))
-        witness = mg.check_fairness(martingale, min(depth, int(config.get("audit_depth", 8))))
-        if witness is not None:
-            sys.stderr.write(
-                f"fairness audit failed at sigma = {''.join(map(str, witness))!r}\n"
-            )
-            return 1
-        thresholds = [parse_rational(t) for t in config.get("thresholds", [])]
-        run = mg.run_bet(martingale, source, depth, thresholds)
-    except (mg.MonotonicityError, mg.NegativeCapitalError) as exc:
-        sys.stderr.write(f"martingale rejected: {exc}\n")
+    martingale = sz.martingale_from_descriptor(_require(config, "martingale"))
+    source = sz.source_from_descriptor(_require(config, "source"))
+    depth = _typed(config, "depth", int, args.depth or 16)
+    witness = mg.check_fairness(martingale, min(depth, _typed(config, "audit_depth", int, 8)))
+    if witness is not None:
+        sys.stderr.write(f"fairness audit failed at sigma = {''.join(map(str, witness))!r}\n")
         return 1
+    thresholds = [parse_rational(t) for t in _typed(config, "thresholds", list, [])]
+    run = mg.run_bet(martingale, source, depth, thresholds)
     if args.format == "csv":
         _write_out(run.to_csv(), args.out)
     else:
@@ -141,9 +161,9 @@ def cmd_bet(args: argparse.Namespace) -> int:
 # tent-system
 
 
-def _verify_bundle(bundle: object) -> None:
+def _verify_bundle(bundle: dict) -> None:
     """Rebuild the system a bundle names; raise unless it is byte for byte the same."""
-    if not isinstance(bundle, dict) or bundle.get("format") != "tent-system/1":
+    if bundle.get("format") != "tent-system/1":
         raise ValueError("unrecognized bundle format")
     if bundle.get("test") is None:
         raise ValueError("bundle has no test descriptor to rebuild from")
@@ -165,8 +185,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
         except (
             ValueError, KeyError, TypeError, AttributeError, OverflowError, ts.BuildBudgetError
         ) as exc:
-            sys.stderr.write(f"bundle verification failed: {exc}\n")
-            return 1
+            raise BundleRejected(exc) from exc
         _write_out(
             sz.canonical_json(
                 {"command": "tent-system", "bundle": args.check_bundle, "verified": True}
@@ -178,18 +197,18 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
         raise ConfigError("either --config or --check-bundle is required")
     config = _load_config(args.config)
     test = sz.nested_test_from_descriptor(_require(config, "test"))
-    depth = int(config.get("depth", args.depth or 4))
-    cutoff = int(config.get("cutoff", 0))
-    budget = int(config.get("budget", 8))
+    depth = _typed(config, "depth", int, args.depth or 4)
+    cutoff = _typed(config, "cutoff", int, 0)
+    budget = _typed(config, "budget", int, 8)
+    pairs = _typed(config, "modulus_pairs", int, 50)
+    points = [sz.parse_point(p) for p in _typed(config, "points", list, [])]
+    stages = _integers(config, "oscillation_stages", list(range(1, depth + 1)))
+    precisions = _integers(config, "precisions", [])
     audit = ns.audit_nesting(test, depth, budget)
     if audit is not None:
         sys.stderr.write(f"nesting audit failed at stage {audit[0]}: {audit[1].to_json()}\n")
         return 1
-    try:
-        system = ts.build_tent_system(test, depth, cutoff, budget)
-    except (ts.BuildBudgetError, ts.PartitionError) as exc:
-        sys.stderr.write(f"build failed: {exc}\n")
-        return 1
+    system = ts.build_tent_system(test, depth, cutoff, budget)
     failures: list[str] = []
     report: dict = {
         "command": "tent-system",
@@ -209,17 +228,16 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed or 0)
     audits = {}
     for m in range(1, depth + 1):
-        violations = system.modulus_audit(m, int(config.get("modulus_pairs", 50)), rng)
+        violations = system.modulus_audit(m, pairs, rng)
         audits[str(m)] = {"violations": sz.to_plain(violations)}
         if violations:
             failures.append(f"modulus audit fails at stage {m}")
     report["modulus"] = audits
     oscillation = []
-    for point_desc in config.get("points", []):
-        point = sz.parse_point(point_desc)
-        for m in config.get("oscillation_stages", list(range(1, depth + 1))):
+    for point in points:
+        for m in stages:
             try:
-                check = system.oscillation_check(point, int(m))
+                check = system.oscillation_check(point, m)
             except ValueError as exc:
                 oscillation.append({"point": sz.to_plain(point), "stage": m, "error": str(exc)})
                 failures.append(f"oscillation check unusable at stage {m}: {exc}")
@@ -228,21 +246,13 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
             if not check.passed or not check.tail_ok:
                 failures.append(f"oscillation bound fails at stage {m}")
     report["oscillation"] = oscillation
-    precisions = [int(p) for p in config.get("precisions", [])]
-    if precisions and config.get("points"):
+    if precisions and points:
         evaluations = []
-        for point_desc in config["points"]:
-            point = sz.parse_point(point_desc)
+        for point in points:
             per_point = []
             for m in precisions:
-                try:
-                    value = system.evaluate(point, m)
-                except ts.InsufficientDepthError as exc:
-                    failures.append(f"evaluation at precision {m} needs a deeper build: {exc}")
-                    break
-                per_point.append(
-                    {"precision": m, "value": value.value, "error": value.error}
-                )
+                value = system.evaluate(point, m)
+                per_point.append({"precision": m, "value": value.value, "error": value.error})
             evaluations.append({"point": point, "values": per_point})
         report["evaluations"] = sz.to_plain(evaluations)
     report["failures"] = failures
@@ -259,7 +269,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
 def cmd_dore_maleva(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     params = sz.dore_maleva_params_from_descriptor(config.get("params", {"kind": "default"}))
-    stages = int(config.get("stages", args.depth or 3))
+    stages = _typed(config, "stages", int, args.depth or 3)
     if stages < 0:
         raise ConfigError("stages must be >= 0")
     table = []
@@ -290,7 +300,7 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
         try:
             geometry = [
                 {"x0": r[0], "x1": r[1], "y0": r[2], "y1": r[3]}
-                for r in ns.dore_maleva_rectangles(params, min(stages, int(config.get("geometry_stages", 2))))
+                for r in ns.dore_maleva_rectangles(params, min(stages, _typed(config, "geometry_stages", int, 2)))
             ]
         except ValueError:
             geometry = None
@@ -347,17 +357,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The first row whose classes match an error gives the exit code and the one
+# stderr line: 1 only when a check about the mathematics failed, 2 when the
+# input cannot be run as given.
+EXITS = (
+    (ConfigError, 2, "config error: {}"),
+    (ts.InsufficientDepthError, 2, "config error: a precision in 'precisions' needs a deeper build: {}"),
+    ((mg.MonotonicityError, mg.NegativeCapitalError), 1, "martingale rejected: {}"),
+    ((ts.BuildBudgetError, ts.PartitionError), 1, "build failed: {}"),
+    (BundleRejected, 1, "bundle verification failed: {}"),
+    ((ValueError, KeyError, OSError, OverflowError), 2, "error: {}"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except (ValueError, KeyError, OSError, OverflowError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except Exception as exc:
+        for classes, code, line in EXITS:
+            if isinstance(exc, classes):
+                sys.stderr.write(line.format(exc) + "\n")
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -41,16 +41,6 @@ class WSearchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SlopeReport:
-    point: Vector
-    kind: str  # "axis" | "direction"
-    descriptor: object
-    step: Fraction
-    value: Fraction
-    error: Fraction
-
-
-@dataclass(frozen=True)
 class ProbeVerdict:
     op: str
     status: str
@@ -70,40 +60,28 @@ def dyadic_schedule(depth: int, start: int = 2) -> list[Fraction]:
     return [pow2(-k) for k in range(start, depth + 1)]
 
 
-def _eval_error(f: ComputableFunction, precision: int) -> Fraction:
-    return Fraction(0) if f.exact else pow2(-precision)
-
-
-def slope_axis(
-    f: ComputableFunction, x: Sequence[Fraction], axis: int, h: Fraction, precision: int = 64
-) -> SlopeReport:
-    """Difference quotient (f(x + h*e_axis) - f(x)) / h, error propagated."""
+def slope_axis(f: ComputableFunction, x: Sequence[Fraction], axis: int, h: Fraction) -> Fraction:
+    """Exact difference quotient (f(x + h*e_axis) - f(x)) / h."""
     x = tuple(x)
     if h == 0:
         raise ValueError("zero step")
     shifted = tuple(xi + (h if i == axis else 0) for i, xi in enumerate(x))
     if not in_unit_cube(x) or not in_unit_cube(shifted):
         raise ValueError(f"step {h} along axis {axis} leaves the unit cube")
-    value = (f.eval(shifted, precision) - f.eval(x, precision)) / h
-    return SlopeReport(x, "axis", axis, h, value, 2 * _eval_error(f, precision) / abs(h))
+    return (f.eval(shifted) - f.eval(x)) / h
 
 
 def slope_dir(
-    f: ComputableFunction,
-    x: Sequence[Fraction],
-    v: Sequence[Fraction],
-    h: Fraction,
-    precision: int = 64,
-) -> SlopeReport:
-    """Directional difference quotient (f(x + h*v) - f(x)) / h."""
+    f: ComputableFunction, x: Sequence[Fraction], v: Sequence[Fraction], h: Fraction
+) -> Fraction:
+    """Exact directional difference quotient (f(x + h*v) - f(x)) / h."""
     x, v = tuple(x), as_vector(v)
     if h == 0:
         raise ValueError("zero step")
     shifted = vadd(x, vscale(h, v))
     if not in_unit_cube(x) or not in_unit_cube(shifted):
         raise ValueError(f"step {h} along {v} leaves the unit cube")
-    value = (f.eval(shifted, precision) - f.eval(x, precision)) / h
-    return SlopeReport(x, "direction", v, h, value, 2 * _eval_error(f, precision) / abs(h))
+    return (f.eval(shifted) - f.eval(x)) / h
 
 
 def _tail_bracket(
@@ -111,7 +89,6 @@ def _tail_bracket(
     x: Vector,
     axis: int,
     steps: Sequence[Fraction],
-    precision: int,
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] | None:
     """Lowest and highest two-sided slope along axis over the tail of steps.
 
@@ -124,7 +101,7 @@ def _tail_bracket(
     for rank, h in enumerate(steps):
         for signed in (h, -h):
             try:
-                observations.append((rank, signed, slope_axis(f, x, axis, signed, precision).value))
+                observations.append((rank, signed, slope_axis(f, x, axis, signed)))
             except ValueError:
                 continue
     if not observations:
@@ -142,7 +119,6 @@ def partial_probe(
     axis: int,
     schedule: Sequence[Fraction],
     threshold: Fraction | None = None,
-    precision: int = 64,
 ) -> ProbeVerdict:
     """Two-sided slopes over a shrinking schedule, bracketing the partial.
 
@@ -154,7 +130,7 @@ def partial_probe(
     x = tuple(x)
     if not schedule:
         raise ValueError("schedule must be nonempty")
-    bracket = _tail_bracket(f, x, axis, schedule, precision)
+    bracket = _tail_bracket(f, x, axis, schedule)
     if bracket is None:
         raise ValueError("schedule leaves the cube at every step")
     (lo_step, lo), (hi_step, hi) = bracket
@@ -196,7 +172,6 @@ def dir_derivative_via_basis(
     u: Sequence[Fraction | int | str],
     w: Sequence[Fraction | int | str] | None = None,
     t_panel: Sequence[Fraction] | None = None,
-    precision: int = 64,
 ) -> BasisReduction:
     """Reduce the slope along u at x to a first-axis slope of g = f^∘(Θ+w).
 
@@ -233,10 +208,8 @@ def dir_derivative_via_basis(
     for t in panel:
         if t <= 0:
             raise ValueError("panel steps must be positive")
-        lhs = (g.eval(vadd(z, vscale(t, e1)), precision) - g.eval(z, precision)) / t
-        rhs = (
-            f_hat.eval(vadd(x, vscale(t, direction)), precision) - f_hat.eval(x, precision)
-        ) / t
+        lhs = (g.eval(vadd(z, vscale(t, e1))) - g.eval(z)) / t
+        rhs = (f_hat.eval(vadd(x, vscale(t, direction))) - f_hat.eval(x)) / t
         if lhs != rhs:
             failures.append({"t": t, "lhs": lhs, "rhs": rhs})
     return BasisReduction(
@@ -258,7 +231,6 @@ def linearity_defect(
     max_step: Fraction,
     depth: int = 6,
     threshold: Fraction | None = None,
-    precision: int = 64,
 ) -> ProbeVerdict:
     """Minimum of |δ^u + δ^v - δ^{u+v}| over dyadic steps <= max_step.
 
@@ -274,9 +246,9 @@ def linearity_defect(
         if h > max_step:
             continue
         try:
-            su = slope_dir(f, x, du, h, precision).value
-            sv = slope_dir(f, x, dv, h, precision).value
-            suv = slope_dir(f, x, duv, h, precision).value
+            su = slope_dir(f, x, du, h)
+            sv = slope_dir(f, x, dv, h)
+            suv = slope_dir(f, x, duv, h)
         except ValueError:
             continue
         defects.append((h, abs(su + sv - suv)))
@@ -302,7 +274,6 @@ def diff_class_a(
     x: Sequence[Fraction],
     depth: int,
     separation: Fraction | None = None,
-    precision: int = 64,
 ) -> ProbeVerdict:
     """Per-axis brackets of the candidate partials from two-sided grid slopes.
 
@@ -315,7 +286,7 @@ def diff_class_a(
     brackets: list[tuple[Fraction, Fraction]] = []
     worst: dict | None = None
     for axis in range(f.dimension):
-        bracket = _tail_bracket(f, x, axis, steps, precision)
+        bracket = _tail_bracket(f, x, axis, steps)
         if bracket is None:
             raise ValueError(f"no feasible step along axis {axis}")
         (lo_step, lo), (hi_step, hi) = bracket
@@ -336,27 +307,21 @@ def diff_class_a(
     return ProbeVerdict("class-a", CONSISTENT, depth, None, tuple(brackets))
 
 
-def first_order_remainder(
-    f: ComputableFunction,
-    x: Vector,
-    h: Vector,
-    b: Fraction,
-    precision: int = 64,
-) -> Fraction:
-    """|f(x+h) - f(x) - row . h| with row_i = (f(x + b e_i) - f(x)) / b (exact for exact f).
+def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fraction) -> Fraction:
+    """The exact remainder |f(x+h) - f(x) - row . h| with row_i = (f(x + b e_i) - f(x)) / b.
 
     The row is built as diff_class_b builds it: each x + b e_i must lie in
     the cube, x itself need not.
     """
     x = tuple(x)
-    fx = f.eval(x, precision)
+    fx = f.eval(x)
     row = []
     for axis in range(f.dimension):
         shifted = vadd(x, vscale(b, unit_axis(f.dimension, axis)))
         if not in_unit_cube(shifted):
             raise ValueError(f"step {b} along axis {axis} leaves the unit cube")
-        row.append((f.eval(shifted, precision) - fx) / b)
-    return abs(f.eval(vadd(x, h), precision) - fx - dot(row, h))
+        row.append((f.eval(shifted) - fx) / b)
+    return abs(f.eval(vadd(x, h)) - fx - dot(row, h))
 
 
 def _grid_vectors(dimension: int, levels: Iterable[int]) -> Iterator[Vector]:
@@ -375,12 +340,7 @@ def _grid_steps(levels: Iterable[int]) -> Iterator[Fraction]:
         yield -pow2(-k)
 
 
-def diff_class_b(
-    f: ComputableFunction,
-    x: Sequence[Fraction],
-    depth: int,
-    precision: int = 64,
-) -> ProbeVerdict:
+def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> ProbeVerdict:
     """Bounded form of the first-order limit: ∀ε ∃δ ∀h ∀b remainder <= ε||h||.
 
     ε and δ range over 2**-1..2**-depth; h and b grids extend two levels
@@ -415,7 +375,7 @@ def diff_class_b(
 
     def cached(point: Vector) -> Fraction:
         if point not in value_cache:
-            value_cache[point] = f.eval(point, precision)
+            value_cache[point] = f.eval(point)
         return value_cache[point]
 
     fx = cached(x)
@@ -449,29 +409,29 @@ def diff_class_b(
     return ProbeVerdict("class-b", CONSISTENT, depth, None, None)
 
 
-def replay(f: ComputableFunction, verdict: ProbeVerdict, precision: int = 64) -> bool:
+def replay(f: ComputableFunction, verdict: ProbeVerdict) -> bool:
     """Re-evaluate a violation witness exactly; True iff it reproduces."""
     if not verdict.violated or verdict.witness is None:
         return False
     w = verdict.witness
     if w["op"] == "partial":
-        lo = slope_axis(f, w["point"], w["axis"], w["low"]["step"], precision).value
-        hi = slope_axis(f, w["point"], w["axis"], w["high"]["step"], precision).value
+        lo = slope_axis(f, w["point"], w["axis"], w["low"]["step"])
+        hi = slope_axis(f, w["point"], w["axis"], w["high"]["step"])
         return lo == w["low"]["slope"] and hi == w["high"]["slope"] and hi - lo >= w["threshold"]
     if w["op"] == "class-a":
-        lo = slope_axis(f, w["point"], w["axis"], w["lower"]["step"], precision).value
-        hi = slope_axis(f, w["point"], w["axis"], w["upper"]["step"], precision).value
+        lo = slope_axis(f, w["point"], w["axis"], w["lower"]["step"])
+        hi = slope_axis(f, w["point"], w["axis"], w["upper"]["step"])
         return hi - lo == w["separation"] and w["separation"] >= w["threshold"]
     if w["op"] == "class-b":
-        rem = first_order_remainder(f, w["point"], w["h"], w["b"], precision)
+        rem = first_order_remainder(f, w["point"], w["h"], w["b"])
         hsq = norm_sq(w["h"])
         return rem == w["remainder"] and rem * rem > w["epsilon"] ** 2 * hsq
     if w["op"] == "defect":
         point, u, v = w["point"], w["u"], w["v"]
         for h, defect in w["defects"]:
-            su = slope_dir(f, point, u, h, precision).value
-            sv = slope_dir(f, point, v, h, precision).value
-            suv = slope_dir(f, point, vadd(u, v), h, precision).value
+            su = slope_dir(f, point, u, h)
+            sv = slope_dir(f, point, v, h)
+            suv = slope_dir(f, point, vadd(u, v), h)
             if abs(su + sv - suv) != defect:
                 return False
         return w["threshold"] is None or min(d for _, d in w["defects"]) >= w["threshold"]

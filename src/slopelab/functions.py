@@ -1,10 +1,9 @@
 """Computable functions on the unit n-cube and the concrete families used here.
 
-A function is a pair (evaluator, modulus): the evaluator returns a rational
-within 2**-precision of the true value, and the modulus h certifies
-||x - y|| <= 2**-h(i)  =>  |f(x) - f(y)| <= 2**-i.  Functions built from
-rational data evaluate exactly (error 0) and carry exact=True, which the
-martingale and counterexample layers rely on for exact checks.
+A function is a pair (evaluator, modulus): the evaluator returns the exact
+rational value f(x) at a rational point x, and the modulus h certifies
+||x - y|| <= 2**-h(i)  =>  |f(x) - f(y)| <= 2**-i.  Every function here is
+built from rational data, so every comparison made with its values is exact.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .rationals import (
     vsub,
 )
 
-Evaluator = Callable[[Vector, int], Fraction]
+Evaluator = Callable[[Vector], Fraction]
 Modulus = Callable[[int], int]
 
 
@@ -42,30 +41,13 @@ class ComputableFunction:
     dimension: int
     evaluator: Evaluator
     modulus: Modulus
-    exact: bool = False
     descriptor: dict | None = None
 
-    def eval(self, point: Sequence[Fraction], precision: int = 0) -> Fraction:
+    def eval(self, point: Sequence[Fraction]) -> Fraction:
         point = tuple(point)
         if len(point) != self.dimension:
             raise ValueError(f"expected {self.dimension} coordinates, got {len(point)}")
-        return self.evaluator(point, precision)
-
-
-def exact_function(
-    dimension: int,
-    fn: Callable[[Vector], Fraction],
-    modulus: Modulus,
-    descriptor: dict | None = None,
-) -> ComputableFunction:
-    """Wrap an exact rational-point evaluator; the precision argument is moot."""
-    return ComputableFunction(
-        dimension=dimension,
-        evaluator=lambda point, _precision: fn(point),
-        modulus=modulus,
-        exact=True,
-        descriptor=descriptor,
-    )
+        return self.evaluator(point)
 
 
 def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
@@ -74,7 +56,7 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
     if not m:
         raise ValueError("linear form needs dimension >= 1")
     shift = int_ceil_log2(1 + ceil_sqrt(norm_sq(m)))
-    return exact_function(
+    return ComputableFunction(
         len(m),
         lambda point: dot(m, point),
         lambda i: i + shift,
@@ -84,7 +66,7 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
 
 def constant_function(value: Fraction | int | str, dimension: int = 1) -> ComputableFunction:
     v = Fraction(value)
-    return exact_function(
+    return ComputableFunction(
         dimension,
         lambda _point: v,
         lambda _i: 0,
@@ -101,9 +83,8 @@ def clamp_extend(f: ComputableFunction) -> ComputableFunction:
     """f composed with the clamp, so it accepts points outside the cube."""
     return ComputableFunction(
         dimension=f.dimension,
-        evaluator=lambda point, precision: f.eval(clamp_point(point), precision),
+        evaluator=lambda point: f.eval(clamp_point(point)),
         modulus=f.modulus,
-        exact=f.exact,
         descriptor={"kind": "clamp-extend", "of": f.descriptor},
     )
 
@@ -115,16 +96,10 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
     if len(dims) > 1:
         raise ValueError("summands must share a dimension")
     count_shift = int_ceil_log2(len(parts))
-
-    def evaluator(point: Vector, precision: int) -> Fraction:
-        inner = precision + count_shift
-        return sum((p.eval(point, inner) for p in parts), Fraction(0))
-
     return ComputableFunction(
         dimension=dims.pop(),
-        evaluator=evaluator,
+        evaluator=lambda point: sum((p.eval(point) for p in parts), Fraction(0)),
         modulus=lambda i: max(p.modulus(i + count_shift) for p in parts),
-        exact=all(p.exact for p in parts),
         descriptor={"kind": "sum", "of": [p.descriptor for p in parts]},
     )
 
@@ -132,17 +107,10 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
 def scale_function(factor: Fraction | int | str, f: ComputableFunction) -> ComputableFunction:
     c = Fraction(factor)
     shift = 0 if c == 0 else max(0, ceil_log2(abs(c)))
-
-    def evaluator(point: Vector, precision: int) -> Fraction:
-        if c == 0:
-            return Fraction(0)
-        return c * f.eval(point, precision + shift)
-
     return ComputableFunction(
         dimension=f.dimension,
-        evaluator=evaluator,
+        evaluator=lambda point: Fraction(0) if c == 0 else c * f.eval(point),
         modulus=lambda i: f.modulus(i + shift),
-        exact=f.exact,
         descriptor={"kind": "scale", "by": str(c), "of": f.descriptor},
     )
 
@@ -163,11 +131,11 @@ def kn_decompose(
     return g, m
 
 
-def lipschitz_lower_bound(f: ComputableFunction, scale: int, precision: int = 64) -> Fraction:
+def lipschitz_lower_bound(f: ComputableFunction, scale: int) -> Fraction:
     """Certified lower bound on Lip(f) from axis-adjacent grid slopes.
 
-    Axis steps have exact Euclidean length 2**-scale, so the quotient is a
-    rigorous lower bound; inexact evaluations are shrunk by their error.
+    Axis steps have exact Euclidean length 2**-scale, so each exact
+    difference quotient is a rigorous lower bound.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
@@ -175,20 +143,16 @@ def lipschitz_lower_bound(f: ComputableFunction, scale: int, precision: int = 64
     step = pow2(-scale)
     width = 1 << scale
     best = Fraction(0)
-    err = Fraction(0) if f.exact else 2 * pow2(-precision)
     for corner in product(range(width), repeat=n):
         x = tuple(Fraction(c, width) for c in corner)
-        vx = f.eval(x, precision)
+        vx = f.eval(x)
         for axis in range(n):
             if corner[axis] + 1 > width:
                 continue
             y = tuple(
                 Fraction(c + (1 if i == axis else 0), width) for i, c in enumerate(corner)
             )
-            vy = f.eval(y, precision)
-            diff = abs(vy - vx) - err
-            if diff > 0:
-                best = max(best, diff / step)
+            best = max(best, abs(f.eval(y) - vx) / step)
     return best
 
 
@@ -292,11 +256,8 @@ def compose_affine(f: ComputableFunction, transform: AffineIsometry) -> Computab
         raise ValueError("dimension mismatch between function and isometry")
     return ComputableFunction(
         dimension=f.dimension,
-        evaluator=lambda point, precision: f.eval(
-            clamp_point(transform.apply(point)), precision
-        ),
+        evaluator=lambda point: f.eval(clamp_point(transform.apply(point))),
         modulus=f.modulus,
-        exact=f.exact,
         descriptor={
             "kind": "affine-compose",
             "matrix": [[str(v) for v in row] for row in transform.matrix],
@@ -368,7 +329,7 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
         x0, y0 = knots[segment]
         return y0 + (x - x0) * slopes[segment]
 
-    return exact_function(
+    return ComputableFunction(
         1,
         fn,
         lambda i: i + shift,
@@ -380,13 +341,13 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
 
 
 def square_1d() -> ComputableFunction:
-    return exact_function(
+    return ComputableFunction(
         1, lambda p: p[0] * p[0], lambda i: i + 1, descriptor={"kind": "square"}
     )
 
 
 def cube_1d() -> ComputableFunction:
-    return exact_function(
+    return ComputableFunction(
         1, lambda p: p[0] ** 3, lambda i: i + 2, descriptor={"kind": "cube"}
     )
 
@@ -397,25 +358,25 @@ def identity_1d() -> ComputableFunction:
 
 def abs_distance_1d(center: Fraction | str) -> ComputableFunction:
     c = Fraction(center)
-    return exact_function(
+    return ComputableFunction(
         1, lambda p: abs(p[0] - c), lambda i: i, descriptor={"kind": "abs", "center": str(c)}
     )
 
 
 def product_xy() -> ComputableFunction:
-    return exact_function(
+    return ComputableFunction(
         2, lambda p: p[0] * p[1], lambda i: i + 1, descriptor={"kind": "product"}
     )
 
 
 def abs_diff_2d() -> ComputableFunction:
-    return exact_function(
+    return ComputableFunction(
         2, lambda p: abs(p[0] - p[1]), lambda i: i + 1, descriptor={"kind": "abs-diff"}
     )
 
 
 def min_x_flip_y() -> ComputableFunction:
-    return exact_function(
+    return ComputableFunction(
         2, lambda p: min(p[0], 1 - p[1]), lambda i: i, descriptor={"kind": "min-flip"}
     )
 
@@ -434,15 +395,12 @@ def modulus_audit(
     pairs: int,
     rng: random.Random,
     levels: Sequence[int] = (1, 2, 4),
-    precision: int = 64,
 ) -> list[dict]:
-    """Sample pairs at distance <= 2**-h(i) and check |f(x)-f(y)| <= 2**-i.
+    """Sample pairs at distance <= 2**-h(i) and check |f(x)-f(y)| <= 2**-i exactly.
 
-    Returns the list of violations (empty on a clean audit).  Comparisons are
-    exact for exact functions; otherwise certified error slack is added.
+    Returns the list of violations (empty on a clean audit).
     """
     violations: list[dict] = []
-    slack = Fraction(0) if f.exact else 2 * pow2(-precision)
     checked = 0
     attempts = 0
     while checked < pairs and attempts < 20 * pairs:
@@ -460,7 +418,7 @@ def modulus_audit(
         if not in_unit_cube(y):
             continue
         checked += 1
-        diff = abs(f.eval(x, precision) - f.eval(y, precision))
-        if diff > pow2(-level) + slack:
+        diff = abs(f.eval(x) - f.eval(y))
+        if diff > pow2(-level):
             violations.append({"x": x, "y": y, "level": level, "difference": diff})
     return violations

@@ -159,15 +159,13 @@ def _dyadic_slope(f: ComputableFunction, length: int, index: int) -> Fraction:
 
 
 def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
-    """Slope of f over the interval coded by sigma; exact for exact f.
+    """Exact slope of f over the dyadic interval coded by sigma.
 
     2*slope(sigma) = slope(sigma0) + slope(sigma1) holds for ANY f: the
     average of the halves' slopes telescopes to the whole interval's slope.
     """
     if f.dimension != 1:
         raise ValueError("slope martingales read one-variable functions")
-    if not f.exact:
-        raise ValueError("exact slopes need an exact function")
     return _dyadic_slope(f, len(sigma), _index(sigma))
 
 
@@ -205,8 +203,6 @@ def _slope_levels(f: ComputableFunction) -> Iterator[Level]:
 
 def slope_martingale(f: ComputableFunction, audit_scale: int = 6) -> Martingale:
     """Capital(sigma) = slope of the monotone f over [sigma]; nonnegative, fair."""
-    if not f.exact:
-        raise ValueError("slope_martingale needs exact dyadic evaluation")
     audit_monotone(f, audit_scale)
     return Martingale(
         lambda length, index: _dyadic_slope(f, length, index),
@@ -229,8 +225,6 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
     on the grid surfaces as NegativeCapitalError.
     """
     n = f.dimension
-    if not f.exact:
-        raise ValueError("box_slope_martingale needs exact dyadic evaluation")
     if not 0 <= axis < n:
         raise ValueError(f"axis {axis} out of range for dimension {n}")
     if horizon < 0:

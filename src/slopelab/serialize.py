@@ -53,12 +53,19 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(to_plain(payload), sort_keys=True, indent=2) + "\n"
 
 
+def _kind(desc: object, default: str | None = None) -> object:
+    """The kind of a descriptor, which must be a JSON object."""
+    if not isinstance(desc, Mapping):
+        raise ValueError(f"a descriptor must be a JSON object, not {desc!r}")
+    return desc.get("kind", default)
+
+
 # ---------------------------------------------------------------------------
 # Function descriptors
 
 
 def function_from_descriptor(desc: Mapping) -> fn.ComputableFunction:
-    kind = desc.get("kind")
+    kind = _kind(desc)
     if kind == "linear":
         return fn.linear_form([parse_rational(c) for c in desc["coeffs"]])
     if kind == "constant":
@@ -106,7 +113,7 @@ def function_from_descriptor(desc: Mapping) -> fn.ComputableFunction:
 
 
 def source_from_descriptor(desc: Mapping) -> BitSource:
-    kind = desc.get("kind")
+    kind = _kind(desc)
     if kind == "rational":
         return bits_of_fraction(parse_rational(desc["value"]))
     if kind == "pattern":
@@ -123,7 +130,7 @@ def source_from_descriptor(desc: Mapping) -> BitSource:
 
 
 def martingale_from_descriptor(desc: Mapping) -> mg.Martingale:
-    kind = desc.get("kind")
+    kind = _kind(desc)
     if kind == "constant":
         return mg.constant_martingale(parse_rational(desc.get("value", "1/1")))
     if kind == "all-on-ones":
@@ -140,7 +147,7 @@ def martingale_from_descriptor(desc: Mapping) -> mg.Martingale:
 
 
 def nested_test_from_descriptor(desc: Mapping) -> ns.NestedTest:
-    kind = desc.get("kind")
+    kind = _kind(desc)
     if kind == "constant-unit":
         return ns.constant_unit_test(int(desc["dimension"]))
     if kind == "concentric":
@@ -160,7 +167,7 @@ def nested_test_from_descriptor(desc: Mapping) -> ns.NestedTest:
 
 
 def dore_maleva_params_from_descriptor(desc: Mapping) -> ns.DoreMalevaParams:
-    kind = desc.get("kind", "default")
+    kind = _kind(desc, "default")
     if kind == "default":
         return ns.default_dore_maleva_params()
     if kind == "explicit":
@@ -174,4 +181,6 @@ def dore_maleva_params_from_descriptor(desc: Mapping) -> ns.DoreMalevaParams:
 
 
 def parse_point(values: Sequence) -> tuple[Fraction, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"a point is a list of rational literals, not {values!r}")
     return tuple(parse_rational(v) for v in values)

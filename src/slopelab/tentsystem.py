@@ -9,7 +9,7 @@ approximable everywhere, and oscillates at the designated point with slopes
 growing like 4**m.
 
 Stage cell counts grow like 8**(m^2), so cells are never materialized in
-bulk: blocks store closed-form grids, cell indices are arbitrary-precision
+bulk: blocks store closed-form grids, cell indices are unbounded Python
 integers, and the tent widths eps are kept as power-of-two exponents that are
 compared in log space.
 """
@@ -176,7 +176,7 @@ class Partition:
     def first_cell_scale(self, stage: int) -> int:
         blocks = self.blocks_at(stage)
         if not blocks:
-            raise PartitionError(f"stage {stage} has no cells")
+            raise ValueError(f"stage {stage} has no cells")
         return blocks[0].cell_scale
 
     def total_cells(self, stage: int) -> int:
@@ -359,9 +359,8 @@ class TentFunction:
         steep = self.stage + self.index  # ramp slope is 2**(stage+index)
         return ComputableFunction(
             dimension=self.cell.dimension,
-            evaluator=lambda point, _precision: self.value(point),
+            evaluator=self.value,
             modulus=lambda i: i + steep,
-            exact=True,
             descriptor={
                 "kind": "tent",
                 "cell": self.cell.to_json(),
@@ -509,9 +508,8 @@ class TentSystem:
 
         return ComputableFunction(
             dimension=self.dimension,
-            evaluator=lambda point, _precision: self.truncated_value(point),
+            evaluator=self.truncated_value,
             modulus=modulus,
-            exact=True,
             descriptor={"kind": "tent-system", "cutoff": self.cutoff, "depth": self.depth},
         )
 

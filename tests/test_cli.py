@@ -541,9 +541,33 @@ def test_tent_system_reports_unattainable_precision(tmp_path, capsys):
         },
     )
     out = tmp_path / "r.json"
-    assert main(["tent-system", "--config", config, "--out", str(out)]) == 1
-    report = json.loads(out.read_text())
-    assert any("deeper build" in f for f in report["failures"])
+    assert main(["tent-system", "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: a precision in 'precisions' needs a deeper build: stage 3 needs "
+        "visible cells of side <= 2**-21; rebuild with a larger budget or depth\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("probe", 5),
+        ("probe", {"function": "x", "points": [["1/2"]]}),
+        ("probe", {"function": {"kind": "square"}, "points": [["1/2"]], "depth": [1]}),
+        ("probe", {"function": {"kind": "square"}, "points": 5}),
+        ("bet", {"martingale": {"kind": "slope", "function": "sq"}, "source": {"kind": "constant", "bit": 1}}),
+        ("dore-maleva", {"params": []}),
+        ("tent-system", {"test": "x"}),
+    ],
+    ids=["top-level-int", "function-string", "depth-list", "points-int", "slope-function-string", "params-list", "test-string"],
+)
+def test_malformed_config_shapes_exit_2_with_one_line(tmp_path, capsys, command, payload):
+    config = write_config(tmp_path, "bad.json", payload)
+    assert main([command, "--config", config]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_tent_system_reports_are_byte_identical(tmp_path):

@@ -1,15 +1,19 @@
 """Fuzzed configs and bundles: every run ends in exit 0, 1 or 2, never a traceback.
 
 Rational literals mix valid "p/q" strings with zero denominators, integers
-past str()'s 4300-digit limit, JSON floats and junk.  Bundle edits replace or
-drop one field of a small concentric-test bundle; --check-bundle may pass only
-when the edited bundle is exactly the system its own fields rebuild.
+past str()'s 4300-digit limit, JSON floats and junk.  Shape edits replace one
+top-level config field with a small JSON value of any type.  Bundle edits
+replace or drop one field of a small concentric-test bundle; --check-bundle
+may pass only when the edited bundle is exactly the system its own fields
+rebuild.
 """
 
+import contextlib
 import copy
+import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopelab.cli import main
@@ -28,12 +32,19 @@ LITERALS = st.one_of(
 
 
 def run(tmp_path_factory, args, payload):
-    """main() on a config holding payload; the report goes to a file."""
+    """main() on a config holding payload; the report goes to a file.
+
+    Exit 2 must come with exactly one line on stderr.
+    """
     folder = tmp_path_factory.mktemp("fuzz")
     config = folder / "config.json"
     config.write_text(json.dumps(payload), encoding="utf-8")
-    code = main([*args, str(config), "--out", str(folder / "out")])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*args, str(config), "--out", str(folder / "out")])
     assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     return code
 
 
@@ -60,6 +71,50 @@ def test_fuzzed_probe_literals_end_in_an_exit_code(tmp_path_factory, center, poi
 
 
 # ---------------------------------------------------------------------------
+# Config shapes
+
+
+SHAPE_BASES = {
+    "probe": {"function": {"kind": "abs", "center": "1/3"}, "points": [["1/3"]], "depth": 3},
+    "bet": {
+        "martingale": {"kind": "slope", "function": {"kind": "square"}},
+        "source": {"kind": "rational", "value": "1/3"},
+        "depth": 8,
+    },
+    "tent-system": {
+        "test": {"kind": "concentric", "point": ["1/3", "1/3"], "scale_step": 2},
+        "depth": 2,
+        "budget": 4,
+        "points": [["1/3", "1/3"]],
+        "oscillation_stages": [2],
+        "precisions": [1, 2],
+        "modulus_pairs": 5,
+    },
+    "dore-maleva": {"params": {"kind": "default"}, "stages": 2, "geometry_stages": 1},
+}
+SHAPE_FIELDS = [
+    ("probe", "function"), ("probe", "points"), ("probe", "depth"),
+    ("bet", "martingale"), ("bet", "source"), ("bet", "depth"),
+    ("tent-system", "test"), ("tent-system", "precisions"),
+    ("dore-maleva", "params"), ("dore-maleva", "stages"),
+]
+SCALARS = st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=4)
+JSON_VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS | st.lists(SCALARS, max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=4), SCALARS, max_size=3),
+)
+
+
+@given(st.sampled_from(SHAPE_FIELDS), JSON_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_config_shapes_end_in_an_exit_code(tmp_path_factory, field, value):
+    command, key = field
+    payload = {**SHAPE_BASES[command], key: value}
+    run(tmp_path_factory, [command, "--config"], payload)
+
+
+# ---------------------------------------------------------------------------
 # Bundles
 
 
@@ -78,6 +133,7 @@ def paths(value, prefix=()):
 
 FIELDS = [path for path in paths(BASE) if path]
 DELETE = object()
+LAST_STAGE = ("stages", len(BASE["stages"]) - 1)
 REPLACEMENTS = st.one_of(
     st.integers(-2, 8), LITERALS, st.booleans(), st.just([]), st.just({}), st.just(DELETE)
 )
@@ -98,24 +154,28 @@ def edited(path, replacement):
 
 def rebuild_matches(bundle):
     """The oracle: the bundle's own fields rebuild it byte for byte."""
-    cutoff, budget = bundle.get("cutoff"), bundle.get("budget")
+    cutoff, budget, stages = bundle.get("cutoff"), bundle.get("budget"), bundle.get("stages")
     if type(cutoff) is not int or type(budget) is not int or cutoff < 0:
+        return False
+    if not isinstance(stages, list) or not stages:  # a long string is no depth to build to
         return False
     try:
         test = nested_test_from_descriptor(bundle["test"])
-        system = build_tent_system(test, len(bundle["stages"]) - 1, cutoff, budget)
+        system = build_tent_system(test, len(stages) - 1, cutoff, budget)
     except Exception:  # any refusal means the bundle does not rebuild
         return False
     return canonical_json(system.to_bundle()) == canonical_json(bundle)
 
 
 @given(st.sampled_from(FIELDS), REPLACEMENTS)
+@example(LAST_STAGE, DELETE)
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_bundle_edits_verify_only_when_they_rebuild(tmp_path_factory, path, replacement):
     bundle = edited(path, replacement)
     code = run(tmp_path_factory, ["tent-system", "--check-bundle"], bundle)
     assert code == (0 if rebuild_matches(bundle) else 1)
-    if canonical_json(bundle) == canonical_json(BASE):
+    if canonical_json(bundle) == canonical_json(BASE) or (path == LAST_STAGE and replacement is DELETE):
+        # dropping the last stage leaves the shallower build, which verifies
         assert code == 0
     elif path[0] == "stages" and len(path) >= 2:
         # the stages are a function of the untouched descriptor and budget

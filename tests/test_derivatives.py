@@ -26,7 +26,6 @@ from slopelab.functions import (
     abs_diff_2d,
     abs_distance_1d,
     constant_function,
-    exact_function,
     linear_form,
     piecewise_linear,
     product_xy,
@@ -42,9 +41,7 @@ F = Fraction
 def test_slope_axis_linear_is_coefficient():
     f = linear_form([2, 3])
     for h in (F(1, 4), F(-1, 8), F(3, 16)):
-        report = slope_axis(f, (F(1, 2), F(1, 2)), 0, h)
-        assert report.value == 2
-        assert report.error == 0
+        assert slope_axis(f, (F(1, 2), F(1, 2)), 0, h) == 2
 
 
 def test_slope_axis_errors():
@@ -59,13 +56,12 @@ def test_slope_axis_on_tent_ramp_is_one_over_eps():
     # unit-square tent, stage 0 index 1: ramp width 1/4 in the second axis
     tent = tent_for(DyadicCube(2, 0, (0, 0)), 0, 1).as_function()
     x = (F(1, 2), F(1, 16))
-    report = slope_axis(tent, x, 1, F(1, 16))
-    assert report.value == F(1, 2) * 4  # peak 1/2 times ramp slope 1/eps = 4
+    assert slope_axis(tent, x, 1, F(1, 16)) == F(1, 2) * 4  # peak 1/2 times ramp slope 1/eps = 4
 
 
 def test_slope_row_and_symmetry():
     def row(f, x, h):
-        return [slope_axis(f, x, axis, h).value for axis in range(f.dimension)]
+        return [slope_axis(f, x, axis, h) for axis in range(f.dimension)]
 
     f = linear_form([2, 3])
     assert row(f, (F(1, 3), F(1, 3)), F(1, 8)) == [2, 3]
@@ -79,22 +75,18 @@ def test_slope_dir_reduces_to_axis():
     x = (F(1, 3), F(2, 5))
     for axis in range(2):
         for h in (F(1, 8), F(-1, 8)):
-            direct = slope_axis(f, x, axis, h).value
-            via_dir = slope_dir(f, x, unit_axis(2, axis), h).value
-            assert direct == via_dir
+            assert slope_axis(f, x, axis, h) == slope_dir(f, x, unit_axis(2, axis), h)
 
 
 def test_slope_dir_pythagorean_direction():
     f = linear_form([2, 3])
     for h in (F(1, 8), F(1, 32)):
-        report = slope_dir(f, (F(1, 4), F(1, 4)), (F(3, 5), F(4, 5)), h)
-        assert report.value == F(18, 5)
+        assert slope_dir(f, (F(1, 4), F(1, 4)), (F(3, 5), F(4, 5)), h) == F(18, 5)
 
 
 def test_slope_dir_diagonal_of_abs_difference():
     f = abs_diff_2d()
-    report = slope_dir(f, (F(1, 3), F(1, 3)), (F(1), F(1)), F(1, 8))
-    assert report.value == 0
+    assert slope_dir(f, (F(1, 3), F(1, 3)), (F(1), F(1)), F(1, 8)) == 0
 
 
 def test_partial_probe_smooth_product():
@@ -279,7 +271,7 @@ def test_quotient_identity_breaks_when_transform_misses_the_direction():
 # Class B at the smallest δ against the full ε/δ scan
 
 
-def class_b_oracle(f, x, depth, precision=64):
+def class_b_oracle(f, x, depth):
     """The full-grid ε/δ scan that diff_class_b replaced."""
     x = tuple(x)
     h_vectors = [
@@ -300,7 +292,7 @@ def class_b_oracle(f, x, depth, precision=64):
 
     def cached(point):
         if point not in value_cache:
-            value_cache[point] = f.eval(point, precision)
+            value_cache[point] = f.eval(point)
         return value_cache[point]
 
     fx = cached(x)
@@ -423,7 +415,7 @@ def test_class_b_at_smallest_delta_matches_full_scan(desc, data, depth):
     [
         # four-dimensional kink: the level below δ has vectors with ||h|| = δ,
         # which δ does not admit
-        (exact_function(4, lambda p: abs(sum(p) - 2), lambda i: i + 2), (F(1, 2),) * 4, 2),
+        (ComputableFunction(4, lambda p: abs(sum(p) - 2), lambda i: i + 2), (F(1, 2),) * 4, 2),
         # the first remainder of the failing ε sits exactly on its bound; the
         # witness is the first pair strictly over it
         (piecewise_linear([(0, 0), (F(1, 2), 0), (F(33, 64), F(1, 64)), (1, F(1, 64))]), (F(1, 2),), 4),
@@ -439,11 +431,11 @@ def test_class_b_evaluation_count_does_not_grow_with_depth():
     base = product_xy()
     points = []
 
-    def counted(point, precision):
+    def counted(point):
         points.append(point)
-        return base.eval(point, precision)
+        return base.eval(point)
 
-    f = ComputableFunction(2, counted, base.modulus, exact=True)
+    f = ComputableFunction(2, counted, base.modulus)
     counts = []
     for depth in (6, 10):
         points.clear()

@@ -17,7 +17,6 @@ from slopelab.functions import (
     ComputableFunction,
     abs_distance_1d,
     cube_1d,
-    exact_function,
     identity_1d,
     kn_decompose,
     linear_form,
@@ -293,11 +292,11 @@ def test_slope_audit_evaluates_f_once_per_grid_point():
     calls = []
     square = square_1d()
 
-    def counted(point, precision):
+    def counted(point):
         calls.append(point)
-        return square.eval(point, precision)
+        return square.eval(point)
 
-    f = ComputableFunction(1, counted, square.modulus, exact=True)
+    f = ComputableFunction(1, counted, square.modulus)
     m = slope_martingale(f)
     calls.clear()
     assert check_fairness(m, 10) is None
@@ -326,7 +325,7 @@ def box_slope_oracle(f, axis, horizon, sigma):
     slopes = []
     for y in product(*corners):
         y = list(y)
-        section = exact_function(
+        section = ComputableFunction(
             1, lambda h, y=y: f.eval(tuple(y[:axis] + [h[0]] + y[axis:])), lambda i: i
         )
         slopes.append(interval_slope(section, sigma[axis::n]))
@@ -348,7 +347,7 @@ def random_exact_function(rng: random.Random, n: int):
         value = sum((g.eval((x[i],)) for i, g in enumerate(parts)), F(0))
         return value + sum((c * x[i] * x[j] for i, j, c in pairs), F(0))
 
-    return exact_function(n, fn, lambda i: i + 8), bound + 1
+    return ComputableFunction(n, fn, lambda i: i + 8), bound + 1
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)]))
@@ -418,8 +417,5 @@ def test_box_slope_rejects_strings_finer_than_the_horizon():
 def test_box_slope_rejects_bad_arguments():
     with pytest.raises(ValueError, match="axis 2 out of range"):
         box_slope_martingale(linear_form([2, 3]), 2, 3)
-    inexact = ComputableFunction(2, lambda point, _precision: F(0), lambda i: i, exact=False)
-    with pytest.raises(ValueError, match="exact"):
-        box_slope_martingale(inexact, 0, 3)
     with pytest.raises(ValueError, match="horizon must be >= 0"):
         box_slope_martingale(linear_form([2, 3]), 0, -1)
