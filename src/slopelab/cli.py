@@ -24,10 +24,7 @@ from . import nullsets as ns
 from . import serialize as sz
 from . import tentsystem as ts
 from .rationals import decimal_string, parse_rational
-
-
-class ConfigError(ValueError):
-    pass
+from .serialize import ConfigError, integers, require, typed
 
 
 class BundleRejected(Exception):
@@ -52,43 +49,24 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _require(config: dict, key: str) -> object:
-    if key not in config:
-        raise ConfigError(f"config lacks required key {key!r}")
-    return config[key]
-
-
-_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
-
-
-def _typed(config: dict, key: str, kind: type, default: object = None):
-    """config[key], which must be a JSON value of the given kind; required without a default."""
-    value = _require(config, key) if default is None else config.get(key, default)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be {_JSON_KINDS[kind]}, not {value!r}")
-    return value
-
-
-def _integers(config: dict, key: str, default: list[int]) -> list[int]:
-    values = _typed(config, key, list, default)
-    if not all(type(v) is int for v in values):
-        raise ConfigError(f"config key {key!r} must list integers, not {values!r}")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # probe
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    f = sz.function_from_descriptor(_require(config, "function"))
-    points = [sz.parse_point(p) for p in _typed(config, "points", list)]
-    depth = _typed(config, "depth", int, args.depth or 6)
+    f = sz.function_from_descriptor(require(config, "function"))
+    points = [sz.parse_point(p) for p in typed(config, "points", list)]
+    depth = typed(config, "depth", int, args.depth or 6)
     oscillation = config.get("oscillation_threshold")
     separation = config.get("separation_threshold")
     osc_thr = parse_rational(oscillation) if oscillation is not None else None
     sep_thr = parse_rational(separation) if separation is not None else None
+    directions = typed(config, "defect", dict, {})
+    if directions:
+        u, v = (sz.parse_point(require(directions, key)) for key in ("u", "v"))
+        max_step = parse_rational(directions.get("max_step", "1/4"))
+        defect_thr = parse_rational(directions["threshold"]) if "threshold" in directions else None
     results = []
     for point in points:
         entry: dict = {"point": point}
@@ -99,20 +77,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
         ]
         entry["class_a"] = sz.to_plain(dv.diff_class_a(f, point, depth, sep_thr))
         entry["class_b"] = sz.to_plain(dv.diff_class_b(f, point, depth))
-        directions = _typed(config, "defect", dict, {})
         if directions:
             entry["defect"] = sz.to_plain(
-                dv.linearity_defect(
-                    f,
-                    point,
-                    sz.parse_point(directions["u"]),
-                    sz.parse_point(directions["v"]),
-                    parse_rational(directions.get("max_step", "1/4")),
-                    depth=depth,
-                    threshold=parse_rational(directions["threshold"])
-                    if "threshold" in directions
-                    else None,
-                )
+                dv.linearity_defect(f, point, u, v, max_step, depth=depth, threshold=defect_thr)
             )
         results.append(entry)
     report = {
@@ -131,14 +98,14 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def cmd_bet(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    martingale = sz.martingale_from_descriptor(_require(config, "martingale"))
-    source = sz.source_from_descriptor(_require(config, "source"))
-    depth = _typed(config, "depth", int, args.depth or 16)
-    witness = mg.check_fairness(martingale, min(depth, _typed(config, "audit_depth", int, 8)))
+    martingale = sz.martingale_from_descriptor(require(config, "martingale"))
+    source = sz.source_from_descriptor(require(config, "source"))
+    depth = typed(config, "depth", int, args.depth or 16)
+    witness = mg.check_fairness(martingale, min(depth, typed(config, "audit_depth", int, 8)))
     if witness is not None:
         sys.stderr.write(f"fairness audit failed at sigma = {''.join(map(str, witness))!r}\n")
         return 1
-    thresholds = [parse_rational(t) for t in _typed(config, "thresholds", list, [])]
+    thresholds = [parse_rational(t) for t in typed(config, "thresholds", list, [])]
     run = mg.run_bet(martingale, source, depth, thresholds)
     if args.format == "csv":
         _write_out(run.to_csv(), args.out)
@@ -172,7 +139,7 @@ def _verify_bundle(bundle: dict) -> None:
         raise ValueError("bundle has no stages")
     test = sz.nested_test_from_descriptor(bundle["test"])
     rebuilt = ts.build_tent_system(
-        test, len(stages) - 1, int(_require(bundle, "cutoff")), int(_require(bundle, "budget"))
+        test, len(stages) - 1, int(require(bundle, "cutoff")), int(require(bundle, "budget"))
     )
     if sz.canonical_json(rebuilt.to_bundle()) != sz.canonical_json(bundle):
         raise ValueError("bundle differs from the system its test descriptor builds")
@@ -196,14 +163,14 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     if args.config is None:
         raise ConfigError("either --config or --check-bundle is required")
     config = _load_config(args.config)
-    test = sz.nested_test_from_descriptor(_require(config, "test"))
-    depth = _typed(config, "depth", int, args.depth or 4)
-    cutoff = _typed(config, "cutoff", int, 0)
-    budget = _typed(config, "budget", int, 8)
-    pairs = _typed(config, "modulus_pairs", int, 50)
-    points = [sz.parse_point(p) for p in _typed(config, "points", list, [])]
-    stages = _integers(config, "oscillation_stages", list(range(1, depth + 1)))
-    precisions = _integers(config, "precisions", [])
+    test = sz.nested_test_from_descriptor(require(config, "test"))
+    depth = typed(config, "depth", int, args.depth or 4)
+    cutoff = typed(config, "cutoff", int, 0)
+    budget = typed(config, "budget", int, 8)
+    pairs = typed(config, "modulus_pairs", int, 50)
+    points = [sz.parse_point(p) for p in typed(config, "points", list, [])]
+    stages = integers(config, "oscillation_stages", list(range(1, depth + 1)))
+    precisions = integers(config, "precisions", [])
     audit = ns.audit_nesting(test, depth, budget)
     if audit is not None:
         sys.stderr.write(f"nesting audit failed at stage {audit[0]}: {audit[1].to_json()}\n")
@@ -269,7 +236,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
 def cmd_dore_maleva(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     params = sz.dore_maleva_params_from_descriptor(config.get("params", {"kind": "default"}))
-    stages = _typed(config, "stages", int, args.depth or 3)
+    stages = typed(config, "stages", int, args.depth or 3)
     if stages < 0:
         raise ConfigError("stages must be >= 0")
     table = []
@@ -296,13 +263,14 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
             row["remaining_decimal"] = decimal_string(remaining, args.decimals)
         table.append(row)
     geometry = None
-    if config.get("geometry", True) and stages >= 1:
+    geometry_stages = min(stages, typed(config, "geometry_stages", int, 2))
+    if typed(config, "geometry", bool, True) and stages >= 1:
         try:
             geometry = [
                 {"x0": r[0], "x1": r[1], "y0": r[2], "y1": r[3]}
-                for r in ns.dore_maleva_rectangles(params, min(stages, _typed(config, "geometry_stages", int, 2)))
+                for r in ns.dore_maleva_rectangles(params, geometry_stages)
             ]
-        except ValueError:
+        except ValueError:  # past the rectangle cap
             geometry = None
     report = {
         "command": "dore-maleva",

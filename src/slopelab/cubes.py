@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .rationals import Vector, pow2
+from .rationals import pow2
 
 
 @dataclass(frozen=True, order=True)
@@ -50,9 +50,6 @@ class DyadicCube:
         lo = Fraction(self.corner[axis], 1 << self.scale)
         return lo, lo + self.side()
 
-    def center(self) -> Vector:
-        return tuple(Fraction(2 * c + 1, 1 << (self.scale + 1)) for c in self.corner)
-
     def contains_point(self, point: Sequence[Fraction], closed: bool = False) -> bool:
         for axis, x in enumerate(point):
             lo, hi = self.interval(axis)
@@ -79,10 +76,6 @@ class DyadicCube:
 
     def to_json(self) -> dict:
         return {"dim": self.dimension, "scale": self.scale, "corner": list(self.corner)}
-
-    @staticmethod
-    def from_json(data: dict) -> "DyadicCube":
-        return DyadicCube(int(data["dim"]), int(data["scale"]), tuple(int(c) for c in data["corner"]))
 
 
 def unit_cube(dimension: int) -> DyadicCube:

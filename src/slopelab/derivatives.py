@@ -154,11 +154,8 @@ class BasisReduction:
 
     g: ComputableFunction
     z: Vector
-    transform: AffineIsometry
-    offset: Vector
     identity_holds: bool
-    checked_steps: tuple[Fraction, ...]
-    failures: tuple[dict, ...]
+    failures: tuple[dict, ...]  # the panel steps where the identity fails
 
 
 def _default_w_grid(dimension: int) -> list[Vector]:
@@ -200,8 +197,7 @@ def dir_derivative_via_basis(
         )
     offset, z = chosen
     f_hat = clamp_extend(f)
-    shifted = AffineIsometry(transform.matrix, offset)
-    g = compose_affine(f, shifted)
+    g = compose_affine(f, AffineIsometry(transform.matrix, offset))
     panel = tuple(t_panel) if t_panel is not None else tuple(pow2(-k) for k in range(1, 13))
     failures = []
     e1 = unit_axis(f.dimension, 0)
@@ -212,15 +208,7 @@ def dir_derivative_via_basis(
         rhs = (f_hat.eval(vadd(x, vscale(t, direction))) - f_hat.eval(x)) / t
         if lhs != rhs:
             failures.append({"t": t, "lhs": lhs, "rhs": rhs})
-    return BasisReduction(
-        g=g,
-        z=z,
-        transform=shifted,
-        offset=offset,
-        identity_holds=not failures,
-        checked_steps=panel,
-        failures=tuple(failures),
-    )
+    return BasisReduction(g=g, z=z, identity_holds=not failures, failures=tuple(failures))
 
 
 def linearity_defect(

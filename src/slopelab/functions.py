@@ -41,7 +41,6 @@ class ComputableFunction:
     dimension: int
     evaluator: Evaluator
     modulus: Modulus
-    descriptor: dict | None = None
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         point = tuple(point)
@@ -56,22 +55,12 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
     if not m:
         raise ValueError("linear form needs dimension >= 1")
     shift = int_ceil_log2(1 + ceil_sqrt(norm_sq(m)))
-    return ComputableFunction(
-        len(m),
-        lambda point: dot(m, point),
-        lambda i: i + shift,
-        descriptor={"kind": "linear", "coeffs": [str(c) for c in m]},
-    )
+    return ComputableFunction(len(m), lambda point: dot(m, point), lambda i: i + shift)
 
 
 def constant_function(value: Fraction | int | str, dimension: int = 1) -> ComputableFunction:
     v = Fraction(value)
-    return ComputableFunction(
-        dimension,
-        lambda _point: v,
-        lambda _i: 0,
-        descriptor={"kind": "constant", "dimension": dimension, "value": str(v)},
-    )
+    return ComputableFunction(dimension, lambda _point: v, lambda _i: 0)
 
 
 def clamp_point(point: Sequence[Fraction]) -> Vector:
@@ -85,7 +74,6 @@ def clamp_extend(f: ComputableFunction) -> ComputableFunction:
         dimension=f.dimension,
         evaluator=lambda point: f.eval(clamp_point(point)),
         modulus=f.modulus,
-        descriptor={"kind": "clamp-extend", "of": f.descriptor},
     )
 
 
@@ -100,7 +88,6 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
         dimension=dims.pop(),
         evaluator=lambda point: sum((p.eval(point) for p in parts), Fraction(0)),
         modulus=lambda i: max(p.modulus(i + count_shift) for p in parts),
-        descriptor={"kind": "sum", "of": [p.descriptor for p in parts]},
     )
 
 
@@ -111,7 +98,6 @@ def scale_function(factor: Fraction | int | str, f: ComputableFunction) -> Compu
         dimension=f.dimension,
         evaluator=lambda point: Fraction(0) if c == 0 else c * f.eval(point),
         modulus=lambda i: f.modulus(i + shift),
-        descriptor={"kind": "scale", "by": str(c), "of": f.descriptor},
     )
 
 
@@ -147,8 +133,6 @@ def lipschitz_lower_bound(f: ComputableFunction, scale: int) -> Fraction:
         x = tuple(Fraction(c, width) for c in corner)
         vx = f.eval(x)
         for axis in range(n):
-            if corner[axis] + 1 > width:
-                continue
             y = tuple(
                 Fraction(c + (1 if i == axis else 0), width) for i, c in enumerate(corner)
             )
@@ -258,12 +242,6 @@ def compose_affine(f: ComputableFunction, transform: AffineIsometry) -> Computab
         dimension=f.dimension,
         evaluator=lambda point: f.eval(clamp_point(transform.apply(point))),
         modulus=f.modulus,
-        descriptor={
-            "kind": "affine-compose",
-            "matrix": [[str(v) for v in row] for row in transform.matrix],
-            "offset": [str(v) for v in transform.offset],
-            "of": f.descriptor,
-        },
     )
 
 
@@ -329,27 +307,15 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
         x0, y0 = knots[segment]
         return y0 + (x - x0) * slopes[segment]
 
-    return ComputableFunction(
-        1,
-        fn,
-        lambda i: i + shift,
-        descriptor={
-            "kind": "pwlinear",
-            "points": [[str(x), str(y)] for x, y in knots],
-        },
-    )
+    return ComputableFunction(1, fn, lambda i: i + shift)
 
 
 def square_1d() -> ComputableFunction:
-    return ComputableFunction(
-        1, lambda p: p[0] * p[0], lambda i: i + 1, descriptor={"kind": "square"}
-    )
+    return ComputableFunction(1, lambda p: p[0] * p[0], lambda i: i + 1)
 
 
 def cube_1d() -> ComputableFunction:
-    return ComputableFunction(
-        1, lambda p: p[0] ** 3, lambda i: i + 2, descriptor={"kind": "cube"}
-    )
+    return ComputableFunction(1, lambda p: p[0] ** 3, lambda i: i + 2)
 
 
 def identity_1d() -> ComputableFunction:
@@ -358,27 +324,19 @@ def identity_1d() -> ComputableFunction:
 
 def abs_distance_1d(center: Fraction | str) -> ComputableFunction:
     c = Fraction(center)
-    return ComputableFunction(
-        1, lambda p: abs(p[0] - c), lambda i: i, descriptor={"kind": "abs", "center": str(c)}
-    )
+    return ComputableFunction(1, lambda p: abs(p[0] - c), lambda i: i)
 
 
 def product_xy() -> ComputableFunction:
-    return ComputableFunction(
-        2, lambda p: p[0] * p[1], lambda i: i + 1, descriptor={"kind": "product"}
-    )
+    return ComputableFunction(2, lambda p: p[0] * p[1], lambda i: i + 1)
 
 
 def abs_diff_2d() -> ComputableFunction:
-    return ComputableFunction(
-        2, lambda p: abs(p[0] - p[1]), lambda i: i + 1, descriptor={"kind": "abs-diff"}
-    )
+    return ComputableFunction(2, lambda p: abs(p[0] - p[1]), lambda i: i + 1)
 
 
 def min_x_flip_y() -> ComputableFunction:
-    return ComputableFunction(
-        2, lambda p: min(p[0], 1 - p[1]), lambda i: i, descriptor={"kind": "min-flip"}
-    )
+    return ComputableFunction(2, lambda p: min(p[0], 1 - p[1]), lambda i: i)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ class CubeStream:
     """Deterministic enumeration of dyadic cubes, kept as it is read."""
 
     factory: StreamFactory
-    label: str = "stream"
     _emitted: list[DyadicCube] = field(default_factory=list, repr=False)
     _iterator: Iterator[DyadicCube] | None = field(default=None, repr=False)
     _exhausted: bool = field(default=False, repr=False)
@@ -51,11 +50,11 @@ class CubeStream:
         return union_measure(self.take(steps))
 
 
-def stream_from_cubes(cubes: Iterable[DyadicCube] | StreamFactory, label: str = "stream") -> CubeStream:
+def stream_from_cubes(cubes: Iterable[DyadicCube] | StreamFactory) -> CubeStream:
     if callable(cubes):
-        return CubeStream(cubes, label)
+        return CubeStream(cubes)
     fixed = list(cubes)
-    return CubeStream(lambda: iter(fixed), label)
+    return CubeStream(lambda: iter(fixed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +62,6 @@ class NestedTest:
     """Stage m |-> cube stream for G_m, with G_{m+1} nested inside G_m."""
 
     stage_factory: Callable[[int], CubeStream]
-    label: str = "nested-test"
     descriptor: dict | None = None
 
     def stream_at(self, stage: int) -> CubeStream:
@@ -96,9 +94,9 @@ def audit_nesting(test: NestedTest, stages: int, budget: int) -> tuple[int, Dyad
 
 def constant_unit_test(dimension: int) -> NestedTest:
     def factory(_stage: int) -> CubeStream:
-        return stream_from_cubes([DyadicCube(dimension, 0, (0,) * dimension)], label="unit")
+        return stream_from_cubes([DyadicCube(dimension, 0, (0,) * dimension)])
 
-    return NestedTest(factory, label="constant-unit", descriptor={"kind": "constant-unit", "dimension": dimension})
+    return NestedTest(factory, {"kind": "constant-unit", "dimension": dimension})
 
 
 def concentric_test(point: Sequence[Fraction | str], scale_step: int = 2) -> NestedTest:
@@ -113,35 +111,25 @@ def concentric_test(point: Sequence[Fraction | str], scale_step: int = 2) -> Nes
     def factory(stage: int) -> CubeStream:
         scale = scale_step * stage
         corner = tuple((c.numerator << scale) // c.denominator for c in center)
-        return stream_from_cubes(
-            [DyadicCube(len(center), scale, corner)], label=f"concentric-{stage}"
-        )
+        return stream_from_cubes([DyadicCube(len(center), scale, corner)])
 
     return NestedTest(
         factory,
-        label="concentric",
-        descriptor={
-            "kind": "concentric",
-            "point": [str(c) for c in center],
-            "scale_step": scale_step,
-        },
+        {"kind": "concentric", "point": [str(c) for c in center], "scale_step": scale_step},
     )
 
 
 def explicit_test(stages: Sequence[Sequence[DyadicCube]]) -> NestedTest:
     fixed = [list(stage) for stage in stages]
+    if not fixed:
+        raise ValueError("an explicit test needs at least one stage")
 
     def factory(stage: int) -> CubeStream:
         cubes = fixed[stage] if stage < len(fixed) else fixed[-1]
-        return stream_from_cubes(cubes, label=f"explicit-{stage}")
+        return stream_from_cubes(cubes)
 
     return NestedTest(
-        factory,
-        label="explicit",
-        descriptor={
-            "kind": "explicit",
-            "stages": [[c.to_json() for c in stage] for stage in fixed],
-        },
+        factory, {"kind": "explicit", "stages": [[c.to_json() for c in stage] for stage in fixed]}
     )
 
 
@@ -162,7 +150,6 @@ class DoreMalevaParams:
     p_raw_at: Callable[[int], Fraction]
     reciprocal_squares_diverge: bool
     ratio_vanishes: bool
-    label: str = "params"
 
     def validate_stage(self, i: int) -> None:
         n = self.n_at(i)
@@ -212,7 +199,6 @@ def default_dore_maleva_params() -> DoreMalevaParams:
         p_raw_at=lambda _i: raw,
         reciprocal_squares_diverge=True,
         ratio_vanishes=True,
-        label="default-staircase",
     )
 
 
@@ -239,7 +225,6 @@ def explicit_dore_maleva_params(
         p_raw_at=p_at,
         reciprocal_squares_diverge=reciprocal_squares_diverge,
         ratio_vanishes=ratio_vanishes,
-        label="explicit",
     )
 
 
@@ -255,7 +240,6 @@ class LatticeStage:
     (p_i/N_i)^2 of the cell, exactly.
     """
 
-    stage: int
     pitch: Fraction
     radius: Fraction  # sup-norm ball radius p_i d_i / 2
     cells_per_axis: int
@@ -284,7 +268,6 @@ def dore_maleva_stage(params: DoreMalevaParams, stage: int) -> LatticeStage:
     d_i = pitch / n
     per_axis = pitch.denominator // pitch.numerator  # pitch = 1/(N_1...N_{i-1})
     return LatticeStage(
-        stage=stage,
         pitch=pitch,
         radius=p * d_i / 2,
         cells_per_axis=per_axis,

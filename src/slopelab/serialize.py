@@ -2,7 +2,9 @@
 
 Every numeric value crosses the wire as an exact "p/q" string; reports are
 dumped with sorted keys and no environment-dependent fields, so identical
-configs produce byte-identical reports.
+configs produce byte-identical reports.  Config fields and descriptor
+sub-fields are read through `typed`, so a value of the wrong JSON type is a
+ConfigError rather than a silent coercion.
 """
 
 from __future__ import annotations
@@ -53,6 +55,34 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(to_plain(payload), sort_keys=True, indent=2) + "\n"
 
 
+class ConfigError(ValueError):
+    pass
+
+
+def require(config: Mapping, key: str) -> object:
+    if key not in config:
+        raise ConfigError(f"config lacks required key {key!r}")
+    return config[key]
+
+
+_JSON_KINDS = {int: "an integer", bool: "a boolean", list: "a list", dict: "an object"}
+
+
+def typed(config: Mapping, key: str, kind: type, default: object = None):
+    """config[key], which must be a JSON value of the given kind; required without a default."""
+    value = require(config, key) if default is None else config.get(key, default)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"config key {key!r} must be {_JSON_KINDS[kind]}, not {value!r}")
+    return value
+
+
+def integers(config: Mapping, key: str, default: list[int] | None = None) -> list[int]:
+    values = typed(config, key, list, default)
+    if not all(type(v) is int for v in values):
+        raise ConfigError(f"config key {key!r} must list integers, not {values!r}")
+    return values
+
+
 def _kind(desc: object, default: str | None = None) -> object:
     """The kind of a descriptor, which must be a JSON object."""
     if not isinstance(desc, Mapping):
@@ -67,11 +97,12 @@ def _kind(desc: object, default: str | None = None) -> object:
 def function_from_descriptor(desc: Mapping) -> fn.ComputableFunction:
     kind = _kind(desc)
     if kind == "linear":
-        return fn.linear_form([parse_rational(c) for c in desc["coeffs"]])
+        return fn.linear_form([parse_rational(c) for c in typed(desc, "coeffs", list)])
     if kind == "constant":
-        return fn.constant_function(parse_rational(desc["value"]), int(desc.get("dimension", 1)))
+        value = parse_rational(require(desc, "value"))
+        return fn.constant_function(value, typed(desc, "dimension", int, 1))
     if kind == "abs":
-        return fn.abs_distance_1d(parse_rational(desc["center"]))
+        return fn.abs_distance_1d(parse_rational(require(desc, "center")))
     if kind == "square":
         return fn.square_1d()
     if kind == "cube":
@@ -85,26 +116,25 @@ def function_from_descriptor(desc: Mapping) -> fn.ComputableFunction:
     if kind == "min-flip":
         return fn.min_x_flip_y()
     if kind == "pwlinear":
-        return fn.piecewise_linear(
-            [(parse_rational(x), parse_rational(y)) for x, y in desc["points"]]
-        )
+        # a knot that is not a pair fails to unpack with a ValueError
+        return fn.piecewise_linear([parse_point(p) for p in typed(desc, "points", list)])
     if kind == "tent":
         from .tentsystem import tent_for
 
-        return tent_for(
-            DyadicCube.from_json(desc["cell"]), int(desc["stage"]), int(desc["index"])
-        ).as_function()
+        cell = cube_from_descriptor(require(desc, "cell"))
+        return tent_for(cell, typed(desc, "stage", int), typed(desc, "index", int)).as_function()
     if kind == "sum":
-        return fn.sum_functions([function_from_descriptor(d) for d in desc["of"]])
+        return fn.sum_functions([function_from_descriptor(d) for d in typed(desc, "of", list)])
     if kind == "scale":
-        return fn.scale_function(parse_rational(desc["by"]), function_from_descriptor(desc["of"]))
+        factor = parse_rational(require(desc, "by"))
+        return fn.scale_function(factor, function_from_descriptor(require(desc, "of")))
     if kind == "clamp-extend":
-        return fn.clamp_extend(function_from_descriptor(desc["of"]))
+        return fn.clamp_extend(function_from_descriptor(require(desc, "of")))
     if kind == "affine-compose":
-        matrix = [[parse_rational(v) for v in row] for row in desc["matrix"]]
-        offset = [parse_rational(v) for v in desc.get("offset", ["0/1"] * len(matrix))]
+        matrix = [parse_point(row) for row in typed(desc, "matrix", list)]
+        offset = parse_point(desc["offset"]) if "offset" in desc else None
         transform = fn.affine_isometry(matrix, offset)
-        return fn.compose_affine(function_from_descriptor(desc["of"]), transform)
+        return fn.compose_affine(function_from_descriptor(require(desc, "of")), transform)
     raise ValueError(f"unknown function descriptor kind {kind!r}")
 
 
@@ -115,13 +145,15 @@ def function_from_descriptor(desc: Mapping) -> fn.ComputableFunction:
 def source_from_descriptor(desc: Mapping) -> BitSource:
     kind = _kind(desc)
     if kind == "rational":
-        return bits_of_fraction(parse_rational(desc["value"]))
+        return bits_of_fraction(parse_rational(require(desc, "value")))
     if kind == "pattern":
-        return pattern_bits([int(b) for b in desc["bits"]], bool(desc.get("repeat", True)))
+        bits = require(desc, "bits")  # a list of 0/1 integers or a string of 0/1 digits
+        pattern = [int(b) for b in bits] if isinstance(bits, str) else integers(desc, "bits")
+        return pattern_bits(pattern, typed(desc, "repeat", bool, True))
     if kind == "constant":
-        return constant_bits(int(desc["bit"]))
+        return constant_bits(typed(desc, "bit", int))
     if kind == "interleave":
-        return interleave([source_from_descriptor(d) for d in desc["of"]])
+        return interleave([source_from_descriptor(d) for d in typed(desc, "of", list)])
     raise ValueError(f"unknown bit-source descriptor kind {kind!r}")
 
 
@@ -136,9 +168,9 @@ def martingale_from_descriptor(desc: Mapping) -> mg.Martingale:
     if kind == "all-on-ones":
         return mg.all_on_ones_martingale()
     if kind == "slope":
-        return mg.slope_martingale(function_from_descriptor(desc["function"]))
+        return mg.slope_martingale(function_from_descriptor(require(desc, "function")))
     if kind == "table":
-        return mg.table_martingale(desc["values"], int(desc["depth"]))
+        return mg.table_martingale(typed(desc, "values", dict), typed(desc, "depth", int))
     raise ValueError(f"unknown martingale descriptor kind {kind!r}")
 
 
@@ -149,16 +181,14 @@ def martingale_from_descriptor(desc: Mapping) -> mg.Martingale:
 def nested_test_from_descriptor(desc: Mapping) -> ns.NestedTest:
     kind = _kind(desc)
     if kind == "constant-unit":
-        return ns.constant_unit_test(int(desc["dimension"]))
+        return ns.constant_unit_test(typed(desc, "dimension", int))
     if kind == "concentric":
-        return ns.concentric_test(
-            [parse_rational(c) for c in desc["point"]], int(desc.get("scale_step", 2))
-        )
+        return ns.concentric_test(parse_point(require(desc, "point")), typed(desc, "scale_step", int, 2))
     if kind == "explicit":
-        stages = [
-            [DyadicCube.from_json(c) for c in stage] for stage in desc["stages"]
-        ]
-        return ns.explicit_test(stages)
+        stages = typed(desc, "stages", list)
+        if not all(isinstance(stage, list) for stage in stages):
+            raise ConfigError(f"config key 'stages' must list lists of cubes, not {stages!r}")
+        return ns.explicit_test([[cube_from_descriptor(c) for c in stage] for stage in stages])
     raise ValueError(f"unknown nested-test descriptor kind {kind!r}")
 
 
@@ -172,12 +202,19 @@ def dore_maleva_params_from_descriptor(desc: Mapping) -> ns.DoreMalevaParams:
         return ns.default_dore_maleva_params()
     if kind == "explicit":
         return ns.explicit_dore_maleva_params(
-            [int(n) for n in desc["N"]],
-            [parse_rational(p) for p in desc["p"]],
-            bool(desc.get("reciprocal_squares_diverge", False)),
-            bool(desc.get("ratio_vanishes", False)),
+            integers(desc, "N"),
+            typed(desc, "p", list),
+            typed(desc, "reciprocal_squares_diverge", bool, False),
+            typed(desc, "ratio_vanishes", bool, False),
         )
     raise ValueError(f"unknown parameter descriptor kind {kind!r}")
+
+
+def cube_from_descriptor(desc: object) -> DyadicCube:
+    """A cube from its to_json form {"dim", "scale", "corner"}."""
+    if not isinstance(desc, Mapping):
+        raise ConfigError(f"a cube must be a JSON object, not {desc!r}")
+    return DyadicCube(typed(desc, "dim", int), typed(desc, "scale", int), tuple(integers(desc, "corner")))
 
 
 def parse_point(values: Sequence) -> tuple[Fraction, ...]:

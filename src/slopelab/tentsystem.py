@@ -50,13 +50,11 @@ class BuildBudgetError(RuntimeError):
 
 
 class InsufficientDepthError(RuntimeError):
-    def __init__(self, stage: int, needed_scale: int):
-        super().__init__(
-            f"stage {stage} needs visible cells of side <= 2**-{needed_scale}; "
-            f"rebuild with a larger budget or depth"
-        )
+    """A stage a request needs is unbuilt, or its visible cells are too coarse."""
+
+    def __init__(self, stage: int, shortfall: str):
+        super().__init__(f"stage {stage} {shortfall}; rebuild with a larger budget or depth")
         self.stage = stage
-        self.needed_scale = needed_scale
 
 
 class PartitionError(ValueError):
@@ -71,7 +69,6 @@ class Block:
     numbered start_index, start_index + 1, ... in build order.
     """
 
-    stage: int
     start_index: int
     source: DyadicCube
     cell_scale: int
@@ -269,13 +266,7 @@ def build_partition(test: NestedTest, depth: int, budget: int) -> Partition:
                 cell_scale = 3 * m + delta_scale
                 if last_scale is not None:
                     cell_scale = max(cell_scale, last_scale)
-                block = Block(
-                    stage=m,
-                    start_index=next_index,
-                    source=piece,
-                    cell_scale=cell_scale,
-                    delta_scale=delta_scale,
-                )
+                block = Block(next_index, piece, cell_scale, delta_scale)
                 blocks.append(block)
                 sources.append(piece)
                 next_index += block.count
@@ -305,11 +296,6 @@ class TentFunction:
     stage: int
     index: int
     eps_exponent: int
-    degenerate: bool  # stage = index = 0 leaves no plateau; allowed, flagged
-
-    @property
-    def peak(self) -> Fraction:
-        return self.cell.side() / 2
 
     def _ramp_factor(self, margin: Fraction) -> Fraction:
         # margin < eps here; the quotient margin / eps needs a real power of 2
@@ -361,26 +347,17 @@ class TentFunction:
             dimension=self.cell.dimension,
             evaluator=self.value,
             modulus=lambda i: i + steep,
-            descriptor={
-                "kind": "tent",
-                "cell": self.cell.to_json(),
-                "stage": self.stage,
-                "index": self.index,
-            },
         )
 
 
 def tent_for(cell: DyadicCube, stage: int, index: int) -> TentFunction:
-    """Tent over a cell with ramp width 2**-(stage+index+1) times the side."""
+    """Tent over a cell with ramp width 2**-(stage+index+1) times the side.
+
+    stage = index = 0 gives ramps of half the side, which leave no plateau.
+    """
     if stage < 0 or index < 0:
         raise ValueError("stage and index are natural numbers")
-    return TentFunction(
-        cell=cell,
-        stage=stage,
-        index=index,
-        eps_exponent=stage + index + 1 + cell.scale,
-        degenerate=stage + index == 0,
-    )
+    return TentFunction(cell, stage, index, stage + index + 1 + cell.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +480,10 @@ class TentSystem:
     def as_function(self) -> ComputableFunction:
         def modulus(i: int) -> int:
             if i + 2 > self.depth:
-                raise InsufficientDepthError(i + 2, -1)
+                raise InsufficientDepthError(i + 2, f"is beyond the built depth {self.depth}")
             return self.modulus_exponent(i + 2)
 
-        return ComputableFunction(
-            dimension=self.dimension,
-            evaluator=self.truncated_value,
-            modulus=modulus,
-            descriptor={"kind": "tent-system", "cutoff": self.cutoff, "depth": self.depth},
-        )
+        return ComputableFunction(self.dimension, self.truncated_value, modulus)
 
     # -- certified evaluation -------------------------------------------------
 
@@ -531,13 +503,14 @@ class TentSystem:
             raise ValueError("evaluation point must lie in the unit cube")
         if precision < 0:
             raise ValueError("precision must be a natural number")
+        threshold = self._stage_threshold_scale(precision)
+        too_coarse = f"needs visible cells of side <= 2**-{threshold}"
         if self.depth < precision:
             # stages beyond the build would contribute up to 2**-(depth+1)
-            raise InsufficientDepthError(self.depth + 1, self._stage_threshold_scale(precision))
-        threshold = self._stage_threshold_scale(precision)
+            raise InsufficientDepthError(self.depth + 1, too_coarse)
         value = Fraction(0)
         error = Fraction(0)
-        for stage in range(self.cutoff + 1, min(precision, self.depth) + 1):
+        for stage in range(self.cutoff + 1, precision + 1):
             data = self.partition.stages[stage]
             cutoff_index: int | None = None
             for block in data.blocks:
@@ -545,7 +518,7 @@ class TentSystem:
                     cutoff_index = block.start_index
                     break
             if cutoff_index is None and not data.exhausted:
-                raise InsufficientDepthError(stage, threshold)
+                raise InsufficientDepthError(stage, too_coarse)
             hit = self.partition.locate(stage, point)
             if hit is not None:
                 index, cell = hit
@@ -637,7 +610,7 @@ class TentSystem:
         passed = any(abs(t) >= bound for t in totals.values())
         return OscillationReport(
             stage=stage,
-            cell_index=self.partition.locate(stage, z)[0],
+            cell_index=tent.index,
             cell_side=d,
             step=step,
             totals=totals,

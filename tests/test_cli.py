@@ -559,8 +559,22 @@ def test_tent_system_reports_unattainable_precision(tmp_path, capsys):
         ("bet", {"martingale": {"kind": "slope", "function": "sq"}, "source": {"kind": "constant", "bit": 1}}),
         ("dore-maleva", {"params": []}),
         ("tent-system", {"test": "x"}),
+        ("probe", {"function": {"kind": "linear", "coeffs": 5}, "points": [["1/3"]]}),
+        ("probe", {"function": {"kind": "pwlinear", "points": [1, 2]}, "points": [["1/3"]]}),
+        ("probe", {"function": {"kind": "sum", "of": 3}, "points": [["1/3"]]}),
+        ("probe", {"function": {"kind": "constant", "value": "1/2", "dimension": 1.9}, "points": [["1/3"]]}),
+        ("probe", {"function": {"kind": "square"}, "points": [], "defect": 5}),
+        ("bet", {**bet_config(), "martingale": {"kind": "table", "depth": 1, "values": [1]}}),
+        ("bet", {**bet_config(), "source": {"kind": "pattern", "bits": [1, 0], "repeat": "false"}}),
+        ("tent-system", {"test": {"kind": "explicit", "stages": 5}}),
+        ("dore-maleva", {"stages": 2, "geometry_stages": "x"}),
     ],
-    ids=["top-level-int", "function-string", "depth-list", "points-int", "slope-function-string", "params-list", "test-string"],
+    ids=[
+        "top-level-int", "function-string", "depth-list", "points-int", "slope-function-string", "params-list",
+        "test-string", "linear-coeffs-int", "pwlinear-points-ints", "sum-of-int", "float-dimension",
+        "defect-int-without-points", "table-values-list", "repeat-string", "explicit-stages-int",
+        "geometry-stages-string",
+    ],
 )
 def test_malformed_config_shapes_exit_2_with_one_line(tmp_path, capsys, command, payload):
     config = write_config(tmp_path, "bad.json", payload)

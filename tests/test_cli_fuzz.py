@@ -2,7 +2,8 @@
 
 Rational literals mix valid "p/q" strings with zero denominators, integers
 past str()'s 4300-digit limit, JSON floats and junk.  Shape edits replace one
-top-level config field with a small JSON value of any type.  Bundle edits
+top-level config field, and descriptor edits one field at any depth of a
+descriptor, with a small JSON value of any type.  Bundle edits
 replace or drop one field of a small concentric-test bundle; --check-bundle
 may pass only when the edited bundle is exactly the system its own fields
 rebuild.
@@ -13,6 +14,7 @@ import copy
 import io
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +116,113 @@ def test_fuzzed_config_shapes_end_in_an_exit_code(tmp_path_factory, field, value
     run(tmp_path_factory, [command, "--config"], payload)
 
 
+def paths(value, prefix=()):
+    """Every path to a field of a JSON value, parents before children."""
+    yield prefix
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from paths(child, prefix + (key,))
+
+
+DELETE = object()
+
+
+def edited(base, path, replacement):
+    """A copy of base with the field at path replaced, or deleted for DELETE."""
+    value = copy.deepcopy(base)
+    *parents, last = path
+    owner = value
+    for key in parents:
+        owner = owner[key]
+    if replacement is DELETE:
+        del owner[last]
+    else:
+        owner[last] = replacement
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Descriptor sub-fields
+
+
+CELL = {"dim": 2, "scale": 0, "corner": [0, 0]}
+DESCRIPTOR_BASES = [
+    ("probe", {
+        "function": {"kind": "sum", "of": [
+            {"kind": "linear", "coeffs": ["1/2", "1/3"]},
+            {"kind": "scale", "by": "1/2", "of": {"kind": "clamp-extend", "of": {"kind": "product"}}},
+            {
+                "kind": "affine-compose",
+                "matrix": [["3/5", "4/5"], ["4/5", "-3/5"]],
+                "offset": ["0/1", "0/1"],
+                "of": {"kind": "abs-diff"},
+            },
+            {"kind": "tent", "cell": CELL, "stage": 0, "index": 1},
+            {"kind": "constant", "value": "1/2", "dimension": 2},
+        ]},
+        "points": [["1/3", "1/3"]],
+        "depth": 2,
+    }),
+    ("probe", {
+        "function": {"kind": "pwlinear", "points": [["0/1", "0/1"], ["1/2", "1/1"], ["1/1", "0/1"]]},
+        "points": [["1/3"]],
+        "depth": 2,
+    }),
+    ("bet", {
+        "martingale": {"kind": "table", "depth": 1, "values": {"": "1/1", "0": "1/2", "1": "3/2"}},
+        "source": {"kind": "interleave", "of": [
+            {"kind": "pattern", "bits": [1, 0], "repeat": False},
+            {"kind": "constant", "bit": 1},
+            {"kind": "rational", "value": "1/3"},
+        ]},
+        "depth": 6,
+    }),
+    ("bet", {
+        "martingale": {"kind": "constant", "value": "2/1"},
+        "source": {"kind": "pattern", "bits": "10"},
+        "depth": 6,
+    }),
+    ("tent-system", {
+        "test": {"kind": "explicit", "stages": [[CELL], [{"dim": 2, "scale": 1, "corner": [0, 1]}]]},
+        "depth": 1, "budget": 2, "modulus_pairs": 2,
+    }),
+    ("tent-system", {
+        "test": {"kind": "concentric", "point": ["1/3", "1/3"], "scale_step": 1},
+        "depth": 1, "budget": 2, "modulus_pairs": 2,
+    }),
+    ("tent-system", {"test": {"kind": "constant-unit", "dimension": 2}, "depth": 1, "budget": 1, "modulus_pairs": 2}),
+    ("dore-maleva", {
+        "params": {
+            "kind": "explicit", "N": [3, 5], "p": ["1/1", "2/1"],
+            "reciprocal_squares_diverge": True, "ratio_vanishes": False,
+        },
+        "stages": 2,
+        "geometry_stages": 1,
+    }),
+]
+DESCRIPTOR_KEYS = {"function", "martingale", "source", "test", "params"}
+DESCRIPTOR_FIELDS = [
+    (command, payload, (key, *path))
+    for command, payload in DESCRIPTOR_BASES
+    for key in payload
+    if key in DESCRIPTOR_KEYS
+    for path in paths(payload[key])
+    if path
+]
+
+
+@pytest.mark.parametrize("command, payload", DESCRIPTOR_BASES)
+def test_descriptor_bases_pass(tmp_path_factory, command, payload):
+    assert run(tmp_path_factory, [command, "--config"], payload) == 0
+
+
+@given(st.sampled_from(DESCRIPTOR_FIELDS), JSON_VALUES | st.just(DELETE))
+@settings(max_examples=500, deadline=None)  # about five edits per field
+def test_fuzzed_descriptor_subfields_end_in_an_exit_code(tmp_path_factory, field, value):
+    command, payload, path = field
+    run(tmp_path_factory, [command, "--config"], edited(payload, path, value))
+
+
 # ---------------------------------------------------------------------------
 # Bundles
 
@@ -123,33 +232,11 @@ BASE = json.loads(
 )
 
 
-def paths(value, prefix=()):
-    """Every path to a field of a JSON value, parents before children."""
-    yield prefix
-    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, child in children:
-        yield from paths(child, prefix + (key,))
-
-
 FIELDS = [path for path in paths(BASE) if path]
-DELETE = object()
 LAST_STAGE = ("stages", len(BASE["stages"]) - 1)
 REPLACEMENTS = st.one_of(
     st.integers(-2, 8), LITERALS, st.booleans(), st.just([]), st.just({}), st.just(DELETE)
 )
-
-
-def edited(path, replacement):
-    bundle = copy.deepcopy(BASE)
-    *parents, last = path
-    owner = bundle
-    for key in parents:
-        owner = owner[key]
-    if replacement is DELETE:
-        del owner[last]
-    else:
-        owner[last] = replacement
-    return bundle
 
 
 def rebuild_matches(bundle):
@@ -171,7 +258,7 @@ def rebuild_matches(bundle):
 @example(LAST_STAGE, DELETE)
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_bundle_edits_verify_only_when_they_rebuild(tmp_path_factory, path, replacement):
-    bundle = edited(path, replacement)
+    bundle = edited(BASE, path, replacement)
     code = run(tmp_path_factory, ["tent-system", "--check-bundle"], bundle)
     assert code == (0 if rebuild_matches(bundle) else 1)
     if canonical_json(bundle) == canonical_json(BASE) or (path == LAST_STAGE and replacement is DELETE):

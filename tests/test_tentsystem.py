@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from slopelab.cubes import DyadicCube, union_measure, unit_cube
 from slopelab.derivatives import diff_class_b
-from slopelab.nullsets import constant_unit_test, explicit_test
+from slopelab.nullsets import concentric_test, constant_unit_test, explicit_test
 from slopelab.rationals import POW2_MATERIALIZE_CAP, pow2, pow2_upper
 from slopelab.tentsystem import (
     Block,
@@ -67,8 +67,8 @@ def test_partition_past_the_pow2_cap_verifies(toy_test):
 
 def test_shuffled_mock_partition_rejected():
     # two blocks at one stage with increasing cell volume violate the order
-    big = Block(0, 1, DyadicCube(1, 1, (0,)), 2, 1)
-    small = Block(0, big.count + 1, DyadicCube(1, 1, (1,)), 1, 1)
+    big = Block(1, DyadicCube(1, 1, (0,)), 2, 1)
+    small = Block(big.count + 1, DyadicCube(1, 1, (1,)), 1, 1)
     mock = Partition(
         dimension=1,
         stages=[
@@ -93,7 +93,7 @@ def test_overlapping_sources_rejected():
         dimension=2,
         stages=[
             StageData(
-                blocks=[Block(0, 1, whole, 1, 1)],
+                blocks=[Block(1, whole, 1, 1)],
                 sources=[whole, inner],
                 raw=[whole],
                 exhausted=True,
@@ -165,13 +165,14 @@ def test_tent_center_value_and_support():
     assert tent.value((F(1, 2), F(1, 8))) == F(1, 4)  # on the ramp
     for boundary in ((F(0), F(1, 2)), (F(1), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1))):
         assert tent.value(boundary) == 0
-    assert not tent.degenerate
 
 
-def test_degenerate_tent_flagged():
+def test_degenerate_tent_has_no_plateau():
+    # eps is half the side, so the ramps in the second axis meet at the center
     tent = tent_for(unit_cube(2), 0, 0)
-    assert tent.degenerate
     assert tent.value((F(1, 2), F(1, 2))) == F(1, 2)
+    assert tent.value((F(1, 2), F(1, 4))) == F(1, 4)
+    assert tent.value((F(1, 2), F(3, 8))) == F(3, 8)
 
 
 def test_tent_slope_law_inside_plateau():
@@ -332,6 +333,16 @@ def test_sum_is_first_order_consistent_off_the_deep_stages(toy_system5):
             assert diff_class_b(f, q, 6).status == "consistent-to-depth"
     outside = (F(1, 5), F(1, 5))
     assert diff_class_b(f, outside, 4).status == "consistent-to-depth"
+
+
+def test_sum_modulus_past_the_build_names_the_stage_and_the_depth():
+    system = build_tent_system(concentric_test(["1/3", "1/3"], 2), 2, 0, 4)
+    f = system.as_function()
+    assert f.modulus(0) == system.modulus_exponent(2)
+    with pytest.raises(InsufficientDepthError) as err:
+        f.modulus(1)
+    assert err.value.stage == 3
+    assert str(err.value) == "stage 3 is beyond the built depth 2; rebuild with a larger budget or depth"
 
 
 def test_lower_stage_slopes_hit_exact_powers(toy_system5):
