@@ -1,4 +1,4 @@
-"""Binary expansions, bit-source interleaving, and Cauchy name validation.
+"""Binary expansions and bit-source interleaving.
 
 Bit sources are total deterministic query interfaces: the same index always
 yields the same bit, and any finite prefix is obtainable.  Points with a
@@ -8,11 +8,11 @@ expansions would be legitimate, which would break interleaving determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rationals import Vector, is_dyadic, pow2
+from .rationals import is_dyadic
 
 Bits = tuple[int, ...]
 
@@ -85,50 +85,3 @@ def interleave(sources: Sequence[BitSource]) -> BitSource:
     srcs = tuple(sources)
     n = len(srcs)
     return BitSource(lambda k: srcs[k % n].bit(k // n), label=f"interleave{n}")
-
-
-def project_component(source: BitSource, count: int, component: int) -> BitSource:
-    """Inverse of interleave: every count-th bit starting at component."""
-    if not 0 <= component < count:
-        raise ValueError("component out of range")
-    return BitSource(lambda k: source.bit(count * k + component), label="project")
-
-
-# ---------------------------------------------------------------------------
-# Cauchy names
-
-
-@dataclass(frozen=True, eq=False)
-class CauchyName:
-    """Rational approximations q_k with ||q_k - q_n|| <= 2**-n for k >= n."""
-
-    dimension: int
-    approx: Callable[[int], Vector]
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def at(self, index: int) -> Vector:
-        if index not in self._cache:
-            value = tuple(self.approx(index))
-            if len(value) != self.dimension:
-                raise ValueError("approximation has wrong dimension")
-            self._cache[index] = value
-        return self._cache[index]
-
-
-def validate_cauchy(name: CauchyName, depth: int) -> tuple[int, int] | None:
-    """Exact check of the convergence law up to depth; witness or None.
-
-    Returns (n, k) with ||q_k - q_n|| > 2**-n for the first violation found,
-    or None when every pair n <= k <= depth satisfies the law.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    for n in range(depth + 1):
-        bound = pow2(-2 * n)
-        qn = name.at(n)
-        for k in range(n, depth + 1):
-            qk = name.at(k)
-            dist_sq = sum((a - b) ** 2 for a, b in zip(qk, qn))
-            if dist_sq > bound:
-                return (n, k)
-    return None

@@ -57,7 +57,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     f = sz.function_from_descriptor(require(config, "function"))
     points = [sz.parse_point(p) for p in typed(config, "points", list)]
-    depth = typed(config, "depth", int, args.depth or 6)
+    depth = typed(config, "depth", int, 6)
     oscillation = config.get("oscillation_threshold")
     separation = config.get("separation_threshold")
     osc_thr = parse_rational(oscillation) if oscillation is not None else None
@@ -100,7 +100,7 @@ def cmd_bet(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     martingale = sz.martingale_from_descriptor(require(config, "martingale"))
     source = sz.source_from_descriptor(require(config, "source"))
-    depth = typed(config, "depth", int, args.depth or 16)
+    depth = typed(config, "depth", int, 16)
     witness = mg.check_fairness(martingale, min(depth, typed(config, "audit_depth", int, 8)))
     if witness is not None:
         sys.stderr.write(f"fairness audit failed at sigma = {''.join(map(str, witness))!r}\n")
@@ -139,7 +139,7 @@ def _verify_bundle(bundle: dict) -> None:
         raise ValueError("bundle has no stages")
     test = sz.nested_test_from_descriptor(bundle["test"])
     rebuilt = ts.build_tent_system(
-        test, len(stages) - 1, int(require(bundle, "cutoff")), int(require(bundle, "budget"))
+        test, len(stages) - 1, typed(bundle, "cutoff", int), typed(bundle, "budget", int)
     )
     if sz.canonical_json(rebuilt.to_bundle()) != sz.canonical_json(bundle):
         raise ValueError("bundle differs from the system its test descriptor builds")
@@ -164,7 +164,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
         raise ConfigError("either --config or --check-bundle is required")
     config = _load_config(args.config)
     test = sz.nested_test_from_descriptor(require(config, "test"))
-    depth = typed(config, "depth", int, args.depth or 4)
+    depth = typed(config, "depth", int, 4)
     cutoff = typed(config, "cutoff", int, 0)
     budget = typed(config, "budget", int, 8)
     pairs = typed(config, "modulus_pairs", int, 50)
@@ -192,7 +192,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
             if not entry.within_bound:
                 failures.append(f"exclusion bound fails at stage {m}, axis {axis}")
     report["exclusion"] = exclusion
-    rng = random.Random(args.seed or 0)
+    rng = random.Random(args.seed)
     audits = {}
     for m in range(1, depth + 1):
         violations = system.modulus_audit(m, pairs, rng)
@@ -236,7 +236,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
 def cmd_dore_maleva(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     params = sz.dore_maleva_params_from_descriptor(config.get("params", {"kind": "default"}))
-    stages = typed(config, "stages", int, args.depth or 3)
+    stages = typed(config, "stages", int, 3)
     if stages < 0:
         raise ConfigError("stages must be >= 0")
     table = []
@@ -292,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-rational experiments: probes, bets, tents, lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, handler, blurb in (
         ("probe", cmd_probe, "differentiability probes on a function"),
         ("bet", cmd_bet, "martingale simulation against a bit source"),
@@ -305,23 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSON config path",
         )
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--depth", type=int, default=None, help="depth override")
-        p.add_argument("--seed", type=int, default=None, help="seed for sampled audits")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
+        p.set_defaults(handler=handler)
+        commands[name] = p
+    commands["bet"].add_argument("--format", choices=("json", "csv"), default="json")
+    for name in ("bet", "dore-maleva"):
+        commands[name].add_argument(
             "--decimals",
             type=int,
             default=None,
             help="also render key rationals as decimals with this many digits",
         )
-        if name == "tent-system":
-            p.add_argument("--bundle", default=None, help="also persist the system bundle")
-            p.add_argument(
-                "--check-bundle",
-                default=None,
-                help="verify a persisted bundle instead of building",
-            )
-        p.set_defaults(handler=handler)
+    tent = commands["tent-system"]
+    tent.add_argument("--seed", type=int, default=0, help="seed for the sampled modulus audit")
+    tent.add_argument("--bundle", default=None, help="also persist the system bundle")
+    tent.add_argument(
+        "--check-bundle", default=None, help="verify a persisted bundle instead of building"
+    )
     return parser
 
 

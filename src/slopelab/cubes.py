@@ -35,9 +35,8 @@ class DyadicCube:
             raise ValueError("scale must be a natural number")
         if len(self.corner) != self.dimension:
             raise ValueError("corner length must match dimension")
-        limit = 1 << self.scale
-        for c in self.corner:
-            if not 0 <= c < limit:
+        for c in self.corner:  # 0 <= c < 2**scale, without building 2**scale
+            if not (0 <= c and c >> self.scale == 0):
                 raise ValueError(f"corner {self.corner} exceeds unit cube at scale {self.scale}")
 
     def side(self) -> Fraction:

@@ -36,10 +36,6 @@ CONSISTENT = "consistent-to-depth"
 VIOLATED = "violated"
 
 
-class WSearchError(RuntimeError):
-    """No translation in the search box lands the pulled-back point in the cube."""
-
-
 @dataclass(frozen=True)
 class ProbeVerdict:
     op: str
@@ -53,11 +49,11 @@ class ProbeVerdict:
         return self.status == VIOLATED
 
 
-def dyadic_schedule(depth: int, start: int = 2) -> list[Fraction]:
-    """Default shrinking steps 2**-k, k = start..depth (exact dyadics)."""
-    if depth < start:
+def dyadic_schedule(depth: int) -> list[Fraction]:
+    """The shrinking probe steps 2**-k, k = 2..depth (exact dyadics)."""
+    if depth < 2:
         raise ValueError("depth must reach the first step")
-    return [pow2(-k) for k in range(start, depth + 1)]
+    return [pow2(-k) for k in range(2, depth + 1)]
 
 
 def slope_axis(f: ComputableFunction, x: Sequence[Fraction], axis: int, h: Fraction) -> Fraction:
@@ -158,44 +154,27 @@ class BasisReduction:
     failures: tuple[dict, ...]  # the panel steps where the identity fails
 
 
-def _default_w_grid(dimension: int) -> list[Vector]:
-    values = [Fraction(k, 8) for k in range(-8, 9)]
-    return [tuple(c) for c in product(values, repeat=dimension)]
-
-
 def dir_derivative_via_basis(
     f: ComputableFunction,
     x: Sequence[Fraction],
     u: Sequence[Fraction | int | str],
-    w: Sequence[Fraction | int | str] | None = None,
+    w: Sequence[Fraction | int | str],
     t_panel: Sequence[Fraction] | None = None,
 ) -> BasisReduction:
     """Reduce the slope along u at x to a first-axis slope of g = f^∘(Θ+w).
 
-    Θ maps e_1 to u; z = Θ^-1(x - w) must land in the unit cube (searched on
-    a dyadic grid when w is omitted).  The identity check verifies
+    Θ maps e_1 to u; z = Θ^-1(x - w) must land in the unit cube, or
+    ValueError is raised.  The identity check verifies
     (g(z + t e_1) - g(z))/t = (f^(x + t u) - f^(x))/t exactly over the panel,
     where f^ is the clamp extension of f.
     """
     x = tuple(x)
     direction = as_vector(u)
+    offset = as_vector(w)
     transform = isometry_between(unit_axis(f.dimension, 0), direction)
-    candidates: Sequence[Vector]
-    if w is not None:
-        candidates = [as_vector(w)]
-    else:
-        candidates = _default_w_grid(f.dimension)
-    chosen = None
-    for cand in candidates:
-        z = transform.apply_inverse(tuple(a - b for a, b in zip(x, cand)))
-        if in_unit_cube(z):
-            chosen = (cand, z)
-            break
-    if chosen is None:
-        raise WSearchError(
-            "no offset in the search box pulls the point into the unit cube; widen the search"
-        )
-    offset, z = chosen
+    z = transform.apply_inverse(tuple(a - b for a, b in zip(x, offset)))
+    if not in_unit_cube(z):
+        raise ValueError(f"the offset {offset} pulls the point outside the unit cube")
     f_hat = clamp_extend(f)
     g = compose_affine(f, AffineIsometry(transform.matrix, offset))
     panel = tuple(t_panel) if t_panel is not None else tuple(pow2(-k) for k in range(1, 13))

@@ -12,7 +12,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Sequence
 
 from .rationals import (
@@ -23,7 +22,6 @@ from .rationals import (
     dot,
     in_unit_cube,
     int_ceil_log2,
-    is_dyadic,
     norm_sq,
     pow2,
     unit_axis,
@@ -115,29 +113,6 @@ def kn_decompose(
     m = tuple(bound for _ in range(f.dimension))
     g = sum_functions([f, linear_form(m)])
     return g, m
-
-
-def lipschitz_lower_bound(f: ComputableFunction, scale: int) -> Fraction:
-    """Certified lower bound on Lip(f) from axis-adjacent grid slopes.
-
-    Axis steps have exact Euclidean length 2**-scale, so each exact
-    difference quotient is a rigorous lower bound.
-    """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    n = f.dimension
-    step = pow2(-scale)
-    width = 1 << scale
-    best = Fraction(0)
-    for corner in product(range(width), repeat=n):
-        x = tuple(Fraction(c, width) for c in corner)
-        vx = f.eval(x)
-        for axis in range(n):
-            y = tuple(
-                Fraction(c + (1 if i == axis else 0), width) for i, c in enumerate(corner)
-            )
-            best = max(best, abs(f.eval(y) - vx) / step)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -246,39 +221,6 @@ def compose_affine(f: ComputableFunction, transform: AffineIsometry) -> Computab
 
 
 # ---------------------------------------------------------------------------
-# Measure-preserving coordinate shift
-
-
-@dataclass(frozen=True)
-class ShiftMod1:
-    """Adds offset mod 1 to one coordinate; bijective off dyadic points."""
-
-    coordinate: int
-    offset: Fraction
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.offset < 1:
-            raise ValueError("offset must lie in [0, 1)")
-
-    def apply(self, point: Sequence[Fraction]) -> tuple[Vector, bool]:
-        """Shifted point plus a flag marking dyadic wrap-arounds.
-
-        Dyadic outputs are flagged rather than rejected: the transform is
-        only a bijection on non-dyadic points.
-        """
-        point = tuple(point)
-        if not 0 <= self.coordinate < len(point):
-            raise IndexError("coordinate index out of range")
-        shifted = list(point)
-        shifted[self.coordinate] = (point[self.coordinate] + self.offset) % 1
-        result = tuple(shifted)
-        return result, is_dyadic(result[self.coordinate])
-
-    def inverse(self) -> "ShiftMod1":
-        return ShiftMod1(self.coordinate, (1 - self.offset) % 1)
-
-
-# ---------------------------------------------------------------------------
 # Concrete exact families used throughout the tests and the CLI
 
 
@@ -343,17 +285,12 @@ def min_x_flip_y() -> ComputableFunction:
 # Randomized modulus-contract audit
 
 
-def random_rational_point(rng: random.Random, dimension: int, denominator_scale: int = 10) -> Vector:
-    den = 1 << denominator_scale
+def random_rational_point(rng: random.Random, dimension: int) -> Vector:
+    den = 1 << 10
     return tuple(Fraction(rng.randrange(den + 1), den) for _ in range(dimension))
 
 
-def modulus_audit(
-    f: ComputableFunction,
-    pairs: int,
-    rng: random.Random,
-    levels: Sequence[int] = (1, 2, 4),
-) -> list[dict]:
+def modulus_audit(f: ComputableFunction, pairs: int, rng: random.Random) -> list[dict]:
     """Sample pairs at distance <= 2**-h(i) and check |f(x)-f(y)| <= 2**-i exactly.
 
     Returns the list of violations (empty on a clean audit).
@@ -363,7 +300,7 @@ def modulus_audit(
     attempts = 0
     while checked < pairs and attempts < 20 * pairs:
         attempts += 1
-        level = rng.choice(list(levels))
+        level = rng.choice([1, 2, 4])
         radius = pow2(-f.modulus(level))
         x = random_rational_point(rng, f.dimension)
         # Axis-aligned displacement keeps the Euclidean distance exact.

@@ -122,8 +122,8 @@ def all_on_ones_martingale() -> Martingale:
     )
 
 
-def table_martingale(values: Mapping[str, Fraction | str], depth: int) -> Martingale:
-    """Martingale from an explicit table on strings of length <= depth.
+def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
+    """Martingale from an explicit table of capitals on finitely many strings.
 
     Strings beyond the table keep their longest tabled prefix's capital (a
     valid extension).  A key that is not a 0/1 string raises ValueError.
@@ -145,7 +145,7 @@ def table_martingale(values: Mapping[str, Fraction | str], depth: int) -> Martin
             length, index = length - 1, index >> 1
         return parsed[length, index]
 
-    return Martingale(capital, label=f"table(depth={depth})")
+    return Martingale(capital, label="table")
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +169,9 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
     return _dyadic_slope(f, len(sigma), _index(sigma))
 
 
-def audit_monotone(f: ComputableFunction, scale: int = 6) -> None:
-    """Reject f unless it is nondecreasing on the dyadic grid at scale."""
-    width = 1 << scale
+def audit_monotone(f: ComputableFunction) -> None:
+    """Reject f unless it is nondecreasing on the dyadic grid k / 2**6."""
+    width = 1 << 6
     values = [f.eval((Fraction(k, width),)) for k in range(width + 1)]
     for k, (a, b) in enumerate(zip(values, values[1:])):
         if b < a:
@@ -201,9 +201,9 @@ def _slope_levels(f: ComputableFunction) -> Iterator[Level]:
         grid = [v for pair in zip(grid, midpoints) for v in pair] + [grid[-1]]
 
 
-def slope_martingale(f: ComputableFunction, audit_scale: int = 6) -> Martingale:
+def slope_martingale(f: ComputableFunction) -> Martingale:
     """Capital(sigma) = slope of the monotone f over [sigma]; nonnegative, fair."""
-    audit_monotone(f, audit_scale)
+    audit_monotone(f)
     return Martingale(
         lambda length, index: _dyadic_slope(f, length, index),
         label="slope",

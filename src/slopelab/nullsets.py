@@ -1,60 +1,34 @@
 """Effective null sets as data: cube streams, nested tests, lattice removals.
 
-A cube stream enumerates basic dyadic cubes with exact running measure; a
-nested test is a stage-indexed family of streams whose stages nest, audited
-at finite budget.  The compact-set construction removes centered squares on
-ever finer lattices; its stage measures are exact rationals.
+A cube stream is a finite list of basic dyadic cubes read a budget at a
+time; a nested test is a stage-indexed family of streams whose stages nest,
+audited at finite budget.  The compact-set construction removes centered
+squares on ever finer lattices; its stage measures are exact rationals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .cubes import DyadicCube, cube_union_contains, union_measure
-from .rationals import Vector, parse_rational
-
-StreamFactory = Callable[[], Iterator[DyadicCube]]
+from .cubes import DyadicCube, cube_union_contains, unit_cube
+from .rationals import POW2_MATERIALIZE_CAP, Vector, parse_rational
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class CubeStream:
-    """Deterministic enumeration of dyadic cubes, kept as it is read."""
+    """A finite enumeration of dyadic cubes, read a budget at a time."""
 
-    factory: StreamFactory
-    _emitted: list[DyadicCube] = field(default_factory=list, repr=False)
-    _iterator: Iterator[DyadicCube] | None = field(default=None, repr=False)
-    _exhausted: bool = field(default=False, repr=False)
+    cubes: tuple[DyadicCube, ...]
 
     def take(self, budget: int) -> list[DyadicCube]:
         """First budget cubes (fewer when the enumeration ends)."""
-        while len(self._emitted) < budget and not self._exhausted:
-            if self._iterator is None:
-                self._iterator = self.factory()
-            cube = next(self._iterator, None)
-            if cube is None:
-                self._exhausted = True
-            else:
-                self._emitted.append(cube)
-        return list(self._emitted[:budget])
+        return list(self.cubes[:budget])
 
     def exhausted_within(self, budget: int) -> bool:
-        """True iff the enumeration provably ends within budget cubes."""
-        if len(self.take(budget)) < budget:
-            return True
-        return len(self.take(budget + 1)) <= budget
-
-    def measure_after(self, steps: int) -> Fraction:
-        """Exact measure of the union of the first `steps` cubes."""
-        return union_measure(self.take(steps))
-
-
-def stream_from_cubes(cubes: Iterable[DyadicCube] | StreamFactory) -> CubeStream:
-    if callable(cubes):
-        return CubeStream(cubes)
-    fixed = list(cubes)
-    return CubeStream(lambda: iter(fixed))
+        """True iff the enumeration ends within budget cubes."""
+        return len(self.cubes) <= budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +68,7 @@ def audit_nesting(test: NestedTest, stages: int, budget: int) -> tuple[int, Dyad
 
 def constant_unit_test(dimension: int) -> NestedTest:
     def factory(_stage: int) -> CubeStream:
-        return stream_from_cubes([DyadicCube(dimension, 0, (0,) * dimension)])
+        return CubeStream((unit_cube(dimension),))
 
     return NestedTest(factory, {"kind": "constant-unit", "dimension": dimension})
 
@@ -110,8 +84,13 @@ def concentric_test(point: Sequence[Fraction | str], scale_step: int = 2) -> Nes
 
     def factory(stage: int) -> CubeStream:
         scale = scale_step * stage
+        if scale > POW2_MATERIALIZE_CAP:
+            raise ValueError(
+                f"stage {stage} of the concentric test has cube scale {scale}, past the cap "
+                f"{POW2_MATERIALIZE_CAP}"
+            )
         corner = tuple((c.numerator << scale) // c.denominator for c in center)
-        return stream_from_cubes([DyadicCube(len(center), scale, corner)])
+        return CubeStream((DyadicCube(len(center), scale, corner),))
 
     return NestedTest(
         factory,
@@ -120,17 +99,15 @@ def concentric_test(point: Sequence[Fraction | str], scale_step: int = 2) -> Nes
 
 
 def explicit_test(stages: Sequence[Sequence[DyadicCube]]) -> NestedTest:
-    fixed = [list(stage) for stage in stages]
+    fixed = [CubeStream(tuple(stage)) for stage in stages]
     if not fixed:
         raise ValueError("an explicit test needs at least one stage")
 
     def factory(stage: int) -> CubeStream:
-        cubes = fixed[stage] if stage < len(fixed) else fixed[-1]
-        return stream_from_cubes(cubes)
+        return fixed[stage] if stage < len(fixed) else fixed[-1]
 
-    return NestedTest(
-        factory, {"kind": "explicit", "stages": [[c.to_json() for c in stage] for stage in fixed]}
-    )
+    stages_json = [[c.to_json() for c in stream.cubes] for stream in fixed]
+    return NestedTest(factory, {"kind": "explicit", "stages": stages_json})
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +116,11 @@ def explicit_test(stages: Sequence[Sequence[DyadicCube]]) -> NestedTest:
 
 @dataclass(frozen=True)
 class DoreMalevaParams:
-    """Odd lattice moduli N_i and removal widths p_i with 1 <= p_i <= N_i.
-
-    The divergence of sum 1/N_i^2 and p_i/N_i -> 0 are analytic certificates
-    supplied by the constructor, not summed numerically.
-    """
+    """Odd lattice moduli N_i and removal widths p_i with 1 <= p_i <= N_i."""
 
     n_at: Callable[[int], int]
     p_at: Callable[[int], Fraction]
     p_raw_at: Callable[[int], Fraction]
-    reciprocal_squares_diverge: bool
-    ratio_vanishes: bool
 
     def validate_stage(self, i: int) -> None:
         n = self.n_at(i)
@@ -197,16 +168,11 @@ def default_dore_maleva_params() -> DoreMalevaParams:
         n_at=n_at,
         p_at=lambda i: min(raw, Fraction(n_at(i) - 1)),
         p_raw_at=lambda _i: raw,
-        reciprocal_squares_diverge=True,
-        ratio_vanishes=True,
     )
 
 
 def explicit_dore_maleva_params(
-    n_values: Sequence[int],
-    p_values: Sequence[Fraction | int | str],
-    reciprocal_squares_diverge: bool = False,
-    ratio_vanishes: bool = False,
+    n_values: Sequence[int], p_values: Sequence[Fraction | int | str]
 ) -> DoreMalevaParams:
     ns = list(n_values)
     ps = [parse_rational(p) for p in p_values]
@@ -219,13 +185,7 @@ def explicit_dore_maleva_params(
     def p_at(i: int) -> Fraction:
         return ps[i - 1]
 
-    return DoreMalevaParams(
-        n_at=n_at,
-        p_at=p_at,
-        p_raw_at=p_at,
-        reciprocal_squares_diverge=reciprocal_squares_diverge,
-        ratio_vanishes=ratio_vanishes,
-    )
+    return DoreMalevaParams(n_at=n_at, p_at=p_at, p_raw_at=p_at)
 
 
 Rect = tuple[Fraction, Fraction, Fraction, Fraction]  # x0, x1, y0, y1
@@ -292,14 +252,15 @@ def dore_maleva_measure(params: DoreMalevaParams, through_stage: int) -> Fractio
     return remaining
 
 
-def dore_maleva_rectangles(
-    params: DoreMalevaParams, through_stage: int, cap: int = 200_000
-) -> list[Rect]:
+RECTANGLE_CAP = 200_000
+
+
+def dore_maleva_rectangles(params: DoreMalevaParams, through_stage: int) -> list[Rect]:
     rects: list[Rect] = []
     for i in range(1, through_stage + 1):
         stage = dore_maleva_stage(params, i)
-        if len(rects) + stage.count() > cap:
-            raise ValueError(f"stage {i} would exceed the rectangle cap {cap}")
+        if len(rects) + stage.count() > RECTANGLE_CAP:
+            raise ValueError(f"stage {i} would exceed the rectangle cap {RECTANGLE_CAP}")
         rects.extend(stage.rectangles())
     return rects
 

@@ -19,7 +19,7 @@ from . import martingales as mg
 from . import nullsets as ns
 from .bits import BitSource, bits_of_fraction, constant_bits, interleave, pattern_bits
 from .cubes import DyadicCube
-from .rationals import _digits, format_rational, parse_rational
+from .rationals import POW2_MATERIALIZE_CAP, _digits, format_rational, parse_rational
 from .tentsystem import ExclusionReport
 
 
@@ -147,8 +147,10 @@ def source_from_descriptor(desc: Mapping) -> BitSource:
     if kind == "rational":
         return bits_of_fraction(parse_rational(require(desc, "value")))
     if kind == "pattern":
-        bits = require(desc, "bits")  # a list of 0/1 integers or a string of 0/1 digits
-        pattern = [int(b) for b in bits] if isinstance(bits, str) else integers(desc, "bits")
+        bits = require(desc, "bits")  # a list of 0/1 integers or a string of ASCII 0/1 digits
+        if isinstance(bits, str) and bits.strip("01"):
+            raise ConfigError(f"config key 'bits' must spell ASCII 0s and 1s, not {bits!r}")
+        pattern = [int(c) for c in bits] if isinstance(bits, str) else integers(desc, "bits")
         return pattern_bits(pattern, typed(desc, "repeat", bool, True))
     if kind == "constant":
         return constant_bits(typed(desc, "bit", int))
@@ -170,7 +172,7 @@ def martingale_from_descriptor(desc: Mapping) -> mg.Martingale:
     if kind == "slope":
         return mg.slope_martingale(function_from_descriptor(require(desc, "function")))
     if kind == "table":
-        return mg.table_martingale(typed(desc, "values", dict), typed(desc, "depth", int))
+        return mg.table_martingale(typed(desc, "values", dict))
     raise ValueError(f"unknown martingale descriptor kind {kind!r}")
 
 
@@ -201,20 +203,21 @@ def dore_maleva_params_from_descriptor(desc: Mapping) -> ns.DoreMalevaParams:
     if kind == "default":
         return ns.default_dore_maleva_params()
     if kind == "explicit":
-        return ns.explicit_dore_maleva_params(
-            integers(desc, "N"),
-            typed(desc, "p", list),
-            typed(desc, "reciprocal_squares_diverge", bool, False),
-            typed(desc, "ratio_vanishes", bool, False),
-        )
+        return ns.explicit_dore_maleva_params(integers(desc, "N"), typed(desc, "p", list))
     raise ValueError(f"unknown parameter descriptor kind {kind!r}")
 
 
 def cube_from_descriptor(desc: object) -> DyadicCube:
-    """A cube from its to_json form {"dim", "scale", "corner"}."""
+    """A cube from its to_json form {"dim", "scale", "corner"}.
+
+    A scale past POW2_MATERIALIZE_CAP is refused before any cube is built.
+    """
     if not isinstance(desc, Mapping):
         raise ConfigError(f"a cube must be a JSON object, not {desc!r}")
-    return DyadicCube(typed(desc, "dim", int), typed(desc, "scale", int), tuple(integers(desc, "corner")))
+    scale = typed(desc, "scale", int)
+    if scale > POW2_MATERIALIZE_CAP:
+        raise ConfigError(f"cube scale {scale} is past the cap {POW2_MATERIALIZE_CAP}")
+    return DyadicCube(typed(desc, "dim", int), scale, tuple(integers(desc, "corner")))
 
 
 def parse_point(values: Sequence) -> tuple[Fraction, ...]:

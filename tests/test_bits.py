@@ -5,15 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopelab.bits import (
-    CauchyName,
     DyadicCoordinateError,
     bits_of_fraction,
     constant_bits,
     fraction_from_bits,
     interleave,
     pattern_bits,
-    project_component,
-    validate_cauchy,
 )
 from slopelab.rationals import pow2
 
@@ -80,22 +77,6 @@ def test_project_inverts_interleave(n, depth):
     sources = [bits_of_fraction(Fraction(1, p)) for p in (3, 5, 7, 11)[:n]]
     merged = interleave(sources)
     for j, src in enumerate(sources):
-        assert project_component(merged, n, j).prefix(depth) == src.prefix(depth)
+        for k in range(depth):
+            assert merged.bit(n * k + j) == src.bit(k)
 
-
-def test_cauchy_geometric_name_passes_at_every_depth():
-    name = CauchyName(1, lambda k: (Fraction(1, 2) - pow2(-k - 1),))
-    for depth in (1, 4, 9):
-        assert validate_cauchy(name, depth) is None
-
-
-def test_cauchy_constant_name_passes():
-    name = CauchyName(2, lambda _k: (Fraction(1, 3), Fraction(2, 7)))
-    assert validate_cauchy(name, 6) is None
-
-
-def test_cauchy_violation_witnessed():
-    name = CauchyName(1, lambda k: (Fraction(0 if k == 0 else 2),))
-    assert validate_cauchy(name, 3) == (0, 1)
-    with pytest.raises(ValueError):
-        validate_cauchy(name, 0)

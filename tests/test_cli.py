@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from slopelab.cli import main
+from slopelab.rationals import POW2_MATERIALIZE_CAP
 from slopelab.serialize import (
     canonical_json,
     function_from_descriptor,
@@ -203,7 +204,6 @@ def test_bet_command_aborts_on_corrupt_table(tmp_path, capsys):
         {
             "martingale": {
                 "kind": "table",
-                "depth": 1,
                 "values": {"": "1/1", "0": "1/3", "1": "1/1"},
             },
             "source": {"kind": "pattern", "bits": "0"},
@@ -242,7 +242,6 @@ def test_bet_command_rejects_table_keys_that_are_not_binary_strings(tmp_path, ca
         {
             "martingale": {
                 "kind": "table",
-                "depth": 1,
                 "values": {"": "1/1", "0": "1/1", "1": "1/1", key: "7/1"},
             },
             "source": {"kind": "pattern", "bits": "1"},
@@ -276,7 +275,7 @@ def test_bet_command_reads_a_threshold_past_the_str_digit_limit(tmp_path, capsys
 def bet_config(thresholds=(), values=None):
     table = {"": "1/1", "0": "1/1", "1": "1/1", **(values or {})}
     return {
-        "martingale": {"kind": "table", "depth": 1, "values": table},
+        "martingale": {"kind": "table", "values": table},
         "source": {"kind": "constant", "bit": 0},
         "depth": 4,
         "thresholds": list(thresholds),
@@ -506,10 +505,14 @@ def edit_stage_block(data):
         (lambda d: {**d, "test": None}, "bundle has no test descriptor to rebuild from"),
         (lambda d: {k: v for k, v in d.items() if k != "test"}, "bundle has no test descriptor to rebuild from"),
         (lambda d: {**d, "cutoff": -1}, "cutoff must be >= 0"),
-        (lambda d: {**d, "budget": 4.0}, "bundle differs from the system its test descriptor builds"),
+        (lambda d: {**d, "budget": 4.0}, "config key 'budget' must be an integer, not 4.0"),
+        (lambda d: {**d, "budget": True}, "config key 'budget' must be an integer, not True"),
         (lambda d: {**d, "test": {**d["test"], "point": ["1/0", "1/3"]}}, "rational literal '1/0' has a zero denominator"),
     ],
-    ids=["cell-scale", "format", "no-stages", "test-point", "null-test", "no-test", "cutoff", "float-budget", "zero-denominator"],
+    ids=[
+        "cell-scale", "format", "no-stages", "test-point", "null-test", "no-test", "cutoff", "float-budget",
+        "bool-budget", "zero-denominator",
+    ],
 )
 def test_tampered_bundle_rejected(tmp_path, capsys, edit, reason):
     code, out, err = check_bundle(tmp_path, capsys, edit(toy_bundle(tmp_path, capsys)))
@@ -564,16 +567,18 @@ def test_tent_system_reports_unattainable_precision(tmp_path, capsys):
         ("probe", {"function": {"kind": "sum", "of": 3}, "points": [["1/3"]]}),
         ("probe", {"function": {"kind": "constant", "value": "1/2", "dimension": 1.9}, "points": [["1/3"]]}),
         ("probe", {"function": {"kind": "square"}, "points": [], "defect": 5}),
-        ("bet", {**bet_config(), "martingale": {"kind": "table", "depth": 1, "values": [1]}}),
+        ("bet", {**bet_config(), "martingale": {"kind": "table", "values": [1]}}),
         ("bet", {**bet_config(), "source": {"kind": "pattern", "bits": [1, 0], "repeat": "false"}}),
         ("tent-system", {"test": {"kind": "explicit", "stages": 5}}),
         ("dore-maleva", {"stages": 2, "geometry_stages": "x"}),
+        # Arabic-Indic one and zero, which int() reads as 1 and 0
+        ("bet", {"martingale": {"kind": "constant"}, "source": {"kind": "pattern", "bits": "\u0661\u0660"}}),
     ],
     ids=[
         "top-level-int", "function-string", "depth-list", "points-int", "slope-function-string", "params-list",
         "test-string", "linear-coeffs-int", "pwlinear-points-ints", "sum-of-int", "float-dimension",
         "defect-int-without-points", "table-values-list", "repeat-string", "explicit-stages-int",
-        "geometry-stages-string",
+        "geometry-stages-string", "pattern-non-ascii-digits",
     ],
 )
 def test_malformed_config_shapes_exit_2_with_one_line(tmp_path, capsys, command, payload):
@@ -582,6 +587,22 @@ def test_malformed_config_shapes_exit_2_with_one_line(tmp_path, capsys, command,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "test, depth",
+    [
+        ({"kind": "concentric", "point": ["1/3", "1/3"], "scale_step": 1000000}, 1),
+        ({"kind": "explicit", "stages": [[{"dim": 2, "scale": 20000, "corner": [0, 0]}]]}, 0),
+    ],
+    ids=["concentric-scale-step", "explicit-cube-scale"],
+)
+def test_cube_scales_past_the_cap_exit_2_with_one_line(tmp_path, capsys, test, depth):
+    config = write_config(tmp_path, "tent.json", {"test": test, "depth": depth, "budget": 1})
+    assert main(["tent-system", "--config", config]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and f"past the cap {POW2_MATERIALIZE_CAP}\n" in err
 
 
 def test_tent_system_reports_are_byte_identical(tmp_path):
@@ -706,3 +727,28 @@ def test_tent_toy_bundle_matches_golden_digest(tmp_path, capsys):
     assert main([*args, "--bundle", str(bundle)]) == 0
     capsys.readouterr()
     assert sha256(bundle.read_bytes()) == TENT_TOY_BUNDLE_SHA256
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["probe", "--config", "probe-kink.json", "--format", "csv"],
+        ["bet", "--config", "bet-square.json", "--seed", "1"],
+        ["dore-maleva", "--config", "dore-maleva-default.json", "--seed", "1"],
+        ["probe", "--config", "probe-kink.json", "--depth", "3"],
+        ["bet", "--config", "bet-square.json", "--depth", "3"],
+        ["tent-system", "--config", "tent-toy.json", "--depth", "3"],
+        ["dore-maleva", "--config", "dore-maleva-default.json", "--depth", "3"],
+    ],
+    ids=[
+        "probe-format", "bet-seed", "dore-maleva-seed",
+        "probe-depth", "bet-depth", "tent-system-depth", "dore-maleva-depth",
+    ],
+)
+def test_options_a_command_does_not_read_exit_2(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(CONFIGS / a) if a.endswith(".json") else a for a in args])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"unrecognized arguments: {args[-2]} {args[-1]}\n")

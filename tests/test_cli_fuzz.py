@@ -57,7 +57,7 @@ def run(tmp_path_factory, args, payload):
 @settings(max_examples=40, deadline=None)
 def test_fuzzed_bet_literals_end_in_an_exit_code(tmp_path_factory, thresholds, values):
     payload = {
-        "martingale": {"kind": "table", "depth": 1, "values": values},
+        "martingale": {"kind": "table", "values": values},
         "source": {"kind": "constant", "bit": 1},
         "depth": 4,
         "thresholds": thresholds,
@@ -169,7 +169,7 @@ DESCRIPTOR_BASES = [
         "depth": 2,
     }),
     ("bet", {
-        "martingale": {"kind": "table", "depth": 1, "values": {"": "1/1", "0": "1/2", "1": "3/2"}},
+        "martingale": {"kind": "table", "values": {"": "1/1", "0": "1/2", "1": "3/2"}},
         "source": {"kind": "interleave", "of": [
             {"kind": "pattern", "bits": [1, 0], "repeat": False},
             {"kind": "constant", "bit": 1},
@@ -192,10 +192,7 @@ DESCRIPTOR_BASES = [
     }),
     ("tent-system", {"test": {"kind": "constant-unit", "dimension": 2}, "depth": 1, "budget": 1, "modulus_pairs": 2}),
     ("dore-maleva", {
-        "params": {
-            "kind": "explicit", "N": [3, 5], "p": ["1/1", "2/1"],
-            "reciprocal_squares_diverge": True, "ratio_vanishes": False,
-        },
+        "params": {"kind": "explicit", "N": [3, 5], "p": ["1/1", "2/1"]},
         "stages": 2,
         "geometry_stages": 1,
     }),

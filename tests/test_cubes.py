@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,22 @@ def test_cube_validation():
         DyadicCube(0, 0, ())
     with pytest.raises(ValueError):
         DyadicCube(1, -1, (0,))
+    with pytest.raises(ValueError):
+        DyadicCube(1, 3, (-1,))
+    with pytest.raises(ValueError):
+        DyadicCube(1, 3, (8,))
+    assert DyadicCube(1, 3, (7,)).corner == (7,)
+
+
+def test_a_fine_cube_is_checked_without_building_its_grid_width():
+    # 2**(10**8) alone would take about 12 MB
+    tracemalloc.start()
+    try:
+        DyadicCube(1, 10**8, (0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_geometry_accessors():

@@ -10,17 +10,14 @@ from slopelab.functions import (
     clamp_extend,
     clamp_point,
     compose_affine,
-    constant_function,
     gram_schmidt_basis,
     isometry_between,
     kn_decompose,
     linear_form,
-    lipschitz_lower_bound,
     min_x_flip_y,
     modulus_audit,
     piecewise_linear,
     product_xy,
-    ShiftMod1,
     square_1d,
     sum_functions,
 )
@@ -102,12 +99,6 @@ def test_kn_decompose_monotone_on_grids_up_to_scale_5():
                     assert g.eval(tuple(y)) >= g.eval(x)
 
 
-def test_lipschitz_lower_bounds():
-    assert lipschitz_lower_bound(linear_form([2, 3]), 2) >= 2
-    assert lipschitz_lower_bound(constant_function(5, 2), 3) == 0
-    assert lipschitz_lower_bound(abs_distance_1d(F(1, 2)), 3) == 1
-
-
 def test_gram_schmidt_standard_and_pythagorean():
     std = gram_schmidt_basis([1, 0, 0])
     assert std == (unit_axis(3, 0), unit_axis(3, 1), unit_axis(3, 2))
@@ -181,26 +172,6 @@ def test_compose_affine_identity_transform():
 def test_compose_affine_dimension_mismatch():
     with pytest.raises(ValueError):
         compose_affine(square_1d(), affine_isometry([[1, 0], [0, 1]]))
-
-
-def test_shift_mod1():
-    shift = ShiftMod1(0, F(1, 3))
-    out, flagged = shift.apply((F(1, 3),))
-    assert out == (F(2, 3),) and not flagged
-    wrapped, flagged = shift.apply((F(2, 3),))
-    assert wrapped == (F(0),) and flagged
-    ident = ShiftMod1(1, F(0))
-    point = (F(1, 3), F(1, 7))
-    assert ident.apply(point) == (point, False)
-    inv = shift.inverse()
-    rng = random.Random(5)
-    for _ in range(40):
-        x = (F(rng.randrange(1, 3 * 7 ** 3, 2), 3 * 7 ** 3),)
-        y, _ = shift.apply(x)
-        back, _ = inv.apply(y)
-        assert back == x
-    with pytest.raises(IndexError):
-        shift.apply(())
 
 
 def test_piecewise_linear_eval_and_validation():

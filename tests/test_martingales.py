@@ -92,7 +92,7 @@ def test_slope_martingale_rejects_decreasing():
 
 def test_corrupted_table_fails_with_witness():
     table = {"": "1/1", "0": "1/2", "1": "3/2", "00": "1/2", "01": "1/2", "10": "9/7", "11": "3/2"}
-    m = table_martingale(table, 2)
+    m = table_martingale(table)
     assert check_fairness(m, 3) == (1,)
 
 
@@ -235,7 +235,7 @@ def test_table_martingales_match_node_by_node_oracles(seed):
     rng = random.Random(seed)
     depth = rng.randint(1, 4)
     table = random_table(rng, depth)
-    m = table_martingale(table, depth)
+    m = table_martingale(table)
     assert_matches_oracles(m, range(depth + 3), rng, depth + 3)
     for length in range(depth + 3):
         for sigma in product((0, 1), repeat=length):
@@ -282,7 +282,7 @@ def test_fine_scale_dip_raises_like_the_oracles():
 def test_fairness_witness_precedes_a_later_negative_capital():
     # "0" is unfair; "11" is negative but comes later in length-major order
     table = {"": "1", "0": "1", "1": "1", "00": "1", "01": "2", "10": "2", "11": "-1"}
-    m = table_martingale(table, 2)
+    m = table_martingale(table)
     assert check_fairness(m, 2) == fairness_oracle(m, 2) == (0,)
     with pytest.raises(ValueError, match=r"negative capital -1 at \(1, 1\)"):
         m.at((1, 1))

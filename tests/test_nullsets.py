@@ -4,6 +4,7 @@ import pytest
 
 from slopelab.cubes import DyadicCube, union_measure, unit_cube
 from slopelab.nullsets import (
+    CubeStream,
     audit_nesting,
     concentric_test,
     constant_unit_test,
@@ -16,7 +17,6 @@ from slopelab.nullsets import (
     explicit_test,
     rect_union_area,
     stage_below_half,
-    stream_from_cubes,
 )
 
 F = Fraction
@@ -35,30 +35,33 @@ def grid_oracle_removed(rects, cells_per_axis):
 
 
 def test_stream_measure_is_union_measure_of_prefix():
-    cubes = [
+    cubes = (
         unit_cube(2),
         DyadicCube(2, 1, (0, 0)),
         DyadicCube(2, 2, (3, 3)),
-    ]
-    stream = stream_from_cubes(cubes)
-    for steps in range(len(cubes) + 1):
-        assert stream.measure_after(steps) == union_measure(cubes[:steps])
+    )
+    stream = CubeStream(cubes)
+    for steps in range(len(cubes) + 2):
+        assert stream.take(steps) == list(cubes[:steps])
+        assert union_measure(stream.take(steps)) == union_measure(cubes[:steps])
 
 
 def test_stream_measure_monotone_for_shrinking_cubes():
     test = concentric_test([F(1, 3), F(1, 3)])
-    values = [test.stream_at(m).measure_after(1) for m in range(4)]
+    values = [union_measure(test.stream_at(m).take(1)) for m in range(4)]
     assert values == [F(1), F(1, 16), F(1, 256), F(1, 4096)]
 
 
 def test_empty_stream_measures_zero():
-    assert stream_from_cubes([]).measure_after(3) == 0
+    assert CubeStream(()).take(3) == []
+    assert union_measure(CubeStream(()).take(3)) == 0
 
 
 def test_stream_exhaustion_detection():
-    stream = stream_from_cubes([unit_cube(1)])
-    assert stream.exhausted_within(1)
-    assert not stream_from_cubes(lambda: iter([unit_cube(1)] * 10)).exhausted_within(3)
+    stream = CubeStream((unit_cube(1),))
+    assert stream.exhausted_within(1) and not stream.exhausted_within(0)
+    assert not CubeStream((unit_cube(1),) * 10).exhausted_within(3)
+    assert CubeStream(()).exhausted_within(0)
 
 
 def test_audit_nesting_passes_for_constant_and_concentric():
@@ -91,7 +94,6 @@ def test_default_params_staircase_and_clamp():
     assert params.p_at(1) == 2  # clamp min(4, N_1 - 1)
     assert params.p_at(4) == 4
     assert params.ball_side_denominator(3) == F(1, 27)
-    assert params.reciprocal_squares_diverge and params.ratio_vanishes
 
 
 def test_stage_geometry_and_removed_fraction():
