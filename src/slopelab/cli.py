@@ -108,16 +108,10 @@ def cmd_bet(args: argparse.Namespace) -> int:
     thresholds = [parse_rational(t) for t in typed(config, "thresholds", list, [])]
     run = mg.run_bet(martingale, source, depth, thresholds)
     if args.format == "csv":
-        _write_out(run.to_csv(), args.out)
+        _write_out(sz.bet_csv(run), args.out)
     else:
-        summary = {
-            "command": "bet",
-            "config": config,
-            "trajectory": run.trajectory,
-            "max_capital": run.max_capital,
-            "min_tail_capital": run.min_tail_capital,
-            "threshold_crossings": run.threshold_crossings,
-        }
+        # the run's fields, unrendered: canonical_json renders each value once
+        summary = {"command": "bet", "config": config, **vars(run)}
         if args.decimals is not None:
             summary["max_capital_decimal"] = decimal_string(run.max_capital, args.decimals)
         _write_out(sz.canonical_json(summary), args.out)
@@ -128,27 +122,12 @@ def cmd_bet(args: argparse.Namespace) -> int:
 # tent-system
 
 
-def _verify_bundle(bundle: dict) -> None:
-    """Rebuild the system a bundle names; raise unless it is byte for byte the same."""
-    if bundle.get("format") != "tent-system/1":
-        raise ValueError("unrecognized bundle format")
-    if bundle.get("test") is None:
-        raise ValueError("bundle has no test descriptor to rebuild from")
-    stages = bundle.get("stages")
-    if not isinstance(stages, list) or not stages:
-        raise ValueError("bundle has no stages")
-    test = sz.nested_test_from_descriptor(bundle["test"])
-    rebuilt = ts.build_tent_system(
-        test, len(stages) - 1, typed(bundle, "cutoff", int), typed(bundle, "budget", int)
-    )
-    if sz.canonical_json(rebuilt.to_bundle()) != sz.canonical_json(bundle):
-        raise ValueError("bundle differs from the system its test descriptor builds")
-
-
 def cmd_tent_system(args: argparse.Namespace) -> int:
     if args.check_bundle:
+        if args.seed is not None or args.bundle is not None:
+            raise ConfigError("--check-bundle verifies a bundle and takes no --seed or --bundle")
         try:
-            _verify_bundle(_load_config(args.check_bundle))
+            sz.check_bundle(_load_config(args.check_bundle))
         except (
             ValueError, KeyError, TypeError, AttributeError, OverflowError, ts.BuildBudgetError
         ) as exc:
@@ -160,8 +139,6 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
             args.out,
         )
         return 0
-    if args.config is None:
-        raise ConfigError("either --config or --check-bundle is required")
     config = _load_config(args.config)
     test = sz.nested_test_from_descriptor(require(config, "test"))
     depth = typed(config, "depth", int, 4)
@@ -192,7 +169,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
             if not entry.within_bound:
                 failures.append(f"exclusion bound fails at stage {m}, axis {axis}")
     report["exclusion"] = exclusion
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed or 0)
     audits = {}
     for m in range(1, depth + 1):
         violations = system.modulus_audit(m, pairs, rng)
@@ -224,7 +201,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
         report["evaluations"] = sz.to_plain(evaluations)
     report["failures"] = failures
     if args.bundle:
-        Path(args.bundle).write_text(sz.canonical_json(system.to_bundle()), encoding="utf-8")
+        Path(args.bundle).write_text(sz.canonical_json(sz.bundle(system)), encoding="utf-8")
     _write_out(sz.canonical_json(report), args.out)
     return 1 if failures else 0
 
@@ -286,6 +263,13 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _digit_count(text: str) -> int:
+    """A --decimals value: argparse refuses anything but an integer >= 0."""
+    if not text.isdecimal():  # digits only, so a sign is refused too
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slopelab",
@@ -300,28 +284,25 @@ def build_parser() -> argparse.ArgumentParser:
         ("dore-maleva", cmd_dore_maleva, "lattice removal measures and geometry"),
     ):
         p = sub.add_parser(name, help=blurb)
-        p.add_argument(
-            "--config",
-            required=name != "tent-system",  # tent-system may verify a bundle instead
-            help="JSON config path",
-        )
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.set_defaults(handler=handler)
         commands[name] = p
+    for name in ("probe", "bet", "dore-maleva"):
+        commands[name].add_argument("--config", required=True, help="JSON config path")
     commands["bet"].add_argument("--format", choices=("json", "csv"), default="json")
     for name in ("bet", "dore-maleva"):
         commands[name].add_argument(
             "--decimals",
-            type=int,
+            type=_digit_count,
             default=None,
             help="also render key rationals as decimals with this many digits",
         )
     tent = commands["tent-system"]
-    tent.add_argument("--seed", type=int, default=0, help="seed for the sampled modulus audit")
-    tent.add_argument("--bundle", default=None, help="also persist the system bundle")
-    tent.add_argument(
-        "--check-bundle", default=None, help="verify a persisted bundle instead of building"
-    )
+    inputs = tent.add_mutually_exclusive_group(required=True)  # build, or verify a bundle
+    inputs.add_argument("--config", help="JSON config path")
+    inputs.add_argument("--check-bundle", help="verify a persisted bundle instead of building")
+    tent.add_argument("--seed", type=int, help="seed for the sampled modulus audit (default 0)")
+    tent.add_argument("--bundle", help="also persist the system bundle")
     return parser
 
 

@@ -271,12 +271,6 @@ class BetRun:
     min_tail_capital: Fraction
     threshold_crossings: Mapping[Fraction, int | None]
 
-    def to_csv(self) -> str:
-        lines = ["length,capital"]
-        for k, capital in enumerate(self.trajectory):
-            lines.append(f"{k},{capital.numerator}/{capital.denominator}")
-        return "\n".join(lines) + "\n"
-
 
 def run_bet(
     m: Martingale,

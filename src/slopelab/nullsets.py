@@ -297,11 +297,15 @@ def dore_maleva_measure_by_sweep(params: DoreMalevaParams, through_stage: int) -
     return 1 - removed
 
 
-def stage_below_half(params: DoreMalevaParams, limit: int = 64) -> int:
-    """First stage whose cumulative remaining measure drops below 1/2."""
+HALF_MEASURE_STAGE_LIMIT = 64
+
+
+def stage_below_half(params: DoreMalevaParams) -> int:
+    """First stage whose remaining measure drops below 1/2, validating each as the measure does."""
     remaining = Fraction(1)
-    for i in range(1, limit + 1):
+    for i in range(1, HALF_MEASURE_STAGE_LIMIT + 1):
+        params.validate_stage(i)
         remaining *= 1 - (params.p_at(i) / params.n_at(i)) ** 2
         if remaining < Fraction(1, 2):
             return i
-    raise ValueError(f"measure stays >= 1/2 through stage {limit}")
+    raise ValueError(f"measure stays >= 1/2 through stage {HALF_MEASURE_STAGE_LIMIT}")

@@ -1,10 +1,11 @@
-"""Descriptors and canonical JSON for reproducible experiments.
+"""Descriptors, canonical JSON and every artifact format slopelab writes.
 
-Every numeric value crosses the wire as an exact "p/q" string; reports are
-dumped with sorted keys and no environment-dependent fields, so identical
-configs produce byte-identical reports.  Config fields and descriptor
-sub-fields are read through `typed`, so a value of the wrong JSON type is a
-ConfigError rather than a silent coercion.
+Every numeric value crosses the wire as an exact "p/q" string; reports,
+tent-system bundles and bet CSV are rendered here, with sorted keys and no
+environment-dependent fields, so identical configs produce byte-identical
+output.  Config fields and descriptor sub-fields are read through `typed`,
+so a value of the wrong JSON type is a ConfigError rather than a silent
+coercion.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import nullsets as ns
 from .bits import BitSource, bits_of_fraction, constant_bits, interleave, pattern_bits
 from .cubes import DyadicCube
 from .rationals import POW2_MATERIALIZE_CAP, _digits, format_rational, parse_rational
-from .tentsystem import ExclusionReport
+from .tentsystem import ExclusionReport, TentSystem, build_tent_system, tent_for
 
 
 def to_plain(value: Any) -> Any:
@@ -119,8 +120,6 @@ def function_from_descriptor(desc: Mapping) -> fn.ComputableFunction:
         # a knot that is not a pair fails to unpack with a ValueError
         return fn.piecewise_linear([parse_point(p) for p in typed(desc, "points", list)])
     if kind == "tent":
-        from .tentsystem import tent_for
-
         cell = cube_from_descriptor(require(desc, "cell"))
         return tent_for(cell, typed(desc, "stage", int), typed(desc, "index", int)).as_function()
     if kind == "sum":
@@ -224,3 +223,44 @@ def parse_point(values: Sequence) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"a point is a list of rational literals, not {values!r}")
     return tuple(parse_rational(v) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# Artifacts: tent-system bundles and bet CSV
+
+
+BUNDLE_FORMAT = "tent-system/1"
+
+
+def bundle(system: TentSystem) -> dict:
+    """The persisted system: its parameters, its test descriptor and its partition."""
+    return {
+        "format": BUNDLE_FORMAT,
+        "cutoff": system.cutoff,
+        "budget": system.budget,
+        "test": system.test_descriptor,
+        **to_plain(system.partition),
+    }
+
+
+def check_bundle(data: Mapping) -> None:
+    """Rebuild the system a bundle names; raise unless it is byte for byte the same."""
+    if data.get("format") != BUNDLE_FORMAT:
+        raise ValueError("unrecognized bundle format")
+    if data.get("test") is None:
+        raise ValueError("bundle has no test descriptor to rebuild from")
+    stages = data.get("stages")
+    if not isinstance(stages, list) or not stages:
+        raise ValueError("bundle has no stages")
+    test = nested_test_from_descriptor(data["test"])
+    rebuilt = build_tent_system(
+        test, len(stages) - 1, typed(data, "cutoff", int), typed(data, "budget", int)
+    )
+    if canonical_json(bundle(rebuilt)) != canonical_json(data):
+        raise ValueError("bundle differs from the system its test descriptor builds")
+
+
+def bet_csv(run: mg.BetRun) -> str:
+    """One "length,capital" row per prefix of the bet path."""
+    rows = [f"{k},{format_rational(capital)}" for k, capital in enumerate(run.trajectory)]
+    return "\n".join(["length,capital", *rows]) + "\n"

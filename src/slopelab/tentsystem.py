@@ -683,34 +683,6 @@ class TentSystem:
             analytic_bound=pow2(-3 * stage),
         )
 
-    # -- persistence -----------------------------------------------------------
-
-    def to_bundle(self) -> dict:
-        return {
-            "format": "tent-system/1",
-            "dimension": self.dimension,
-            "cutoff": self.cutoff,
-            "budget": self.budget,
-            "test": self.test_descriptor,
-            "stages": [
-                {
-                    "exhausted": s.exhausted,
-                    "raw": [c.to_json() for c in s.raw],
-                    "sources": [c.to_json() for c in s.sources],
-                    "blocks": [
-                        {
-                            "start_index": b.start_index,
-                            "source": b.source.to_json(),
-                            "cell_scale": b.cell_scale,
-                            "delta_scale": b.delta_scale,
-                        }
-                        for b in s.blocks
-                    ],
-                }
-                for s in self.partition.stages
-            ],
-        }
-
 
 def build_tent_system(
     test: NestedTest, depth: int, cutoff: int = 0, budget: int = 8

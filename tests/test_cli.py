@@ -729,6 +729,85 @@ def test_tent_toy_bundle_matches_golden_digest(tmp_path, capsys):
     assert sha256(bundle.read_bytes()) == TENT_TOY_BUNDLE_SHA256
 
 
+CUBE_0 = {"dim": 2, "scale": 0, "corner": [0, 0]}
+CUBE_1 = [{"dim": 2, "scale": 1, "corner": [0, 0]}, {"dim": 2, "scale": 2, "corner": [3, 3]}]
+CUBE_2 = [{"dim": 2, "scale": 2, "corner": [0, 1]}, {"dim": 2, "scale": 3, "corner": [6, 7]}]
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (
+            {"test": {"kind": "constant-unit", "dimension": 2}, "depth": 3, "budget": 2},
+            "8ae57ba648a6bfc477438cde97772f07bd93d37f868a7460609d9a426ae5c5c6",
+        ),
+        (
+            {"test": {"kind": "explicit", "stages": [[CUBE_0], CUBE_1, CUBE_2]}, "depth": 2, "budget": 4},
+            "7b9164af5c60596ecee10e97039645cff06fe71321438a172a13c438a7e6ab4d",
+        ),
+    ],
+    ids=["constant-unit", "explicit"],
+)
+def test_nested_test_bundles_match_golden_digests(tmp_path, capsys, config, digest):
+    bundle = tmp_path / "bundle.json"
+    path = write_config(tmp_path, "tent.json", config)
+    assert main(["tent-system", "--config", path, "--bundle", str(bundle)]) == 0
+    capsys.readouterr()
+    assert sha256(bundle.read_bytes()) == digest
+    assert main(["tent-system", "--check-bundle", str(bundle)]) == 0
+
+
+REFUSED_WITH_CHECK_BUNDLE = "config error: --check-bundle verifies a bundle and takes no --seed or --bundle"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--config", str(CONFIGS / "tent-toy.json")], "argument --config: not allowed with argument --check-bundle"),
+        (["--seed", "5"], REFUSED_WITH_CHECK_BUNDLE),
+        (["--bundle", "written.json"], REFUSED_WITH_CHECK_BUNDLE),
+    ],
+    ids=["config", "seed", "bundle"],
+)
+def test_check_bundle_refuses_the_build_options(tmp_path, monkeypatch, capsys, extra, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["tent-system", "--config", str(CONFIGS / "tent-toy.json"), "--bundle", "b.json"]) == 0
+    capsys.readouterr()
+    try:
+        code = main(["tent-system", "--check-bundle", "b.json", *extra])
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.endswith(message + "\n")
+    assert not Path("written.json").exists()
+
+
+def test_tent_system_needs_a_config_or_a_bundle(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tent-system"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("one of the arguments --config --check-bundle is required\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bet", "--config", "bet-square.json", "--decimals", "-1"],
+        ["dore-maleva", "--config", "dore-maleva-default.json", "--decimals", "-1"],
+        ["bet", "--config", "absent.json", "--decimals", "-1"],
+    ],
+    ids=["bet", "dore-maleva", "before-the-config-is-read"],
+)
+def test_negative_decimals_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(CONFIGS / a) if a.endswith(".json") else a for a in args])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith("argument --decimals: must be an integer >= 0, not '-1'")
+
+
 @pytest.mark.parametrize(
     "args",
     [

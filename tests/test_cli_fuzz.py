@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from slopelab.cli import main
 from slopelab.nullsets import concentric_test
-from slopelab.serialize import canonical_json, nested_test_from_descriptor
+from slopelab.serialize import bundle as render_bundle, canonical_json, nested_test_from_descriptor
 from slopelab.tentsystem import build_tent_system
 
 LITERALS = st.one_of(
@@ -225,7 +225,7 @@ def test_fuzzed_descriptor_subfields_end_in_an_exit_code(tmp_path_factory, field
 
 
 BASE = json.loads(
-    canonical_json(build_tent_system(concentric_test(["1/3", "1/3"], 2), 3, 0, 4).to_bundle())
+    canonical_json(render_bundle(build_tent_system(concentric_test(["1/3", "1/3"], 2), 3, 0, 4)))
 )
 
 
@@ -248,7 +248,7 @@ def rebuild_matches(bundle):
         system = build_tent_system(test, len(stages) - 1, cutoff, budget)
     except Exception:  # any refusal means the bundle does not rebuild
         return False
-    return canonical_json(system.to_bundle()) == canonical_json(bundle)
+    return canonical_json(render_bundle(system)) == canonical_json(bundle)
 
 
 @given(st.sampled_from(FIELDS), REPLACEMENTS)

@@ -39,6 +39,7 @@ from slopelab.martingales import (
     slope_martingale,
     table_martingale,
 )
+from slopelab.serialize import bet_csv, to_plain
 
 F = Fraction
 
@@ -128,7 +129,17 @@ def test_run_bet_trajectories():
 
 def test_bet_run_csv_format():
     run = run_bet(constant_martingale(F(1, 3)), constant_bits(0), 2)
-    assert run.to_csv() == "length,capital\n0,1/3\n1,1/3\n2,1/3\n"
+    assert bet_csv(run) == "length,capital\n0,1/3\n1,1/3\n2,1/3\n"
+
+
+def test_bet_run_csv_renders_denominators_past_the_str_digit_limit():
+    # str() refuses integers past 4300 digits; 3**10000 has 4772
+    run = run_bet(constant_martingale(F(1, 3**10000)), pattern_bits([0, 1]), 3)
+    header, *rows = bet_csv(run).splitlines()
+    assert header == "length,capital"
+    trajectory = to_plain(run)["trajectory"]
+    assert [row.split(",") for row in rows] == [[str(k), entry] for k, entry in enumerate(trajectory)]
+    assert len(trajectory[0].split("/")[1]) == 4772
 
 
 def test_run_bet_uses_exactly_the_prefix():

@@ -170,6 +170,23 @@ def test_measures_strictly_decreasing_until_below_half():
         previous = current
 
 
+@pytest.mark.parametrize(
+    "n_values, p_values, message",
+    [
+        ([3], ["5"], "p_1 = 5 violates 1 <= p <= N_1 = 3"),
+        ([4], ["3"], "N_1 = 4 must be an odd integer > 1"),
+        ([5, 3], ["1", "3"], "N must be nondecreasing"),
+    ],
+    ids=["p-past-N", "even-N", "decreasing-N"],
+)
+def test_stage_below_half_validates_each_stage_as_the_measure_does(n_values, p_values, message):
+    params = explicit_dore_maleva_params(n_values, p_values)
+    with pytest.raises(ValueError, match=message):
+        dore_maleva_measure(params, len(n_values))
+    with pytest.raises(ValueError, match=message):
+        stage_below_half(params)
+
+
 def test_rect_union_area_handles_overlap():
     rects = [
         (F(0), F(1, 2), F(0), F(1, 2)),
