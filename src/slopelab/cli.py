@@ -72,14 +72,13 @@ def cmd_probe(args: argparse.Namespace) -> int:
         entry: dict = {"point": point}
         schedule = dv.dyadic_schedule(depth + 2)
         entry["partials"] = [
-            sz.to_plain(dv.partial_probe(f, point, axis, schedule, osc_thr))
-            for axis in range(f.dimension)
+            dv.partial_probe(f, point, axis, schedule, osc_thr) for axis in range(f.dimension)
         ]
-        entry["class_a"] = sz.to_plain(dv.diff_class_a(f, point, depth, sep_thr))
-        entry["class_b"] = sz.to_plain(dv.diff_class_b(f, point, depth))
+        entry["class_a"] = dv.diff_class_a(f, point, depth, sep_thr)
+        entry["class_b"] = dv.diff_class_b(f, point, depth)
         if directions:
-            entry["defect"] = sz.to_plain(
-                dv.linearity_defect(f, point, u, v, max_step, depth=depth, threshold=defect_thr)
+            entry["defect"] = dv.linearity_defect(
+                f, point, u, v, max_step, depth=depth, threshold=defect_thr
             )
         results.append(entry)
     report = {
@@ -165,7 +164,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     for m in range(depth + 1):
         for axis in range(1, system.dimension):
             entry = system.exclusion_visible(m, axis)
-            exclusion.append(sz.to_plain(entry))
+            exclusion.append(entry)
             if not entry.within_bound:
                 failures.append(f"exclusion bound fails at stage {m}, axis {axis}")
     report["exclusion"] = exclusion
@@ -173,7 +172,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     audits = {}
     for m in range(1, depth + 1):
         violations = system.modulus_audit(m, pairs, rng)
-        audits[str(m)] = {"violations": sz.to_plain(violations)}
+        audits[str(m)] = {"violations": violations}
         if violations:
             failures.append(f"modulus audit fails at stage {m}")
     report["modulus"] = audits
@@ -183,10 +182,10 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
             try:
                 check = system.oscillation_check(point, m)
             except ValueError as exc:
-                oscillation.append({"point": sz.to_plain(point), "stage": m, "error": str(exc)})
+                oscillation.append({"point": point, "stage": m, "error": str(exc)})
                 failures.append(f"oscillation check unusable at stage {m}: {exc}")
                 continue
-            oscillation.append(sz.to_plain(check))
+            oscillation.append(check)
             if not check.passed or not check.tail_ok:
                 failures.append(f"oscillation bound fails at stage {m}")
     report["oscillation"] = oscillation
@@ -198,7 +197,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
                 value = system.evaluate(point, m)
                 per_point.append({"precision": m, "value": value.value, "error": value.error})
             evaluations.append({"point": point, "values": per_point})
-        report["evaluations"] = sz.to_plain(evaluations)
+        report["evaluations"] = evaluations
     report["failures"] = failures
     if args.bundle:
         Path(args.bundle).write_text(sz.canonical_json(sz.bundle(system)), encoding="utf-8")
@@ -212,10 +211,10 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
 
 def cmd_dore_maleva(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    params = sz.dore_maleva_params_from_descriptor(config.get("params", {"kind": "default"}))
     stages = typed(config, "stages", int, 3)
     if stages < 0:
         raise ConfigError("stages must be >= 0")
+    params = sz.dore_maleva_params_from_descriptor(config.get("params", {"kind": "default"}), stages)
     table = []
     remaining = Fraction(1)
     failures: list[str] = []

@@ -4,6 +4,9 @@ A function is a pair (evaluator, modulus): the evaluator returns the exact
 rational value f(x) at a rational point x, and the modulus h certifies
 ||x - y|| <= 2**-h(i)  =>  |f(x) - f(y)| <= 2**-i.  Every function here is
 built from rational data, so every comparison made with its values is exact.
+A one-variable function also has its values on the dyadic grid k / 2**L as
+integer numerators over one denominator; the closed forms below compute
+them without building a Fraction per point.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .rationals import (
@@ -19,6 +23,7 @@ from .rationals import (
     as_vector,
     ceil_log2,
     ceil_sqrt,
+    common_denominator,
     dot,
     in_unit_cube,
     int_ceil_log2,
@@ -32,6 +37,7 @@ from .rationals import (
 
 Evaluator = Callable[[Vector], Fraction]
 Modulus = Callable[[int], int]
+Grid = tuple[list[int], int]  # numerators at k / 2**L for k = 0..2**L, and their denominator
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,12 +45,51 @@ class ComputableFunction:
     dimension: int
     evaluator: Evaluator
     modulus: Modulus
+    grid: Callable[[int], Grid] | None = None  # a closed form of dyadic_grid
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         point = tuple(point)
         if len(point) != self.dimension:
             raise ValueError(f"expected {self.dimension} coordinates, got {len(point)}")
         return self.evaluator(point)
+
+    def dyadic_grid(self, level: int) -> Grid:
+        """f(k / 2**level) for k = 0..2**level as integers over one positive denominator.
+
+        Without a closed form, f is evaluated once per grid point.
+        """
+        if self.dimension != 1:  # the grid points have one coordinate
+            raise ValueError(f"expected {self.dimension} coordinates, got 1")
+        if self.grid is not None:
+            return self.grid(level)
+        width = 1 << level
+        return common_denominator(self.eval((Fraction(k, width),)) for k in range(width + 1))
+
+
+def _affine_pieces_grid(
+    knots: Sequence[Fraction], intercepts: Sequence[Fraction], slopes: Sequence[Fraction]
+) -> Callable[[int], Grid]:
+    """Grid of x |-> intercepts[j] + slopes[j] * x on [knots[j], knots[j + 1]].
+
+    The knots run from 0 to 1.  Over the lcm q of every coefficient's
+    denominator, piece j is the integer affine map k |-> a_j * 2**L + s_j * k
+    on the grid k / 2**L, over q * 2**L.
+    """
+    scale = lcm(*(c.denominator for c in (*intercepts, *slopes)))
+    pieces = [
+        (a.numerator * (scale // a.denominator), s.numerator * (scale // s.denominator), end)
+        for a, s, end in zip(intercepts, slopes, knots[1:])
+    ]
+
+    def grid(level: int) -> Grid:
+        numerators: list[int] = []
+        for a, s, end in pieces:
+            stop = (end.numerator << level) // end.denominator + 1  # the k with k / 2**L <= end
+            a <<= level
+            numerators += [a + s * k for k in range(len(numerators), stop)]
+        return numerators, scale << level
+
+    return grid
 
 
 def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
@@ -53,12 +98,14 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
     if not m:
         raise ValueError("linear form needs dimension >= 1")
     shift = int_ceil_log2(1 + ceil_sqrt(norm_sq(m)))
-    return ComputableFunction(len(m), lambda point: dot(m, point), lambda i: i + shift)
+    grid = _affine_pieces_grid((Fraction(0), Fraction(1)), (Fraction(0),), m) if len(m) == 1 else None
+    return ComputableFunction(len(m), lambda point: dot(m, point), lambda i: i + shift, grid)
 
 
 def constant_function(value: Fraction | int | str, dimension: int = 1) -> ComputableFunction:
     v = Fraction(value)
-    return ComputableFunction(dimension, lambda _point: v, lambda _i: 0)
+    grid = _affine_pieces_grid((Fraction(0), Fraction(1)), (v,), (Fraction(0),))
+    return ComputableFunction(dimension, lambda _point: v, lambda _i: 0, grid)
 
 
 def clamp_point(point: Sequence[Fraction]) -> Vector:
@@ -82,20 +129,36 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
     if len(dims) > 1:
         raise ValueError("summands must share a dimension")
     count_shift = int_ceil_log2(len(parts))
+
+    def grid(level: int) -> Grid:
+        grids = [p.dyadic_grid(level) for p in parts]
+        denominator = lcm(*(d for _, d in grids))
+        columns = ([n * (denominator // d) for n in numerators] for numerators, d in grids)
+        return [sum(values) for values in zip(*columns)], denominator
+
     return ComputableFunction(
         dimension=dims.pop(),
         evaluator=lambda point: sum((p.eval(point) for p in parts), Fraction(0)),
         modulus=lambda i: max(p.modulus(i + count_shift) for p in parts),
+        grid=grid,
     )
 
 
 def scale_function(factor: Fraction | int | str, f: ComputableFunction) -> ComputableFunction:
     c = Fraction(factor)
     shift = 0 if c == 0 else max(0, ceil_log2(abs(c)))
+
+    def grid(level: int) -> Grid:
+        if c == 0:  # f is not evaluated, as in the evaluator
+            return [0] * ((1 << level) + 1), 1
+        numerators, denominator = f.dyadic_grid(level)
+        return [c.numerator * n for n in numerators], c.denominator * denominator
+
     return ComputableFunction(
         dimension=f.dimension,
         evaluator=lambda point: Fraction(0) if c == 0 else c * f.eval(point),
         modulus=lambda i: f.modulus(i + shift),
+        grid=grid,
     )
 
 
@@ -249,15 +312,22 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
         x0, y0 = knots[segment]
         return y0 + (x - x0) * slopes[segment]
 
-    return ComputableFunction(1, fn, lambda i: i + shift)
+    intercepts = [y0 - x0 * s for (x0, y0), s in zip(knots, slopes)]
+    return ComputableFunction(1, fn, lambda i: i + shift, _affine_pieces_grid(xs, intercepts, slopes))
 
 
 def square_1d() -> ComputableFunction:
-    return ComputableFunction(1, lambda p: p[0] * p[0], lambda i: i + 1)
+    return ComputableFunction(
+        1, lambda p: p[0] * p[0], lambda i: i + 1,
+        lambda level: ([k * k for k in range((1 << level) + 1)], 1 << 2 * level),
+    )
 
 
 def cube_1d() -> ComputableFunction:
-    return ComputableFunction(1, lambda p: p[0] ** 3, lambda i: i + 2)
+    return ComputableFunction(
+        1, lambda p: p[0] ** 3, lambda i: i + 2,
+        lambda level: ([k**3 for k in range((1 << level) + 1)], 1 << 3 * level),
+    )
 
 
 def identity_1d() -> ComputableFunction:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import count, product
+from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .bits import Bits, BitSource
 from .functions import ComputableFunction
-from .rationals import parse_rational
+from .rationals import common_denominator, parse_rational
 
 
 class MonotonicityError(ValueError):
@@ -31,9 +30,6 @@ class MonotonicityError(ValueError):
 
 class NegativeCapitalError(ValueError):
     """A capital below zero: the strategy is not a martingale."""
-
-
-Level = Callable[[int], Fraction]  # index -> capital, for one string length
 
 
 def _index(sigma: Bits) -> int:
@@ -56,15 +52,22 @@ class Martingale:
     A string sigma is held as (length, index) with index = sigma read in
     binary, so sigma0 and sigma1 are (length + 1, 2 * index) and
     (length + 1, 2 * index + 1).  ``capital(length, index)`` is one value.
-    ``levels``, when given, returns a fresh iterator over the levels of
-    length 0, 1, 2, ..., each agreeing with ``capital`` at that length, so a
-    walk over whole levels can share work between them; without it, level L
-    is ``capital(L, .)``.
+    ``level_walk``, when given, does what ``levels`` does in a way that
+    shares work between the levels.
     """
 
     capital: Callable[[int, int], Fraction]
     label: str = "martingale"
-    levels: Callable[[], Iterator[Level]] | None = None
+    level_walk: Callable[[int], Iterator[tuple[list[int], int]]] | None = None
+
+    def levels(self, depth: int) -> Iterator[tuple[list[int], int]]:
+        """The capitals of lengths 0..depth, each level as integer numerators over one denominator."""
+        if self.level_walk is not None:
+            return self.level_walk(depth)
+        return (
+            common_denominator(self.capital(length, index) for index in range(1 << length))
+            for length in range(depth + 1)
+        )
 
     def at(self, sigma: Sequence[int]) -> Fraction:
         sigma = tuple(int(b) for b in sigma)
@@ -75,35 +78,41 @@ class Martingale:
 
     def _nonnegative(self, length: int, index: int, value: Fraction) -> Fraction:
         if value.numerator < 0:  # a Fraction's sign; cheaper than comparing Fractions
-            raise NegativeCapitalError(
-                f"{self.label}: negative capital {value} at {_sigma(length, index)}"
-            )
+            raise self._negative(length, index, value)
         return value
+
+    def _negative(self, length: int, index: int, value: Fraction) -> NegativeCapitalError:
+        return NegativeCapitalError(f"{self.label}: negative capital {value} at {_sigma(length, index)}")
 
 
 def check_fairness(m: Martingale, depth: int) -> Bits | None:
     """Exact fairness check on all strings of length < depth; witness or None.
 
-    Level L is compared with level L + 1, and only those two are live.
-    Strings are visited length-major in lexicographic order, each one's
-    children checked for a negative capital before its own fairness law, so
-    the witness and any negative-capital error are the first in that order.
+    Level L is compared with level L + 1, and only those two are live.  With
+    capitals B = b / d on one level and b' / d' on the next, the law is
+    2 * b * d' = (b'(sigma0) + b'(sigma1)) * d, all in integers.  Strings are
+    visited length-major in lexicographic order, each one's children checked
+    for a negative capital before its own fairness law, so the witness and
+    any negative-capital error are the first in that order.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth == 0:
         return None
-    levels = m.levels() if m.levels is not None else (partial(m.capital, n) for n in count())
-    parent = next(levels)
-    m._nonnegative(0, 0, parent(0))
+    levels = m.levels(depth)
+    parent, parent_den = next(levels)
+    if parent[0] < 0:
+        raise m._negative(0, 0, Fraction(parent[0], parent_den))
     for length in range(depth):
-        child = next(levels)
-        for index in range(1 << length):
-            left = m._nonnegative(length + 1, 2 * index, child(2 * index))
-            right = m._nonnegative(length + 1, 2 * index + 1, child(2 * index + 1))
-            if 2 * parent(index) != left + right:
+        child, child_den = next(levels)
+        twice = 2 * child_den
+        for index, (b, left, right) in enumerate(zip(parent, child[::2], child[1::2])):
+            if left < 0 or right < 0:
+                at = 2 * index if left < 0 else 2 * index + 1
+                raise m._negative(length + 1, at, Fraction(child[at], child_den))
+            if b * twice != (left + right) * parent_den:
                 return _sigma(length, index)
-        parent = child
+        parent, parent_den = child, child_den
     return None
 
 
@@ -172,7 +181,7 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
 def audit_monotone(f: ComputableFunction) -> None:
     """Reject f unless it is nondecreasing on the dyadic grid k / 2**6."""
     width = 1 << 6
-    values = [f.eval((Fraction(k, width),)) for k in range(width + 1)]
+    values, _ = f.dyadic_grid(6)
     for k, (a, b) in enumerate(zip(values, values[1:])):
         if b < a:
             raise MonotonicityError(
@@ -180,25 +189,18 @@ def audit_monotone(f: ComputableFunction) -> None:
             )
 
 
-def _grid_slope(grid: list[Fraction], width: int, index: int) -> Fraction:
-    return (grid[index + 1] - grid[index]) * width
+def _slope_levels(f: ComputableFunction, depth: int) -> Iterator[tuple[list[int], int]]:
+    """Slopes of f over the dyadic intervals of lengths 0..depth, one level at a time.
 
-
-def _slope_levels(f: ComputableFunction) -> Iterator[Level]:
-    """Slopes of f over the dyadic intervals, one level at a time.
-
-    Level L reads f on the grid k / 2**L: the slope over interval k is the
-    first difference at k times 2**L.  The next grid keeps this one's values
-    at its even points, so f is evaluated once per grid point, 2**L + 1
-    times up to level L, and only the grid is held, never the slopes.
+    f is read once, on the grid k / 2**depth, as numerators g over D.  Level
+    L takes every 2**(depth - L)-th value: the slope over interval k is the
+    first difference at k times 2**L, so its numerator over D is that
+    difference of g shifted left by L.
     """
-    grid = [f.eval((Fraction(0),)), f.eval((Fraction(1),))]
-    width = 1
-    while True:
-        yield partial(_grid_slope, grid, width)
-        width *= 2
-        midpoints = [f.eval((Fraction(k, width),)) for k in range(1, width, 2)]
-        grid = [v for pair in zip(grid, midpoints) for v in pair] + [grid[-1]]
+    grid, denominator = f.dyadic_grid(depth)
+    for length in range(depth + 1):
+        points = grid[:: 1 << (depth - length)]
+        yield [(b - a) << length for a, b in zip(points, points[1:])], denominator
 
 
 def slope_martingale(f: ComputableFunction) -> Martingale:
@@ -207,7 +209,7 @@ def slope_martingale(f: ComputableFunction) -> Martingale:
     return Martingale(
         lambda length, index: _dyadic_slope(f, length, index),
         label="slope",
-        levels=lambda: _slope_levels(f),
+        level_walk=lambda depth: _slope_levels(f, depth),
     )
 
 

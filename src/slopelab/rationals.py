@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 # Largest |exponent| for which 2**e is materialized as a Fraction.  Beyond
@@ -84,6 +84,13 @@ def decimal_string(value: Fraction, digits: int) -> str:
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator."""
+    values = list(values)
+    denominator = lcm(*{v.denominator for v in values})
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
 def is_dyadic(value: Fraction) -> bool:

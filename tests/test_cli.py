@@ -373,6 +373,18 @@ def test_dore_maleva_zero_stages(tmp_path):
     assert json.loads(out.read_text())["table"] == []
 
 
+@pytest.mark.parametrize("stages", [2, 3])
+def test_dore_maleva_explicit_params_shorter_than_stages_exit_2(tmp_path, capsys, stages):
+    params = {"kind": "explicit", "N": [3], "p": ["1"]}
+    config = write_config(tmp_path, "dm.json", {"params": params, "stages": stages, "geometry": False})
+    out = tmp_path / "dm.out.json"
+    assert main(["dore-maleva", "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: explicit params stop at stage 1, but stages = {stages}\n"
+    exact = write_config(tmp_path, "exact.json", {"params": params, "stages": 1, "geometry": False})
+    assert main(["dore-maleva", "--config", exact, "--out", str(out)]) == 0
+
+
 def test_tent_descriptor_loads():
     desc = {
         "kind": "tent",

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopelab.functions import (
     abs_diff_2d,
@@ -10,7 +12,10 @@ from slopelab.functions import (
     clamp_extend,
     clamp_point,
     compose_affine,
+    constant_function,
+    cube_1d,
     gram_schmidt_basis,
+    identity_1d,
     isometry_between,
     kn_decompose,
     linear_form,
@@ -18,6 +23,7 @@ from slopelab.functions import (
     modulus_audit,
     piecewise_linear,
     product_xy,
+    scale_function,
     square_1d,
     sum_functions,
 )
@@ -200,3 +206,65 @@ def test_modulus_audit_clean_for_constructed_families():
         piecewise_linear([(0, 0), (F(1, 2), F(3, 2)), (1, 0)]),
     ):
         assert modulus_audit(f, 200, rng) == []
+
+
+# ---------------------------------------------------------------------------
+# The dyadic grid against pointwise evaluation
+
+
+def pointwise_grid(f, level):
+    width = 1 << level
+    return [f.eval((F(k, width),)) for k in range(width + 1)]
+
+
+def grid_values(f, level):
+    numerators, denominator = f.dyadic_grid(level)
+    assert denominator > 0
+    return [F(n, denominator) for n in numerators]
+
+
+rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+
+
+@st.composite
+def pwlinear_functions(draw):
+    # knots off the grid and closer than its spacing are drawn too
+    inner = draw(st.lists(st.fractions(0, 1, max_denominator=3000), max_size=5, unique=True))
+    xs = [F(0)] + sorted(set(inner) - {0, 1}) + [F(1)]
+    return piecewise_linear([(x, draw(rationals)) for x in xs])
+
+
+closed_forms = st.recursive(
+    st.one_of(
+        st.sampled_from([square_1d(), cube_1d(), identity_1d()]),
+        rationals.map(lambda c: linear_form([c])),
+        rationals.map(constant_function),
+        pwlinear_functions(),
+    ),
+    lambda parts: st.one_of(
+        st.lists(parts, min_size=1, max_size=3).map(sum_functions),
+        st.tuples(rationals, parts).map(lambda pair: scale_function(*pair)),
+    ),
+    max_leaves=5,
+)
+
+
+@given(closed_forms, st.integers(0, 9))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_grids_equal_pointwise_evaluation(f, level):
+    assert f.grid is not None
+    assert grid_values(f, level) == pointwise_grid(f, level)
+
+
+def test_grids_without_a_closed_form_evaluate_pointwise():
+    mixed = sum_functions([abs_distance_1d(F(1, 3)), scale_function(F(2, 7), square_1d())])
+    for f in (abs_distance_1d(F(1, 3)), clamp_extend(cube_1d()), mixed, scale_function(0, abs_distance_1d(F(1, 5)))):
+        for level in (0, 1, 5):
+            assert grid_values(f, level) == pointwise_grid(f, level)
+
+
+def test_dyadic_grid_is_read_from_one_variable_functions():
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        product_xy().dyadic_grid(3)
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        constant_function(1, 2).dyadic_grid(3)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -22,6 +23,7 @@ from slopelab.functions import (
     linear_form,
     piecewise_linear,
     product_xy,
+    scale_function,
     square_1d,
     sum_functions,
 )
@@ -313,6 +315,52 @@ def test_slope_audit_evaluates_f_once_per_grid_point():
     assert check_fairness(m, 10) is None
     assert len(calls) == 2**10 + 1
     assert len(set(calls)) == len(calls)
+
+
+def counted(f, calls):
+    """f with an evaluator that records every point it is called at."""
+
+    def evaluator(point):
+        calls.append(point)
+        return f.evaluator(point)
+
+    return dataclasses.replace(f, evaluator=evaluator)
+
+
+def test_closed_form_slope_audit_never_calls_the_evaluator():
+    calls = []
+    square, cube = counted(square_1d(), calls), counted(cube_1d(), calls)
+    for f in (square, scale_function(3, sum_functions([square, cube, identity_1d()]))):
+        m = slope_martingale(f)
+        assert check_fairness(m, 10) is None
+        assert calls == []
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=20, deadline=None)
+def test_slope_martingales_of_sums_and_scales_match_node_by_node_oracles(seed):
+    rng = random.Random(seed)
+    tilt = scale_function(F(rng.randrange(0, 9), rng.randint(1, 5)), cube_1d())
+    f = sum_functions([random_monotone_pwlinear(rng), tilt])
+    # slope -2 + c on [1/128, 1/64]: negative there unless c >= 2
+    dip = piecewise_linear([(0, 0), (F(1, 128), F(1, 32)), (F(1, 64), F(1, 64)), (1, 1)])
+    dipped = sum_functions([dip, scale_function(F(rng.randrange(0, 18), 8), identity_1d())])
+    for g in (f, scale_function(F(rng.randint(1, 9), rng.randint(1, 7)), f)):
+        assert_matches_oracles(slope_martingale(g), (0, 1, 7), rng, 24)
+    assert_matches_oracles(slope_martingale(dipped), (8,), rng, 24)
+
+
+def test_the_audit_checks_the_law_of_a_level_walk():
+    def walk(depth):
+        for length in range(depth + 1):
+            numerators = [3 << length] * (1 << length)  # capital 1 over 3 * 2**length
+            if length == 3:
+                numerators[5] += 1
+            yield numerators, 3 << length
+
+    m = Martingale(lambda _length, _index: F(1), level_walk=walk)
+    assert check_fairness(m, 2) is None
+    assert check_fairness(m, 3) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
