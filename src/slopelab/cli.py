@@ -211,10 +211,10 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
 
 def cmd_dore_maleva(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    params = sz.dore_maleva_params_from_descriptor(config.get("params", {"kind": "default"}))
     stages = typed(config, "stages", int, 3)
     if stages < 0:
         raise ConfigError("stages must be >= 0")
-    params = sz.dore_maleva_params_from_descriptor(config.get("params", {"kind": "default"}), stages)
     table = []
     remaining = Fraction(1)
     failures: list[str] = []

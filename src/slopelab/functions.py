@@ -104,8 +104,7 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
 
 def constant_function(value: Fraction | int | str, dimension: int = 1) -> ComputableFunction:
     v = Fraction(value)
-    grid = _affine_pieces_grid((Fraction(0), Fraction(1)), (v,), (Fraction(0),))
-    return ComputableFunction(dimension, lambda _point: v, lambda _i: 0, grid)
+    return ComputableFunction(dimension, lambda _point: v, lambda _i: 0)
 
 
 def clamp_point(point: Sequence[Fraction]) -> Vector:
@@ -129,36 +128,20 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
     if len(dims) > 1:
         raise ValueError("summands must share a dimension")
     count_shift = int_ceil_log2(len(parts))
-
-    def grid(level: int) -> Grid:
-        grids = [p.dyadic_grid(level) for p in parts]
-        denominator = lcm(*(d for _, d in grids))
-        columns = ([n * (denominator // d) for n in numerators] for numerators, d in grids)
-        return [sum(values) for values in zip(*columns)], denominator
-
     return ComputableFunction(
         dimension=dims.pop(),
         evaluator=lambda point: sum((p.eval(point) for p in parts), Fraction(0)),
         modulus=lambda i: max(p.modulus(i + count_shift) for p in parts),
-        grid=grid,
     )
 
 
 def scale_function(factor: Fraction | int | str, f: ComputableFunction) -> ComputableFunction:
     c = Fraction(factor)
     shift = 0 if c == 0 else max(0, ceil_log2(abs(c)))
-
-    def grid(level: int) -> Grid:
-        if c == 0:  # f is not evaluated, as in the evaluator
-            return [0] * ((1 << level) + 1), 1
-        numerators, denominator = f.dyadic_grid(level)
-        return [c.numerator * n for n in numerators], c.denominator * denominator
-
     return ComputableFunction(
         dimension=f.dimension,
         evaluator=lambda point: Fraction(0) if c == 0 else c * f.eval(point),
         modulus=lambda i: f.modulus(i + shift),
-        grid=grid,
     )
 
 

@@ -189,17 +189,37 @@ def audit_monotone(f: ComputableFunction) -> None:
             )
 
 
+def _grids(f: ComputableFunction, depth: int) -> Iterator[tuple[list[int], int]]:
+    """f on the grids k / 2**L for L = 0..depth, each as numerators over one denominator.
+
+    A closed form is read once, on the grid of the full depth, and level L
+    takes every 2**(depth - L)-th value.  Otherwise each grid keeps the last
+    one's values at its even points, so f is evaluated once per grid point,
+    2**L + 1 times up to level L, and a walk that stops at a shallow level
+    never reads the deeper ones.
+    """
+    if f.grid is not None:
+        grid, denominator = f.dyadic_grid(depth)
+        for length in range(depth + 1):
+            yield grid[:: 1 << (depth - length)], denominator
+        return
+    values = [f.eval((Fraction(0),)), f.eval((Fraction(1),))]
+    for length in range(depth + 1):
+        if length:
+            width = 1 << length
+            midpoints = [f.eval((Fraction(k, width),)) for k in range(1, width, 2)]
+            values = [v for pair in zip(values, midpoints) for v in pair] + [values[-1]]
+        yield common_denominator(values)
+
+
 def _slope_levels(f: ComputableFunction, depth: int) -> Iterator[tuple[list[int], int]]:
     """Slopes of f over the dyadic intervals of lengths 0..depth, one level at a time.
 
-    f is read once, on the grid k / 2**depth, as numerators g over D.  Level
-    L takes every 2**(depth - L)-th value: the slope over interval k is the
-    first difference at k times 2**L, so its numerator over D is that
-    difference of g shifted left by L.
+    With f on the grid k / 2**L as numerators g over D, the slope over
+    interval k is the first difference at k times 2**L, so its numerator
+    over D is that difference of g shifted left by L.
     """
-    grid, denominator = f.dyadic_grid(depth)
-    for length in range(depth + 1):
-        points = grid[:: 1 << (depth - length)]
+    for length, (points, denominator) in enumerate(_grids(f, depth)):
         yield [(b - a) << length for a, b in zip(points, points[1:])], denominator
 
 

@@ -179,11 +179,18 @@ def explicit_dore_maleva_params(
     if len(ns) != len(ps):
         raise ValueError("N and p must have equal length")
 
+    def at(values: list, i: int):
+        if i < 1:
+            raise ValueError("stages are 1-based")
+        if i > len(values):
+            raise ValueError(f"explicit params stop at stage {len(values)}")
+        return values[i - 1]
+
     def n_at(i: int) -> int:
-        return ns[i - 1]
+        return at(ns, i)
 
     def p_at(i: int) -> Fraction:
-        return ps[i - 1]
+        return at(ps, i)
 
     return DoreMalevaParams(n_at=n_at, p_at=p_at, p_raw_at=p_at)
 

@@ -197,19 +197,12 @@ def nested_test_from_descriptor(desc: Mapping) -> ns.NestedTest:
 # Lattice parameter descriptors
 
 
-def dore_maleva_params_from_descriptor(desc: Mapping, stages: int) -> ns.DoreMalevaParams:
-    """Lattice parameters for stages 1..stages; explicit lists must reach that far."""
+def dore_maleva_params_from_descriptor(desc: Mapping) -> ns.DoreMalevaParams:
     kind = _kind(desc, "default")
     if kind == "default":
         return ns.default_dore_maleva_params()
     if kind == "explicit":
-        n_values = integers(desc, "N")
-        params = ns.explicit_dore_maleva_params(n_values, typed(desc, "p", list))
-        if len(n_values) < stages:
-            raise ConfigError(
-                f"explicit params stop at stage {len(n_values)}, but stages = {stages}"
-            )
-        return params
+        return ns.explicit_dore_maleva_params(integers(desc, "N"), typed(desc, "p", list))
     raise ValueError(f"unknown parameter descriptor kind {kind!r}")
 
 

@@ -234,13 +234,13 @@ def pwlinear_functions(draw):
     return piecewise_linear([(x, draw(rationals)) for x in xs])
 
 
-closed_forms = st.recursive(
-    st.one_of(
-        st.sampled_from([square_1d(), cube_1d(), identity_1d()]),
-        rationals.map(lambda c: linear_form([c])),
-        rationals.map(constant_function),
-        pwlinear_functions(),
-    ),
+closed_forms = st.one_of(
+    st.sampled_from([square_1d(), cube_1d(), identity_1d()]),
+    rationals.map(lambda c: linear_form([c])),
+    pwlinear_functions(),
+)
+sums_and_scales = st.recursive(
+    closed_forms,
     lambda parts: st.one_of(
         st.lists(parts, min_size=1, max_size=3).map(sum_functions),
         st.tuples(rationals, parts).map(lambda pair: scale_function(*pair)),
@@ -256,9 +256,22 @@ def test_closed_form_grids_equal_pointwise_evaluation(f, level):
     assert grid_values(f, level) == pointwise_grid(f, level)
 
 
+@given(sums_and_scales, st.integers(0, 9))
+@settings(max_examples=40, deadline=None)
+def test_grids_of_sums_and_scales_over_closed_forms_equal_pointwise_evaluation(f, level):
+    assert grid_values(f, level) == pointwise_grid(f, level)
+
+
 def test_grids_without_a_closed_form_evaluate_pointwise():
     mixed = sum_functions([abs_distance_1d(F(1, 3)), scale_function(F(2, 7), square_1d())])
-    for f in (abs_distance_1d(F(1, 3)), clamp_extend(cube_1d()), mixed, scale_function(0, abs_distance_1d(F(1, 5)))):
+    for f in (
+        abs_distance_1d(F(1, 3)),
+        clamp_extend(cube_1d()),
+        mixed,
+        scale_function(0, abs_distance_1d(F(1, 5))),
+        constant_function(F(-5, 3)),
+    ):
+        assert f.grid is None
         for level in (0, 1, 5):
             assert grid_values(f, level) == pointwise_grid(f, level)
 

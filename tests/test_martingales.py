@@ -17,6 +17,7 @@ from slopelab.bits import (
 from slopelab.functions import (
     ComputableFunction,
     abs_distance_1d,
+    clamp_extend,
     cube_1d,
     identity_1d,
     kn_decompose,
@@ -329,11 +330,22 @@ def counted(f, calls):
 
 def test_closed_form_slope_audit_never_calls_the_evaluator():
     calls = []
-    square, cube = counted(square_1d(), calls), counted(cube_1d(), calls)
-    for f in (square, scale_function(3, sum_functions([square, cube, identity_1d()]))):
-        m = slope_martingale(f)
+    pwlinear = piecewise_linear([(0, 0), (F(1, 3), F(1, 5)), (1, 1)])
+    for f in (square_1d(), cube_1d(), identity_1d(), pwlinear):
+        m = slope_martingale(counted(f, calls))
         assert check_fairness(m, 10) is None
         assert calls == []
+
+
+def test_slope_audit_without_a_closed_form_stops_at_the_level_it_rejects():
+    # slope -2 on [1/128, 1/64]; nondecreasing on the grid k / 64
+    dip = piecewise_linear([(0, 0), (F(1, 128), F(1, 32)), (F(1, 64), F(1, 64)), (1, 1)])
+    calls = []
+    m = slope_martingale(counted(clamp_extend(dip), calls))
+    calls.clear()
+    with pytest.raises(NegativeCapitalError, match=r"negative capital -2 at \(0, 0, 0, 0, 0, 0, 1\)"):
+        check_fairness(m, 16)
+    assert len(calls) == 2**7 + 1
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -124,6 +124,16 @@ def test_invalid_params_rejected():
         dore_maleva_stage(explicit_dore_maleva_params([5, 3], [1, 1]), 2)  # decreasing N
 
 
+def test_explicit_params_name_the_stage_they_stop_at():
+    params = explicit_dore_maleva_params([3, 3], [1, 1])
+    with pytest.raises(ValueError, match="^explicit params stop at stage 2$"):
+        stage_below_half(params)  # (8/9)**2 >= 1/2, so stage 3 is read
+    with pytest.raises(ValueError, match="^explicit params stop at stage 2$"):
+        dore_maleva_measure(params, 3)
+    with pytest.raises(ValueError, match="^stages are 1-based$"):
+        params.p_at(0)
+
+
 def test_measures_match_product_formula_and_sweep():
     params = default_dore_maleva_params()
     assert dore_maleva_measure(params, 1) == F(5, 9)
