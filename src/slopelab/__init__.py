@@ -58,7 +58,6 @@ from .martingales import (
     table_martingale,
 )
 from .nullsets import (
-    CubeStream,
     DoreMalevaParams,
     NestedTest,
     audit_nesting,
@@ -84,7 +83,6 @@ from .rationals import (
 from .tentsystem import (
     BuildBudgetError,
     InsufficientDepthError,
-    Partition,
     PartitionError,
     TentSystem,
     build_partition,

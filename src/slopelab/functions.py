@@ -11,7 +11,6 @@ them without building a Fraction per point.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,38 +334,35 @@ def min_x_flip_y() -> ComputableFunction:
 
 
 # ---------------------------------------------------------------------------
-# Randomized modulus-contract audit
+# The sampled modulus law
 
 
-def random_rational_point(rng: random.Random, dimension: int) -> Vector:
-    den = 1 << 10
-    return tuple(Fraction(rng.randrange(den + 1), den) for _ in range(dimension))
+def modulus_audit(f: ComputableFunction, level: int, pairs: int, rng) -> list[dict]:
+    """Check |f(x) - f(y)| <= 2**-level exactly on sampled pairs at distance <= 2**-h(level).
 
-
-def modulus_audit(f: ComputableFunction, pairs: int, rng: random.Random) -> list[dict]:
-    """Sample pairs at distance <= 2**-h(i) and check |f(x)-f(y)| <= 2**-i exactly.
-
-    Returns the list of violations (empty on a clean audit).
+    x is dyadic at scale h + 6, and y moves it by (k/64) * 2**-h, 1 <= k <= 64,
+    along one axis, so the distance is exact.  Pairs leaving the cube are
+    redrawn, up to 20 * pairs draws.  Returns the violations (empty on success).
     """
-    violations: list[dict] = []
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
+    h = f.modulus(level)
+    allowed = pow2(-level)
+    denom = 1 << (h + 6)
+    violations = []
     checked = 0
     attempts = 0
     while checked < pairs and attempts < 20 * pairs:
         attempts += 1
-        level = rng.choice([1, 2, 4])
-        radius = pow2(-f.modulus(level))
-        x = random_rational_point(rng, f.dimension)
-        # Axis-aligned displacement keeps the Euclidean distance exact.
+        x = tuple(Fraction(rng.randrange(denom + 1), denom) for _ in range(f.dimension))
         axis = rng.randrange(f.dimension)
         sign = rng.choice((-1, 1))
-        step = radius * Fraction(rng.randrange(1, 17), 16) * sign
-        y = tuple(
-            xi + (step if i == axis else 0) for i, xi in enumerate(x)
-        )
+        step = Fraction(sign * rng.randrange(1, 65), 64) * pow2(-h)
+        y = tuple(xi + (step if i == axis else 0) for i, xi in enumerate(x))
         if not in_unit_cube(y):
             continue
         checked += 1
         diff = abs(f.eval(x) - f.eval(y))
-        if diff > pow2(-level):
-            violations.append({"x": x, "y": y, "level": level, "difference": diff})
+        if diff > allowed:
+            violations.append({"x": x, "y": y, "difference": diff, "allowed": allowed})
     return violations

@@ -27,10 +27,11 @@ from .cubes import (
     subtract_covered,
     union_measure,
 )
-from .functions import ComputableFunction
+from .functions import ComputableFunction, modulus_audit
 from .nullsets import NestedTest
 from .rationals import (
     POW2_MATERIALIZE_CAP,
+    ceil_sqrt,
     compare_pow2,
     in_unit_cube,
     int_ceil_log2,
@@ -342,7 +343,9 @@ class TentFunction:
         return ((lo, lo + eps), (hi - eps, hi))
 
     def as_function(self) -> ComputableFunction:
-        steep = self.stage + self.index  # ramp slope is 2**(stage+index)
+        # each partial slope is at most 2**(stage+index), so the gradient is
+        # at most sqrt(n) times that
+        steep = self.stage + self.index + int_ceil_log2(ceil_sqrt(self.cell.dimension))
         return ComputableFunction(
             dimension=self.cell.dimension,
             evaluator=self.value,
@@ -537,31 +540,11 @@ class TentSystem:
         return self.partition.first_cell_scale(stage) + 1
 
     def modulus_audit(self, stage: int, pairs: int, rng) -> list[dict]:
-        """Check |f(x) - f(y)| <= 2**(-m+2) exactly on sampled pairs.
+        """The modulus law at stage m: functions.modulus_audit of the built sum at level m - 2.
 
-        Pairs are dyadic and at distance at most 2**-h(m); the law is checked
-        on the built truncation.  Returns violations (empty on success).
+        as_function().modulus(m - 2) is h(m) and 2**-(m-2) = 2**(-m+2).
         """
-        h = self.modulus_exponent(stage)
-        allowed = pow2(-stage + 2)
-        violations = []
-        checked = 0
-        attempts = 0
-        while checked < pairs and attempts < 20 * pairs:
-            attempts += 1
-            denom = 1 << (h + 6)
-            x = tuple(Fraction(rng.randrange(denom + 1), denom) for _ in range(self.dimension))
-            axis = rng.randrange(self.dimension)
-            sign = rng.choice((-1, 1))
-            step = Fraction(sign * rng.randrange(1, 65), 64) * pow2(-h)
-            y = tuple(xi + (step if i == axis else 0) for i, xi in enumerate(x))
-            if not in_unit_cube(y):
-                continue
-            checked += 1
-            diff = abs(self.truncated_value(x) - self.truncated_value(y))
-            if diff > allowed:
-                violations.append({"x": x, "y": y, "difference": diff, "allowed": allowed})
-        return violations
+        return modulus_audit(self.as_function(), stage - 2, pairs, rng)
 
     # -- the oscillation witness ----------------------------------------------
 

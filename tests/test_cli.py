@@ -234,6 +234,23 @@ def test_bet_command_rejects_a_slope_negative_below_the_audit_grid(tmp_path, cap
     )
 
 
+def test_bet_command_rejects_a_slope_function_that_decreases_on_the_audit_grid(tmp_path, capsys):
+    # f(1/32) < f(1/64): the fairness audit to depth 4 and the path of 1/3
+    # never reach the scale-6 grid where the decrease shows
+    points = [["0/1", "0/1"], ["1/64", "1/16"], ["1/32", "1/32"], ["1/1", "1/1"]]
+    config = write_config(
+        tmp_path,
+        "bet.json",
+        {
+            "martingale": {"kind": "slope", "function": {"kind": "pwlinear", "points": points}},
+            "source": {"kind": "rational", "value": "1/3"},
+            "audit_depth": 4,
+        },
+    )
+    assert main(["bet", "--config", config]) == 1
+    assert capsys.readouterr() == ("", "martingale rejected: f(1/32) < f(1/64) on the audit grid\n")
+
+
 @pytest.mark.parametrize("key", ["1 ", "x", "012"])
 def test_bet_command_rejects_table_keys_that_are_not_binary_strings(tmp_path, capsys, key):
     config = write_config(
@@ -330,6 +347,15 @@ def test_tent_system_command(tmp_path):
     assert all(rec["passed"] for rec in report["oscillation"])
     saved = json.loads(bundle.read_text())
     assert saved["format"] == "tent-system/1"
+
+
+def test_tent_system_refuses_a_negative_modulus_pair_count(tmp_path, capsys):
+    payload = json.loads((CONFIGS / "tent-toy.json").read_text())
+    config = write_config(tmp_path, "tent.json", {**payload, "modulus_pairs": -3})
+    out, bundle = tmp_path / "report.json", tmp_path / "bundle.json"
+    assert main(["tent-system", "--config", config, "--out", str(out), "--bundle", str(bundle)]) == 2
+    assert capsys.readouterr() == ("", "error: pairs must be >= 0\n")
+    assert not out.exists() and not bundle.exists()
 
 
 def test_tent_system_command_rejects_broken_nesting(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopelab.functions import (
+    ComputableFunction,
     abs_diff_2d,
     abs_distance_1d,
     affine_isometry,
@@ -205,7 +206,19 @@ def test_modulus_audit_clean_for_constructed_families():
         clamp_extend(linear_form([1, -2])),
         piecewise_linear([(0, 0), (F(1, 2), F(3, 2)), (1, 0)]),
     ):
-        assert modulus_audit(f, 200, rng) == []
+        for level in (1, 2, 4):
+            assert modulus_audit(f, level, 200, rng) == []
+
+
+def test_modulus_audit_reports_a_modulus_that_is_too_small():
+    f = ComputableFunction(1, lambda p: 4 * p[0], lambda i: i)  # slope 4 needs i + 2
+    violations = modulus_audit(f, 3, 50, random.Random(1))
+    assert violations
+    for v in violations:
+        assert set(v) == {"x", "y", "difference", "allowed"}
+        assert v["allowed"] == pow2(-3)
+        assert abs(v["x"][0] - v["y"][0]) <= pow2(-f.modulus(3))
+        assert v["difference"] == abs(f.eval(v["x"]) - f.eval(v["y"])) > v["allowed"]
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,19 @@ def test_tent_slope_law_inside_plateau():
     assert right == -1
 
 
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_tent_modulus_holds_off_the_axes(dimension):
+    # the pair walks along (-3/5, -4/5) from the center: both partials move
+    # at once, so the gradient reaches sqrt(2) times the ramp slope
+    tent = tent_for(unit_cube(dimension), 0, 0).as_function()
+    center = tuple(F(1, 2) for _ in range(dimension))
+    for i in range(1, 8):
+        t = pow2(-tent.modulus(i))
+        y = (center[0] - F(3, 5) * t, center[1] - F(4, 5) * t, *center[2:])
+        assert sum((a - b) ** 2 for a, b in zip(center, y)) == t * t
+        assert abs(tent.eval(center) - tent.eval(y)) <= pow2(-i)
+
+
 def test_tent_bounded_by_half_side():
     tent = tent_for(DyadicCube(2, 2, (1, 2)), 1, 3)
     rng = random.Random(3)
