@@ -21,7 +21,6 @@ from .derivatives import (
     diff_class_a,
     diff_class_b,
     dir_derivative_via_basis,
-    dyadic_schedule,
     linearity_defect,
     partial_probe,
     replay,

@@ -23,7 +23,7 @@ from . import martingales as mg
 from . import nullsets as ns
 from . import serialize as sz
 from . import tentsystem as ts
-from .rationals import decimal_string, parse_rational
+from .rationals import decimal_string, in_unit_cube, parse_rational
 from .serialize import ConfigError, integers, require, typed
 
 
@@ -57,6 +57,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     f = sz.function_from_descriptor(require(config, "function"))
     points = [sz.parse_point(p) for p in typed(config, "points", list)]
+    for raw, point in zip(config["points"], points):
+        if len(point) != f.dimension or not in_unit_cube(point):
+            raise ConfigError(f"point {raw!r} must have {f.dimension} coordinates, each in [0, 1]")
     depth = typed(config, "depth", int, 6)
     oscillation = config.get("oscillation_threshold")
     separation = config.get("separation_threshold")
@@ -65,14 +68,16 @@ def cmd_probe(args: argparse.Namespace) -> int:
     directions = typed(config, "defect", dict, {})
     if directions:
         u, v = (sz.parse_point(require(directions, key)) for key in ("u", "v"))
+        for key, direction in (("u", u), ("v", v)):
+            if len(direction) != f.dimension:
+                raise ConfigError(f"defect {key} {directions[key]!r} must have {f.dimension} coordinates")
         max_step = parse_rational(directions.get("max_step", "1/4"))
         defect_thr = parse_rational(directions["threshold"]) if "threshold" in directions else None
     results = []
     for point in points:
         entry: dict = {"point": point}
-        schedule = dv.dyadic_schedule(depth + 2)
         entry["partials"] = [
-            dv.partial_probe(f, point, axis, schedule, osc_thr) for axis in range(f.dimension)
+            dv.partial_probe(f, point, axis, depth, osc_thr) for axis in range(f.dimension)
         ]
         entry["class_a"] = dv.diff_class_a(f, point, depth, sep_thr)
         entry["class_b"] = dv.diff_class_b(f, point, depth)
@@ -144,6 +149,8 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     cutoff = typed(config, "cutoff", int, 0)
     budget = typed(config, "budget", int, 8)
     pairs = typed(config, "modulus_pairs", int, 50)
+    if pairs < 0:  # refused as read: at depth 0 no stage reaches the audit's own check
+        raise ValueError("pairs must be >= 0")
     points = [sz.parse_point(p) for p in typed(config, "points", list, [])]
     stages = integers(config, "oscillation_stages", list(range(1, depth + 1)))
     precisions = integers(config, "precisions", [])

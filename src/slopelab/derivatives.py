@@ -49,87 +49,94 @@ class ProbeVerdict:
         return self.status == VIOLATED
 
 
-def dyadic_schedule(depth: int) -> list[Fraction]:
-    """The shrinking probe steps 2**-k, k = 2..depth (exact dyadics)."""
-    if depth < 2:
-        raise ValueError("depth must reach the first step")
-    return [pow2(-k) for k in range(2, depth + 1)]
+def _signed_steps(levels: Iterable[int]) -> Iterator[Fraction]:
+    """The steps 2**-k and then -2**-k for each k in levels."""
+    for k in levels:
+        h = pow2(-k)
+        yield h
+        yield -h
 
 
-def slope_axis(f: ComputableFunction, x: Sequence[Fraction], axis: int, h: Fraction) -> Fraction:
-    """Exact difference quotient (f(x + h*e_axis) - f(x)) / h."""
-    x = tuple(x)
-    if h == 0:
-        raise ValueError("zero step")
-    shifted = tuple(xi + (h if i == axis else 0) for i, xi in enumerate(x))
-    if not in_unit_cube(x) or not in_unit_cube(shifted):
-        raise ValueError(f"step {h} along axis {axis} leaves the unit cube")
-    return (f.eval(shifted) - f.eval(x)) / h
+def _step_points(x: Vector, v: Vector, steps: Sequence[Fraction]) -> list[Vector | None]:
+    """x + h*v for each step h that the step rule admits, None for the others.
+
+    The step rule: x and x + h*v both lie in the unit cube.  It is geometry
+    alone, decided before f is evaluated.  Only the coordinates where v is
+    nonzero move, so only they are checked again per step.
+    """
+    moving = [(i, vi) for i, (_, vi) in enumerate(zip(x, v, strict=True)) if vi]
+    if not in_unit_cube(x):
+        return [None] * len(steps)
+    points: list[Vector | None] = []
+    for h in steps:
+        y = list(x)
+        for i, vi in moving:
+            y[i] += h * vi
+        points.append(tuple(y) if all(0 <= y[i] <= 1 for i, _ in moving) else None)
+    return points
 
 
 def slope_dir(
-    f: ComputableFunction, x: Sequence[Fraction], v: Sequence[Fraction], h: Fraction
-) -> Fraction:
-    """Exact directional difference quotient (f(x + h*v) - f(x)) / h."""
+    f: ComputableFunction, x: Sequence[Fraction], v: Sequence[Fraction | int | str], steps: Sequence[Fraction]
+) -> list[Fraction]:
+    """Exact directional difference quotients (f(x + h*v) - f(x)) / h, one per step h.
+
+    A zero step, or one the step rule refuses, raises ValueError before f is
+    evaluated; f(x) is read once.
+    """
     x, v = tuple(x), as_vector(v)
-    if h == 0:
-        raise ValueError("zero step")
-    shifted = vadd(x, vscale(h, v))
-    if not in_unit_cube(x) or not in_unit_cube(shifted):
-        raise ValueError(f"step {h} along {v} leaves the unit cube")
-    return (f.eval(shifted) - f.eval(x)) / h
+    points = _step_points(x, v, steps)
+    for h, point in zip(steps, points):
+        if h == 0:
+            raise ValueError("zero step")
+        if point is None:
+            raise ValueError(f"step {h} along {v} leaves the unit cube")
+    fx = f.eval(x)
+    return [(f.eval(point) - fx) / h for h, point in zip(steps, points)]
 
 
 def _tail_bracket(
-    f: ComputableFunction,
-    x: Vector,
-    axis: int,
-    steps: Sequence[Fraction],
-) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] | None:
-    """Lowest and highest two-sided slope along axis over the tail of steps.
+    f: ComputableFunction, x: Vector, axis: int, levels: range
+) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """Lowest and highest two-sided slope along axis over the tail of the levels.
 
-    Each step h is tried as h and then -h, skipping those that leave the
-    cube.  The tail is the steps from len(steps) // 2 on, or all of them
-    when none of those is feasible.  Returns the (step, slope) pairs of the
-    first minimum and the first maximum, or None when no step is feasible.
+    The steps are 2**-k and -2**-k for k in levels, kept when the step rule
+    admits them.  The tail is the levels from len(levels) // 2 on, or the
+    ones before when no tail step is admitted; only its steps are evaluated.
+    Returns the (step, slope) pairs of the first minimum and the first
+    maximum.
     """
-    observations: list[tuple[int, Fraction, Fraction]] = []
-    for rank, h in enumerate(steps):
-        for signed in (h, -h):
-            try:
-                observations.append((rank, signed, slope_axis(f, x, axis, signed)))
-            except ValueError:
-                continue
-    if not observations:
-        return None
-    tail_start = len(steps) // 2
-    tail = [obs for obs in observations if obs[0] >= tail_start] or observations
-    lo = min(tail, key=lambda t: t[2])
-    hi = max(tail, key=lambda t: t[2])
-    return lo[1:], hi[1:]
+    if not levels:
+        raise ValueError("depth must reach the first step")
+    e = unit_axis(f.dimension, axis)
+    half = len(levels) // 2
+    for part in (levels[half:], levels[:half]):
+        steps = list(_signed_steps(part))
+        steps = [h for h, point in zip(steps, _step_points(x, e, steps)) if point is not None]
+        if steps:
+            break
+    else:
+        raise ValueError(f"no feasible step along axis {axis}")
+    observations = list(zip(steps, slope_dir(f, x, e, steps)))
+    return min(observations, key=lambda t: t[1]), max(observations, key=lambda t: t[1])
 
 
 def partial_probe(
     f: ComputableFunction,
     x: Sequence[Fraction],
     axis: int,
-    schedule: Sequence[Fraction],
+    depth: int,
     threshold: Fraction | None = None,
 ) -> ProbeVerdict:
-    """Two-sided slopes over a shrinking schedule, bracketing the partial.
+    """Two-sided slopes at steps 2**-2..2**-(depth+2), bracketing the partial.
 
     Reports VIOLATED when the oscillation (max - min) over the tail half of
-    the schedule reaches the caller's threshold: a finite witness that the
-    lower and upper partials separate.  Infeasible steps are skipped; a
-    schedule with no feasible step is an error.
+    the steps reaches the caller's threshold: a finite witness that the
+    lower and upper partials separate.  Steps the step rule refuses are left
+    out; a point with no admitted step is an error.
     """
     x = tuple(x)
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    bracket = _tail_bracket(f, x, axis, schedule)
-    if bracket is None:
-        raise ValueError("schedule leaves the cube at every step")
-    (lo_step, lo), (hi_step, hi) = bracket
+    (lo_step, lo), (hi_step, hi) = _tail_bracket(f, x, axis, range(2, depth + 3))
     if threshold is not None and hi - lo >= threshold:
         witness = {
             "op": "partial",
@@ -140,8 +147,8 @@ def partial_probe(
             "oscillation": hi - lo,
             "threshold": threshold,
         }
-        return ProbeVerdict("partial", VIOLATED, len(schedule), witness, (lo, hi))
-    return ProbeVerdict("partial", CONSISTENT, len(schedule), None, (lo, hi))
+        return ProbeVerdict("partial", VIOLATED, depth + 1, witness, (lo, hi))
+    return ProbeVerdict("partial", CONSISTENT, depth + 1, None, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -206,21 +213,14 @@ def linearity_defect(
     """
     x = tuple(x)
     du, dv = as_vector(u), as_vector(v)
-    duv = vadd(du, dv)
-    defects: list[tuple[Fraction, Fraction]] = []
-    for k in range(1, depth + 1):
-        h = pow2(-k)
-        if h > max_step:
-            continue
-        try:
-            su = slope_dir(f, x, du, h)
-            sv = slope_dir(f, x, dv, h)
-            suv = slope_dir(f, x, duv, h)
-        except ValueError:
-            continue
-        defects.append((h, abs(su + sv - suv)))
-    if not defects:
+    directions = (du, dv, vadd(du, dv))
+    candidates = [h for h in (pow2(-k) for k in range(1, depth + 1)) if h <= max_step]
+    admitted = [_step_points(x, d, candidates) for d in directions]
+    steps = [h for h, *points in zip(candidates, *admitted) if None not in points]
+    if not steps:
         raise ValueError("empty feasible grid")
+    su, sv, suv = (slope_dir(f, x, d, steps) for d in directions)
+    defects = [(h, abs(a + b - c)) for h, a, b, c in zip(steps, su, sv, suv)]
     h_min, best = min(defects, key=lambda t: t[1])
     worst = max(d for _, d in defects)
     witness = {
@@ -249,14 +249,10 @@ def diff_class_a(
     of the upper one.
     """
     x = tuple(x)
-    steps = [pow2(-k) for k in range(1, depth + 1)]
     brackets: list[tuple[Fraction, Fraction]] = []
     worst: dict | None = None
     for axis in range(f.dimension):
-        bracket = _tail_bracket(f, x, axis, steps)
-        if bracket is None:
-            raise ValueError(f"no feasible step along axis {axis}")
-        (lo_step, lo), (hi_step, hi) = bracket
+        (lo_step, lo), (hi_step, hi) = _tail_bracket(f, x, axis, range(1, depth + 1))
         brackets.append((lo, hi))
         if separation is not None and hi - lo >= separation:
             if worst is None or hi - lo > worst["separation"]:
@@ -300,13 +296,6 @@ def _grid_vectors(dimension: int, levels: Iterable[int]) -> Iterator[Vector]:
                 yield tuple(h * s for s in signs)
 
 
-def _grid_steps(levels: Iterable[int]) -> Iterator[Fraction]:
-    """The signed steps 2**-k and -2**-k for k in levels."""
-    for k in levels:
-        yield pow2(-k)
-        yield -pow2(-k)
-
-
 def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> ProbeVerdict:
     """Bounded form of the first-order limit: ∀ε ∃δ ∀h ∀b remainder <= ε||h||.
 
@@ -327,7 +316,7 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
 
     grid = range(1, depth + 3)
     h_feasible = any(in_unit_cube(vadd(x, h)) for h in _grid_vectors(f.dimension, grid))
-    if not h_feasible or not any(b_feasible(b) for b in _grid_steps(grid)):
+    if not h_feasible or not any(b_feasible(b) for b in _signed_steps(grid)):
         raise ValueError("no feasible probe steps at this point")
     delta = pow2(-depth)
     delta_sq = delta * delta
@@ -337,7 +326,7 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
         for h in _grid_vectors(f.dimension, fine)
         if norm_sq(h) < delta_sq and in_unit_cube(vadd(x, h))
     ]
-    b_steps = [b for b in _grid_steps(fine) if b_feasible(b)]  # all below δ
+    b_steps = [b for b in _signed_steps(fine) if b_feasible(b)]  # all below δ
     value_cache: dict[Vector, Fraction] = {}
 
     def cached(point: Vector) -> Fraction:
@@ -382,24 +371,22 @@ def replay(f: ComputableFunction, verdict: ProbeVerdict) -> bool:
         return False
     w = verdict.witness
     if w["op"] == "partial":
-        lo = slope_axis(f, w["point"], w["axis"], w["low"]["step"])
-        hi = slope_axis(f, w["point"], w["axis"], w["high"]["step"])
+        e = unit_axis(f.dimension, w["axis"])
+        lo, hi = slope_dir(f, w["point"], e, [w["low"]["step"], w["high"]["step"]])
         return lo == w["low"]["slope"] and hi == w["high"]["slope"] and hi - lo >= w["threshold"]
     if w["op"] == "class-a":
-        lo = slope_axis(f, w["point"], w["axis"], w["lower"]["step"])
-        hi = slope_axis(f, w["point"], w["axis"], w["upper"]["step"])
+        e = unit_axis(f.dimension, w["axis"])
+        lo, hi = slope_dir(f, w["point"], e, [w["lower"]["step"], w["upper"]["step"]])
         return hi - lo == w["separation"] and w["separation"] >= w["threshold"]
     if w["op"] == "class-b":
         rem = first_order_remainder(f, w["point"], w["h"], w["b"])
         hsq = norm_sq(w["h"])
         return rem == w["remainder"] and rem * rem > w["epsilon"] ** 2 * hsq
     if w["op"] == "defect":
-        point, u, v = w["point"], w["u"], w["v"]
-        for h, defect in w["defects"]:
-            su = slope_dir(f, point, u, h)
-            sv = slope_dir(f, point, v, h)
-            suv = slope_dir(f, point, vadd(u, v), h)
-            if abs(su + sv - suv) != defect:
-                return False
+        steps = [h for h, _ in w["defects"]]
+        directions = (w["u"], w["v"], vadd(w["u"], w["v"]))
+        su, sv, suv = (slope_dir(f, w["point"], d, steps) for d in directions)
+        if [abs(a + b - c) for a, b, c in zip(su, sv, suv)] != [d for _, d in w["defects"]]:
+            return False
         return w["threshold"] is None or min(d for _, d in w["defects"]) >= w["threshold"]
     raise ValueError(f"unknown witness kind {w['op']!r}")

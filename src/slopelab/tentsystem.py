@@ -177,9 +177,6 @@ class Partition:
             raise ValueError(f"stage {stage} has no cells")
         return blocks[0].cell_scale
 
-    def total_cells(self, stage: int) -> int:
-        return sum(b.count for b in self.blocks_at(stage))
-
     def verify_properties(self) -> dict:
         """Exact checks of the four partition properties; raises on failure.
 

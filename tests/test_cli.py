@@ -154,6 +154,38 @@ def test_probe_command_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "change, line",
+    [
+        ({"points": [["1/3"]]}, "point ['1/3'] must have 2 coordinates, each in [0, 1]"),
+        ({"points": [["1/3", "2/5"], ["1/3", "3/2"]]}, "point ['1/3', '3/2'] must have 2 coordinates, each in [0, 1]"),
+        ({"defect": {"u": ["1"], "v": ["0", "1"]}}, "defect u ['1'] must have 2 coordinates"),
+        ({"defect": {"u": ["1", "0"], "v": ["0", "1", "0"]}}, "defect v ['0', '1', '0'] must have 2 coordinates"),
+    ],
+    ids=["short-point", "point-outside-the-cube", "short-u", "long-v"],
+)
+def test_probe_command_refuses_a_point_or_direction_it_cannot_probe(tmp_path, capsys, change, line):
+    config = write_config(
+        tmp_path, "probe.json", {"function": {"kind": "product"}, "points": [["1/3", "2/5"]], **change}
+    )
+    assert main(["probe", "--config", config]) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
+def test_probe_command_reports_an_evaluator_error_inside_the_cube(tmp_path, capsys):
+    # z -> 1/2 - z maps 1/3 + 1/4 to -1/12, where the interpolant is undefined:
+    # the step stays in the cube, so the error is the evaluator's, not the step's
+    function = {
+        "kind": "affine-compose",
+        "matrix": [["-1"]],
+        "offset": ["1/2"],
+        "of": {"kind": "pwlinear", "points": [["0", "0"], ["1", "1"]]},
+    }
+    config = write_config(tmp_path, "probe.json", {"function": function, "points": [["1/3"]], "depth": 0})
+    assert main(["probe", "--config", config]) == 2
+    assert capsys.readouterr() == ("", "error: -1/12 outside [0, 1]\n")
+
+
 def test_bet_command_csv_and_json(tmp_path):
     config = write_config(
         tmp_path,
@@ -356,6 +388,17 @@ def test_tent_system_refuses_a_negative_modulus_pair_count(tmp_path, capsys):
     assert main(["tent-system", "--config", config, "--out", str(out), "--bundle", str(bundle)]) == 2
     assert capsys.readouterr() == ("", "error: pairs must be >= 0\n")
     assert not out.exists() and not bundle.exists()
+
+
+def test_tent_system_refuses_a_negative_modulus_pair_count_at_depth_0(tmp_path, capsys):
+    payload = json.loads((CONFIGS / "tent-toy.json").read_text())
+    for key in ("oscillation_stages", "precisions"):
+        payload.pop(key, None)
+    config = write_config(tmp_path, "tent.json", {**payload, "depth": 0, "modulus_pairs": -3})
+    out = tmp_path / "report.json"
+    assert main(["tent-system", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: pairs must be >= 0\n")
+    assert not out.exists()
 
 
 def test_tent_system_command_rejects_broken_nesting(tmp_path, capsys):

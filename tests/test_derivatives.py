@@ -12,12 +12,10 @@ from slopelab.derivatives import (
     diff_class_a,
     diff_class_b,
     dir_derivative_via_basis,
-    dyadic_schedule,
     first_order_remainder,
     linearity_defect,
     partial_probe,
     replay,
-    slope_axis,
     slope_dir,
 )
 from slopelab.functions import (
@@ -39,28 +37,28 @@ F = Fraction
 
 def test_slope_axis_linear_is_coefficient():
     f = linear_form([2, 3])
-    for h in (F(1, 4), F(-1, 8), F(3, 16)):
-        assert slope_axis(f, (F(1, 2), F(1, 2)), 0, h) == 2
+    assert slope_dir(f, (F(1, 2), F(1, 2)), unit_axis(2, 0), [F(1, 4), F(-1, 8), F(3, 16)]) == [2, 2, 2]
 
 
 def test_slope_axis_errors():
     f = linear_form([1])
-    with pytest.raises(ValueError):
-        slope_axis(f, (F(1, 2),), 0, F(0))
-    with pytest.raises(ValueError):
-        slope_axis(f, (F(7, 8),), 0, F(1, 4))
+    with pytest.raises(ValueError, match="zero step"):
+        slope_dir(f, (F(1, 2),), unit_axis(1, 0), [F(0)])
+    with pytest.raises(ValueError, match="leaves the unit cube"):
+        slope_dir(f, (F(7, 8),), unit_axis(1, 0), [F(1, 4)])
 
 
 def test_slope_axis_on_tent_ramp_is_one_over_eps():
     # unit-square tent, stage 0 index 1: ramp width 1/4 in the second axis
     tent = tent_for(DyadicCube(2, 0, (0, 0)), 0, 1).as_function()
     x = (F(1, 2), F(1, 16))
-    assert slope_axis(tent, x, 1, F(1, 16)) == F(1, 2) * 4  # peak 1/2 times ramp slope 1/eps = 4
+    # peak 1/2 times ramp slope 1/eps = 4
+    assert slope_dir(tent, x, unit_axis(2, 1), [F(1, 16)]) == [F(1, 2) * 4]
 
 
 def test_slope_row_and_symmetry():
     def row(f, x, h):
-        return [slope_axis(f, x, axis, h) for axis in range(f.dimension)]
+        return [slope_dir(f, x, unit_axis(f.dimension, axis), [h])[0] for axis in range(f.dimension)]
 
     f = linear_form([2, 3])
     assert row(f, (F(1, 3), F(1, 3)), F(1, 8)) == [2, 3]
@@ -69,28 +67,19 @@ def test_slope_row_and_symmetry():
     assert row(f, (F(1, 3), F(1, 3)), F(1, 16)) == [2, 3]
 
 
-def test_slope_dir_reduces_to_axis():
-    f = product_xy()
-    x = (F(1, 3), F(2, 5))
-    for axis in range(2):
-        for h in (F(1, 8), F(-1, 8)):
-            assert slope_axis(f, x, axis, h) == slope_dir(f, x, unit_axis(2, axis), h)
-
-
 def test_slope_dir_pythagorean_direction():
     f = linear_form([2, 3])
-    for h in (F(1, 8), F(1, 32)):
-        assert slope_dir(f, (F(1, 4), F(1, 4)), (F(3, 5), F(4, 5)), h) == F(18, 5)
+    assert slope_dir(f, (F(1, 4), F(1, 4)), (F(3, 5), F(4, 5)), [F(1, 8), F(1, 32)]) == [F(18, 5)] * 2
 
 
 def test_slope_dir_diagonal_of_abs_difference():
     f = abs_diff_2d()
-    assert slope_dir(f, (F(1, 3), F(1, 3)), (F(1), F(1)), F(1, 8)) == 0
+    assert slope_dir(f, (F(1, 3), F(1, 3)), (F(1), F(1)), [F(1, 8)]) == [0]
 
 
 def test_partial_probe_smooth_product():
     f = product_xy()
-    verdict = partial_probe(f, (F(1, 3), F(1, 3)), 0, dyadic_schedule(8), threshold=F(1, 4))
+    verdict = partial_probe(f, (F(1, 3), F(1, 3)), 0, 6, threshold=F(1, 4))
     assert verdict.status == CONSISTENT
     lo, hi = verdict.bracket
     assert lo <= F(1, 3) <= hi
@@ -99,7 +88,7 @@ def test_partial_probe_smooth_product():
 
 def test_partial_probe_kink_violation_and_replay():
     f = abs_distance_1d(F(1, 2))
-    verdict = partial_probe(f, (F(1, 2),), 0, dyadic_schedule(8), threshold=F(2))
+    verdict = partial_probe(f, (F(1, 2),), 0, 6, threshold=F(2))
     assert verdict.status == VIOLATED
     assert verdict.witness["low"]["slope"] == -1
     assert verdict.witness["high"]["slope"] == 1
@@ -108,15 +97,17 @@ def test_partial_probe_kink_violation_and_replay():
 
 def test_partial_probe_linear_zero_oscillation():
     f = linear_form([2, 3])
-    verdict = partial_probe(f, (F(1, 2), F(1, 2)), 1, dyadic_schedule(9), threshold=F(1, 1024))
+    verdict = partial_probe(f, (F(1, 2), F(1, 2)), 1, 7, threshold=F(1, 1024))
     assert verdict.status == CONSISTENT
     assert verdict.bracket == (F(3), F(3))
 
 
 def test_partial_probe_infeasible_schedule():
     f = linear_form([1])
-    with pytest.raises(ValueError):
-        partial_probe(f, (F(1, 2),), 0, [F(3)], threshold=F(1))
+    with pytest.raises(ValueError, match="no feasible step along axis 0"):
+        partial_probe(f, (F(3, 2),), 0, 6, threshold=F(1))
+    with pytest.raises(ValueError, match="depth must reach the first step"):
+        partial_probe(f, (F(1, 2),), 0, -1, threshold=F(1))
 
 
 def test_dir_derivative_via_basis_identity_for_axis_direction():
@@ -441,3 +432,176 @@ def test_class_b_evaluation_count_does_not_grow_with_depth():
         assert diff_class_b(f, (F(1, 3), F(1, 3)), depth).status == CONSISTENT
         counts.append(len(set(points)))
     assert counts[0] == counts[1] == 17  # x and the 16 points of the two finest levels
+
+
+# ---------------------------------------------------------------------------
+# The step rule against the exception-skipping probes it replaced
+
+
+def slope_oracle(f, x, v, h):
+    """A directional quotient that raises ValueError for a step leaving the cube."""
+    shifted = vadd(x, vscale(h, v))
+    if not in_unit_cube(x) or not in_unit_cube(shifted):
+        raise ValueError(f"step {h} along {v} leaves the unit cube")
+    return (f.eval(shifted) - f.eval(x)) / h
+
+
+def tail_bracket_oracle(f, x, axis, steps):
+    """Every signed step tried, the ones that raise skipped, then the tail kept."""
+    observations = []
+    for rank, h in enumerate(steps):
+        for signed in (h, -h):
+            try:
+                observations.append((rank, signed, slope_oracle(f, x, unit_axis(len(x), axis), signed)))
+            except ValueError:
+                continue
+    if not observations:
+        return None
+    tail = [obs for obs in observations if obs[0] >= len(steps) // 2] or observations
+    return min(tail, key=lambda t: t[2])[1:], max(tail, key=lambda t: t[2])[1:]
+
+
+def partial_probe_oracle(f, x, axis, depth, threshold):
+    schedule = [pow2(-k) for k in range(2, depth + 3)]
+    bracket = tail_bracket_oracle(f, x, axis, schedule)
+    if bracket is None:
+        raise ValueError("schedule leaves the cube at every step")
+    (lo_step, lo), (hi_step, hi) = bracket
+    if threshold is not None and hi - lo >= threshold:
+        witness = {
+            "op": "partial",
+            "axis": axis,
+            "point": x,
+            "low": {"step": lo_step, "slope": lo},
+            "high": {"step": hi_step, "slope": hi},
+            "oscillation": hi - lo,
+            "threshold": threshold,
+        }
+        return ProbeVerdict("partial", VIOLATED, len(schedule), witness, (lo, hi))
+    return ProbeVerdict("partial", CONSISTENT, len(schedule), None, (lo, hi))
+
+
+def diff_class_a_oracle(f, x, depth, separation):
+    steps = [pow2(-k) for k in range(1, depth + 1)]
+    brackets, worst = [], None
+    for axis in range(f.dimension):
+        bracket = tail_bracket_oracle(f, x, axis, steps)
+        if bracket is None:
+            raise ValueError(f"no feasible step along axis {axis}")
+        (lo_step, lo), (hi_step, hi) = bracket
+        brackets.append((lo, hi))
+        if separation is not None and hi - lo >= separation:
+            if worst is None or hi - lo > worst["separation"]:
+                worst = {
+                    "op": "class-a",
+                    "axis": axis,
+                    "point": x,
+                    "lower": {"step": lo_step, "slope": lo},
+                    "upper": {"step": hi_step, "slope": hi},
+                    "separation": hi - lo,
+                    "threshold": separation,
+                }
+    status = VIOLATED if worst is not None else CONSISTENT
+    return ProbeVerdict("class-a", status, depth, worst, tuple(brackets))
+
+
+def linearity_defect_oracle(f, x, u, v, max_step, depth, threshold):
+    defects = []
+    for k in range(1, depth + 1):
+        h = pow2(-k)
+        if h > max_step:
+            continue
+        try:
+            su, sv, suv = (slope_oracle(f, x, d, h) for d in (u, v, vadd(u, v)))
+        except ValueError:
+            continue
+        defects.append((h, abs(su + sv - suv)))
+    if not defects:
+        raise ValueError("empty feasible grid")
+    h_min, best = min(defects, key=lambda t: t[1])
+    witness = {
+        "op": "defect",
+        "point": x,
+        "u": u,
+        "v": v,
+        "step_at_min": h_min,
+        "defects": defects,
+        "threshold": threshold,
+    }
+    status = VIOLATED if threshold is not None and best >= threshold else CONSISTENT
+    return ProbeVerdict("defect", status, len(defects), witness, (best, max(d for _, d in defects)))
+
+
+in_cube = coordinates.filter(lambda c: 0 <= c <= 1)
+thresholds = st.none() | st.sampled_from([F(0), F(1, 8), F(1, 2), F(1), F(2)])
+directions = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 5)])
+
+
+@given(probe_descriptors(), st.data(), st.integers(1, 8), thresholds, thresholds, thresholds)
+@settings(max_examples=300, deadline=None)
+def test_probes_match_the_exception_skipping_oracle(desc, data, depth, oscillation, separation, defect):
+    f = function_from_descriptor(desc)
+    n = f.dimension
+    x = tuple(data.draw(st.lists(in_cube, min_size=n, max_size=n)))
+    for axis in range(n):
+        new = class_b_outcome(partial_probe, f, x, axis, depth, oscillation)
+        assert new == class_b_outcome(partial_probe_oracle, f, x, axis, depth, oscillation)
+    new = class_b_outcome(diff_class_a, f, x, depth, separation)
+    assert new == class_b_outcome(diff_class_a_oracle, f, x, depth, separation)
+    u, v = (tuple(data.draw(st.lists(directions, min_size=n, max_size=n))) for _ in range(2))
+    max_step = data.draw(st.sampled_from([F(1, 64), F(1, 4), F(1, 2), F(1)]))
+    args = (f, x, u, v, max_step, depth, defect)
+    new = class_b_outcome(linearity_defect, *args)
+    assert new == class_b_outcome(linearity_defect_oracle, *args)
+    if new[0] == "value" and new[1].violated:
+        assert replay(f, new[1])
+
+
+def counting(f):
+    """f with a list of the points it is evaluated at."""
+    points = []
+
+    def evaluate(point):
+        points.append(point)
+        return f.eval(point)
+
+    return ComputableFunction(f.dimension, evaluate, f.modulus), points
+
+
+def test_a_bracket_reads_f_at_the_point_once_and_only_at_its_tail_steps():
+    f, points = counting(product_xy())
+    x = (F(1, 3), F(7, 8))
+    partial_probe(f, x, 1, 6)
+    # levels 2..8, tail 5..8; at 7/8 every negative step and only 1/32, 1/64, 1/128, 1/256 up fit
+    assert points.count(x) == 1
+    assert sorted(p[1] - x[1] for p in points if p != x) == sorted(
+        s * pow2(-k) for k in range(5, 9) for s in (1, -1)
+    )
+    points.clear()
+    diff_class_a(f, x, 6)
+    assert points.count(x) == f.dimension  # once per axis bracket
+    assert len(points) == f.dimension + 6 + 6  # levels 4..6, two signs, on both axes
+
+
+def test_defect_reads_f_at_the_point_once_per_direction():
+    f, points = counting(product_xy())
+    x = (F(1, 3), F(1, 3))
+    verdict = linearity_defect(f, x, [1, 0], [0, 1], F(1, 4), depth=6)
+    assert [h for h, _ in verdict.witness["defects"]] == [pow2(-k) for k in range(2, 7)]
+    assert points.count(x) == 3
+    assert len(points) == 3 + 3 * 5
+
+
+def test_an_evaluator_error_inside_the_cube_is_not_an_infeasible_step():
+    def evaluate(point):
+        if point[0] > F(1, 2):
+            raise ValueError(f"cannot evaluate at {point[0]}")
+        return point[0]
+
+    f = ComputableFunction(1, evaluate, lambda i: i)
+    with pytest.raises(ValueError, match="cannot evaluate at 3/4"):
+        partial_probe(f, (F(1, 2),), 0, 0)
+    with pytest.raises(ValueError, match="cannot evaluate"):
+        diff_class_a(f, (F(1, 2),), 4)
+    with pytest.raises(ValueError, match="cannot evaluate"):
+        linearity_defect(f, (F(1, 2),), [1], [1], F(1, 4))

@@ -1,11 +1,16 @@
-"""Every name the package exports has a reader besides its own module.
+"""Every public name of the package has a reader besides its own definition.
 
 `slopelab/__init__.py` is parsed, and each name it imports from a submodule
 must be read from that submodule somewhere outside it: by another module of
 the package, as a target of the benchmark tracer, by the benchmark's job code,
 or by the acceptance suite.  A name that only tests read is not public API; it
-leaves the package or moves out of `__init__`.  The allowlist names the
-exceptions, each with its reason.
+leaves the package or moves out of `__init__`.
+
+Every public function, class and method of every module must be read outside
+its own definition by the same readers, or by its own module.  A method
+counts as read where any of them reads an attribute of its name.
+
+The allowlist names the exceptions, each with its reason.
 """
 
 import ast
@@ -15,9 +20,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "slopelab"
 READERS = (ROOT / "perfbench" / "jobs.py", ROOT / "tests" / "test_acceptance.py")
 ALLOWED = {
-    "replay": "test oracle that re-evaluates probe witnesses (ROADMAP aim 3)",
-    "dore_maleva_measure_by_sweep": "test oracle for the lattice measures (ROADMAP aim 3)",
-    "box_slope_martingale": "Theorem 1's n-variable strategy, the open ROADMAP item 3",
+    "derivatives.replay": "test oracle that re-evaluates probe witnesses (ROADMAP aim 3)",
+    "nullsets.dore_maleva_measure_by_sweep": "test oracle for the lattice measures (ROADMAP aim 3)",
+    "martingales.box_slope_martingale": "Theorem 1's n-variable strategy, the open ROADMAP item 3",
+    "cubes.DyadicCube.contains_point": "membership test of the grid oracle brute_grid_measure",
+    "tentsystem.TentFunction.exclusion_intervals": "the corner intervals of the oracle fraction_exclusion",
 }
 
 
@@ -94,10 +101,70 @@ def unread_exports(
     outside = {path: module_reads(path) for path in modules + readers}
     unread = []
     for name, module in exported_names(init).items():
-        if (module, name) in targets or name in ALLOWED:
+        if (module, name) in targets or f"{module}.{name}" in ALLOWED:
             continue
         if not any((module, name) in reads for path, reads in outside.items() if path.stem != module):
             unread.append(f"{module}.{name}")
+    return sorted(unread)
+
+
+def public_definitions(path: Path) -> list[tuple[str, ast.AST]]:
+    """(name, node) for each public function and class of a module and each public method of its classes."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{node.name}.{sub.name}", sub)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                )
+    return found
+
+
+def name_reads(path: Path) -> list[tuple[str, int, bool]]:
+    """(name, line, is_attribute) for each name a file loads and each attribute it reads."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, node.lineno, False))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno, True))
+    return found
+
+
+def unread_definitions(
+    modules: list[Path], readers: list[Path], targets: set[tuple[str, str]], allowed=ALLOWED
+) -> list[str]:
+    """module.name for each public definition that nothing reads outside the definition itself.
+
+    A function or class is read where another file reads it from its module
+    (see module_reads) or where its own module loads its name.  A method is
+    read where any file reads an attribute of its name.
+    """
+    files = modules + readers
+    imports = {path: module_reads(path) for path in files}
+    reads = {path: name_reads(path) for path in files}
+    unread = []
+    for path in modules:
+        for name, node in public_definitions(path):
+            def outside(other: Path, line: int) -> bool:
+                return other != path or not node.lineno <= line <= node.end_lineno
+
+            owner, _, leaf = name.rpartition(".")
+            if owner:
+                read = any(
+                    attribute and n == leaf and outside(other, line)
+                    for other in files
+                    for n, line, attribute in reads[other]
+                )
+            else:
+                read = any((path.stem, name) in imports[other] for other in files if other != path) or any(
+                    not attribute and n == name and outside(path, line) for n, line, attribute in reads[path]
+                )
+            if not read and (path.stem, name) not in targets and f"{path.stem}.{name}" not in allowed:
+                unread.append(f"{path.stem}.{name}")
     return sorted(unread)
 
 
@@ -135,5 +202,30 @@ def test_every_export_has_a_reader_outside_its_module():
     assert unread_exports(PACKAGE / "__init__.py", modules, list(READERS), targets) == []
 
 
-def test_the_allowlist_names_only_exports():
-    assert set(ALLOWED) <= set(exported_names(PACKAGE / "__init__.py"))
+def test_the_check_finds_a_definition_that_only_its_own_body_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used(): pass\n"
+        "def recursive(): recursive()\n"
+        "def helper(): pass\n"
+        "def caller(): helper()\n"
+        "class Box:\n"
+        "    def read(self): pass\n"
+        "    def unread(self): self.unread()\n"
+        "    def traced(self): pass\n"
+        "def make(): return Box()\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import used, caller, make\ndef call(box):\n    box.read()\n")
+    modules = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert unread_definitions(modules, [], {("a", "Box.traced")}) == ["a.Box.unread", "a.recursive", "b.call"]
+
+
+def test_every_public_definition_has_a_reader():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    targets = tracer_targets(ROOT / "perfbench" / "tracer.py")
+    assert unread_definitions(modules, list(READERS), targets) == []
+
+
+def test_the_allowlist_names_only_public_definitions_without_a_reader():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    targets = tracer_targets(ROOT / "perfbench" / "tracer.py")
+    assert sorted(ALLOWED) == unread_definitions(modules, list(READERS), targets, allowed={})

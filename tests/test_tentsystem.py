@@ -42,8 +42,8 @@ def test_toy_partition_scales(toy_system5):
     partition = toy_system5.partition
     # stage sides follow min(8^-m * 4^-m, previous) through the nesting chain
     assert [partition.first_cell_scale(m) for m in range(6)] == [0, 5, 11, 20, 32, 47]
-    assert partition.total_cells(1) == 64
-    assert partition.total_cells(2) == 16384
+    assert sum(b.count for b in partition.blocks_at(1)) == 64
+    assert sum(b.count for b in partition.blocks_at(2)) == 16384
 
 
 def test_partition_properties_verified(toy_system5):
@@ -328,7 +328,7 @@ def test_exclusion_interval_lengths_match_formula():
     report = system.exclusion_visible(0, 1, per_block=4)
     tents = [
         tent_for(system.partition.cell(1, j), 1, j)
-        for j in range(1, min(4, system.partition.total_cells(1)) + 1)
+        for j in range(1, min(4, sum(b.count for b in system.partition.blocks_at(1))) + 1)
     ]
     expected = sum((2 * pow2(-t.eps_exponent) for t in tents), Fraction(0))
     # intervals of distinct cells in one slab may merge; the union is <= the sum
