@@ -105,7 +105,10 @@ def cmd_bet(args: argparse.Namespace) -> int:
     martingale = sz.martingale_from_descriptor(require(config, "martingale"))
     source = sz.source_from_descriptor(require(config, "source"))
     depth = typed(config, "depth", int, 16)
-    witness = mg.check_fairness(martingale, min(depth, typed(config, "audit_depth", int, 8)))
+    audit_depth = typed(config, "audit_depth", int, 8)
+    if audit_depth < 0:
+        raise ConfigError(f"config key 'audit_depth' must be >= 0, not {audit_depth}")
+    witness = mg.check_fairness(martingale, min(depth, audit_depth))
     if witness is not None:
         sys.stderr.write(f"fairness audit failed at sigma = {''.join(map(str, witness))!r}\n")
         return 1

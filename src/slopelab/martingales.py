@@ -53,12 +53,15 @@ class Martingale:
     binary, so sigma0 and sigma1 are (length + 1, 2 * index) and
     (length + 1, 2 * index + 1).  ``capital(length, index)`` is one value.
     ``level_walk``, when given, does what ``levels`` does in a way that
-    shares work between the levels.
+    shares work between the levels.  ``path_walk(bits)``, when given, yields
+    the capitals of bits' prefixes of lengths 0..len(bits) in a way that
+    shares work between consecutive prefixes.
     """
 
     capital: Callable[[int, int], Fraction]
     label: str = "martingale"
     level_walk: Callable[[int], Iterator[tuple[list[int], int]]] | None = None
+    path_walk: Callable[[Bits], Iterator[Fraction]] | None = None
 
     def levels(self, depth: int) -> Iterator[tuple[list[int], int]]:
         """The capitals of lengths 0..depth, each level as integer numerators over one denominator."""
@@ -223,6 +226,26 @@ def _slope_levels(f: ComputableFunction, depth: int) -> Iterator[tuple[list[int]
         yield [(b - a) << length for a, b in zip(points, points[1:])], denominator
 
 
+def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[Fraction]:
+    """Slopes of f over the dyadic intervals that bits' prefixes code, shortest first.
+
+    f is held at both ends of the current interval; each bit costs one new
+    evaluation, at the midpoint, which becomes the end that the bit moves.
+    """
+    hi, lo = f.eval((Fraction(1),)), f.eval((Fraction(0),))
+    yield hi - lo
+    index = 0
+    for length, bit in enumerate(bits, 1):
+        width = 1 << length
+        mid = f.eval((Fraction(2 * index + 1, width),))
+        index = 2 * index + bit
+        if bit:
+            lo = mid
+        else:
+            hi = mid
+        yield (hi - lo) * width
+
+
 def slope_martingale(f: ComputableFunction) -> Martingale:
     """Capital(sigma) = slope of the monotone f over [sigma]; nonnegative, fair."""
     audit_monotone(f)
@@ -230,6 +253,7 @@ def slope_martingale(f: ComputableFunction) -> Martingale:
         lambda length, index: _dyadic_slope(f, length, index),
         label="slope",
         level_walk=lambda depth: _slope_levels(f, depth),
+        path_walk=lambda bits: _slope_path(f, bits),
     )
 
 
@@ -300,25 +324,36 @@ def run_bet(
     depth: int,
     thresholds: Sequence[Fraction] = (),
 ) -> BetRun:
-    """Play m against the source's prefixes of length 0..depth."""
+    """Play m against the source's prefixes of length 0..depth.
+
+    The capitals come from m's path walk when it has one, else from
+    ``capital`` on each prefix.  The maximum and the crossings are read in
+    one pass: a threshold not yet crossed lies above the running maximum, so
+    only a new strict maximum can cross it.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     prefix = source.prefix(depth)
+    walk = m.path_walk(prefix) if m.path_walk is not None else None
+    crossings: dict[Fraction, int | None] = dict.fromkeys(thresholds)
+    pending = sorted(crossings)  # the thresholds not yet crossed, lowest first
+    capitals: list[Fraction] = []
+    best = None
     index = 0
-    capitals = [m._nonnegative(0, 0, m.capital(0, 0))]
-    for length, bit in enumerate(prefix, 1):
-        index = 2 * index + bit
-        capitals.append(m._nonnegative(length, index, m.capital(length, index)))
+    for length in range(depth + 1):
+        if length:
+            index = 2 * index + prefix[length - 1]
+        value = m.capital(length, index) if walk is None else next(walk)
+        capital = m._nonnegative(length, index, value)
+        if best is None or capital > best:
+            best = capital
+            while pending and pending[0] <= capital:
+                crossings[pending.pop(0)] = length
+        capitals.append(capital)
     trajectory = tuple(capitals)
-    tail = trajectory[(depth + 1) // 2 :]
-    crossings: dict[Fraction, int | None] = {}
-    for threshold in thresholds:
-        crossings[threshold] = next(
-            (k for k, c in enumerate(trajectory) if c >= threshold), None
-        )
     return BetRun(
         trajectory=trajectory,
-        max_capital=max(trajectory),
-        min_tail_capital=min(tail),
+        max_capital=best,
+        min_tail_capital=min(trajectory[(depth + 1) // 2 :]),
         threshold_crossings=crossings,
     )

@@ -331,6 +331,12 @@ def bet_config(thresholds=(), values=None):
     }
 
 
+def test_bet_command_refuses_a_negative_audit_depth_as_read(tmp_path, capsys):
+    config = write_config(tmp_path, "bet.json", {**bet_config(), "audit_depth": -1})
+    assert main(["bet", "--config", config]) == 2
+    assert capsys.readouterr() == ("", "config error: config key 'audit_depth' must be >= 0, not -1\n")
+
+
 ZERO_DENOMINATOR = "error: rational literal '1/0' has a zero denominator\n"
 NOT_A_LITERAL = 'error: 0.5 is not a rational literal; write it as a "p/q" string\n'
 

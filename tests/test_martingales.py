@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -157,6 +158,15 @@ def test_run_bet_uses_exactly_the_prefix():
     assert calls == [(0, 0), (1, 0), (2, 1), (3, 2), (4, 5)]
 
 
+def test_slope_bet_evaluates_f_once_per_step():
+    calls = []
+    m = slope_martingale(counted(square_1d(), calls))
+    run = run_bet(m, bits_of_fraction(F(1, 3)), 1024)
+    assert len(calls) == 1024 + 2  # f(0), f(1), then one midpoint per step
+    assert len(set(calls)) == len(calls)
+    assert run.trajectory[1024] == slope_oracle(square_1d(), bits_of_fraction(F(1, 3)).prefix(1024))
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_slope_average_identity_for_arbitrary_pwlinear(seed):
@@ -200,13 +210,31 @@ def outcome(call, *args):
         return ("raise", type(exc), str(exc))
 
 
+def summary_oracle(trajectory, thresholds):
+    """The summary by naive scans: one per statistic and one per threshold."""
+    depth = len(trajectory) - 1
+    crossings = {}
+    for threshold in thresholds:
+        crossings[threshold] = next((k for k, c in enumerate(trajectory) if c >= threshold), None)
+    return trajectory, max(trajectory), min(trajectory[(depth + 1) // 2 :]), list(crossings.items())
+
+
 def assert_matches_oracles(m, audit_depths, rng, path_depth):
     for depth in audit_depths:
         assert outcome(check_fairness, m, depth) == outcome(fairness_oracle, m, depth)
     for _ in range(3):
         source = pattern_bits([rng.randrange(2) for _ in range(rng.randint(1, 6))])
-        run = outcome(lambda: run_bet(m, source, path_depth).trajectory)
-        assert run == outcome(trajectory_oracle, m, source, path_depth)
+        expected = outcome(trajectory_oracle, m, source, path_depth)
+        if expected[0] == "raise":
+            assert outcome(run_bet, m, source, path_depth) == expected
+            continue
+        trajectory = expected[1]
+        picked = rng.choice(trajectory)
+        # a duplicate, the first capital, and a threshold never reached
+        thresholds = [picked, F(rng.randrange(17), 4), trajectory[0], picked, max(trajectory) + 1]
+        run = run_bet(m, source, path_depth, thresholds)
+        summary = (run.trajectory, run.max_capital, run.min_tail_capital, list(run.threshold_crossings.items()))
+        assert summary == summary_oracle(trajectory, thresholds)
 
 
 def table_oracle(values: dict, sigma) -> F:
@@ -217,6 +245,11 @@ def table_oracle(values: dict, sigma) -> F:
             raise ValueError("table lacks the empty string")
         key = key[:-1]
     return F(values[key])
+
+
+def memoised(f):
+    """f with a cache on its evaluator: the node-by-node oracles read each point many times."""
+    return dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
 
 
 def slope_oracle(f, sigma) -> F:
@@ -270,12 +303,14 @@ def test_closed_form_martingales_match_node_by_node_oracles(seed):
 @settings(max_examples=20, deadline=None)
 def test_slope_martingales_match_node_by_node_oracles(seed):
     rng = random.Random(seed)
-    f = random_monotone_pwlinear(rng)
-    m = slope_martingale(f)
-    assert_matches_oracles(m, (0, 1, 7), rng, 24)
-    for length in (0, 1, 5, 40):
-        sigma = tuple(rng.randrange(2) for _ in range(length))
-        assert m.at(sigma) == slope_oracle(f, sigma)
+    functions = (random_monotone_pwlinear(rng), square_1d(), cube_1d(), identity_1d())
+    for f in functions:
+        m = slope_martingale(memoised(f))
+        assert_matches_oracles(m, (0, 1, 7), rng, 24)
+        for length in (0, 1, 5, 40):
+            sigma = tuple(rng.randrange(2) for _ in range(length))
+            assert m.at(sigma) == slope_oracle(f, sigma)
+    assert_matches_oracles(slope_martingale(memoised(rng.choice(functions))), (), rng, rng.randint(200, 256))
 
 
 def test_fine_scale_dip_raises_like_the_oracles():
@@ -358,8 +393,8 @@ def test_slope_martingales_of_sums_and_scales_match_node_by_node_oracles(seed):
     dip = piecewise_linear([(0, 0), (F(1, 128), F(1, 32)), (F(1, 64), F(1, 64)), (1, 1)])
     dipped = sum_functions([dip, scale_function(F(rng.randrange(0, 18), 8), identity_1d())])
     for g in (f, scale_function(F(rng.randint(1, 9), rng.randint(1, 7)), f)):
-        assert_matches_oracles(slope_martingale(g), (0, 1, 7), rng, 24)
-    assert_matches_oracles(slope_martingale(dipped), (8,), rng, 24)
+        assert_matches_oracles(slope_martingale(memoised(g)), (0, 1, 7), rng, 24)
+    assert_matches_oracles(slope_martingale(memoised(dipped)), (8,), rng, 24)
 
 
 def test_the_audit_checks_the_law_of_a_level_walk():
