@@ -105,6 +105,8 @@ def cmd_bet(args: argparse.Namespace) -> int:
     martingale = sz.martingale_from_descriptor(require(config, "martingale"))
     source = sz.source_from_descriptor(require(config, "source"))
     depth = typed(config, "depth", int, 16)
+    if depth < 1:
+        raise ConfigError(f"config key 'depth' must be >= 1, not {depth}")
     audit_depth = typed(config, "audit_depth", int, 8)
     if audit_depth < 0:
         raise ConfigError(f"config key 'audit_depth' must be >= 0, not {audit_depth}")

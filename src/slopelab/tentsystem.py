@@ -16,7 +16,7 @@ compared in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -446,6 +446,8 @@ class TentSystem:
     cutoff: int
     budget: int
     test_descriptor: dict | None = None
+    # (stage, per_block) -> _visible_tents, filled as exclusion_visible asks
+    _visible: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -462,20 +464,25 @@ class TentSystem:
         index, cell = hit
         return tent_for(cell, stage, index)
 
-    def stage_value(self, stage: int, point: Sequence[Fraction]) -> Fraction:
-        """4**stage times the (single) tent living over the point, else 0."""
-        tent = self.locate_tent(stage, point)
-        if tent is None:
-            return Fraction(0)
-        return Fraction(4) ** stage * tent.value(point)
+    def stage_values(self, point: Sequence[Fraction]) -> dict[int, Fraction]:
+        """4**m times the tent over the point, for each summed stage m that holds it.
+
+        Stages are located from cutoff + 1 upward, up to the first that misses.
+        """
+        values: dict[int, Fraction] = {}
+        for stage in range(self.cutoff + 1, self.depth + 1):
+            tent = self.locate_tent(stage, point)
+            if tent is None:
+                # each stage's half-open cells tile its sources, and
+                # build_partition (and verify_properties) puts every stage-m
+                # source inside the stage-(m-1) sources: no later stage holds it
+                break
+            values[stage] = Fraction(4) ** stage * tent.value(point)
+        return values
 
     def truncated_value(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value of the built stages' sum at a rational point."""
-        point = tuple(point)
-        total = Fraction(0)
-        for stage in range(self.cutoff + 1, self.depth + 1):
-            total += self.stage_value(stage, point)
-        return total
+        return sum(self.stage_values(tuple(point)).values(), Fraction(0))
 
     def as_function(self) -> ComputableFunction:
         def modulus(i: int) -> int:
@@ -510,6 +517,7 @@ class TentSystem:
             raise InsufficientDepthError(self.depth + 1, too_coarse)
         value = Fraction(0)
         error = Fraction(0)
+        missed = False
         for stage in range(self.cutoff + 1, precision + 1):
             data = self.partition.stages[stage]
             cutoff_index: int | None = None
@@ -519,7 +527,9 @@ class TentSystem:
                     break
             if cutoff_index is None and not data.exhausted:
                 raise InsufficientDepthError(stage, too_coarse)
-            hit = self.partition.locate(stage, point)
+            # once the point misses a stage it misses every later one (stage_values)
+            hit = None if missed else self.partition.locate(stage, point)
+            missed = hit is None
             if hit is not None:
                 index, cell = hit
                 if cutoff_index is None or index < cutoff_index or data.exhausted:
@@ -569,14 +579,16 @@ class TentSystem:
         per_stage: dict[int, tuple[tuple[int, Fraction], ...]] = {}
         tail_ok = True
         full_stage = False
+        at_z = self.stage_values(z)
         for sign in (1, -1):
             h = sign * step
             shifted = tuple(zi + h * ei for zi, ei in zip(z, e1))
             if not in_unit_cube(shifted):
                 continue
+            at_shifted = self.stage_values(shifted)
             slopes = []
             for k in range(self.cutoff + 1, self.depth + 1):
-                s = (self.stage_value(k, shifted) - self.stage_value(k, z)) / h
+                s = (at_shifted.get(k, 0) - at_z.get(k, 0)) / h
                 slopes.append((k, s))
                 if k > stage and abs(s) > pow2(-k + 2):
                     tail_ok = False
@@ -604,6 +616,26 @@ class TentSystem:
         )
 
     # -- exclusion bookkeeping -------------------------------------------------
+
+    def _visible_tents(self, stage: int, per_block: int) -> tuple[list[TentFunction], int]:
+        """Tents over the first per_block cells of each block of a stage, and how many are too thin.
+
+        Built once per (stage, per_block) and kept with the system: the sweep
+        over stages reads each later stage's tents again.
+        """
+        key = (stage, per_block)
+        if key not in self._visible:
+            tents: list[TentFunction] = []
+            clamped = 0
+            for block in self.partition.blocks_at(stage):
+                for local in range(min(per_block, block.count)):
+                    tent = tent_for(block.cell(local), stage, block.start_index + local)
+                    if tent.eps_exponent > POW2_MATERIALIZE_CAP:
+                        clamped += 1
+                    else:
+                        tents.append(tent)
+            self._visible[key] = (tents, clamped)
+        return self._visible[key]
 
     def exclusion_bound(self, stage: int) -> Fraction:
         """Closed-form upper bound for the corner-interval union past a stage.
@@ -637,13 +669,9 @@ class TentSystem:
         tents: list[TentFunction] = []
         clamped = 0
         for i in range(stage + 1, self.depth + 1):
-            for block in self.partition.blocks_at(i):
-                for local in range(min(per_block, block.count)):
-                    tent = tent_for(block.cell(local), i, block.start_index + local)
-                    if tent.eps_exponent > POW2_MATERIALIZE_CAP:
-                        clamped += 1
-                    else:
-                        tents.append(tent)
+            stage_tents, stage_clamped = self._visible_tents(i, per_block)
+            tents.extend(stage_tents)
+            clamped += stage_clamped
         finest = max((t.eps_exponent for t in tents), default=0)
         spans: list[tuple[int, int]] = []
         for tent in tents:

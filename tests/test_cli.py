@@ -337,6 +337,13 @@ def test_bet_command_refuses_a_negative_audit_depth_as_read(tmp_path, capsys):
     assert capsys.readouterr() == ("", "config error: config key 'audit_depth' must be >= 0, not -1\n")
 
 
+@pytest.mark.parametrize("depth", [-1, 0])
+def test_bet_command_refuses_a_non_positive_depth_as_read(tmp_path, capsys, depth):
+    config = write_config(tmp_path, "bet.json", {**bet_config(), "depth": depth})
+    assert main(["bet", "--config", config]) == 2
+    assert capsys.readouterr() == ("", f"config error: config key 'depth' must be >= 1, not {depth}\n")
+
+
 ZERO_DENOMINATOR = "error: rational literal '1/0' has a zero denominator\n"
 NOT_A_LITERAL = 'error: 0.5 is not a rational literal; write it as a "p/q" string\n'
 

@@ -104,15 +104,17 @@ def test_overlapping_sources_rejected():
         mock.verify_properties()
 
 
+# stage 1 mixes a scale-12 cube with a scale-2 cube; stage 2 nests in the
+# coarse one
+MIXED_STAGES = [
+    [DyadicCube(2, 1, (0, 0))],
+    [DyadicCube(2, 12, (1500, 1200)), DyadicCube(2, 2, (0, 0))],
+    [DyadicCube(2, 16, (3, 3))],
+]
+
+
 def test_mixed_scale_stage_builds_and_verifies():
-    # stage 1 mixes a scale-12 cube with a scale-2 cube; stage 2 nests in the
-    # coarse one
-    stages = [
-        [DyadicCube(2, 1, (0, 0))],
-        [DyadicCube(2, 12, (1500, 1200)), DyadicCube(2, 2, (0, 0))],
-        [DyadicCube(2, 16, (3, 3))],
-    ]
-    system = build_tent_system(explicit_test(stages), depth=2, cutoff=0, budget=4)
+    system = build_tent_system(explicit_test(MIXED_STAGES), depth=2, cutoff=0, budget=4)
     report = system.partition.verify_properties()
     assert [s["covers_enumeration"] for s in report["stages"]] == [True] * 3
     assert report["stages"][2]["nested_with_ratio"]
@@ -222,12 +224,13 @@ def test_tent_exclusion_membership():
 
 def test_truncated_value_sums_visible_stages(toy_system5):
     system = toy_system5
+    values = system.stage_values(TARGET)
     total = system.truncated_value(TARGET)
-    by_stage = sum(
-        (system.stage_value(m, TARGET) for m in range(1, 6)), Fraction(0)
-    )
+    by_stage = sum((values.get(m, 0) for m in range(1, 6)), Fraction(0))
     assert total == by_stage
-    assert system.stage_value(0, TARGET) > 0  # exists but sits below the cutoff
+    # stage 0 holds the target but sits below the cutoff
+    assert values.get(0, 0) == 0
+    assert system.locate_tent(0, TARGET).value(TARGET) > 0
 
 
 def test_truncated_value_zero_away_from_cells(toy_system5):
@@ -379,6 +382,23 @@ def test_evaluate_raises_when_stream_outruns_budget():
     assert err.value.stage == 1
 
 
+def test_evaluate_adds_a_deeper_stage_below_a_dropped_cell():
+    # stage 1 sees two of its three cubes, so it is not exhausted, and the
+    # point's stage-1 cell is finer than the precision needs: it is dropped,
+    # while the exhausted stage 2 below it still contributes
+    stages = [
+        [unit_cube(2)],
+        [DyadicCube(2, 1, (0, 0)), DyadicCube(2, 12, (3000, 3000)), DyadicCube(2, 1, (1, 0))],
+        [DyadicCube(2, 20, (3000 * 256 + 7, 3000 * 256 + 9))],
+    ]
+    system = build_tent_system(explicit_test(stages), depth=2, cutoff=0, budget=2)
+    inner = system.partition.blocks_at(2)[0].source
+    point = tuple(F(c, 1 << inner.scale) + inner.side() / 3 for c in inner.corner)
+    values = system.stage_values(point)
+    assert sorted(values) == [1, 2] and values[1] > 0
+    assert system.evaluate(point, 2).value == values[2]
+
+
 def test_exclusion_union_matches_slab_maxima_oracle():
     # independent oracle: within one uniform block, corner intervals of the
     # cells sharing an axis slab nest, so the slab's union is its two maxima
@@ -408,7 +428,7 @@ def test_evaluate_contains_the_analytic_series(toy_system8):
         exponents.append(exponents[-1] + 3 * k)
     terms = [F(4) ** (k + 1) * pow2(-e) / 3 for k, e in enumerate(exponents)]
     for stage in range(1, 9):
-        assert toy_system8.stage_value(stage, TARGET) == terms[stage - 1]
+        assert toy_system8.stage_values(TARGET).get(stage, 0) == terms[stage - 1]
     truth_lower = sum(terms, F(0))
     truth_upper = truth_lower + pow2(-90)  # dwarfs the remaining tail
     for m in (2, 4, 6, 8):
@@ -458,16 +478,18 @@ def fraction_exclusion(system, stage, axis, per_block):
     return fraction_union_length(intervals), slack, count, bound
 
 
+# the second stage-2 block starts past index 2**24, so its tents are too thin
+# to materialize and its bound term is clamped
+CLAMPED_STAGES = [
+    [unit_cube(3)],
+    [unit_cube(3)],
+    [DyadicCube(3, 1, (0, 0, 0)), DyadicCube(3, 1, (1, 1, 1))],
+]
+
+
 @pytest.fixture(scope="module")
 def clamped_system():
-    # the second stage-2 block starts past index 2**24, so its tents are
-    # too thin to materialize and its bound term is clamped
-    stages = [
-        [unit_cube(3)],
-        [unit_cube(3)],
-        [DyadicCube(3, 1, (0, 0, 0)), DyadicCube(3, 1, (1, 1, 1))],
-    ]
-    return build_tent_system(explicit_test(stages), depth=2, cutoff=0, budget=2)
+    return build_tent_system(explicit_test(CLAMPED_STAGES), depth=2, cutoff=0, budget=2)
 
 
 def test_clamped_slack_counts_thin_tents(clamped_system):
@@ -490,3 +512,144 @@ def test_exclusion_sums_match_fraction_oracle(toy_system5, toy_system8, clamped_
     assert report.visible_slack == slack
     assert report.interval_count == count
     assert report.closed_form_bound == system.exclusion_bound(stage) == bound
+
+
+# ---------------------------------------------------------------------------
+# The sum descends the stage nesting
+
+
+def located_stage_values(system, point):
+    """Oracle: every summed stage located, with no early exit."""
+    values = {}
+    for stage in range(system.cutoff + 1, system.depth + 1):
+        hit = system.partition.locate(stage, point)
+        if hit is not None:
+            index, cell = hit
+            values[stage] = Fraction(4) ** stage * tent_for(cell, stage, index).value(point)
+    return values
+
+
+@pytest.fixture(scope="module")
+def mixed_system():
+    return build_tent_system(explicit_test(MIXED_STAGES), depth=2, cutoff=0, budget=4)
+
+
+@st.composite
+def probe_points(draw, system):
+    """Cell corners and upper edges, coordinates at 1, audit-scale dyadics, non-dyadic points."""
+    n = system.dimension
+    kind = draw(st.sampled_from(["corner", "upper", "one", "audit", "inside", "rational"]))
+    if kind in ("corner", "upper", "one", "inside"):
+        stage = draw(st.integers(0, system.depth))
+        block = draw(st.sampled_from(system.partition.blocks_at(stage)))
+        cell = block.cell(draw(st.integers(0, block.count - 1)))
+        side = cell.side()
+        lower = [Fraction(c, 1 << cell.scale) for c in cell.corner]
+        if kind == "corner":
+            return tuple(lower)
+        if kind == "upper":
+            raised = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            return tuple(x + side if up else x for x, up in zip(lower, raised))
+        if kind == "one":
+            axis = draw(st.integers(0, n - 1))
+            return tuple(Fraction(1) if i == axis else x for i, x in enumerate(lower))
+        offsets = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        return tuple(x + side * Fraction(k, 3) for x, k in zip(lower, offsets))
+    if kind == "audit":
+        # the grid the modulus audit draws x from at a stage: scale h(m) + 6
+        stage = draw(st.integers(1, system.depth))
+        denom = 1 << (system.modulus_exponent(stage) + 6)
+        return tuple(Fraction(draw(st.integers(0, denom)), denom) for _ in range(n))
+    denom = draw(st.integers(1, 500)) * 2 + 1
+    return tuple(Fraction(draw(st.integers(0, denom)), denom) for _ in range(n))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_stage_values_match_the_every_stage_oracle(
+    toy_system5, toy_system8, clamped_system, mixed_system, data
+):
+    system = data.draw(st.sampled_from([toy_system5, toy_system8, clamped_system, mixed_system]))
+    point = data.draw(probe_points(system))
+    expected = located_stage_values(system, point)
+    assert system.stage_values(point) == expected
+    assert system.truncated_value(point) == sum(expected.values(), Fraction(0))
+
+
+def counted_locate(monkeypatch, partition):
+    """Replace partition.locate by a wrapper that records each (stage, point) it is asked."""
+    calls = []
+    locate = partition.locate
+
+    def counted(stage, point):
+        calls.append((stage, tuple(point)))
+        return locate(stage, point)
+
+    monkeypatch.setattr(partition, "locate", counted)
+    return calls
+
+
+def test_a_point_outside_stage_one_is_located_once(toy_system5, monkeypatch):
+    outside = (F(1, 5), F(1, 5))
+    calls = counted_locate(monkeypatch, toy_system5.partition)
+    assert toy_system5.truncated_value(outside) == 0
+    assert calls == [(1, outside)]
+    calls.clear()
+    toy_system5.evaluate(outside, 5)
+    assert calls == [(1, outside)]
+
+
+def test_oscillation_check_locates_the_target_once_per_stage(toy_system5, monkeypatch):
+    calls = counted_locate(monkeypatch, toy_system5.partition)
+    for m in (3, 4, 5):
+        calls.clear()
+        toy_system5.oscillation_check(TARGET, m)
+        at_target = sorted(stage for stage, point in calls if point == TARGET)
+        # once for the stage-m tent itself, once per summed stage for the sum
+        assert at_target == sorted([m, 1, 2, 3, 4, 5])
+
+
+def test_the_exclusion_sweep_builds_each_visible_tent_once(toy_test, monkeypatch):
+    import slopelab.tentsystem as module
+
+    calls = []
+
+    def counted(cell, stage, index):
+        calls.append((stage, index))
+        return tent_for(cell, stage, index)
+
+    monkeypatch.setattr(module, "tent_for", counted)
+    for system in (
+        build_tent_system(toy_test, depth=5, cutoff=0, budget=4),
+        build_tent_system(explicit_test(CLAMPED_STAGES), depth=2, cutoff=0, budget=2),
+    ):
+
+        def visible(per_block):
+            return [
+                (i, block.start_index + local)
+                for i in range(1, system.depth + 1)
+                for block in system.partition.blocks_at(i)
+                for local in range(min(per_block, block.count))
+            ]
+
+        # a per_block already swept builds no tent again
+        for per_block, built in ((16, visible(16)), (3, visible(3)), (16, []), (3, [])):
+            calls.clear()
+            for m in range(system.depth + 1):  # the CLI's sweep
+                for axis in range(1, system.dimension):
+                    system.exclusion_visible(m, axis, per_block)
+            assert sorted(calls) == built
+
+
+def test_repeated_and_alternating_exclusion_calls_match_the_oracle(toy_test):
+    for system in (
+        build_tent_system(toy_test, depth=5, cutoff=0, budget=4),
+        build_tent_system(explicit_test(CLAMPED_STAGES), depth=2, cutoff=0, budget=2),
+    ):
+        for per_block in (16, 3, 16, 40, 3, 1):
+            for m in (system.depth, 0, 1, 0):
+                for axis in range(1, system.dimension):
+                    report = system.exclusion_visible(m, axis, per_block)
+                    union, slack, count, bound = fraction_exclusion(system, m, axis, per_block)
+                    assert (report.visible_union, report.visible_slack) == (union, slack)
+                    assert (report.interval_count, report.closed_form_bound) == (count, bound)
