@@ -6,7 +6,7 @@ rational value f(x) at a rational point x, and the modulus h certifies
 built from rational data, so every comparison made with its values is exact.
 A one-variable function also has its values on the dyadic grid k / 2**L as
 integer numerators over one denominator; the closed forms below compute
-them without building a Fraction per point.
+them for any window of k, without building a Fraction per point.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .rationals import (
 
 Evaluator = Callable[[Vector], Fraction]
 Modulus = Callable[[int], int]
-Grid = tuple[list[int], int]  # numerators at k / 2**L for k = 0..2**L, and their denominator
+Grid = tuple[list[int], int]  # numerators at k / 2**L for start <= k < stop, and their denominator
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +44,7 @@ class ComputableFunction:
     dimension: int
     evaluator: Evaluator
     modulus: Modulus
-    grid: Callable[[int], Grid] | None = None  # a closed form of dyadic_grid
+    grid: Callable[[int, int, int], Grid] | None = None  # (level, start, stop): a window of dyadic_grid
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         point = tuple(point)
@@ -60,14 +60,14 @@ class ComputableFunction:
         if self.dimension != 1:  # the grid points have one coordinate
             raise ValueError(f"expected {self.dimension} coordinates, got 1")
         if self.grid is not None:
-            return self.grid(level)
+            return self.grid(level, 0, (1 << level) + 1)
         width = 1 << level
         return common_denominator(self.eval((Fraction(k, width),)) for k in range(width + 1))
 
 
 def _affine_pieces_grid(
     knots: Sequence[Fraction], intercepts: Sequence[Fraction], slopes: Sequence[Fraction]
-) -> Callable[[int], Grid]:
+) -> Callable[[int, int, int], Grid]:
     """Grid of x |-> intercepts[j] + slopes[j] * x on [knots[j], knots[j + 1]].
 
     The knots run from 0 to 1.  Over the lcm q of every coefficient's
@@ -80,12 +80,15 @@ def _affine_pieces_grid(
         for a, s, end in zip(intercepts, slopes, knots[1:])
     ]
 
-    def grid(level: int) -> Grid:
+    def grid(level: int, start: int, stop: int) -> Grid:
         numerators: list[int] = []
         for a, s, end in pieces:
-            stop = (end.numerator << level) // end.denominator + 1  # the k with k / 2**L <= end
+            k = start + len(numerators)
+            if k == stop:
+                break
+            last = (end.numerator << level) // end.denominator  # the last k with k / 2**L <= end
             a <<= level
-            numerators += [a + s * k for k in range(len(numerators), stop)]
+            numerators += [a + s * j for j in range(k, min(stop, last + 1))]
         return numerators, scale << level
 
     return grid
@@ -301,14 +304,14 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
 def square_1d() -> ComputableFunction:
     return ComputableFunction(
         1, lambda p: p[0] * p[0], lambda i: i + 1,
-        lambda level: ([k * k for k in range((1 << level) + 1)], 1 << 2 * level),
+        lambda level, start, stop: ([k * k for k in range(start, stop)], 1 << 2 * level),
     )
 
 
 def cube_1d() -> ComputableFunction:
     return ComputableFunction(
         1, lambda p: p[0] ** 3, lambda i: i + 2,
-        lambda level: ([k**3 for k in range((1 << level) + 1)], 1 << 3 * level),
+        lambda level, start, stop: ([k**3 for k in range(start, stop)], 1 << 3 * level),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .bits import Bits, BitSource
@@ -45,6 +45,11 @@ def _sigma(length: int, index: int) -> Bits:
     return tuple((index >> shift) & 1 for shift in range(length - 1, -1, -1))
 
 
+def _prefix_indices(bits: Bits) -> Iterator[int]:
+    """The indices of bits' prefixes of lengths 0..len(bits)."""
+    return accumulate(bits, lambda index, bit: 2 * index + bit, initial=0)
+
+
 @dataclass(frozen=True, eq=False)
 class Martingale:
     """Nonnegative exact capital function on binary strings.
@@ -54,14 +59,14 @@ class Martingale:
     (length + 1, 2 * index + 1).  ``capital(length, index)`` is one value.
     ``level_walk``, when given, does what ``levels`` does in a way that
     shares work between the levels.  ``path_walk(bits)``, when given, yields
-    the capitals of bits' prefixes of lengths 0..len(bits) in a way that
-    shares work between consecutive prefixes.
+    the capitals of bits' prefixes of lengths 0..len(bits) as integer pairs
+    (numerator, denominator > 0), sharing work between consecutive prefixes.
     """
 
     capital: Callable[[int, int], Fraction]
     label: str = "martingale"
     level_walk: Callable[[int], Iterator[tuple[list[int], int]]] | None = None
-    path_walk: Callable[[Bits], Iterator[Fraction]] | None = None
+    path_walk: Callable[[Bits], Iterator[tuple[int, int]]] | None = None
 
     def levels(self, depth: int) -> Iterator[tuple[list[int], int]]:
         """The capitals of lengths 0..depth, each level as integer numerators over one denominator."""
@@ -226,14 +231,21 @@ def _slope_levels(f: ComputableFunction, depth: int) -> Iterator[tuple[list[int]
         yield [(b - a) << length for a, b in zip(points, points[1:])], denominator
 
 
-def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[Fraction]:
+def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
     """Slopes of f over the dyadic intervals that bits' prefixes code, shortest first.
 
-    f is held at both ends of the current interval; each bit costs one new
-    evaluation, at the midpoint, which becomes the end that the bit moves.
+    A closed form gives the slope over interval i at length L from its grid
+    window k = i, i + 1, with no evaluation.  Otherwise f is held at both ends
+    of the current interval; each bit costs one new evaluation, at the
+    midpoint, which becomes the end that the bit moves.
     """
+    if f.grid is not None:
+        for length, index in enumerate(_prefix_indices(bits)):
+            (lo, hi), denominator = f.grid(length, index, index + 2)
+            yield (hi - lo) << length, denominator
+        return
     hi, lo = f.eval((Fraction(1),)), f.eval((Fraction(0),))
-    yield hi - lo
+    yield (hi - lo).as_integer_ratio()
     index = 0
     for length, bit in enumerate(bits, 1):
         width = 1 << length
@@ -243,7 +255,7 @@ def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[Fraction]:
             lo = mid
         else:
             hi = mid
-        yield (hi - lo) * width
+        yield ((hi - lo) * width).as_integer_ratio()
 
 
 def slope_martingale(f: ComputableFunction) -> Martingale:
@@ -327,33 +339,38 @@ def run_bet(
     """Play m against the source's prefixes of length 0..depth.
 
     The capitals come from m's path walk when it has one, else from
-    ``capital`` on each prefix.  The maximum and the crossings are read in
-    one pass: a threshold not yet crossed lies above the running maximum, so
-    only a new strict maximum can cross it.
+    ``capital`` on each prefix, as pairs (numerator, denominator > 0); each
+    is made a Fraction once, and compared by cross-multiplying.  The maximum
+    and the crossings are read in one pass: a threshold not yet crossed lies
+    above the running maximum, so only a new strict maximum can cross it.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     prefix = source.prefix(depth)
-    walk = m.path_walk(prefix) if m.path_walk is not None else None
+    if m.path_walk is not None:
+        pairs = m.path_walk(prefix)
+    else:
+        pairs = (c.as_integer_ratio() for c in map(m.capital, range(depth + 1), _prefix_indices(prefix)))
     crossings: dict[Fraction, int | None] = dict.fromkeys(thresholds)
     pending = sorted(crossings)  # the thresholds not yet crossed, lowest first
-    capitals: list[Fraction] = []
-    best = None
-    index = 0
-    for length in range(depth + 1):
-        if length:
-            index = 2 * index + prefix[length - 1]
-        value = m.capital(length, index) if walk is None else next(walk)
-        capital = m._nonnegative(length, index, value)
-        if best is None or capital > best:
-            best = capital
-            while pending and pending[0] <= capital:
+    trajectory: list[Fraction] = []
+    best = low = None  # (numerator, denominator, length) of the maximum and the tail minimum
+    for length, (num, den) in enumerate(pairs):
+        if num < 0:
+            raise m._negative(length, _index(prefix[:length]), Fraction(num, den))
+        twos = ((num | den) & -(num | den)).bit_length() - 1  # grid denominators are mostly twos
+        capital = Fraction(num >> twos, den >> twos)
+        trajectory.append(capital)
+        num, den = capital.numerator, capital.denominator  # lowest terms: smaller products below
+        if best is None or num * best[1] > best[0] * den:
+            best = num, den, length
+            while pending and pending[0].numerator * den <= num * pending[0].denominator:
                 crossings[pending.pop(0)] = length
-        capitals.append(capital)
-    trajectory = tuple(capitals)
+        if length >= (depth + 1) // 2 and (low is None or num * low[1] < low[0] * den):
+            low = num, den, length
     return BetRun(
-        trajectory=trajectory,
-        max_capital=best,
-        min_tail_capital=min(trajectory[(depth + 1) // 2 :]),
+        trajectory=tuple(trajectory),
+        max_capital=trajectory[best[2]],
+        min_tail_capital=trajectory[low[2]],
         threshold_crossings=crossings,
     )

@@ -464,12 +464,9 @@ class TentSystem:
         index, cell = hit
         return tent_for(cell, stage, index)
 
-    def stage_values(self, point: Sequence[Fraction]) -> dict[int, Fraction]:
-        """4**m times the tent over the point, for each summed stage m that holds it.
-
-        Stages are located from cutoff + 1 upward, up to the first that misses.
-        """
-        values: dict[int, Fraction] = {}
+    def _stage_tents(self, point: Sequence[Fraction]) -> dict[int, TentFunction]:
+        """The tent over the point at each summed stage, from cutoff + 1 up to the first miss."""
+        tents: dict[int, TentFunction] = {}
         for stage in range(self.cutoff + 1, self.depth + 1):
             tent = self.locate_tent(stage, point)
             if tent is None:
@@ -477,8 +474,19 @@ class TentSystem:
                 # build_partition (and verify_properties) puts every stage-m
                 # source inside the stage-(m-1) sources: no later stage holds it
                 break
-            values[stage] = Fraction(4) ** stage * tent.value(point)
-        return values
+            tents[stage] = tent
+        return tents
+
+    @staticmethod
+    def _values(tents: Mapping[int, TentFunction], point: Sequence[Fraction]) -> dict[int, Fraction]:
+        return {stage: Fraction(4) ** stage * tent.value(point) for stage, tent in tents.items()}
+
+    def stage_values(self, point: Sequence[Fraction]) -> dict[int, Fraction]:
+        """4**m times the tent over the point, for each summed stage m that holds it.
+
+        Stages are located from cutoff + 1 upward, up to the first that misses.
+        """
+        return self._values(self._stage_tents(point), point)
 
     def truncated_value(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value of the built stages' sum at a rational point."""
@@ -567,7 +575,8 @@ class TentSystem:
             raise ValueError("target point must have non-dyadic coordinates")
         if not self.cutoff < stage <= self.depth:
             raise ValueError(f"stage {stage} is outside the built range")
-        tent = self.locate_tent(stage, z)
+        tents = self._stage_tents(z)  # z is located once per stage, this one included
+        tent = tents.get(stage)
         if tent is None:
             raise ValueError(f"point is not inside any visible stage-{stage} cell")
         if tent.in_exclusion(z):
@@ -579,7 +588,7 @@ class TentSystem:
         per_stage: dict[int, tuple[tuple[int, Fraction], ...]] = {}
         tail_ok = True
         full_stage = False
-        at_z = self.stage_values(z)
+        at_z = self._values(tents, z)
         for sign in (1, -1):
             h = sign * step
             shifted = tuple(zi + h * ei for zi, ei in zip(z, e1))

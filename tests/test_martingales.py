@@ -159,12 +159,24 @@ def test_run_bet_uses_exactly_the_prefix():
 
 
 def test_slope_bet_evaluates_f_once_per_step():
+    # without a closed form the walk evaluates f
     calls = []
-    m = slope_martingale(counted(square_1d(), calls))
+    m = slope_martingale(counted(dataclasses.replace(square_1d(), grid=None), calls))
+    calls.clear()  # the monotonicity audit's grid
     run = run_bet(m, bits_of_fraction(F(1, 3)), 1024)
     assert len(calls) == 1024 + 2  # f(0), f(1), then one midpoint per step
     assert len(set(calls)) == len(calls)
     assert run.trajectory[1024] == slope_oracle(square_1d(), bits_of_fraction(F(1, 3)).prefix(1024))
+
+
+def test_closed_form_slope_bet_never_calls_the_evaluator():
+    calls = []
+    pwlinear = piecewise_linear([(0, 0), (F(1, 3), F(1, 5)), (1, 1)])
+    source = bits_of_fraction(F(1, 3))
+    for f in (square_1d(), cube_1d(), identity_1d(), pwlinear):
+        run = run_bet(slope_martingale(counted(f, calls)), source, 1024)
+        assert calls == []
+        assert run.trajectory[1024] == slope_oracle(f, source.prefix(1024))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -313,9 +325,43 @@ def test_slope_martingales_match_node_by_node_oracles(seed):
     assert_matches_oracles(slope_martingale(memoised(rng.choice(functions))), (), rng, rng.randint(200, 256))
 
 
+def random_non_dyadic_pwlinear(rng: random.Random):
+    """Monotone, with knots at thirds, fifths and sevenths: they fall between grid points."""
+    inner = {F(rng.randrange(1, den), den) for den in rng.sample((3, 5, 7, 15, 21, 35), 3)}
+    xs = [F(0)] + sorted(inner) + [F(1)]
+    ys = [F(0)]
+    for _ in range(len(xs) - 1):
+        ys.append(ys[-1] + F(rng.randrange(0, 9), rng.choice((1, 3, 8))))
+    return piecewise_linear(list(zip(xs, ys)))
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=20, deadline=None)
+def test_slope_paths_over_non_dyadic_knots_match_node_by_node_oracles(seed):
+    rng = random.Random(seed)
+    f = random_non_dyadic_pwlinear(rng)
+    m = slope_martingale(memoised(f))
+    assert_matches_oracles(m, (0, 1, 7), rng, 24)
+    # the closed-form path and the evaluating path agree capital by capital
+    evaluating = slope_martingale(memoised(dataclasses.replace(f, grid=None)))
+    source = pattern_bits([rng.randrange(2) for _ in range(rng.randint(1, 6))])
+    depth = rng.randint(200, 256)
+    run = run_bet(m, source, depth)
+    assert run == run_bet(evaluating, source, depth)
+    assert run.trajectory == trajectory_oracle(m, source, depth)
+    # a threshold equal to a capital is crossed at the first length that reaches it
+    top = max(run.trajectory)
+    crossings = run_bet(m, source, depth, (top, run.trajectory[-1])).threshold_crossings
+    assert crossings[top] == run.trajectory.index(top)
+    assert crossings[run.trajectory[-1]] == next(
+        k for k, c in enumerate(run.trajectory) if c >= run.trajectory[-1]
+    )
+
+
 def test_fine_scale_dip_raises_like_the_oracles():
     # nondecreasing on the scale-6 audit grid, decreasing on [1/128, 1/64]
     f = piecewise_linear([(0, 0), (F(1, 128), F(1, 32)), (F(1, 64), F(1, 64)), (1, 1)])
+    assert f.grid is not None  # run_bet reads the closed form
     m = slope_martingale(f)
     dip = (0, 0, 0, 0, 0, 0, 1)
     message = f"slope: negative capital -2 at {dip}"
@@ -326,6 +372,8 @@ def test_fine_scale_dip_raises_like_the_oracles():
     source = pattern_bits(dip, repeat=False)
     assert outcome(lambda: run_bet(m, source, 9)) == rejected
     assert outcome(trajectory_oracle, m, source, 9) == rejected
+    evaluating = slope_martingale(dataclasses.replace(f, grid=None))
+    assert outcome(lambda: run_bet(evaluating, source, 9)) == rejected
 
 
 def test_fairness_witness_precedes_a_later_negative_capital():

@@ -6,6 +6,7 @@ held-out pool is left out: it exists to confirm a claimed gain on inputs
 that were not looked at while a change was made.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -43,3 +44,23 @@ def test_default_pool_matches_reference_digests(workload, tmp_path):
     for job in pool:
         result, error = jobs.execute(slopelab, job, paths[job.id])
         assert jobs.outcome(job, result, error).digest == reference[job.id]["digest"], job.id
+
+
+def test_bet_path_pool_matches_reference_digests_without_closed_forms(tmp_path, monkeypatch):
+    # every function loses its closed form, so the slope paths evaluate f step by step
+    parse = slopelab.serialize.function_from_descriptor
+    stripped = []
+
+    def without_closed_form(desc):
+        f = parse(desc)
+        stripped.append(f.grid is not None)
+        return dataclasses.replace(f, grid=None)
+
+    monkeypatch.setattr(slopelab.serialize, "function_from_descriptor", without_closed_form)
+    pool = jobs.make_pool("bet-path")
+    reference = jobs.load_reference("bet-path", "default", pool)
+    paths = jobs.write_configs(pool, tmp_path)
+    for job in pool:
+        result, error = jobs.execute(slopelab, job, paths[job.id])
+        assert jobs.outcome(job, result, error).digest == reference[job.id]["digest"], job.id
+    assert any(stripped)
