@@ -12,6 +12,7 @@ main maps each error to its code and its one stderr line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -281,6 +282,7 @@ def _digit_count(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slopelab",
@@ -288,15 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, handler, blurb in (
-        ("probe", cmd_probe, "differentiability probes on a function"),
-        ("bet", cmd_bet, "martingale simulation against a bit source"),
-        ("tent-system", cmd_tent_system, "build and verify a tent system"),
-        ("dore-maleva", cmd_dore_maleva, "lattice removal measures and geometry"),
+    for name, blurb in (
+        ("probe", "differentiability probes on a function"),
+        ("bet", "martingale simulation against a bit source"),
+        ("tent-system", "build and verify a tent system"),
+        ("dore-maleva", "lattice removal measures and geometry"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.set_defaults(handler=handler)
         commands[name] = p
     for name in ("probe", "bet", "dore-maleva"):
         commands[name].add_argument("--config", required=True, help="JSON config path")
@@ -331,10 +332,12 @@ EXITS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = {  # read per call, so the module's current command runs
+        "probe": cmd_probe, "bet": cmd_bet, "tent-system": cmd_tent_system, "dore-maleva": cmd_dore_maleva
+    }[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except Exception as exc:
         for classes, code, line in EXITS:
             if isinstance(exc, classes):

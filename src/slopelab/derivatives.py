@@ -23,6 +23,7 @@ from .functions import (
 from .rationals import (
     Vector,
     as_vector,
+    common_denominator,
     dot,
     in_unit_cube,
     norm_sq,
@@ -104,7 +105,9 @@ def _tail_bracket(
     admits them.  The tail is the levels from len(levels) // 2 on, or the
     ones before when no tail step is admitted; only its steps are evaluated.
     Returns the (step, slope) pairs of the first minimum and the first
-    maximum.
+    maximum.  The values sit over one denominator D, so the slope at the
+    step h = ±2**-k is ±2**k (N(x + h e) - N(x)) / D and the integer before
+    the D orders the slopes.
     """
     if not levels:
         raise ValueError("depth must reach the first step")
@@ -112,13 +115,15 @@ def _tail_bracket(
     half = len(levels) // 2
     for part in (levels[half:], levels[:half]):
         steps = list(_signed_steps(part))
-        steps = [h for h, point in zip(steps, _step_points(x, e, steps)) if point is not None]
-        if steps:
+        kept = [(h, point) for h, point in zip(steps, _step_points(x, e, steps)) if point is not None]
+        if kept:
             break
     else:
         raise ValueError(f"no feasible step along axis {axis}")
-    observations = list(zip(steps, slope_dir(f, x, e, steps)))
-    return min(observations, key=lambda t: t[1]), max(observations, key=lambda t: t[1])
+    (nx, *numerators), den = common_denominator([f.eval(x)] + [f.eval(point) for _, point in kept])
+    keys = [h.numerator * h.denominator * (n - nx) for (h, _), n in zip(kept, numerators)]
+    lo, hi = (pick(range(len(keys)), key=keys.__getitem__) for pick in (min, max))
+    return (kept[lo][0], Fraction(keys[lo], den)), (kept[hi][0], Fraction(keys[hi], den))
 
 
 def partial_probe(
@@ -287,15 +292,6 @@ def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fracti
     return abs(f.eval(vadd(x, h)) - fx - dot(row, h))
 
 
-def _grid_vectors(dimension: int, levels: Iterable[int]) -> Iterator[Vector]:
-    """The nonzero vectors h * s, s in {-1, 0, 1}**dimension, h = 2**-k for k in levels."""
-    for k in levels:
-        h = pow2(-k)
-        for signs in product((-1, 0, 1), repeat=dimension):
-            if any(signs):
-                yield tuple(h * s for s in signs)
-
-
 def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> ProbeVerdict:
     """Bounded form of the first-order limit: ∀ε ∃δ ∀h ∀b remainder <= ε||h||.
 
@@ -307,62 +303,66 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
     some δ works for ε exactly when δ = 2**-depth does.  Only the pairs of
     the two finest levels are built; a violation reports the first of them,
     in grid order, that fails the largest failing ε.
+
+    f is read once at x and once at each admitted point x + 2**-k s, s in
+    {-1, 0, 1}**n; the row's point x + b e_i is the h point of b's level.
+    The values sit over one denominator D, so each remainder is an integer
+    over D 2**k, and only the witness is built in Fractions.  The row rule
+    is the one first_order_remainder states: each x + b e_i lies in the
+    cube and x itself need not, because replay rebuilds the row that way.
     """
     x = tuple(x)
-    axes = [unit_axis(f.dimension, i) for i in range(f.dimension)]
+    units = [tuple(int(i == axis) for i in range(f.dimension)) for axis in range(f.dimension)]
+    signs_h = [s for s in product((-1, 0, 1), repeat=f.dimension) if any(s)]
 
-    def b_feasible(b: Fraction) -> bool:
-        return all(in_unit_cube(vadd(x, vscale(b, e))) for e in axes)
+    def fits(k: int, signs: Sequence[int]) -> bool:  # x + 2**-k signs in the unit cube
+        return all(0 <= (c.numerator << k) + s * c.denominator <= c.denominator << k for c, s in zip(x, signs))
+
+    def b_fits(j: int, sigma: int) -> bool:
+        return all(fits(j, [sigma * u for u in unit]) for unit in units)
 
     grid = range(1, depth + 3)
-    h_feasible = any(in_unit_cube(vadd(x, h)) for h in _grid_vectors(f.dimension, grid))
-    if not h_feasible or not any(b_feasible(b) for b in _signed_steps(grid)):
+    h_feasible = any(fits(k, s) for k in grid for s in signs_h)
+    if not h_feasible or not any(b_fits(j, sigma) for j in grid for sigma in (1, -1)):
         raise ValueError("no feasible probe steps at this point")
     delta = pow2(-depth)
-    delta_sq = delta * delta
-    fine = range(max(1, depth + 1), depth + 3)
-    h_vectors = [
-        h
-        for h in _grid_vectors(f.dimension, fine)
-        if norm_sq(h) < delta_sq and in_unit_cube(vadd(x, h))
-    ]
-    b_steps = [b for b in _signed_steps(fine) if b_feasible(b)]  # all below δ
-    value_cache: dict[Vector, Fraction] = {}
-
-    def cached(point: Vector) -> Fraction:
-        if point not in value_cache:
-            value_cache[point] = f.eval(point)
-        return value_cache[point]
-
-    fx = cached(x)
-    rows = {
-        b: [(cached(vadd(x, vscale(b, e))) - fx) / b for e in axes] for b in b_steps
+    fine = {k: pow2(-k) for k in range(max(1, depth + 1), depth + 3)}
+    # ||h||**2 = nnz(s) 4**-k < δ**2 = 4**-depth
+    h_keys = [(k, s) for k in fine for s in signs_h if sum(map(abs, s)) < 4 ** (k - depth) and fits(k, s)]
+    b_keys = [(j, sigma) for j in fine for sigma in (1, -1) if b_fits(j, sigma)]  # all below δ
+    row_keys = {b: [(b[0], tuple(b[1] * u for u in unit)) for unit in units] for b in b_keys}
+    values = {(0, (0,) * f.dimension): f.eval(x)}  # the point x + 2**-k s under the key (k, s)
+    for k, s in h_keys + [key for keys in row_keys.values() for key in keys]:
+        if (k, s) not in values:
+            values[k, s] = f.eval(tuple(c + si * fine[k] if si else c for c, si in zip(x, s)))
+    numerators, den = common_denominator(values.values())
+    at, nx = dict(zip(values, numerators)), numerators[0]
+    gammas = {b: [at[key] - nx for key in keys] for b, keys in row_keys.items()}
+    failure = None  # (e, h key, b key, R) of the first pair failing the largest ε so far
+    for k, s in h_keys:
+        delta_h = (at[k, s] - nx) << k
+        bound = den * den * sum(map(abs, s))  # D**2 ||s||**2
+        for j, sigma in b_keys:
+            # b = σ 2**-j: the remainder is R / (D 2**k), and it exceeds
+            # 2**-e ||h|| exactly when R**2 4**e > D**2 ||s||**2
+            r = abs(delta_h - (sigma * sum(si * g for si, g in zip(s, gammas[j, sigma])) << j))
+            e = max(1, ((bound // (r * r)).bit_length() + 1) // 2) if r else depth + 1
+            if e <= depth and (failure is None or e < failure[0]):
+                failure = (e, (k, s), (j, sigma), r)
+    if failure is None:
+        return ProbeVerdict("class-b", CONSISTENT, depth, None, None)
+    e, (k, s), (j, sigma), r = failure
+    witness = {
+        "op": "class-b",
+        "point": x,
+        "epsilon": pow2(-e),
+        "delta": delta,
+        "h": tuple(fine[k] * si for si in s),
+        "b": sigma * fine[j],
+        "row": tuple(Fraction(sigma * g << j, den) for g in gammas[j, sigma]),
+        "remainder": Fraction(r, den << k),
     }
-    remainders: list[tuple[Vector, Fraction, Fraction, Fraction]] = []
-    for h in h_vectors:
-        fxh = cached(vadd(x, h))
-        hsq = norm_sq(h)
-        for b in b_steps:
-            remainders.append((h, b, abs(fxh - fx - dot(rows[b], h)), hsq))
-    worst = max((rem * rem / hsq for _, _, rem, hsq in remainders), default=Fraction(0))
-    for e in range(1, depth + 1):
-        eps = pow2(-e)
-        if worst > eps * eps:
-            h, b, rem = next(
-                (h, b, rem) for h, b, rem, hsq in remainders if rem * rem > eps * eps * hsq
-            )
-            witness = {
-                "op": "class-b",
-                "point": x,
-                "epsilon": eps,
-                "delta": delta,
-                "h": h,
-                "b": b,
-                "row": tuple(rows[b]),
-                "remainder": rem,
-            }
-            return ProbeVerdict("class-b", VIOLATED, depth, witness, None)
-    return ProbeVerdict("class-b", CONSISTENT, depth, None, None)
+    return ProbeVerdict("class-b", VIOLATED, depth, witness, None)
 
 
 def replay(f: ComputableFunction, verdict: ProbeVerdict) -> bool:

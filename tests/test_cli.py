@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -925,3 +928,21 @@ def test_options_a_command_does_not_read_exit_2(args, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.endswith(f"unrecognized arguments: {args[-2]} {args[-1]}\n")
+
+
+def test_one_process_reuses_the_parser_and_no_option_leaks(capsys):
+    # main builds its parser once per process: each report must still be the
+    # bytes the same command writes in a fresh interpreter
+    runs = [
+        ["probe", "--config", "probe-kink.json"],
+        ["bet", "--config", "bet-square.json", "--decimals", "12"],
+        ["bet", "--config", "bet-square.json"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}
+    for args in runs:
+        args = [str(CONFIGS / a) if a.endswith(".json") else a for a in args]
+        assert main(args) == 0
+        alone = subprocess.run(
+            [sys.executable, "-m", "slopelab.cli", *args], capture_output=True, env=env, check=True
+        )
+        assert capsys.readouterr().out.encode() == alone.stdout

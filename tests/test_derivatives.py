@@ -426,12 +426,30 @@ def test_class_b_evaluation_count_does_not_grow_with_depth():
         return base.eval(point)
 
     f = ComputableFunction(2, counted, base.modulus)
-    counts = []
     for depth in (6, 10):
         points.clear()
         assert diff_class_b(f, (F(1, 3), F(1, 3)), depth).status == CONSISTENT
-        counts.append(len(set(points)))
-    assert counts[0] == counts[1] == 17  # x and the 16 points of the two finest levels
+        # x and the 16 points of the two finest levels, each read once
+        assert len(points) == len(set(points)) == 17
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+@pytest.mark.parametrize("x", [(F(1, 3), F(5, 7), F(2, 21)), (F(5, 7), F(5, 7), F(2, 21))])
+def test_class_b_matches_full_scan_over_a_large_denominator(x, depth):
+    # the values at x and its grid points share no small denominator; the
+    # second point sits on the kink, so every depth reports a witness
+    f = ComputableFunction(3, lambda p: abs(p[0] - p[1]) + p[2] ** 3, lambda i: i + 3)
+    verdict = diff_class_b(f, x, depth)
+    assert verdict == class_b_oracle(f, x, depth)
+    assert verdict.violated == replay(f, verdict)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_class_b_matches_full_scan_one_step_from_a_face(depth):
+    step = pow2(-(depth + 2))  # the finest step
+    for f in (abs_diff_2d(), product_xy()):
+        for x in [(step, F(1, 3)), (F(2, 5), 1 - step), (1 - step, step), (step, step)]:
+            assert class_b_outcome(diff_class_b, f, x, depth) == class_b_outcome(class_b_oracle, f, x, depth)
 
 
 # ---------------------------------------------------------------------------
