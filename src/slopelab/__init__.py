@@ -72,7 +72,6 @@ from .nullsets import (
     stage_below_half,
 )
 from .rationals import (
-    compare_pow2,
     decimal_string,
     format_rational,
     is_dyadic,

@@ -18,13 +18,13 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .rationals import (
+    POW2_MATERIALIZE_CAP,
     Vector,
     as_vector,
     ceil_log2,
     ceil_sqrt,
     common_denominator,
     dot,
-    in_unit_cube,
     int_ceil_log2,
     norm_sq,
     pow2,
@@ -343,29 +343,34 @@ def min_x_flip_y() -> ComputableFunction:
 def modulus_audit(f: ComputableFunction, level: int, pairs: int, rng) -> list[dict]:
     """Check |f(x) - f(y)| <= 2**-level exactly on sampled pairs at distance <= 2**-h(level).
 
-    x is dyadic at scale h + 6, and y moves it by (k/64) * 2**-h, 1 <= k <= 64,
-    along one axis, so the distance is exact.  Pairs leaving the cube are
-    redrawn, up to 20 * pairs draws.  Returns the violations (empty on success).
+    x is drawn as integer numerators over 2**(h + 6), and y moves one of them
+    by k, 1 <= k <= 64, so the distance (k/64) * 2**-h is exact and y stays
+    in the cube iff its moved numerator stays in [0, 2**(h + 6)].  Pairs
+    leaving the cube are redrawn, up to 20 * pairs draws.  Returns the
+    violations (empty on success).
     """
     if pairs < 0:
         raise ValueError("pairs must be >= 0")
     h = f.modulus(level)
     allowed = pow2(-level)
     denom = 1 << (h + 6)
+    if pairs and h > POW2_MATERIALIZE_CAP:  # no pair is drawn closer than 2**-cap
+        raise OverflowError(f"2**{-h} exceeds the materialization cap")
     violations = []
     checked = 0
     attempts = 0
     while checked < pairs and attempts < 20 * pairs:
         attempts += 1
-        x = tuple(Fraction(rng.randrange(denom + 1), denom) for _ in range(f.dimension))
+        x = [rng.randrange(denom + 1) for _ in range(f.dimension)]
         axis = rng.randrange(f.dimension)
-        sign = rng.choice((-1, 1))
-        step = Fraction(sign * rng.randrange(1, 65), 64) * pow2(-h)
-        y = tuple(xi + (step if i == axis else 0) for i, xi in enumerate(x))
-        if not in_unit_cube(y):
+        y = x.copy()
+        y[axis] += rng.choice((-1, 1)) * rng.randrange(1, 65)
+        if not 0 <= y[axis] <= denom:
             continue
         checked += 1
-        diff = abs(f.eval(x) - f.eval(y))
+        x_point = tuple(Fraction(n, denom) for n in x)
+        y_point = tuple(Fraction(n, denom) for n in y)
+        diff = abs(f.eval(x_point) - f.eval(y_point))
         if diff > allowed:
-            violations.append({"x": x, "y": y, "difference": diff, "allowed": allowed})
+            violations.append({"x": x_point, "y": y_point, "difference": diff, "allowed": allowed})
     return violations

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .cubes import (
     DyadicCube,
@@ -32,7 +32,7 @@ from .nullsets import NestedTest
 from .rationals import (
     POW2_MATERIALIZE_CAP,
     ceil_sqrt,
-    compare_pow2,
+    common_denominator,
     in_unit_cube,
     int_ceil_log2,
     is_dyadic,
@@ -97,34 +97,33 @@ class Block:
     def end_index(self) -> int:
         return self.start_index + self.count - 1
 
+    def corner(self, local: int) -> tuple[int, ...]:
+        """Grid corner of a local cell: its offsets are the base-2**shift digits of local."""
+        shift = self.cell_scale - self.source.scale
+        mask = (1 << shift) - 1
+        last = self.dimension - 1
+        return tuple(
+            (c << shift) + ((local >> shift * (last - axis)) & mask)
+            for axis, c in enumerate(self.source.corner)
+        )
+
     def cell(self, local: int) -> DyadicCube:
         if not 0 <= local < self.count:
             raise IndexError("local cell index out of range")
-        per = self.cells_per_axis
-        offsets = []
-        rest = local
-        for _ in range(self.dimension):
-            rest, off = divmod(rest, per)
-            offsets.append(off)
-        offsets.reverse()
-        shift = self.cell_scale - self.source.scale
-        corner = tuple(
-            (c << shift) + off for c, off in zip(self.source.corner, offsets)
-        )
-        return DyadicCube(self.dimension, self.cell_scale, corner)
+        return DyadicCube(self.dimension, self.cell_scale, self.corner(local))
 
-    def locate(self, point: Sequence[Fraction]) -> int | None:
-        """Local index of the grid cell whose half-open box holds the point."""
-        per = self.cells_per_axis
+    def locate(self, numerators: Sequence[int], denominator: int) -> tuple[int, tuple[int, ...]] | None:
+        """Local index and grid corner of the cell whose half-open box holds N / D."""
         shift = self.cell_scale - self.source.scale
         local = 0
-        for c_src, x in zip(self.source.corner, point):
-            grid = (x.numerator << self.cell_scale) // x.denominator
-            off = grid - (c_src << shift)
-            if not 0 <= off < per:
+        corner = []
+        for c_src, n in zip(self.source.corner, numerators):
+            grid = (n << self.cell_scale) // denominator
+            if grid >> shift != c_src:
                 return None
-            local = local * per + off
-        return local
+            local = (local << shift) + grid - (c_src << shift)
+            corner.append(grid)
+        return local, tuple(corner)
 
 
 @dataclass(eq=False)
@@ -164,12 +163,22 @@ class Partition:
                 return block.cell(index - block.start_index)
         raise IndexError(f"no visible cell {index} at stage {stage}")
 
-    def locate(self, stage: int, point: Sequence[Fraction]) -> tuple[int, DyadicCube] | None:
+    def locate(
+        self, stage: int, numerators: Sequence[int], denominator: int
+    ) -> tuple[int, DyadicCube] | None:
+        """Index and cube of the stage cell whose half-open box holds the point N / D."""
         for block in self.blocks_at(stage):
-            local = block.locate(point)
-            if local is not None:
-                return block.start_index + local, block.cell(local)
+            hit = block.locate(numerators, denominator)
+            if hit is not None:
+                local, corner = hit
+                return block.start_index + local, DyadicCube(self.dimension, block.cell_scale, corner)
         return None
+
+    def visible_cells(self, stage: int, per_block: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """(index, cell scale, corner) of the first per_block cells of each block of a stage."""
+        for block in self.blocks_at(stage):
+            for local in range(min(per_block, block.count)):
+                yield block.start_index + local, block.cell_scale, block.corner(local)
 
     def first_cell_scale(self, stage: int) -> int:
         blocks = self.blocks_at(stage)
@@ -285,9 +294,12 @@ def build_partition(test: NestedTest, depth: int, budget: int) -> Partition:
 class TentFunction:
     """Piecewise-linear bump on a cell: ridge in axis 1, ramps elsewhere.
 
-    eps = 2**-eps_exponent; the exponent can be astronomically large, so all
-    comparisons against eps go through log-space arithmetic and the ramp is
-    materialized only when a representable point actually lands on it.
+    eps = 2**-eps_exponent; the exponent can be astronomically large.  A point
+    is read as integer numerators N over one denominator D, and every distance
+    to a cell face as an integer in the unit 1 / (D * 2**scale): a margin r
+    lies on the ramp iff r * 2**t < D, for t = eps_exponent - scale, which a
+    bit-length check decides before any shift by t.  A point that lands on a
+    ramp thinner than 2**-POW2_MATERIALIZE_CAP raises OverflowError.
     """
 
     cell: DyadicCube
@@ -295,49 +307,40 @@ class TentFunction:
     index: int
     eps_exponent: int
 
-    def _ramp_factor(self, margin: Fraction) -> Fraction:
-        # margin < eps here; the quotient margin / eps needs a real power of 2
-        if self.eps_exponent > POW2_MATERIALIZE_CAP:
-            raise OverflowError(
-                "a representable point landed on an unrepresentably thin ramp"
-            )
-        return margin * pow2(self.eps_exponent)
-
-    def value(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact tent value; zero outside the closed cell."""
-        lo, hi = self.cell.interval(0)
-        left, right = point[0] - lo, hi - point[0]
-        if left <= 0 or right <= 0:
-            return Fraction(0)
-        result = min(left, right)
-        for axis in range(1, self.cell.dimension):
-            lo, hi = self.cell.interval(axis)
-            near = min(point[axis] - lo, hi - point[axis])
+    def value(self, numerators: Sequence[int], denominator: int, shift: int = 0) -> Fraction:
+        """2**shift times the exact tent value at N / D; zero outside the closed cell."""
+        scale, corner = self.cell.scale, self.cell.corner
+        t = self.eps_exponent - scale
+        width = denominator.bit_length()
+        ramped = result = 0
+        for axis, (c, n) in enumerate(zip(corner, numerators)):
+            at = (n << scale) - c * denominator
+            near = min(at, denominator - at)
             if near <= 0:
                 return Fraction(0)
-            if compare_pow2(near, -self.eps_exponent) < 0:
-                result *= self._ramp_factor(near)
-        return result
+            if not axis:
+                result = near  # the ridge
+            elif near.bit_length() + t <= width and near << t < denominator:
+                if self.eps_exponent > POW2_MATERIALIZE_CAP:
+                    raise OverflowError("a representable point landed on an unrepresentably thin ramp")
+                result *= near
+                ramped += 1
+        # ridge * prod(near * 2**t / D) / (D * 2**scale), times 2**shift
+        up = ramped * t + shift - scale
+        below = denominator ** (ramped + 1)
+        return Fraction(result << up, below) if up >= 0 else Fraction(result, below << -up)
 
-    def in_exclusion(self, point: Sequence[Fraction]) -> bool:
-        """Whether the point misses the open region with first slope +-1."""
-        lo, hi = self.cell.interval(0)
-        if not lo < point[0] < hi:
-            return True
-        for axis in range(1, self.cell.dimension):
-            lo, hi = self.cell.interval(axis)
-            near = min(point[axis] - lo, hi - point[axis])
-            if near <= 0 or compare_pow2(near, -self.eps_exponent) <= 0:
+    def in_exclusion(self, numerators: Sequence[int], denominator: int) -> bool:
+        """Whether the point N / D misses the open region with first slope +-1."""
+        scale = self.cell.scale
+        t = self.eps_exponent - scale
+        width = denominator.bit_length()
+        for axis, (c, n) in enumerate(zip(self.cell.corner, numerators)):
+            at = (n << scale) - c * denominator
+            near = min(at, denominator - at)
+            if near <= 0 or axis and near.bit_length() + t <= width and near << t <= denominator:
                 return True
         return False
-
-    def exclusion_intervals(self, axis: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        """The two removed corner intervals of the axis projection."""
-        if axis < 1:
-            raise ValueError("the first axis carries the ridge, not ramps")
-        eps = pow2(-self.eps_exponent)  # raises beyond the materialization cap
-        lo, hi = self.cell.interval(axis)
-        return ((lo, lo + eps), (hi - eps, hi))
 
     def as_function(self) -> ComputableFunction:
         # each partial slope is at most 2**(stage+index), so the gradient is
@@ -345,9 +348,14 @@ class TentFunction:
         steep = self.stage + self.index + int_ceil_log2(ceil_sqrt(self.cell.dimension))
         return ComputableFunction(
             dimension=self.cell.dimension,
-            evaluator=self.value,
+            evaluator=lambda point: self.value(*common_denominator(point)),
             modulus=lambda i: i + steep,
         )
+
+
+def ramp_exponent(stage: int, index: int, scale: int) -> int:
+    """eps exponent of the tent over cell index of a stage, for cells of side 2**-scale."""
+    return stage + index + 1 + scale
 
 
 def tent_for(cell: DyadicCube, stage: int, index: int) -> TentFunction:
@@ -357,7 +365,7 @@ def tent_for(cell: DyadicCube, stage: int, index: int) -> TentFunction:
     """
     if stage < 0 or index < 0:
         raise ValueError("stage and index are natural numbers")
-    return TentFunction(cell, stage, index, stage + index + 1 + cell.scale)
+    return TentFunction(cell, stage, index, ramp_exponent(stage, index, cell.scale))
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +423,22 @@ class ExclusionReport:
         return self.visible_upper <= self.closed_form_bound <= self.analytic_bound
 
 
-def _dyadic_union_length(spans: list[tuple[int, int]], exponent: int) -> Fraction:
-    """Length of a union of intervals [lo, hi] * 2**-exponent, lo < hi integers."""
-    if not spans:
-        return Fraction(0)
+def _merge_spans(spans: list[tuple[int, int]]) -> int:
+    """Replace intervals [lo, hi], lo < hi integers, by their union's spans in order; return its length."""
     spans.sort()
+    merged: list[tuple[int, int]] = []
     total = 0
-    start, end = spans[0]
     for lo, hi in spans:
-        if lo > end:
-            total += end - start
-            start, end = lo, hi
-        elif hi > end:
-            end = hi
-    total += end - start
-    return Fraction(total, 1 << exponent)
+        if merged and lo <= merged[-1][1]:
+            start, end = merged[-1]
+            if hi > end:
+                total += hi - end
+                merged[-1] = (start, hi)
+        else:
+            merged.append((lo, hi))
+            total += hi - lo
+    spans[:] = merged
+    return total
 
 
 @dataclass(eq=False)
@@ -446,8 +455,8 @@ class TentSystem:
     cutoff: int
     budget: int
     test_descriptor: dict | None = None
-    # (stage, per_block) -> _visible_tents, filled as exclusion_visible asks
-    _visible: dict = field(default_factory=dict, init=False, repr=False)
+    # per_block -> _exclusion_sweep, filled as exclusion_visible asks
+    _swept: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -457,18 +466,18 @@ class TentSystem:
     def depth(self) -> int:
         return self.partition.stage_count - 1
 
-    def locate_tent(self, stage: int, point: Sequence[Fraction]) -> TentFunction | None:
-        hit = self.partition.locate(stage, point)
+    def locate_tent(self, stage: int, numerators: Sequence[int], denominator: int) -> TentFunction | None:
+        hit = self.partition.locate(stage, numerators, denominator)
         if hit is None:
             return None
         index, cell = hit
         return tent_for(cell, stage, index)
 
-    def _stage_tents(self, point: Sequence[Fraction]) -> dict[int, TentFunction]:
-        """The tent over the point at each summed stage, from cutoff + 1 up to the first miss."""
+    def _stage_tents(self, numerators: Sequence[int], denominator: int) -> dict[int, TentFunction]:
+        """The tent over N / D at each summed stage, from cutoff + 1 up to the first miss."""
         tents: dict[int, TentFunction] = {}
         for stage in range(self.cutoff + 1, self.depth + 1):
-            tent = self.locate_tent(stage, point)
+            tent = self.locate_tent(stage, numerators, denominator)
             if tent is None:
                 # each stage's half-open cells tile its sources, and
                 # build_partition (and verify_properties) puts every stage-m
@@ -478,15 +487,19 @@ class TentSystem:
         return tents
 
     @staticmethod
-    def _values(tents: Mapping[int, TentFunction], point: Sequence[Fraction]) -> dict[int, Fraction]:
-        return {stage: Fraction(4) ** stage * tent.value(point) for stage, tent in tents.items()}
+    def _values(
+        tents: Mapping[int, TentFunction], numerators: Sequence[int], denominator: int
+    ) -> dict[int, Fraction]:
+        return {stage: tent.value(numerators, denominator, 2 * stage) for stage, tent in tents.items()}
 
     def stage_values(self, point: Sequence[Fraction]) -> dict[int, Fraction]:
         """4**m times the tent over the point, for each summed stage m that holds it.
 
-        Stages are located from cutoff + 1 upward, up to the first that misses.
+        The point is read as integer numerators over one denominator, and
+        stages are located from cutoff + 1 upward, up to the first that misses.
         """
-        return self._values(self._stage_tents(point), point)
+        at = common_denominator(point)
+        return self._values(self._stage_tents(*at), *at)
 
     def truncated_value(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value of the built stages' sum at a rational point."""
@@ -523,6 +536,7 @@ class TentSystem:
         if self.depth < precision:
             # stages beyond the build would contribute up to 2**-(depth+1)
             raise InsufficientDepthError(self.depth + 1, too_coarse)
+        at = common_denominator(point)
         value = Fraction(0)
         error = Fraction(0)
         missed = False
@@ -536,12 +550,11 @@ class TentSystem:
             if cutoff_index is None and not data.exhausted:
                 raise InsufficientDepthError(stage, too_coarse)
             # once the point misses a stage it misses every later one (stage_values)
-            hit = None if missed else self.partition.locate(stage, point)
-            missed = hit is None
-            if hit is not None:
-                index, cell = hit
-                if cutoff_index is None or index < cutoff_index or data.exhausted:
-                    value += Fraction(4) ** stage * tent_for(cell, stage, index).value(point)
+            tent = None if missed else self.locate_tent(stage, *at)
+            missed = tent is None
+            if tent is not None:
+                if cutoff_index is None or tent.index < cutoff_index or data.exhausted:
+                    value += tent.value(*at, 2 * stage)
             if not data.exhausted:
                 # unseen or dropped cells at this stage have side <= 2**-threshold
                 error += Fraction(4) ** stage * pow2(-threshold) / 2
@@ -575,26 +588,30 @@ class TentSystem:
             raise ValueError("target point must have non-dyadic coordinates")
         if not self.cutoff < stage <= self.depth:
             raise ValueError(f"stage {stage} is outside the built range")
-        tents = self._stage_tents(z)  # z is located once per stage, this one included
+        numerators, denominator = common_denominator(z)
+        tents = self._stage_tents(numerators, denominator)  # once per stage, this one included
         tent = tents.get(stage)
         if tent is None:
             raise ValueError(f"point is not inside any visible stage-{stage} cell")
-        if tent.in_exclusion(z):
+        if tent.in_exclusion(numerators, denominator):
             raise ValueError("point sits in the exclusion region of its cell")
         d = tent.cell.side()
         step = d / 4
-        e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(self.dimension))
         totals: dict[int, Fraction] = {}
         per_stage: dict[int, tuple[tuple[int, Fraction], ...]] = {}
         tail_ok = True
         full_stage = False
-        at_z = self._values(tents, z)
+        at_z = self._values(tents, numerators, denominator)
+        # z + h * e1 over the denominator D * 2**(scale + 2), for h = +-1 / 2**(scale + 2)
+        up = tent.cell.scale + 2
+        rest = [n << up for n in numerators[1:]]
         for sign in (1, -1):
             h = sign * step
-            shifted = tuple(zi + h * ei for zi, ei in zip(z, e1))
-            if not in_unit_cube(shifted):
+            first = (numerators[0] << up) + sign * denominator
+            if not 0 <= first <= denominator << up:
                 continue
-            at_shifted = self.stage_values(shifted)
+            shifted = ([first, *rest], denominator << up)
+            at_shifted = self._values(self._stage_tents(*shifted), *shifted)
             slopes = []
             for k in range(self.cutoff + 1, self.depth + 1):
                 s = (at_shifted.get(k, 0) - at_z.get(k, 0)) / h
@@ -626,25 +643,38 @@ class TentSystem:
 
     # -- exclusion bookkeeping -------------------------------------------------
 
-    def _visible_tents(self, stage: int, per_block: int) -> tuple[list[TentFunction], int]:
-        """Tents over the first per_block cells of each block of a stage, and how many are too thin.
+    def _exclusion_sweep(self, per_block: int) -> list[tuple[dict[int, Fraction], int, int]]:
+        """Per stage m: each axis's union of visible corner intervals past m, and the cells past m.
 
-        Built once per (stage, per_block) and kept with the system: the sweep
-        over stages reads each later stage's tents again.
+        The cells past m are counted twice: all visible ones, and those too
+        thin to materialize.  Built once per per_block and kept with the
+        system, so each stage's visible cells are read once.  Spans are
+        integer numerators over 2**e, for e the finest materialized eps
+        exponent of the system, and each axis's union is merged from the
+        deepest stage down.
         """
-        key = (stage, per_block)
-        if key not in self._visible:
-            tents: list[TentFunction] = []
-            clamped = 0
-            for block in self.partition.blocks_at(stage):
-                for local in range(min(per_block, block.count)):
-                    tent = tent_for(block.cell(local), stage, block.start_index + local)
-                    if tent.eps_exponent > POW2_MATERIALIZE_CAP:
-                        clamped += 1
-                    else:
-                        tents.append(tent)
-            self._visible[key] = (tents, clamped)
-        return self._visible[key]
+        if per_block not in self._swept:
+            stages = [
+                [(scale, ramp_exponent(i, index, scale), corner)
+                 for index, scale, corner in self.partition.visible_cells(i, per_block)]
+                for i in range(1, self.depth + 1)
+            ]
+            thick = [[c for c in cells if c[1] <= POW2_MATERIALIZE_CAP] for cells in stages]
+            finest = max((eps for cells in thick for _, eps, _ in cells), default=0)
+            merged: dict[int, list[tuple[int, int]]] = {axis: [] for axis in range(1, self.dimension)}
+            past = [({axis: Fraction(0) for axis in merged}, 0, 0)]  # past the deepest stage
+            for cells, materialized in zip(reversed(stages), reversed(thick)):
+                for axis, spans in merged.items():
+                    for scale, eps, corner in materialized:
+                        lo = corner[axis] << (finest - scale)
+                        hi = lo + (1 << (finest - scale))
+                        width = 1 << (finest - eps)
+                        spans += [(lo, lo + width), (hi - width, hi)]
+                unions = {axis: Fraction(_merge_spans(spans), 1 << finest) for axis, spans in merged.items()}
+                _, seen, clamped = past[-1]
+                past.append((unions, seen + len(cells), clamped + len(cells) - len(materialized)))
+            self._swept[per_block] = past[::-1]
+        return self._swept[per_block]
 
     def exclusion_bound(self, stage: int) -> Fraction:
         """Closed-form upper bound for the corner-interval union past a stage.
@@ -668,34 +698,22 @@ class TentSystem:
     def exclusion_visible(self, stage: int, axis: int, per_block: int = 16) -> ExclusionReport:
         """Exact union of the budget-visible corner intervals along an axis.
 
-        Visible means the first per_block cells of every block; intervals too
-        thin to materialize are clamped into an explicit slack term of
-        2**-POW2_MATERIALIZE_CAP each.  Every endpoint is an integer numerator
-        over 2**e, for e the largest materialized eps exponent.
+        Visible means the first per_block cells of every block of the stages
+        past the given one; intervals too thin to materialize are clamped into
+        an explicit slack term of 2**-POW2_MATERIALIZE_CAP each.  The union is
+        read from the system's sweep (_exclusion_sweep).
         """
         if not 1 <= axis < self.dimension:
             raise ValueError("corner intervals live on axes >= 1")
-        tents: list[TentFunction] = []
-        clamped = 0
-        for i in range(stage + 1, self.depth + 1):
-            stage_tents, stage_clamped = self._visible_tents(i, per_block)
-            tents.extend(stage_tents)
-            clamped += stage_clamped
-        finest = max((t.eps_exponent for t in tents), default=0)
-        spans: list[tuple[int, int]] = []
-        for tent in tents:
-            cell = tent.cell
-            lo = cell.corner[axis] << (finest - cell.scale)
-            hi = lo + (1 << (finest - cell.scale))
-            eps = 1 << (finest - tent.eps_exponent)
-            spans.append((lo, lo + eps))
-            spans.append((hi - eps, hi))
+        if stage < 0:
+            raise ValueError("stage must be >= 0")
+        unions, seen, clamped = self._exclusion_sweep(per_block)[min(stage, self.depth)]
         return ExclusionReport(
             stage=stage,
             axis=axis,
-            visible_union=_dyadic_union_length(spans, finest),
+            visible_union=unions[axis],
             visible_slack=2 * clamped * pow2(-POW2_MATERIALIZE_CAP),
-            interval_count=2 * (len(tents) + clamped),
+            interval_count=2 * seen,
             closed_form_bound=self.exclusion_bound(stage),
             analytic_bound=pow2(-3 * stage),
         )

@@ -28,7 +28,7 @@ from slopelab.functions import (
     square_1d,
     sum_functions,
 )
-from slopelab.rationals import dot, norm_sq, pow2, unit_axis, vadd
+from slopelab.rationals import POW2_MATERIALIZE_CAP, dot, in_unit_cube, norm_sq, pow2, unit_axis, vadd
 
 
 F = Fraction
@@ -219,6 +219,98 @@ def test_modulus_audit_reports_a_modulus_that_is_too_small():
         assert v["allowed"] == pow2(-3)
         assert abs(v["x"][0] - v["y"][0]) <= pow2(-f.modulus(3))
         assert v["difference"] == abs(f.eval(v["x"]) - f.eval(v["y"])) > v["allowed"]
+
+
+def fraction_modulus_audit(f, level, pairs, rng):
+    """Oracle: the same modulus-law sampler, built on Fraction points and Fraction steps."""
+    if pairs < 0:
+        raise ValueError("pairs must be >= 0")
+    h = f.modulus(level)
+    allowed = pow2(-level)
+    denom = 1 << (h + 6)
+    violations = []
+    checked = 0
+    attempts = 0
+    while checked < pairs and attempts < 20 * pairs:
+        attempts += 1
+        x = tuple(F(rng.randrange(denom + 1), denom) for _ in range(f.dimension))
+        axis = rng.randrange(f.dimension)
+        sign = rng.choice((-1, 1))
+        step = F(sign * rng.randrange(1, 65), 64) * pow2(-h)
+        y = tuple(xi + (step if i == axis else 0) for i, xi in enumerate(x))
+        if not in_unit_cube(y):
+            continue
+        checked += 1
+        diff = abs(f.eval(x) - f.eval(y))
+        if diff > allowed:
+            violations.append({"x": x, "y": y, "difference": diff, "allowed": allowed})
+    return violations
+
+
+class CountedRandom(random.Random):
+    """A Random that logs every draw the audit makes, with its result."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def randrange(self, *args):
+        result = super().randrange(*args)
+        self.draws.append(("randrange", args, result))
+        return result
+
+    def choice(self, seq):
+        result = super().choice(seq)
+        self.draws.append(("choice", tuple(seq), result))
+        return result
+
+
+def audited(sampler, f, level, pairs, seed):
+    """The sampler's violations, the (x, y) pairs it evaluated, and the draws it made."""
+    points = []
+
+    def evaluator(point):
+        points.append(point)
+        return f.eval(point)
+
+    recorded = ComputableFunction(f.dimension, evaluator, f.modulus)
+    rng = CountedRandom(seed)
+    violations = sampler(recorded, level, pairs, rng)
+    return violations, list(zip(points[::2], points[1::2])), rng.draws
+
+
+def steep(dimension, shift):
+    """Slope 4 along every axis against a modulus i + shift: too small unless shift >= 2 + log2(sqrt(n))."""
+    return ComputableFunction(dimension, lambda p: 4 * sum(p, F(0)), lambda i: i + shift)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_modulus_audit_draws_the_fraction_samplers_stream(dimension, seed):
+    # h = level + shift = -6 puts x on the grid over 1, where almost every
+    # step leaves the cube and the run ends at the 20 * pairs attempt cap
+    for shift, level, pairs in ((0, 3, 40), (4, 2, 25), (-6, 0, 10), (-7, 1, 6), (1, 0, 0)):
+        f = steep(dimension, shift)
+        got = audited(modulus_audit, f, level, pairs, seed)
+        expected = audited(fraction_modulus_audit, f, level, pairs, seed)
+        assert got == expected
+        violations, checked, draws = got
+        attempts = sum(1 for kind, args, _ in draws if kind == "choice")
+        assert len(checked) <= pairs and attempts <= 20 * pairs
+        if shift < 0:
+            assert len(checked) < pairs and attempts == 20 * pairs
+        if shift == 0:
+            assert violations
+        for v in violations:
+            assert all(type(c) is Fraction for c in (*v["x"], *v["y"]))
+
+
+def test_modulus_audit_past_the_cap_raises_as_the_fraction_sampler():
+    f = ComputableFunction(1, lambda p: p[0], lambda i: POW2_MATERIALIZE_CAP + 1)
+    for sampler in (modulus_audit, fraction_modulus_audit):
+        assert sampler(f, 0, 0, random.Random(1)) == []
+        with pytest.raises(OverflowError, match=rf"2\*\*-{POW2_MATERIALIZE_CAP + 1} exceeds"):
+            sampler(f, 0, 1, random.Random(1))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ ALLOWED = {
     "nullsets.dore_maleva_measure_by_sweep": "test oracle for the lattice measures (ROADMAP aim 3)",
     "martingales.box_slope_martingale": "Theorem 1's n-variable strategy, the open ROADMAP item 3",
     "cubes.DyadicCube.contains_point": "membership test of the grid oracle brute_grid_measure",
-    "tentsystem.TentFunction.exclusion_intervals": "the corner intervals of the oracle fraction_exclusion",
 }
 
 

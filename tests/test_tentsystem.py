@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from slopelab.cubes import DyadicCube, union_measure, unit_cube
 from slopelab.derivatives import diff_class_b
 from slopelab.nullsets import concentric_test, constant_unit_test, explicit_test
-from slopelab.rationals import POW2_MATERIALIZE_CAP, pow2, pow2_upper
+from slopelab.rationals import POW2_MATERIALIZE_CAP, common_denominator, compare_pow2, pow2, pow2_upper
 from slopelab.tentsystem import (
     Block,
     BuildBudgetError,
@@ -19,11 +19,64 @@ from slopelab.tentsystem import (
     TentSystem,
     build_partition,
     build_tent_system,
+    ramp_exponent,
     tent_for,
 )
 
 F = Fraction
 TARGET = (F(1, 3), F(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction tent formula, kept as the oracle of the integer one
+
+
+def oracle_value(tent, point):
+    """Exact tent value at a rational point; zero outside the closed cell."""
+    lo, hi = tent.cell.interval(0)
+    left, right = point[0] - lo, hi - point[0]
+    if left <= 0 or right <= 0:
+        return Fraction(0)
+    result = min(left, right)
+    for axis in range(1, tent.cell.dimension):
+        lo, hi = tent.cell.interval(axis)
+        near = min(point[axis] - lo, hi - point[axis])
+        if near <= 0:
+            return Fraction(0)
+        if compare_pow2(near, -tent.eps_exponent) < 0:
+            # near < eps: the quotient near / eps needs a real power of 2
+            if tent.eps_exponent > POW2_MATERIALIZE_CAP:
+                raise OverflowError("a representable point landed on an unrepresentably thin ramp")
+            result *= near * pow2(tent.eps_exponent)
+    return result
+
+
+def oracle_in_exclusion(tent, point):
+    """Whether the point misses the open region with first slope +-1."""
+    lo, hi = tent.cell.interval(0)
+    if not lo < point[0] < hi:
+        return True
+    for axis in range(1, tent.cell.dimension):
+        lo, hi = tent.cell.interval(axis)
+        near = min(point[axis] - lo, hi - point[axis])
+        if near <= 0 or compare_pow2(near, -tent.eps_exponent) <= 0:
+            return True
+    return False
+
+
+def exclusion_intervals(tent, axis):
+    """The two removed corner intervals of the tent's axis projection."""
+    eps = pow2(-tent.eps_exponent)  # raises beyond the materialization cap
+    lo, hi = tent.cell.interval(axis)
+    return ((lo, lo + eps), (hi - eps, hi))
+
+
+def value_at(tent, point, shift=0):
+    return tent.value(*common_denominator(point), shift)
+
+
+def excluded_at(tent, point):
+    return tent.in_exclusion(*common_denominator(point))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +205,7 @@ def test_budget_exhaustion_reports_blocking_cube():
 def test_locate_matches_cell(toy_system5):
     partition = toy_system5.partition
     for stage in range(1, 6):
-        index, cell = partition.locate(stage, TARGET)
+        index, cell = partition.locate(stage, *common_denominator(TARGET))
         assert cell.contains_point(TARGET)
         assert partition.cell(stage, index) == cell
 
@@ -163,18 +216,18 @@ def test_locate_matches_cell(toy_system5):
 
 def test_tent_center_value_and_support():
     tent = tent_for(unit_cube(2), 0, 1)  # eps = 1/4
-    assert tent.value((F(1, 2), F(1, 2))) == F(1, 2)
-    assert tent.value((F(1, 2), F(1, 8))) == F(1, 4)  # on the ramp
+    assert value_at(tent, (F(1, 2), F(1, 2))) == F(1, 2)
+    assert value_at(tent, (F(1, 2), F(1, 8))) == F(1, 4)  # on the ramp
     for boundary in ((F(0), F(1, 2)), (F(1), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1))):
-        assert tent.value(boundary) == 0
+        assert value_at(tent, boundary) == 0
 
 
 def test_degenerate_tent_has_no_plateau():
     # eps is half the side, so the ramps in the second axis meet at the center
     tent = tent_for(unit_cube(2), 0, 0)
-    assert tent.value((F(1, 2), F(1, 2))) == F(1, 2)
-    assert tent.value((F(1, 2), F(1, 4))) == F(1, 4)
-    assert tent.value((F(1, 2), F(3, 8))) == F(3, 8)
+    assert value_at(tent, (F(1, 2), F(1, 2))) == F(1, 2)
+    assert value_at(tent, (F(1, 2), F(1, 4))) == F(1, 4)
+    assert value_at(tent, (F(1, 2), F(3, 8))) == F(3, 8)
 
 
 def test_tent_slope_law_inside_plateau():
@@ -206,15 +259,17 @@ def test_tent_bounded_by_half_side():
     rng = random.Random(3)
     for _ in range(200):
         p = (F(rng.randrange(257), 256), F(rng.randrange(257), 256))
-        assert 0 <= tent.value(p) <= tent.cell.side() / 2
+        assert 0 <= value_at(tent, p) <= tent.cell.side() / 2
 
 
 def test_tent_exclusion_membership():
     tent = tent_for(unit_cube(2), 0, 1)  # eps = 1/4
-    assert not tent.in_exclusion((F(1, 2), F(1, 2)))
-    assert tent.in_exclusion((F(1, 2), F(1, 8)))  # inside the ramp corner
-    assert tent.in_exclusion((F(0), F(1, 2)))
-    ((a0, a1), (b0, b1)) = tent.exclusion_intervals(1)
+    assert not excluded_at(tent, (F(1, 2), F(1, 2)))
+    assert excluded_at(tent, (F(1, 2), F(1, 8)))  # inside the ramp corner
+    assert excluded_at(tent, (F(1, 2), F(1, 4)))  # on the ramp's inner end
+    assert not excluded_at(tent, (F(1, 2), F(1, 4) + F(1, 1 << 40)))
+    assert excluded_at(tent, (F(0), F(1, 2)))
+    ((a0, a1), (b0, b1)) = exclusion_intervals(tent, 1)
     assert (a1 - a0) + (b1 - b0) == 2 * pow2(-tent.eps_exponent)
 
 
@@ -230,7 +285,7 @@ def test_truncated_value_sums_visible_stages(toy_system5):
     assert total == by_stage
     # stage 0 holds the target but sits below the cutoff
     assert values.get(0, 0) == 0
-    assert system.locate_tent(0, TARGET).value(TARGET) > 0
+    assert value_at(system.locate_tent(0, *common_denominator(TARGET)), TARGET) > 0
 
 
 def test_truncated_value_zero_away_from_cells(toy_system5):
@@ -473,7 +528,7 @@ def fraction_exclusion(system, stage, axis, per_block):
                 if tent.eps_exponent > POW2_MATERIALIZE_CAP:
                     slack += 2 * pow2_upper(-tent.eps_exponent)
                 else:
-                    intervals.extend(tent.exclusion_intervals(axis))
+                    intervals.extend(exclusion_intervals(tent, axis))
     bound += Fraction(16) ** (-(system.depth + 1)) * Fraction(16, 15)
     return fraction_union_length(intervals), slack, count, bound
 
@@ -519,13 +574,13 @@ def test_exclusion_sums_match_fraction_oracle(toy_system5, toy_system8, clamped_
 
 
 def located_stage_values(system, point):
-    """Oracle: every summed stage located, with no early exit."""
+    """Oracle: every summed stage located, with no early exit, and valued by the Fraction formula."""
     values = {}
     for stage in range(system.cutoff + 1, system.depth + 1):
-        hit = system.partition.locate(stage, point)
+        hit = system.partition.locate(stage, *common_denominator(point))
         if hit is not None:
             index, cell = hit
-            values[stage] = Fraction(4) ** stage * tent_for(cell, stage, index).value(point)
+            values[stage] = Fraction(4) ** stage * oracle_value(tent_for(cell, stage, index), point)
     return values
 
 
@@ -536,10 +591,28 @@ def mixed_system():
 
 @st.composite
 def probe_points(draw, system):
-    """Cell corners and upper edges, coordinates at 1, audit-scale dyadics, non-dyadic points."""
+    """Cell corners and upper edges, coordinates at 1, audit-scale dyadics, ramp points, non-dyadic points."""
     n = system.dimension
-    kind = draw(st.sampled_from(["corner", "upper", "one", "audit", "inside", "rational"]))
-    if kind in ("corner", "upper", "one", "inside"):
+    kind = draw(st.sampled_from(["corner", "upper", "one", "audit", "inside", "ramp", "rational"]))
+    if kind == "ramp" and n > 1:
+        # a materializable ramp of one of the first cells of a block: each axis
+        # past the first sits on a ramp, at its inner end, or on the plateau
+        cells = [
+            (block, local, ramp_exponent(stage, block.start_index + local, block.cell_scale))
+            for stage in range(system.depth + 1)
+            for block in system.partition.blocks_at(stage)
+            for local in range(min(block.count, 40))
+        ]
+        block, local, eps = draw(st.sampled_from([c for c in cells if c[2] <= POW2_MATERIALIZE_CAP]))
+        cell = block.cell(local)
+        lo, hi = cell.interval(0)
+        point = [lo + cell.side() * Fraction(draw(st.integers(1, 2)), 3)]
+        for axis in range(1, n):
+            lo, hi = cell.interval(axis)
+            near = pow2(-eps) * Fraction(draw(st.integers(1, 4)), 4) if draw(st.booleans()) else cell.side() / 2
+            point.append(lo + near if draw(st.booleans()) else hi - near)
+        return tuple(point)
+    if kind in ("corner", "upper", "one", "inside", "ramp"):
         stage = draw(st.integers(0, system.depth))
         block = draw(st.sampled_from(system.partition.blocks_at(stage)))
         cell = block.cell(draw(st.integers(0, block.count - 1)))
@@ -576,14 +649,74 @@ def test_stage_values_match_the_every_stage_oracle(
     assert system.truncated_value(point) == sum(expected.values(), Fraction(0))
 
 
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_tent_rule_matches_the_fraction_formula(
+    toy_system5, toy_system8, clamped_system, mixed_system, data
+):
+    # the tents located over the point at every stage, and one of the first
+    # cells of a drawn block; N / D is also read over a denominator k times
+    # larger than the least one, as the oscillation steps read it
+    system = data.draw(st.sampled_from([toy_system5, toy_system8, clamped_system, mixed_system]))
+    point = data.draw(probe_points(system))
+    numerators, denominator = common_denominator(point)
+    k = data.draw(st.sampled_from([1, 3, 1 << 70]))
+    scaled = ([n * k for n in numerators], denominator * k)
+    tents = []
+    for stage in range(system.depth + 1):
+        hit = system.partition.locate(stage, numerators, denominator)
+        assert hit == system.partition.locate(stage, *scaled)
+        if hit is not None:
+            tents.append(tent_for(hit[1], stage, hit[0]))
+    stage = data.draw(st.integers(0, system.depth))
+    block = data.draw(st.sampled_from(system.partition.blocks_at(stage)))
+    local = data.draw(st.integers(0, min(block.count, 40) - 1))
+    tents.append(tent_for(block.cell(local), stage, block.start_index + local))
+    for tent in tents:
+        try:
+            expected = oracle_value(tent, point)
+        except OverflowError as exc:
+            for at in ((numerators, denominator), scaled):
+                with pytest.raises(OverflowError) as err:
+                    tent.value(*at)
+                assert str(err.value) == str(exc)
+        else:
+            for at in ((numerators, denominator), scaled):
+                assert tent.value(*at) == expected
+                assert tent.value(*at, 2 * tent.stage) == Fraction(4) ** tent.stage * expected
+        excluded = oracle_in_exclusion(tent, point)
+        assert tent.in_exclusion(numerators, denominator) == tent.in_exclusion(*scaled) == excluded
+
+
+def test_a_point_on_an_over_cap_ramp_raises_the_fraction_formula_error():
+    message = "a representable point landed on an unrepresentably thin ramp"
+    thin = F(1, 1 << (POW2_MATERIALIZE_CAP + 2))
+    for dimension, point in ((2, (F(1, 2), thin)), (2, (F(1, 3), 1 - thin)), (3, (F(1, 2), thin, F(0)))):
+        # eps = 2**-(cap + 1); in dimension 3 the point also sits on a face
+        # of the third axis, which comes after the thin ramp
+        tent = tent_for(unit_cube(dimension), 0, POW2_MATERIALIZE_CAP)
+        with pytest.raises(OverflowError) as oracle:
+            oracle_value(tent, point)
+        with pytest.raises(OverflowError) as integer:
+            value_at(tent, point)
+        assert str(integer.value) == str(oracle.value) == message
+        assert excluded_at(tent, point) and oracle_in_exclusion(tent, point)
+        middle = tuple(F(1, 2) for _ in range(dimension))
+        assert value_at(tent, middle) == oracle_value(tent, middle) == F(1, 2)
+
+
 def counted_locate(monkeypatch, partition):
-    """Replace partition.locate by a wrapper that records each (stage, point) it is asked."""
+    """Replace partition.locate by a wrapper that records each (stage, point) it is asked.
+
+    locate reads the point as numerators over one denominator; the record
+    holds the point as Fractions again.
+    """
     calls = []
     locate = partition.locate
 
-    def counted(stage, point):
-        calls.append((stage, tuple(point)))
-        return locate(stage, point)
+    def counted(stage, numerators, denominator):
+        calls.append((stage, tuple(Fraction(n, denominator) for n in numerators)))
+        return locate(stage, numerators, denominator)
 
     monkeypatch.setattr(partition, "locate", counted)
     return calls
@@ -610,19 +743,25 @@ def test_oscillation_check_locates_the_target_once_per_stage(toy_system5, monkey
 
 
 def test_the_exclusion_sweep_builds_each_visible_tent_once(toy_test, monkeypatch):
+    # the sweep reads each visible cell once per system and per_block, through
+    # Partition.visible_cells, and builds no tent at all
     import slopelab.tentsystem as module
 
-    calls = []
-
-    def counted(cell, stage, index):
-        calls.append((stage, index))
-        return tent_for(cell, stage, index)
-
-    monkeypatch.setattr(module, "tent_for", counted)
+    built = []
+    monkeypatch.setattr(module, "tent_for", lambda *args: built.append(args))
     for system in (
         build_tent_system(toy_test, depth=5, cutoff=0, budget=4),
         build_tent_system(explicit_test(CLAMPED_STAGES), depth=2, cutoff=0, budget=2),
     ):
+        calls = []
+        read = system.partition.visible_cells
+
+        def counted(stage, per_block):
+            for index, scale, corner in read(stage, per_block):
+                calls.append((stage, index))
+                yield index, scale, corner
+
+        monkeypatch.setattr(system.partition, "visible_cells", counted)
 
         def visible(per_block):
             return [
@@ -632,13 +771,19 @@ def test_the_exclusion_sweep_builds_each_visible_tent_once(toy_test, monkeypatch
                 for local in range(min(per_block, block.count))
             ]
 
-        # a per_block already swept builds no tent again
-        for per_block, built in ((16, visible(16)), (3, visible(3)), (16, []), (3, [])):
+        # a per_block already swept reads no cell again
+        for per_block, read_now in ((16, visible(16)), (3, visible(3)), (16, []), (3, [])):
             calls.clear()
             for m in range(system.depth + 1):  # the CLI's sweep
                 for axis in range(1, system.dimension):
                     system.exclusion_visible(m, axis, per_block)
-            assert sorted(calls) == built
+            assert sorted(calls) == read_now
+    assert built == []
+
+
+def test_exclusion_visible_refuses_a_negative_stage(toy_system5):
+    with pytest.raises(ValueError, match="stage must be >= 0"):
+        toy_system5.exclusion_visible(-1, 1)
 
 
 def test_repeated_and_alternating_exclusion_calls_match_the_oracle(toy_test):
