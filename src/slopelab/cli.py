@@ -16,7 +16,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import derivatives as dv
@@ -229,12 +228,12 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
     if stages < 0:
         raise ConfigError("stages must be >= 0")
     table = []
-    remaining = Fraction(1)
+    measures = ns._remaining_measures(params)
+    remaining = next(measures)  # before stage 1
     failures: list[str] = []
     for i in range(1, stages + 1):
         stage = ns.dore_maleva_stage(params, i)
-        previous = remaining
-        remaining = ns.dore_maleva_measure(params, i)
+        previous, remaining = remaining, next(measures)
         if remaining >= previous:
             failures.append(f"remaining measure fails to decrease at stage {i}")
         row = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .functions import (
     AffineIsometry,
@@ -50,31 +50,35 @@ class ProbeVerdict:
         return self.status == VIOLATED
 
 
-def _signed_steps(levels: Iterable[int]) -> Iterator[Fraction]:
-    """The steps 2**-k and then -2**-k for each k in levels."""
-    for k in levels:
-        h = pow2(-k)
-        yield h
-        yield -h
+def _step_point(x: Vector, v: Vector, h: Fraction) -> Vector | None:
+    """x + h*v if it lies in the unit cube, else None: the one step rule.
+
+    It is geometry alone, decided in integers before any point is built or
+    f is evaluated.  A moving coordinate a/b + (p/q)(r/s) lies in [0, 1]
+    iff 0 <= a q s + p r b <= b q s; a coordinate that does not move is
+    tested as it is.  x itself need not lie in the cube.
+    """
+    p, q = h.numerator, h.denominator
+    point = []
+    for c, vi in zip(x, v, strict=True):
+        a, b = c.numerator, c.denominator
+        if vi:
+            a, b = a * q * vi.denominator + p * vi.numerator * b, b * q * vi.denominator
+        if not 0 <= a <= b:
+            return None
+        point.append(Fraction(a, b) if vi else c)
+    return tuple(point)
 
 
 def _step_points(x: Vector, v: Vector, steps: Sequence[Fraction]) -> list[Vector | None]:
     """x + h*v for each step h that the step rule admits, None for the others.
 
-    The step rule: x and x + h*v both lie in the unit cube.  It is geometry
-    alone, decided before f is evaluated.  Only the coordinates where v is
-    nonzero move, so only they are checked again per step.
+    The quotient probes also need x itself in the unit cube; outside it
+    every step is refused.
     """
-    moving = [(i, vi) for i, (_, vi) in enumerate(zip(x, v, strict=True)) if vi]
     if not in_unit_cube(x):
         return [None] * len(steps)
-    points: list[Vector | None] = []
-    for h in steps:
-        y = list(x)
-        for i, vi in moving:
-            y[i] += h * vi
-        points.append(tuple(y) if all(0 <= y[i] <= 1 for i, _ in moving) else None)
-    return points
+    return [_step_point(x, v, h) for h in steps]
 
 
 def slope_dir(
@@ -114,7 +118,7 @@ def _tail_bracket(
     e = unit_axis(f.dimension, axis)
     half = len(levels) // 2
     for part in (levels[half:], levels[:half]):
-        steps = list(_signed_steps(part))
+        steps = [sign * pow2(-k) for k in part for sign in (1, -1)]
         kept = [(h, point) for h, point in zip(steps, _step_points(x, e, steps)) if point is not None]
         if kept:
             break
@@ -214,18 +218,19 @@ def linearity_defect(
     """Minimum of |δ^u + δ^v - δ^{u+v}| over dyadic steps <= max_step.
 
     A caller threshold q turns the minimum into a finite membership surrogate
-    for the closed set where additivity of slopes fails by at least q.
+    for the closed set where additivity of slopes fails by at least q.  A
+    step counts when the step rule admits it along u, v and u + v; f(x) is
+    read once, and the defect at h is |f(x+hu) + f(x+hv) - f(x+h(u+v)) - f(x)| / h.
     """
     x = tuple(x)
     du, dv = as_vector(u), as_vector(v)
-    directions = (du, dv, vadd(du, dv))
     candidates = [h for h in (pow2(-k) for k in range(1, depth + 1)) if h <= max_step]
-    admitted = [_step_points(x, d, candidates) for d in directions]
-    steps = [h for h, *points in zip(candidates, *admitted) if None not in points]
+    admitted = [_step_points(x, d, candidates) for d in (du, dv, vadd(du, dv))]
+    steps = [(h, points) for h, *points in zip(candidates, *admitted) if None not in points]
     if not steps:
         raise ValueError("empty feasible grid")
-    su, sv, suv = (slope_dir(f, x, d, steps) for d in directions)
-    defects = [(h, abs(a + b - c)) for h, a, b, c in zip(steps, su, sv, suv)]
+    fx = f.eval(x)
+    defects = [(h, abs(f.eval(pu) + f.eval(pv) - f.eval(puv) - fx) / h) for h, (pu, pv, puv) in steps]
     h_min, best = min(defects, key=lambda t: t[1])
     worst = max(d for _, d in defects)
     witness = {
@@ -285,8 +290,8 @@ def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fracti
     fx = f.eval(x)
     row = []
     for axis in range(f.dimension):
-        shifted = vadd(x, vscale(b, unit_axis(f.dimension, axis)))
-        if not in_unit_cube(shifted):
+        shifted = _step_point(x, unit_axis(f.dimension, axis), b)
+        if shifted is None:
             raise ValueError(f"step {b} along axis {axis} leaves the unit cube")
         row.append((f.eval(shifted) - fx) / b)
     return abs(f.eval(vadd(x, h)) - fx - dot(row, h))
@@ -312,29 +317,24 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
     cube and x itself need not, because replay rebuilds the row that way.
     """
     x = tuple(x)
-    units = [tuple(int(i == axis) for i in range(f.dimension)) for axis in range(f.dimension)]
-    signs_h = [s for s in product((-1, 0, 1), repeat=f.dimension) if any(s)]
-
-    def fits(k: int, signs: Sequence[int]) -> bool:  # x + 2**-k signs in the unit cube
-        return all(0 <= (c.numerator << k) + s * c.denominator <= c.denominator << k for c, s in zip(x, signs))
-
-    def b_fits(j: int, sigma: int) -> bool:
-        return all(fits(j, [sigma * u for u in unit]) for unit in units)
-
+    n = f.dimension
+    signs_h = [s for s in product((-1, 0, 1), repeat=n) if any(s)]
+    rows = {sigma: [tuple(sigma * (i == axis) for i in range(n)) for axis in range(n)] for sigma in (1, -1)}
     grid = range(1, depth + 3)
-    h_feasible = any(fits(k, s) for k in grid for s in signs_h)
-    if not h_feasible or not any(b_fits(j, sigma) for j in grid for sigma in (1, -1)):
+    h_feasible = any(_step_point(x, s, pow2(-k)) for k in grid for s in signs_h)
+    b_feasible = any(all(_step_point(x, s, pow2(-j)) for s in rows[sigma]) for j in grid for sigma in rows)
+    if not h_feasible or not b_feasible:
         raise ValueError("no feasible probe steps at this point")
-    delta = pow2(-depth)
     fine = {k: pow2(-k) for k in range(max(1, depth + 1), depth + 3)}
+    steps = {(k, s): _step_point(x, s, fine[k]) for k in fine for s in signs_h}  # x + 2**-k s, or None
     # ||h||**2 = nnz(s) 4**-k < δ**2 = 4**-depth
-    h_keys = [(k, s) for k in fine for s in signs_h if sum(map(abs, s)) < 4 ** (k - depth) and fits(k, s)]
-    b_keys = [(j, sigma) for j in fine for sigma in (1, -1) if b_fits(j, sigma)]  # all below δ
-    row_keys = {b: [(b[0], tuple(b[1] * u for u in unit)) for unit in units] for b in b_keys}
-    values = {(0, (0,) * f.dimension): f.eval(x)}  # the point x + 2**-k s under the key (k, s)
-    for k, s in h_keys + [key for keys in row_keys.values() for key in keys]:
-        if (k, s) not in values:
-            values[k, s] = f.eval(tuple(c + si * fine[k] if si else c for c, si in zip(x, s)))
+    h_keys = [(k, s) for (k, s), point in steps.items() if point and sum(map(abs, s)) < 4 ** (k - depth)]
+    row_keys = {(j, sigma): [(j, s) for s in rows[sigma]] for j in fine for sigma in rows}  # all below δ
+    row_keys = {b: keys for b, keys in row_keys.items() if all(steps[key] for key in keys)}
+    values = {(0, (0,) * n): f.eval(x)}  # the point x + 2**-k s under the key (k, s)
+    for key in h_keys + [key for keys in row_keys.values() for key in keys]:
+        if key not in values:
+            values[key] = f.eval(steps[key])
     numerators, den = common_denominator(values.values())
     at, nx = dict(zip(values, numerators)), numerators[0]
     gammas = {b: [at[key] - nx for key in keys] for b, keys in row_keys.items()}
@@ -342,7 +342,7 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
     for k, s in h_keys:
         delta_h = (at[k, s] - nx) << k
         bound = den * den * sum(map(abs, s))  # D**2 ||s||**2
-        for j, sigma in b_keys:
+        for j, sigma in row_keys:
             # b = σ 2**-j: the remainder is R / (D 2**k), and it exceeds
             # 2**-e ||h|| exactly when R**2 4**e > D**2 ||s||**2
             r = abs(delta_h - (sigma * sum(si * g for si, g in zip(s, gammas[j, sigma])) << j))
@@ -356,7 +356,7 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
         "op": "class-b",
         "point": x,
         "epsilon": pow2(-e),
-        "delta": delta,
+        "delta": pow2(-depth),
         "h": tuple(fine[k] * si for si in s),
         "b": sigma * fine[j],
         "row": tuple(Fraction(sigma * g << j, den) for g in gammas[j, sigma]),

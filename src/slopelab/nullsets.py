@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
 from .cubes import DyadicCube, cube_union_contains, unit_cube
@@ -252,11 +253,20 @@ def dore_maleva_measure(params: DoreMalevaParams, through_stage: int) -> Fractio
     """
     if through_stage < 0:
         raise ValueError("stage count must be >= 0")
+    return next(islice(_remaining_measures(params), through_stage, None))
+
+
+def _remaining_measures(params: DoreMalevaParams) -> Iterator[Fraction]:
+    """The measure left after stages 0, 1, 2, ...: the running product of 1 - (p_i/N_i)^2.
+
+    Each stage is validated before its factor is taken.
+    """
     remaining = Fraction(1)
-    for i in range(1, through_stage + 1):
+    yield remaining
+    for i in count(1):
         params.validate_stage(i)
         remaining *= 1 - (params.p_at(i) / params.n_at(i)) ** 2
-    return remaining
+        yield remaining
 
 
 RECTANGLE_CAP = 200_000
@@ -309,10 +319,7 @@ HALF_MEASURE_STAGE_LIMIT = 64
 
 def stage_below_half(params: DoreMalevaParams) -> int:
     """First stage whose remaining measure drops below 1/2, validating each as the measure does."""
-    remaining = Fraction(1)
-    for i in range(1, HALF_MEASURE_STAGE_LIMIT + 1):
-        params.validate_stage(i)
-        remaining *= 1 - (params.p_at(i) / params.n_at(i)) ** 2
+    for i, remaining in enumerate(islice(_remaining_measures(params), HALF_MEASURE_STAGE_LIMIT + 1)):
         if remaining < Fraction(1, 2):
             return i
     raise ValueError(f"measure stays >= 1/2 through stage {HALF_MEASURE_STAGE_LIMIT}")

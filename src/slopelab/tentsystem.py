@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 from .cubes import (
     DyadicCube,
@@ -149,6 +149,7 @@ class Partition:
 
     dimension: int
     stages: list[StageData]
+    _report: ClassVar[dict | None] = None  # verify_properties' report, once it has passed; not a field
 
     @property
     def stage_count(self) -> int:
@@ -191,8 +192,11 @@ class Partition:
 
         The side-for-side reading of the fourth property (cell side <= 8**-m
         times the source side) is enforced; its literal mixed-units reading
-        (side against source volume) is reported, not enforced.
+        (side against source volume) is reported, not enforced.  The checks
+        run once per partition: a later call returns the same report.
         """
+        if self._report is not None:
+            return self._report
         report: dict = {"stages": []}
         for m, stage in enumerate(self.stages):
             entry = {"stage": m}
@@ -232,6 +236,7 @@ class Partition:
                 for b in stage.blocks
             )
             report["stages"].append(entry)
+        self._report = report
         return report
 
 
@@ -466,24 +471,18 @@ class TentSystem:
     def depth(self) -> int:
         return self.partition.stage_count - 1
 
-    def locate_tent(self, stage: int, numerators: Sequence[int], denominator: int) -> TentFunction | None:
-        hit = self.partition.locate(stage, numerators, denominator)
-        if hit is None:
-            return None
-        index, cell = hit
-        return tent_for(cell, stage, index)
-
-    def _stage_tents(self, numerators: Sequence[int], denominator: int) -> dict[int, TentFunction]:
-        """The tent over N / D at each summed stage, from cutoff + 1 up to the first miss."""
+    def _stage_tents(self, numerators: Sequence[int], denominator: int, last: int) -> dict[int, TentFunction]:
+        """The tent over N / D at each summed stage, from cutoff + 1 up to the first miss or last."""
         tents: dict[int, TentFunction] = {}
-        for stage in range(self.cutoff + 1, self.depth + 1):
-            tent = self.locate_tent(stage, numerators, denominator)
-            if tent is None:
+        for stage in range(self.cutoff + 1, last + 1):
+            hit = self.partition.locate(stage, numerators, denominator)
+            if hit is None:
                 # each stage's half-open cells tile its sources, and
                 # build_partition (and verify_properties) puts every stage-m
                 # source inside the stage-(m-1) sources: no later stage holds it
                 break
-            tents[stage] = tent
+            index, cell = hit
+            tents[stage] = tent_for(cell, stage, index)
         return tents
 
     @staticmethod
@@ -499,7 +498,7 @@ class TentSystem:
         stages are located from cutoff + 1 upward, up to the first that misses.
         """
         at = common_denominator(point)
-        return self._values(self._stage_tents(*at), *at)
+        return self._values(self._stage_tents(*at, self.depth), *at)
 
     def truncated_value(self, point: Sequence[Fraction]) -> Fraction:
         """Exact value of the built stages' sum at a rational point."""
@@ -537,24 +536,18 @@ class TentSystem:
             # stages beyond the build would contribute up to 2**-(depth+1)
             raise InsufficientDepthError(self.depth + 1, too_coarse)
         at = common_denominator(point)
+        tents = self._stage_tents(*at, precision)
         value = Fraction(0)
         error = Fraction(0)
-        missed = False
         for stage in range(self.cutoff + 1, precision + 1):
             data = self.partition.stages[stage]
-            cutoff_index: int | None = None
-            for block in data.blocks:
-                if block.cell_scale >= threshold:
-                    cutoff_index = block.start_index
-                    break
+            # the index of the first visibly small cell
+            cutoff_index = next((b.start_index for b in data.blocks if b.cell_scale >= threshold), None)
             if cutoff_index is None and not data.exhausted:
                 raise InsufficientDepthError(stage, too_coarse)
-            # once the point misses a stage it misses every later one (stage_values)
-            tent = None if missed else self.locate_tent(stage, *at)
-            missed = tent is None
-            if tent is not None:
-                if cutoff_index is None or tent.index < cutoff_index or data.exhausted:
-                    value += tent.value(*at, 2 * stage)
+            tent = tents.get(stage)
+            if tent is not None and (cutoff_index is None or tent.index < cutoff_index or data.exhausted):
+                value += tent.value(*at, 2 * stage)
             if not data.exhausted:
                 # unseen or dropped cells at this stage have side <= 2**-threshold
                 error += Fraction(4) ** stage * pow2(-threshold) / 2
@@ -589,7 +582,7 @@ class TentSystem:
         if not self.cutoff < stage <= self.depth:
             raise ValueError(f"stage {stage} is outside the built range")
         numerators, denominator = common_denominator(z)
-        tents = self._stage_tents(numerators, denominator)  # once per stage, this one included
+        tents = self._stage_tents(numerators, denominator, self.depth)  # once per stage, this one included
         tent = tents.get(stage)
         if tent is None:
             raise ValueError(f"point is not inside any visible stage-{stage} cell")
@@ -611,7 +604,7 @@ class TentSystem:
             if not 0 <= first <= denominator << up:
                 continue
             shifted = ([first, *rest], denominator << up)
-            at_shifted = self._values(self._stage_tents(*shifted), *shifted)
+            at_shifted = self._values(self._stage_tents(*shifted, self.depth), *shifted)
             slopes = []
             for k in range(self.cutoff + 1, self.depth + 1):
                 s = (at_shifted.get(k, 0) - at_z.get(k, 0)) / h

@@ -9,6 +9,8 @@ from slopelab.derivatives import (
     CONSISTENT,
     VIOLATED,
     ProbeVerdict,
+    _step_point,
+    _step_points,
     diff_class_a,
     diff_class_b,
     dir_derivative_via_basis,
@@ -555,6 +557,30 @@ thresholds = st.none() | st.sampled_from([F(0), F(1, 8), F(1, 2), F(1), F(2)])
 directions = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(3, 5)])
 
 
+# a stepped coordinate on a face, or 2**-j inside or outside it, or anywhere near the cube
+landings = rationals_in(F(-1), F(2)) | st.builds(
+    lambda face, side, j: face + side * pow2(-j),
+    st.sampled_from([F(0), F(1)]),
+    st.sampled_from([-1, 0, 1]),
+    st.integers(1, 40),
+)
+step_sizes = st.sampled_from([F(0), F(3, 16), F(-3, 16), F(1, 3), F(-5, 7)]) | st.builds(
+    lambda sign, k: sign * pow2(-k), st.sampled_from([1, -1]), st.integers(0, 12)
+)
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_integer_step_rule_matches_the_fraction_step(n, data):
+    v = tuple(data.draw(st.lists(directions | st.sampled_from([-1, 0, 1]), min_size=n, max_size=n)))
+    h = data.draw(step_sizes)
+    # x is drawn through where its step lands, so it may lie outside the cube itself
+    x = tuple(y - h * vi for y, vi in zip(data.draw(st.lists(landings, min_size=n, max_size=n)), v))
+    stepped = vadd(x, vscale(h, v))
+    assert _step_point(x, v, h) == (stepped if in_unit_cube(stepped) else None)
+    assert _step_points(x, v, [h]) == [stepped if in_unit_cube(x) and in_unit_cube(stepped) else None]
+
+
 @given(probe_descriptors(), st.data(), st.integers(1, 8), thresholds, thresholds, thresholds)
 @settings(max_examples=300, deadline=None)
 def test_probes_match_the_exception_skipping_oracle(desc, data, depth, oscillation, separation, defect):
@@ -601,13 +627,13 @@ def test_a_bracket_reads_f_at_the_point_once_and_only_at_its_tail_steps():
     assert len(points) == f.dimension + 6 + 6  # levels 4..6, two signs, on both axes
 
 
-def test_defect_reads_f_at_the_point_once_per_direction():
+def test_defect_reads_f_at_the_point_once():
     f, points = counting(product_xy())
     x = (F(1, 3), F(1, 3))
     verdict = linearity_defect(f, x, [1, 0], [0, 1], F(1, 4), depth=6)
     assert [h for h, _ in verdict.witness["defects"]] == [pow2(-k) for k in range(2, 7)]
-    assert points.count(x) == 3
-    assert len(points) == 3 + 3 * 5
+    assert points.count(x) == 1
+    assert len(points) == len(set(points)) == 1 + 3 * 5
 
 
 def test_an_evaluator_error_inside_the_cube_is_not_an_infeasible_step():

@@ -118,6 +118,21 @@ def test_partition_past_the_pow2_cap_verifies(toy_test):
     assert all(entry["covers_enumeration"] for entry in report["stages"])
 
 
+def test_a_built_partition_runs_its_checks_once(toy_test, monkeypatch):
+    import slopelab.tentsystem as module
+
+    measured = []
+    union_measure = module.union_measure
+    monkeypatch.setattr(module, "union_measure", lambda cubes: measured.append(1) or union_measure(cubes))
+    partition = build_partition(toy_test, 3, 4)
+    checked = len(measured)
+    assert checked == 2 * 4  # raw cubes and sources, per stage, at build
+    report = partition.verify_properties()
+    assert partition.verify_properties() is report
+    assert len(measured) == checked
+    assert report["stages"][3]["nested_with_ratio"]
+
+
 def test_shuffled_mock_partition_rejected():
     # two blocks at one stage with increasing cell volume violate the order
     big = Block(1, DyadicCube(1, 1, (0,)), 2, 1)
@@ -285,7 +300,8 @@ def test_truncated_value_sums_visible_stages(toy_system5):
     assert total == by_stage
     # stage 0 holds the target but sits below the cutoff
     assert values.get(0, 0) == 0
-    assert value_at(system.locate_tent(0, *common_denominator(TARGET)), TARGET) > 0
+    index, cell = system.partition.locate(0, *common_denominator(TARGET))
+    assert value_at(tent_for(cell, 0, index), TARGET) > 0
 
 
 def test_truncated_value_zero_away_from_cells(toy_system5):
