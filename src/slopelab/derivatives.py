@@ -283,18 +283,21 @@ def diff_class_a(
 def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fraction) -> Fraction:
     """The exact remainder |f(x+h) - f(x) - row . h| with row_i = (f(x + b e_i) - f(x)) / b.
 
-    The row is built as diff_class_b builds it: each x + b e_i must lie in
-    the cube, x itself need not.
+    The steps follow diff_class_b: x + h and each x + b e_i must lie in the
+    cube, x itself need not.  A refused step raises ValueError before f is
+    evaluated.
     """
     x = tuple(x)
-    fx = f.eval(x)
-    row = []
-    for axis in range(f.dimension):
-        shifted = _step_point(x, unit_axis(f.dimension, axis), b)
-        if shifted is None:
+    stepped = _step_point(x, h, Fraction(1))
+    if stepped is None:
+        raise ValueError(f"step ({', '.join(map(str, h))}) leaves the unit cube")
+    shifted = [_step_point(x, unit_axis(f.dimension, axis), b) for axis in range(f.dimension)]
+    for axis, point in enumerate(shifted):
+        if point is None:
             raise ValueError(f"step {b} along axis {axis} leaves the unit cube")
-        row.append((f.eval(shifted) - fx) / b)
-    return abs(f.eval(vadd(x, h)) - fx - dot(row, h))
+    fx = f.eval(x)
+    row = [(f.eval(point) - fx) / b for point in shifted]
+    return abs(f.eval(stepped) - fx - dot(row, h))
 
 
 def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> ProbeVerdict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .cubes import (
     DyadicCube,
@@ -93,10 +93,6 @@ class Block:
     def count(self) -> int:
         return self.cells_per_axis ** self.dimension
 
-    @property
-    def end_index(self) -> int:
-        return self.start_index + self.count - 1
-
     def corner(self, local: int) -> tuple[int, ...]:
         """Grid corner of a local cell: its offsets are the base-2**shift digits of local."""
         shift = self.cell_scale - self.source.scale
@@ -111,19 +107,6 @@ class Block:
         if not 0 <= local < self.count:
             raise IndexError("local cell index out of range")
         return DyadicCube(self.dimension, self.cell_scale, self.corner(local))
-
-    def locate(self, numerators: Sequence[int], denominator: int) -> tuple[int, tuple[int, ...]] | None:
-        """Local index and grid corner of the cell whose half-open box holds N / D."""
-        shift = self.cell_scale - self.source.scale
-        local = 0
-        corner = []
-        for c_src, n in zip(self.source.corner, numerators):
-            grid = (n << self.cell_scale) // denominator
-            if grid >> shift != c_src:
-                return None
-            local = (local << shift) + grid - (c_src << shift)
-            corner.append(grid)
-        return local, tuple(corner)
 
 
 @dataclass(eq=False)
@@ -149,7 +132,15 @@ class Partition:
 
     dimension: int
     stages: list[StageData]
-    _report: ClassVar[dict | None] = None  # verify_properties' report, once it has passed; not a field
+
+    def __post_init__(self) -> None:
+        # not fields, so bundles do not render them: verify_properties' report
+        # once it has passed, and per stage source scale -> {source corner -> block}
+        self._report: dict | None = None
+        self._keyed: list[dict[int, dict[tuple[int, ...], Block]]] = [{} for _ in self.stages]
+        for keyed, stage in zip(self._keyed, self.stages):
+            for block in stage.blocks:
+                keyed.setdefault(block.source.scale, {})[block.source.corner] = block
 
     @property
     def stage_count(self) -> int:
@@ -158,20 +149,23 @@ class Partition:
     def blocks_at(self, stage: int) -> list[Block]:
         return self.stages[stage].blocks
 
-    def cell(self, stage: int, index: int) -> DyadicCube:
-        for block in self.blocks_at(stage):
-            if block.start_index <= index <= block.end_index:
-                return block.cell(index - block.start_index)
-        raise IndexError(f"no visible cell {index} at stage {stage}")
-
     def locate(
         self, stage: int, numerators: Sequence[int], denominator: int
     ) -> tuple[int, DyadicCube] | None:
-        """Index and cube of the stage cell whose half-open box holds the point N / D."""
-        for block in self.blocks_at(stage):
-            hit = block.locate(numerators, denominator)
-            if hit is not None:
-                local, corner = hit
+        """Index and cube of the stage cell whose half-open box holds the point N / D.
+
+        A stage's sources are disjoint, so one lookup per source scale s,
+        keyed by the grid corner floor(N_i * 2**s / D), finds the block.
+        """
+        for scale, blocks in self._keyed[stage].items():
+            block = blocks.get(tuple((n << scale) // denominator for n in numerators))
+            if block is not None:
+                corner = tuple((n << block.cell_scale) // denominator for n in numerators)
+                shift = block.cell_scale - scale
+                mask = (1 << shift) - 1
+                local = 0
+                for c in corner:  # the inverse of Block.corner
+                    local = (local << shift) | c & mask
                 return block.start_index + local, DyadicCube(self.dimension, block.cell_scale, corner)
         return None
 
@@ -636,27 +630,37 @@ class TentSystem:
 
     # -- exclusion bookkeeping -------------------------------------------------
 
-    def _exclusion_sweep(self, per_block: int) -> list[tuple[dict[int, Fraction], int, int]]:
-        """Per stage m: each axis's union of visible corner intervals past m, and the cells past m.
+    def _exclusion_sweep(self, per_block: int) -> list[tuple[dict[int, Fraction], int, int, Fraction]]:
+        """Per stage m: each axis's union of visible corner intervals past m, the cells past m, and the bound.
 
         The cells past m are counted twice: all visible ones, and those too
-        thin to materialize.  Built once per per_block and kept with the
-        system, so each stage's visible cells are read once.  Spans are
-        integer numerators over 2**e, for e the finest materialized eps
-        exponent of the system, and each axis's union is merged from the
-        deepest stage down.
+        thin to materialize.  The closed-form bound sums 2**-(i+j) * side over
+        the cells past m by blocks, clamping unrepresentably small terms
+        upward, plus the analytic 16**-i envelope of the stages beyond the
+        build.  Built once per per_block and kept with the system, so each
+        stage's blocks are read once.  Spans are integer numerators over 2**e,
+        for e the finest materialized eps exponent, bound terms over the
+        finest term's power of two, and both are summed from the deepest up.
         """
         if per_block not in self._swept:
+            later = range(1, self.depth + 1)
             stages = [
                 [(scale, ramp_exponent(i, index, scale), corner)
                  for index, scale, corner in self.partition.visible_cells(i, per_block)]
-                for i in range(1, self.depth + 1)
+                for i in later
+            ]
+            terms = [
+                [min(i + b.cell_scale + b.start_index - 1, POW2_MATERIALIZE_CAP) for b in self.partition.blocks_at(i)]
+                for i in later
             ]
             thick = [[c for c in cells if c[1] <= POW2_MATERIALIZE_CAP] for cells in stages]
             finest = max((eps for cells in thick for _, eps, _ in cells), default=0)
+            finest_term = max((e for exponents in terms for e in exponents), default=0)
+            tail = Fraction(16) ** (-(self.depth + 1)) * Fraction(16, 15)
             merged: dict[int, list[tuple[int, int]]] = {axis: [] for axis in range(1, self.dimension)}
-            past = [({axis: Fraction(0) for axis in merged}, 0, 0)]  # past the deepest stage
-            for cells, materialized in zip(reversed(stages), reversed(thick)):
+            past = [({axis: Fraction(0) for axis in merged}, 0, 0, tail)]  # past the deepest stage
+            summed = 0
+            for cells, materialized, exponents in zip(reversed(stages), reversed(thick), reversed(terms)):
                 for axis, spans in merged.items():
                     for scale, eps, corner in materialized:
                         lo = corner[axis] << (finest - scale)
@@ -664,50 +668,34 @@ class TentSystem:
                         width = 1 << (finest - eps)
                         spans += [(lo, lo + width), (hi - width, hi)]
                 unions = {axis: Fraction(_merge_spans(spans), 1 << finest) for axis, spans in merged.items()}
-                _, seen, clamped = past[-1]
-                past.append((unions, seen + len(cells), clamped + len(cells) - len(materialized)))
+                summed += sum(1 << (finest_term - e) for e in exponents)
+                _, seen, clamped, _ = past[-1]
+                bound = Fraction(summed, 1 << finest_term) + tail
+                past.append((unions, seen + len(cells), clamped + len(cells) - len(materialized), bound))
             self._swept[per_block] = past[::-1]
         return self._swept[per_block]
-
-    def exclusion_bound(self, stage: int) -> Fraction:
-        """Closed-form upper bound for the corner-interval union past a stage.
-
-        Sums 2**-(i+j) * side over all cells of all later stages by blocks;
-        unrepresentably small block terms are clamped upward, and stages
-        beyond the build contribute their analytic 16**-i envelope.  Terms are
-        summed as integer numerators over the finest term's power of two.
-        """
-        exponents = [
-            min(i + block.cell_scale + block.start_index - 1, POW2_MATERIALIZE_CAP)
-            for i in range(stage + 1, self.depth + 1)
-            for block in self.partition.blocks_at(i)
-        ]
-        tail = Fraction(16) ** (-(self.depth + 1)) * Fraction(16, 15)
-        if not exponents:
-            return tail
-        finest = max(exponents)
-        return Fraction(sum(1 << (finest - e) for e in exponents), 1 << finest) + tail
 
     def exclusion_visible(self, stage: int, axis: int, per_block: int = 16) -> ExclusionReport:
         """Exact union of the budget-visible corner intervals along an axis.
 
         Visible means the first per_block cells of every block of the stages
         past the given one; intervals too thin to materialize are clamped into
-        an explicit slack term of 2**-POW2_MATERIALIZE_CAP each.  The union is
-        read from the system's sweep (_exclusion_sweep).
+        an explicit slack term of 2**-POW2_MATERIALIZE_CAP each.  The union,
+        slack, count and closed-form bound are read from the system's sweep
+        (_exclusion_sweep).
         """
         if not 1 <= axis < self.dimension:
             raise ValueError("corner intervals live on axes >= 1")
         if stage < 0:
             raise ValueError("stage must be >= 0")
-        unions, seen, clamped = self._exclusion_sweep(per_block)[min(stage, self.depth)]
+        unions, seen, clamped, bound = self._exclusion_sweep(per_block)[min(stage, self.depth)]
         return ExclusionReport(
             stage=stage,
             axis=axis,
             visible_union=unions[axis],
             visible_slack=2 * clamped * pow2(-POW2_MATERIALIZE_CAP),
             interval_count=2 * seen,
-            closed_form_bound=self.exclusion_bound(stage),
+            closed_form_bound=bound,
             analytic_bound=pow2(-3 * stage),
         )
 

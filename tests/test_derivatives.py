@@ -209,6 +209,24 @@ def test_diff_class_b_linear_remainders_vanish():
             assert first_order_remainder(f, x, h, b) == 0
 
 
+def test_first_order_remainder_refuses_a_step_before_evaluating_f():
+    calls = []
+    f = ComputableFunction(1, lambda p: calls.append(p) or p[0] * p[0], lambda i: i + 1)
+    x = (F(1, 2),)
+    for h, b in (((F(1),), F(1, 4)), ((F(-3, 4),), F(1, 4)), ((F(1, 4),), F(3, 4))):
+        with pytest.raises(ValueError, match="leaves the unit cube"):
+            first_order_remainder(f, x, h, b)
+    assert calls == []
+    # |f(1) - f(1/2) - (f(3/4) - f(1/2)) / (1/4) * 1/2| = |3/4 - 5/8|
+    assert first_order_remainder(f, x, (F(1, 2),), F(1, 4)) == F(1, 8)
+    assert calls == [x, (F(3, 4),), (F(1),)]
+    # a class-B witness whose h leaves the cube does not replay
+    witness = {"op": "class-b", "point": x, "epsilon": F(1, 2), "delta": F(1, 2), "h": (F(1),), "b": F(1, 4)}
+    with pytest.raises(ValueError, match=r"^step \(1\) leaves the unit cube$"):
+        replay(f, ProbeVerdict("class-b", VIOLATED, 1, {**witness, "row": (F(1),), "remainder": F(3, 4)}, None))
+    assert calls == [x, (F(3, 4),), (F(1),)]
+
+
 def test_diff_class_b_kink_violation_with_sign_flip_witness():
     f = abs_distance_1d(F(1, 2))
     verdict = diff_class_b(f, (F(1, 2),), 6)

@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from slopelab.cubes import DyadicCube, union_measure, unit_cube
 from slopelab.derivatives import diff_class_b
 from slopelab.nullsets import concentric_test, constant_unit_test, explicit_test
 from slopelab.rationals import POW2_MATERIALIZE_CAP, common_denominator, compare_pow2, pow2, pow2_upper
+from slopelab.serialize import bundle
 from slopelab.tentsystem import (
     Block,
     BuildBudgetError,
@@ -88,7 +91,7 @@ def test_unit_stage_zero_stays_whole():
     blocks = partition.blocks_at(0)
     assert len(blocks) == 1
     assert blocks[0].cell_scale == 0 and blocks[0].count == 1
-    assert partition.cell(0, 1) == unit_cube(2)
+    assert blocks[0].start_index == 1 and blocks[0].cell(0) == unit_cube(2)
 
 
 def test_toy_partition_scales(toy_system5):
@@ -131,6 +134,21 @@ def test_a_built_partition_runs_its_checks_once(toy_test, monkeypatch):
     assert partition.verify_properties() is report
     assert len(measured) == checked
     assert report["stages"][3]["nested_with_ratio"]
+
+
+def test_bundle_keys_are_exactly_the_partition_fields(toy_system5):
+    # a bundle renders the dataclass fields of the partition, its stages and
+    # their blocks; what a partition keeps beside them must stay off the bytes
+    data = bundle(toy_system5)
+    assert set(data) == {"format", "cutoff", "budget", "test", "dimension", "stages"}
+    assert {"dimension", "stages"} == {f.name for f in fields(Partition)}
+    stage_keys = {"blocks", "sources", "raw", "exhausted"}
+    block_keys = {"start_index", "source", "cell_scale", "delta_scale"}
+    assert stage_keys == {f.name for f in fields(StageData)}
+    assert block_keys == {f.name for f in fields(Block)}
+    for stage in data["stages"]:
+        assert set(stage) == stage_keys
+        assert all(set(block) == block_keys for block in stage["blocks"])
 
 
 def test_shuffled_mock_partition_rejected():
@@ -222,7 +240,8 @@ def test_locate_matches_cell(toy_system5):
     for stage in range(1, 6):
         index, cell = partition.locate(stage, *common_denominator(TARGET))
         assert cell.contains_point(TARGET)
-        assert partition.cell(stage, index) == cell
+        (block,) = [b for b in partition.blocks_at(stage) if 0 <= index - b.start_index < b.count]
+        assert block.cell(index - block.start_index) == cell
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +420,9 @@ def test_exclusion_interval_lengths_match_formula():
     system = build_tent_system(constant_unit_test(2), depth=1, cutoff=0, budget=1)
     report = system.exclusion_visible(0, 1, per_block=4)
     tents = [
-        tent_for(system.partition.cell(1, j), 1, j)
-        for j in range(1, min(4, sum(b.count for b in system.partition.blocks_at(1))) + 1)
+        tent_for(block.cell(local), 1, block.start_index + local)
+        for block in system.partition.blocks_at(1)
+        for local in range(min(4, block.count))
     ]
     expected = sum((2 * pow2(-t.eps_exponent) for t in tents), Fraction(0))
     # intervals of distinct cells in one slab may merge; the union is <= the sum
@@ -582,7 +602,7 @@ def test_exclusion_sums_match_fraction_oracle(toy_system5, toy_system8, clamped_
     assert report.visible_union == union
     assert report.visible_slack == slack
     assert report.interval_count == count
-    assert report.closed_form_bound == system.exclusion_bound(stage) == bound
+    assert report.closed_form_bound == bound
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +683,33 @@ def test_stage_values_match_the_every_stage_oracle(
     expected = located_stage_values(system, point)
     assert system.stage_values(point) == expected
     assert system.truncated_value(point) == sum(expected.values(), Fraction(0))
+
+
+def scan_locate(partition, stage, point):
+    """Oracle: the first block in build order whose source holds the point, read with Fraction floors."""
+    for block in partition.blocks_at(stage):
+        if tuple(math.floor(p * 2**block.source.scale) for p in point) == block.source.corner:
+            corner = tuple(math.floor(p * 2**block.cell_scale) for p in point)
+            width = block.cells_per_axis
+            local = 0
+            for c, c_src in zip(corner, block.source.corner):
+                local = local * width + c - c_src * width
+            return block.start_index + local, DyadicCube(partition.dimension, block.cell_scale, corner)
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_locate_matches_the_block_scan_oracle(toy_system5, toy_system8, clamped_system, mixed_system, data):
+    system = data.draw(st.sampled_from([toy_system5, toy_system8, clamped_system, mixed_system]))
+    point = data.draw(probe_points(system))
+    for stage in range(system.depth + 1):
+        expected = scan_locate(system.partition, stage, point)
+        assert system.partition.locate(stage, *common_denominator(point)) == expected
+        if expected is not None:
+            index, cell = expected
+            (block,) = [b for b in system.partition.blocks_at(stage) if 0 <= index - b.start_index < b.count]
+            assert block.cell(index - block.start_index) == cell
 
 
 @given(data=st.data())
