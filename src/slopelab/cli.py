@@ -253,13 +253,11 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
     geometry = None
     geometry_stages = min(stages, typed(config, "geometry_stages", int, 2))
     if typed(config, "geometry", bool, True) and stages >= 1:
-        try:
-            geometry = [
-                {"x0": r[0], "x1": r[1], "y0": r[2], "y1": r[3]}
-                for r in ns.dore_maleva_rectangles(params, geometry_stages)
-            ]
-        except ValueError:  # past the rectangle cap
-            geometry = None
+        try:  # the table has validated every stage, so only the rectangle cap is left to refuse
+            rectangles = ns.dore_maleva_rectangles(params, geometry_stages)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'geometry_stages' is {geometry_stages}, but {exc}") from exc
+        geometry = [{"x0": r[0], "x1": r[1], "y0": r[2], "y1": r[3]} for r in rectangles]
     report = {
         "command": "dore-maleva",
         "config": config,

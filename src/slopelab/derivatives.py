@@ -50,33 +50,32 @@ class ProbeVerdict:
         return self.status == VIOLATED
 
 
-def _step_point(x: Vector, v: Vector, h: Fraction) -> Vector | None:
+_Point = tuple[Sequence[int], int]  # integer numerators N over one denominator D: the point N / D
+
+
+def _step_point(x: _Point, v: Sequence[Fraction | int], h: Fraction) -> _Point | None:
     """x + h*v if it lies in the unit cube, else None: the one step rule.
 
-    It is geometry alone, decided in integers before any point is built or
-    f is evaluated.  A moving coordinate a/b + (p/q)(r/s) lies in [0, 1]
-    iff 0 <= a q s + p r b <= b q s; a coordinate that does not move is
-    tested as it is.  x itself need not lie in the cube.
+    It is geometry alone, decided in integers before f is evaluated.  With
+    x = N / D, h = p/q and v = r/s over the lcm s of v's denominators, the
+    step is (N_i q s + p r_i D) / (D q s), and it lies in the cube iff each
+    of its numerators lies in [0, D q s].  x itself need not lie in the cube.
     """
-    p, q = h.numerator, h.denominator
-    point = []
-    for c, vi in zip(x, v, strict=True):
-        a, b = c.numerator, c.denominator
-        if vi:
-            a, b = a * q * vi.denominator + p * vi.numerator * b, b * q * vi.denominator
-        if not 0 <= a <= b:
-            return None
-        point.append(Fraction(a, b) if vi else c)
-    return tuple(point)
+    (numerators, denominator), (r, s) = x, common_denominator(v)
+    p, scale = h.numerator, h.denominator * s
+    top = denominator * scale
+    point = [n * scale + p * ri * denominator for n, ri in zip(numerators, r, strict=True)]
+    return (point, top) if all(0 <= n <= top for n in point) else None
 
 
-def _step_points(x: Vector, v: Vector, steps: Sequence[Fraction]) -> list[Vector | None]:
+def _step_points(x: _Point, v: Sequence[Fraction | int], steps: Sequence[Fraction]) -> list[_Point | None]:
     """x + h*v for each step h that the step rule admits, None for the others.
 
     The quotient probes also need x itself in the unit cube; outside it
     every step is refused.
     """
-    if not in_unit_cube(x):
+    numerators, denominator = x
+    if not all(0 <= n <= denominator for n in numerators):
         return [None] * len(steps)
     return [_step_point(x, v, h) for h in steps]
 
@@ -89,19 +88,19 @@ def slope_dir(
     A zero step, or one the step rule refuses, raises ValueError before f is
     evaluated; f(x) is read once.
     """
-    x, v = tuple(x), as_vector(v)
-    points = _step_points(x, v, steps)
+    at, v = common_denominator(x), as_vector(v)
+    points = _step_points(at, v, steps)
     for h, point in zip(steps, points):
         if h == 0:
             raise ValueError("zero step")
         if point is None:
-            raise ValueError(f"step {h} along {v} leaves the unit cube")
-    fx = f.eval(x)
-    return [(f.eval(point) - fx) / h for h, point in zip(steps, points)]
+            raise ValueError(f"step {h} along ({', '.join(map(str, v))}) leaves the unit cube")
+    fx = f.eval(*at)
+    return [(f.eval(*point) - fx) / h for h, point in zip(steps, points)]
 
 
 def _tail_bracket(
-    f: ComputableFunction, x: Vector, axis: int, levels: range
+    f: ComputableFunction, x: _Point, axis: int, levels: range
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Lowest and highest two-sided slope along axis over the tail of the levels.
 
@@ -124,7 +123,7 @@ def _tail_bracket(
             break
     else:
         raise ValueError(f"no feasible step along axis {axis}")
-    (nx, *numerators), den = common_denominator([f.eval(x)] + [f.eval(point) for _, point in kept])
+    (nx, *numerators), den = common_denominator([f.eval(*x)] + [f.eval(*point) for _, point in kept])
     keys = [h.numerator * h.denominator * (n - nx) for (h, _), n in zip(kept, numerators)]
     lo, hi = (pick(range(len(keys)), key=keys.__getitem__) for pick in (min, max))
     return (kept[lo][0], Fraction(keys[lo], den)), (kept[hi][0], Fraction(keys[hi], den))
@@ -145,7 +144,7 @@ def partial_probe(
     out; a point with no admitted step is an error.
     """
     x = tuple(x)
-    (lo_step, lo), (hi_step, hi) = _tail_bracket(f, x, axis, range(2, depth + 3))
+    (lo_step, lo), (hi_step, hi) = _tail_bracket(f, common_denominator(x), axis, range(2, depth + 3))
     if threshold is not None and hi - lo >= threshold:
         witness = {
             "op": "partial",
@@ -194,13 +193,14 @@ def dir_derivative_via_basis(
     f_hat = clamp_extend(f)
     g = compose_affine(f, AffineIsometry(transform.matrix, offset))
     panel = tuple(t_panel) if t_panel is not None else tuple(pow2(-k) for k in range(1, 13))
+    if any(t <= 0 for t in panel):
+        raise ValueError("panel steps must be positive")
     failures = []
     e1 = unit_axis(f.dimension, 0)
+    gz, fx = g.eval(*common_denominator(z)), f_hat.eval(*common_denominator(x))
     for t in panel:
-        if t <= 0:
-            raise ValueError("panel steps must be positive")
-        lhs = (g.eval(vadd(z, vscale(t, e1))) - g.eval(z)) / t
-        rhs = (f_hat.eval(vadd(x, vscale(t, direction))) - f_hat.eval(x)) / t
+        lhs = (g.eval(*common_denominator(vadd(z, vscale(t, e1)))) - gz) / t
+        rhs = (f_hat.eval(*common_denominator(vadd(x, vscale(t, direction)))) - fx) / t
         if lhs != rhs:
             failures.append({"t": t, "lhs": lhs, "rhs": rhs})
     return BasisReduction(g=g, z=z, identity_holds=not failures, failures=tuple(failures))
@@ -222,15 +222,15 @@ def linearity_defect(
     step counts when the step rule admits it along u, v and u + v; f(x) is
     read once, and the defect at h is |f(x+hu) + f(x+hv) - f(x+h(u+v)) - f(x)| / h.
     """
-    x = tuple(x)
+    x, at = tuple(x), common_denominator(x)
     du, dv = as_vector(u), as_vector(v)
     candidates = [h for h in (pow2(-k) for k in range(1, depth + 1)) if h <= max_step]
-    admitted = [_step_points(x, d, candidates) for d in (du, dv, vadd(du, dv))]
+    admitted = [_step_points(at, d, candidates) for d in (du, dv, vadd(du, dv))]
     steps = [(h, points) for h, *points in zip(candidates, *admitted) if None not in points]
     if not steps:
         raise ValueError("empty feasible grid")
-    fx = f.eval(x)
-    defects = [(h, abs(f.eval(pu) + f.eval(pv) - f.eval(puv) - fx) / h) for h, (pu, pv, puv) in steps]
+    fx = f.eval(*at)
+    defects = [(h, abs(f.eval(*pu) + f.eval(*pv) - f.eval(*puv) - fx) / h) for h, (pu, pv, puv) in steps]
     h_min, best = min(defects, key=lambda t: t[1])
     worst = max(d for _, d in defects)
     witness = {
@@ -258,11 +258,11 @@ def diff_class_a(
     caller's threshold: a finite witness that the lower partial falls short
     of the upper one.
     """
-    x = tuple(x)
+    x, at = tuple(x), common_denominator(x)
     brackets: list[tuple[Fraction, Fraction]] = []
     worst: dict | None = None
     for axis in range(f.dimension):
-        (lo_step, lo), (hi_step, hi) = _tail_bracket(f, x, axis, range(1, depth + 1))
+        (lo_step, lo), (hi_step, hi) = _tail_bracket(f, at, axis, range(1, depth + 1))
         brackets.append((lo, hi))
         if separation is not None and hi - lo >= separation:
             if worst is None or hi - lo > worst["separation"]:
@@ -287,17 +287,17 @@ def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fracti
     cube, x itself need not.  A refused step raises ValueError before f is
     evaluated.
     """
-    x = tuple(x)
-    stepped = _step_point(x, h, Fraction(1))
+    at = common_denominator(x)
+    stepped = _step_point(at, h, Fraction(1))
     if stepped is None:
         raise ValueError(f"step ({', '.join(map(str, h))}) leaves the unit cube")
-    shifted = [_step_point(x, unit_axis(f.dimension, axis), b) for axis in range(f.dimension)]
+    shifted = [_step_point(at, unit_axis(f.dimension, axis), b) for axis in range(f.dimension)]
     for axis, point in enumerate(shifted):
         if point is None:
             raise ValueError(f"step {b} along axis {axis} leaves the unit cube")
-    fx = f.eval(x)
-    row = [(f.eval(point) - fx) / b for point in shifted]
-    return abs(f.eval(stepped) - fx - dot(row, h))
+    fx = f.eval(*at)
+    row = [(f.eval(*point) - fx) / b for point in shifted]
+    return abs(f.eval(*stepped) - fx - dot(row, h))
 
 
 def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> ProbeVerdict:
@@ -319,31 +319,31 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
     is the one first_order_remainder states: each x + b e_i lies in the
     cube and x itself need not, because replay rebuilds the row that way.
     """
-    x = tuple(x)
+    x, at = tuple(x), common_denominator(x)
     n = f.dimension
     signs_h = [s for s in product((-1, 0, 1), repeat=n) if any(s)]
     rows = {sigma: [tuple(sigma * (i == axis) for i in range(n)) for axis in range(n)] for sigma in (1, -1)}
     grid = range(1, depth + 3)
-    h_feasible = any(_step_point(x, s, pow2(-k)) for k in grid for s in signs_h)
-    b_feasible = any(all(_step_point(x, s, pow2(-j)) for s in rows[sigma]) for j in grid for sigma in rows)
+    h_feasible = any(_step_point(at, s, pow2(-k)) for k in grid for s in signs_h)
+    b_feasible = any(all(_step_point(at, s, pow2(-j)) for s in rows[sigma]) for j in grid for sigma in rows)
     if not h_feasible or not b_feasible:
         raise ValueError("no feasible probe steps at this point")
     fine = {k: pow2(-k) for k in range(max(1, depth + 1), depth + 3)}
-    steps = {(k, s): _step_point(x, s, fine[k]) for k in fine for s in signs_h}  # x + 2**-k s, or None
+    steps = {(k, s): _step_point(at, s, fine[k]) for k in fine for s in signs_h}  # x + 2**-k s, or None
     # ||h||**2 = nnz(s) 4**-k < δ**2 = 4**-depth
     h_keys = [(k, s) for (k, s), point in steps.items() if point and sum(map(abs, s)) < 4 ** (k - depth)]
     row_keys = {(j, sigma): [(j, s) for s in rows[sigma]] for j in fine for sigma in rows}  # all below δ
     row_keys = {b: keys for b, keys in row_keys.items() if all(steps[key] for key in keys)}
-    values = {(0, (0,) * n): f.eval(x)}  # the point x + 2**-k s under the key (k, s)
+    values = {(0, (0,) * n): f.eval(*at)}  # the point x + 2**-k s under the key (k, s)
     for key in h_keys + [key for keys in row_keys.values() for key in keys]:
         if key not in values:
-            values[key] = f.eval(steps[key])
+            values[key] = f.eval(*steps[key])
     numerators, den = common_denominator(values.values())
-    at, nx = dict(zip(values, numerators)), numerators[0]
-    gammas = {b: [at[key] - nx for key in keys] for b, keys in row_keys.items()}
+    by_key, nx = dict(zip(values, numerators)), numerators[0]
+    gammas = {b: [by_key[key] - nx for key in keys] for b, keys in row_keys.items()}
     failure = None  # (e, h key, b key, R) of the first pair failing the largest ε so far
     for k, s in h_keys:
-        delta_h = (at[k, s] - nx) << k
+        delta_h = (by_key[k, s] - nx) << k
         bound = den * den * sum(map(abs, s))  # D**2 ||s||**2
         for j, sigma in row_keys:
             # b = σ 2**-j: the remainder is R / (D 2**k), and it exceeds

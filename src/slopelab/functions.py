@@ -1,7 +1,9 @@
 """Computable functions on the unit n-cube and the concrete families used here.
 
 A function is a pair (evaluator, modulus): the evaluator returns the exact
-rational value f(x) at a rational point x, and the modulus h certifies
+rational value f(x) at a rational point x, read as integer numerators N over
+one positive denominator D (x = N / D, not necessarily in lowest terms), and
+the modulus h certifies
 ||x - y|| <= 2**-h(i)  =>  |f(x) - f(y)| <= 2**-i.  Every function here is
 built from rational data, so every comparison made with its values is exact.
 A one-variable function also has its values on the dyadic grid k / 2**L as
@@ -14,7 +16,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .rationals import (
@@ -29,12 +33,11 @@ from .rationals import (
     norm_sq,
     pow2,
     unit_axis,
-    vadd,
     vscale,
     vsub,
 )
 
-Evaluator = Callable[[Vector], Fraction]
+Evaluator = Callable[[Sequence[int], int], Fraction]  # (N, D) -> f(N / D)
 Modulus = Callable[[int], int]
 Grid = tuple[list[int], int]  # numerators at k / 2**L for start <= k < stop, and their denominator
 
@@ -46,11 +49,11 @@ class ComputableFunction:
     modulus: Modulus
     grid: Callable[[int, int, int], Grid] | None = None  # (level, start, stop): a window of dyadic_grid
 
-    def eval(self, point: Sequence[Fraction]) -> Fraction:
-        point = tuple(point)
-        if len(point) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coordinates, got {len(point)}")
-        return self.evaluator(point)
+    def eval(self, numerators: Sequence[int], denominator: int) -> Fraction:
+        """f at the point N / D."""
+        if len(numerators) != self.dimension:
+            raise ValueError(f"expected {self.dimension} coordinates, got {len(numerators)}")
+        return self.evaluator(numerators, denominator)
 
     def dyadic_grid(self, level: int) -> Grid:
         """f(k / 2**level) for k = 0..2**level as integers over one positive denominator.
@@ -62,7 +65,7 @@ class ComputableFunction:
         if self.grid is not None:
             return self.grid(level, 0, (1 << level) + 1)
         width = 1 << level
-        return common_denominator(self.eval((Fraction(k, width),)) for k in range(width + 1))
+        return common_denominator(self.eval((k,), width) for k in range(width + 1))
 
 
 def _affine_pieces_grid(
@@ -101,24 +104,22 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
         raise ValueError("linear form needs dimension >= 1")
     shift = int_ceil_log2(1 + ceil_sqrt(norm_sq(m)))
     grid = _affine_pieces_grid((Fraction(0), Fraction(1)), (Fraction(0),), m) if len(m) == 1 else None
-    return ComputableFunction(len(m), lambda point: dot(m, point), lambda i: i + shift, grid)
+    coeffs, scale = common_denominator(m)  # <m, N / D> = <coeffs, N> / (scale D)
+    return ComputableFunction(
+        len(m), lambda n, d: Fraction(sum(map(mul, coeffs, n)), scale * d), lambda i: i + shift, grid
+    )
 
 
 def constant_function(value: Fraction | int | str, dimension: int = 1) -> ComputableFunction:
     v = Fraction(value)
-    return ComputableFunction(dimension, lambda _point: v, lambda _i: 0)
-
-
-def clamp_point(point: Sequence[Fraction]) -> Vector:
-    """Componentwise min with 1; identity on the unit cube, 1-Lipschitz."""
-    return tuple(min(Fraction(1), x) for x in point)
+    return ComputableFunction(dimension, lambda _n, _d: v, lambda _i: 0)
 
 
 def clamp_extend(f: ComputableFunction) -> ComputableFunction:
-    """f composed with the clamp, so it accepts points outside the cube."""
+    """f composed with the 1-Lipschitz clamp N_i / D |-> min(N_i, D) / D; it accepts points outside the cube."""
     return ComputableFunction(
         dimension=f.dimension,
-        evaluator=lambda point: f.eval(clamp_point(point)),
+        evaluator=lambda n, d: f.eval([min(c, d) for c in n], d),
         modulus=f.modulus,
     )
 
@@ -132,7 +133,7 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
     count_shift = int_ceil_log2(len(parts))
     return ComputableFunction(
         dimension=dims.pop(),
-        evaluator=lambda point: sum((p.eval(point) for p in parts), Fraction(0)),
+        evaluator=lambda n, d: sum((p.eval(n, d) for p in parts), Fraction(0)),
         modulus=lambda i: max(p.modulus(i + count_shift) for p in parts),
     )
 
@@ -142,7 +143,7 @@ def scale_function(factor: Fraction | int | str, f: ComputableFunction) -> Compu
     shift = 0 if c == 0 else max(0, ceil_log2(abs(c)))
     return ComputableFunction(
         dimension=f.dimension,
-        evaluator=lambda point: Fraction(0) if c == 0 else c * f.eval(point),
+        evaluator=lambda n, d: Fraction(0) if c == 0 else c * f.eval(n, d),
         modulus=lambda i: f.modulus(i + shift),
     )
 
@@ -189,15 +190,12 @@ def gram_schmidt_basis(u: Sequence[Fraction | int | str]) -> tuple[Vector, ...]:
 Matrix = tuple[Vector, ...]
 
 
-def _mat_apply(m: Matrix, x: Sequence[Fraction]) -> Vector:
-    return tuple(dot(row, x) for row in m)
-
-
 @dataclass(frozen=True, eq=False)
 class AffineIsometry:
     """x |-> matrix @ x + offset for an exactly orthogonal matrix.
 
     affine_isometry checks the matrix; the inverse is its transpose.
+    compose_affine applies the map to integer numerators.
     """
 
     matrix: Matrix
@@ -207,11 +205,9 @@ class AffineIsometry:
     def dimension(self) -> int:
         return len(self.matrix)
 
-    def apply(self, x: Sequence[Fraction]) -> Vector:
-        return vadd(_mat_apply(self.matrix, x), self.offset)
-
     def apply_inverse(self, y: Sequence[Fraction]) -> Vector:
-        return _mat_apply(tuple(zip(*self.matrix)), vsub(y, self.offset))
+        shifted = vsub(y, self.offset)
+        return tuple(dot(column, shifted) for column in zip(*self.matrix))
 
 
 def affine_isometry(
@@ -258,14 +254,22 @@ def isometry_between(
 
 
 def compose_affine(f: ComputableFunction, transform: AffineIsometry) -> ComputableFunction:
-    """g(z) = f(P1(matrix @ z + offset)); isometry + clamp are non-expansive."""
+    """g(z) = f(P1(matrix @ z + offset)); isometry + clamp are non-expansive.
+
+    With matrix = A / q and offset = b / q over one q, z = N / D maps to min(A N + b D, q D) / (q D).
+    """
     if transform.dimension != f.dimension:
         raise ValueError("dimension mismatch between function and isometry")
-    return ComputableFunction(
-        dimension=f.dimension,
-        evaluator=lambda point: f.eval(clamp_point(transform.apply(point))),
-        modulus=f.modulus,
-    )
+    n = f.dimension
+    entries, scale = common_denominator(list(chain(*transform.matrix, transform.offset)))
+    rows, offset = [entries[i * n:(i + 1) * n] for i in range(n)], entries[n * n:]
+
+    def evaluator(numerators: Sequence[int], denominator: int) -> Fraction:
+        top = scale * denominator
+        image = [min(sum(map(mul, row, numerators)) + b * denominator, top) for row, b in zip(rows, offset)]
+        return f.eval(image, top)
+
+    return ComputableFunction(dimension=n, evaluator=evaluator, modulus=f.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +292,8 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
     max_slope = max((abs(s) for s in slopes), default=Fraction(0))
     shift = max(0, ceil_log2(max_slope)) if max_slope > 0 else 0
 
-    def fn(point: Vector) -> Fraction:
-        x = point[0]
+    def fn(numerators: Sequence[int], denominator: int) -> Fraction:
+        x = Fraction(numerators[0], denominator)
         if not 0 <= x <= 1:
             raise ValueError(f"{x} outside [0, 1]")
         # the segment ending at the first knot >= x; a knot takes its left segment
@@ -303,14 +307,14 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
 
 def square_1d() -> ComputableFunction:
     return ComputableFunction(
-        1, lambda p: p[0] * p[0], lambda i: i + 1,
+        1, lambda n, d: Fraction(n[0] * n[0], d * d), lambda i: i + 1,
         lambda level, start, stop: ([k * k for k in range(start, stop)], 1 << 2 * level),
     )
 
 
 def cube_1d() -> ComputableFunction:
     return ComputableFunction(
-        1, lambda p: p[0] ** 3, lambda i: i + 2,
+        1, lambda n, d: Fraction(n[0] ** 3, d**3), lambda i: i + 2,
         lambda level, start, stop: ([k**3 for k in range(start, stop)], 1 << 3 * level),
     )
 
@@ -321,19 +325,20 @@ def identity_1d() -> ComputableFunction:
 
 def abs_distance_1d(center: Fraction | str) -> ComputableFunction:
     c = Fraction(center)
-    return ComputableFunction(1, lambda p: abs(p[0] - c), lambda i: i)
+    p, q = c.numerator, c.denominator
+    return ComputableFunction(1, lambda n, d: Fraction(abs(n[0] * q - p * d), q * d), lambda i: i)
 
 
 def product_xy() -> ComputableFunction:
-    return ComputableFunction(2, lambda p: p[0] * p[1], lambda i: i + 1)
+    return ComputableFunction(2, lambda n, d: Fraction(n[0] * n[1], d * d), lambda i: i + 1)
 
 
 def abs_diff_2d() -> ComputableFunction:
-    return ComputableFunction(2, lambda p: abs(p[0] - p[1]), lambda i: i + 1)
+    return ComputableFunction(2, lambda n, d: Fraction(abs(n[0] - n[1]), d), lambda i: i + 1)
 
 
 def min_x_flip_y() -> ComputableFunction:
-    return ComputableFunction(2, lambda p: min(p[0], 1 - p[1]), lambda i: i)
+    return ComputableFunction(2, lambda n, d: Fraction(min(n[0], d - n[1]), d), lambda i: i)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +351,9 @@ def modulus_audit(f: ComputableFunction, level: int, pairs: int, rng) -> list[di
     x is drawn as integer numerators over 2**(h + 6), and y moves one of them
     by k, 1 <= k <= 64, so the distance (k/64) * 2**-h is exact and y stays
     in the cube iff its moved numerator stays in [0, 2**(h + 6)].  Pairs
-    leaving the cube are redrawn, up to 20 * pairs draws.  Returns the
-    violations (empty on success).
+    leaving the cube are redrawn, up to 20 * pairs draws.  f reads the
+    numerators as drawn; Fraction points are built for violations only.
+    Returns the violations (empty on success).
     """
     if pairs < 0:
         raise ValueError("pairs must be >= 0")
@@ -368,9 +374,8 @@ def modulus_audit(f: ComputableFunction, level: int, pairs: int, rng) -> list[di
         if not 0 <= y[axis] <= denom:
             continue
         checked += 1
-        x_point = tuple(Fraction(n, denom) for n in x)
-        y_point = tuple(Fraction(n, denom) for n in y)
-        diff = abs(f.eval(x_point) - f.eval(y_point))
+        diff = abs(f.eval(x, denom) - f.eval(y, denom))
         if diff > allowed:
+            x_point, y_point = (tuple(Fraction(n, denom) for n in p) for p in (x, y))
             violations.append({"x": x_point, "y": y_point, "difference": diff, "allowed": allowed})
     return violations

@@ -172,7 +172,7 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
 def _dyadic_slope(f: ComputableFunction, length: int, index: int) -> Fraction:
     """Slope of f over [index / 2**length, (index + 1) / 2**length]."""
     width = 1 << length
-    return (f.eval((Fraction(index + 1, width),)) - f.eval((Fraction(index, width),))) * width
+    return (f.eval((index + 1,), width) - f.eval((index,), width)) * width
 
 
 def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
@@ -211,11 +211,11 @@ def _grids(f: ComputableFunction, depth: int) -> Iterator[tuple[list[int], int]]
         for length in range(depth + 1):
             yield grid[:: 1 << (depth - length)], denominator
         return
-    values = [f.eval((Fraction(0),)), f.eval((Fraction(1),))]
+    values = [f.eval((0,), 1), f.eval((1,), 1)]
     for length in range(depth + 1):
         if length:
             width = 1 << length
-            midpoints = [f.eval((Fraction(k, width),)) for k in range(1, width, 2)]
+            midpoints = [f.eval((k,), width) for k in range(1, width, 2)]
             values = [v for pair in zip(values, midpoints) for v in pair] + [values[-1]]
         yield common_denominator(values)
 
@@ -244,12 +244,12 @@ def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
             (lo, hi), denominator = f.grid(length, index, index + 2)
             yield (hi - lo) << length, denominator
         return
-    hi, lo = f.eval((Fraction(1),)), f.eval((Fraction(0),))
+    hi, lo = f.eval((1,), 1), f.eval((0,), 1)
     yield (hi - lo).as_integer_ratio()
     index = 0
     for length, bit in enumerate(bits, 1):
         width = 1 << length
-        mid = f.eval((Fraction(2 * index + 1, width),))
+        mid = f.eval((2 * index + 1,), width)
         index = 2 * index + bit
         if bit:
             lo = mid
@@ -305,13 +305,13 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 spread = 1 << (horizon - len(bits))
                 start = _index(bits) * spread
                 spans.append(range(start, start + spread))
-        width, rise = 1 << scale, Fraction(0)
+        top, rise = max(scale, horizon), Fraction(0)  # the corners a and b over 2**top
         corners = list(product(*spans))
         for corner in corners:
-            y = [Fraction(t, 1 << horizon) for t in corner]
-            a, b = (tuple(y[:axis] + [Fraction(k, width)] + y[axis:]) for k in (cell, cell + 1))
-            rise += f.eval(b) - f.eval(a)
-        return rise * width / len(corners)
+            y = [t << (top - horizon) for t in corner]
+            a, b = ((*y[:axis], k << (top - scale), *y[axis:]) for k in (cell, cell + 1))
+            rise += f.eval(b, 1 << top) - f.eval(a, 1 << top)
+        return rise * (1 << scale) / len(corners)
 
     return Martingale(capital, label=label)
 

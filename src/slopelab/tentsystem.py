@@ -345,11 +345,7 @@ class TentFunction:
         # each partial slope is at most 2**(stage+index), so the gradient is
         # at most sqrt(n) times that
         steep = self.stage + self.index + int_ceil_log2(ceil_sqrt(self.cell.dimension))
-        return ComputableFunction(
-            dimension=self.cell.dimension,
-            evaluator=lambda point: self.value(*common_denominator(point)),
-            modulus=lambda i: i + steep,
-        )
+        return ComputableFunction(dimension=self.cell.dimension, evaluator=self.value, modulus=lambda i: i + steep)
 
 
 def ramp_exponent(stage: int, index: int, scale: int) -> int:
@@ -479,32 +475,26 @@ class TentSystem:
             tents[stage] = tent_for(cell, stage, index)
         return tents
 
-    @staticmethod
-    def _values(
-        tents: Mapping[int, TentFunction], numerators: Sequence[int], denominator: int
-    ) -> dict[int, Fraction]:
+    def stage_values(self, numerators: Sequence[int], denominator: int) -> dict[int, Fraction]:
+        """4**m times the tent over the point N / D, for each summed stage m that holds it.
+
+        Stages are located from cutoff + 1 upward, up to the first that misses.
+        """
+        tents = self._stage_tents(numerators, denominator, self.depth)
         return {stage: tent.value(numerators, denominator, 2 * stage) for stage, tent in tents.items()}
 
-    def stage_values(self, point: Sequence[Fraction]) -> dict[int, Fraction]:
-        """4**m times the tent over the point, for each summed stage m that holds it.
-
-        The point is read as integer numerators over one denominator, and
-        stages are located from cutoff + 1 upward, up to the first that misses.
-        """
-        at = common_denominator(point)
-        return self._values(self._stage_tents(*at, self.depth), *at)
-
-    def truncated_value(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact value of the built stages' sum at a rational point."""
-        return sum(self.stage_values(tuple(point)).values(), Fraction(0))
-
     def as_function(self) -> ComputableFunction:
+        """The built stages' sum, exact at every rational point."""
+
         def modulus(i: int) -> int:
             if i + 2 > self.depth:
                 raise InsufficientDepthError(i + 2, f"is beyond the built depth {self.depth}")
             return self.modulus_exponent(i + 2)
 
-        return ComputableFunction(self.dimension, self.truncated_value, modulus)
+        def value(numerators: Sequence[int], denominator: int) -> Fraction:
+            return sum(self.stage_values(numerators, denominator).values(), Fraction(0))
+
+        return ComputableFunction(self.dimension, value, modulus)
 
     # -- certified evaluation -------------------------------------------------
 
@@ -588,7 +578,7 @@ class TentSystem:
         per_stage: dict[int, tuple[tuple[int, Fraction], ...]] = {}
         tail_ok = True
         full_stage = False
-        at_z = self._values(tents, numerators, denominator)
+        at_z = {k: tent.value(numerators, denominator, 2 * k) for k, tent in tents.items()}
         # z + h * e1 over the denominator D * 2**(scale + 2), for h = +-1 / 2**(scale + 2)
         up = tent.cell.scale + 2
         rest = [n << up for n in numerators[1:]]
@@ -598,7 +588,7 @@ class TentSystem:
             if not 0 <= first <= denominator << up:
                 continue
             shifted = ([first, *rest], denominator << up)
-            at_shifted = self._values(self._stage_tents(*shifted, self.depth), *shifted)
+            at_shifted = self.stage_values(*shifted)
             slopes = []
             for k in range(self.cutoff + 1, self.depth + 1):
                 s = (at_shifted.get(k, 0) - at_z.get(k, 0)) / h

@@ -40,10 +40,15 @@ from slopelab.nullsets import (
     dore_maleva_rectangles,
     stage_below_half,
 )
-from slopelab.rationals import dot, pow2, vadd
+from slopelab.rationals import common_denominator, dot, pow2, vadd
 
 F = Fraction
 TARGET = (F(1, 3), F(1, 3))
+
+
+def value(f, point):
+    """f at a Fraction point, handed over as numerators over one denominator."""
+    return f.eval(*common_denominator(point))
 
 
 def _announce(number: int, text: str) -> None:
@@ -96,8 +101,8 @@ def test_criterion_03_directional_reduction_exact_50_steps():
     reduction = dir_derivative_via_basis(f, x, direction, w=[F(0), F(1, 4)], t_panel=panel)
     assert reduction.identity_holds
     for t in panel:
-        g_quot = (reduction.g.eval(vadd(reduction.z, (t, F(0)))) - reduction.g.eval(reduction.z)) / t
-        f_quot = (f.eval(vadd(x, (t * direction[0], t * direction[1]))) - f.eval(x)) / t
+        g_quot = (value(reduction.g, vadd(reduction.z, (t, F(0)))) - value(reduction.g, reduction.z)) / t
+        f_quot = (value(f, vadd(x, (t * direction[0], t * direction[1]))) - value(f, x)) / t
         assert g_quot == f_quot == F(18, 5)
     _announce(3, "pulled-back and direct quotients equal 18/5 exactly for 50 steps")
 
@@ -230,10 +235,10 @@ def test_criterion_11_orthant_monotone_decomposition():
         for a in range(17):
             for b in range(17):
                 x = (F(a, 16), F(b, 16))
-                assert f.eval(x) == g.eval(x) - dot(m, x)
+                assert value(f, x) == value(g, x) - dot(m, x)
                 for axis in range(2):
                     y = list(x)
                     y[axis] += step
                     if y[axis] <= 1:
-                        assert g.eval(tuple(y)) >= g.eval(x)
+                        assert value(g, y) >= value(g, x)
     _announce(11, "g = f + <m, .> is axis-nondecreasing on the full scale-4 grid")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from slopelab.cli import main
-from slopelab.rationals import POW2_MATERIALIZE_CAP
+from slopelab.rationals import POW2_MATERIALIZE_CAP, common_denominator
 from slopelab.serialize import (
     canonical_json,
     function_from_descriptor,
@@ -41,7 +41,7 @@ def test_function_descriptor_round_trips():
         ],
     }
     f = function_from_descriptor(desc)
-    assert f.eval((F(1, 2), F(1, 2))) == F(5, 2) + F(1, 8)
+    assert f.eval(*common_denominator((F(1, 2), F(1, 2)))) == F(5, 2) + F(1, 8)
     with pytest.raises(ValueError):
         function_from_descriptor({"kind": "nope"})
 
@@ -54,7 +54,7 @@ def test_affine_descriptor_requires_isometry():
         "of": {"kind": "linear", "coeffs": ["2/1", "3/1"]},
     }
     g = function_from_descriptor(desc)
-    assert g.eval((F(1, 4), F(0))) == F(1, 4) * F(18, 5)
+    assert g.eval(*common_denominator((F(1, 4), F(0)))) == F(1, 4) * F(18, 5)
     # a stretch breaks any modulus derived from the inner one: composed with
     # abs-diff, h(i + 1) = i + 2 allows 1/16 at i = 4 for points 1/64 apart,
     # but (0, 0) and (1/64, 0) would differ by 1/4
@@ -458,6 +458,21 @@ def test_dore_maleva_zero_stages(tmp_path):
     assert json.loads(out.read_text())["table"] == []
 
 
+def test_dore_maleva_geometry_past_the_rectangle_cap_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, "dm.json", {"stages": 6, "params": {"kind": "default"}, "geometry_stages": 6})
+    out = tmp_path / "dm.out.json"
+    assert main(["dore-maleva", "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == (
+        "",
+        "config error: config key 'geometry_stages' is 6, but stage 6 would exceed the rectangle cap 200000\n",
+    )
+    # the table alone has no cap
+    table = write_config(tmp_path, "table.json", {"stages": 6, "geometry": False})
+    assert main(["dore-maleva", "--config", table, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["geometry"] is None
+
+
 @pytest.mark.parametrize("stages", [2, 3])
 def test_dore_maleva_explicit_params_shorter_than_stages_exit_2(tmp_path, capsys, stages):
     params = {"kind": "explicit", "N": [3], "p": ["1"]}
@@ -478,7 +493,7 @@ def test_tent_descriptor_loads():
         "index": 1,
     }
     tent = function_from_descriptor(desc)
-    assert tent.eval((F(1, 2), F(1, 2))) == F(1, 2)
+    assert tent.eval(*common_denominator((F(1, 2), F(1, 2)))) == F(1, 2)
 
 
 def test_nested_test_descriptor_round_trips():

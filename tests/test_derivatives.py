@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -29,12 +30,32 @@ from slopelab.functions import (
     piecewise_linear,
     product_xy,
 )
-from slopelab.rationals import dot, in_unit_cube, norm_sq, pow2, unit_axis, vadd, vscale
+from slopelab.rationals import common_denominator, dot, in_unit_cube, norm_sq, pow2, unit_axis, vadd, vscale
 from slopelab.serialize import function_from_descriptor
 from slopelab.tentsystem import tent_for
 from slopelab.cubes import DyadicCube
 
 F = Fraction
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def value(f, point):
+    """f at a Fraction point, handed over as numerators over one denominator.
+
+    Memoised by f and the point, which a Fraction tuple holds in lowest
+    terms: the full-scan oracles below read each point many times.
+    """
+    return f.eval(*common_denominator(point))
+
+
+def fractions(numerators, denominator):
+    """The point N / D that an evaluator reads, as Fractions."""
+    return tuple(F(n, denominator) for n in numerators)
+
+
+def on_fractions(formula):
+    """An evaluator that computes the formula on the point N / D as Fractions."""
+    return lambda numerators, denominator: formula(fractions(numerators, denominator))
 
 
 def test_slope_axis_linear_is_coefficient():
@@ -46,8 +67,10 @@ def test_slope_axis_errors():
     f = linear_form([1])
     with pytest.raises(ValueError, match="zero step"):
         slope_dir(f, (F(1, 2),), unit_axis(1, 0), [F(0)])
-    with pytest.raises(ValueError, match="leaves the unit cube"):
+    with pytest.raises(ValueError, match=r"^step 1/4 along \(1\) leaves the unit cube$"):
         slope_dir(f, (F(7, 8),), unit_axis(1, 0), [F(1, 4)])
+    with pytest.raises(ValueError, match=r"^step -1/2 along \(3/5, -4/5\) leaves the unit cube$"):
+        slope_dir(linear_form([1, 1]), (F(1, 4), F(1, 4)), (F(3, 5), F(-4, 5)), [F(-1, 2)])
 
 
 def test_slope_axis_on_tent_ramp_is_one_over_eps():
@@ -126,8 +149,8 @@ def test_dir_derivative_via_basis_rotation():
     red = dir_derivative_via_basis(f, x, [F(3, 5), F(4, 5)], w=[F(0), F(1, 4)])
     assert red.identity_holds
     t = F(1, 64)
-    gz = red.g.eval(red.z)
-    gzt = red.g.eval((red.z[0] + t, red.z[1]))
+    gz = value(red.g, red.z)
+    gzt = value(red.g, (red.z[0] + t, red.z[1]))
     assert (gzt - gz) / t == F(18, 5)
 
 
@@ -211,7 +234,7 @@ def test_diff_class_b_linear_remainders_vanish():
 
 def test_first_order_remainder_refuses_a_step_before_evaluating_f():
     calls = []
-    f = ComputableFunction(1, lambda p: calls.append(p) or p[0] * p[0], lambda i: i + 1)
+    f = ComputableFunction(1, on_fractions(lambda p: calls.append(p) or p[0] * p[0]), lambda i: i + 1)
     x = (F(1, 2),)
     for h, b in (((F(1),), F(1, 4)), ((F(-3, 4),), F(1, 4)), ((F(1, 4),), F(3, 4))):
         with pytest.raises(ValueError, match="leaves the unit cube"):
@@ -255,9 +278,8 @@ def test_quotient_identity_breaks_when_transform_misses_the_direction():
     # the first axis exactly onto the direction; a perturbed first column
     # must break it at every step.  affine_isometry refuses such a matrix,
     # so the skewed map is built directly; it has no transpose inverse, so
-    # z is chosen and x = apply(z).
+    # z is chosen and x is the map's value at z.
     from slopelab.functions import AffineIsometry, affine_isometry, clamp_extend, compose_affine
-    from slopelab.rationals import vadd, vscale
 
     matrix = ((F(3, 5) + F(1, 64), F(4, 5)), (F(4, 5), F(-3, 5)))
     with pytest.raises(ValueError):
@@ -267,12 +289,12 @@ def test_quotient_identity_breaks_when_transform_misses_the_direction():
     g = compose_affine(f, skewed)
     f_hat = clamp_extend(f)
     z = (F(1, 4), F(1, 8))
-    x = skewed.apply(z)
+    x = tuple(dot(row, z) for row in matrix)  # the skewed map at z; its offset is 0
     u = (F(3, 5), F(4, 5))
     for k in range(2, 8):
         t = F(1, 2**k)
-        lhs = (g.eval(vadd(z, (t, F(0)))) - g.eval(z)) / t
-        rhs = (f_hat.eval(vadd(x, vscale(t, u))) - f_hat.eval(x)) / t
+        lhs = (value(g, vadd(z, (t, F(0)))) - value(g, z)) / t
+        rhs = (value(f_hat, vadd(x, vscale(t, u))) - value(f_hat, x)) / t
         assert lhs != rhs
         assert lhs == F(18, 5) + F(2, 64)  # the perturbation shows up verbatim
 
@@ -298,38 +320,33 @@ def class_b_oracle(f, x, depth):
     ]
     if not h_vectors or not b_steps:
         raise ValueError("no feasible probe steps at this point")
-    value_cache = {}
-
-    def cached(point):
-        if point not in value_cache:
-            value_cache[point] = f.eval(point)
-        return value_cache[point]
-
-    fx = cached(x)
+    fx = value(f, x)
     rows = {}
     for b in b_steps:
         rows[b] = [
-            (cached(tuple(xi + (b if i == axis else 0) for i, xi in enumerate(x))) - fx) / b
+            (value(f, tuple(xi + (b if i == axis else 0) for i, xi in enumerate(x))) - fx) / b
             for axis in range(f.dimension)
         ]
-    remainders = {}
+    remainders = {}  # (h, b) -> the remainder, its square, ||h||**2 and b**2
     for h in h_vectors:
-        fxh = cached(vadd(x, h))
+        fxh = value(f, vadd(x, h))
         hsq = norm_sq(h)
         for b in b_steps:
-            remainders[(h, b)] = (abs(fxh - fx - dot(rows[b], h)), hsq)
+            rem = abs(fxh - fx - dot(rows[b], h))
+            remainders[(h, b)] = (rem, rem * rem, hsq, b * b)
     for e in range(1, depth + 1):
         eps = pow2(-e)
+        eps_sq = eps * eps
         found_delta = False
         smallest_delta_failure = None
         for d in range(1, depth + 1):
             delta = pow2(-d)
             delta_sq = delta * delta
             ok = True
-            for (h, b), (rem, hsq) in remainders.items():
-                if hsq >= delta_sq or b * b >= delta_sq:
+            for (h, b), (rem, rem_sq, hsq, b_sq) in remainders.items():
+                if hsq >= delta_sq or b_sq >= delta_sq:
                     continue
-                if rem * rem > eps * eps * hsq:
+                if rem_sq > eps_sq * hsq:
                     ok = False
                     smallest_delta_failure = {
                         "op": "class-b",
@@ -425,7 +442,7 @@ def test_class_b_at_smallest_delta_matches_full_scan(desc, data, depth):
     [
         # four-dimensional kink: the level below δ has vectors with ||h|| = δ,
         # which δ does not admit
-        (ComputableFunction(4, lambda p: abs(sum(p) - 2), lambda i: i + 2), (F(1, 2),) * 4, 2),
+        (ComputableFunction(4, on_fractions(lambda p: abs(sum(p) - 2)), lambda i: i + 2), (F(1, 2),) * 4, 2),
         # the first remainder of the failing ε sits exactly on its bound; the
         # witness is the first pair strictly over it
         (piecewise_linear([(0, 0), (F(1, 2), 0), (F(33, 64), F(1, 64)), (1, F(1, 64))]), (F(1, 2),), 4),
@@ -441,9 +458,9 @@ def test_class_b_evaluation_count_does_not_grow_with_depth():
     base = product_xy()
     points = []
 
-    def counted(point):
-        points.append(point)
-        return base.eval(point)
+    def counted(numerators, denominator):
+        points.append(fractions(numerators, denominator))
+        return base.eval(numerators, denominator)
 
     f = ComputableFunction(2, counted, base.modulus)
     for depth in (6, 10):
@@ -458,7 +475,7 @@ def test_class_b_evaluation_count_does_not_grow_with_depth():
 def test_class_b_matches_full_scan_over_a_large_denominator(x, depth):
     # the values at x and its grid points share no small denominator; the
     # second point sits on the kink, so every depth reports a witness
-    f = ComputableFunction(3, lambda p: abs(p[0] - p[1]) + p[2] ** 3, lambda i: i + 3)
+    f = ComputableFunction(3, on_fractions(lambda p: abs(p[0] - p[1]) + p[2] ** 3), lambda i: i + 3)
     verdict = diff_class_b(f, x, depth)
     assert verdict == class_b_oracle(f, x, depth)
     assert verdict.violated == replay(f, verdict)
@@ -481,7 +498,7 @@ def slope_oracle(f, x, v, h):
     shifted = vadd(x, vscale(h, v))
     if not in_unit_cube(x) or not in_unit_cube(shifted):
         raise ValueError(f"step {h} along {v} leaves the unit cube")
-    return (f.eval(shifted) - f.eval(x)) / h
+    return (value(f, shifted) - value(f, x)) / h
 
 
 def tail_bracket_oracle(f, x, axis, steps):
@@ -587,6 +604,11 @@ step_sizes = st.sampled_from([F(0), F(3, 16), F(-3, 16), F(1, 3), F(-5, 7)]) | s
 )
 
 
+def as_fractions(point):
+    """A stepped point N / D as Fractions, and None as None."""
+    return None if point is None else fractions(*point)
+
+
 @given(st.integers(1, 3), st.data())
 @settings(max_examples=300, deadline=None)
 def test_the_integer_step_rule_matches_the_fraction_step(n, data):
@@ -595,8 +617,10 @@ def test_the_integer_step_rule_matches_the_fraction_step(n, data):
     # x is drawn through where its step lands, so it may lie outside the cube itself
     x = tuple(y - h * vi for y, vi in zip(data.draw(st.lists(landings, min_size=n, max_size=n)), v))
     stepped = vadd(x, vscale(h, v))
-    assert _step_point(x, v, h) == (stepped if in_unit_cube(stepped) else None)
-    assert _step_points(x, v, [h]) == [stepped if in_unit_cube(x) and in_unit_cube(stepped) else None]
+    at = common_denominator(x)
+    assert as_fractions(_step_point(at, v, h)) == (stepped if in_unit_cube(stepped) else None)
+    admitted = [as_fractions(point) for point in _step_points(at, v, [h])]
+    assert admitted == [stepped if in_unit_cube(x) and in_unit_cube(stepped) else None]
 
 
 @given(probe_descriptors(), st.data(), st.integers(1, 8), thresholds, thresholds, thresholds)
@@ -623,9 +647,9 @@ def counting(f):
     """f with a list of the points it is evaluated at."""
     points = []
 
-    def evaluate(point):
-        points.append(point)
-        return f.eval(point)
+    def evaluate(numerators, denominator):
+        points.append(fractions(numerators, denominator))
+        return f.eval(numerators, denominator)
 
     return ComputableFunction(f.dimension, evaluate, f.modulus), points
 
@@ -655,10 +679,11 @@ def test_defect_reads_f_at_the_point_once():
 
 
 def test_an_evaluator_error_inside_the_cube_is_not_an_infeasible_step():
-    def evaluate(point):
-        if point[0] > F(1, 2):
-            raise ValueError(f"cannot evaluate at {point[0]}")
-        return point[0]
+    def evaluate(numerators, denominator):
+        x = F(numerators[0], denominator)
+        if x > F(1, 2):
+            raise ValueError(f"cannot evaluate at {x}")
+        return x
 
     f = ComputableFunction(1, evaluate, lambda i: i)
     with pytest.raises(ValueError, match="cannot evaluate at 3/4"):

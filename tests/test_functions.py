@@ -11,7 +11,6 @@ from slopelab.functions import (
     abs_distance_1d,
     affine_isometry,
     clamp_extend,
-    clamp_point,
     compose_affine,
     constant_function,
     cube_1d,
@@ -28,17 +27,42 @@ from slopelab.functions import (
     square_1d,
     sum_functions,
 )
-from slopelab.rationals import POW2_MATERIALIZE_CAP, dot, in_unit_cube, norm_sq, pow2, unit_axis, vadd
+from slopelab.serialize import function_from_descriptor
+from slopelab.rationals import (
+    POW2_MATERIALIZE_CAP,
+    common_denominator,
+    dot,
+    in_unit_cube,
+    norm_sq,
+    pow2,
+    unit_axis,
+    vadd,
+)
 
 
 F = Fraction
 
 
+def value(f, point):
+    """f at a Fraction point, handed over as numerators over one denominator."""
+    return f.eval(*common_denominator(point))
+
+
+def fractions(numerators, denominator):
+    """The point N / D that an evaluator reads, as Fractions."""
+    return tuple(F(n, denominator) for n in numerators)
+
+
+def on_fractions(formula):
+    """An evaluator that computes the formula on the point N / D as Fractions."""
+    return lambda numerators, denominator: formula(fractions(numerators, denominator))
+
+
 def test_linear_form_values():
     f = linear_form([2, 3])
-    assert f.eval((F(1, 2), F(1, 2))) == F(5, 2)
+    assert value(f, (F(1, 2), F(1, 2))) == F(5, 2)
     zero = linear_form([0, 0])
-    assert zero.eval((F(1, 3), F(2, 3))) == 0
+    assert value(zero, (F(1, 3), F(2, 3))) == 0
 
 
 def test_linear_form_modulus_contract_on_100_random_pairs():
@@ -59,6 +83,14 @@ def test_linear_form_modulus_contract_on_100_random_pairs():
             continue
         assert abs(dot(m, d)) <= pow2(-level)
         checked += 1
+
+
+def clamp_point(point):
+    """The point clamp_extend hands to f at the given point, as Fractions."""
+    seen = []
+    f = ComputableFunction(len(point), on_fractions(lambda p: seen.append(p) or F(0)), lambda i: i)
+    value(clamp_extend(f), point)
+    return seen[0]
 
 
 def test_clamp_behavior():
@@ -82,9 +114,9 @@ def test_kn_decompose_exact_split():
     g, m = kn_decompose(f, 1)
     assert m == (F(1), F(1))
     x = (F(1, 3), F(2, 5))
-    assert g.eval(x) == f.eval(x) + dot(m, x)
+    assert value(g, x) == value(f, x) + dot(m, x)
     # f = g - <m, .> pointwise
-    assert f.eval(x) == g.eval(x) - dot(m, x)
+    assert value(f, x) == value(g, x) - dot(m, x)
 
 
 def test_kn_decompose_rejects_bad_bound():
@@ -103,7 +135,7 @@ def test_kn_decompose_monotone_on_grids_up_to_scale_5():
                 for axis in range(2):
                     y = list(x)
                     y[axis] += step
-                    assert g.eval(tuple(y)) >= g.eval(x)
+                    assert value(g, y) >= value(g, x)
 
 
 def test_gram_schmidt_standard_and_pythagorean():
@@ -136,10 +168,15 @@ def test_gram_schmidt_rejects_bad_input():
         gram_schmidt_basis([F(5, 7), F(5, 7)])  # unit only within 1/49
 
 
+def apply(iso, x):
+    """matrix @ x + offset."""
+    return vadd(tuple(dot(row, x) for row in iso.matrix), iso.offset)
+
+
 def test_isometry_between():
     u, v = (F(1), F(0)), (F(3, 5), F(4, 5))
     iso = isometry_between(u, v)
-    assert iso.apply(u) == v
+    assert apply(iso, u) == v
     assert iso.apply_inverse(v) == u
     # exact distance preservation on rational samples
     rng = random.Random(3)
@@ -147,14 +184,14 @@ def test_isometry_between():
         a = tuple(F(rng.randrange(-16, 17), 16) for _ in range(2))
         b = tuple(F(rng.randrange(-16, 17), 16) for _ in range(2))
         d0 = norm_sq(tuple(p - q for p, q in zip(a, b)))
-        d1 = norm_sq(tuple(p - q for p, q in zip(iso.apply(a), iso.apply(b))))
+        d1 = norm_sq(tuple(p - q for p, q in zip(apply(iso, a), apply(iso, b))))
         assert d0 == d1
 
 
 def test_isometry_identity_case():
     iso = isometry_between([1, 0], [1, 0])
     for point in ((F(1, 3), F(5, 8)), (F(0), F(1))):
-        assert iso.apply(point) == point
+        assert apply(iso, point) == point
 
 
 def test_compose_affine_matches_inner_product():
@@ -164,7 +201,7 @@ def test_compose_affine_matches_inner_product():
     for k in range(1, 9):
         t = F(k, 16)
         expected = F(18, 5) * t
-        assert g.eval((t, F(0))) == expected
+        assert value(g, (t, F(0))) == expected
     assert g.modulus(4) == f.modulus(4)
 
 
@@ -173,7 +210,7 @@ def test_compose_affine_identity_transform():
     ident = affine_isometry([[1, 0], [0, 1]])
     g = compose_affine(f, ident)
     x = (F(2, 7), F(3, 11))
-    assert g.eval(x) == f.eval(x)
+    assert value(g, x) == value(f, x)
 
 
 def test_compose_affine_dimension_mismatch():
@@ -183,9 +220,9 @@ def test_compose_affine_dimension_mismatch():
 
 def test_piecewise_linear_eval_and_validation():
     zig = piecewise_linear([(0, 0), (F(1, 4), F(1, 8)), (F(1, 2), F(1, 2)), (1, 1)])
-    assert zig.eval((F(1, 8),)) == F(1, 16)
-    assert zig.eval((F(3, 8),)) == F(5, 16)
-    assert zig.eval((F(1),)) == 1
+    assert value(zig, (F(1, 8),)) == F(1, 16)
+    assert value(zig, (F(3, 8),)) == F(5, 16)
+    assert value(zig, (F(1),)) == 1
     with pytest.raises(ValueError):
         piecewise_linear([(0, 0)])
     with pytest.raises(ValueError):
@@ -211,14 +248,14 @@ def test_modulus_audit_clean_for_constructed_families():
 
 
 def test_modulus_audit_reports_a_modulus_that_is_too_small():
-    f = ComputableFunction(1, lambda p: 4 * p[0], lambda i: i)  # slope 4 needs i + 2
+    f = ComputableFunction(1, on_fractions(lambda p: 4 * p[0]), lambda i: i)  # slope 4 needs i + 2
     violations = modulus_audit(f, 3, 50, random.Random(1))
     assert violations
     for v in violations:
         assert set(v) == {"x", "y", "difference", "allowed"}
         assert v["allowed"] == pow2(-3)
         assert abs(v["x"][0] - v["y"][0]) <= pow2(-f.modulus(3))
-        assert v["difference"] == abs(f.eval(v["x"]) - f.eval(v["y"])) > v["allowed"]
+        assert v["difference"] == abs(value(f, v["x"]) - value(f, v["y"])) > v["allowed"]
 
 
 def fraction_modulus_audit(f, level, pairs, rng):
@@ -241,7 +278,7 @@ def fraction_modulus_audit(f, level, pairs, rng):
         if not in_unit_cube(y):
             continue
         checked += 1
-        diff = abs(f.eval(x) - f.eval(y))
+        diff = abs(value(f, x) - value(f, y))
         if diff > allowed:
             violations.append({"x": x, "y": y, "difference": diff, "allowed": allowed})
     return violations
@@ -269,9 +306,9 @@ def audited(sampler, f, level, pairs, seed):
     """The sampler's violations, the (x, y) pairs it evaluated, and the draws it made."""
     points = []
 
-    def evaluator(point):
-        points.append(point)
-        return f.eval(point)
+    def evaluator(numerators, denominator):
+        points.append(fractions(numerators, denominator))
+        return f.eval(numerators, denominator)
 
     recorded = ComputableFunction(f.dimension, evaluator, f.modulus)
     rng = CountedRandom(seed)
@@ -281,7 +318,7 @@ def audited(sampler, f, level, pairs, seed):
 
 def steep(dimension, shift):
     """Slope 4 along every axis against a modulus i + shift: too small unless shift >= 2 + log2(sqrt(n))."""
-    return ComputableFunction(dimension, lambda p: 4 * sum(p, F(0)), lambda i: i + shift)
+    return ComputableFunction(dimension, on_fractions(lambda p: 4 * sum(p, F(0))), lambda i: i + shift)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -306,7 +343,7 @@ def test_modulus_audit_draws_the_fraction_samplers_stream(dimension, seed):
 
 
 def test_modulus_audit_past_the_cap_raises_as_the_fraction_sampler():
-    f = ComputableFunction(1, lambda p: p[0], lambda i: POW2_MATERIALIZE_CAP + 1)
+    f = ComputableFunction(1, on_fractions(lambda p: p[0]), lambda i: POW2_MATERIALIZE_CAP + 1)
     for sampler in (modulus_audit, fraction_modulus_audit):
         assert sampler(f, 0, 0, random.Random(1)) == []
         with pytest.raises(OverflowError, match=rf"2\*\*-{POW2_MATERIALIZE_CAP + 1} exceeds"):
@@ -319,7 +356,7 @@ def test_modulus_audit_past_the_cap_raises_as_the_fraction_sampler():
 
 def pointwise_grid(f, level):
     width = 1 << level
-    return [f.eval((F(k, width),)) for k in range(width + 1)]
+    return [value(f, (F(k, width),)) for k in range(width + 1)]
 
 
 def grid_values(f, level):
@@ -386,3 +423,135 @@ def test_dyadic_grid_is_read_from_one_variable_functions():
         product_xy().dyadic_grid(3)
     with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
         constant_function(1, 2).dyadic_grid(3)
+
+
+# ---------------------------------------------------------------------------
+# Every descriptor kind reads N / D, whatever the common factor of N and D
+
+
+def orthogonal_matrices(n):
+    """Exactly orthogonal n x n matrices: signed permutations, and in two dimensions 3-4-5 ones."""
+    signed = st.permutations(range(n)).flatmap(
+        lambda order: st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n).map(
+            lambda signs: [[F(signs[i]) if j == order[i] else F(0) for j in range(n)] for i in range(n)]
+        )
+    )
+    if n != 2:
+        return signed
+    a, b = F(3, 5), F(4, 5)
+    return signed | st.sampled_from([[[a, -b], [b, a]], [[a, b], [b, -a]]])
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@st.composite
+def descriptors(draw, n, depth=2):
+    """A descriptor of dimension n of any kind function_from_descriptor reads, and its Fraction formula."""
+    kinds = ["linear", "constant", "tent"]
+    kinds += {1: ["abs", "square", "cube", "identity", "pwlinear"], 2: ["product", "abs-diff", "min-flip"], 3: []}[n]
+    if depth:
+        kinds += ["sum", "scale", "clamp-extend", "affine-compose"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "linear":
+        m = draw(st.lists(small, min_size=n, max_size=n))
+        return {"kind": kind, "coeffs": [str(c) for c in m]}, lambda x: dot(m, x)
+    if kind == "constant":
+        c = draw(small)
+        return {"kind": kind, "value": str(c), "dimension": n}, lambda x: c
+    if kind == "tent":
+        scale = draw(st.integers(0, 3))
+        corner = draw(st.lists(st.integers(0, (1 << scale) - 1), min_size=n, max_size=n))
+        stage, index = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        desc = {"kind": kind, "cell": {"dim": n, "scale": scale, "corner": corner}, "stage": stage, "index": index}
+        eps = pow2(-(stage + index + 1 + scale))
+
+        def tent(x):
+            result = F(1)
+            for axis, (c, xi) in enumerate(zip(corner, x)):
+                lo, hi = F(c, 1 << scale), F(c + 1, 1 << scale)
+                near = min(xi - lo, hi - xi)
+                if near <= 0:
+                    return F(0)
+                result *= near if axis == 0 else min(near / eps, 1)
+            return result
+
+        return desc, tent
+    if kind in ("abs", "square", "cube", "identity", "product", "abs-diff", "min-flip"):
+        center = draw(unit)
+        formula = {
+            "abs": lambda x: abs(x[0] - center),
+            "square": lambda x: x[0] * x[0],
+            "cube": lambda x: x[0] ** 3,
+            "identity": lambda x: x[0],
+            "product": lambda x: x[0] * x[1],
+            "abs-diff": lambda x: abs(x[0] - x[1]),
+            "min-flip": lambda x: min(x[0], 1 - x[1]),
+        }[kind]
+        return ({"kind": kind, "center": str(center)} if kind == "abs" else {"kind": kind}), formula
+    if kind == "pwlinear":
+        xs = [F(0)] + sorted(draw(st.sets(unit.filter(lambda c: 0 < c < 1), max_size=3))) + [F(1)]
+        ys = draw(st.lists(small, min_size=len(xs), max_size=len(xs)))
+
+        def interpolant(x):
+            if not 0 <= x[0] <= 1:
+                raise ValueError(f"{x[0]} outside [0, 1]")
+            (a, ya), (b, yb) = next(pair for pair in zip(zip(xs, ys), zip(xs[1:], ys[1:])) if x[0] <= pair[1][0])
+            return ya + (x[0] - a) * (yb - ya) / (b - a)
+
+        return {"kind": kind, "points": [[str(a), str(b)] for a, b in zip(xs, ys)]}, interpolant
+    if kind == "sum":
+        parts = draw(st.lists(descriptors(n, depth - 1), min_size=1, max_size=3))
+        return {"kind": kind, "of": [d for d, _ in parts]}, lambda x: sum((g(x) for _, g in parts), F(0))
+    inner, g = draw(descriptors(n, depth - 1))
+    if kind == "scale":
+        c = draw(small)
+        return {"kind": kind, "by": str(c), "of": inner}, lambda x: c * g(x)
+    if kind == "clamp-extend":
+        return {"kind": kind, "of": inner}, lambda x: g(tuple(min(xi, 1) for xi in x))
+    matrix = draw(orthogonal_matrices(n))
+    offset = draw(st.lists(small, min_size=n, max_size=n))
+    desc = {"kind": kind, "matrix": [[str(a) for a in row] for row in matrix], "offset": [str(b) for b in offset]}
+    return {**desc, "of": inner}, lambda x: g(tuple(min(dot(row, x) + b, 1) for row, b in zip(matrix, offset)))
+
+
+def outcome(call, *args):
+    """The value of a call, or the text of the ValueError it raises."""
+    try:
+        return ("value", call(*args))
+    except ValueError as exc:
+        return ("raise", str(exc))
+
+
+multiples = st.sampled_from([2, 3]) | st.integers(1, 80).map(lambda j: 1 << j)
+
+
+@st.composite
+def points(draw, n):
+    """Integer numerators N over a denominator D, N / D in the unit cube."""
+    denominator = draw(st.integers(1, 200))
+    return draw(st.lists(st.integers(0, denominator), min_size=n, max_size=n)), denominator
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(descriptors(n), points(n))), multiples)
+@settings(max_examples=300, deadline=None)
+def test_every_descriptor_kind_reads_n_over_d_whatever_the_common_factor(drawn, k):
+    (desc, formula), (numerators, denominator) = drawn
+    f = function_from_descriptor(desc)
+    expected = outcome(formula, fractions(numerators, denominator))
+    assert outcome(f.eval, numerators, denominator) == expected
+    assert outcome(f.eval, [k * n for n in numerators], k * denominator) == expected
+
+
+@given(st.data(), multiples)
+@settings(max_examples=100, deadline=None)
+def test_a_tent_system_reads_n_over_d_whatever_the_common_factor(toy_system5, data, k):
+    # points near the target sit in cells of every stage
+    j = data.draw(st.integers(2, 60))
+    near = st.integers(-3, 3).map(lambda t: (1 << j) + t)
+    numerators, denominator = data.draw(
+        st.tuples(st.lists(near, min_size=2, max_size=2), st.just(3 << j)) | points(2)
+    )
+    f = toy_system5.as_function()
+    assert f.eval([k * n for n in numerators], k * denominator) == f.eval(numerators, denominator)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -43,6 +44,7 @@ from slopelab.martingales import (
     slope_martingale,
     table_martingale,
 )
+from slopelab.rationals import common_denominator
 from slopelab.serialize import bet_csv, to_plain
 
 F = Fraction
@@ -260,15 +262,34 @@ def table_oracle(values: dict, sigma) -> F:
 
 
 def memoised(f):
-    """f with a cache on its evaluator: the node-by-node oracles read each point many times."""
-    return dataclasses.replace(f, evaluator=functools.cache(f.evaluator))
+    """f with a cache on its evaluator, keyed by the point in lowest terms.
+
+    The node-by-node oracles read each point many times.
+    """
+    reduced = functools.cache(f.evaluator)
+
+    def evaluator(numerators, denominator):
+        common = math.gcd(*numerators, denominator)
+        return reduced(tuple(n // common for n in numerators), denominator // common)
+
+    return dataclasses.replace(f, evaluator=evaluator)
+
+
+def value(f, point):
+    """f at a Fraction point, handed over as numerators over one denominator."""
+    return f.eval(*common_denominator(point))
+
+
+def fractions(numerators, denominator):
+    """The point N / D that an evaluator reads, as Fractions."""
+    return tuple(F(n, denominator) for n in numerators)
 
 
 def slope_oracle(f, sigma) -> F:
     """Slope over [sigma] through the bit-tuple interval and a division."""
     left = fraction_from_bits(sigma)
     right = left + F(1, 2 ** len(sigma))
-    return (f.eval((right,)) - f.eval((left,))) / (right - left)
+    return (value(f, (right,)) - value(f, (left,))) / (right - left)
 
 
 def random_table(rng: random.Random, depth: int) -> dict:
@@ -389,9 +410,9 @@ def test_slope_audit_evaluates_f_once_per_grid_point():
     calls = []
     square = square_1d()
 
-    def counted(point):
-        calls.append(point)
-        return square.eval(point)
+    def counted(numerators, denominator):
+        calls.append(fractions(numerators, denominator))
+        return square.eval(numerators, denominator)
 
     f = ComputableFunction(1, counted, square.modulus)
     m = slope_martingale(f)
@@ -404,9 +425,9 @@ def test_slope_audit_evaluates_f_once_per_grid_point():
 def counted(f, calls):
     """f with an evaluator that records every point it is called at."""
 
-    def evaluator(point):
-        calls.append(point)
-        return f.evaluator(point)
+    def evaluator(numerators, denominator):
+        calls.append(fractions(numerators, denominator))
+        return f.evaluator(numerators, denominator)
 
     return dataclasses.replace(f, evaluator=evaluator)
 
@@ -480,7 +501,7 @@ def box_slope_oracle(f, axis, horizon, sigma):
     for y in product(*corners):
         y = list(y)
         section = ComputableFunction(
-            1, lambda h, y=y: f.eval(tuple(y[:axis] + [h[0]] + y[axis:])), lambda i: i
+            1, lambda n, d, y=y: value(f, tuple(y[:axis] + [F(n[0], d)] + y[axis:])), lambda i: i
         )
         slopes.append(interval_slope(section, sigma[axis::n]))
     return sum(slopes, F(0)) / len(slopes)
@@ -497,9 +518,10 @@ def random_exact_function(rng: random.Random, n: int):
     pairs = [(i, j, F(rng.randint(-4, 4), 4)) for i in range(n) for j in range(i + 1, n)]
     bound += sum(abs(c) for _, _, c in pairs)
 
-    def fn(x):
-        value = sum((g.eval((x[i],)) for i, g in enumerate(parts)), F(0))
-        return value + sum((c * x[i] * x[j] for i, j, c in pairs), F(0))
+    def fn(numerators, denominator):
+        x = fractions(numerators, denominator)
+        total = sum((value(g, (x[i],)) for i, g in enumerate(parts)), F(0))
+        return total + sum((c * x[i] * x[j] for i, j, c in pairs), F(0))
 
     return ComputableFunction(n, fn, lambda i: i + 8), bound + 1
 

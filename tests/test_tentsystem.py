@@ -78,6 +78,11 @@ def value_at(tent, point, shift=0):
     return tent.value(*common_denominator(point), shift)
 
 
+def value(f, point):
+    """f at a Fraction point, handed over as numerators over one denominator."""
+    return f.eval(*common_denominator(point))
+
+
 def excluded_at(tent, point):
     return tent.in_exclusion(*common_denominator(point))
 
@@ -268,10 +273,10 @@ def test_tent_slope_law_inside_plateau():
     tent = tent_for(unit_cube(2), 0, 1).as_function()
     x = (F(1, 3), F(1, 2))
     h = F(1, 16)
-    left = (tent.eval((x[0] + h, x[1])) - tent.eval(x)) / h
+    left = (value(tent, (x[0] + h, x[1])) - value(tent, x)) / h
     assert left == 1
     y = (F(2, 3), F(1, 2))
-    right = (tent.eval((y[0] + h, y[1])) - tent.eval(y)) / h
+    right = (value(tent, (y[0] + h, y[1])) - value(tent, y)) / h
     assert right == -1
 
 
@@ -285,7 +290,7 @@ def test_tent_modulus_holds_off_the_axes(dimension):
         t = pow2(-tent.modulus(i))
         y = (center[0] - F(3, 5) * t, center[1] - F(4, 5) * t, *center[2:])
         assert sum((a - b) ** 2 for a, b in zip(center, y)) == t * t
-        assert abs(tent.eval(center) - tent.eval(y)) <= pow2(-i)
+        assert abs(value(tent, center) - value(tent, y)) <= pow2(-i)
 
 
 def test_tent_bounded_by_half_side():
@@ -313,8 +318,8 @@ def test_tent_exclusion_membership():
 
 def test_truncated_value_sums_visible_stages(toy_system5):
     system = toy_system5
-    values = system.stage_values(TARGET)
-    total = system.truncated_value(TARGET)
+    values = system.stage_values(*common_denominator(TARGET))
+    total = value(system.as_function(), TARGET)
     by_stage = sum((values.get(m, 0) for m in range(1, 6)), Fraction(0))
     assert total == by_stage
     # stage 0 holds the target but sits below the cutoff
@@ -324,7 +329,7 @@ def test_truncated_value_sums_visible_stages(toy_system5):
 
 
 def test_truncated_value_zero_away_from_cells(toy_system5):
-    assert toy_system5.truncated_value((F(1, 5), F(1, 5))) == 0
+    assert value(toy_system5.as_function(), (F(1, 5), F(1, 5))) == 0
 
 
 def test_evaluate_certifies_truth(toy_system8):
@@ -332,7 +337,7 @@ def test_evaluate_certifies_truth(toy_system8):
     rng = random.Random(17)
     for _ in range(25):
         q = (F(rng.randrange(1025), 1024), F(rng.randrange(1025), 1024))
-        truth = system.truncated_value(q)  # streams exhausted: the exact sum
+        truth = value(system.as_function(), q)  # streams exhausted: the exact sum
         for m in (2, 5, 8):
             cv = system.evaluate(q, m)
             assert cv.error <= pow2(-m)
@@ -485,7 +490,7 @@ def test_evaluate_adds_a_deeper_stage_below_a_dropped_cell():
     system = build_tent_system(explicit_test(stages), depth=2, cutoff=0, budget=2)
     inner = system.partition.blocks_at(2)[0].source
     point = tuple(F(c, 1 << inner.scale) + inner.side() / 3 for c in inner.corner)
-    values = system.stage_values(point)
+    values = system.stage_values(*common_denominator(point))
     assert sorted(values) == [1, 2] and values[1] > 0
     assert system.evaluate(point, 2).value == values[2]
 
@@ -519,7 +524,7 @@ def test_evaluate_contains_the_analytic_series(toy_system8):
         exponents.append(exponents[-1] + 3 * k)
     terms = [F(4) ** (k + 1) * pow2(-e) / 3 for k, e in enumerate(exponents)]
     for stage in range(1, 9):
-        assert toy_system8.stage_values(TARGET).get(stage, 0) == terms[stage - 1]
+        assert toy_system8.stage_values(*common_denominator(TARGET)).get(stage, 0) == terms[stage - 1]
     truth_lower = sum(terms, F(0))
     truth_upper = truth_lower + pow2(-90)  # dwarfs the remaining tail
     for m in (2, 4, 6, 8):
@@ -681,8 +686,8 @@ def test_stage_values_match_the_every_stage_oracle(
     system = data.draw(st.sampled_from([toy_system5, toy_system8, clamped_system, mixed_system]))
     point = data.draw(probe_points(system))
     expected = located_stage_values(system, point)
-    assert system.stage_values(point) == expected
-    assert system.truncated_value(point) == sum(expected.values(), Fraction(0))
+    assert system.stage_values(*common_denominator(point)) == expected
+    assert value(system.as_function(), point) == sum(expected.values(), Fraction(0))
 
 
 def scan_locate(partition, stage, point):
@@ -788,7 +793,7 @@ def counted_locate(monkeypatch, partition):
 def test_a_point_outside_stage_one_is_located_once(toy_system5, monkeypatch):
     outside = (F(1, 5), F(1, 5))
     calls = counted_locate(monkeypatch, toy_system5.partition)
-    assert toy_system5.truncated_value(outside) == 0
+    assert value(toy_system5.as_function(), outside) == 0
     assert calls == [(1, outside)]
     calls.clear()
     toy_system5.evaluate(outside, 5)

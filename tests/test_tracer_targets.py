@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import slopelab
 from slopelab.cli import main
 
@@ -53,3 +55,24 @@ def test_traced_bet_report_equals_the_plain_one(tmp_path):
     assert traced.read_bytes() == plain.read_bytes()
     assert tracer.calls["martingales.check_fairness"] == 1
     assert tracer.calls["martingales.run_bet"] == 1
+
+
+@pytest.mark.parametrize(
+    "command, config, evaluations",
+    [("probe", "probe-kink.json", 21), ("tent-system", "tent-toy.json", 500)],
+)
+def test_traced_report_equals_the_plain_one_and_counts_every_evaluation(tmp_path, command, config, evaluations):
+    # every evaluation goes through ComputableFunction.eval, the method the
+    # tracer wraps, so the traced run counts each one
+    tracer_module = load_tracer()
+    config = str(ROOT / "configs" / config)
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert main([command, "--config", config, "--out", str(plain)]) == 0
+    tracer = tracer_module.Tracer(slopelab)
+    tracer.install()
+    try:
+        assert main([command, "--config", config, "--out", str(traced)]) == 0
+    finally:
+        tracer.uninstall()
+    assert traced.read_bytes() == plain.read_bytes()
+    assert tracer.calls["functions.eval"] == evaluations
