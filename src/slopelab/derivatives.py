@@ -53,15 +53,16 @@ class ProbeVerdict:
 _Point = tuple[Sequence[int], int]  # integer numerators N over one denominator D: the point N / D
 
 
-def _step_point(x: _Point, v: Sequence[Fraction | int], h: Fraction) -> _Point | None:
+def _step_point(x: _Point, v: _Point, h: Fraction) -> _Point | None:
     """x + h*v if it lies in the unit cube, else None: the one step rule.
 
     It is geometry alone, decided in integers before f is evaluated.  With
-    x = N / D, h = p/q and v = r/s over the lcm s of v's denominators, the
-    step is (N_i q s + p r_i D) / (D q s), and it lies in the cube iff each
-    of its numerators lies in [0, D q s].  x itself need not lie in the cube.
+    x = N / D, h = p/q and the direction v = r/s, already over one
+    denominator s, the step is (N_i q s + p r_i D) / (D q s), and it lies in
+    the cube iff each of its numerators lies in [0, D q s].  x itself need
+    not lie in the cube.
     """
-    (numerators, denominator), (r, s) = x, common_denominator(v)
+    (numerators, denominator), (r, s) = x, v
     p, scale = h.numerator, h.denominator * s
     top = denominator * scale
     point = [n * scale + p * ri * denominator for n, ri in zip(numerators, r, strict=True)]
@@ -77,7 +78,8 @@ def _step_points(x: _Point, v: Sequence[Fraction | int], steps: Sequence[Fractio
     numerators, denominator = x
     if not all(0 <= n <= denominator for n in numerators):
         return [None] * len(steps)
-    return [_step_point(x, v, h) for h in steps]
+    direction = common_denominator(v)
+    return [_step_point(x, direction, h) for h in steps]
 
 
 def slope_dir(
@@ -288,10 +290,11 @@ def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fracti
     evaluated.
     """
     at = common_denominator(x)
-    stepped = _step_point(at, h, Fraction(1))
+    stepped = _step_point(at, common_denominator(h), Fraction(1))
     if stepped is None:
         raise ValueError(f"step ({', '.join(map(str, h))}) leaves the unit cube")
-    shifted = [_step_point(at, unit_axis(f.dimension, axis), b) for axis in range(f.dimension)]
+    axes = (common_denominator(unit_axis(f.dimension, axis)) for axis in range(f.dimension))
+    shifted = [_step_point(at, e, b) for e in axes]
     for axis, point in enumerate(shifted):
         if point is None:
             raise ValueError(f"step {b} along axis {axis} leaves the unit cube")
@@ -324,12 +327,13 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
     signs_h = [s for s in product((-1, 0, 1), repeat=n) if any(s)]
     rows = {sigma: [tuple(sigma * (i == axis) for i in range(n)) for axis in range(n)] for sigma in (1, -1)}
     grid = range(1, depth + 3)
-    h_feasible = any(_step_point(at, s, pow2(-k)) for k in grid for s in signs_h)
-    b_feasible = any(all(_step_point(at, s, pow2(-j)) for s in rows[sigma]) for j in grid for sigma in rows)
+    # every direction is an integer vector: over the denominator 1 as it stands
+    h_feasible = any(_step_point(at, (s, 1), pow2(-k)) for k in grid for s in signs_h)
+    b_feasible = any(all(_step_point(at, (s, 1), pow2(-j)) for s in rows[sigma]) for j in grid for sigma in rows)
     if not h_feasible or not b_feasible:
         raise ValueError("no feasible probe steps at this point")
     fine = {k: pow2(-k) for k in range(max(1, depth + 1), depth + 3)}
-    steps = {(k, s): _step_point(at, s, fine[k]) for k in fine for s in signs_h}  # x + 2**-k s, or None
+    steps = {(k, s): _step_point(at, (s, 1), fine[k]) for k in fine for s in signs_h}  # x + 2**-k s, or None
     # ||h||**2 = nnz(s) 4**-k < δ**2 = 4**-depth
     h_keys = [(k, s) for (k, s), point in steps.items() if point and sum(map(abs, s)) < 4 ** (k - depth)]
     row_keys = {(j, sigma): [(j, s) for s in rows[sigma]] for j in fine for sigma in rows}  # all below δ

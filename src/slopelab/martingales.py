@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .bits import Bits, BitSource
@@ -128,7 +128,12 @@ def constant_martingale(value: Fraction | int | str = 1) -> Martingale:
     v = Fraction(value)
     if v < 0:
         raise ValueError("capital must be nonnegative")
-    return Martingale(lambda _length, _index: v, label="constant")
+    p, q = v.as_integer_ratio()
+    return Martingale(
+        lambda _length, _index: v,
+        label="constant",
+        level_walk=lambda depth: (([p] * (1 << length), q) for length in range(depth + 1)),
+    )
 
 
 def all_on_ones_martingale() -> Martingale:
@@ -136,6 +141,9 @@ def all_on_ones_martingale() -> Martingale:
     return Martingale(
         lambda length, index: Fraction(1 << length) if index == (1 << length) - 1 else Fraction(0),
         label="all-on-ones",
+        level_walk=lambda depth: (
+            ([0] * ((1 << length) - 1) + [1 << length], 1) for length in range(depth + 1)
+        ),
     )
 
 
@@ -145,6 +153,11 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
     Strings beyond the table keep their longest tabled prefix's capital (a
     valid extension).  A key that is not a 0/1 string raises ValueError.
     The capitals are NOT validated here; run check_fairness to audit them.
+
+    The level walk puts the table over one denominator once.  Level L + 1
+    is level L with each entry repeated for both children, then overwritten
+    at the tabled strings of length L + 1, so every string keeps its longest
+    tabled prefix's numerator, past the table's depth too.
     """
     parsed = {}
     for key, value in values.items():
@@ -152,6 +165,10 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
             raise ValueError(f"table key {key!r} is not a 0/1 string")
         parsed[len(key), int(key or "0", 2)] = parse_rational(value)
     top = max((length for length, _ in parsed), default=0)
+    numerators, denominator = common_denominator(parsed.values())
+    tabled: dict[int, list[tuple[int, int]]] = {}  # length -> (index, numerator) of its tabled strings
+    for (length, index), numerator in zip(parsed, numerators):
+        tabled.setdefault(length, []).append((index, numerator))
 
     def capital(length: int, index: int) -> Fraction:
         if length > top:
@@ -162,7 +179,18 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
             length, index = length - 1, index >> 1
         return parsed[length, index]
 
-    return Martingale(capital, label="table")
+    def level_walk(depth: int) -> Iterator[tuple[list[int], int]]:
+        if 0 not in tabled:
+            raise ValueError("table lacks the empty string")
+        level = [tabled[0][0][1]]
+        yield level, denominator
+        for length in range(1, depth + 1):
+            level = list(chain.from_iterable(zip(level, level)))
+            for index, numerator in tabled.get(length, ()):
+                level[index] = numerator
+            yield level, denominator
+
+    return Martingale(capital, label="table", level_walk=level_walk)
 
 
 # ---------------------------------------------------------------------------

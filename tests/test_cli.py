@@ -347,6 +347,16 @@ def test_bet_command_refuses_a_non_positive_depth_as_read(tmp_path, capsys, dept
     assert capsys.readouterr() == ("", f"config error: config key 'depth' must be >= 1, not {depth}\n")
 
 
+@pytest.mark.parametrize("audit_depth", [0, 1, 3])
+def test_bet_command_refuses_a_table_without_the_empty_string(tmp_path, capsys, audit_depth):
+    # at audit depth 0 run_bet reads the empty string; deeper, the fairness audit's first level does
+    payload = {**bet_config(), "audit_depth": audit_depth}
+    payload["martingale"]["values"].pop("")
+    config = write_config(tmp_path, "bet.json", payload)
+    assert main(["bet", "--config", config]) == 2
+    assert capsys.readouterr() == ("", "error: table lacks the empty string\n")
+
+
 ZERO_DENOMINATOR = "error: rational literal '1/0' has a zero denominator\n"
 NOT_A_LITERAL = 'error: 0.5 is not a rational literal; write it as a "p/q" string\n'
 

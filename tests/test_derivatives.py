@@ -618,7 +618,7 @@ def test_the_integer_step_rule_matches_the_fraction_step(n, data):
     x = tuple(y - h * vi for y, vi in zip(data.draw(st.lists(landings, min_size=n, max_size=n)), v))
     stepped = vadd(x, vscale(h, v))
     at = common_denominator(x)
-    assert as_fractions(_step_point(at, v, h)) == (stepped if in_unit_cube(stepped) else None)
+    assert as_fractions(_step_point(at, common_denominator(v), h)) == (stepped if in_unit_cube(stepped) else None)
     admitted = [as_fractions(point) for point in _step_points(at, v, [h])]
     assert admitted == [stepped if in_unit_cube(x) and in_unit_cube(stepped) else None]
 

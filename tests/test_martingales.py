@@ -306,6 +306,8 @@ def random_table(rng: random.Random, depth: int) -> dict:
         values[rng.choice(keys)] = F(rng.randrange(-8, 17), 4)  # may be negative
     if rng.random() < 0.3:
         values.pop(rng.choice(keys[1:]))  # its strings fall back to a shorter prefix
+    if rng.random() < 0.1:
+        values.pop("")  # no string has a tabled prefix any more
     return values
 
 
@@ -322,6 +324,47 @@ def test_table_martingales_match_node_by_node_oracles(seed):
             assert outcome(m.capital, length, int("0" + "".join(map(str, sigma)), 2)) == outcome(
                 table_oracle, table, sigma
             )
+
+
+def walked_levels(m, depth):
+    """m.levels(depth) read as Fractions, level by level."""
+    return [[F(n, denominator) for n in level] for level, denominator in m.levels(depth)]
+
+
+def node_levels(m, depth):
+    """The capitals of lengths 0..depth, one capital(length, index) call per node."""
+    return [[m.capital(length, index) for index in range(1 << length)] for length in range(depth + 1)]
+
+
+def counted_capital(m, calls):
+    """m with a capital that records every node it is called at."""
+
+    def capital(length, index):
+        calls.append((length, index))
+        return m.capital(length, index)
+
+    return dataclasses.replace(m, capital=capital)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_level_walks_of_the_cli_kinds_match_their_capitals_node_by_node(seed):
+    rng = random.Random(seed)
+    depth = rng.randint(1, 4)
+    table = random_table(rng, depth)
+    constant = constant_martingale(F(rng.randrange(0, 50), rng.randint(1, 7)))
+    for m in (table_martingale(table), all_on_ones_martingale(), constant):
+        assert m.level_walk is not None
+        for audit_depth in range(depth + 4):  # below, at and beyond the table's depth
+            assert outcome(walked_levels, m, audit_depth) == outcome(node_levels, m, audit_depth)
+            calls = []
+            audited = outcome(check_fairness, counted_capital(m, calls), audit_depth)
+            assert audited == outcome(fairness_oracle, m, audit_depth)
+            assert calls == []
+    if "" not in table:
+        lacking = ("raise", ValueError, "table lacks the empty string")
+        assert outcome(walked_levels, table_martingale(table), 0) == lacking
+        assert outcome(fairness_oracle, table_martingale(table), 1) == lacking
 
 
 @given(st.integers(0, 2**31 - 1))

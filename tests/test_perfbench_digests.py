@@ -36,14 +36,18 @@ def load_jobs():
 jobs = load_jobs()
 
 
-@pytest.mark.parametrize("workload", jobs.WORKLOADS)
-def test_default_pool_matches_reference_digests(workload, tmp_path):
+def assert_default_pool_matches_reference_digests(workload, tmp_path):
     pool = jobs.make_pool(workload)
     reference = jobs.load_reference(workload, "default", pool)
     paths = jobs.write_configs(pool, tmp_path)
     for job in pool:
         result, error = jobs.execute(slopelab, job, paths[job.id])
         assert jobs.outcome(job, result, error).digest == reference[job.id]["digest"], job.id
+
+
+@pytest.mark.parametrize("workload", jobs.WORKLOADS)
+def test_default_pool_matches_reference_digests(workload, tmp_path):
+    assert_default_pool_matches_reference_digests(workload, tmp_path)
 
 
 def test_bet_path_pool_matches_reference_digests_without_closed_forms(tmp_path, monkeypatch):
@@ -57,10 +61,21 @@ def test_bet_path_pool_matches_reference_digests_without_closed_forms(tmp_path, 
         return dataclasses.replace(f, grid=None)
 
     monkeypatch.setattr(slopelab.serialize, "function_from_descriptor", without_closed_form)
-    pool = jobs.make_pool("bet-path")
-    reference = jobs.load_reference("bet-path", "default", pool)
-    paths = jobs.write_configs(pool, tmp_path)
-    for job in pool:
-        result, error = jobs.execute(slopelab, job, paths[job.id])
-        assert jobs.outcome(job, result, error).digest == reference[job.id]["digest"], job.id
+    assert_default_pool_matches_reference_digests("bet-path", tmp_path)
+    assert any(stripped)
+
+
+@pytest.mark.parametrize("workload", ["bet-audit", "bet-path"])
+def test_bet_pools_match_reference_digests_without_level_walks(workload, tmp_path, monkeypatch):
+    # every martingale loses its level walk, so the fairness audit reads capitals node by node
+    parse = slopelab.serialize.martingale_from_descriptor
+    stripped = []
+
+    def without_level_walk(desc):
+        m = parse(desc)
+        stripped.append(m.level_walk is not None)
+        return dataclasses.replace(m, level_walk=None)
+
+    monkeypatch.setattr(slopelab.serialize, "martingale_from_descriptor", without_level_walk)
+    assert_default_pool_matches_reference_digests(workload, tmp_path)
     assert any(stripped)
