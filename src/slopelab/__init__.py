@@ -48,7 +48,6 @@ from .martingales import (
     MonotonicityError,
     NegativeCapitalError,
     all_on_ones_martingale,
-    box_slope_martingale,
     check_fairness,
     constant_martingale,
     interval_slope,

@@ -14,10 +14,11 @@ report finite-depth capital statistics, never a randomness verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from typing import Callable, Iterator, Mapping, Sequence
+from operator import add, rshift
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bits import Bits, BitSource
 from .functions import ComputableFunction
@@ -32,10 +33,12 @@ class NegativeCapitalError(ValueError):
     """A capital below zero: the strategy is not a martingale."""
 
 
-def _index(sigma: Bits) -> int:
-    """sigma read as a binary numeral, first bit most significant."""
+def _index(sigma: Iterable[int]) -> int:
+    """sigma read as a binary numeral, first bit most significant; a bit other than 0 or 1 raises."""
     index = 0
     for b in sigma:
+        if b not in (0, 1):
+            raise ValueError("strings are over {0, 1}")
         index = 2 * index + b
     return index
 
@@ -78,10 +81,7 @@ class Martingale:
         )
 
     def at(self, sigma: Sequence[int]) -> Fraction:
-        sigma = tuple(int(b) for b in sigma)
-        if any(b not in (0, 1) for b in sigma):
-            raise ValueError("strings are over {0, 1}")
-        index = _index(sigma)
+        index = _index(map(int, sigma))
         return self._nonnegative(len(sigma), index, self.capital(len(sigma), index))
 
     def _nonnegative(self, length: int, index: int, value: Fraction) -> Fraction:
@@ -197,12 +197,6 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
 # Slope martingales
 
 
-def _dyadic_slope(f: ComputableFunction, length: int, index: int) -> Fraction:
-    """Slope of f over [index / 2**length, (index + 1) / 2**length]."""
-    width = 1 << length
-    return (f.eval((index + 1,), width) - f.eval((index,), width)) * width
-
-
 def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
     """Exact slope of f over the dyadic interval coded by sigma.
 
@@ -211,7 +205,7 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
     """
     if f.dimension != 1:
         raise ValueError("slope martingales read one-variable functions")
-    return _dyadic_slope(f, len(sigma), _index(sigma))
+    return box_slope_martingale(f, 0, 0).capital(len(sigma), _index(sigma))
 
 
 def audit_monotone(f: ComputableFunction) -> None:
@@ -223,40 +217,6 @@ def audit_monotone(f: ComputableFunction) -> None:
             raise MonotonicityError(
                 f"f({Fraction(k + 1, width)}) < f({Fraction(k, width)}) on the audit grid"
             )
-
-
-def _grids(f: ComputableFunction, depth: int) -> Iterator[tuple[list[int], int]]:
-    """f on the grids k / 2**L for L = 0..depth, each as numerators over one denominator.
-
-    A closed form is read once, on the grid of the full depth, and level L
-    takes every 2**(depth - L)-th value.  Otherwise each grid keeps the last
-    one's values at its even points, so f is evaluated once per grid point,
-    2**L + 1 times up to level L, and a walk that stops at a shallow level
-    never reads the deeper ones.
-    """
-    if f.grid is not None:
-        grid, denominator = f.dyadic_grid(depth)
-        for length in range(depth + 1):
-            yield grid[:: 1 << (depth - length)], denominator
-        return
-    values = [f.eval((0,), 1), f.eval((1,), 1)]
-    for length in range(depth + 1):
-        if length:
-            width = 1 << length
-            midpoints = [f.eval((k,), width) for k in range(1, width, 2)]
-            values = [v for pair in zip(values, midpoints) for v in pair] + [values[-1]]
-        yield common_denominator(values)
-
-
-def _slope_levels(f: ComputableFunction, depth: int) -> Iterator[tuple[list[int], int]]:
-    """Slopes of f over the dyadic intervals of lengths 0..depth, one level at a time.
-
-    With f on the grid k / 2**L as numerators g over D, the slope over
-    interval k is the first difference at k times 2**L, so its numerator
-    over D is that difference of g shifted left by L.
-    """
-    for length, (points, denominator) in enumerate(_grids(f, depth)):
-        yield [(b - a) << length for a, b in zip(points, points[1:])], denominator
 
 
 def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
@@ -287,14 +247,9 @@ def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
 
 
 def slope_martingale(f: ComputableFunction) -> Martingale:
-    """Capital(sigma) = slope of the monotone f over [sigma]; nonnegative, fair."""
+    """Capital(sigma) = slope of the monotone f over [sigma]; nonnegative, fair: box-slope at n = 1."""
     audit_monotone(f)
-    return Martingale(
-        lambda length, index: _dyadic_slope(f, length, index),
-        label="slope",
-        level_walk=lambda depth: _slope_levels(f, depth),
-        path_walk=lambda bits: _slope_path(f, bits),
-    )
+    return replace(box_slope_martingale(f, 0, 0), label="slope", path_walk=lambda bits: _slope_path(f, bits))
 
 
 def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Martingale:
@@ -307,8 +262,8 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
     d_axis f * lambda.  A split along the axis telescopes and any other split
     halves the grid, so the law is exact on every string whose other
     coordinates are no finer than 2**-horizon; a finer one raises ValueError.
-    For n = 1 the capital is interval_slope.  A decrease of f along the axis
-    on the grid surfaces as NegativeCapitalError.
+    For n = 1 the capital is interval_slope, whatever the horizon.  A
+    decrease of f along the axis on the grid surfaces as NegativeCapitalError.
     """
     n = f.dimension
     if not 0 <= axis < n:
@@ -316,32 +271,76 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     label = f"box-slope(axis={axis}, horizon={horizon})"
+    corners = list(product(range(1 << horizon), repeat=n - 1))  # the y, in the order of their grid columns
 
-    def capital(length: int, index: int) -> Fraction:
-        sigma = _sigma(length, index)
-        spans = []  # the grid indices of C, one range per other coordinate
-        for j in range(n):
-            bits = sigma[j::n]
-            if j == axis:
-                cell, scale = _index(bits), len(bits)
-            elif len(bits) > horizon:
+    def held(length: int) -> tuple[list[int], int]:
+        """Horizon minus the bits each other coordinate holds at this length, and the axis's bits."""
+        scales = [(length + n - 1 - j) // n for j in range(n)]
+        for j, scale in enumerate(scales):
+            if j != axis and scale > horizon:
                 raise ValueError(
                     f"{label}: a string of length {length} is finer than the "
                     f"horizon {horizon} in coordinate {j}"
                 )
-            else:
-                spread = 1 << (horizon - len(bits))
-                start = _index(bits) * spread
-                spans.append(range(start, start + spread))
-        top, rise = max(scale, horizon), Fraction(0)  # the corners a and b over 2**top
-        corners = list(product(*spans))
-        for corner in corners:
-            y = [t << (top - horizon) for t in corner]
-            a, b = ((*y[:axis], k << (top - scale), *y[axis:]) for k in (cell, cell + 1))
-            rise += f.eval(b, 1 << top) - f.eval(a, 1 << top)
-        return rise * (1 << scale) / len(corners)
+        return [horizon - s for j, s in enumerate(scales) if j != axis], scales[axis]
 
-    return Martingale(capital, label=label)
+    def cells(length: int, index: int) -> tuple[tuple[int, ...], int]:
+        """The cells of the box that (length, index) codes: the other coordinates', and the axis's."""
+        sigma = _sigma(length, index)
+        return tuple(_index(sigma[j::n]) for j in range(n) if j != axis), _index(sigma[axis::n])
+
+    def value(k: int, scale: int, y: Sequence[int]) -> Fraction:
+        """f at k / 2**scale on the axis and y / 2**horizon off it."""
+        top = max(scale, horizon)
+        y = [t << (top - horizon) for t in y]
+        return f.eval((*y[:axis], k << (top - scale), *y[axis:]), 1 << top)
+
+    def capital(length: int, index: int) -> Fraction:
+        (shifts, scale), (cell, k) = held(length), cells(length, index)
+        spans = [range(c << shift, (c + 1) << shift) for c, shift in zip(cell, shifts)]
+        rise = sum((value(k + 1, scale, y) - value(k, scale, y) for y in product(*spans)), Fraction(0))
+        return rise * (1 << scale) / (1 << sum(shifts))
+
+    def grids(depth: int) -> Iterator[tuple[list[list[int]], int]]:
+        """f on the axis grids k / 2**s, s = 0, 1, ..., one column per corner y, over one denominator.
+
+        A one-variable closed form is read once, at the full depth, and
+        sliced.  Otherwise each scale evaluates only the new midpoints, so f
+        is read once per grid point and never deeper than the walk goes.
+        """
+        if n == 1 and f.grid is not None:  # the axis scale is the length
+            grid, denominator = f.dyadic_grid(depth)
+            yield from (([grid[:: 1 << (depth - scale)]], denominator) for scale in range(depth + 1))
+            return
+        columns = [[value(0, 0, y), value(1, 0, y)] for y in corners]
+        for scale in range(depth + 1):
+            width = 1 << scale
+            if scale:
+                for y, column in zip(corners, columns):
+                    midpoints = [value(k, scale, y) for k in range(1, width, 2)]
+                    column[:] = [v for pair in zip(column, midpoints) for v in pair] + [column[-1]]
+            numerators, denominator = common_denominator(chain.from_iterable(columns))
+            yield [numerators[i : i + width + 1] for i in range(0, len(numerators), width + 1)], denominator
+
+    def level_walk(depth: int) -> Iterator[tuple[list[int], int]]:
+        """Node (k, B) has 2**s * (S(k + 1, B) - S(k, B)) / |B|, S(k, B) summing f at axis point k over B."""
+        walk, columns = grids(depth), [[]]
+        for length in range(depth + 1):
+            shifts, scale = held(length)
+            if len(columns[0]) <= 1 << scale:  # the axis gained a bit
+                columns, denominator = next(walk)
+            sums: dict[tuple[int, ...], list[int]] = {}  # block -> S(., B)
+            for y, column in zip(corners, columns):
+                block = tuple(map(rshift, y, shifts))
+                sums[block] = list(map(add, sums[block], column)) if block in sums else column
+            rises = {block: [(b - a) << scale for a, b in zip(S, S[1:])] for block, S in sums.items()}
+            if len(rises) == 1:  # only the axis holds bits, so a node's index is its axis cell
+                (level,) = rises.values()
+            else:
+                level = [rises[block][k] for block, k in (cells(length, i) for i in range(1 << length))]
+            yield level, denominator << sum(shifts)  # over D * |B|
+
+    return Martingale(capital, label=label, level_walk=level_walk)
 
 
 # ---------------------------------------------------------------------------

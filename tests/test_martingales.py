@@ -24,6 +24,7 @@ from slopelab.functions import (
     identity_1d,
     kn_decompose,
     linear_form,
+    min_x_flip_y,
     piecewise_linear,
     product_xy,
     scale_function,
@@ -464,6 +465,19 @@ def test_slope_audit_evaluates_f_once_per_grid_point():
     assert len(calls) == 2**10 + 1
     assert len(set(calls)) == len(calls)
 
+    tilted = sum_functions([min_x_flip_y(), linear_form([1, 1])])  # nondecreasing along x
+
+    def counted_tilted(numerators, denominator):
+        calls.append(fractions(numerators, denominator))
+        return tilted.eval(numerators, denominator)
+
+    m = box_slope_martingale(ComputableFunction(2, counted_tilted, tilted.modulus), 0, 6)
+    for depth, axis_scale in ((1, 1), (5, 3), (12, 6)):
+        calls.clear()
+        assert check_fairness(m, depth) is None
+        # x on the grid k / 2**axis_scale, by the 2**6 left corners of y
+        assert len(calls) == len(set(calls)) == (2**axis_scale + 1) * 2**6
+
 
 def counted(f, calls):
     """f with an evaluator that records every point it is called at."""
@@ -638,3 +652,30 @@ def test_box_slope_rejects_bad_arguments():
         box_slope_martingale(linear_form([2, 3]), 2, 3)
     with pytest.raises(ValueError, match="horizon must be >= 0"):
         box_slope_martingale(linear_form([2, 3]), 0, -1)
+
+
+SHAPES = [(1, 0), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2)]  # (n, horizon)
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from(SHAPES))
+@settings(max_examples=30, deadline=None)
+def test_box_slope_level_walks_match_their_capitals_node_by_node(seed, shape):
+    n, horizon = shape
+    rng = random.Random(seed)
+    if n == 1:  # closed forms, and the same functions without them; not monotone in general
+        xs = [F(0)] + [F(k, 32) for k in sorted(rng.sample(range(1, 32), 3))] + [F(1)]
+        ys = [F(rng.randrange(-16, 17), 8) for _ in xs]
+        closed = [piecewise_linear(list(zip(xs, ys))), rng.choice((square_1d(), cube_1d()))]
+        functions = closed + [dataclasses.replace(f, grid=None) for f in closed]
+    else:  # no closed forms: a function that is not monotone, and its monotone shift
+        f, bound = random_exact_function(rng, n)
+        functions = [f, kn_decompose(f, bound)[0]]
+    for f in functions:
+        for axis in range(n):
+            m = box_slope_martingale(memoised(f), axis, horizon)
+            assert m.level_walk is not None
+            nodewise = Martingale(m.capital, label=m.label)
+            deepest = deepest_length(n, axis, horizon) if n > 1 else 8  # at n = 1 no length is too fine
+            for depth in range(deepest + 2):  # one level past the deepest admissible length
+                assert outcome(walked_levels, m, depth) == outcome(walked_levels, nodewise, depth)
+                assert outcome(check_fairness, m, depth) == outcome(check_fairness, nodewise, depth)

@@ -22,7 +22,6 @@ READERS = (ROOT / "perfbench" / "jobs.py", ROOT / "tests" / "test_acceptance.py"
 ALLOWED = {
     "derivatives.replay": "test oracle that re-evaluates probe witnesses (ROADMAP aim 3)",
     "nullsets.dore_maleva_measure_by_sweep": "test oracle for the lattice measures (ROADMAP aim 3)",
-    "martingales.box_slope_martingale": "Theorem 1's n-variable strategy, the open ROADMAP item 3",
     "cubes.DyadicCube.contains_point": "membership test of the grid oracle brute_grid_measure",
 }
 
