@@ -119,8 +119,7 @@ def cmd_bet(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write_out(sz.bet_csv(run), args.out)
     else:
-        # the run's fields, unrendered: canonical_json renders each value once
-        summary = {"command": "bet", "config": config, **vars(run)}
+        summary = {"command": "bet", "config": config, **sz.to_plain(run)}
         if args.decimals is not None:
             summary["max_capital_decimal"] = decimal_string(run.max_capital, args.decimals)
         _write_out(sz.canonical_json(summary), args.out)

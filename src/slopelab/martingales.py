@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, product
+from math import gcd
 from operator import add, rshift
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -349,12 +350,24 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
 
 @dataclass(frozen=True)
 class BetRun:
-    """Finite-depth capital trajectory; a diagnostic, never a randomness verdict."""
+    """Finite-depth capital trajectory; a diagnostic, never a randomness verdict.
 
-    trajectory: tuple[Fraction, ...]
+    Each capital is an integer pair (numerator, denominator > 0) in lowest
+    terms.  Pairs compare as tuples, numerator first, not as numbers: compare
+    ``Fraction(*pair)`` instead, or read ``max_capital``.
+    """
+
+    trajectory: tuple[tuple[int, int], ...]
     max_capital: Fraction
     min_tail_capital: Fraction
     threshold_crossings: Mapping[Fraction, int | None]
+
+
+def _exceeds(x: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
+    """x > y for capitals held as (numerator, odd part of the denominator, its twos)."""
+    (a, a_odd, a_twos), (c, c_odd, c_twos) = x, y
+    left, right, shift = a * c_odd, c * a_odd, c_twos - a_twos  # a/b > c/d iff a*d > c*b
+    return left << shift > right if shift >= 0 else left > right << -shift
 
 
 def run_bet(
@@ -366,10 +379,14 @@ def run_bet(
     """Play m against the source's prefixes of length 0..depth.
 
     The capitals come from m's path walk when it has one, else from
-    ``capital`` on each prefix, as pairs (numerator, denominator > 0); each
-    is made a Fraction once, and compared by cross-multiplying.  The maximum
-    and the crossings are read in one pass: a threshold not yet crossed lies
-    above the running maximum, so only a new strict maximum can cross it.
+    ``capital`` on each prefix, as pairs (numerator, denominator > 0).  Each
+    pair is put in lowest terms by one rule: strip the common twos, then
+    divide by the gcd of the numerator and the denominator's odd part, which
+    a dyadic capital skips.  Capitals are compared with each denominator
+    split into its odd part and its twos, so a dyadic comparison is a shift.
+    The maximum and the crossings are read in one pass: a threshold not yet
+    crossed lies above the running maximum, so only a new strict maximum can
+    cross it.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -380,24 +397,33 @@ def run_bet(
         pairs = (c.as_integer_ratio() for c in map(m.capital, range(depth + 1), _prefix_indices(prefix)))
     crossings: dict[Fraction, int | None] = dict.fromkeys(thresholds)
     pending = sorted(crossings)  # the thresholds not yet crossed, lowest first
-    trajectory: list[Fraction] = []
-    best = low = None  # (numerator, denominator, length) of the maximum and the tail minimum
+    trajectory: list[tuple[int, int]] = []
+    best = low = None  # (numerator, odd part, twos) of the maximum and the tail minimum
+    best_at = low_at = 0
+    tail = (depth + 1) // 2
     for length, (num, den) in enumerate(pairs):
         if num < 0:
             raise m._negative(length, _index(prefix[:length]), Fraction(num, den))
-        twos = ((num | den) & -(num | den)).bit_length() - 1  # grid denominators are mostly twos
-        capital = Fraction(num >> twos, den >> twos)
-        trajectory.append(capital)
-        num, den = capital.numerator, capital.denominator  # lowest terms: smaller products below
-        if best is None or num * best[1] > best[0] * den:
-            best = num, den, length
+        common = num | den
+        shared = (common & -common).bit_length() - 1
+        num, den = num >> shared, den >> shared
+        twos = (den & -den).bit_length() - 1
+        odd = den >> twos
+        if odd != 1:  # num or den is odd now, so gcd(num, den) = gcd(num, odd)
+            g = gcd(num, odd)
+            if g != 1:
+                num, den, odd = num // g, den // g, odd // g
+        trajectory.append((num, den))
+        capital = num, odd, twos
+        if best is None or _exceeds(capital, best):
+            best, best_at = capital, length
             while pending and pending[0].numerator * den <= num * pending[0].denominator:
                 crossings[pending.pop(0)] = length
-        if length >= (depth + 1) // 2 and (low is None or num * low[1] < low[0] * den):
-            low = num, den, length
+        if length >= tail and (low is None or _exceeds(low, capital)):
+            low, low_at = capital, length
     return BetRun(
         trajectory=tuple(trajectory),
-        max_capital=trajectory[best[2]],
-        min_tail_capital=trajectory[low[2]],
+        max_capital=Fraction(*trajectory[best_at]),
+        min_tail_capital=Fraction(*trajectory[low_at]),
         threshold_crossings=crossings,
     )

@@ -66,9 +66,14 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
+def format_ratio(numerator: int, denominator: int) -> str:
+    """Canonical "p/q" form of a pair in lowest terms with denominator > 0."""
+    return f"{_digits(numerator)}/{_digits(denominator)}"
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" form, denominator always present."""
-    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    return format_ratio(value.numerator, value.denominator)
 
 
 def decimal_string(value: Fraction, digits: int) -> str:

@@ -20,7 +20,7 @@ from . import martingales as mg
 from . import nullsets as ns
 from .bits import BitSource, bits_of_fraction, constant_bits, interleave, pattern_bits
 from .cubes import DyadicCube
-from .rationals import POW2_MATERIALIZE_CAP, _digits, format_rational, parse_rational
+from .rationals import POW2_MATERIALIZE_CAP, _digits, format_ratio, format_rational, parse_rational
 from .tentsystem import ExclusionReport, TentSystem, build_tent_system, tent_for
 
 
@@ -28,8 +28,9 @@ def to_plain(value: Any) -> Any:
     """Recursively render exact values as JSON-safe plain data.
 
     A dataclass renders as the mapping of its fields.  A cell index is a
-    decimal string, since it can outgrow the integers JSON readers hold, and
-    an exclusion report also carries its within_bound verdict.
+    decimal string, since it can outgrow the integers JSON readers hold; a
+    bet run's trajectory renders straight from its integer pairs; and an
+    exclusion report also carries its within_bound verdict.
     """
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -42,6 +43,9 @@ def to_plain(value: Any) -> Any:
         return [to_plain(v) for v in value]
     if isinstance(value, DyadicCube):
         return value.to_json()
+    if isinstance(value, mg.BetRun):
+        plain = {f.name: to_plain(getattr(value, f.name)) for f in fields(value) if f.name != "trajectory"}
+        return {**plain, "trajectory": [format_ratio(p, q) for p, q in value.trajectory]}
     if is_dataclass(value):
         plain = {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
         if "cell_index" in plain:
@@ -262,5 +266,5 @@ def check_bundle(data: Mapping) -> None:
 
 def bet_csv(run: mg.BetRun) -> str:
     """One "length,capital" row per prefix of the bet path."""
-    rows = [f"{k},{format_rational(capital)}" for k, capital in enumerate(run.trajectory)]
+    rows = [f"{k},{format_ratio(p, q)}" for k, (p, q) in enumerate(run.trajectory)]
     return "\n".join(["length,capital", *rows]) + "\n"

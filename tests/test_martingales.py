@@ -45,10 +45,15 @@ from slopelab.martingales import (
     slope_martingale,
     table_martingale,
 )
-from slopelab.rationals import common_denominator
+from slopelab.rationals import common_denominator, format_rational
 from slopelab.serialize import bet_csv, to_plain
 
 F = Fraction
+
+
+def pairs(capitals) -> tuple[tuple[int, int], ...]:
+    """The capitals as run_bet holds them: (numerator, denominator > 0) in lowest terms."""
+    return tuple(F(c).as_integer_ratio() for c in capitals)
 
 
 def random_monotone_pwlinear(rng: random.Random):
@@ -122,16 +127,15 @@ def test_random_monotone_pwlinear_slope_martingales_fair(seed):
 
 def test_run_bet_trajectories():
     flat = run_bet(constant_martingale(1), constant_bits(0), 8)
-    assert flat.trajectory == (F(1),) * 9
+    assert flat.trajectory == pairs([1] * 9)
     assert flat.max_capital == 1 and flat.min_tail_capital == 1
 
     doubling = run_bet(all_on_ones_martingale(), constant_bits(1), 10, thresholds=(F(8),))
-    assert doubling.trajectory == tuple(F(2**k) for k in range(11))
+    assert doubling.trajectory == pairs(2**k for k in range(11))
     assert doubling.threshold_crossings[F(8)] == 3
 
     busted = run_bet(all_on_ones_martingale(), pattern_bits([1, 1, 0]), 9)
-    assert busted.trajectory[:3] == (F(1), F(2), F(4))
-    assert all(c == 0 for c in busted.trajectory[3:])
+    assert busted.trajectory == pairs([1, 2, 4] + [0] * 7)
 
 
 def test_bet_run_csv_format():
@@ -142,10 +146,12 @@ def test_bet_run_csv_format():
 def test_bet_run_csv_renders_denominators_past_the_str_digit_limit():
     # str() refuses integers past 4300 digits; 3**10000 has 4772
     run = run_bet(constant_martingale(F(1, 3**10000)), pattern_bits([0, 1]), 3)
+    assert run.trajectory == pairs([F(1, 3**10000)] * 4)
     header, *rows = bet_csv(run).splitlines()
     assert header == "length,capital"
     trajectory = to_plain(run)["trajectory"]
     assert [row.split(",") for row in rows] == [[str(k), entry] for k, entry in enumerate(trajectory)]
+    assert trajectory == [format_rational(F(1, 3**10000))] * 4
     assert len(trajectory[0].split("/")[1]) == 4772
 
 
@@ -169,7 +175,8 @@ def test_slope_bet_evaluates_f_once_per_step():
     run = run_bet(m, bits_of_fraction(F(1, 3)), 1024)
     assert len(calls) == 1024 + 2  # f(0), f(1), then one midpoint per step
     assert len(set(calls)) == len(calls)
-    assert run.trajectory[1024] == slope_oracle(square_1d(), bits_of_fraction(F(1, 3)).prefix(1024))
+    expected = slope_oracle(square_1d(), bits_of_fraction(F(1, 3)).prefix(1024))
+    assert run.trajectory[1024] == expected.as_integer_ratio()
 
 
 def test_closed_form_slope_bet_never_calls_the_evaluator():
@@ -179,7 +186,7 @@ def test_closed_form_slope_bet_never_calls_the_evaluator():
     for f in (square_1d(), cube_1d(), identity_1d(), pwlinear):
         run = run_bet(slope_martingale(counted(f, calls)), source, 1024)
         assert calls == []
-        assert run.trajectory[1024] == slope_oracle(f, source.prefix(1024))
+        assert run.trajectory[1024] == slope_oracle(f, source.prefix(1024)).as_integer_ratio()
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -226,12 +233,12 @@ def outcome(call, *args):
 
 
 def summary_oracle(trajectory, thresholds):
-    """The summary by naive scans: one per statistic and one per threshold."""
+    """The summary by naive scans of the Fraction capitals: one per statistic and one per threshold."""
     depth = len(trajectory) - 1
     crossings = {}
     for threshold in thresholds:
         crossings[threshold] = next((k for k, c in enumerate(trajectory) if c >= threshold), None)
-    return trajectory, max(trajectory), min(trajectory[(depth + 1) // 2 :]), list(crossings.items())
+    return pairs(trajectory), max(trajectory), min(trajectory[(depth + 1) // 2 :]), list(crossings.items())
 
 
 def assert_matches_oracles(m, audit_depths, rng, path_depth):
@@ -413,14 +420,40 @@ def test_slope_paths_over_non_dyadic_knots_match_node_by_node_oracles(seed):
     depth = rng.randint(200, 256)
     run = run_bet(m, source, depth)
     assert run == run_bet(evaluating, source, depth)
-    assert run.trajectory == trajectory_oracle(m, source, depth)
+    trajectory = trajectory_oracle(m, source, depth)
+    assert run.trajectory == pairs(trajectory)
     # a threshold equal to a capital is crossed at the first length that reaches it
-    top = max(run.trajectory)
-    crossings = run_bet(m, source, depth, (top, run.trajectory[-1])).threshold_crossings
-    assert crossings[top] == run.trajectory.index(top)
-    assert crossings[run.trajectory[-1]] == next(
-        k for k, c in enumerate(run.trajectory) if c >= run.trajectory[-1]
-    )
+    top = max(trajectory)
+    crossings = run_bet(m, source, depth, (top, trajectory[-1])).threshold_crossings
+    assert crossings[top] == trajectory.index(top)
+    assert crossings[trajectory[-1]] == next(k for k, c in enumerate(trajectory) if c >= trajectory[-1])
+
+
+# a denominator 2**a * q, q odd; the large q and the large power of two are past 4300 digits
+ODD_PARTS = st.integers(0, 40).map(lambda k: 2 * k + 1) | st.integers(0, 3).map(lambda k: 3**9100 + 2 * k)
+TWOS = st.integers(0, 40) | st.just(14400)
+NUMERATORS = st.integers(0, 300) | st.integers(10**4400, 10**4400 + 300)
+CAPITALS = st.tuples(NUMERATORS, st.builds(lambda a, q: q << a, TWOS, ODD_PARTS))
+SCALES = st.builds(lambda a, q: q << a, st.integers(0, 12), st.sampled_from([1, 3, 5, 15, 3**9100]))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_run_bet_reduces_and_compares_unreduced_pairs_like_fractions(data):
+    # a few capitals, each met at several unreduced scales, so that equal capitals tie
+    capitals = data.draw(st.lists(CAPITALS, min_size=1, max_size=4))
+    scaled = data.draw(st.lists(st.tuples(st.sampled_from(capitals), SCALES), min_size=2, max_size=12))
+    path = [(n * c, d * c) for (n, d), c in scaled]
+    trajectory = [F(n, d) for n, d in path]
+    drawn = st.sampled_from(trajectory) | st.fractions(0, 300, max_denominator=64)
+    thresholds = data.draw(st.lists(drawn, max_size=4))
+    walked = Martingale(lambda length, index: trajectory[length], path_walk=lambda bits: iter(path))
+    depth = len(path) - 1
+    for m in (walked, Martingale(walked.capital)):  # the path's pairs, and each prefix's capital
+        # the oracle's trajectory is each Fraction's as_integer_ratio(): lowest terms, denominator > 0
+        run = run_bet(m, constant_bits(0), depth, thresholds)
+        summary = (run.trajectory, run.max_capital, run.min_tail_capital, list(run.threshold_crossings.items()))
+        assert summary == summary_oracle(trajectory, thresholds)
 
 
 def test_fine_scale_dip_raises_like_the_oracles():
@@ -606,7 +639,7 @@ def test_box_slope_settles_at_the_grid_bias_of_x_times_y_plus_x():
     m = box_slope_martingale(f, 0, 5)
     third = bits_of_fraction(F(1, 3))
     run = run_bet(m, interleave([third, third]), 11)
-    assert run.trajectory[10] == run.trajectory[11] == F(21, 16)
+    assert run.trajectory[10] == run.trajectory[11] == (21, 16)
     assert check_fairness(m, 10) is None
 
 
