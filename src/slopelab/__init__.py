@@ -1,9 +1,9 @@
 """slopelab: exact-rational workbench for slopes, martingales, and dyadic covers.
 
-Everything numeric is a ``fractions.Fraction``; the core never touches
-floating point.  Limit statements are represented by finite-depth probes
-that either refute with a replayable exact witness or report consistency
-to the examined depth.
+Every number is exact, as a ``fractions.Fraction`` or as integers over one
+denominator; nothing is a float.  Limit statements are represented by
+finite-depth probes that either refute with a replayable exact witness or
+report consistency to the examined depth.
 """
 
 from .bits import (
@@ -63,9 +63,8 @@ from .nullsets import (
     constant_unit_test,
     default_dore_maleva_params,
     dore_maleva_measure,
-    dore_maleva_measure_by_sweep,
     dore_maleva_rectangles,
-    dore_maleva_stage,
+    dore_maleva_stages,
     explicit_dore_maleva_params,
     explicit_test,
     stage_below_half,

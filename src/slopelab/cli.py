@@ -16,6 +16,7 @@ import functools
 import json
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import derivatives as dv
@@ -227,14 +228,12 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
     if stages < 0:
         raise ConfigError("stages must be >= 0")
     table = []
-    measures = ns._remaining_measures(params)
-    remaining = next(measures)  # before stage 1
     failures: list[str] = []
-    for i in range(1, stages + 1):
-        stage = ns.dore_maleva_stage(params, i)
-        previous, remaining = remaining, next(measures)
-        if remaining >= previous:
+    previous = 1  # the measure before stage 1
+    for i, stage in enumerate(islice(ns.dore_maleva_stages(params), stages), start=1):
+        if stage.remaining >= previous:
             failures.append(f"remaining measure fails to decrease at stage {i}")
+        previous = stage.remaining
         row = {
             "stage": i,
             "n": params.n_at(i),
@@ -244,13 +243,16 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
             "radius": stage.radius,
             "removed_fraction_per_cell": stage.removed_fraction_per_cell,
             "whole_cell": stage.whole_cell,
-            "remaining": remaining,
+            "remaining": stage.remaining,
         }
         if args.decimals is not None:
-            row["remaining_decimal"] = decimal_string(remaining, args.decimals)
+            row["remaining_decimal"] = decimal_string(stage.remaining, args.decimals)
         table.append(row)
     geometry = None
-    geometry_stages = min(stages, typed(config, "geometry_stages", int, 2))
+    geometry_stages = typed(config, "geometry_stages", int, 2)
+    if geometry_stages < 0:
+        raise ConfigError(f"config key 'geometry_stages' must be >= 0, not {geometry_stages}")
+    geometry_stages = min(stages, geometry_stages)
     if typed(config, "geometry", bool, True) and stages >= 1:
         try:  # the table has validated every stage, so only the rectangle cap is left to refuse
             rectangles = ns.dore_maleva_rectangles(params, geometry_stages)

@@ -14,7 +14,7 @@ from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
 from .cubes import DyadicCube, cube_union_contains, unit_cube
-from .rationals import POW2_MATERIALIZE_CAP, Vector, parse_rational
+from .rationals import POW2_MATERIALIZE_CAP, parse_rational
 
 
 @dataclass(frozen=True)
@@ -135,17 +135,6 @@ class DoreMalevaParams:
         if not 1 <= p <= n:
             raise ValueError(f"p_{i} = {p} violates 1 <= p <= N_{i} = {n}")
 
-    def cell_pitch(self, i: int) -> Fraction:
-        """d_{i-1}: the stage-i lattice pitch (cell side)."""
-        return self.ball_side_denominator(i - 1)
-
-    def ball_side_denominator(self, i: int) -> Fraction:
-        """d_i = product of 1/N_k for k <= i (d_0 = 1)."""
-        d = Fraction(1)
-        for k in range(1, i + 1):
-            d /= self.n_at(k)
-        return d
-
 
 def default_dore_maleva_params() -> DoreMalevaParams:
     """The staircase 3,3,3,5,5,5,5,5,7,... with raw width 4, clamped to N_i - 1.
@@ -203,115 +192,74 @@ Rect = tuple[Fraction, Fraction, Fraction, Fraction]  # x0, x1, y0, y1
 class LatticeStage:
     """Stage-i removal: centered squares on the cell lattice inside [0,1]^2.
 
-    The lattice is (pitch/2, pitch/2) + pitch * Z^2 with pitch d_{i-1}: each
-    stage-(i-1) cell loses a centered square of side p_i * d_i, a fraction
-    (p_i/N_i)^2 of the cell, exactly.
+    The lattice is (pitch/2, pitch/2) + pitch * Z^2 with pitch d_{i-1} =
+    1/(N_1...N_{i-1}): each stage-(i-1) cell loses a centered square of side
+    p_i * d_i, a fraction (p_i/N_i)^2 of the cell, exactly.
     """
 
     pitch: Fraction
     radius: Fraction  # sup-norm ball radius p_i d_i / 2
-    cells_per_axis: int
+    cells_per_axis: int  # the lattice modulus N_1...N_{i-1}
     removed_fraction_per_cell: Fraction
     whole_cell: bool  # p_i == N_i: the ball fills its cell (degenerate)
-
-    def centers(self) -> Iterator[Vector]:
-        half = self.pitch / 2
-        for row in range(self.cells_per_axis):
-            for col in range(self.cells_per_axis):
-                yield (half + col * self.pitch, half + row * self.pitch)
+    remaining: Fraction  # measure left after stages 1..i: the product of 1 - (p_j/N_j)^2
 
     def rectangles(self) -> Iterator[Rect]:
-        for cx, cy in self.centers():
-            yield (cx - self.radius, cx + self.radius, cy - self.radius, cy + self.radius)
+        """The stage's squares, row by row from the bottom, each row from the left."""
+        half, r = self.pitch / 2, self.radius
+        for row in range(self.cells_per_axis):
+            cy = half + row * self.pitch
+            for col in range(self.cells_per_axis):
+                cx = half + col * self.pitch
+                yield (cx - r, cx + r, cy - r, cy + r)
 
-    def count(self) -> int:
-        return self.cells_per_axis ** 2
 
+def dore_maleva_stages(params: DoreMalevaParams) -> Iterator[LatticeStage]:
+    """Stages 1, 2, ... in order, each validated once before it is built.
 
-def dore_maleva_stage(params: DoreMalevaParams, stage: int) -> LatticeStage:
-    params.validate_stage(stage)
-    n = params.n_at(stage)
-    p = params.p_at(stage)
-    pitch = params.cell_pitch(stage)
-    d_i = pitch / n
-    per_axis = pitch.denominator // pitch.numerator  # pitch = 1/(N_1...N_{i-1})
-    return LatticeStage(
-        pitch=pitch,
-        radius=p * d_i / 2,
-        cells_per_axis=per_axis,
-        removed_fraction_per_cell=(p / n) ** 2,
-        whole_cell=p == n,
-    )
+    The lattice modulus and the remaining measure are carried from the stage
+    before.  The cell-centered removals are measure-independent, so the
+    remainder is the running product of 1 - (p_i/N_i)^2; the tests' sweep
+    and grid oracles confirm it by direct union accounting at small k.
+    """
+    cells_per_axis, remaining = 1, Fraction(1)
+    for i in count(1):
+        params.validate_stage(i)
+        n, p = params.n_at(i), params.p_at(i)
+        removed = Fraction(p, n) ** 2
+        remaining *= 1 - removed
+        yield LatticeStage(
+            pitch=Fraction(1, cells_per_axis),
+            radius=Fraction(p, 2 * cells_per_axis * n),
+            cells_per_axis=cells_per_axis,
+            removed_fraction_per_cell=removed,
+            whole_cell=p == n,
+            remaining=remaining,
+        )
+        cells_per_axis *= n
 
 
 def dore_maleva_measure(params: DoreMalevaParams, through_stage: int) -> Fraction:
-    """Exact remaining measure of the unit square after stages 1..k.
-
-    Under the cell-centered lattice the stage removals are measure-independent
-    and the remainder is the product of (1 - (p_i/N_i)^2); the rectangle-sweep
-    and grid oracles confirm this against direct union accounting at small k.
-    """
+    """Exact remaining measure of the unit square after stages 1..k (1 at k = 0, validating nothing)."""
     if through_stage < 0:
         raise ValueError("stage count must be >= 0")
-    return next(islice(_remaining_measures(params), through_stage, None))
-
-
-def _remaining_measures(params: DoreMalevaParams) -> Iterator[Fraction]:
-    """The measure left after stages 0, 1, 2, ...: the running product of 1 - (p_i/N_i)^2.
-
-    Each stage is validated before its factor is taken.
-    """
     remaining = Fraction(1)
-    yield remaining
-    for i in count(1):
-        params.validate_stage(i)
-        remaining *= 1 - (params.p_at(i) / params.n_at(i)) ** 2
-        yield remaining
+    for stage in islice(dore_maleva_stages(params), through_stage):
+        remaining = stage.remaining
+    return remaining
 
 
 RECTANGLE_CAP = 200_000
 
 
 def dore_maleva_rectangles(params: DoreMalevaParams, through_stage: int) -> list[Rect]:
+    """The squares removed at stages 1..k, stage by stage; none for k <= 0."""
     rects: list[Rect] = []
-    for i in range(1, through_stage + 1):
-        stage = dore_maleva_stage(params, i)
-        if len(rects) + stage.count() > RECTANGLE_CAP:
+    for i, stage in enumerate(islice(dore_maleva_stages(params), max(through_stage, 0)), start=1):
+        if len(rects) + stage.cells_per_axis ** 2 > RECTANGLE_CAP:
             raise ValueError(f"stage {i} would exceed the rectangle cap {RECTANGLE_CAP}")
         rects.extend(stage.rectangles())
     return rects
-
-
-def rect_union_area(rects: Sequence[Rect]) -> Fraction:
-    """Exact area of a union of axis-aligned rational rectangles (sweep)."""
-    rects = [r for r in rects if r[0] < r[1] and r[2] < r[3]]
-    if not rects:
-        return Fraction(0)
-    xs = sorted({x for r in rects for x in (r[0], r[1])})
-    total = Fraction(0)
-    for x0, x1 in zip(xs, xs[1:]):
-        active = sorted(
-            (r[2], r[3]) for r in rects if r[0] <= x0 and r[1] >= x1
-        )
-        if not active:
-            continue
-        covered = Fraction(0)
-        cur_lo, cur_hi = active[0]
-        for lo, hi in active[1:]:
-            if lo > cur_hi:
-                covered += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        covered += cur_hi - cur_lo
-        total += (x1 - x0) * covered
-    return total
-
-
-def dore_maleva_measure_by_sweep(params: DoreMalevaParams, through_stage: int) -> Fraction:
-    """Remaining measure via explicit rectangle-union accounting (small k)."""
-    removed = rect_union_area(dore_maleva_rectangles(params, through_stage))
-    return 1 - removed
 
 
 HALF_MEASURE_STAGE_LIMIT = 64
@@ -319,7 +267,7 @@ HALF_MEASURE_STAGE_LIMIT = 64
 
 def stage_below_half(params: DoreMalevaParams) -> int:
     """First stage whose remaining measure drops below 1/2, validating each as the measure does."""
-    for i, remaining in enumerate(islice(_remaining_measures(params), HALF_MEASURE_STAGE_LIMIT + 1)):
-        if remaining < Fraction(1, 2):
+    for i, stage in enumerate(islice(dore_maleva_stages(params), HALF_MEASURE_STAGE_LIMIT), start=1):
+        if stage.remaining < Fraction(1, 2):
             return i
     raise ValueError(f"measure stays >= 1/2 through stage {HALF_MEASURE_STAGE_LIMIT}")

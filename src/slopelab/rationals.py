@@ -54,7 +54,7 @@ def _integer(literal: str) -> int:
         return int(Decimal(literal))
 
 
-def _digits(n: int) -> str:
+def format_integer(n: int) -> str:
     """Exact decimal digits of an integer of any size.
 
     str() refuses integers longer than the interpreter's digit limit (4300
@@ -68,7 +68,7 @@ def _digits(n: int) -> str:
 
 def format_ratio(numerator: int, denominator: int) -> str:
     """Canonical "p/q" form of a pair in lowest terms with denominator > 0."""
-    return f"{_digits(numerator)}/{_digits(denominator)}"
+    return f"{format_integer(numerator)}/{format_integer(denominator)}"
 
 
 def format_rational(value: Fraction) -> str:
@@ -85,7 +85,7 @@ def decimal_string(value: Fraction, digits: int) -> str:
     units, rem = divmod(scaled.numerator, scaled.denominator)
     if 2 * rem >= scaled.denominator:
         units += 1
-    text = _digits(units).rjust(digits + 1, "0")
+    text = format_integer(units).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text
     return f"{sign}{text[:-digits]}.{text[-digits:]}"

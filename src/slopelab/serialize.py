@@ -20,7 +20,7 @@ from . import martingales as mg
 from . import nullsets as ns
 from .bits import BitSource, bits_of_fraction, constant_bits, interleave, pattern_bits
 from .cubes import DyadicCube
-from .rationals import POW2_MATERIALIZE_CAP, _digits, format_ratio, format_rational, parse_rational
+from .rationals import POW2_MATERIALIZE_CAP, format_integer, format_ratio, format_rational, parse_rational
 from .tentsystem import ExclusionReport, TentSystem, build_tent_system, tent_for
 
 
@@ -49,7 +49,7 @@ def to_plain(value: Any) -> Any:
     if is_dataclass(value):
         plain = {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
         if "cell_index" in plain:
-            plain["cell_index"] = _digits(value.cell_index)
+            plain["cell_index"] = format_integer(value.cell_index)
         if isinstance(value, ExclusionReport):
             plain["within_bound"] = value.within_bound
         return plain

@@ -495,6 +495,39 @@ def test_dore_maleva_explicit_params_shorter_than_stages_exit_2(tmp_path, capsys
     assert main(["dore-maleva", "--config", exact, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("geometry", [True, False])
+def test_dore_maleva_negative_geometry_stages_exit_2(tmp_path, capsys, geometry):
+    config = write_config(tmp_path, "dm.json", {"stages": 3, "geometry_stages": -2, "geometry": geometry})
+    out = tmp_path / "dm.out.json"
+    assert main(["dore-maleva", "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "config error: config key 'geometry_stages' must be >= 0, not -2\n")
+    zero = write_config(tmp_path, "zero.json", {"stages": 3, "geometry_stages": 0})
+    assert main(["dore-maleva", "--config", zero, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["geometry"] == []
+
+
+@pytest.mark.parametrize("stages", [0, 1, 5])
+def test_dore_maleva_validates_each_stage_once(tmp_path, monkeypatch, stages):
+    from slopelab import nullsets, serialize
+
+    validated = []
+
+    class Counting(nullsets.DoreMalevaParams):
+        def validate_stage(self, i):
+            validated.append(i)
+            super().validate_stage(i)
+
+    params = nullsets.default_dore_maleva_params()
+    counting = Counting(params.n_at, params.p_at, params.p_raw_at)
+    monkeypatch.setattr(serialize, "dore_maleva_params_from_descriptor", lambda _desc: counting)
+    config = write_config(tmp_path, "dm.json", {"stages": stages, "geometry": False})
+    out = tmp_path / "dm.out.json"
+    assert main(["dore-maleva", "--config", config, "--out", str(out)]) == 0
+    assert validated == list(range(1, stages + 1))
+    assert len(json.loads(out.read_text())["table"]) == stages
+
+
 def test_tent_descriptor_loads():
     desc = {
         "kind": "tent",

@@ -1,6 +1,10 @@
+from dataclasses import asdict
 from fractions import Fraction
+from itertools import accumulate, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopelab.cubes import DyadicCube, union_measure, unit_cube
 from slopelab.nullsets import (
@@ -10,16 +14,48 @@ from slopelab.nullsets import (
     constant_unit_test,
     default_dore_maleva_params,
     dore_maleva_measure,
-    dore_maleva_measure_by_sweep,
     dore_maleva_rectangles,
-    dore_maleva_stage,
+    dore_maleva_stages,
     explicit_dore_maleva_params,
     explicit_test,
-    rect_union_area,
     stage_below_half,
 )
 
 F = Fraction
+
+
+def rect_union_area(rects):
+    """Exact area of a union of axis-aligned rational rectangles (sweep)."""
+    rects = [r for r in rects if r[0] < r[1] and r[2] < r[3]]
+    if not rects:
+        return F(0)
+    xs = sorted({x for r in rects for x in (r[0], r[1])})
+    total = F(0)
+    for x0, x1 in zip(xs, xs[1:]):
+        active = sorted((r[2], r[3]) for r in rects if r[0] <= x0 and r[1] >= x1)
+        if not active:
+            continue
+        covered = F(0)
+        cur_lo, cur_hi = active[0]
+        for lo, hi in active[1:]:
+            if lo > cur_hi:
+                covered += cur_hi - cur_lo
+                cur_lo, cur_hi = lo, hi
+            else:
+                cur_hi = max(cur_hi, hi)
+        covered += cur_hi - cur_lo
+        total += (x1 - x0) * covered
+    return total
+
+
+def dore_maleva_measure_by_sweep(params, through_stage):
+    """Remaining measure via explicit rectangle-union accounting (small k)."""
+    return 1 - rect_union_area(dore_maleva_rectangles(params, through_stage))
+
+
+def stage(params, i):
+    """Stage i of the walk (1-based)."""
+    return next(islice(dore_maleva_stages(params), i - 1, None))
 
 
 def grid_oracle_removed(rects, cells_per_axis):
@@ -93,35 +129,36 @@ def test_default_params_staircase_and_clamp():
     assert params.p_raw_at(1) == 4
     assert params.p_at(1) == 2  # clamp min(4, N_1 - 1)
     assert params.p_at(4) == 4
-    assert params.ball_side_denominator(3) == F(1, 27)
+    assert stage(params, 4).pitch == F(1, 27)  # d_3 = 1/(N_1 N_2 N_3)
+    assert stage(params, 4).cells_per_axis == 27
 
 
 def test_stage_geometry_and_removed_fraction():
     params = default_dore_maleva_params()
-    one = dore_maleva_stage(params, 1)
-    assert one.pitch == 1 and one.count() == 1
+    one = stage(params, 1)
+    assert one.pitch == 1 and one.cells_per_axis**2 == 1
     assert one.radius == F(1, 3)  # p_1 d_1 / 2 = 2/(3*2)
     assert one.removed_fraction_per_cell == F(4, 9)
-    assert list(one.centers()) == [(F(1, 2), F(1, 2))]
-    two = dore_maleva_stage(params, 2)
-    assert two.pitch == F(1, 3) and two.count() == 9
+    assert list(one.rectangles()) == [(F(1, 2) - F(1, 3), F(1, 2) + F(1, 3), F(1, 2) - F(1, 3), F(1, 2) + F(1, 3))]
+    two = stage(params, 2)
+    assert two.pitch == F(1, 3) and two.cells_per_axis**2 == 9
     assert two.removed_fraction_per_cell == F(4, 9)
 
 
 def test_degenerate_width_flags_whole_cell():
     params = explicit_dore_maleva_params([3], [3])
-    stage = dore_maleva_stage(params, 1)
-    assert stage.whole_cell
-    assert stage.removed_fraction_per_cell == 1
+    one = stage(params, 1)
+    assert one.whole_cell
+    assert one.removed_fraction_per_cell == 1
 
 
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
-        dore_maleva_stage(explicit_dore_maleva_params([4], [1]), 1)  # even modulus
+        stage(explicit_dore_maleva_params([4], [1]), 1)  # even modulus
     with pytest.raises(ValueError):
-        dore_maleva_stage(explicit_dore_maleva_params([3], [F(7, 2)]), 1)  # p > N
+        stage(explicit_dore_maleva_params([3], [F(7, 2)]), 1)  # p > N
     with pytest.raises(ValueError):
-        dore_maleva_stage(explicit_dore_maleva_params([5, 3], [1, 1]), 2)  # decreasing N
+        stage(explicit_dore_maleva_params([5, 3], [1, 1]), 2)  # decreasing N
 
 
 def test_explicit_params_name_the_stage_they_stop_at():
@@ -159,13 +196,12 @@ def test_zero_width_keeps_full_measure():
 
 def test_stage_balls_disjoint_within_stage():
     params = default_dore_maleva_params()
-    for i in range(1, 6):
-        stage = dore_maleva_stage(params, i)
+    for one in islice(dore_maleva_stages(params), 5):
         # side < pitch guarantees disjointness; verify the inequality exactly
-        assert 2 * stage.radius < stage.pitch
+        assert 2 * one.radius < one.pitch
     # and explicitly on the first two stages' rectangles
     for i in (1, 2):
-        rects = list(dore_maleva_stage(params, i).rectangles())
+        rects = list(stage(params, i).rectangles())
         area = rect_union_area(rects)
         assert area == sum((x1 - x0) * (y1 - y0) for (x0, x1, y0, y1) in rects)
 
@@ -203,3 +239,110 @@ def test_rect_union_area_handles_overlap():
         (F(1, 4), F(3, 4), F(1, 4), F(3, 4)),
     ]
     assert rect_union_area(rects) == F(7, 16)
+
+
+# ---------------------------------------------------------------------------
+# The stage walk against a stage-by-stage oracle
+
+
+def oracle_error(ns, ps, i):
+    """The refusal of stage i of explicit params, read off the lists, or None."""
+    if i > len(ns):
+        return f"explicit params stop at stage {len(ns)}"
+    n, p = ns[i - 1], ps[i - 1]
+    if n <= 1 or n % 2 == 0:
+        return f"N_{i} = {n} must be an odd integer > 1"
+    if i > 1 and ns[i - 2] > n:
+        return "N must be nondecreasing"
+    if not 1 <= p <= n:
+        return f"p_{i} = {p} violates 1 <= p <= N_{i} = {n}"
+    return None
+
+
+def oracle_stage(ns, ps, i):
+    """Stage i computed on its own: the pitch as the product of 1/N_k for k < i, the measure as a product from stage 1."""
+    pitch = F(1)
+    for k in range(1, i):
+        pitch /= ns[k - 1]
+    n, p = ns[i - 1], ps[i - 1]
+    remaining = F(1)
+    for k in range(1, i + 1):
+        remaining *= 1 - (ps[k - 1] / ns[k - 1]) ** 2
+    return {
+        "pitch": pitch,
+        "radius": p * (pitch / n) / 2,
+        "cells_per_axis": pitch.denominator // pitch.numerator,
+        "removed_fraction_per_cell": (p / n) ** 2,
+        "whole_cell": p == n,
+        "remaining": remaining,
+    }
+
+
+def oracle_rectangles(ns, ps, through_stage):
+    """Each stage's squares around the centres (pitch/2 + col*pitch, pitch/2 + row*pitch), row-major."""
+    rects = []
+    for i in range(1, through_stage + 1):
+        one = oracle_stage(ns, ps, i)
+        pitch, radius, half = one["pitch"], one["radius"], one["pitch"] / 2
+        for row in range(one["cells_per_axis"]):
+            for col in range(one["cells_per_axis"]):
+                cx, cy = half + col * pitch, half + row * pitch
+                rects.append((cx - radius, cx + radius, cy - radius, cy + radius))
+    return rects
+
+
+@st.composite
+def lattice_lists(draw):
+    """Odd nondecreasing N in 3..11 with rational p in [1, N], then perhaps one fault."""
+    ns = sorted(draw(st.lists(st.sampled_from([3, 5, 7, 9, 11]), min_size=1, max_size=6)))
+    ps = []
+    for n in ns:
+        q = draw(st.integers(1, 4))
+        ps.append(F(draw(st.integers(q, n * q)), q))
+    fault = draw(st.sampled_from(["none", "none", "even-N", "p-past-N", "decreasing-N"]))
+    at = draw(st.integers(0, len(ns) - 1))
+    if fault == "even-N":
+        ns[at] += draw(st.sampled_from([-1, 1]))
+    elif fault == "p-past-N":
+        ps[at] = ns[at] + F(1, draw(st.integers(1, 4)))
+    elif fault == "decreasing-N" and at > 0:
+        ns[at - 1] = ns[at] + 2
+    return ns, ps, draw(st.integers(1, 6))  # k past len(ns) reads a stage the lists lack
+
+
+RECTANGLE_BUDGET = 3000  # squares the oracle comparison builds per example
+
+
+@given(lattice_lists())
+@settings(max_examples=150, deadline=None)
+def test_the_walk_matches_a_stage_by_stage_oracle(case):
+    ns, ps, k = case
+    params = explicit_dore_maleva_params(ns, ps)
+    expected, error = [], None
+    for i in range(1, k + 1):
+        error = oracle_error(ns, ps, i)
+        if error is not None:
+            break
+        expected.append(oracle_stage(ns, ps, i))
+    walk = dore_maleva_stages(params)
+    assert [asdict(next(walk)) for _ in expected] == expected
+    if error is not None:
+        for refused in (lambda: next(walk), lambda: dore_maleva_measure(params, k)):
+            with pytest.raises(ValueError) as raised:
+                refused()
+            assert str(raised.value) == error
+    built = sum(1 for total in accumulate(one["cells_per_axis"] ** 2 for one in expected) if total <= RECTANGLE_BUDGET)
+    assert dore_maleva_rectangles(params, built) == oracle_rectangles(ns, ps, built)
+    if error is not None and built == len(expected):  # no stage before the fault meets the cap
+        with pytest.raises(ValueError) as raised:
+            dore_maleva_rectangles(params, k)
+        assert str(raised.value) == error
+
+
+def test_rectangles_for_no_stages_are_empty_and_validate_nothing():
+    params = explicit_dore_maleva_params([4], [9])
+    assert dore_maleva_rectangles(params, 0) == []
+    assert dore_maleva_rectangles(params, -3) == []
+    assert dore_maleva_measure(params, 0) == 1
+    with pytest.raises(ValueError, match="^stage count must be >= 0$"):
+        dore_maleva_measure(params, -1)

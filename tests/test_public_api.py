@@ -11,6 +11,9 @@ its own definition by the same readers, or by its own module.  A method
 counts as read where any of them reads an attribute of its name.
 
 The allowlist names the exceptions, each with its reason.
+
+No module reads a `_`-prefixed name of another module of the package: what
+one module needs from another is public there, and dunders are exempt.
 """
 
 import ast
@@ -21,7 +24,6 @@ PACKAGE = ROOT / "src" / "slopelab"
 READERS = (ROOT / "perfbench" / "jobs.py", ROOT / "tests" / "test_acceptance.py")
 ALLOWED = {
     "derivatives.replay": "test oracle that re-evaluates probe witnesses (ROADMAP aim 3)",
-    "nullsets.dore_maleva_measure_by_sweep": "test oracle for the lattice measures (ROADMAP aim 3)",
     "cubes.DyadicCube.contains_point": "membership test of the grid oracle brute_grid_measure",
 }
 
@@ -227,3 +229,25 @@ def test_the_allowlist_names_only_public_definitions_without_a_reader():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     targets = tracer_targets(ROOT / "perfbench" / "tracer.py")
     assert sorted(ALLOWED) == unread_definitions(modules, list(READERS), targets, allowed={})
+
+
+def private_reads(modules: list[Path]) -> list[str]:
+    """reader: M.x for each `_`-prefixed, non-dunder x that a module reads from another module M."""
+    return sorted(
+        f"{path.stem}: {module}.{name}"
+        for path in modules
+        for module, name in module_reads(path)
+        if module != path.stem and name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_the_check_finds_a_private_name_read_across_modules(tmp_path):
+    (tmp_path / "a.py").write_text("def _helper(): pass\ndef _own(): _helper()\n__all__ = []\n")
+    (tmp_path / "b.py").write_text("from .a import _helper, __all__\n")
+    (tmp_path / "c.py").write_text("from . import a as m\ndef call():\n    m._own()\n    m.__name__\n")
+    modules = [tmp_path / "a.py", tmp_path / "b.py", tmp_path / "c.py"]
+    assert private_reads(modules) == ["b: a._helper", "c: a._own"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads(sorted(PACKAGE.glob("*.py"))) == []
