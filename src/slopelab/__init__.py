@@ -14,7 +14,7 @@ from .bits import (
     interleave,
     pattern_bits,
 )
-from .cubes import DyadicCube, cube_union_contains, union_measure, unit_cube
+from .cubes import CubeFamily, DyadicCube, cube_union_contains, union_measure, unit_cube
 from .derivatives import (
     CONSISTENT,
     VIOLATED,

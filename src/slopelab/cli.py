@@ -228,9 +228,11 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
     if stages < 0:
         raise ConfigError("stages must be >= 0")
     table = []
+    walked: list[ns.LatticeStage] = []  # validated once, and read again by the geometry
     failures: list[str] = []
     previous = 1  # the measure before stage 1
     for i, stage in enumerate(islice(ns.dore_maleva_stages(params), stages), start=1):
+        walked.append(stage)
         if stage.remaining >= previous:
             failures.append(f"remaining measure fails to decrease at stage {i}")
         previous = stage.remaining
@@ -255,7 +257,7 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
     geometry_stages = min(stages, geometry_stages)
     if typed(config, "geometry", bool, True) and stages >= 1:
         try:  # the table has validated every stage, so only the rectangle cap is left to refuse
-            rectangles = ns.dore_maleva_rectangles(params, geometry_stages)
+            rectangles = ns.lattice_rectangles(walked[:geometry_stages])
         except ValueError as exc:
             raise ConfigError(f"config key 'geometry_stages' is {geometry_stages}, but {exc}") from exc
         geometry = [{"x0": r[0], "x1": r[1], "y0": r[2], "y1": r[3]} for r in rectangles]

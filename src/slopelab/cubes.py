@@ -4,7 +4,8 @@ A cube is the open box prod_i (c_i * 2**-s, (c_i + 1) * 2**-s).  Measure and
 coverage computations use half-open grid semantics, under which two basic
 dyadic cubes are nested or disjoint; this agrees with the open reading up to
 null boundaries.  A finite union is therefore the disjoint union of its
-maximal cubes (the hyperoctree view of a cube family), and its measure is an
+maximal cubes, which a CubeFamily keeps by scale and corner (the hyperoctree
+view of a cube family): containment is a key lookup, and the measure is an
 integer count of finest-scale cells over one power of two.  Nothing is
 refined, so neither the number of cubes nor the gap between their scales is
 capped.
@@ -81,78 +82,134 @@ def unit_cube(dimension: int) -> DyadicCube:
     return DyadicCube(dimension, 0, (0,) * dimension)
 
 
-def maximal_cubes(cubes: Iterable[DyadicCube]) -> list[DyadicCube]:
-    """The cubes not inside another cube of the family, each once, by scale.
+class CubeFamily:
+    """Disjoint basic dyadic cubes of one dimension, keyed by scale and then by corner.
 
-    Cubes are nested or disjoint, so the result is pairwise disjoint and has
-    the family's union.  A cube is dropped when an ancestor or an equal cube
-    is already kept; ancestors are looked up by (scale, corner >> shift) key
-    at the scales kept so far.
+    Each member carries an item, the cube itself unless one is given.  Two
+    basic dyadic cubes are nested or disjoint, so a query cube meets either
+    the one member that contains it, found by one lookup of the key
+    corner >> shift per kept scale no finer than the query, or only members
+    inside it, found in an index of the finer members' keys at the query's
+    scale.  The index is built on the first query at a scale and kept up to
+    date as members are added.
     """
-    kept: set[tuple[int, tuple[int, ...]]] = set()
-    kept_scales: list[int] = []
-    result: list[DyadicCube] = []
-    for cube in sorted(cubes, key=lambda c: c.scale):
+
+    def __init__(self) -> None:
+        self.dimension: int | None = None  # set by the first member
+        self._members: dict[int, dict[tuple[int, ...], object]] = {}  # scale -> corner -> item
+        # query scale -> key there -> (scale, corner) of each finer member under it
+        self._inside: dict[int, dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]] = {}
+
+    @classmethod
+    def maximal(cls, cubes: Iterable[DyadicCube]) -> "CubeFamily":
+        """The cubes not inside another cube of the family, each once.
+
+        A cube is dropped when an ancestor or an equal cube is already kept,
+        so the members are pairwise disjoint and have the family's union.
+        """
+        cubes = sorted(cubes, key=lambda c: c.scale)
+        dims = {c.dimension for c in cubes}
+        if len(dims) > 1:
+            raise ValueError(f"mixed dimensions in cube union: {sorted(dims)}")
+        family = cls()
+        for cube in cubes:
+            if family.ancestor(cube) is None:
+                family.add(cube)
+        return family
+
+    def __len__(self) -> int:
+        return sum(len(members) for members in self._members.values())
+
+    def add(self, cube: DyadicCube, item: object = None) -> None:
+        """Keep cube, which must be disjoint from every member, with its item."""
+        if self.dimension is None:
+            self.dimension = cube.dimension
+        elif cube.dimension != self.dimension:
+            raise ValueError(f"mixed dimensions in cube union: {sorted({self.dimension, cube.dimension})}")
         scale, corner = cube.scale, cube.corner
-        if any(
-            (s, tuple(c >> (scale - s) for c in corner)) in kept for s in kept_scales
-        ):
-            continue
-        if not kept_scales or kept_scales[-1] != scale:
-            kept_scales.append(scale)
-        kept.add((scale, corner))
-        result.append(cube)
-    return result
+        self._members.setdefault(scale, {})[corner] = cube if item is None else item
+        for at, index in self._inside.items():
+            if at < scale:
+                index.setdefault(tuple(c >> (scale - at) for c in corner), []).append((scale, corner))
 
+    def ancestor(self, cube: DyadicCube) -> object | None:
+        """The item of the member that contains cube (or equals it), if any."""
+        scale, corner = cube.scale, cube.corner
+        for at, members in self._members.items():
+            if at <= scale:
+                item = members.get(tuple([c >> (scale - at) for c in corner]))
+                if item is not None:
+                    return item
+        return None
 
-def _cells_at(cubes: Sequence[DyadicCube], scale: int) -> int:
-    """Number of scale-`scale` grid cells in disjoint cubes no finer than it."""
-    return sum(1 << ((scale - c.scale) * c.dimension) for c in cubes)
+    def _below(self, cube: DyadicCube) -> list[tuple[int, tuple[int, ...]]]:
+        """(scale, corner) of each member strictly inside cube."""
+        at = cube.scale
+        index = self._inside.get(at)
+        if index is None:
+            index = self._inside[at] = {}
+            for scale, members in self._members.items():
+                if scale > at:
+                    for corner in members:
+                        index.setdefault(tuple(c >> (scale - at) for c in corner), []).append((scale, corner))
+        return index.get(cube.corner, [])
+
+    def overlapping(self, cube: DyadicCube) -> list:
+        """The items of the members that meet cube: the one containing it, or else those inside it."""
+        item = self.ancestor(cube)
+        if item is not None:
+            return [item]
+        return [self._members[scale][corner] for scale, corner in self._below(cube)]
+
+    def contains(self, cube: DyadicCube) -> bool:
+        """Whether the union covers cube: a member contains it, or the members inside fill its volume."""
+        if self.ancestor(cube) is not None:
+            return True
+        inside = self._below(cube)
+        if not inside:
+            return False
+        finest = max(scale for scale, _ in inside)
+        cells = sum(1 << ((finest - scale) * cube.dimension) for scale, _ in inside)
+        return cells == 1 << ((finest - cube.scale) * cube.dimension)
+
+    def subtract(self, cube: DyadicCube) -> list[DyadicCube]:
+        """Maximal dyadic subcubes of cube disjoint from every member, in child order."""
+        if self.ancestor(cube) is not None:
+            return []
+        if not self._below(cube):
+            return [cube]
+        return [piece for child in cube.children() for piece in self.subtract(child)]
+
+    def measure(self) -> Fraction:
+        """Exact measure of the union: a count of finest-scale cells over one power of two."""
+        if not self._members:
+            return Fraction(0)
+        finest = max(self._members)
+        cells = sum(len(members) << ((finest - scale) * self.dimension) for scale, members in self._members.items())
+        return Fraction(cells, 1 << (finest * self.dimension))
+
+    def locate(self, numerators: Sequence[int], denominator: int) -> object | None:
+        """The item of the member whose half-open box holds the point N / D, if any.
+
+        The key at scale s is the grid corner floor(N_i * 2**s / D).
+        """
+        for scale, members in self._members.items():
+            item = members.get(tuple([(n << scale) // denominator for n in numerators]))
+            if item is not None:
+                return item
+        return None
 
 
 def union_measure(cubes: Iterable[DyadicCube]) -> Fraction:
-    """Exact Lebesgue measure of a finite union, overlaps counted once.
-
-    Sums the volumes of the maximal cubes as a count of finest-scale cells
-    over one power of two.
-    """
-    kept = maximal_cubes(cubes)
-    if not kept:
-        return Fraction(0)
-    dims = {c.dimension for c in kept}
-    if len(dims) > 1:
-        raise ValueError(f"mixed dimensions in cube union: {sorted(dims)}")
-    finest = kept[-1].scale
-    return Fraction(_cells_at(kept, finest), 1 << (finest * dims.pop()))
+    """Exact Lebesgue measure of a finite union, overlaps counted once."""
+    return CubeFamily.maximal(cubes).measure()
 
 
 def cube_union_contains(cubes: Sequence[DyadicCube], target: DyadicCube) -> bool:
-    """Whether the union of cubes covers target (half-open grid semantics).
-
-    Either one cube contains the target, or the cubes inside the target fill
-    its volume.
-    """
-    inside = []
-    for cube in cubes:
-        if cube.contains_cube(target):
-            return True
-        if target.contains_cube(cube):
-            inside.append(cube)
-    kept = maximal_cubes(inside)
-    if not kept:
-        return False
-    finest = kept[-1].scale
-    return _cells_at(kept, finest) == 1 << ((finest - target.scale) * target.dimension)
+    """Whether the union of cubes covers target (half-open grid semantics)."""
+    return CubeFamily.maximal(cubes).contains(target)
 
 
 def subtract_covered(cube: DyadicCube, covering: Sequence[DyadicCube]) -> list[DyadicCube]:
     """Maximal dyadic subcubes of cube disjoint from every covering cube."""
-    overlapping = [c for c in covering if c.intersects(cube)]
-    if not overlapping:
-        return [cube]
-    if any(c.contains_cube(cube) for c in overlapping):
-        return []
-    pieces: list[DyadicCube] = []
-    for child in cube.children():
-        pieces.extend(subtract_covered(child, overlapping))
-    return pieces
+    return CubeFamily.maximal(covering).subtract(cube)

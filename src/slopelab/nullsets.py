@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .cubes import DyadicCube, cube_union_contains, unit_cube
+from .cubes import CubeFamily, DyadicCube, unit_cube
 from .rationals import POW2_MATERIALIZE_CAP, parse_rational
 
 
@@ -49,17 +49,18 @@ def audit_nesting(test: NestedTest, stages: int, budget: int) -> tuple[int, Dyad
     """Check each budget-visible cube of stage m+1 is covered one stage up.
 
     Returns (stage, cube) for the first uncovered cube, or None when the
-    budget-visible parts nest all the way down.
+    budget-visible parts nest all the way down.  Each stage's family is built
+    once, so a cube with a covering ancestor costs one key lookup per scale.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    previous = test.stream_at(0).take(budget)
+    current = test.stream_at(0).take(budget)
     for stage in range(1, stages + 1):
+        previous = CubeFamily.maximal(current)
         current = test.stream_at(stage).take(budget)
         for cube in current:
-            if not cube_union_contains(previous, cube):
+            if not previous.contains(cube):
                 return (stage, cube)
-        previous = current
     return None
 
 
@@ -100,9 +101,13 @@ def concentric_test(point: Sequence[Fraction | str], scale_step: int = 2) -> Nes
 
 
 def explicit_test(stages: Sequence[Sequence[DyadicCube]]) -> NestedTest:
+    """The given stages, the last repeated; every cube must have one dimension."""
     fixed = [CubeStream(tuple(stage)) for stage in stages]
     if not fixed:
         raise ValueError("an explicit test needs at least one stage")
+    dims = {cube.dimension for stream in fixed for cube in stream.cubes}
+    if len(dims) > 1:
+        raise ValueError(f"an explicit test mixes cube dimensions {sorted(dims)}")
 
     def factory(stage: int) -> CubeStream:
         return fixed[stage] if stage < len(fixed) else fixed[-1]
@@ -252,14 +257,19 @@ def dore_maleva_measure(params: DoreMalevaParams, through_stage: int) -> Fractio
 RECTANGLE_CAP = 200_000
 
 
-def dore_maleva_rectangles(params: DoreMalevaParams, through_stage: int) -> list[Rect]:
-    """The squares removed at stages 1..k, stage by stage; none for k <= 0."""
+def lattice_rectangles(stages: Iterable[LatticeStage]) -> list[Rect]:
+    """The squares of stages 1, 2, ... given in order, refused past RECTANGLE_CAP in all."""
     rects: list[Rect] = []
-    for i, stage in enumerate(islice(dore_maleva_stages(params), max(through_stage, 0)), start=1):
+    for i, stage in enumerate(stages, start=1):
         if len(rects) + stage.cells_per_axis ** 2 > RECTANGLE_CAP:
             raise ValueError(f"stage {i} would exceed the rectangle cap {RECTANGLE_CAP}")
         rects.extend(stage.rectangles())
     return rects
+
+
+def dore_maleva_rectangles(params: DoreMalevaParams, through_stage: int) -> list[Rect]:
+    """The squares removed at stages 1..k, stage by stage; none for k <= 0."""
+    return lattice_rectangles(islice(dore_maleva_stages(params), max(through_stage, 0)))
 
 
 HALF_MEASURE_STAGE_LIMIT = 64

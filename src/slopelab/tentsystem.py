@@ -18,15 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .cubes import (
-    DyadicCube,
-    cube_union_contains,
-    maximal_cubes,
-    subtract_covered,
-    union_measure,
-)
+from .cubes import CubeFamily, DyadicCube, union_measure
 from .functions import ComputableFunction, modulus_audit
 from .nullsets import NestedTest
 from .rationals import (
@@ -135,12 +129,15 @@ class Partition:
 
     def __post_init__(self) -> None:
         # not fields, so bundles do not render them: verify_properties' report
-        # once it has passed, and per stage source scale -> {source corner -> block}
+        # once it has passed, and per stage the family of sources, each
+        # carrying its block
         self._report: dict | None = None
-        self._keyed: list[dict[int, dict[tuple[int, ...], Block]]] = [{} for _ in self.stages]
-        for keyed, stage in zip(self._keyed, self.stages):
+        self._sources: list[CubeFamily] = []
+        for stage in self.stages:
+            family = CubeFamily()
             for block in stage.blocks:
-                keyed.setdefault(block.source.scale, {})[block.source.corner] = block
+                family.add(block.source, block)
+            self._sources.append(family)
 
     @property
     def stage_count(self) -> int:
@@ -154,26 +151,19 @@ class Partition:
     ) -> tuple[int, DyadicCube] | None:
         """Index and cube of the stage cell whose half-open box holds the point N / D.
 
-        A stage's sources are disjoint, so one lookup per source scale s,
-        keyed by the grid corner floor(N_i * 2**s / D), finds the block.
+        A stage's sources are disjoint, so its source family finds the block
+        with one lookup per source scale (CubeFamily.locate).
         """
-        for scale, blocks in self._keyed[stage].items():
-            block = blocks.get(tuple((n << scale) // denominator for n in numerators))
-            if block is not None:
-                corner = tuple((n << block.cell_scale) // denominator for n in numerators)
-                shift = block.cell_scale - scale
-                mask = (1 << shift) - 1
-                local = 0
-                for c in corner:  # the inverse of Block.corner
-                    local = (local << shift) | c & mask
-                return block.start_index + local, DyadicCube(self.dimension, block.cell_scale, corner)
-        return None
-
-    def visible_cells(self, stage: int, per_block: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """(index, cell scale, corner) of the first per_block cells of each block of a stage."""
-        for block in self.blocks_at(stage):
-            for local in range(min(per_block, block.count)):
-                yield block.start_index + local, block.cell_scale, block.corner(local)
+        block = self._sources[stage].locate(numerators, denominator)
+        if block is None:
+            return None
+        corner = tuple((n << block.cell_scale) // denominator for n in numerators)
+        shift = block.cell_scale - block.source.scale
+        mask = (1 << shift) - 1
+        local = 0
+        for c in corner:  # the inverse of Block.corner
+            local = (local << shift) | c & mask
+        return block.start_index + local, DyadicCube(self.dimension, block.cell_scale, corner)
 
     def first_cell_scale(self, stage: int) -> int:
         blocks = self.blocks_at(stage)
@@ -201,7 +191,7 @@ class Partition:
             if not entry["covers_enumeration"]:
                 raise PartitionError(f"stage {m}: cells do not tile the visible stage")
             # a source inside another one, or equal to it, is not maximal
-            if len(maximal_cubes(stage.sources)) < len(stage.sources):
+            if len(CubeFamily.maximal(stage.sources)) < len(stage.sources):
                 raise PartitionError(f"stage {m}: overlapping sources")
             scales = [b.cell_scale for b in stage.blocks]
             entry["volumes_nonincreasing"] = all(
@@ -210,10 +200,12 @@ class Partition:
             if not entry["volumes_nonincreasing"]:
                 raise PartitionError(f"stage {m}: cell volumes increase along the index")
             if m > 0:
-                parents = self.stages[m - 1].blocks
+                # stage m - 1 passed its overlapping-sources check, so its
+                # source family holds disjoint cubes, as lookups assume
+                parents = self._sources[m - 1]
                 for block in stage.blocks:
-                    relevant = [p for p in parents if p.source.intersects(block.source)]
-                    if not cube_union_contains([p.source for p in relevant], block.source):
+                    relevant = parents.overlapping(block.source)
+                    if not parents.contains(block.source):
                         raise PartitionError(f"stage {m}: block escapes the previous stage")
                     for p in relevant:
                         if block.cell_scale < 3 * m + p.cell_scale:
@@ -246,6 +238,7 @@ def build_partition(test: NestedTest, depth: int, budget: int) -> Partition:
         raise ValueError("depth must be >= 0 and budget >= 1")
     dimension: int | None = None
     stages: list[StageData] = []
+    parents = CubeFamily()  # the previous stage's sources, each carrying its block
     for m in range(depth + 1):
         stream = test.stream_at(m)
         raw = stream.take(budget)
@@ -254,30 +247,29 @@ def build_partition(test: NestedTest, depth: int, budget: int) -> Partition:
             dimension = raw[0].dimension
         blocks: list[Block] = []
         sources: list[DyadicCube] = []
+        family = CubeFamily()  # this stage's sources so far
         next_index = 1
         last_scale: int | None = None
         for cube in raw:
-            for piece in subtract_covered(cube, sources):
+            for piece in family.subtract(cube):
                 if m == 0:
                     delta_scale = piece.scale
                 else:
-                    parents = [
-                        b for b in stages[m - 1].blocks if b.source.intersects(piece)
-                    ]
-                    if not parents or not cube_union_contains(
-                        [b.source for b in parents], piece
-                    ):
+                    covering = parents.overlapping(piece)
+                    if not parents.contains(piece):
                         raise BuildBudgetError(m, piece)
-                    delta_scale = max(piece.scale, max(b.cell_scale for b in parents))
+                    delta_scale = max(piece.scale, max(b.cell_scale for b in covering))
                 cell_scale = 3 * m + delta_scale
                 if last_scale is not None:
                     cell_scale = max(cell_scale, last_scale)
                 block = Block(next_index, piece, cell_scale, delta_scale)
                 blocks.append(block)
                 sources.append(piece)
+                family.add(piece, block)
                 next_index += block.count
                 last_scale = cell_scale
         stages.append(StageData(blocks=blocks, sources=sources, raw=raw, exhausted=exhausted))
+        parents = family
     if dimension is None:
         raise ValueError("the test enumerated no cubes at all")
     partition = Partition(dimension=dimension, stages=stages)
@@ -623,34 +615,40 @@ class TentSystem:
     def _exclusion_sweep(self, per_block: int) -> list[tuple[dict[int, Fraction], int, int, Fraction]]:
         """Per stage m: each axis's union of visible corner intervals past m, the cells past m, and the bound.
 
-        The cells past m are counted twice: all visible ones, and those too
-        thin to materialize.  The closed-form bound sums 2**-(i+j) * side over
-        the cells past m by blocks, clamping unrepresentably small terms
-        upward, plus the analytic 16**-i envelope of the stages beyond the
-        build.  Built once per per_block and kept with the system, so each
-        stage's blocks are read once.  Spans are integer numerators over 2**e,
-        for e the finest materialized eps exponent, bound terms over the
-        finest term's power of two, and both are summed from the deepest up.
+        The cells past m are counted twice: all visible ones, in closed form
+        as the sum of min(per_block, count) over the blocks, and those too
+        thin to materialize.  Ramp exponents grow with the cell index, so the
+        materializable cells of a block are its first
+        CAP - i - cell_scale - start_index locals, and only their corners are
+        built.  The closed-form bound sums 2**-(i+j) * side over the cells
+        past m by blocks, clamping unrepresentably small terms upward, plus
+        the analytic 16**-i envelope of the stages beyond the build.  Built
+        once per per_block and kept with the system, so each stage's blocks
+        are read once.  Spans are integer numerators over 2**e, for e the
+        finest materialized eps exponent, bound terms over the finest term's
+        power of two, and both are summed from the deepest up.
         """
         if per_block not in self._swept:
+            cap = POW2_MATERIALIZE_CAP
             later = range(1, self.depth + 1)
-            stages = [
-                [(scale, ramp_exponent(i, index, scale), corner)
-                 for index, scale, corner in self.partition.visible_cells(i, per_block)]
-                for i in later
+            visible = [[min(per_block, b.count) for b in self.partition.blocks_at(i)] for i in later]
+            thick = [
+                [(b.cell_scale, ramp_exponent(i, b.start_index + local, b.cell_scale), b.corner(local))
+                 for b, count in zip(self.partition.blocks_at(i), counts)
+                 for local in range(min(count, cap - i - b.cell_scale - b.start_index))]
+                for i, counts in zip(later, visible)
             ]
             terms = [
-                [min(i + b.cell_scale + b.start_index - 1, POW2_MATERIALIZE_CAP) for b in self.partition.blocks_at(i)]
+                [min(i + b.cell_scale + b.start_index - 1, cap) for b in self.partition.blocks_at(i)]
                 for i in later
             ]
-            thick = [[c for c in cells if c[1] <= POW2_MATERIALIZE_CAP] for cells in stages]
             finest = max((eps for cells in thick for _, eps, _ in cells), default=0)
             finest_term = max((e for exponents in terms for e in exponents), default=0)
             tail = Fraction(16) ** (-(self.depth + 1)) * Fraction(16, 15)
             merged: dict[int, list[tuple[int, int]]] = {axis: [] for axis in range(1, self.dimension)}
             past = [({axis: Fraction(0) for axis in merged}, 0, 0, tail)]  # past the deepest stage
             summed = 0
-            for cells, materialized, exponents in zip(reversed(stages), reversed(thick), reversed(terms)):
+            for counts, materialized, exponents in zip(reversed(visible), reversed(thick), reversed(terms)):
                 for axis, spans in merged.items():
                     for scale, eps, corner in materialized:
                         lo = corner[axis] << (finest - scale)
@@ -661,7 +659,8 @@ class TentSystem:
                 summed += sum(1 << (finest_term - e) for e in exponents)
                 _, seen, clamped, _ = past[-1]
                 bound = Fraction(summed, 1 << finest_term) + tail
-                past.append((unions, seen + len(cells), clamped + len(cells) - len(materialized), bound))
+                cells = sum(counts)
+                past.append((unions, seen + cells, clamped + cells - len(materialized), bound))
             self._swept[per_block] = past[::-1]
         return self._swept[per_block]
 

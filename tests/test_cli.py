@@ -447,6 +447,21 @@ def test_tent_system_command_rejects_broken_nesting(tmp_path, capsys):
     assert "nesting audit failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("placement", ["stage 0", "stage 1"])
+def test_tent_system_refuses_a_test_that_mixes_dimensions(tmp_path, capsys, placement):
+    # one reason wherever the one-dimensional cube sits: the test is refused as read
+    line = {"dim": 1, "scale": 1, "corner": [0]}
+    square = {"dim": 2, "scale": 1, "corner": [0, 0]}
+    stages = [[square, line], [square]] if placement == "stage 0" else [[square], [line]]
+    config = write_config(
+        tmp_path, "tent.json", {"test": {"kind": "explicit", "stages": stages}, "depth": 1, "budget": 4}
+    )
+    out = tmp_path / "r.json"
+    assert main(["tent-system", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: an explicit test mixes cube dimensions [1, 2]\n")
+    assert not out.exists()
+
+
 def test_dore_maleva_command(tmp_path):
     config = write_config(tmp_path, "dm.json", {"stages": 3})
     out = tmp_path / "dm.out.json"
@@ -507,8 +522,11 @@ def test_dore_maleva_negative_geometry_stages_exit_2(tmp_path, capsys, geometry)
     assert json.loads(out.read_text())["geometry"] == []
 
 
-@pytest.mark.parametrize("stages", [0, 1, 5])
-def test_dore_maleva_validates_each_stage_once(tmp_path, monkeypatch, stages):
+@pytest.mark.parametrize(
+    "stages, geometry_stages", [(0, None), (1, None), (5, None), (5, 3)], ids=["0", "1", "5", "5-geometry-3"]
+)
+def test_dore_maleva_validates_each_stage_once(tmp_path, monkeypatch, stages, geometry_stages):
+    # the geometry reads the stages the table has already walked
     from slopelab import nullsets, serialize
 
     validated = []
@@ -521,11 +539,17 @@ def test_dore_maleva_validates_each_stage_once(tmp_path, monkeypatch, stages):
     params = nullsets.default_dore_maleva_params()
     counting = Counting(params.n_at, params.p_at, params.p_raw_at)
     monkeypatch.setattr(serialize, "dore_maleva_params_from_descriptor", lambda _desc: counting)
-    config = write_config(tmp_path, "dm.json", {"stages": stages, "geometry": False})
+    payload = {"stages": stages, "geometry": False}
+    if geometry_stages is not None:
+        payload = {"stages": stages, "geometry_stages": geometry_stages}
+    config = write_config(tmp_path, "dm.json", payload)
     out = tmp_path / "dm.out.json"
     assert main(["dore-maleva", "--config", config, "--out", str(out)]) == 0
     assert validated == list(range(1, stages + 1))
-    assert len(json.loads(out.read_text())["table"]) == stages
+    report = json.loads(out.read_text())
+    assert len(report["table"]) == stages
+    if geometry_stages is not None:
+        assert len(report["geometry"]) == 1 + 9 + 81  # the squares of stages 1 to 3
 
 
 def test_tent_descriptor_loads():

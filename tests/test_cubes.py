@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopelab.cubes import (
+    CubeFamily,
     DyadicCube,
     cube_union_contains,
-    maximal_cubes,
     subtract_covered,
     union_measure,
     unit_cube,
@@ -33,6 +33,58 @@ def brute_grid_measure(cubes, common_scale):
         if any(cube.contains_point(center) for cube in cubes):
             count += 1
     return count * pow2(-common_scale * dim)
+
+
+# ---------------------------------------------------------------------------
+# The scan functions CubeFamily replaced, kept as oracles of its key lookups
+
+
+def scan_maximal_cubes(cubes):
+    """The cubes not inside another cube of the family, each once, by scale."""
+    kept = []
+    for cube in sorted(cubes, key=lambda c: c.scale):
+        if not any(k.contains_cube(cube) for k in kept):
+            kept.append(cube)
+    return kept
+
+
+def scan_cells_at(cubes, scale):
+    return sum(1 << ((scale - c.scale) * c.dimension) for c in cubes)
+
+
+def scan_union_contains(cubes, target):
+    """One cube contains the target, or the cubes inside it fill its volume."""
+    inside = []
+    for cube in cubes:
+        if cube.contains_cube(target):
+            return True
+        if target.contains_cube(cube):
+            inside.append(cube)
+    kept = scan_maximal_cubes(inside)
+    if not kept:
+        return False
+    finest = kept[-1].scale
+    return scan_cells_at(kept, finest) == 1 << ((finest - target.scale) * target.dimension)
+
+
+def scan_subtract_covered(cube, covering):
+    overlapping = [c for c in covering if c.intersects(cube)]
+    if not overlapping:
+        return [cube]
+    if any(c.contains_cube(cube) for c in overlapping):
+        return []
+    pieces = []
+    for child in cube.children():
+        pieces.extend(scan_subtract_covered(child, overlapping))
+    return pieces
+
+
+def scan_locate(cubes, numerators, denominator):
+    """The cube whose half-open box holds N / D, by testing every cube."""
+    for cube in cubes:
+        if all(c * denominator <= n << cube.scale < (c + 1) * denominator for c, n in zip(cube.corner, numerators)):
+            return cube
+    return None
 
 
 small_cubes = st.builds(
@@ -173,7 +225,7 @@ def mixed_scale_family(draw, dim):
 def test_mixed_scale_union_matches_brute_grid(dim, data):
     target, family = data.draw(mixed_scale_family(dim))
     common = max(c.scale for c in family + [target])
-    kept = maximal_cubes(family)
+    kept = scan_maximal_cubes(family)
     assert all(not a.intersects(b) for i, a in enumerate(kept) for b in kept[i + 1 :])
     measure = brute_grid_measure(family, common)
     assert union_measure(family) == measure
@@ -211,3 +263,48 @@ def test_subtract_covered_splits_to_disjoint_pieces():
     assert all(not p.intersects(corner) for p in pieces)
     assert subtract_covered(corner, [whole]) == []
     assert subtract_covered(corner, []) == [corner]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_the_family_answers_as_the_scans_and_the_grid_do(dim, data):
+    target, cubes = data.draw(mixed_scale_family(dim))
+    family = CubeFamily.maximal(cubes)
+    kept = scan_maximal_cubes(cubes)
+    # the same members: each kept cube is its own ancestor, and no more are held
+    assert len(family) == len(kept)
+    assert all(family.ancestor(cube) == cube for cube in kept)
+    assert sorted(family.overlapping(target)) == sorted(c for c in kept if c.intersects(target))
+    common = max(c.scale for c in cubes + [target])
+    measure = brute_grid_measure(cubes, common)
+    assert family.measure() == measure
+    covered = brute_grid_measure(cubes + [target], common) == measure
+    assert family.contains(target) == scan_union_contains(cubes, target) == covered
+    assert family.subtract(target) == scan_subtract_covered(target, cubes)
+    # points: a cell centre at the finest scale, and a random rational
+    denominator = 1 << (common + 1)
+    centre = [2 * data.draw(st.integers(0, (1 << common) - 1)) + 1 for _ in range(dim)]
+    denominator_q = data.draw(st.integers(1, 40))
+    point = [data.draw(st.integers(0, denominator_q - 1)) for _ in range(dim)]
+    for numerators, d in ((centre, denominator), (point, denominator_q)):
+        assert family.locate(numerators, d) == scan_locate(kept, numerators, d)
+
+
+def test_members_carry_their_items_and_the_family_one_dimension():
+    family = CubeFamily()
+    coarse, fine = DyadicCube(2, 1, (0, 0)), DyadicCube(2, 3, (7, 7))
+    family.add(coarse, "coarse")
+    family.add(fine)
+    assert family.overlapping(DyadicCube(2, 2, (1, 0))) == ["coarse"]
+    assert family.overlapping(DyadicCube(2, 1, (1, 1))) == [fine]
+    assert family.overlapping(DyadicCube(2, 1, (1, 0))) == []
+    assert family.locate((1, 1), 4) == "coarse"
+    # a member added after a query at a coarser scale is found by its index
+    later = DyadicCube(2, 2, (2, 2))
+    family.add(later)
+    assert sorted(family.overlapping(DyadicCube(2, 1, (1, 1)))) == [later, fine]
+    with pytest.raises(ValueError, match=r"mixed dimensions in cube union: \[1, 2\]"):
+        family.add(unit_cube(1))
+    with pytest.raises(ValueError, match=r"mixed dimensions in cube union: \[1, 2\]"):
+        CubeFamily.maximal([unit_cube(2), unit_cube(1)])

@@ -122,6 +122,41 @@ def test_audit_nesting_catches_swapped_stages():
 # Lattice construction
 
 
+def test_audit_nesting_builds_each_stage_family_once_and_looks_up_by_key(monkeypatch):
+    from slopelab.cubes import CubeFamily
+
+    built = []
+    maximal = CubeFamily.maximal.__func__
+
+    def counted(cls, cubes):
+        cubes = list(cubes)
+        built.append(cubes)
+        return maximal(cls, cubes)
+
+    compared = []
+    contains_cube = DyadicCube.contains_cube
+    monkeypatch.setattr(CubeFamily, "maximal", classmethod(counted))
+    monkeypatch.setattr(
+        DyadicCube, "contains_cube", lambda self, other: compared.append(self) or contains_cube(self, other)
+    )
+    # every stage-m cube lies inside one stage-(m - 1) cube, so each query finds an ancestor
+    stages = [
+        [unit_cube(2), DyadicCube(2, 1, (0, 0))],
+        [DyadicCube(2, 2, (c, 1)) for c in range(4)],
+        [DyadicCube(2, 9, (c << 7, 172)) for c in range(4)],
+        [DyadicCube(2, 9, (0, 172))],
+    ]
+    test = explicit_test(stages)
+    assert audit_nesting(test, 3, 4) is None
+    assert built == stages[:3]
+    assert compared == []
+    # a cube covered only by the finer cubes inside it is found by key too
+    built.clear()
+    filled = explicit_test([list(DyadicCube(2, 1, (0, 0)).children()), [DyadicCube(2, 1, (0, 0))]])
+    assert audit_nesting(filled, 1, 4) is None
+    assert len(built) == 1 and compared == []
+
+
 def test_default_params_staircase_and_clamp():
     params = default_dore_maleva_params()
     assert [params.n_at(i) for i in range(1, 10)] == [3, 3, 3, 5, 5, 5, 5, 5, 7]

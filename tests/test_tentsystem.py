@@ -15,6 +15,7 @@ from slopelab.serialize import bundle
 from slopelab.tentsystem import (
     Block,
     BuildBudgetError,
+    ExclusionReport,
     InsufficientDepthError,
     Partition,
     PartitionError,
@@ -583,6 +584,16 @@ CLAMPED_STAGES = [
 ]
 
 
+# the stage-1 blocks are the scale-21 cube and then the pieces of the scale-17
+# cube around it, in child order, with cells of scale 24; they start at
+# 1 + 64 * k for k = 0, 1, 65, ..., 254, 255, so the last one starts at 16321:
+# its first 38 tents materialize and its next 26 are too thin
+STRADDLING_STAGES = [
+    [unit_cube(2)],
+    [DyadicCube(2, 21, ((1 << 21) - 1,) * 2), DyadicCube(2, 17, ((1 << 17) - 1,) * 2)],
+]
+
+
 @pytest.fixture(scope="module")
 def clamped_system():
     return build_tent_system(explicit_test(CLAMPED_STAGES), depth=2, cutoff=0, budget=2)
@@ -608,6 +619,97 @@ def test_exclusion_sums_match_fraction_oracle(toy_system5, toy_system8, clamped_
     assert report.visible_slack == slack
     assert report.interval_count == count
     assert report.closed_form_bound == bound
+
+
+def all_cells_sweep(system, per_block):
+    """Oracle: the exclusion sweep that builds every visible cell, thin ones included.
+
+    Per stage m: each axis's union of the materializable corner intervals
+    past m, the visible cells past m, those too thin to materialize, and the
+    closed-form bound.
+    """
+    later = range(1, system.depth + 1)
+    stages = [
+        [
+            (b.cell_scale, ramp_exponent(i, b.start_index + local, b.cell_scale), b.corner(local))
+            for b in system.partition.blocks_at(i)
+            for local in range(min(per_block, b.count))
+        ]
+        for i in later
+    ]
+    terms = [
+        [min(i + b.cell_scale + b.start_index - 1, POW2_MATERIALIZE_CAP) for b in system.partition.blocks_at(i)]
+        for i in later
+    ]
+    thick = [[c for c in cells if c[1] <= POW2_MATERIALIZE_CAP] for cells in stages]
+    finest = max((eps for cells in thick for _, eps, _ in cells), default=0)
+    finest_term = max((e for exponents in terms for e in exponents), default=0)
+    tail = Fraction(16) ** (-(system.depth + 1)) * Fraction(16, 15)
+    spans = {axis: [] for axis in range(1, system.dimension)}
+    past = [({axis: Fraction(0) for axis in spans}, 0, 0, tail)]
+    summed = 0
+    for cells, materialized, exponents in zip(reversed(stages), reversed(thick), reversed(terms)):
+        for axis in spans:
+            for scale, eps, corner in materialized:
+                lo = corner[axis] << (finest - scale)
+                hi = lo + (1 << (finest - scale))
+                width = 1 << (finest - eps)
+                spans[axis] += [(lo, lo + width), (hi - width, hi)]
+        unions = {
+            axis: fraction_union_length([(Fraction(lo, 1 << finest), Fraction(hi, 1 << finest)) for lo, hi in found])
+            for axis, found in spans.items()
+        }
+        summed += sum(1 << (finest_term - e) for e in exponents)
+        _, seen, clamped, _ = past[-1]
+        past.append((unions, seen + len(cells), clamped + len(cells) - len(materialized), Fraction(summed, 1 << finest_term) + tail))
+    return past[::-1]
+
+
+@st.composite
+def nested_explicit_stages(draw):
+    """A nested explicit test in dimension 2 or 3: each stage's cubes lie in the previous stage's visible cubes.
+
+    Cubes may repeat or contain one another inside a stage, and the deeper
+    stages of three-dimensional tests start their blocks past the
+    materialization cap.
+    """
+    dim = draw(st.integers(2, 3))
+    budget = draw(st.integers(1, 3))
+
+    def subcube(parent):
+        extra = draw(st.integers(0, 2))
+        corner = tuple((c << extra) + draw(st.integers(0, (1 << extra) - 1)) for c in parent.corner)
+        return DyadicCube(dim, parent.scale + extra, corner)
+
+    stages = [[subcube(unit_cube(dim)) for _ in range(draw(st.integers(1, 3)))]]
+    for _ in range(draw(st.integers(1, 2))):
+        visible = stages[-1][:budget]
+        stages.append([subcube(draw(st.sampled_from(visible))) for _ in range(draw(st.integers(1, 3)))])
+    return stages, budget
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_exclusion_report_matches_the_all_cells_sweep(data):
+    stages, budget = data.draw(
+        st.one_of(nested_explicit_stages(), st.sampled_from([(CLAMPED_STAGES, 2), (STRADDLING_STAGES, 2)]))
+    )
+    system = build_tent_system(explicit_test(stages), depth=len(stages) - 1, cutoff=0, budget=budget)
+    per_blocks = st.one_of(st.integers(1, 40), st.sampled_from([37, 38, 39, 64]))
+    for per_block in data.draw(st.lists(per_blocks, min_size=1, max_size=3)):
+        sweep = all_cells_sweep(system, per_block)
+        for stage in range(system.depth + 2):
+            for axis in range(1, system.dimension):
+                unions, seen, clamped, bound = sweep[min(stage, system.depth)]
+                assert system.exclusion_visible(stage, axis, per_block) == ExclusionReport(
+                    stage=stage,
+                    axis=axis,
+                    visible_union=unions[axis],
+                    visible_slack=2 * clamped * pow2(-POW2_MATERIALIZE_CAP),
+                    interval_count=2 * seen,
+                    closed_form_bound=bound,
+                    analytic_bound=pow2(-3 * stage),
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -811,41 +913,52 @@ def test_oscillation_check_locates_the_target_once_per_stage(toy_system5, monkey
 
 
 def test_the_exclusion_sweep_builds_each_visible_tent_once(toy_test, monkeypatch):
-    # the sweep reads each visible cell once per system and per_block, through
-    # Partition.visible_cells, and builds no tent at all
+    # the sweep builds the corner of each materializable visible cell once per
+    # system and per_block, never the corner of a cell too thin to
+    # materialize, and no tent at all
     import slopelab.tentsystem as module
 
     built = []
+    thin = []
     monkeypatch.setattr(module, "tent_for", lambda *args: built.append(args))
     for system in (
         build_tent_system(toy_test, depth=5, cutoff=0, budget=4),
+        build_tent_system(explicit_test(STRADDLING_STAGES), depth=1, cutoff=0, budget=2),
         build_tent_system(explicit_test(CLAMPED_STAGES), depth=2, cutoff=0, budget=2),
     ):
-        calls = []
-        read = system.partition.visible_cells
+        stage_of = {id(block): i for i in range(system.depth + 1) for block in system.partition.blocks_at(i)}
+        corners = []
+        corner = Block.corner
 
-        def counted(stage, per_block):
-            for index, scale, corner in read(stage, per_block):
-                calls.append((stage, index))
-                yield index, scale, corner
+        def counted(block, local):
+            corners.append((stage_of[id(block)], block.start_index + local))
+            return corner(block, local)
 
-        monkeypatch.setattr(system.partition, "visible_cells", counted)
+        monkeypatch.setattr(Block, "corner", counted)
 
-        def visible(per_block):
+        def visible(per_block, thin):
             return [
-                (i, block.start_index + local)
+                (i, index)
                 for i in range(1, system.depth + 1)
                 for block in system.partition.blocks_at(i)
-                for local in range(min(per_block, block.count))
+                for index in range(block.start_index, block.start_index + min(per_block, block.count))
+                if (ramp_exponent(i, index, block.cell_scale) > POW2_MATERIALIZE_CAP) == thin
             ]
 
-        # a per_block already swept reads no cell again
-        for per_block, read_now in ((16, visible(16)), (3, visible(3)), (16, []), (3, [])):
-            calls.clear()
+        # a per_block already swept builds no corner again
+        for per_block, built_now in (
+            (16, visible(16, False)), (3, visible(3, False)), (40, visible(40, False)), (16, []), (3, []), (40, [])
+        ):
+            corners.clear()
             for m in range(system.depth + 1):  # the CLI's sweep
                 for axis in range(1, system.dimension):
                     system.exclusion_visible(m, axis, per_block)
-            assert sorted(calls) == read_now
+            assert sorted(corners) == built_now
+        monkeypatch.setattr(Block, "corner", corner)
+        thin.append(len(visible(40, True)))
+    # the straddling block has 2 of its first 40 cells past the cap, and the
+    # clamped system's second stage-2 block all 40
+    assert thin == [0, 2, 40]
     assert built == []
 
 
