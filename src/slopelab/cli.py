@@ -50,6 +50,13 @@ def _write_out(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _check_points(raws: list, points: list, dimension: int) -> None:
+    """Refuse a point unless it has dimension coordinates, each in [0, 1]."""
+    for raw, point in zip(raws, points):
+        if len(point) != dimension or not in_unit_cube(point):
+            raise ConfigError(f"point {raw!r} must have {dimension} coordinates, each in [0, 1]")
+
+
 # ---------------------------------------------------------------------------
 # probe
 
@@ -58,9 +65,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     f = sz.function_from_descriptor(require(config, "function"))
     points = [sz.parse_point(p) for p in typed(config, "points", list)]
-    for raw, point in zip(config["points"], points):
-        if len(point) != f.dimension or not in_unit_cube(point):
-            raise ConfigError(f"point {raw!r} must have {f.dimension} coordinates, each in [0, 1]")
+    _check_points(config["points"], points, f.dimension)
     depth = typed(config, "depth", int, 6)
     oscillation = config.get("oscillation_threshold")
     separation = config.get("separation_threshold")
@@ -164,6 +169,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
         sys.stderr.write(f"nesting audit failed at stage {audit[0]}: {audit[1].to_json()}\n")
         return 1
     system = ts.build_tent_system(test, depth, cutoff, budget)
+    _check_points(config.get("points", []), points, system.dimension)
     failures: list[str] = []
     report: dict = {
         "command": "tent-system",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cubes import CubeFamily, DyadicCube, union_measure
+from .cubes import CubeFamily, DyadicCube
 from .functions import ComputableFunction, modulus_audit
 from .nullsets import NestedTest
 from .rationals import (
@@ -106,18 +106,14 @@ class Block:
 @dataclass(eq=False)
 class StageData:
     blocks: list[Block]
-    sources: list[DyadicCube]
+    # a field, so bundles render it, but read off the blocks, so it cannot
+    # disagree with them
+    sources: list[DyadicCube] = field(init=False)
     raw: list[DyadicCube]
     exhausted: bool
 
-
-def _cells_volume(blocks: Sequence[Block], dimension: int) -> Fraction:
-    """Total volume of the blocks' cells, as a count of finest cells over one power of two."""
-    if not blocks:
-        return Fraction(0)
-    finest = max(b.cell_scale for b in blocks)
-    cells = sum(b.count << ((finest - b.cell_scale) * dimension) for b in blocks)
-    return Fraction(cells, 1 << (finest * dimension))
+    def __post_init__(self) -> None:
+        self.sources = [b.source for b in self.blocks]
 
 
 @dataclass(eq=False)
@@ -128,16 +124,10 @@ class Partition:
     stages: list[StageData]
 
     def __post_init__(self) -> None:
-        # not fields, so bundles do not render them: verify_properties' report
-        # once it has passed, and per stage the family of sources, each
-        # carrying its block
+        # a partition exists only verified; its report and per stage the
+        # family of sources, each carrying its block, stay off the bundle
         self._report: dict | None = None
-        self._sources: list[CubeFamily] = []
-        for stage in self.stages:
-            family = CubeFamily()
-            for block in stage.blocks:
-                family.add(block.source, block)
-            self._sources.append(family)
+        self.verify_properties()
 
     @property
     def stage_count(self) -> int:
@@ -174,25 +164,30 @@ class Partition:
     def verify_properties(self) -> dict:
         """Exact checks of the four partition properties; raises on failure.
 
-        The side-for-side reading of the fourth property (cell side <= 8**-m
+        A stage covers its enumeration when its sources are disjoint and have
+        the raw cubes' union as a set (a block's cells tile its source).  The
+        side-for-side reading of the fourth property (cell side <= 8**-m
         times the source side) is enforced; its literal mixed-units reading
         (side against source volume) is reported, not enforced.  The checks
-        run once per partition: a later call returns the same report.
+        run when the partition is made: a later call returns the same report.
         """
         if self._report is not None:
             return self._report
         report: dict = {"stages": []}
+        self._sources: list[CubeFamily] = []
         for m, stage in enumerate(self.stages):
             entry = {"stage": m}
-            union_raw = union_measure(stage.raw)
-            union_sources = union_measure(stage.sources)
-            cells_volume = _cells_volume(stage.blocks, self.dimension)
-            entry["covers_enumeration"] = union_raw == union_sources == cells_volume
+            sources = CubeFamily()
+            for block in stage.blocks:
+                if sources.overlapping(block.source):
+                    raise PartitionError(f"stage {m}: overlapping sources")
+                sources.add(block.source, block)
+            raw = CubeFamily.maximal(stage.raw)
+            entry["covers_enumeration"] = sources.measure() == raw.measure() and all(
+                raw.contains(block.source) for block in stage.blocks
+            )
             if not entry["covers_enumeration"]:
                 raise PartitionError(f"stage {m}: cells do not tile the visible stage")
-            # a source inside another one, or equal to it, is not maximal
-            if len(CubeFamily.maximal(stage.sources)) < len(stage.sources):
-                raise PartitionError(f"stage {m}: overlapping sources")
             scales = [b.cell_scale for b in stage.blocks]
             entry["volumes_nonincreasing"] = all(
                 s1 <= s2 for s1, s2 in zip(scales, scales[1:])
@@ -200,8 +195,6 @@ class Partition:
             if not entry["volumes_nonincreasing"]:
                 raise PartitionError(f"stage {m}: cell volumes increase along the index")
             if m > 0:
-                # stage m - 1 passed its overlapping-sources check, so its
-                # source family holds disjoint cubes, as lookups assume
                 parents = self._sources[m - 1]
                 for block in stage.blocks:
                     relevant = parents.overlapping(block.source)
@@ -222,6 +215,7 @@ class Partition:
                 for b in stage.blocks
             )
             report["stages"].append(entry)
+            self._sources.append(sources)
         self._report = report
         return report
 
@@ -246,7 +240,6 @@ def build_partition(test: NestedTest, depth: int, budget: int) -> Partition:
         if dimension is None and raw:
             dimension = raw[0].dimension
         blocks: list[Block] = []
-        sources: list[DyadicCube] = []
         family = CubeFamily()  # this stage's sources so far
         next_index = 1
         last_scale: int | None = None
@@ -264,17 +257,14 @@ def build_partition(test: NestedTest, depth: int, budget: int) -> Partition:
                     cell_scale = max(cell_scale, last_scale)
                 block = Block(next_index, piece, cell_scale, delta_scale)
                 blocks.append(block)
-                sources.append(piece)
                 family.add(piece, block)
                 next_index += block.count
                 last_scale = cell_scale
-        stages.append(StageData(blocks=blocks, sources=sources, raw=raw, exhausted=exhausted))
+        stages.append(StageData(blocks=blocks, raw=raw, exhausted=exhausted))
         parents = family
     if dimension is None:
         raise ValueError("the test enumerated no cubes at all")
-    partition = Partition(dimension=dimension, stages=stages)
-    partition.verify_properties()
-    return partition
+    return Partition(dimension=dimension, stages=stages)
 
 
 # ---------------------------------------------------------------------------

@@ -162,10 +162,11 @@ def test_probe_command_usage_errors(tmp_path, capsys):
     [
         ({"points": [["1/3"]]}, "point ['1/3'] must have 2 coordinates, each in [0, 1]"),
         ({"points": [["1/3", "2/5"], ["1/3", "3/2"]]}, "point ['1/3', '3/2'] must have 2 coordinates, each in [0, 1]"),
+        ({"points": [["-1/3", "1/3"]]}, "point ['-1/3', '1/3'] must have 2 coordinates, each in [0, 1]"),
         ({"defect": {"u": ["1"], "v": ["0", "1"]}}, "defect u ['1'] must have 2 coordinates"),
         ({"defect": {"u": ["1", "0"], "v": ["0", "1", "0"]}}, "defect v ['0', '1', '0'] must have 2 coordinates"),
     ],
-    ids=["short-point", "point-outside-the-cube", "short-u", "long-v"],
+    ids=["short-point", "point-outside-the-cube", "negative-point", "short-u", "long-v"],
 )
 def test_probe_command_refuses_a_point_or_direction_it_cannot_probe(tmp_path, capsys, change, line):
     config = write_config(
@@ -460,6 +461,20 @@ def test_tent_system_refuses_a_test_that_mixes_dimensions(tmp_path, capsys, plac
     assert main(["tent-system", "--config", config, "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "error: an explicit test mixes cube dimensions [1, 2]\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "point", [["1/3"], ["-1/3", "1/3"], ["1/3", "1/3", "1/3"]], ids=["short", "negative", "long"]
+)
+def test_tent_system_refuses_a_point_off_the_unit_cube_of_its_dimension(tmp_path, capsys, point):
+    # refused as a config error once the build gives the dimension, not as a
+    # failed oscillation check
+    payload = json.loads((CONFIGS / "tent-toy.json").read_text())
+    config = write_config(tmp_path, "tent.json", {**payload, "points": [["1/3", "1/3"], point]})
+    out, bundle = tmp_path / "report.json", tmp_path / "bundle.json"
+    assert main(["tent-system", "--config", config, "--out", str(out), "--bundle", str(bundle)]) == 2
+    assert capsys.readouterr() == ("", f"config error: point {point!r} must have 2 coordinates, each in [0, 1]\n")
+    assert not out.exists() and not bundle.exists()
 
 
 def test_dore_maleva_command(tmp_path):

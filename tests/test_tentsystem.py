@@ -1,13 +1,14 @@
 import math
 import random
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slopelab.cubes import DyadicCube, union_measure, unit_cube
+from slopelab.cubes import CubeFamily, DyadicCube, union_measure, unit_cube
 from slopelab.derivatives import diff_class_b
 from slopelab.nullsets import concentric_test, constant_unit_test, explicit_test
 from slopelab.rationals import POW2_MATERIALIZE_CAP, common_denominator, compare_pow2, pow2, pow2_upper
@@ -128,17 +129,26 @@ def test_partition_past_the_pow2_cap_verifies(toy_test):
 
 
 def test_a_built_partition_runs_its_checks_once(toy_test, monkeypatch):
-    import slopelab.tentsystem as module
+    # each block's source is added to a family twice: once as the build
+    # places it, once as construction verifies its stage; the verified
+    # families are kept, so later checks and lookups add none
+    added = []
+    add = CubeFamily.add
 
-    measured = []
-    union_measure = module.union_measure
-    monkeypatch.setattr(module, "union_measure", lambda cubes: measured.append(1) or union_measure(cubes))
+    def counting_add(self, cube, item=None):
+        if isinstance(item, Block):
+            added.append(item)
+        add(self, cube, item)
+
+    monkeypatch.setattr(CubeFamily, "add", counting_add)
     partition = build_partition(toy_test, 3, 4)
-    checked = len(measured)
-    assert checked == 2 * 4  # raw cubes and sources, per stage, at build
+    blocks = [block for stage in partition.stages for block in stage.blocks]
+    assert Counter(map(id, added)) == {id(block): 2 for block in blocks}
     report = partition.verify_properties()
     assert partition.verify_properties() is report
-    assert len(measured) == checked
+    for stage in range(partition.stage_count):
+        assert partition.locate(stage, *common_denominator(TARGET)) is not None
+    assert len(added) == 2 * len(blocks)
     assert report["stages"][3]["nested_with_ratio"]
 
 
@@ -161,39 +171,66 @@ def test_shuffled_mock_partition_rejected():
     # two blocks at one stage with increasing cell volume violate the order
     big = Block(1, DyadicCube(1, 1, (0,)), 2, 1)
     small = Block(big.count + 1, DyadicCube(1, 1, (1,)), 1, 1)
-    mock = Partition(
-        dimension=1,
-        stages=[
-            StageData(
-                blocks=[big, small],
-                sources=[big.source, small.source],
-                raw=[big.source, small.source],
-                exhausted=True,
-            )
-        ],
-    )
-    with pytest.raises(PartitionError):
-        mock.verify_properties()
+    with pytest.raises(PartitionError, match="stage 0: cell volumes increase"):
+        Partition(
+            dimension=1,
+            stages=[StageData(blocks=[big, small], raw=[big.source, small.source], exhausted=True)],
+        )
 
 
 def test_overlapping_sources_rejected():
-    # the sources agree with the raw cubes and the cells in measure, but the
-    # second source lies inside the first
-    whole = DyadicCube(2, 1, (0, 0))
-    inner = DyadicCube(2, 3, (1, 2))
-    mock = Partition(
-        dimension=2,
-        stages=[
-            StageData(
-                blocks=[Block(1, whole, 1, 1)],
-                sources=[whole, inner],
-                raw=[whole],
-                exhausted=True,
-            )
-        ],
-    )
+    # the second block's source lies inside the first one's
+    whole = Block(1, DyadicCube(2, 1, (0, 0)), 1, 1)
+    inner = Block(2, DyadicCube(2, 3, (1, 2)), 3, 3)
     with pytest.raises(PartitionError, match="stage 0: overlapping sources"):
-        mock.verify_properties()
+        Partition(
+            dimension=2,
+            stages=[StageData(blocks=[whole, inner], raw=[whole.source], exhausted=True)],
+        )
+
+
+def test_a_block_off_its_enumeration_is_rejected():
+    # the block's cells have the raw cube's measure, but lie on the other
+    # half of the unit interval
+    moved = Block(1, DyadicCube(1, 1, (1,)), 1, 1)
+    with pytest.raises(PartitionError, match="stage 0: cells do not tile the visible stage"):
+        Partition(
+            dimension=1,
+            stages=[StageData(blocks=[moved], raw=[DyadicCube(1, 1, (0,))], exhausted=True)],
+        )
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_a_partition_verifies_only_on_its_enumeration(data):
+    # a built partition verifies, and so does the same partition made again
+    # from its stages; moving one block's source to a cube of the same scale
+    # outside its stage's enumeration is refused
+    stages, budget = data.draw(nested_explicit_stages())
+    partition = build_partition(explicit_test(stages), len(stages) - 1, budget)
+    report = partition.verify_properties()
+    assert all(entry["covers_enumeration"] for entry in report["stages"])
+    remade = [StageData(blocks=list(s.blocks), raw=s.raw, exhausted=s.exhausted) for s in partition.stages]
+    assert Partition(dimension=partition.dimension, stages=remade).verify_properties() == report
+    # per block, the pieces of the unit cube off the stage's enumeration that
+    # are no finer than the block's source
+    movable = []
+    for m, stage in enumerate(partition.stages):
+        outside = CubeFamily.maximal(stage.raw).subtract(unit_cube(partition.dimension))
+        for i, block in enumerate(stage.blocks):
+            pieces = [piece for piece in outside if piece.scale <= block.source.scale]
+            if pieces:
+                movable.append((m, i, pieces))
+    assume(movable)
+    m, i, pieces = data.draw(st.sampled_from(movable))
+    piece = data.draw(st.sampled_from(pieces))
+    blocks = list(remade[m].blocks)
+    shift = blocks[i].source.scale - piece.scale
+    corner = tuple((c << shift) + data.draw(st.integers(0, (1 << shift) - 1)) for c in piece.corner)
+    blocks[i] = replace(blocks[i], source=DyadicCube(partition.dimension, piece.scale + shift, corner))
+    remade[m] = StageData(blocks=blocks, raw=remade[m].raw, exhausted=remade[m].exhausted)
+    with pytest.raises(PartitionError, match=f"stage {m}: cells do not tile the visible stage"):
+        Partition(dimension=partition.dimension, stages=remade)
 
 
 # stage 1 mixes a scale-12 cube with a scale-2 cube; stage 2 nests in the
