@@ -33,6 +33,11 @@ class BundleRejected(Exception):
 
 
 def _load_config(path: str) -> dict:
+    """The JSON object in path, refused if it holds NaN, ±Infinity or a number that overflows a float.
+
+    Reports echo their config, and a non-finite number would make them
+    text that strict JSON readers refuse.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -40,6 +45,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must be a JSON object, not {type(config).__name__}")
+    unfinished = [config]
+    while unfinished:
+        value = unfinished.pop()
+        if isinstance(value, dict):
+            unfinished.extend(value.values())
+        elif isinstance(value, list):
+            unfinished.extend(value)
+        elif isinstance(value, float) and value - value != 0:  # nan and inf - inf are nan
+            raise ConfigError(f"config {path} holds a non-finite number {json.dumps(value)!r}")
     return config
 
 
@@ -140,8 +154,9 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     if args.check_bundle:
         if args.seed is not None or args.bundle is not None:
             raise ConfigError("--check-bundle verifies a bundle and takes no --seed or --bundle")
+        bundle = _load_config(args.check_bundle)  # a bundle it cannot read is a config error
         try:
-            sz.check_bundle(_load_config(args.check_bundle))
+            sz.check_bundle(bundle)
         except (
             ValueError, KeyError, TypeError, AttributeError, OverflowError, ts.BuildBudgetError
         ) as exc:

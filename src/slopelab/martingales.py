@@ -206,7 +206,25 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
     """
     if f.dimension != 1:
         raise ValueError("slope martingales read one-variable functions")
-    return box_slope_martingale(f, 0, 0).capital(len(sigma), _index(sigma))
+    ((numerator, denominator),) = _slope_pairs(f, [(len(sigma), _index(sigma))])
+    return Fraction(numerator, denominator)
+
+
+def _slope_pairs(f: ComputableFunction, cells: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The slope of a one-variable f over each interval (length, index), as (numerator, denominator > 0).
+
+    A closed form reads its grid window k = index, index + 1; otherwise f is
+    evaluated at both ends.
+    """
+    grid = f.grid
+    if grid is not None:
+        for length, index in cells:
+            (lo, hi), denominator = grid(length, index, index + 2)
+            yield (hi - lo) << length, denominator
+        return
+    for length, index in cells:
+        width = 1 << length
+        yield ((f.eval((index + 1,), width) - f.eval((index,), width)) * width).as_integer_ratio()
 
 
 def audit_monotone(f: ComputableFunction) -> None:
@@ -229,9 +247,7 @@ def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
     midpoint, which becomes the end that the bit moves.
     """
     if f.grid is not None:
-        for length, index in enumerate(_prefix_indices(bits)):
-            (lo, hi), denominator = f.grid(length, index, index + 2)
-            yield (hi - lo) << length, denominator
+        yield from _slope_pairs(f, enumerate(_prefix_indices(bits)))
         return
     hi, lo = f.eval((1,), 1), f.eval((0,), 1)
     yield (hi - lo).as_integer_ratio()

@@ -10,9 +10,9 @@ coercion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from . import functions as fn
@@ -24,40 +24,121 @@ from .rationals import POW2_MATERIALIZE_CAP, format_integer, format_ratio, forma
 from .tentsystem import ExclusionReport, TentSystem, build_tent_system, tent_for
 
 
-def to_plain(value: Any) -> Any:
-    """Recursively render exact values as JSON-safe plain data.
+def _shallow(value: Any) -> Any:
+    """One non-JSON value as JSON-shaped data, one level deep; anything else unchanged.
 
-    A dataclass renders as the mapping of its fields.  A cell index is a
-    decimal string, since it can outgrow the integers JSON readers hold; a
-    bet run's trajectory renders straight from its integer pairs; and an
-    exclusion report also carries its within_bound verdict.
+    A Fraction is its "p/q" string.  A dataclass is the mapping of its
+    fields, its children left as they are: a cell index is a decimal string,
+    since it can outgrow the integers JSON readers hold; a bet run's
+    trajectory renders straight from its integer pairs; and an exclusion
+    report also carries its within_bound verdict.
     """
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, dict):
-        return {
-            format_rational(k) if isinstance(k, Fraction) else str(k): to_plain(v)
-            for k, v in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [to_plain(v) for v in value]
+    if isinstance(value, (dict, list, tuple)):
+        return value
     if isinstance(value, DyadicCube):
         return value.to_json()
-    if isinstance(value, mg.BetRun):
-        plain = {f.name: to_plain(getattr(value, f.name)) for f in fields(value) if f.name != "trajectory"}
-        return {**plain, "trajectory": [format_ratio(p, q) for p, q in value.trajectory]}
     if is_dataclass(value):
-        plain = {f.name: to_plain(getattr(value, f.name)) for f in fields(value)}
-        if "cell_index" in plain:
-            plain["cell_index"] = format_integer(value.cell_index)
+        shallow = {f.name: getattr(value, f.name) for f in fields(value)}
+        if isinstance(value, mg.BetRun):
+            shallow["trajectory"] = [format_ratio(p, q) for p, q in value.trajectory]
+        if "cell_index" in shallow:
+            shallow["cell_index"] = format_integer(value.cell_index)
         if isinstance(value, ExclusionReport):
-            plain["within_bound"] = value.within_bound
-        return plain
+            shallow["within_bound"] = value.within_bound
+        return shallow
     return value
 
 
+def _key(key: Any) -> str:
+    return format_rational(key) if isinstance(key, Fraction) else str(key)
+
+
+_JSON_ATOMS = {str, int, float, bool, type(None)}
+
+
+def to_plain(value: Any) -> Any:
+    """Recursively render exact values as JSON-safe plain data, by the rules of `_shallow`."""
+    if type(value) in _JSON_ATOMS:  # the bulk of a bet run's leaves
+        return value
+    value = _shallow(value)
+    if isinstance(value, dict):
+        return {_key(k): to_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_plain(v) for v in value]
+    return value
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names for them
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+_ATOMS = {  # exact type -> its JSON text
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    Fraction: lambda value: f'"{format_rational(value)}"',
+}
+
+
+def _render(value: Any, newline: str, out: list[str]) -> None:
+    """Append value's canonical JSON to out; newline is the line break and indent of its depth."""
+    atom = _ATOMS.get(type(value))
+    if atom is not None:
+        out.append(atom(value))
+    elif isinstance(value, (dict, list, tuple)):
+        _render_container(value, newline, out)
+    elif (shallow := _shallow(value)) is not value:
+        _render(shallow, newline, out)
+    else:  # a subclass of a JSON type renders as json renders it
+        base = next((kind for kind in (str, int, float) if isinstance(value, kind)), None)
+        if base is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(_ATOMS[base](value))
+
+
+def _render_container(value: dict | list | tuple, newline: str, out: list[str]) -> None:
+    """A dict by sorted string keys, colliding keys keeping the last value; a list or tuple in order."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        keyed = sorted({k if type(k) is str else _key(k): v for k, v in value.items()}.items())
+        items = [(f"{inner}{encode_basestring_ascii(key)}: ", child) for key, child in keyed]
+    else:
+        opening, closing = "[", "]"
+        items = [(inner, child) for child in value]
+    if not items:
+        out.append(opening + closing)
+        return
+    separator = opening
+    for head, child in items:
+        atom = _ATOMS.get(type(child))
+        if atom is None:
+            out.append(separator + head)
+            _render(child, inner, out)
+        else:
+            out.append(separator + head + atom(child))
+        separator = ","
+    out.append(newline + closing)
+
+
 def canonical_json(payload: Any) -> str:
-    return json.dumps(to_plain(payload), sort_keys=True, indent=2) + "\n"
+    """The report's bytes: exactly json.dumps(to_plain(payload), sort_keys=True, indent=2) plus a newline.
+
+    One pass writes them straight from the exact values, with no plain-data
+    copy of the payload in between.
+    """
+    out: list[str] = []
+    _render(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 class ConfigError(ValueError):

@@ -380,6 +380,49 @@ def test_bad_rational_literals_are_config_errors(tmp_path, capsys, command, payl
     assert capsys.readouterr() == ("", message)
 
 
+NON_FINITE = [("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"), ("1e999", "Infinity"), ("-1e999", "-Infinity")]
+
+
+def with_number(text: str, literal: str) -> str:
+    """The JSON object text with a key holding literal, nested a list and an object deep."""
+    return '{"note": [0.5, {"deep": ' + literal + "}], " + text.lstrip()[1:]
+
+
+@pytest.mark.parametrize("literal, name", NON_FINITE)
+@pytest.mark.parametrize(
+    "command, config", [("probe", "probe-kink"), ("bet", "bet-square"), ("tent-system", "tent-toy"), ("dore-maleva", "dore-maleva-default")]
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, config, literal, name):
+    path = tmp_path / "config.json"
+    path.write_text(with_number((CONFIGS / f"{config}.json").read_text(encoding="utf-8"), literal), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: config {path} holds a non-finite number {name!r}\n")
+
+
+@pytest.mark.parametrize("literal, name", NON_FINITE)
+def test_check_bundle_refuses_non_finite_numbers(tmp_path, capsys, literal, name):
+    config = write_config(tmp_path, "tent.json", {"test": {"kind": "concentric", "point": ["1/3", "1/3"]}, "depth": 2})
+    bundle = tmp_path / "bundle.json"
+    assert main(["tent-system", "--config", config, "--bundle", str(bundle), "--out", str(tmp_path / "report.json")]) == 0
+    bundle.write_text(with_number(bundle.read_text(encoding="utf-8"), literal), encoding="utf-8")
+    assert main(["tent-system", "--check-bundle", str(bundle)]) == 2
+    assert capsys.readouterr() == ("", f"config error: config {bundle} holds a non-finite number {name!r}\n")
+
+
+def test_check_bundle_reports_a_bundle_it_cannot_read_as_a_config_error(tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text("[]", encoding="utf-8")
+    assert main(["tent-system", "--check-bundle", str(bundle)]) == 2
+    assert capsys.readouterr() == ("", f"config error: config {bundle} must be a JSON object, not list\n")
+
+
+def test_finite_floats_in_a_config_are_echoed(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(with_number((CONFIGS / "probe-kink.json").read_text(encoding="utf-8"), "-0.0"), encoding="utf-8")
+    assert main(["probe", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["note"] == [0.5, {"deep": -0.0}]
+
+
 def test_tent_system_command(tmp_path):
     config = write_config(
         tmp_path,

@@ -204,6 +204,24 @@ def test_slope_average_identity_for_arbitrary_pwlinear(seed):
             ) + interval_slope(f, sigma + (1,))
 
 
+@given(st.integers(0, 2**31 - 1), st.lists(st.integers(0, 1), max_size=12).map(tuple))
+@settings(max_examples=60, deadline=None)
+def test_interval_slope_and_the_grid_path_are_box_slope_capitals(seed, bits):
+    # interval_slope and the slope path's grid branch share one n = 1 rule:
+    # a closed form's grid window, or two evaluations when there is none
+    rng = random.Random(seed)
+    center = F(rng.randrange(0, 97), 96)
+    pwlinear = random_monotone_pwlinear(rng)
+    functions = [square_1d(), cube_1d(), pwlinear, abs_distance_1d(center), sum_functions([pwlinear, abs_distance_1d(center)])]
+    assert [f.grid is not None for f in functions] == [True, True, True, False, False]
+    for f in functions:
+        capital = box_slope_martingale(f, 0, 0).capital
+        expected = [capital(length, int("".join(map(str, bits[:length])) or "0", 2)) for length in range(len(bits) + 1)]
+        assert [interval_slope(f, bits[:length]) for length in range(len(bits) + 1)] == expected
+        if f.grid is not None:
+            assert [F(*pair) for pair in slope_martingale(f).path_walk(bits)] == expected
+
+
 # ---------------------------------------------------------------------------
 # The level walk against the node-by-node reference
 
