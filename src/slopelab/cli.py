@@ -53,7 +53,8 @@ def _load_config(path: str) -> dict:
         elif isinstance(value, list):
             unfinished.extend(value)
         elif isinstance(value, float) and value - value != 0:  # nan and inf - inf are nan
-            raise ConfigError(f"config {path} holds a non-finite number {json.dumps(value)!r}")
+            name = sz.canonical_json(value)[:-1]  # json's name for it, as a report would echo it
+            raise ConfigError(f"config {path} holds a non-finite number {name!r}")
     return config
 
 
@@ -175,9 +176,14 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     budget = typed(config, "budget", int, 8)
     pairs = typed(config, "modulus_pairs", int, 50)
     if pairs < 0:  # refused as read: at depth 0 no stage reaches the audit's own check
-        raise ValueError("pairs must be >= 0")
+        raise ConfigError(f"config key 'modulus_pairs' must be >= 0, not {pairs}")
     points = [sz.parse_point(p) for p in typed(config, "points", list, [])]
-    stages = integers(config, "oscillation_stages", list(range(1, depth + 1)))
+    summed = range(cutoff + 1, depth + 1)  # the stages the sum runs over
+    stages = integers(config, "oscillation_stages", list(summed))
+    if not all(m in summed for m in stages):
+        raise ConfigError(
+            f"config key 'oscillation_stages' must list stages in {cutoff + 1}..{depth}, not {stages}"
+        )
     precisions = integers(config, "precisions", [])
     audit = ns.audit_nesting(test, depth, budget)
     if audit is not None:
@@ -247,7 +253,7 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
     params = sz.dore_maleva_params_from_descriptor(config.get("params", {"kind": "default"}))
     stages = typed(config, "stages", int, 3)
     if stages < 0:
-        raise ConfigError("stages must be >= 0")
+        raise ConfigError(f"config key 'stages' must be >= 0, not {stages}")
     table = []
     walked: list[ns.LatticeStage] = []  # validated once, and read again by the geometry
     failures: list[str] = []

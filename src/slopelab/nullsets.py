@@ -14,7 +14,7 @@ from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cubes import CubeFamily, DyadicCube, unit_cube
-from .rationals import POW2_MATERIALIZE_CAP, parse_rational
+from .rationals import POW2_MATERIALIZE_CAP, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def concentric_test(point: Sequence[Fraction | str], scale_step: int = 2) -> Nes
 
     return NestedTest(
         factory,
-        {"kind": "concentric", "point": [str(c) for c in center], "scale_step": scale_step},
+        {"kind": "concentric", "point": [format_rational(c) for c in center], "scale_step": scale_step},
     )
 
 

@@ -15,7 +15,7 @@ from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 # Largest |exponent| for which 2**e is materialized as a Fraction.  Beyond
-# this, callers must go through compare_pow2 / pow2_upper.
+# this, callers compare through floor_log2 / ceil_log2 or bound by pow2_upper.
 POW2_MATERIALIZE_CAP = 1 << 14
 
 Vector = tuple[Fraction, ...]
@@ -137,31 +137,13 @@ def floor_log2(value: Fraction) -> int:
 
 
 def ceil_log2(value: Fraction) -> int:
-    """Smallest e with 2**e >= value (value > 0)."""
-    f = floor_log2(value)
-    return f if compare_pow2(value, f) == 0 else f + 1
+    """Smallest e with 2**e >= value (value > 0): 2**e >= value exactly when 2**-e <= 1/value."""
+    return -floor_log2(Fraction(value.denominator, value.numerator))
 
 
 def int_ceil_log2(k: int) -> int:
     """ceil(log2(k)) for an integer k >= 1."""
     return (k - 1).bit_length()
-
-
-def compare_pow2(value: Fraction, exponent: int) -> int:
-    """sign(value - 2**exponent) without materializing huge powers."""
-    if value <= 0:
-        return -1
-    lg = floor_log2(value)
-    if lg < exponent:
-        return -1
-    if lg > exponent:
-        return 1
-    # 2**lg <= value < 2**(lg+1) and lg == exponent: equality is decidable
-    # with input-sized integers only.
-    num, den = value.numerator, value.denominator
-    if exponent >= 0:
-        return 0 if num == den << exponent else 1
-    return 0 if num << -exponent == den else 1
 
 
 def ceil_sqrt(value: Fraction) -> int:

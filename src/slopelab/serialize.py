@@ -24,14 +24,14 @@ from .rationals import POW2_MATERIALIZE_CAP, format_integer, format_ratio, forma
 from .tentsystem import ExclusionReport, TentSystem, build_tent_system, tent_for
 
 
-def _shallow(value: Any) -> Any:
+def to_plain(value: Any) -> Any:
     """One non-JSON value as JSON-shaped data, one level deep; anything else unchanged.
 
     A Fraction is its "p/q" string.  A dataclass is the mapping of its
-    fields, its children left as they are: a cell index is a decimal string,
-    since it can outgrow the integers JSON readers hold; a bet run's
-    trajectory renders straight from its integer pairs; and an exclusion
-    report also carries its within_bound verdict.
+    fields, its children left exact for canonical_json to render: a cell
+    index is a decimal string, since it can outgrow the integers JSON readers
+    hold; a bet run's trajectory renders straight from its integer pairs; and
+    an exclusion report also carries its within_bound verdict.
     """
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -53,21 +53,6 @@ def _shallow(value: Any) -> Any:
 
 def _key(key: Any) -> str:
     return format_rational(key) if isinstance(key, Fraction) else str(key)
-
-
-_JSON_ATOMS = {str, int, float, bool, type(None)}
-
-
-def to_plain(value: Any) -> Any:
-    """Recursively render exact values as JSON-safe plain data, by the rules of `_shallow`."""
-    if type(value) in _JSON_ATOMS:  # the bulk of a bet run's leaves
-        return value
-    value = _shallow(value)
-    if isinstance(value, dict):
-        return {_key(k): to_plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_plain(v) for v in value]
-    return value
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names for them
@@ -95,7 +80,7 @@ def _render(value: Any, newline: str, out: list[str]) -> None:
         out.append(atom(value))
     elif isinstance(value, (dict, list, tuple)):
         _render_container(value, newline, out)
-    elif (shallow := _shallow(value)) is not value:
+    elif (shallow := to_plain(value)) is not value:
         _render(shallow, newline, out)
     else:  # a subclass of a JSON type renders as json renders it
         base = next((kind for kind in (str, int, float) if isinstance(value, kind)), None)
@@ -130,10 +115,11 @@ def _render_container(value: dict | list | tuple, newline: str, out: list[str]) 
 
 
 def canonical_json(payload: Any) -> str:
-    """The report's bytes: exactly json.dumps(to_plain(payload), sort_keys=True, indent=2) plus a newline.
+    """The report's bytes, in one walk: keys sorted, an indent of 2, a closing newline.
 
-    One pass writes them straight from the exact values, with no plain-data
-    copy of the payload in between.
+    Each value that is not JSON renders by `to_plain`, straight into the
+    output: the bytes json.dumps(sort_keys=True, indent=2) writes for the
+    plain data, with no copy of it built.
     """
     out: list[str] = []
     _render(payload, "\n", out)
@@ -318,7 +304,7 @@ BUNDLE_FORMAT = "tent-system/1"
 
 
 def bundle(system: TentSystem) -> dict:
-    """The persisted system: its parameters, its test descriptor and its partition."""
+    """The persisted system: its parameters, its test descriptor and its partition's exact fields."""
     return {
         "format": BUNDLE_FORMAT,
         "cutoff": system.cutoff,

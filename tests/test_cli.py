@@ -456,7 +456,7 @@ def test_tent_system_refuses_a_negative_modulus_pair_count(tmp_path, capsys):
     config = write_config(tmp_path, "tent.json", {**payload, "modulus_pairs": -3})
     out, bundle = tmp_path / "report.json", tmp_path / "bundle.json"
     assert main(["tent-system", "--config", config, "--out", str(out), "--bundle", str(bundle)]) == 2
-    assert capsys.readouterr() == ("", "error: pairs must be >= 0\n")
+    assert capsys.readouterr() == ("", "config error: config key 'modulus_pairs' must be >= 0, not -3\n")
     assert not out.exists() and not bundle.exists()
 
 
@@ -467,8 +467,38 @@ def test_tent_system_refuses_a_negative_modulus_pair_count_at_depth_0(tmp_path, 
     config = write_config(tmp_path, "tent.json", {**payload, "depth": 0, "modulus_pairs": -3})
     out = tmp_path / "report.json"
     assert main(["tent-system", "--config", config, "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", "error: pairs must be >= 0\n")
+    assert capsys.readouterr() == ("", "config error: config key 'modulus_pairs' must be >= 0, not -3\n")
     assert not out.exists()
+
+
+def test_tent_system_oscillation_stages_default_to_the_summed_stages(tmp_path, capsys):
+    # with cutoff 2 the sum runs over stages 3..5, and only those are checked
+    payload = json.loads((CONFIGS / "tent-toy.json").read_text())
+    del payload["oscillation_stages"]
+    config = write_config(tmp_path, "tent.json", {**payload, "cutoff": 2})
+    out = tmp_path / "report.json"
+    assert main(["tent-system", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    report = json.loads(out.read_text())
+    assert report["failures"] == []
+    assert [check["stage"] for check in report["oscillation"]] == [3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "cutoff, stages, summed",
+    [(0, [9], "1..5"), (0, [0, 3], "1..5"), (2, [2, 3], "3..5"), (5, [5], "6..5")],
+    ids=["past-depth", "stage-0", "at-cutoff", "vacuous"],
+)
+def test_tent_system_refuses_oscillation_stages_outside_the_sum(tmp_path, capsys, cutoff, stages, summed):
+    payload = json.loads((CONFIGS / "tent-toy.json").read_text())
+    config = write_config(tmp_path, "tent.json", {**payload, "cutoff": cutoff, "oscillation_stages": stages})
+    out, bundle = tmp_path / "report.json", tmp_path / "bundle.json"
+    assert main(["tent-system", "--config", config, "--out", str(out), "--bundle", str(bundle)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"config error: config key 'oscillation_stages' must list stages in {summed}, not {stages}\n",
+    )
+    assert not out.exists() and not bundle.exists()
 
 
 def test_tent_system_command_rejects_broken_nesting(tmp_path, capsys):
@@ -566,6 +596,14 @@ def test_dore_maleva_explicit_params_shorter_than_stages_exit_2(tmp_path, capsys
     assert capsys.readouterr().err == "error: explicit params stop at stage 1\n"
     exact = write_config(tmp_path, "exact.json", {"params": params, "stages": 1, "geometry": False})
     assert main(["dore-maleva", "--config", exact, "--out", str(out)]) == 0
+
+
+def test_dore_maleva_negative_stages_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path, "dm.json", {"stages": -1})
+    out = tmp_path / "dm.out.json"
+    assert main(["dore-maleva", "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "config error: config key 'stages' must be >= 0, not -1\n")
 
 
 @pytest.mark.parametrize("geometry", [True, False])

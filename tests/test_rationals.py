@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from slopelab.rationals import (
     ceil_log2,
     ceil_sqrt,
-    compare_pow2,
     floor_log2,
     format_rational,
     is_dyadic,
@@ -80,19 +79,24 @@ def test_floor_log2_brackets_value(x):
     assert pow2(e) <= x < pow2(e + 1)
 
 
-def test_compare_pow2_matches_materialized():
-    for num in (1, 3, 7, 100):
-        for den in (1, 3, 8, 97):
-            x = Fraction(num, den)
-            for e in range(-12, 13):
-                assert compare_pow2(x, e) == (x > pow2(e)) - (x < pow2(e))
+@given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6)))
+@example(Fraction(1, 2**12))
+@example(Fraction(2**12))
+@example(Fraction(2**12 + 1, 2**12))
+@settings(max_examples=60, deadline=None)
+def test_ceil_log2_brackets_value(x):
+    e = ceil_log2(x)
+    assert pow2(e - 1) < x <= pow2(e)
 
 
-def test_compare_pow2_handles_huge_exponents():
-    # 2**(2**80) can never be materialized; the comparison still decides.
-    assert compare_pow2(Fraction(1, 3), -(2**80)) == 1
-    assert compare_pow2(Fraction(10**9), 2**80) == -1
-    assert compare_pow2(Fraction(1, 2**100), -(2**80)) == 1
+def test_ceil_log2_decides_at_huge_values():
+    # past the materialization cap, floor_log2 and ceil_log2 still decide
+    assert ceil_log2(Fraction(1, 2**100)) == -100
+    assert ceil_log2(Fraction(1, 2**100 - 1)) == -99
+    assert ceil_log2(Fraction(2**100 + 1)) == 101
+    big = 3 ** (2**14)  # 2**e is never materialized for exponents this far past the cap
+    assert ceil_log2(Fraction(big)) == big.bit_length()
+    assert ceil_log2(Fraction(1, big)) == 1 - big.bit_length()
 
 
 def test_pow2_guards_and_upper_bound():

@@ -1,7 +1,8 @@
 """canonical_json writes the bytes of the plain-data rule it replaced.
 
-The oracle is that rule: render the payload as plain data with `to_plain`,
-then let json.dumps write it with sorted keys and an indent of 2.
+The oracle is that rule: render the payload as plain data by applying the
+one-level `to_plain` at every depth, then let json.dumps write it with sorted
+keys and an indent of 2.  It lives here only, as the oracle of the one walk.
 """
 
 import json
@@ -15,14 +16,29 @@ from hypothesis import strategies as st
 from slopelab.cubes import DyadicCube
 from slopelab.derivatives import ProbeVerdict
 from slopelab.martingales import BetRun
-from slopelab.serialize import canonical_json, to_plain
-from slopelab.tentsystem import ExclusionReport, OscillationReport
+from slopelab.nullsets import concentric_test, explicit_test
+from slopelab.rationals import format_rational
+from slopelab.serialize import bundle, canonical_json, to_plain
+from slopelab.tentsystem import Block, ExclusionReport, OscillationReport, StageData, build_tent_system
 
 F = Fraction
 
 
+def plain(value):
+    """The payload as JSON data: to_plain at every depth, Fraction keys as "p/q", other keys by str().
+
+    JSON atoms come back from to_plain as they are.
+    """
+    value = to_plain(value)
+    if isinstance(value, dict):
+        return {format_rational(k) if isinstance(k, Fraction) else str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
 def oracle(payload) -> str:
-    return json.dumps(to_plain(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(plain(payload), sort_keys=True, indent=2) + "\n"
 
 
 class Pair(NamedTuple):
@@ -47,6 +63,11 @@ cubes = st.integers(1, 3).flatmap(
     )
 )
 pairs = st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+blocks = cubes.flatmap(
+    lambda cube: st.builds(
+        Block, st.integers(1, 2**70), st.just(cube), st.integers(cube.scale, cube.scale + 4), st.integers(0, 9)
+    )
+)
 
 
 def objects(children):
@@ -73,6 +94,8 @@ def objects(children):
             *[st.booleans()] * 4,
             fractions,
         ),
+        blocks,
+        st.builds(StageData, st.lists(blocks, max_size=2), st.lists(cubes, max_size=2), st.booleans()),
     )
 
 
@@ -111,6 +134,8 @@ def test_canonical_json_matches_the_plain_data_rule(payload):
         {"run": BetRun(((1, 3), (-2, 1)), F(1, 3), F(-2), {F(1, 2): None, F(3): 1})},
         [DyadicCube(2, 1, (1, 0)), Pair(F(-1, 3), -0.0)],
         {True: 1, None: 2, 3: F(7, 5)},
+        bundle(build_tent_system(concentric_test(["1/3", "1/3"], 2), 3, 0, 4)),
+        bundle(build_tent_system(explicit_test([[DyadicCube(1, 0, (0,))], [DyadicCube(1, 2, (1,))]]), 2, 1, 2)),
     ],
 )
 def test_canonical_json_matches_the_plain_data_rule_on_fixed_payloads(payload):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from slopelab.cubes import CubeFamily, DyadicCube, union_measure, unit_cube
 from slopelab.derivatives import diff_class_b
 from slopelab.nullsets import concentric_test, constant_unit_test, explicit_test
-from slopelab.rationals import POW2_MATERIALIZE_CAP, common_denominator, compare_pow2, pow2, pow2_upper
-from slopelab.serialize import bundle
+from slopelab.rationals import POW2_MATERIALIZE_CAP, ceil_log2, common_denominator, floor_log2, pow2, pow2_upper
+from slopelab.serialize import bundle, canonical_json
 from slopelab.tentsystem import (
     Block,
     BuildBudgetError,
@@ -48,7 +49,7 @@ def oracle_value(tent, point):
         near = min(point[axis] - lo, hi - point[axis])
         if near <= 0:
             return Fraction(0)
-        if compare_pow2(near, -tent.eps_exponent) < 0:
+        if floor_log2(near) < -tent.eps_exponent:
             # near < eps: the quotient near / eps needs a real power of 2
             if tent.eps_exponent > POW2_MATERIALIZE_CAP:
                 raise OverflowError("a representable point landed on an unrepresentably thin ramp")
@@ -64,7 +65,7 @@ def oracle_in_exclusion(tent, point):
     for axis in range(1, tent.cell.dimension):
         lo, hi = tent.cell.interval(axis)
         near = min(point[axis] - lo, hi - point[axis])
-        if near <= 0 or compare_pow2(near, -tent.eps_exponent) <= 0:
+        if near <= 0 or ceil_log2(near) <= -tent.eps_exponent:
             return True
     return False
 
@@ -155,7 +156,7 @@ def test_a_built_partition_runs_its_checks_once(toy_test, monkeypatch):
 def test_bundle_keys_are_exactly_the_partition_fields(toy_system5):
     # a bundle renders the dataclass fields of the partition, its stages and
     # their blocks; what a partition keeps beside them must stay off the bytes
-    data = bundle(toy_system5)
+    data = json.loads(canonical_json(bundle(toy_system5)))
     assert set(data) == {"format", "cutoff", "budget", "test", "dimension", "stages"}
     assert {"dimension", "stages"} == {f.name for f in fields(Partition)}
     stage_keys = {"blocks", "sources", "raw", "exhausted"}
