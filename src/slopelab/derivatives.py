@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Mapping, Sequence
 
 from .functions import (
@@ -28,6 +29,7 @@ from .rationals import (
     in_unit_cube,
     norm_sq,
     pow2,
+    pow2_scale,
     unit_axis,
     vadd,
     vscale,
@@ -53,23 +55,23 @@ class ProbeVerdict:
 _Point = tuple[Sequence[int], int]  # integer numerators N over one denominator D: the point N / D
 
 
-def _step_point(x: _Point, v: _Point, h: Fraction) -> _Point | None:
+def _step_point(x: _Point, v: _Point, h: tuple[int, int]) -> _Point | None:
     """x + h*v if it lies in the unit cube, else None: the one step rule.
 
     It is geometry alone, decided in integers before f is evaluated.  With
-    x = N / D, h = p/q and the direction v = r/s, already over one
-    denominator s, the step is (N_i q s + p r_i D) / (D q s), and it lies in
-    the cube iff each of its numerators lies in [0, D q s].  x itself need
-    not lie in the cube.
+    x = N / D, the step h = p/q as the integer pair (p, q), q > 0, and the
+    direction v = r/s over one denominator s, the step is
+    (N_i q s + p r_i D) / (D q s); it lies in the cube iff each numerator
+    lies in [0, D q s].  x itself need not lie in the cube.
     """
-    (numerators, denominator), (r, s) = x, v
-    p, scale = h.numerator, h.denominator * s
+    (numerators, denominator), (r, s), (p, q) = x, v, h
+    scale = q * s
     top = denominator * scale
     point = [n * scale + p * ri * denominator for n, ri in zip(numerators, r, strict=True)]
     return (point, top) if all(0 <= n <= top for n in point) else None
 
 
-def _step_points(x: _Point, v: Sequence[Fraction | int], steps: Sequence[Fraction]) -> list[_Point | None]:
+def _step_points(x: _Point, v: Sequence[Fraction | int], steps: Sequence[tuple[int, int]]) -> list[_Point | None]:
     """x + h*v for each step h that the step rule admits, None for the others.
 
     The quotient probes also need x itself in the unit cube; outside it
@@ -91,7 +93,7 @@ def slope_dir(
     evaluated; f(x) is read once.
     """
     at, v = common_denominator(x), as_vector(v)
-    points = _step_points(at, v, steps)
+    points = _step_points(at, v, [h.as_integer_ratio() for h in steps])
     for h, point in zip(steps, points):
         if h == 0:
             raise ValueError("zero step")
@@ -106,29 +108,29 @@ def _tail_bracket(
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Lowest and highest two-sided slope along axis over the tail of the levels.
 
-    The steps are 2**-k and -2**-k for k in levels, kept when the step rule
-    admits them.  The tail is the levels from len(levels) // 2 on, or the
-    ones before when no tail step is admitted; only its steps are evaluated.
-    Returns the (step, slope) pairs of the first minimum and the first
-    maximum.  The values sit over one denominator D, so the slope at the
-    step h = ±2**-k is ±2**k (N(x + h e) - N(x)) / D and the integer before
-    the D orders the slopes.
+    The steps are (1, 2**k) and (-1, 2**k) for k in levels, kept when the
+    step rule admits them.  The tail is the levels from len(levels) // 2 on,
+    or the ones before when no tail step is admitted; only its steps are
+    evaluated.  Returns the (step, slope) pairs of the first minimum and the
+    first maximum.  The values sit over one denominator D, so the slope at
+    the step h = ±2**-k is ±2**k (N(x + h e) - N(x)) / D and the integer
+    before the D orders the slopes.
     """
     if not levels:
         raise ValueError("depth must reach the first step")
     e = unit_axis(f.dimension, axis)
     half = len(levels) // 2
     for part in (levels[half:], levels[:half]):
-        steps = [sign * pow2(-k) for k in part for sign in (1, -1)]
+        steps = [(sign, pow2_scale(-k)) for k in part for sign in (1, -1)]
         kept = [(h, point) for h, point in zip(steps, _step_points(x, e, steps)) if point is not None]
         if kept:
             break
     else:
         raise ValueError(f"no feasible step along axis {axis}")
     (nx, *numerators), den = common_denominator([f.eval(*x)] + [f.eval(*point) for _, point in kept])
-    keys = [h.numerator * h.denominator * (n - nx) for (h, _), n in zip(kept, numerators)]
+    keys = [sign * q * (n - nx) for ((sign, q), _), n in zip(kept, numerators)]
     lo, hi = (pick(range(len(keys)), key=keys.__getitem__) for pick in (min, max))
-    return (kept[lo][0], Fraction(keys[lo], den)), (kept[hi][0], Fraction(keys[hi], den))
+    return tuple((Fraction(*kept[i][0]), Fraction(keys[i], den)) for i in (lo, hi))
 
 
 def partial_probe(
@@ -185,10 +187,8 @@ def dir_derivative_via_basis(
     (g(z + t e_1) - g(z))/t = (f^(x + t u) - f^(x))/t exactly over the panel,
     where f^ is the clamp extension of f.
     """
-    x = tuple(x)
-    direction = as_vector(u)
-    offset = as_vector(w)
-    transform = isometry_between(unit_axis(f.dimension, 0), direction)
+    x, direction, offset, e1 = tuple(x), as_vector(u), as_vector(w), unit_axis(f.dimension, 0)
+    transform = isometry_between(e1, direction)
     z = transform.apply_inverse(tuple(a - b for a, b in zip(x, offset)))
     if not in_unit_cube(z):
         raise ValueError(f"the offset {offset} pulls the point outside the unit cube")
@@ -198,7 +198,6 @@ def dir_derivative_via_basis(
     if any(t <= 0 for t in panel):
         raise ValueError("panel steps must be positive")
     failures = []
-    e1 = unit_axis(f.dimension, 0)
     gz, fx = g.eval(*common_denominator(z)), f_hat.eval(*common_denominator(x))
     for t in panel:
         lhs = (g.eval(*common_denominator(vadd(z, vscale(t, e1)))) - gz) / t
@@ -219,20 +218,23 @@ def linearity_defect(
 ) -> ProbeVerdict:
     """Minimum of |δ^u + δ^v - δ^{u+v}| over dyadic steps <= max_step.
 
-    A caller threshold q turns the minimum into a finite membership surrogate
-    for the closed set where additivity of slopes fails by at least q.  A
+    A caller threshold t turns the minimum into a finite membership surrogate
+    for the closed set where additivity of slopes fails by at least t.  A
     step counts when the step rule admits it along u, v and u + v; f(x) is
     read once, and the defect at h is |f(x+hu) + f(x+hv) - f(x+h(u+v)) - f(x)| / h.
+    With max_step = p/q, 2**-k is a candidate iff q <= p 2**k; over one
+    denominator D, the defect at 2**-k is 2**k |N_u + N_v - N_uv - N_x| / D.
     """
-    x, at = tuple(x), common_denominator(x)
-    du, dv = as_vector(u), as_vector(v)
-    candidates = [h for h in (pow2(-k) for k in range(1, depth + 1)) if h <= max_step]
+    x, at, du, dv = tuple(x), common_denominator(x), as_vector(u), as_vector(v)
+    p, q = max_step.as_integer_ratio()
+    candidates = [(1, scale) for scale in [pow2_scale(-k) for k in range(1, depth + 1)] if q <= p * scale]
     admitted = [_step_points(at, d, candidates) for d in (du, dv, vadd(du, dv))]
-    steps = [(h, points) for h, *points in zip(candidates, *admitted) if None not in points]
+    steps = [(scale, points) for (_, scale), *points in zip(candidates, *admitted) if None not in points]
     if not steps:
         raise ValueError("empty feasible grid")
-    fx = f.eval(*at)
-    defects = [(h, abs(f.eval(*pu) + f.eval(*pv) - f.eval(*puv) - fx) / h) for h, (pu, pv, puv) in steps]
+    (nx, *numerators), den = common_denominator([f.eval(*at)] + [f.eval(*pt) for _, points in steps for pt in points])
+    grouped = zip(steps, *[iter(numerators)] * 3)  # each step with its N_u, N_v and N_uv
+    defects = [(Fraction(1, scale), Fraction(abs(a + b - c - nx) * scale, den)) for (scale, _), a, b, c in grouped]
     h_min, best = min(defects, key=lambda t: t[1])
     worst = max(d for _, d in defects)
     witness = {
@@ -277,9 +279,7 @@ def diff_class_a(
                     "separation": hi - lo,
                     "threshold": separation,
                 }
-    if worst is not None:
-        return ProbeVerdict("class-a", VIOLATED, depth, worst, tuple(brackets))
-    return ProbeVerdict("class-a", CONSISTENT, depth, None, tuple(brackets))
+    return ProbeVerdict("class-a", CONSISTENT if worst is None else VIOLATED, depth, worst, tuple(brackets))
 
 
 def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fraction) -> Fraction:
@@ -290,11 +290,11 @@ def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fracti
     evaluated.
     """
     at = common_denominator(x)
-    stepped = _step_point(at, common_denominator(h), Fraction(1))
+    stepped = _step_point(at, common_denominator(h), (1, 1))
     if stepped is None:
         raise ValueError(f"step ({', '.join(map(str, h))}) leaves the unit cube")
     axes = (common_denominator(unit_axis(f.dimension, axis)) for axis in range(f.dimension))
-    shifted = [_step_point(at, e, b) for e in axes]
+    shifted = [_step_point(at, e, b.as_integer_ratio()) for e in axes]
     for axis, point in enumerate(shifted):
         if point is None:
             raise ValueError(f"step {b} along axis {axis} leaves the unit cube")
@@ -322,18 +322,16 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
     is the one first_order_remainder states: each x + b e_i lies in the
     cube and x itself need not, because replay rebuilds the row that way.
     """
-    x, at = tuple(x), common_denominator(x)
-    n = f.dimension
+    x, at, n = tuple(x), common_denominator(x), f.dimension
     signs_h = [s for s in product((-1, 0, 1), repeat=n) if any(s)]
     rows = {sigma: [tuple(sigma * (i == axis) for i in range(n)) for axis in range(n)] for sigma in (1, -1)}
     grid = range(1, depth + 3)
-    # every direction is an integer vector: over the denominator 1 as it stands
-    h_feasible = any(_step_point(at, (s, 1), pow2(-k)) for k in grid for s in signs_h)
-    b_feasible = any(all(_step_point(at, (s, 1), pow2(-j)) for s in rows[sigma]) for j in grid for sigma in rows)
-    if not h_feasible or not b_feasible:
+    # every step is the pair (1, 2**k) along an integer direction s, over the denominator 1; a row's
+    # steps are h steps too, so a level that admits a row admits an h
+    if not any(all(_step_point(at, (s, 1), (1, pow2_scale(-j))) for s in row) for j in grid for row in rows.values()):
         raise ValueError("no feasible probe steps at this point")
-    fine = {k: pow2(-k) for k in range(max(1, depth + 1), depth + 3)}
-    steps = {(k, s): _step_point(at, (s, 1), fine[k]) for k in fine for s in signs_h}  # x + 2**-k s, or None
+    fine = {k: pow2_scale(-k) for k in range(max(1, depth + 1), depth + 3)}
+    steps = {(k, s): _step_point(at, (s, 1), (1, fine[k])) for k in fine for s in signs_h}  # x + 2**-k s, or None
     # ||h||**2 = nnz(s) 4**-k < δ**2 = 4**-depth
     h_keys = [(k, s) for (k, s), point in steps.items() if point and sum(map(abs, s)) < 4 ** (k - depth)]
     row_keys = {(j, sigma): [(j, s) for s in rows[sigma]] for j in fine for sigma in rows}  # all below δ
@@ -352,7 +350,7 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
         for j, sigma in row_keys:
             # b = σ 2**-j: the remainder is R / (D 2**k), and it exceeds
             # 2**-e ||h|| exactly when R**2 4**e > D**2 ||s||**2
-            r = abs(delta_h - (sigma * sum(si * g for si, g in zip(s, gammas[j, sigma])) << j))
+            r = abs(delta_h - (sigma * sum(map(mul, s, gammas[j, sigma])) << j))
             e = max(1, ((bound // (r * r)).bit_length() + 1) // 2) if r else depth + 1
             if e <= depth and (failure is None or e < failure[0]):
                 failure = (e, (k, s), (j, sigma), r)
@@ -364,8 +362,8 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
         "point": x,
         "epsilon": pow2(-e),
         "delta": pow2(-depth),
-        "h": tuple(fine[k] * si for si in s),
-        "b": sigma * fine[j],
+        "h": tuple(Fraction(si, fine[k]) for si in s),
+        "b": Fraction(sigma, fine[j]),
         "row": tuple(Fraction(sigma * g << j, den) for g in gammas[j, sigma]),
         "remainder": Fraction(r, den << k),
     }

@@ -104,13 +104,17 @@ def is_dyadic(value: Fraction) -> bool:
     return den & (den - 1) == 0
 
 
-def pow2(exponent: int) -> Fraction:
-    """Exact 2**exponent as a Fraction; refuses absurd materializations."""
+def pow2_scale(exponent: int) -> int:
+    """The integer 2**|exponent| that pow2(exponent) is built from; refuses the same exponents."""
     if abs(exponent) > POW2_MATERIALIZE_CAP:
         raise OverflowError(f"2**{exponent} exceeds the materialization cap")
-    if exponent >= 0:
-        return Fraction(1 << exponent)
-    return Fraction(1, 1 << -exponent)
+    return 1 << abs(exponent)
+
+
+def pow2(exponent: int) -> Fraction:
+    """Exact 2**exponent as a Fraction; refuses absurd materializations."""
+    scale = pow2_scale(exponent)
+    return Fraction(scale) if exponent >= 0 else Fraction(1, scale)
 
 
 def pow2_upper(exponent: int) -> Fraction:
@@ -120,8 +124,6 @@ def pow2_upper(exponent: int) -> Fraction:
     clamped upward to 2**-POW2_MATERIALIZE_CAP, which keeps <=-assertions
     valid while staying representable.
     """
-    if exponent >= 0:
-        return pow2(exponent)
     return pow2(max(exponent, -POW2_MATERIALIZE_CAP))
 
 

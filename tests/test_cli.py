@@ -805,6 +805,15 @@ def test_overflow_in_a_command_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: 2**-40000 exceeds the materialization cap\n"
 
 
+def test_probe_past_the_materialization_cap_exits_2_at_the_first_step_past_it(tmp_path, capsys):
+    # depth 20000 puts the partial probe's tail at levels 10002..20002; the
+    # first step past the cap, 2**-16385, is refused before f is evaluated
+    config = json.loads((CONFIGS / "probe-kink.json").read_text(encoding="utf-8"))
+    path = write_config(tmp_path, "deep.json", {**config, "depth": 20000})
+    assert main(["probe", "--config", path]) == 2
+    assert capsys.readouterr() == ("", "error: 2**-16385 exceeds the materialization cap\n")
+
+
 def test_tent_system_reports_unattainable_precision(tmp_path, capsys):
     config = write_config(
         tmp_path,

@@ -618,8 +618,9 @@ def test_the_integer_step_rule_matches_the_fraction_step(n, data):
     x = tuple(y - h * vi for y, vi in zip(data.draw(st.lists(landings, min_size=n, max_size=n)), v))
     stepped = vadd(x, vscale(h, v))
     at = common_denominator(x)
-    assert as_fractions(_step_point(at, common_denominator(v), h)) == (stepped if in_unit_cube(stepped) else None)
-    admitted = [as_fractions(point) for point in _step_points(at, v, [h])]
+    step = h.as_integer_ratio()
+    assert as_fractions(_step_point(at, common_denominator(v), step)) == (stepped if in_unit_cube(stepped) else None)
+    admitted = [as_fractions(point) for point in _step_points(at, v, [step])]
     assert admitted == [stepped if in_unit_cube(x) and in_unit_cube(stepped) else None]
 
 
@@ -635,7 +636,7 @@ def test_probes_match_the_exception_skipping_oracle(desc, data, depth, oscillati
     new = class_b_outcome(diff_class_a, f, x, depth, separation)
     assert new == class_b_outcome(diff_class_a_oracle, f, x, depth, separation)
     u, v = (tuple(data.draw(st.lists(directions, min_size=n, max_size=n))) for _ in range(2))
-    max_step = data.draw(st.sampled_from([F(1, 64), F(1, 4), F(1, 2), F(1)]))
+    max_step = data.draw(st.sampled_from([F(1, 64), F(3, 16), F(1, 4), F(1, 3), F(1, 2), F(5, 7), F(1), F(0), F(-1, 2)]))
     args = (f, x, u, v, max_step, depth, defect)
     new = class_b_outcome(linearity_defect, *args)
     assert new == class_b_outcome(linearity_defect_oracle, *args)
@@ -676,6 +677,31 @@ def test_defect_reads_f_at_the_point_once():
     assert [h for h, _ in verdict.witness["defects"]] == [pow2(-k) for k in range(2, 7)]
     assert points.count(x) == 1
     assert len(points) == len(set(points)) == 1 + 3 * 5
+
+
+@pytest.mark.parametrize(
+    "depth, partial, class_a, class_b",
+    [(20000, 16385, 16385, 20001), (40000, 20002, 20001, 40001)],
+)
+def test_a_depth_past_the_cap_is_refused_at_its_first_step_past_it_before_f_is_read(depth, partial, class_a, class_b):
+    # each probe refuses the first step past POW2_MATERIALIZE_CAP = 2**14 that
+    # it would build: the partial tail starts at level 2 + (depth + 1) // 2,
+    # class A's at 1 + depth // 2, class B's finest levels at depth + 1, and
+    # the defect candidates at 1
+    f, points = counting(product_xy())
+    x = (F(1, 3), F(7, 8))
+    refusals = [
+        (lambda: partial_probe(f, x, 1, depth), partial),
+        (lambda: diff_class_a(f, x, depth), class_a),
+        (lambda: diff_class_b(f, x, depth), class_b),
+        (lambda: linearity_defect(f, x, [1, 0], [0, 1], F(1, 4), depth=depth), 16385),
+        # no step from outside the cube lands in it, so the feasibility scan reaches the cap
+        (lambda: diff_class_b(f, (F(2), F(1, 2)), depth), 16385),
+    ]
+    for probe, k in refusals:
+        with pytest.raises(OverflowError, match=rf"^2\*\*-{k} exceeds the materialization cap$"):
+            probe()
+    assert points == []
 
 
 def test_an_evaluator_error_inside_the_cube_is_not_an_infeasible_step():

@@ -12,6 +12,7 @@ from slopelab.rationals import (
     is_dyadic,
     parse_rational,
     pow2,
+    pow2_scale,
     pow2_upper,
 )
 
@@ -104,6 +105,17 @@ def test_pow2_guards_and_upper_bound():
         pow2(2**40)
     assert pow2_upper(-(2**40)) > 0
     assert pow2_upper(-3) == Fraction(1, 8)
+    assert pow2_upper(5) == 32 and pow2_upper(-16385) == pow2(-16384)
+
+
+def test_pow2_scale_is_the_integer_of_pow2_and_refuses_the_same_exponents():
+    for e in (-16384, -3, 0, 5, 16384):
+        assert pow2_scale(e) == 1 << abs(e)
+        assert pow2(e) == Fraction(2) ** e
+    for e in (-16385, 16385):
+        for power in (pow2_scale, pow2):
+            with pytest.raises(OverflowError, match=rf"^2\*\*{e} exceeds the materialization cap$"):
+                power(e)
 
 
 def test_ceil_log2():
