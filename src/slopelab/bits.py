@@ -23,10 +23,15 @@ class DyadicCoordinateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BitSource:
-    """Deterministic total map index -> {0, 1}."""
+    """Deterministic total map index -> {0, 1}.
+
+    ``whole(n)``, when given, returns the prefix of length n > 0 in one
+    piece, the bits the per-bit loop of ``prefix`` would read one by one.
+    """
 
     fn: Callable[[int], int]
     label: str = "bits"
+    whole: Callable[[int], Bits] | None = None
 
     def bit(self, index: int) -> int:
         if index < 0:
@@ -37,6 +42,8 @@ class BitSource:
         return value
 
     def prefix(self, length: int) -> Bits:
+        if self.whole is not None and length > 0:
+            return self.whole(length)
         return tuple(self.bit(k) for k in range(length))
 
 
@@ -52,12 +59,19 @@ def pattern_bits(pattern: Sequence[int], repeat: bool = True) -> BitSource:
     if not pat or any(b not in (0, 1) for b in pat):
         raise ValueError("pattern must be a nonempty 0/1 sequence")
     if repeat:
-        return BitSource(lambda k: pat[k % len(pat)], label="pattern")
+        return BitSource(lambda k: pat[k % len(pat)], "pattern", lambda n: (pat * -(-n // len(pat)))[:n])
     return BitSource(lambda k: pat[k] if k < len(pat) else 0, label="pattern")
 
 
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> the bytes 0 and 1
+
+
 def bits_of_fraction(value: Fraction) -> BitSource:
-    """The binary expansion of value in [0, 1]; dyadic values are rejected."""
+    """The binary expansion of value in [0, 1]; dyadic values are rejected.
+
+    Bit k is the last binary digit of floor(value * 2**(k + 1)), so a prefix
+    of length n is the n binary digits of floor(value * 2**n), written once.
+    """
     if not 0 <= value <= 1:
         raise ValueError(f"{value} lies outside [0, 1]")
     if is_dyadic(value):
@@ -67,7 +81,10 @@ def bits_of_fraction(value: Fraction) -> BitSource:
     def bit(k: int) -> int:
         return ((num << (k + 1)) // den) & 1
 
-    return BitSource(bit, label=f"0.{num}/{den}")
+    def whole(n: int) -> Bits:
+        return tuple(format((num << n) // den, f"0{n}b").encode().translate(_DIGIT_BITS))
+
+    return BitSource(bit, label=f"0.{num}/{den}", whole=whole)
 
 
 def fraction_from_bits(bits: Sequence[int]) -> Fraction:
@@ -84,4 +101,11 @@ def interleave(sources: Sequence[BitSource]) -> BitSource:
         raise ValueError("interleave requires at least one source")
     srcs = tuple(sources)
     n = len(srcs)
-    return BitSource(lambda k: srcs[k % n].bit(k // n), label=f"interleave{n}")
+
+    def whole(length: int) -> Bits:
+        bits = [0] * length
+        for j, src in enumerate(srcs):
+            bits[j::n] = src.prefix(len(range(j, length, n)))
+        return tuple(bits)
+
+    return BitSource(lambda k: srcs[k % n].bit(k // n), label=f"interleave{n}", whole=whole)

@@ -75,23 +75,28 @@ def _affine_pieces_grid(
 
     The knots run from 0 to 1.  Over the lcm q of every coefficient's
     denominator, piece j is the integer affine map k |-> a_j * 2**L + s_j * k
-    on the grid k / 2**L, over q * 2**L.
+    on the grid k / 2**L, over q * 2**L.  Each piece's right knot is held as
+    the integers (p, q); a window skips the pieces wholly left of it before
+    shifting anything.
     """
     scale = lcm(*(c.denominator for c in (*intercepts, *slopes)))
     pieces = [
-        (a.numerator * (scale // a.denominator), s.numerator * (scale // s.denominator), end)
+        (a.numerator * (scale // a.denominator), s.numerator * (scale // s.denominator), *end.as_integer_ratio())
         for a, s, end in zip(intercepts, slopes, knots[1:])
     ]
 
     def grid(level: int, start: int, stop: int) -> Grid:
         numerators: list[int] = []
-        for a, s, end in pieces:
-            k = start + len(numerators)
-            if k == stop:
+        k = start
+        for a, s, p, q in pieces:
+            if k >= stop:
                 break
-            last = (end.numerator << level) // end.denominator  # the last k with k / 2**L <= end
-            a <<= level
-            numerators += [a + s * j for j in range(k, min(stop, last + 1))]
+            end = (p << level) // q + 1  # one past the last k with k / 2**L <= p / q
+            if end > k:
+                end = min(end, stop)
+                a <<= level
+                numerators.extend(range(a + s * k, a + s * end, s) if s else [a] * (end - k))
+                k = end
         return numerators, scale << level
 
     return grid

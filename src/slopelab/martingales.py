@@ -162,7 +162,7 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
     """
     parsed = {}
     for key, value in values.items():
-        if any(c not in "01" for c in key):
+        if key.strip("01"):
             raise ValueError(f"table key {key!r} is not a 0/1 string")
         parsed[len(key), int(key or "0", 2)] = parse_rational(value)
     top = max((length for length, _ in parsed), default=0)

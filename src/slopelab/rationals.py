@@ -9,10 +9,10 @@ arithmetic.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Largest |exponent| for which 2**e is materialized as a Fraction.  Beyond
 # this, callers compare through floor_log2 / ceil_log2 or bound by pow2_upper.
@@ -69,6 +69,33 @@ def format_integer(n: int) -> str:
 def format_ratio(numerator: int, denominator: int) -> str:
     """Canonical "p/q" form of a pair in lowest terms with denominator > 0."""
     return f"{format_integer(numerator)}/{format_integer(denominator)}"
+
+
+# Exact integer arithmetic in Decimal: a result that would need rounding raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded])
+
+
+def format_ratios(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """format_ratio of each pair, in order: the one rule that renders a trajectory.
+
+    A trajectory's denominators are mostly powers of two that rise along it,
+    and str() of 2**t costs time quadratic in t.  So a denominator 2**t with t
+    at least the last power rendered this way is read off a running exact
+    Decimal power, multiplied up by 2**(t - t_prev), whose digits are reused
+    while t holds.  Every other denominator goes through format_ratio.  The
+    strings are yielded one at a time, so a caller that wraps each one holds
+    only its own copy.
+    """
+    twos, power, digits = 0, Decimal(1), "1"  # the running power 2**twos and its digits
+    for numerator, denominator in pairs:
+        if denominator & (denominator - 1) == 0 and denominator >> twos:  # 2**t with t >= twos
+            t = denominator.bit_length() - 1
+            if t != twos:
+                power = _EXACT.multiply(power, _EXACT.power(2, t - twos))
+                twos, digits = t, str(power)
+            yield f"{format_integer(numerator)}/{digits}"
+        else:
+            yield format_ratio(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:

@@ -20,7 +20,7 @@ from . import martingales as mg
 from . import nullsets as ns
 from .bits import BitSource, bits_of_fraction, constant_bits, interleave, pattern_bits
 from .cubes import DyadicCube
-from .rationals import POW2_MATERIALIZE_CAP, format_integer, format_ratio, format_rational, parse_rational
+from .rationals import POW2_MATERIALIZE_CAP, format_integer, format_ratios, format_rational, parse_rational
 from .tentsystem import ExclusionReport, TentSystem, build_tent_system, tent_for
 
 
@@ -30,8 +30,9 @@ def to_plain(value: Any) -> Any:
     A Fraction is its "p/q" string.  A dataclass is the mapping of its
     fields, its children left exact for canonical_json to render: a cell
     index is a decimal string, since it can outgrow the integers JSON readers
-    hold; a bet run's trajectory renders straight from its integer pairs; and
-    an exclusion report also carries its within_bound verdict.
+    hold; a bet run's trajectory renders from its integer pairs by
+    format_ratios, as bet_csv renders it; and an exclusion report also
+    carries its within_bound verdict.
     """
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -42,7 +43,7 @@ def to_plain(value: Any) -> Any:
     if is_dataclass(value):
         shallow = {f.name: getattr(value, f.name) for f in fields(value)}
         if isinstance(value, mg.BetRun):
-            shallow["trajectory"] = [format_ratio(p, q) for p, q in value.trajectory]
+            shallow["trajectory"] = list(format_ratios(value.trajectory))
         if "cell_index" in shallow:
             shallow["cell_index"] = format_integer(value.cell_index)
         if isinstance(value, ExclusionReport):
@@ -332,6 +333,6 @@ def check_bundle(data: Mapping) -> None:
 
 
 def bet_csv(run: mg.BetRun) -> str:
-    """One "length,capital" row per prefix of the bet path."""
-    rows = [f"{k},{format_ratio(p, q)}" for k, (p, q) in enumerate(run.trajectory)]
+    """One "length,capital" row per prefix of the bet path, rendered as the JSON trajectory is."""
+    rows = [f"{k},{text}" for k, text in enumerate(format_ratios(run.trajectory))]
     return "\n".join(["length,capital", *rows]) + "\n"

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopelab.bits import (
+    BitSource,
     DyadicCoordinateError,
     bits_of_fraction,
     constant_bits,
@@ -12,7 +13,7 @@ from slopelab.bits import (
     interleave,
     pattern_bits,
 )
-from slopelab.rationals import pow2
+from slopelab.rationals import is_dyadic, pow2
 
 
 def long_division_bits(value: Fraction, count: int) -> list[int]:
@@ -80,3 +81,28 @@ def test_project_inverts_interleave(n, depth):
         for k in range(depth):
             assert merged.bit(n * k + j) == src.bit(k)
 
+
+non_dyadic = st.fractions(0, 1, max_denominator=10**4).filter(lambda x: not is_dyadic(x))
+leaf_sources = st.one_of(
+    st.sampled_from([0, 1]).map(constant_bits),
+    st.builds(pattern_bits, st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9), st.booleans()),
+    non_dyadic.map(bits_of_fraction),
+)
+nested_sources = st.recursive(
+    leaf_sources, lambda parts: st.lists(parts, min_size=1, max_size=4).map(interleave), max_leaves=8
+)
+
+
+@given(nested_sources, st.integers(0, 300))
+@example(interleave([interleave([constant_bits(1), pattern_bits([1, 0, 0], False)]), bits_of_fraction(Fraction(5, 7))]), 0)
+@example(pattern_bits([1, 1, 0], repeat=False), 7)
+@settings(max_examples=150, deadline=None)
+def test_whole_prefixes_match_the_per_bit_loop(source, n):
+    # rational, repeating-pattern and interleave sources write whole prefixes; bit() one index at a time is the oracle
+    assert source.prefix(n) == tuple(source.bit(k) for k in range(n))
+
+
+def test_a_source_without_a_whole_prefix_rule_checks_each_bit():
+    assert BitSource(lambda k: k % 2).prefix(4) == (0, 1, 0, 1)
+    with pytest.raises(ValueError, match="bits: bit 2 evaluated to 2"):
+        BitSource(lambda k: k).prefix(3)

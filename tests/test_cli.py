@@ -287,7 +287,7 @@ def test_bet_command_rejects_a_slope_function_that_decreases_on_the_audit_grid(t
     assert capsys.readouterr() == ("", "martingale rejected: f(1/32) < f(1/64) on the audit grid\n")
 
 
-@pytest.mark.parametrize("key", ["1 ", "x", "012"])
+@pytest.mark.parametrize("key", ["1 ", "x", "012", "0a"])
 def test_bet_command_rejects_table_keys_that_are_not_binary_strings(tmp_path, capsys, key):
     config = write_config(
         tmp_path,

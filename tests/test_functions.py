@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slopelab.functions import (
@@ -555,3 +555,28 @@ def test_a_tent_system_reads_n_over_d_whatever_the_common_factor(toy_system5, da
     )
     f = toy_system5.as_function()
     assert f.eval([k * n for n in numerators], k * denominator) == f.eval(numerators, denominator)
+
+
+
+@st.composite
+def affine_windows(draw):
+    """A piecewise-linear f, a level up to 2100, and a window at a knot, straddling it or anywhere."""
+    inner = draw(st.lists(st.fractions(0, 1, max_denominator=3000), max_size=5, unique=True))
+    xs = [F(0)] + sorted(set(inner) - {0, 1}) + [F(1)]
+    f = piecewise_linear([(x, draw(rationals)) for x in xs])
+    level = draw(st.sampled_from([0, 1, 2, 5, 10, 64, 2048]) | st.integers(0, 2100))
+    top = 1 << level
+    at_knot = st.sampled_from(xs).map(lambda x: x.numerator * top // x.denominator)  # the last k / 2**L <= x
+    start = min(max(draw(at_knot | st.integers(0, top)) + draw(st.integers(-3, 3)), 0), top)
+    return f, level, start, min(start + draw(st.integers(0, 6)), top + 1)
+
+
+@given(affine_windows())
+@example((piecewise_linear([(0, 0), (F(1, 4), F(1, 3)), (F(1, 3), F(1, 2)), (1, 5)]), 2, 0, 5))  # ends on 1/4
+@example((piecewise_linear([(0, 0), (F(1, 3), F(1, 3)), (1, F(-7, 5))]), 2048, (1 << 2048) // 3 - 2, (1 << 2048) // 3 + 4))
+@example((piecewise_linear([(0, 2), (F(1, 7), 2), (1, 2)]), 10, 140, 150))  # flat pieces
+@settings(max_examples=150, deadline=None)
+def test_affine_windows_equal_the_evaluator_at_each_point(window):
+    f, level, start, stop = window
+    numerators, denominator = f.grid(level, start, stop)
+    assert [F(n, denominator) for n in numerators] == [f.eval((k,), 1 << level) for k in range(start, stop)]

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -45,8 +46,8 @@ from slopelab.martingales import (
     slope_martingale,
     table_martingale,
 )
-from slopelab.rationals import common_denominator, format_rational
-from slopelab.serialize import bet_csv, to_plain
+from slopelab.rationals import common_denominator, format_ratio, format_rational
+from slopelab.serialize import bet_csv, canonical_json, to_plain
 
 F = Fraction
 
@@ -153,6 +154,25 @@ def test_bet_run_csv_renders_denominators_past_the_str_digit_limit():
     assert [row.split(",") for row in rows] == [[str(k), entry] for k, entry in enumerate(trajectory)]
     assert trajectory == [format_rational(F(1, 3**10000))] * 4
     assert len(trajectory[0].split("/")[1]) == 4772
+
+
+def test_bet_csv_rows_and_the_json_trajectory_render_the_same_strings():
+    # square's slope over an interval of length 2**-L is (2i + 1) / 2**L, so its twos rise past 2**4096;
+    # an interval that straddles the knot 1/3 has slope 4/7, and the table's 1, 3/2, 3 falls back to 2**0
+    straddling = slope_martingale(piecewise_linear([(0, 0), (F(1, 3), F(1, 21)), (1, 1)]))
+    table = table_martingale({"": "1/1", "0": "1/2", "1": "3/2", "10": "3/1", "11": "0/1"})
+    runs = [
+        run_bet(slope_martingale(square_1d()), bits_of_fraction(F(1, 3)), 4200),
+        run_bet(straddling, bits_of_fraction(F(1, 3)), 300),
+        run_bet(table, pattern_bits([1, 0]), 5),
+    ]
+    assert runs[0].trajectory[-1] == (2 * ((1 << 4200) // 3) + 1, 1 << 4200)
+    for run in runs:
+        header, *rows = bet_csv(run).splitlines()
+        trajectory = json.loads(canonical_json(run))["trajectory"]
+        assert rows == [f"{k},{text}" for k, text in enumerate(trajectory)]
+        assert trajectory == [format_ratio(p, q) for p, q in run.trajectory]
+    assert [q for _, q in runs[2].trajectory] == [1, 2, 1, 1, 1, 1]
 
 
 def test_run_bet_uses_exactly_the_prefix():

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from slopelab.rationals import (
     ceil_log2,
     ceil_sqrt,
     floor_log2,
+    format_ratio,
+    format_ratios,
     format_rational,
     is_dyadic,
     parse_rational,
@@ -116,6 +119,34 @@ def test_pow2_scale_is_the_integer_of_pow2_and_refuses_the_same_exponents():
         for power in (pow2_scale, pow2):
             with pytest.raises(OverflowError, match=rf"^2\*\*{e} exceeds the materialization cap$"):
                 power(e)
+
+
+@st.composite
+def trajectories(draw):
+    """Pairs whose twos rise, fall and repeat, mixed with odd denominators and zero numerators."""
+    twos = draw(st.integers(0, 64))
+    pairs = []
+    for step in draw(st.lists(st.sampled_from([-40, -1, 0, 0, 1, 2, 3, 700]), max_size=40)):
+        twos = max(0, twos + step)
+        numerator = draw(st.just(0) | st.integers(-(10**40), 10**40))
+        odd = draw(st.integers(0, 10**6)) * 2 + 1
+        pairs.append((numerator, draw(st.sampled_from([1 << twos, odd, odd << twos]))))
+    return pairs
+
+
+@given(trajectories())
+@example([(1, 1 << t) for t in (0, 2, 2, 16384, 16384, 16383, 4096, 16384, 16385)])
+@example([(0, 1), (5, 3), (0, 1 << 16384), (7, 1 << 16384), (3, 1), (1, 1 << 9)])
+@settings(max_examples=150, deadline=None)
+def test_format_ratios_renders_each_pair_as_format_ratio(pairs):
+    assert list(format_ratios(pairs)) == [format_ratio(p, q) for p, q in pairs]
+
+
+def test_format_ratios_renders_twos_past_the_str_digit_limit():
+    # 2**16384 has 4933 digits, past the 4300 that str() converts
+    (text,) = format_ratios([(1, 1 << 16384)])
+    assert text == f"1/{Decimal(1 << 16384)}"
+    assert len(text) == 2 + 4933
 
 
 def test_ceil_log2():
