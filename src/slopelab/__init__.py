@@ -26,14 +26,12 @@ from .derivatives import (
     replay,
 )
 from .functions import (
-    AffineIsometry,
     ComputableFunction,
     abs_diff_2d,
     abs_distance_1d,
     clamp_extend,
     compose_affine,
     constant_function,
-    isometry_between,
     kn_decompose,
     linear_form,
     min_x_flip_y,

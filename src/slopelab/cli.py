@@ -53,7 +53,7 @@ def _load_config(path: str) -> dict:
         elif isinstance(value, list):
             unfinished.extend(value)
         elif isinstance(value, float) and value - value != 0:  # nan and inf - inf are nan
-            name = sz.canonical_json(value)[:-1]  # json's name for it, as a report would echo it
+            name = "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"  # json's names
             raise ConfigError(f"config {path} holds a non-finite number {name!r}")
     return config
 

@@ -50,11 +50,10 @@ class DyadicCube:
         lo = Fraction(self.corner[axis], 1 << self.scale)
         return lo, lo + self.side()
 
-    def contains_point(self, point: Sequence[Fraction], closed: bool = False) -> bool:
+    def contains_point(self, point: Sequence[Fraction]) -> bool:
         for axis, x in enumerate(point):
             lo, hi = self.interval(axis)
-            inside = lo <= x <= hi if closed else lo < x < hi
-            if not inside:
+            if not lo < x < hi:
                 return False
         return True
 
@@ -107,12 +106,8 @@ class CubeFamily:
         A cube is dropped when an ancestor or an equal cube is already kept,
         so the members are pairwise disjoint and have the family's union.
         """
-        cubes = sorted(cubes, key=lambda c: c.scale)
-        dims = {c.dimension for c in cubes}
-        if len(dims) > 1:
-            raise ValueError(f"mixed dimensions in cube union: {sorted(dims)}")
         family = cls()
-        for cube in cubes:
+        for cube in sorted(cubes, key=lambda c: c.scale):
             if family.ancestor(cube) is None:
                 family.add(cube)
         return family

@@ -15,11 +15,11 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .functions import (
-    AffineIsometry,
     ComputableFunction,
+    affine_isometry,
     clamp_extend,
     compose_affine,
-    isometry_between,
+    gram_schmidt_basis,
 )
 from .rationals import (
     Vector,
@@ -182,18 +182,19 @@ def dir_derivative_via_basis(
 ) -> BasisReduction:
     """Reduce the slope along u at x to a first-axis slope of g = f^∘(Θ+w).
 
-    Θ maps e_1 to u; z = Θ^-1(x - w) must land in the unit cube, or
-    ValueError is raised.  The identity check verifies
+    Θ is the reflection gram_schmidt_basis(u), which swaps e_1 and u; it is
+    symmetric, so its rows are its columns.  z = Θ^-1(x - w) must land in
+    the unit cube, or ValueError is raised.  The identity check verifies
     (g(z + t e_1) - g(z))/t = (f^(x + t u) - f^(x))/t exactly over the panel,
     where f^ is the clamp extension of f.
     """
     x, direction, offset, e1 = tuple(x), as_vector(u), as_vector(w), unit_axis(f.dimension, 0)
-    transform = isometry_between(e1, direction)
-    z = transform.apply_inverse(tuple(a - b for a, b in zip(x, offset)))
+    transform = affine_isometry(gram_schmidt_basis(direction), offset)
+    z = transform.apply_inverse(x)
     if not in_unit_cube(z):
         raise ValueError(f"the offset {offset} pulls the point outside the unit cube")
     f_hat = clamp_extend(f)
-    g = compose_affine(f, AffineIsometry(transform.matrix, offset))
+    g = compose_affine(f, transform)
     panel = tuple(t_panel) if t_panel is not None else tuple(pow2(-k) for k in range(1, 13))
     if any(t <= 0 for t in panel):
         raise ValueError("panel steps must be positive")

@@ -238,26 +238,6 @@ def affine_isometry(
     return AffineIsometry(rows, off)
 
 
-def isometry_between(
-    u: Sequence[Fraction | int | str],
-    v: Sequence[Fraction | int | str],
-    offset: Sequence[Fraction | int | str] | None = None,
-) -> AffineIsometry:
-    """Linear isometry taking the basis completed from u to the one from v.
-
-    Both bases are exactly orthonormal, so the map takes u to v exactly,
-    its inverse is the transpose, and distances are preserved exactly.
-    """
-    bu = gram_schmidt_basis(u)
-    bv = gram_schmidt_basis(v)
-    n = len(bu)
-    matrix = tuple(
-        tuple(sum((bv[k][r] * bu[k][c] for k in range(n)), Fraction(0)) for c in range(n))
-        for r in range(n)
-    )
-    return affine_isometry(matrix, offset)
-
-
 def compose_affine(f: ComputableFunction, transform: AffineIsometry) -> ComputableFunction:
     """g(z) = f(P1(matrix @ z + offset)); isometry + clamp are non-expansive.
 

@@ -83,11 +83,9 @@ class Martingale:
 
     def at(self, sigma: Sequence[int]) -> Fraction:
         index = _index(map(int, sigma))
-        return self._nonnegative(len(sigma), index, self.capital(len(sigma), index))
-
-    def _nonnegative(self, length: int, index: int, value: Fraction) -> Fraction:
+        value = self.capital(len(sigma), index)
         if value.numerator < 0:  # a Fraction's sign; cheaper than comparing Fractions
-            raise self._negative(length, index, value)
+            raise self._negative(len(sigma), index, value)
         return value
 
     def _negative(self, length: int, index: int, value: Fraction) -> NegativeCapitalError:

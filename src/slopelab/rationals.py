@@ -15,7 +15,8 @@ from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 # Largest |exponent| for which 2**e is materialized as a Fraction.  Beyond
-# this, callers compare through floor_log2 / ceil_log2 or bound by pow2_upper.
+# this, callers refuse (OverflowError or a config error) or clamp a bound
+# upward with pow2_upper; tent ramps are decided by bit lengths.
 POW2_MATERIALIZE_CAP = 1 << 14
 
 Vector = tuple[Fraction, ...]

@@ -56,18 +56,10 @@ def _key(key: Any) -> str:
     return format_rational(key) if isinstance(key, Fraction) else str(key)
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names for them
-
-
-def _float(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
-
-
 _ATOMS = {  # exact type -> its JSON text
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float,
+    float: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
     Fraction: lambda value: f'"{format_rational(value)}"',

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .cubes import CubeFamily, DyadicCube
@@ -32,6 +33,8 @@ from .rationals import (
     is_dyadic,
     pow2,
 )
+
+VISIBLE_PER_BLOCK = 16  # the first cells of each block that an exclusion report sees
 
 
 class BuildBudgetError(RuntimeError):
@@ -432,8 +435,6 @@ class TentSystem:
     cutoff: int
     budget: int
     test_descriptor: dict | None = None
-    # per_block -> _exclusion_sweep, filled as exclusion_visible asks
-    _swept: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -602,72 +603,71 @@ class TentSystem:
 
     # -- exclusion bookkeeping -------------------------------------------------
 
-    def _exclusion_sweep(self, per_block: int) -> list[tuple[dict[int, Fraction], int, int, Fraction]]:
+    @cached_property
+    def _exclusion_sweep(self) -> list[tuple[dict[int, Fraction], int, int, Fraction]]:
         """Per stage m: each axis's union of visible corner intervals past m, the cells past m, and the bound.
 
         The cells past m are counted twice: all visible ones, in closed form
-        as the sum of min(per_block, count) over the blocks, and those too
-        thin to materialize.  Ramp exponents grow with the cell index, so the
-        materializable cells of a block are its first
+        as the sum of min(VISIBLE_PER_BLOCK, count) over the blocks, and those
+        too thin to materialize.  Ramp exponents grow with the cell index, so
+        the materializable cells of a block are its first
         CAP - i - cell_scale - start_index locals, and only their corners are
         built.  The closed-form bound sums 2**-(i+j) * side over the cells
         past m by blocks, clamping unrepresentably small terms upward, plus
         the analytic 16**-i envelope of the stages beyond the build.  Built
-        once per per_block and kept with the system, so each stage's blocks
-        are read once.  Spans are integer numerators over 2**e, for e the
-        finest materialized eps exponent, bound terms over the finest term's
-        power of two, and both are summed from the deepest up.
+        once and kept with the system, so each stage's blocks are read once.
+        Spans are integer numerators over 2**e, for e the finest materialized
+        eps exponent, bound terms over the finest term's power of two, and
+        both are summed from the deepest up.
         """
-        if per_block not in self._swept:
-            cap = POW2_MATERIALIZE_CAP
-            later = range(1, self.depth + 1)
-            visible = [[min(per_block, b.count) for b in self.partition.blocks_at(i)] for i in later]
-            thick = [
-                [(b.cell_scale, ramp_exponent(i, b.start_index + local, b.cell_scale), b.corner(local))
-                 for b, count in zip(self.partition.blocks_at(i), counts)
-                 for local in range(min(count, cap - i - b.cell_scale - b.start_index))]
-                for i, counts in zip(later, visible)
-            ]
-            terms = [
-                [min(i + b.cell_scale + b.start_index - 1, cap) for b in self.partition.blocks_at(i)]
-                for i in later
-            ]
-            finest = max((eps for cells in thick for _, eps, _ in cells), default=0)
-            finest_term = max((e for exponents in terms for e in exponents), default=0)
-            tail = Fraction(16) ** (-(self.depth + 1)) * Fraction(16, 15)
-            merged: dict[int, list[tuple[int, int]]] = {axis: [] for axis in range(1, self.dimension)}
-            past = [({axis: Fraction(0) for axis in merged}, 0, 0, tail)]  # past the deepest stage
-            summed = 0
-            for counts, materialized, exponents in zip(reversed(visible), reversed(thick), reversed(terms)):
-                for axis, spans in merged.items():
-                    for scale, eps, corner in materialized:
-                        lo = corner[axis] << (finest - scale)
-                        hi = lo + (1 << (finest - scale))
-                        width = 1 << (finest - eps)
-                        spans += [(lo, lo + width), (hi - width, hi)]
-                unions = {axis: Fraction(_merge_spans(spans), 1 << finest) for axis, spans in merged.items()}
-                summed += sum(1 << (finest_term - e) for e in exponents)
-                _, seen, clamped, _ = past[-1]
-                bound = Fraction(summed, 1 << finest_term) + tail
-                cells = sum(counts)
-                past.append((unions, seen + cells, clamped + cells - len(materialized), bound))
-            self._swept[per_block] = past[::-1]
-        return self._swept[per_block]
+        cap = POW2_MATERIALIZE_CAP
+        later = range(1, self.depth + 1)
+        visible = [[min(VISIBLE_PER_BLOCK, b.count) for b in self.partition.blocks_at(i)] for i in later]
+        thick = [
+            [(b.cell_scale, ramp_exponent(i, b.start_index + local, b.cell_scale), b.corner(local))
+             for b, count in zip(self.partition.blocks_at(i), counts)
+             for local in range(min(count, cap - i - b.cell_scale - b.start_index))]
+            for i, counts in zip(later, visible)
+        ]
+        terms = [
+            [min(i + b.cell_scale + b.start_index - 1, cap) for b in self.partition.blocks_at(i)]
+            for i in later
+        ]
+        finest = max((eps for cells in thick for _, eps, _ in cells), default=0)
+        finest_term = max((e for exponents in terms for e in exponents), default=0)
+        tail = Fraction(16) ** (-(self.depth + 1)) * Fraction(16, 15)
+        merged: dict[int, list[tuple[int, int]]] = {axis: [] for axis in range(1, self.dimension)}
+        past = [({axis: Fraction(0) for axis in merged}, 0, 0, tail)]  # past the deepest stage
+        summed = 0
+        for counts, materialized, exponents in zip(reversed(visible), reversed(thick), reversed(terms)):
+            for axis, spans in merged.items():
+                for scale, eps, corner in materialized:
+                    lo = corner[axis] << (finest - scale)
+                    hi = lo + (1 << (finest - scale))
+                    width = 1 << (finest - eps)
+                    spans += [(lo, lo + width), (hi - width, hi)]
+            unions = {axis: Fraction(_merge_spans(spans), 1 << finest) for axis, spans in merged.items()}
+            summed += sum(1 << (finest_term - e) for e in exponents)
+            _, seen, clamped, _ = past[-1]
+            bound = Fraction(summed, 1 << finest_term) + tail
+            cells = sum(counts)
+            past.append((unions, seen + cells, clamped + cells - len(materialized), bound))
+        return past[::-1]
 
-    def exclusion_visible(self, stage: int, axis: int, per_block: int = 16) -> ExclusionReport:
+    def exclusion_visible(self, stage: int, axis: int) -> ExclusionReport:
         """Exact union of the budget-visible corner intervals along an axis.
 
-        Visible means the first per_block cells of every block of the stages
-        past the given one; intervals too thin to materialize are clamped into
-        an explicit slack term of 2**-POW2_MATERIALIZE_CAP each.  The union,
-        slack, count and closed-form bound are read from the system's sweep
-        (_exclusion_sweep).
+        Visible means the first VISIBLE_PER_BLOCK cells of every block of the
+        stages past the given one; intervals too thin to materialize are
+        clamped into an explicit slack term of 2**-POW2_MATERIALIZE_CAP each.
+        The union, slack, count and closed-form bound are read from the
+        system's sweep (_exclusion_sweep).
         """
         if not 1 <= axis < self.dimension:
             raise ValueError("corner intervals live on axes >= 1")
         if stage < 0:
             raise ValueError("stage must be >= 0")
-        unions, seen, clamped, bound = self._exclusion_sweep(per_block)[min(stage, self.depth)]
+        unions, seen, clamped, bound = self._exclusion_sweep[min(stage, self.depth)]
         return ExclusionReport(
             stage=stage,
             axis=axis,

@@ -416,6 +416,13 @@ def test_check_bundle_reports_a_bundle_it_cannot_read_as_a_config_error(tmp_path
     assert capsys.readouterr() == ("", f"config error: config {bundle} must be a JSON object, not list\n")
 
 
+def test_check_bundle_reports_a_missing_bundle_as_a_config_error(tmp_path, capsys):
+    bundle = tmp_path / "missing.json"
+    assert main(["tent-system", "--check-bundle", str(bundle)]) == 2
+    message = f"config error: cannot read config {bundle}: [Errno 2] No such file or directory: {str(bundle)!r}\n"
+    assert capsys.readouterr() == ("", message)
+
+
 def test_finite_floats_in_a_config_are_echoed(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(with_number((CONFIGS / "probe-kink.json").read_text(encoding="utf-8"), "-0.0"), encoding="utf-8")

@@ -129,7 +129,6 @@ def test_geometry_accessors():
     assert cube.interval(1) == (Fraction(3, 4), Fraction(1))
     assert cube.contains_point((Fraction(3, 10), Fraction(4, 5)))
     assert not cube.contains_point((Fraction(1, 4), Fraction(4, 5)))
-    assert cube.contains_point((Fraction(1, 4), Fraction(4, 5)), closed=True)
 
 
 def test_containment_is_corner_arithmetic():

@@ -160,6 +160,43 @@ def test_dir_derivative_offset_outside_the_cube_rejected():
         dir_derivative_via_basis(f, (F(1, 3), F(1, 3)), [F(3, 5), F(4, 5)], w=[7, 7])
 
 
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+@st.composite
+def rational_unit_directions(draw):
+    """A rational unit vector in dimension 2 or 3, from the stereographic parametrisations."""
+    if draw(st.booleans()):
+        t = draw(small_rationals)
+        return (2 * t / (1 + t * t), (1 - t * t) / (1 + t * t))
+    a, b = draw(small_rationals), draw(small_rationals)
+    q = 1 + a * a + b * b
+    return (2 * a / q, 2 * b / q, (1 - a * a - b * b) / q)
+
+
+@given(data=st.data(), u=rational_unit_directions())
+@settings(max_examples=60, deadline=None)
+def test_dir_derivative_via_basis_reflects_the_point_for_any_rational_direction(data, u):
+    n = len(u)
+    x = tuple(data.draw(st.fractions(min_value=0, max_value=1, max_denominator=32)) for _ in range(n))
+    w = tuple(data.draw(st.fractions(min_value=-1, max_value=1, max_denominator=16)) for _ in range(n))
+    kinds = [linear_form([data.draw(st.integers(-5, 5)) for _ in range(n)])]
+    if n == 2:
+        kinds += [product_xy(), abs_diff_2d()]
+    f = data.draw(st.sampled_from(kinds))
+    # the reflection that swaps e_1 and u, as its own formula: y - 2 (v.y / v.v) v for v = u - e_1
+    v = tuple(c - e for c, e in zip(u, unit_axis(n, 0)))
+    y = tuple(a - b for a, b in zip(x, w))
+    z = y if norm_sq(v) == 0 else tuple(c - 2 * dot(v, y) / norm_sq(v) * d for c, d in zip(y, v))
+    if in_unit_cube(z):
+        red = dir_derivative_via_basis(f, x, u, w)
+        assert red.identity_holds
+        assert red.z == z
+    else:
+        with pytest.raises(ValueError, match="pulls the point outside the unit cube"):
+            dir_derivative_via_basis(f, x, u, w)
+
+
 def test_linearity_defect_zero_for_linear():
     f = linear_form([2, 3])
     verdict = linearity_defect(f, (F(1, 3), F(1, 3)), [1, 0], [0, 1], F(1, 4))

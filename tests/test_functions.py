@@ -16,7 +16,6 @@ from slopelab.functions import (
     cube_1d,
     gram_schmidt_basis,
     identity_1d,
-    isometry_between,
     kn_decompose,
     linear_form,
     min_x_flip_y,
@@ -175,7 +174,7 @@ def apply(iso, x):
 
 def test_isometry_between():
     u, v = (F(1), F(0)), (F(3, 5), F(4, 5))
-    iso = isometry_between(u, v)
+    iso = affine_isometry(gram_schmidt_basis(v))
     assert apply(iso, u) == v
     assert iso.apply_inverse(v) == u
     # exact distance preservation on rational samples
@@ -189,14 +188,14 @@ def test_isometry_between():
 
 
 def test_isometry_identity_case():
-    iso = isometry_between([1, 0], [1, 0])
+    iso = affine_isometry(gram_schmidt_basis([1, 0]))
     for point in ((F(1, 3), F(5, 8)), (F(0), F(1))):
         assert apply(iso, point) == point
 
 
 def test_compose_affine_matches_inner_product():
     f = linear_form([2, 3])
-    iso = isometry_between([1, 0], [F(3, 5), F(4, 5)])
+    iso = affine_isometry(gram_schmidt_basis([F(3, 5), F(4, 5)]))
     g = compose_affine(f, iso)
     for k in range(1, 9):
         t = F(k, 16)

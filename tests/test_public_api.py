@@ -12,6 +12,10 @@ counts as read where any of them reads an attribute of its name.
 
 The allowlist names the exceptions, each with its reason.
 
+Every parameter with a default of a public function or method must be passed,
+by position or by keyword, by some call in the same readers or the package:
+a default that no caller overrides is a constant, not a parameter.
+
 No module reads a `_`-prefixed name of another module of the package: what
 one module needs from another is public there, and dunders are exempt.
 """
@@ -229,6 +233,102 @@ def test_the_allowlist_names_only_public_definitions_without_a_reader():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     targets = tracer_targets(ROOT / "perfbench" / "tracer.py")
     assert sorted(ALLOWED) == unread_definitions(modules, list(READERS), targets, allowed={})
+
+
+def defaulted_parameters(path: Path) -> list[tuple[str, ast.FunctionDef, str, int | None]]:
+    """(name, node, parameter, position) for each defaulted parameter of a public function or method.
+
+    position counts the arguments a call passes before it, `self` or `cls`
+    not counted; it is None for a keyword-only parameter.
+    """
+    found = []
+    for name, node in public_definitions(path):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+        if "." in name and not static:
+            positional = positional[1:]
+        first = len(positional) - len(node.args.defaults)
+        found.extend((name, node, arg, first + k) for k, arg in enumerate(positional[first:]))
+        found.extend(
+            (name, node, arg.arg, None)
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+            if default is not None
+        )
+    return found
+
+
+def calls(path: Path) -> list[tuple[str, int, int, bool, set[str | None]]]:
+    """(callee, line, positional count, has *args, keywords) for each call of a name or an attribute.
+
+    The callee is the called name, or the attribute read for `obj.name(...)`;
+    a `**kwargs` shows as the keyword None.
+    """
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            found.append((callee, node.lineno, len(node.args), starred, {k.arg for k in node.keywords}))
+    return found
+
+
+def unpassed_defaults(modules: list[Path], readers: list[Path]) -> list[str]:
+    """module.name.parameter for each defaulted parameter that no call outside its definition passes.
+
+    A call of the definition's name, or of an attribute of that name, passes
+    a parameter when it has an argument at its position, a *args, the
+    parameter's keyword or a **kwargs.
+    """
+    files = modules + readers
+    found = {path: calls(path) for path in files}
+    unpassed = []
+    for path in modules:
+        for name, node, parameter, position in defaulted_parameters(path):
+            leaf = name.rpartition(".")[2]
+            passed = any(
+                callee == leaf
+                and not (other == path and node.lineno <= line <= node.end_lineno)
+                and ((position is not None and (count > position or starred)) or {parameter, None} & keywords)
+                for other in files
+                for callee, line, count, starred, keywords in found[other]
+            )
+            if not passed:
+                unpassed.append(f"{path.stem}.{name}.{parameter}")
+    return sorted(unpassed)
+
+
+def test_the_check_finds_a_default_that_no_caller_passes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y=1, *, z=2): pass\n"
+        "def g(x, y=1): pass\n"
+        "def h(x=1): h(2)\n"
+        "class Box:\n"
+        "    def m(self, a=1): pass\n"
+        "    @staticmethod\n"
+        "    def s(a=1): pass\n"
+        "    def k(self, a=1, b=2): pass\n"
+        "    def n(self, a=1): pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import f, g\n"
+        "def use(box, args, opts):\n"
+        "    f(0, z=3)\n"
+        "    g(0)\n"
+        "    box.m(2)\n"
+        "    box.s(1)\n"
+        "    box.k(a=1)\n"
+        "    box.n(**opts)\n"
+    )
+    (tmp_path / "c.py").write_text("def call(g, args):\n    g(*args)\n")
+    modules = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert unpassed_defaults(modules, [tmp_path / "c.py"]) == ["a.Box.k.b", "a.f.y", "a.h.x"]
+
+
+def test_every_default_is_passed_by_some_caller():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert unpassed_defaults(modules, list(READERS)) == []
 
 
 def private_reads(modules: list[Path]) -> list[str]:

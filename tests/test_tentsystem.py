@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from slopelab import tentsystem
 from slopelab.cubes import CubeFamily, DyadicCube, union_measure, unit_cube
 from slopelab.derivatives import diff_class_b
 from slopelab.nullsets import concentric_test, constant_unit_test, explicit_test
@@ -462,7 +463,7 @@ def test_exclusion_reports(toy_system5):
 def test_exclusion_interval_lengths_match_formula():
     # lambda(E^k) = 2 * eps for a single visible tent
     system = build_tent_system(constant_unit_test(2), depth=1, cutoff=0, budget=1)
-    report = system.exclusion_visible(0, 1, per_block=4)
+    report = sweep_at(system, 4).exclusion_visible(0, 1)
     tents = [
         tent_for(block.cell(local), 1, block.start_index + local)
         for block in system.partition.blocks_at(1)
@@ -549,7 +550,7 @@ def test_exclusion_union_matches_slab_maxima_oracle():
                 j = block.start_index + local
                 eps_list.append(pow2(-(1 + j + 1 + block.cell_scale)))
         expected += 2 * max(eps_list)
-    report = system.exclusion_visible(0, 1, per_block=block.count)
+    report = sweep_at(system, block.count).exclusion_visible(0, 1)
     assert report.visible_union == expected
     assert report.visible_slack == 0
 
@@ -591,6 +592,15 @@ def fraction_union_length(intervals):
     if cur is not None:
         total += cur[1] - cur[0]
     return total
+
+
+def sweep_at(system, per_block):
+    """A new TentSystem over system's partition, its exclusion sweep made with VISIBLE_PER_BLOCK = per_block."""
+    fresh = TentSystem(system.partition, system.cutoff, system.budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tentsystem, "VISIBLE_PER_BLOCK", per_block)
+        fresh._exclusion_sweep  # made now, while the constant is patched
+    return fresh
 
 
 def fraction_exclusion(system, stage, axis, per_block):
@@ -651,7 +661,7 @@ def test_exclusion_sums_match_fraction_oracle(toy_system5, toy_system8, clamped_
     stage = data.draw(st.integers(0, system.depth))
     axis = data.draw(st.integers(1, system.dimension - 1))
     per_block = data.draw(st.integers(1, 40))
-    report = system.exclusion_visible(stage, axis, per_block)
+    report = sweep_at(system, per_block).exclusion_visible(stage, axis)
     union, slack, count, bound = fraction_exclusion(system, stage, axis, per_block)
     assert report.visible_union == union
     assert report.visible_slack == slack
@@ -736,10 +746,11 @@ def test_every_exclusion_report_matches_the_all_cells_sweep(data):
     per_blocks = st.one_of(st.integers(1, 40), st.sampled_from([37, 38, 39, 64]))
     for per_block in data.draw(st.lists(per_blocks, min_size=1, max_size=3)):
         sweep = all_cells_sweep(system, per_block)
+        swept = sweep_at(system, per_block)
         for stage in range(system.depth + 2):
             for axis in range(1, system.dimension):
                 unions, seen, clamped, bound = sweep[min(stage, system.depth)]
-                assert system.exclusion_visible(stage, axis, per_block) == ExclusionReport(
+                assert swept.exclusion_visible(stage, axis) == ExclusionReport(
                     stage=stage,
                     axis=axis,
                     visible_union=unions[axis],
@@ -952,13 +963,11 @@ def test_oscillation_check_locates_the_target_once_per_stage(toy_system5, monkey
 
 def test_the_exclusion_sweep_builds_each_visible_tent_once(toy_test, monkeypatch):
     # the sweep builds the corner of each materializable visible cell once per
-    # system and per_block, never the corner of a cell too thin to
-    # materialize, and no tent at all
-    import slopelab.tentsystem as module
-
+    # system, never the corner of a cell too thin to materialize, and no tent
+    # at all
     built = []
     thin = []
-    monkeypatch.setattr(module, "tent_for", lambda *args: built.append(args))
+    monkeypatch.setattr(tentsystem, "tent_for", lambda *args: built.append(args))
     for system in (
         build_tent_system(toy_test, depth=5, cutoff=0, budget=4),
         build_tent_system(explicit_test(STRADDLING_STAGES), depth=1, cutoff=0, budget=2),
@@ -983,15 +992,16 @@ def test_the_exclusion_sweep_builds_each_visible_tent_once(toy_test, monkeypatch
                 if (ramp_exponent(i, index, block.cell_scale) > POW2_MATERIALIZE_CAP) == thin
             ]
 
-        # a per_block already swept builds no corner again
-        for per_block, built_now in (
-            (16, visible(16, False)), (3, visible(3, False)), (40, visible(40, False)), (16, []), (3, []), (40, [])
-        ):
-            corners.clear()
-            for m in range(system.depth + 1):  # the CLI's sweep
-                for axis in range(1, system.dimension):
-                    system.exclusion_visible(m, axis, per_block)
-            assert sorted(corners) == built_now
+        for per_block in (16, 3, 40):
+            monkeypatch.setattr(tentsystem, "VISIBLE_PER_BLOCK", per_block)
+            fresh = TentSystem(system.partition, system.cutoff, system.budget)
+            # a second sweep of the same system builds no corner again
+            for built_now in (visible(per_block, False), []):
+                corners.clear()
+                for m in range(system.depth + 1):  # the CLI's sweep
+                    for axis in range(1, system.dimension):
+                        fresh.exclusion_visible(m, axis)
+                assert sorted(corners) == built_now
         monkeypatch.setattr(Block, "corner", corner)
         thin.append(len(visible(40, True)))
     # the straddling block has 2 of its first 40 cells past the cap, and the
@@ -1011,9 +1021,10 @@ def test_repeated_and_alternating_exclusion_calls_match_the_oracle(toy_test):
         build_tent_system(explicit_test(CLAMPED_STAGES), depth=2, cutoff=0, budget=2),
     ):
         for per_block in (16, 3, 16, 40, 3, 1):
+            swept = sweep_at(system, per_block)
             for m in (system.depth, 0, 1, 0):
                 for axis in range(1, system.dimension):
-                    report = system.exclusion_visible(m, axis, per_block)
+                    report = swept.exclusion_visible(m, axis)
                     union, slack, count, bound = fraction_exclusion(system, m, axis, per_block)
                     assert (report.visible_union, report.visible_slack) == (union, slack)
                     assert (report.interval_count, report.closed_form_bound) == (count, bound)
