@@ -6,9 +6,9 @@ one positive denominator D (x = N / D, not necessarily in lowest terms), and
 the modulus h certifies
 ||x - y|| <= 2**-h(i)  =>  |f(x) - f(y)| <= 2**-i.  Every function here is
 built from rational data, so every comparison made with its values is exact.
-A one-variable function also has its values on the dyadic grid k / 2**L as
-integer numerators over one denominator; the closed forms below compute
-them for any window of k, without building a Fraction per point.
+A one-variable closed form also states its slopes over the dyadic intervals
+[k / 2**L, (k + 1) / 2**L] as integer numerators over one denominator, for
+any window of k, without building a Fraction per interval.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .rationals import (
 
 Evaluator = Callable[[Sequence[int], int], Fraction]  # (N, D) -> f(N / D)
 Modulus = Callable[[int], int]
-Grid = tuple[list[int], int]  # numerators at k / 2**L for start <= k < stop, and their denominator
+Slopes = tuple[list[int], int]  # 2**L * (f((k + 1) / 2**L) - f(k / 2**L)) for start <= k < stop, over one denominator
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,7 @@ class ComputableFunction:
     dimension: int
     evaluator: Evaluator
     modulus: Modulus
-    grid: Callable[[int, int, int], Grid] | None = None  # (level, start, stop): a window of dyadic_grid
+    slopes: Callable[[int, int, int], Slopes] | None = None  # (level, start, stop), for a one-variable closed form
 
     def eval(self, numerators: Sequence[int], denominator: int) -> Fraction:
         """f at the point N / D."""
@@ -55,51 +55,46 @@ class ComputableFunction:
             raise ValueError(f"expected {self.dimension} coordinates, got {len(numerators)}")
         return self.evaluator(numerators, denominator)
 
-    def dyadic_grid(self, level: int) -> Grid:
-        """f(k / 2**level) for k = 0..2**level as integers over one positive denominator.
 
-        Without a closed form, f is evaluated once per grid point.
-        """
-        if self.dimension != 1:  # the grid points have one coordinate
-            raise ValueError(f"expected {self.dimension} coordinates, got 1")
-        if self.grid is not None:
-            return self.grid(level, 0, (1 << level) + 1)
-        width = 1 << level
-        return common_denominator(self.eval((k,), width) for k in range(width + 1))
+def _affine_pieces_slopes(
+    knots: Sequence[Fraction], intercepts: Sequence[Fraction], gradients: Sequence[Fraction]
+) -> Callable[[int, int, int], Slopes]:
+    """Slopes of x |-> intercepts[j] + gradients[j] * x on [knots[j], knots[j + 1]].
 
-
-def _affine_pieces_grid(
-    knots: Sequence[Fraction], intercepts: Sequence[Fraction], slopes: Sequence[Fraction]
-) -> Callable[[int, int, int], Grid]:
-    """Grid of x |-> intercepts[j] + slopes[j] * x on [knots[j], knots[j + 1]].
-
-    The knots run from 0 to 1.  Over the lcm q of every coefficient's
+    The knots run from 0 to 1.  Over the lcm D of every coefficient's
     denominator, piece j is the integer affine map k |-> a_j * 2**L + s_j * k
-    on the grid k / 2**L, over q * 2**L.  Each piece's right knot is held as
-    the integers (p, q); a window skips the pieces wholly left of it before
-    shifting anything.
+    on the grid k / 2**L, over D * 2**L, so an interval inside piece j has
+    the slope s_j over D.  An interval with knots strictly inside takes the
+    difference of the values of the pieces that hold its two ends.  Each
+    piece's right knot is held as the integers (p, q).
     """
-    scale = lcm(*(c.denominator for c in (*intercepts, *slopes)))
+    scale = lcm(*(c.denominator for c in (*intercepts, *gradients)))
     pieces = [
         (a.numerator * (scale // a.denominator), s.numerator * (scale // s.denominator), *end.as_integer_ratio())
-        for a, s, end in zip(intercepts, slopes, knots[1:])
+        for a, s, end in zip(intercepts, gradients, knots[1:])
     ]
 
-    def grid(level: int, start: int, stop: int) -> Grid:
+    def slopes(level: int, start: int, stop: int) -> Slopes:
         numerators: list[int] = []
         k = start
-        for a, s, p, q in pieces:
-            if k >= stop:
+        for j, (a, s, p, q) in enumerate(pieces):
+            end = (p << level) // q  # the last k with k / 2**L <= p / q
+            if end < k:
+                continue
+            if end >= stop:  # the rest of the window lies inside piece j
+                numerators += [s] * (stop - k)
                 break
-            end = (p << level) // q + 1  # one past the last k with k / 2**L <= p / q
-            if end > k:
-                end = min(end, stop)
-                a <<= level
-                numerators.extend(range(a + s * k, a + s * end, s) if s else [a] * (end - k))
-                k = end
-        return numerators, scale << level
+            numerators += [s] * (end - k)
+            k = end
+            if (p << level) % q:  # the knot is strictly inside interval k
+                b, t = next((b, t) for b, t, right, den in pieces[j + 1:] if (right << level) // den > k)
+                numerators.append(((b - a) << level) + t * (k + 1) - s * k)
+                k += 1
+                if k == stop:
+                    break
+        return numerators, scale
 
-    return grid
+    return slopes
 
 
 def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
@@ -108,10 +103,10 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
     if not m:
         raise ValueError("linear form needs dimension >= 1")
     shift = int_ceil_log2(1 + ceil_sqrt(norm_sq(m)))
-    grid = _affine_pieces_grid((Fraction(0), Fraction(1)), (Fraction(0),), m) if len(m) == 1 else None
+    slopes = _affine_pieces_slopes((Fraction(0), Fraction(1)), (Fraction(0),), m) if len(m) == 1 else None
     coeffs, scale = common_denominator(m)  # <m, N / D> = <coeffs, N> / (scale D)
     return ComputableFunction(
-        len(m), lambda n, d: Fraction(sum(map(mul, coeffs, n)), scale * d), lambda i: i + shift, grid
+        len(m), lambda n, d: Fraction(sum(map(mul, coeffs, n)), scale * d), lambda i: i + shift, slopes
     )
 
 
@@ -271,10 +266,10 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
         raise ValueError("knots must have strictly increasing abscissae")
     if xs[0] != 0 or xs[-1] != 1:
         raise ValueError("knots must cover [0, 1]")
-    slopes = [
+    gradients = [
         (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(knots, knots[1:])
     ]
-    max_slope = max((abs(s) for s in slopes), default=Fraction(0))
+    max_slope = max((abs(s) for s in gradients), default=Fraction(0))
     shift = max(0, ceil_log2(max_slope)) if max_slope > 0 else 0
 
     def fn(numerators: Sequence[int], denominator: int) -> Fraction:
@@ -284,23 +279,23 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
         # the segment ending at the first knot >= x; a knot takes its left segment
         segment = bisect_left(xs, x, 1) - 1
         x0, y0 = knots[segment]
-        return y0 + (x - x0) * slopes[segment]
+        return y0 + (x - x0) * gradients[segment]
 
-    intercepts = [y0 - x0 * s for (x0, y0), s in zip(knots, slopes)]
-    return ComputableFunction(1, fn, lambda i: i + shift, _affine_pieces_grid(xs, intercepts, slopes))
+    intercepts = [y0 - x0 * s for (x0, y0), s in zip(knots, gradients)]
+    return ComputableFunction(1, fn, lambda i: i + shift, _affine_pieces_slopes(xs, intercepts, gradients))
 
 
 def square_1d() -> ComputableFunction:
     return ComputableFunction(
         1, lambda n, d: Fraction(n[0] * n[0], d * d), lambda i: i + 1,
-        lambda level, start, stop: ([k * k for k in range(start, stop)], 1 << 2 * level),
+        lambda level, start, stop: (list(range(2 * start + 1, 2 * stop + 1, 2)), 1 << level),
     )
 
 
 def cube_1d() -> ComputableFunction:
     return ComputableFunction(
         1, lambda n, d: Fraction(n[0] ** 3, d**3), lambda i: i + 2,
-        lambda level, start, stop: ([k**3 for k in range(start, stop)], 1 << 3 * level),
+        lambda level, start, stop: ([3 * k * (k + 1) + 1 for k in range(start, stop)], 1 << 2 * level),
     )
 
 

@@ -211,14 +211,14 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
 def _slope_pairs(f: ComputableFunction, cells: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
     """The slope of a one-variable f over each interval (length, index), as (numerator, denominator > 0).
 
-    A closed form reads its grid window k = index, index + 1; otherwise f is
-    evaluated at both ends.
+    A closed form states the slope as its window (length, index, index + 1);
+    otherwise f is evaluated at both ends.
     """
-    grid = f.grid
-    if grid is not None:
+    slopes = f.slopes
+    if slopes is not None:
         for length, index in cells:
-            (lo, hi), denominator = grid(length, index, index + 2)
-            yield (hi - lo) << length, denominator
+            (numerator,), denominator = slopes(length, index, index + 1)
+            yield numerator, denominator
         return
     for length, index in cells:
         width = 1 << length
@@ -226,11 +226,15 @@ def _slope_pairs(f: ComputableFunction, cells: Iterable[tuple[int, int]]) -> Ite
 
 
 def audit_monotone(f: ComputableFunction) -> None:
-    """Reject f unless it is nondecreasing on the dyadic grid k / 2**6."""
+    """Reject f unless it is nondecreasing on the dyadic grid k / 2**6: no slope there is negative."""
     width = 1 << 6
-    values, _ = f.dyadic_grid(6)
-    for k, (a, b) in enumerate(zip(values, values[1:])):
-        if b < a:
+    if f.slopes is not None:
+        rises, _ = f.slopes(6, 0, width)
+    else:
+        values = [f.eval((k,), width) for k in range(width + 1)]
+        rises = [b - a for a, b in zip(values, values[1:])]
+    for k, rise in enumerate(rises):
+        if rise < 0:
             raise MonotonicityError(
                 f"f({Fraction(k + 1, width)}) < f({Fraction(k, width)}) on the audit grid"
             )
@@ -239,12 +243,12 @@ def audit_monotone(f: ComputableFunction) -> None:
 def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
     """Slopes of f over the dyadic intervals that bits' prefixes code, shortest first.
 
-    A closed form gives the slope over interval i at length L from its grid
-    window k = i, i + 1, with no evaluation.  Otherwise f is held at both ends
+    A closed form states the slope over interval i at length L as its window
+    (L, i, i + 1), with no evaluation.  Otherwise f is held at both ends
     of the current interval; each bit costs one new evaluation, at the
     midpoint, which becomes the end that the bit moves.
     """
-    if f.grid is not None:
+    if f.slopes is not None:
         yield from _slope_pairs(f, enumerate(_prefix_indices(bits)))
         return
     hi, lo = f.eval((1,), 1), f.eval((0,), 1)
@@ -319,14 +323,9 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
     def grids(depth: int) -> Iterator[tuple[list[list[int]], int]]:
         """f on the axis grids k / 2**s, s = 0, 1, ..., one column per corner y, over one denominator.
 
-        A one-variable closed form is read once, at the full depth, and
-        sliced.  Otherwise each scale evaluates only the new midpoints, so f
-        is read once per grid point and never deeper than the walk goes.
+        Each scale evaluates only the new midpoints, so f is read once per
+        grid point and never deeper than the walk goes.
         """
-        if n == 1 and f.grid is not None:  # the axis scale is the length
-            grid, denominator = f.dyadic_grid(depth)
-            yield from (([grid[:: 1 << (depth - scale)]], denominator) for scale in range(depth + 1))
-            return
         columns = [[value(0, 0, y), value(1, 0, y)] for y in corners]
         for scale in range(depth + 1):
             width = 1 << scale
@@ -355,6 +354,10 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 level = [rises[block][k] for block, k in (cells(length, i) for i in range(1 << length))]
             yield level, denominator << sum(shifts)  # over D * |B|
 
+    if n == 1 and f.slopes is not None:  # a closed form states each level; the axis scale is the length
+        return Martingale(
+            capital, label=label, level_walk=lambda depth: (f.slopes(s, 0, 1 << s) for s in range(depth + 1))
+        )
     return Martingale(capital, label=label, level_walk=level_walk)
 
 

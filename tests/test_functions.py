@@ -26,6 +26,7 @@ from slopelab.functions import (
     square_1d,
     sum_functions,
 )
+from slopelab.martingales import box_slope_martingale
 from slopelab.serialize import function_from_descriptor
 from slopelab.rationals import (
     POW2_MATERIALIZE_CAP,
@@ -350,36 +351,44 @@ def test_modulus_audit_past_the_cap_raises_as_the_fraction_sampler():
 
 
 # ---------------------------------------------------------------------------
-# The dyadic grid against pointwise evaluation
+# Slopes over the dyadic grid against pointwise evaluation
 
 
-def pointwise_grid(f, level):
+def pointwise_slopes(f, level, start=0, stop=None):
+    """2**L * (f((k + 1) / 2**L) - f(k / 2**L)) for start <= k < stop, one evaluation per end."""
     width = 1 << level
-    return [value(f, (F(k, width),)) for k in range(width + 1)]
+    stop = width if stop is None else stop
+    return [(f.eval((k + 1,), width) - f.eval((k,), width)) * width for k in range(start, stop)]
 
 
-def grid_values(f, level):
-    numerators, denominator = f.dyadic_grid(level)
+def window_slopes(f, level, start, stop):
+    numerators, denominator = f.slopes(level, start, stop)
     assert denominator > 0
+    return [F(n, denominator) for n in numerators]
+
+
+def walked_slopes(f, level):
+    """The deepest level of the one-variable slope walk, which evaluates f on the grid without a closed form."""
+    *_, (numerators, denominator) = box_slope_martingale(f, 0, 0).levels(level)
     return [F(n, denominator) for n in numerators]
 
 
 rationals = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
 
 
-@st.composite
-def pwlinear_functions(draw):
-    # knots off the grid and closer than its spacing are drawn too
-    inner = draw(st.lists(st.fractions(0, 1, max_denominator=3000), max_size=5, unique=True))
-    xs = [F(0)] + sorted(set(inner) - {0, 1}) + [F(1)]
-    return piecewise_linear([(x, draw(rationals)) for x in xs])
+# knots from 0 to 1: off the grid and closer than its spacing, or on it
+knot_lists = st.lists(
+    st.fractions(0, 1, max_denominator=3000) | st.builds(F, st.integers(1, 63), st.just(64)), max_size=5, unique=True
+).map(lambda inner: [F(0)] + sorted(set(inner) - {0, 1}) + [F(1)])
 
 
-closed_forms = st.one_of(
-    st.sampled_from([square_1d(), cube_1d(), identity_1d()]),
-    rationals.map(lambda c: linear_form([c])),
-    pwlinear_functions(),
-)
+def pwlinear_through(xs):
+    ys = st.sampled_from([F(0), F(1, 3), F(-2, 5)]) | rationals  # repeats make flat pieces
+    return st.lists(ys, min_size=len(xs), max_size=len(xs)).map(lambda values: piecewise_linear(list(zip(xs, values))))
+
+
+polynomials = st.sampled_from([square_1d(), cube_1d(), identity_1d()]) | rationals.map(lambda c: linear_form([c]))
+closed_forms = polynomials | knot_lists.flatmap(pwlinear_through)
 sums_and_scales = st.recursive(
     closed_forms,
     lambda parts: st.one_of(
@@ -393,14 +402,15 @@ sums_and_scales = st.recursive(
 @given(closed_forms, st.integers(0, 9))
 @settings(max_examples=80, deadline=None)
 def test_closed_form_grids_equal_pointwise_evaluation(f, level):
-    assert f.grid is not None
-    assert grid_values(f, level) == pointwise_grid(f, level)
+    # a whole level of slopes, as the slope walk reads it
+    assert f.slopes is not None
+    assert window_slopes(f, level, 0, 1 << level) == walked_slopes(f, level) == pointwise_slopes(f, level)
 
 
 @given(sums_and_scales, st.integers(0, 9))
 @settings(max_examples=40, deadline=None)
 def test_grids_of_sums_and_scales_over_closed_forms_equal_pointwise_evaluation(f, level):
-    assert grid_values(f, level) == pointwise_grid(f, level)
+    assert walked_slopes(f, level) == pointwise_slopes(f, level)
 
 
 def test_grids_without_a_closed_form_evaluate_pointwise():
@@ -412,16 +422,9 @@ def test_grids_without_a_closed_form_evaluate_pointwise():
         scale_function(0, abs_distance_1d(F(1, 5))),
         constant_function(F(-5, 3)),
     ):
-        assert f.grid is None
+        assert f.slopes is None
         for level in (0, 1, 5):
-            assert grid_values(f, level) == pointwise_grid(f, level)
-
-
-def test_dyadic_grid_is_read_from_one_variable_functions():
-    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
-        product_xy().dyadic_grid(3)
-    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
-        constant_function(1, 2).dyadic_grid(3)
+            assert walked_slopes(f, level) == pointwise_slopes(f, level)
 
 
 # ---------------------------------------------------------------------------
@@ -558,24 +561,27 @@ def test_a_tent_system_reads_n_over_d_whatever_the_common_factor(toy_system5, da
 
 
 @st.composite
-def affine_windows(draw):
-    """A piecewise-linear f, a level up to 2100, and a window at a knot, straddling it or anywhere."""
-    inner = draw(st.lists(st.fractions(0, 1, max_denominator=3000), max_size=5, unique=True))
-    xs = [F(0)] + sorted(set(inner) - {0, 1}) + [F(1)]
-    f = piecewise_linear([(x, draw(rationals)) for x in xs])
+def slope_windows(draw):
+    """A closed form, a level up to 2100, and a window that starts, ends or straddles on a knot, or lies anywhere."""
+    xs = draw(knot_lists)
+    f = draw(polynomials | pwlinear_through(xs))
     level = draw(st.sampled_from([0, 1, 2, 5, 10, 64, 2048]) | st.integers(0, 2100))
     top = 1 << level
     at_knot = st.sampled_from(xs).map(lambda x: x.numerator * top // x.denominator)  # the last k / 2**L <= x
     start = min(max(draw(at_knot | st.integers(0, top)) + draw(st.integers(-3, 3)), 0), top)
-    return f, level, start, min(start + draw(st.integers(0, 6)), top + 1)
+    return f, level, start, min(start + draw(st.integers(0, 6)), top)
 
 
-@given(affine_windows())
-@example((piecewise_linear([(0, 0), (F(1, 4), F(1, 3)), (F(1, 3), F(1, 2)), (1, 5)]), 2, 0, 5))  # ends on 1/4
+@given(slope_windows())
+@example((piecewise_linear([(0, 0), (F(1, 4), F(1, 3)), (F(1, 3), F(1, 2)), (1, 5)]), 2, 0, 4))  # 1/4 on the grid, 1/3 inside
+@example((piecewise_linear([(0, 0), (F(1, 5), 1), (F(1, 3), 0), (F(2, 5), 3), (1, 1)]), 0, 0, 1))  # three knots in one interval
+@example((piecewise_linear([(0, 0), (F(1, 5), 1), (F(1, 3), 0), (F(2, 5), 3), (1, 1)]), 1, 0, 2))
 @example((piecewise_linear([(0, 0), (F(1, 3), F(1, 3)), (1, F(-7, 5))]), 2048, (1 << 2048) // 3 - 2, (1 << 2048) // 3 + 4))
 @example((piecewise_linear([(0, 2), (F(1, 7), 2), (1, 2)]), 10, 140, 150))  # flat pieces
+@example((square_1d(), 2100, (1 << 2100) - 3, 1 << 2100))
+@example((cube_1d(), 2100, (1 << 2100) - 3, 1 << 2100))
+@example((linear_form([F(-7, 3)]), 5, 30, 32))
 @settings(max_examples=150, deadline=None)
-def test_affine_windows_equal_the_evaluator_at_each_point(window):
+def test_slope_windows_equal_the_evaluator_at_each_interval(window):
     f, level, start, stop = window
-    numerators, denominator = f.grid(level, start, stop)
-    assert [F(n, denominator) for n in numerators] == [f.eval((k,), 1 << level) for k in range(start, stop)]
+    assert window_slopes(f, level, start, stop) == pointwise_slopes(f, level, start, stop)

@@ -21,6 +21,7 @@ from slopelab.functions import (
     ComputableFunction,
     abs_distance_1d,
     clamp_extend,
+    constant_function,
     cube_1d,
     identity_1d,
     kn_decompose,
@@ -47,7 +48,7 @@ from slopelab.martingales import (
     table_martingale,
 )
 from slopelab.rationals import common_denominator, format_ratio, format_rational
-from slopelab.serialize import bet_csv, canonical_json, to_plain
+from slopelab.serialize import bet_csv, canonical_json, function_from_descriptor, to_plain
 
 F = Fraction
 
@@ -102,6 +103,46 @@ def test_slope_martingale_rejects_decreasing():
         slope_martingale(piecewise_linear([(0, 1), (1, 0)]))
     with pytest.raises(MonotonicityError):
         audit_monotone(abs_distance_1d(F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "points, first",
+    [
+        ([(0, 0), (F(1, 64), F(1, 16)), (F(1, 32), F(1, 32)), (1, 1)], "f(1/32) < f(1/64)"),  # knots on the audit grid
+        ([(0, 0), (F(1, 50), F(1, 10)), (F(1, 30), 0), (1, 1)], "f(1/32) < f(1/64)"),  # knots inside its intervals
+        ([(0, 0), (F(63, 64), 1), (1, F(1, 2))], "f(1) < f(63/64)"),  # only the last interval falls
+    ],
+)
+def test_the_monotone_audit_refuses_alike_with_and_without_slopes(points, first):
+    f = piecewise_linear(points)
+    assert f.slopes is not None
+    rejected = ("raise", MonotonicityError, f"{first} on the audit grid")
+    assert outcome(slope_martingale, f) == outcome(slope_martingale, dataclasses.replace(f, slopes=None)) == rejected
+
+
+def test_slope_readers_refuse_two_variable_functions():
+    for f in (product_xy(), constant_function(1, 2)):
+        assert outcome(slope_martingale, f) == ("raise", ValueError, "expected 2 coordinates, got 1")
+        assert outcome(interval_slope, f, (0, 1)) == ("raise", ValueError, "slope martingales read one-variable functions")
+
+
+def test_every_closed_form_a_bet_descriptor_builds_states_its_slopes():
+    # a closed form without slopes would fall back to the evaluator path unseen
+    closed = [
+        {"kind": "square"},
+        {"kind": "cube"},
+        {"kind": "identity"},
+        {"kind": "linear", "coeffs": ["2/3"]},
+        {"kind": "pwlinear", "points": [["0/1", "0/1"], ["1/3", "1/5"], ["1/1", "1/1"]]},
+    ]
+    evaluated = [
+        {"kind": "sum", "of": [{"kind": "square"}, {"kind": "identity"}]},
+        {"kind": "scale", "by": "2/1", "of": {"kind": "cube"}},
+        {"kind": "clamp-extend", "of": {"kind": "square"}},
+        {"kind": "abs", "center": "1/3"},
+    ]
+    assert [function_from_descriptor(d).slopes is not None for d in closed] == [True] * len(closed)
+    assert [function_from_descriptor(d).slopes is None for d in evaluated] == [True] * len(evaluated)
 
 
 def test_corrupted_table_fails_with_witness():
@@ -190,7 +231,7 @@ def test_run_bet_uses_exactly_the_prefix():
 def test_slope_bet_evaluates_f_once_per_step():
     # without a closed form the walk evaluates f
     calls = []
-    m = slope_martingale(counted(dataclasses.replace(square_1d(), grid=None), calls))
+    m = slope_martingale(counted(dataclasses.replace(square_1d(), slopes=None), calls))
     calls.clear()  # the monotonicity audit's grid
     run = run_bet(m, bits_of_fraction(F(1, 3)), 1024)
     assert len(calls) == 1024 + 2  # f(0), f(1), then one midpoint per step
@@ -227,18 +268,18 @@ def test_slope_average_identity_for_arbitrary_pwlinear(seed):
 @given(st.integers(0, 2**31 - 1), st.lists(st.integers(0, 1), max_size=12).map(tuple))
 @settings(max_examples=60, deadline=None)
 def test_interval_slope_and_the_grid_path_are_box_slope_capitals(seed, bits):
-    # interval_slope and the slope path's grid branch share one n = 1 rule:
-    # a closed form's grid window, or two evaluations when there is none
+    # interval_slope and the slope path's closed-form branch share one n = 1 rule:
+    # a closed form's slope window, or two evaluations when there is none
     rng = random.Random(seed)
     center = F(rng.randrange(0, 97), 96)
     pwlinear = random_monotone_pwlinear(rng)
     functions = [square_1d(), cube_1d(), pwlinear, abs_distance_1d(center), sum_functions([pwlinear, abs_distance_1d(center)])]
-    assert [f.grid is not None for f in functions] == [True, True, True, False, False]
+    assert [f.slopes is not None for f in functions] == [True, True, True, False, False]
     for f in functions:
         capital = box_slope_martingale(f, 0, 0).capital
         expected = [capital(length, int("".join(map(str, bits[:length])) or "0", 2)) for length in range(len(bits) + 1)]
         assert [interval_slope(f, bits[:length]) for length in range(len(bits) + 1)] == expected
-        if f.grid is not None:
+        if f.slopes is not None:
             assert [F(*pair) for pair in slope_martingale(f).path_walk(bits)] == expected
 
 
@@ -453,7 +494,7 @@ def test_slope_paths_over_non_dyadic_knots_match_node_by_node_oracles(seed):
     m = slope_martingale(memoised(f))
     assert_matches_oracles(m, (0, 1, 7), rng, 24)
     # the closed-form path and the evaluating path agree capital by capital
-    evaluating = slope_martingale(memoised(dataclasses.replace(f, grid=None)))
+    evaluating = slope_martingale(memoised(dataclasses.replace(f, slopes=None)))
     source = pattern_bits([rng.randrange(2) for _ in range(rng.randint(1, 6))])
     depth = rng.randint(200, 256)
     run = run_bet(m, source, depth)
@@ -497,7 +538,7 @@ def test_run_bet_reduces_and_compares_unreduced_pairs_like_fractions(data):
 def test_fine_scale_dip_raises_like_the_oracles():
     # nondecreasing on the scale-6 audit grid, decreasing on [1/128, 1/64]
     f = piecewise_linear([(0, 0), (F(1, 128), F(1, 32)), (F(1, 64), F(1, 64)), (1, 1)])
-    assert f.grid is not None  # run_bet reads the closed form
+    assert f.slopes is not None  # run_bet reads the closed form
     m = slope_martingale(f)
     dip = (0, 0, 0, 0, 0, 0, 1)
     message = f"slope: negative capital -2 at {dip}"
@@ -508,7 +549,7 @@ def test_fine_scale_dip_raises_like_the_oracles():
     source = pattern_bits(dip, repeat=False)
     assert outcome(lambda: run_bet(m, source, 9)) == rejected
     assert outcome(trajectory_oracle, m, source, 9) == rejected
-    evaluating = slope_martingale(dataclasses.replace(f, grid=None))
+    evaluating = slope_martingale(dataclasses.replace(f, slopes=None))
     assert outcome(lambda: run_bet(evaluating, source, 9)) == rejected
 
 
@@ -737,7 +778,7 @@ def test_box_slope_level_walks_match_their_capitals_node_by_node(seed, shape):
         xs = [F(0)] + [F(k, 32) for k in sorted(rng.sample(range(1, 32), 3))] + [F(1)]
         ys = [F(rng.randrange(-16, 17), 8) for _ in xs]
         closed = [piecewise_linear(list(zip(xs, ys))), rng.choice((square_1d(), cube_1d()))]
-        functions = closed + [dataclasses.replace(f, grid=None) for f in closed]
+        functions = closed + [dataclasses.replace(f, slopes=None) for f in closed]
     else:  # no closed forms: a function that is not monotone, and its monotone shift
         f, bound = random_exact_function(rng, n)
         functions = [f, kn_decompose(f, bound)[0]]

@@ -57,8 +57,8 @@ def test_bet_path_pool_matches_reference_digests_without_closed_forms(tmp_path, 
 
     def without_closed_form(desc):
         f = parse(desc)
-        stripped.append(f.grid is not None)
-        return dataclasses.replace(f, grid=None)
+        stripped.append(f.slopes is not None)
+        return dataclasses.replace(f, slopes=None)
 
     monkeypatch.setattr(slopelab.serialize, "function_from_descriptor", without_closed_form)
     assert_default_pool_matches_reference_digests("bet-path", tmp_path)
