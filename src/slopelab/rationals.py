@@ -145,6 +145,24 @@ def pow2(exponent: int) -> Fraction:
     return Fraction(scale) if exponent >= 0 else Fraction(1, scale)
 
 
+# Fraction(n, d) for n, d already coprime, built without the gcd (Python 3.12
+# names this constructor; 3.10 and 3.11 take _normalize=False)
+_coprime = getattr(Fraction, "_from_coprime_ints", None) or (lambda n, d: Fraction(n, d, _normalize=False))
+
+
+def dyadic_fraction(numerator: int, exponent: int) -> Fraction:
+    """Exact numerator / 2**exponent, exponent >= 0, in lowest terms by stripping the common twos.
+
+    Fraction(n, 2**k) would take math.gcd(n, 2**k), which costs time
+    quadratic in k (about 0.5 ms at k = POW2_MATERIALIZE_CAP); once the
+    common twos are stripped the pair is coprime, and no gcd is taken.
+    """
+    if not numerator:
+        return Fraction(0)
+    twos = min((numerator & -numerator).bit_length() - 1, exponent)
+    return _coprime(numerator >> twos, 1 << (exponent - twos))
+
+
 def pow2_upper(exponent: int) -> Fraction:
     """A representable upper bound for 2**exponent (exact when within cap).
 

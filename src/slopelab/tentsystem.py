@@ -28,6 +28,7 @@ from .rationals import (
     POW2_MATERIALIZE_CAP,
     ceil_sqrt,
     common_denominator,
+    dyadic_fraction,
     in_unit_cube,
     int_ceil_log2,
     is_dyadic,
@@ -291,8 +292,12 @@ class TentFunction:
     index: int
     eps_exponent: int
 
-    def value(self, numerators: Sequence[int], denominator: int, shift: int = 0) -> Fraction:
-        """2**shift times the exact tent value at N / D; zero outside the closed cell."""
+    def _terms(self, numerators: Sequence[int], denominator: int, shift: int = 0) -> tuple[int, int, int]:
+        """2**shift times the exact tent value at N / D as integers (r, u, j): the value is r * 2**u / D**j.
+
+        r = 0 outside the closed cell.  The one rule of a tent's value: value
+        builds its Fraction, and the system's sums and slopes add the triples.
+        """
         scale, corner = self.cell.scale, self.cell.corner
         t = self.eps_exponent - scale
         width = denominator.bit_length()
@@ -301,7 +306,7 @@ class TentFunction:
             at = (n << scale) - c * denominator
             near = min(at, denominator - at)
             if near <= 0:
-                return Fraction(0)
+                return 0, 0, 0
             if not axis:
                 result = near  # the ridge
             elif near.bit_length() + t <= width and near << t < denominator:
@@ -310,8 +315,12 @@ class TentFunction:
                 result *= near
                 ramped += 1
         # ridge * prod(near * 2**t / D) / (D * 2**scale), times 2**shift
-        up = ramped * t + shift - scale
-        below = denominator ** (ramped + 1)
+        return result, ramped * t - scale + shift, ramped + 1
+
+    def value(self, numerators: Sequence[int], denominator: int, shift: int = 0) -> Fraction:
+        """2**shift times the exact tent value at N / D; zero outside the closed cell."""
+        result, up, below = self._terms(numerators, denominator, shift)
+        below = denominator**below
         return Fraction(result << up, below) if up >= 0 else Fraction(result, below << -up)
 
     def in_exclusion(self, numerators: Sequence[int], denominator: int) -> bool:
@@ -346,6 +355,42 @@ def tent_for(cell: DyadicCube, stage: int, index: int) -> TentFunction:
     if stage < 0 or index < 0:
         raise ValueError("stage and index are natural numbers")
     return TentFunction(cell, stage, index, ramp_exponent(stage, index, cell.scale))
+
+
+def _over_one_denominator(terms: Sequence[tuple[int, int, int]], denominator: int) -> tuple[list[int], int]:
+    """The values r * 2**u / D**j as numerators over one denominator D**n * 2**e, and that denominator.
+
+    n and e are the least that hold every nonzero term; a zero term reads 0.
+    """
+    n = e = 0
+    for r, u, j in terms:
+        if r:
+            n, e = max(n, j), max(e, -u)
+    return [(r * denominator ** (n - j)) << (u + e) if r else 0 for r, u, j in terms], denominator**n << e
+
+
+@dataclass(eq=False)
+class _Located:
+    """A point N / D, the tent over it at each summed stage (TentSystem._walk), and their values once read.
+
+    A stage is valued when first read, so a caller that reads a prefix of
+    the stages never values the tents past it.
+    """
+
+    numerators: Sequence[int]
+    denominator: int
+    tents: dict[int, TentFunction]
+    _valued: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+
+    def terms(self, stage: int) -> tuple[int, int, int]:
+        """4**stage times the stage's tent at the point, as TentFunction._terms; zero where no cell holds it."""
+        found = self._valued.get(stage)
+        if found is None:
+            tent = self.tents.get(stage)
+            if tent is None:
+                return 0, 0, 0
+            found = self._valued[stage] = tent._terms(self.numerators, self.denominator, 2 * stage)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +480,8 @@ class TentSystem:
     cutoff: int
     budget: int
     test_descriptor: dict | None = None
+    # the last point _located was asked for, by its integers, and its walk
+    _last: tuple[tuple, _Located] | None = field(default=None, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -444,10 +491,10 @@ class TentSystem:
     def depth(self) -> int:
         return self.partition.stage_count - 1
 
-    def _stage_tents(self, numerators: Sequence[int], denominator: int, last: int) -> dict[int, TentFunction]:
-        """The tent over N / D at each summed stage, from cutoff + 1 up to the first miss or last."""
+    def _walk(self, numerators: Sequence[int], denominator: int) -> dict[int, TentFunction]:
+        """The point N / D located at each summed stage, from cutoff + 1 up to the first that misses."""
         tents: dict[int, TentFunction] = {}
-        for stage in range(self.cutoff + 1, last + 1):
+        for stage in range(self.cutoff + 1, self.depth + 1):
             hit = self.partition.locate(stage, numerators, denominator)
             if hit is None:
                 # each stage's half-open cells tile its sources, and
@@ -458,13 +505,15 @@ class TentSystem:
             tents[stage] = tent_for(cell, stage, index)
         return tents
 
-    def stage_values(self, numerators: Sequence[int], denominator: int) -> dict[int, Fraction]:
-        """4**m times the tent over the point N / D, for each summed stage m that holds it.
+    def _located(self, numerators: Sequence[int], denominator: int) -> _Located:
+        """The walk of N / D, kept for the next call: the checks of one point locate it once.
 
-        Stages are located from cutoff + 1 upward, up to the first that misses.
+        One point is kept, keyed by its integers; another point replaces it.
         """
-        tents = self._stage_tents(numerators, denominator, self.depth)
-        return {stage: tent.value(numerators, denominator, 2 * stage) for stage, tent in tents.items()}
+        key = (tuple(numerators), denominator)
+        if self._last is None or self._last[0] != key:
+            self._last = key, _Located(numerators, denominator, self._walk(numerators, denominator))
+        return self._last[1]
 
     def as_function(self) -> ComputableFunction:
         """The built stages' sum, exact at every rational point."""
@@ -475,7 +524,12 @@ class TentSystem:
             return self.modulus_exponent(i + 2)
 
         def value(numerators: Sequence[int], denominator: int) -> Fraction:
-            return sum(self.stage_values(numerators, denominator).values(), Fraction(0))
+            tents = self._walk(numerators, denominator)
+            if not tents:
+                return Fraction(0)
+            terms = [tent._terms(numerators, denominator, 2 * k) for k, tent in tents.items()]
+            summed, below = _over_one_denominator(terms, denominator)
+            return Fraction(sum(summed), below)
 
         return ComputableFunction(self.dimension, value, modulus)
 
@@ -502,24 +556,26 @@ class TentSystem:
         if self.depth < precision:
             # stages beyond the build would contribute up to 2**-(depth+1)
             raise InsufficientDepthError(self.depth + 1, too_coarse)
-        at = common_denominator(point)
-        tents = self._stage_tents(*at, precision)
-        value = Fraction(0)
-        error = Fraction(0)
+        numerators, denominator = common_denominator(point)
+        walk = self._located(numerators, denominator)  # the stages past precision stay unvalued
+        terms = []
+        exposed = 0  # the sum of 4**m over the stages that are not exhausted
         for stage in range(self.cutoff + 1, precision + 1):
             data = self.partition.stages[stage]
             # the index of the first visibly small cell
             cutoff_index = next((b.start_index for b in data.blocks if b.cell_scale >= threshold), None)
             if cutoff_index is None and not data.exhausted:
                 raise InsufficientDepthError(stage, too_coarse)
-            tent = tents.get(stage)
+            tent = walk.tents.get(stage)
             if tent is not None and (cutoff_index is None or tent.index < cutoff_index or data.exhausted):
-                value += tent.value(*at, 2 * stage)
+                terms.append(walk.terms(stage))
             if not data.exhausted:
-                # unseen or dropped cells at this stage have side <= 2**-threshold
-                error += Fraction(4) ** stage * pow2(-threshold) / 2
-        error += pow2(-precision - 1)  # all stages beyond the target precision
-        return CertifiedValue(value=value, error=error)
+                exposed += 1 << 2 * stage
+        summed, below = _over_one_denominator(terms, denominator)
+        error = pow2(-precision - 1)  # all stages beyond the target precision
+        if exposed:  # unseen or dropped cells at these stages have side <= 2**-threshold
+            error += exposed * pow2(-threshold) / 2
+        return CertifiedValue(value=Fraction(sum(summed), below), error=error)
 
     # -- modulus of continuity ------------------------------------------------
 
@@ -549,51 +605,56 @@ class TentSystem:
         if not self.cutoff < stage <= self.depth:
             raise ValueError(f"stage {stage} is outside the built range")
         numerators, denominator = common_denominator(z)
-        tents = self._stage_tents(numerators, denominator, self.depth)  # once per stage, this one included
-        tent = tents.get(stage)
+        walk = self._located(numerators, denominator)
+        tent = walk.tents.get(stage)
         if tent is None:
             raise ValueError(f"point is not inside any visible stage-{stage} cell")
         if tent.in_exclusion(numerators, denominator):
             raise ValueError("point sits in the exclusion region of its cell")
-        d = tent.cell.side()
-        step = d / 4
-        totals: dict[int, Fraction] = {}
-        per_stage: dict[int, tuple[tuple[int, Fraction], ...]] = {}
-        tail_ok = True
-        full_stage = False
-        at_z = {k: tent.value(numerators, denominator, 2 * k) for k, tent in tents.items()}
-        # z + h * e1 over the denominator D * 2**(scale + 2), for h = +-1 / 2**(scale + 2)
+        summed = range(self.cutoff + 1, self.depth + 1)
+        # z + h * e1 over the denominator D * 2**up, for h = +-1 / 2**up and
+        # up = scale + 2: a slope is 2**up times a difference of values
         up = tent.cell.scale + 2
         rest = [n << up for n in numerators[1:]]
+        at_z = [(r, u + up, j) for r, u, j in map(walk.terms, summed)]
+        bound = (1 << 2 * (stage - 1)) - 4  # 4**(m-1) - 4, for m > cutoff >= 0
+        totals: dict[int, Fraction] = {}
+        per_stage: dict[int, tuple[tuple[int, Fraction], ...]] = {}
+        passed = full_stage = False
+        tail_ok = True
         for sign in (1, -1):
-            h = sign * step
             first = (numerators[0] << up) + sign * denominator
             if not 0 <= first <= denominator << up:
                 continue
             shifted = ([first, *rest], denominator << up)
-            at_shifted = self.stage_values(*shifted)
-            slopes = []
-            for k in range(self.cutoff + 1, self.depth + 1):
-                s = (at_shifted.get(k, 0) - at_z.get(k, 0)) / h
-                slopes.append((k, s))
-                if k > stage and abs(s) > pow2(-k + 2):
+            tents = self._walk(*shifted)
+            at_shifted = []
+            for k in summed:
+                r, u, j = tents[k]._terms(*shifted, 2 * k + up) if k in tents else (0, 0, 0)
+                at_shifted.append((r, u - up * j, j))  # (D * 2**up)**j = D**j * 2**(up * j)
+            values, below = _over_one_denominator(at_shifted + at_z, denominator)
+            # stage k's slope is a / below
+            slopes = [sign * (s - v) for s, v in zip(values[: len(at_z)], values[len(at_z):])]
+            for k, a in zip(summed, slopes):
+                if k > stage and abs(a) << k > 4 * below:  # |slope| > 2**(2-k)
                     tail_ok = False
-                if k == stage and abs(s) == Fraction(4) ** stage:
+                if k == stage and abs(a) == below << 2 * stage:  # |slope| = 4**m
                     full_stage = True
-            totals[sign] = sum((s for _, s in slopes), Fraction(0))
-            per_stage[sign] = tuple(slopes)
+            total = sum(slopes)
+            passed = passed or abs(total) >= bound * below
+            totals[sign] = Fraction(total, below)
+            per_stage[sign] = tuple((k, Fraction(a, below)) for k, a in zip(summed, slopes))
         if not totals:
             raise ValueError("both oscillation steps leave the unit cube")
-        bound = Fraction(4) ** (stage - 1) - 4 if stage >= 1 else Fraction(-4)
-        passed = any(abs(t) >= bound for t in totals.values())
+        d = tent.cell.side()
         return OscillationReport(
             stage=stage,
             cell_index=tent.index,
             cell_side=d,
-            step=step,
+            step=d / 4,
             totals=totals,
             per_stage=per_stage,
-            bound=bound,
+            bound=Fraction(bound),
             vacuous=bound <= 0,
             passed=passed,
             full_stage_slope=full_stage,
@@ -646,10 +707,10 @@ class TentSystem:
                     hi = lo + (1 << (finest - scale))
                     width = 1 << (finest - eps)
                     spans += [(lo, lo + width), (hi - width, hi)]
-            unions = {axis: Fraction(_merge_spans(spans), 1 << finest) for axis, spans in merged.items()}
+            unions = {axis: dyadic_fraction(_merge_spans(spans), finest) for axis, spans in merged.items()}
             summed += sum(1 << (finest_term - e) for e in exponents)
             _, seen, clamped, _ = past[-1]
-            bound = Fraction(summed, 1 << finest_term) + tail
+            bound = dyadic_fraction(summed, finest_term) + tail
             cells = sum(counts)
             past.append((unions, seen + cells, clamped + cells - len(materialized), bound))
         return past[::-1]
@@ -672,7 +733,7 @@ class TentSystem:
             stage=stage,
             axis=axis,
             visible_union=unions[axis],
-            visible_slack=2 * clamped * pow2(-POW2_MATERIALIZE_CAP),
+            visible_slack=dyadic_fraction(2 * clamped, POW2_MATERIALIZE_CAP),
             interval_count=2 * seen,
             closed_form_bound=bound,
             analytic_bound=pow2(-3 * stage),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from slopelab.rationals import (
     ceil_log2,
     ceil_sqrt,
+    dyadic_fraction,
     floor_log2,
     format_ratio,
     format_ratios,
@@ -109,6 +110,21 @@ def test_pow2_guards_and_upper_bound():
     assert pow2_upper(-(2**40)) > 0
     assert pow2_upper(-3) == Fraction(1, 8)
     assert pow2_upper(5) == 32 and pow2_upper(-16385) == pow2(-16384)
+
+
+@given(st.integers(-(1 << 300), 1 << 300), st.integers(0, 300), st.integers(0, 40))
+@example(0, 16384, 0)
+@example(1, 0, 0)
+@example(-3, 5, 16384)
+@example(5, 2, 16384)
+@settings(max_examples=200, deadline=None)
+def test_dyadic_fraction_is_the_reduced_fraction(numerator, exponent, twos):
+    # numerators with up to 40 extra twos, fewer or more than the exponent holds
+    numerator <<= twos
+    got = dyadic_fraction(numerator, exponent)
+    expected = Fraction(numerator, 1 << exponent)
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert type(got) is Fraction and got == expected and hash(got) == hash(expected)
 
 
 def test_pow2_scale_is_the_integer_of_pow2_and_refuses_the_same_exponents():

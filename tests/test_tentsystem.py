@@ -91,6 +91,12 @@ def excluded_at(tent, point):
     return tent.in_exclusion(*common_denominator(point))
 
 
+def stage_values(system, point):
+    """4**m times the tent over the point at each summed stage m that holds it, as the system locates them."""
+    at = common_denominator(point)
+    return {m: tent.value(*at, 2 * m) for m, tent in system._walk(*at).items()}
+
+
 # ---------------------------------------------------------------------------
 # Partition building
 
@@ -358,7 +364,7 @@ def test_tent_exclusion_membership():
 
 def test_truncated_value_sums_visible_stages(toy_system5):
     system = toy_system5
-    values = system.stage_values(*common_denominator(TARGET))
+    values = stage_values(system, TARGET)
     total = value(system.as_function(), TARGET)
     by_stage = sum((values.get(m, 0) for m in range(1, 6)), Fraction(0))
     assert total == by_stage
@@ -434,12 +440,27 @@ def test_oscillation_single_stage_hits_exact_power():
 
 
 def test_oscillation_rejects_bad_targets(toy_system5):
-    with pytest.raises(ValueError):
-        toy_system5.oscillation_check((F(1, 2), F(1, 3)), 3)  # dyadic coordinate
-    with pytest.raises(ValueError):
-        toy_system5.oscillation_check((F(1, 5), F(1, 5)), 3)  # outside the cells
-    with pytest.raises(ValueError):
-        toy_system5.oscillation_check(TARGET, 9)  # beyond the build
+    # each refusal names its cause, with the Fraction formula's text
+    block = toy_system5.partition.blocks_at(3)[0]
+    cell = block.cell(0)
+    eps = ramp_exponent(3, block.start_index, block.cell_scale)
+    lower = [Fraction(c, 1 << cell.scale) for c in cell.corner]
+    ramp = (lower[0] + cell.side() / 3, lower[1] + pow2(-eps) / 3)
+    refusals = []
+    for point, stage in (((F(1, 2), F(1, 3)), 3), ((F(1, 5), F(1, 5)), 3), (ramp, 3), (TARGET, 9), (TARGET, 0)):
+        with pytest.raises(ValueError) as err:
+            toy_system5.oscillation_check(point, stage)
+        with pytest.raises(ValueError) as oracle:
+            fraction_oscillation(toy_system5, point, stage)
+        assert str(err.value) == str(oracle.value)
+        refusals.append(str(err.value))
+    assert refusals == [
+        "target point must have non-dyadic coordinates",
+        "point is not inside any visible stage-3 cell",
+        "point sits in the exclusion region of its cell",
+        "stage 9 is outside the built range",  # beyond the build
+        "stage 0 is outside the built range",  # at the cutoff
+    ]
 
 
 def test_tail_slopes_bounded_stagewise(toy_system8):
@@ -530,7 +551,7 @@ def test_evaluate_adds_a_deeper_stage_below_a_dropped_cell():
     system = build_tent_system(explicit_test(stages), depth=2, cutoff=0, budget=2)
     inner = system.partition.blocks_at(2)[0].source
     point = tuple(F(c, 1 << inner.scale) + inner.side() / 3 for c in inner.corner)
-    values = system.stage_values(*common_denominator(point))
+    values = stage_values(system, point)
     assert sorted(values) == [1, 2] and values[1] > 0
     assert system.evaluate(point, 2).value == values[2]
 
@@ -564,7 +585,7 @@ def test_evaluate_contains_the_analytic_series(toy_system8):
         exponents.append(exponents[-1] + 3 * k)
     terms = [F(4) ** (k + 1) * pow2(-e) / 3 for k, e in enumerate(exponents)]
     for stage in range(1, 9):
-        assert toy_system8.stage_values(*common_denominator(TARGET)).get(stage, 0) == terms[stage - 1]
+        assert stage_values(toy_system8, TARGET).get(stage, 0) == terms[stage - 1]
     truth_lower = sum(terms, F(0))
     truth_upper = truth_lower + pow2(-90)  # dwarfs the remaining tail
     for m in (2, 4, 6, 8):
@@ -837,7 +858,7 @@ def test_stage_values_match_the_every_stage_oracle(
     system = data.draw(st.sampled_from([toy_system5, toy_system8, clamped_system, mixed_system]))
     point = data.draw(probe_points(system))
     expected = located_stage_values(system, point)
-    assert system.stage_values(*common_denominator(point)) == expected
+    assert stage_values(system, point) == expected
     assert value(system.as_function(), point) == sum(expected.values(), Fraction(0))
 
 
@@ -941,24 +962,46 @@ def counted_locate(monkeypatch, partition):
     return calls
 
 
+def unlocated(system):
+    """A new TentSystem over system's partition, holding no point located before."""
+    return TentSystem(system.partition, system.cutoff, system.budget)
+
+
 def test_a_point_outside_stage_one_is_located_once(toy_system5, monkeypatch):
+    system = unlocated(toy_system5)
     outside = (F(1, 5), F(1, 5))
-    calls = counted_locate(monkeypatch, toy_system5.partition)
-    assert value(toy_system5.as_function(), outside) == 0
+    calls = counted_locate(monkeypatch, system.partition)
+    assert value(system.as_function(), outside) == 0
     assert calls == [(1, outside)]
     calls.clear()
-    toy_system5.evaluate(outside, 5)
+    system.evaluate(outside, 5)
     assert calls == [(1, outside)]
 
 
 def test_oscillation_check_locates_the_target_once_per_stage(toy_system5, monkeypatch):
-    calls = counted_locate(monkeypatch, toy_system5.partition)
+    # once per summed stage across all the checks and evaluations of a point,
+    # not once per check; the stage-m tent is read from the same lookups
+    system = unlocated(toy_system5)
+    calls = counted_locate(monkeypatch, system.partition)
+
+    def located(point):
+        return sorted(stage for stage, at in calls if at == point)
+
     for m in (3, 4, 5):
-        calls.clear()
-        toy_system5.oscillation_check(TARGET, m)
-        at_target = sorted(stage for stage, point in calls if point == TARGET)
-        # once per summed stage: the stage-m tent is read from the same lookups
-        assert at_target == [1, 2, 3, 4, 5]
+        system.oscillation_check(TARGET, m)
+    for precision in (1, 3, 5):
+        system.evaluate(TARGET, precision)
+    assert located(TARGET) == [1, 2, 3, 4, 5]
+    # a point with TARGET's numerators over another denominator, then TARGET
+    # again: each is located afresh
+    other = (F(1, 5), F(1, 5))
+    calls.clear()
+    with pytest.raises(ValueError, match="not inside any visible stage-3 cell"):
+        system.oscillation_check(other, 3)
+    system.oscillation_check(TARGET, 3)
+    system.evaluate(TARGET, 5)
+    assert located(other) == [1]
+    assert located(TARGET) == [1, 2, 3, 4, 5]
 
 
 def test_the_exclusion_sweep_builds_each_visible_tent_once(toy_test, monkeypatch):
@@ -1028,3 +1071,146 @@ def test_repeated_and_alternating_exclusion_calls_match_the_oracle(toy_test):
                     union, slack, count, bound = fraction_exclusion(system, m, axis, per_block)
                     assert (report.visible_union, report.visible_slack) == (union, slack)
                     assert (report.interval_count, report.closed_form_bound) == (count, bound)
+
+
+# ---------------------------------------------------------------------------
+# Oscillation and evaluation against their Fraction formulas
+
+
+def located_tent(system, stage, point):
+    """The tent over the point at a stage, or None where no visible cell holds it."""
+    hit = system.partition.locate(stage, *common_denominator(point))
+    return None if hit is None else tent_for(hit[1], stage, hit[0])
+
+
+def fraction_oscillation(system, z, stage):
+    """Oracle: the oscillation report by Fraction slopes, every stage located afresh at z and at z +- h."""
+    z = tuple(z)
+    if any(c.denominator & (c.denominator - 1) == 0 for c in z):
+        raise ValueError("target point must have non-dyadic coordinates")
+    if not system.cutoff < stage <= system.depth:
+        raise ValueError(f"stage {stage} is outside the built range")
+    tent = located_tent(system, stage, z)
+    if tent is None:
+        raise ValueError(f"point is not inside any visible stage-{stage} cell")
+    if oracle_in_exclusion(tent, z):
+        raise ValueError("point sits in the exclusion region of its cell")
+    d = tent.cell.side()
+    step = d / 4
+    at_z = located_stage_values(system, z)
+    totals, per_stage = {}, {}
+    tail_ok, full_stage = True, False
+    for sign in (1, -1):
+        h = sign * step
+        shifted = (z[0] + h, *z[1:])
+        if not 0 <= shifted[0] <= 1:
+            continue
+        at_shifted = located_stage_values(system, shifted)
+        slopes = []
+        for k in range(system.cutoff + 1, system.depth + 1):
+            s = (at_shifted.get(k, 0) - at_z.get(k, 0)) / h
+            slopes.append((k, s))
+            if k > stage and abs(s) > pow2(-k + 2):
+                tail_ok = False
+            if k == stage and abs(s) == Fraction(4) ** stage:
+                full_stage = True
+        totals[sign] = sum((s for _, s in slopes), Fraction(0))
+        per_stage[sign] = tuple(slopes)
+    if not totals:
+        raise ValueError("both oscillation steps leave the unit cube")
+    bound = Fraction(4) ** (stage - 1) - 4
+    return tentsystem.OscillationReport(
+        stage=stage,
+        cell_index=tent.index,
+        cell_side=d,
+        step=step,
+        totals=totals,
+        per_stage=per_stage,
+        bound=bound,
+        vacuous=bound <= 0,
+        passed=any(abs(t) >= bound for t in totals.values()),
+        full_stage_slope=full_stage,
+        tail_ok=tail_ok,
+        unbuilt_tail_bound=pow2(-system.depth + 2),
+    )
+
+
+def fraction_evaluate(system, point, precision):
+    """Oracle: the certified value summed stage by stage in Fractions, every stage located afresh."""
+    threshold = 3 * precision + (precision + 1).bit_length()
+    if system.depth < precision:
+        raise InsufficientDepthError(system.depth + 1, f"needs visible cells of side <= 2**-{threshold}")
+    values = located_stage_values(system, point)
+    value = error = Fraction(0)
+    for stage in range(system.cutoff + 1, precision + 1):
+        data = system.partition.stages[stage]
+        cutoff_index = next((b.start_index for b in data.blocks if b.cell_scale >= threshold), None)
+        if cutoff_index is None and not data.exhausted:
+            raise InsufficientDepthError(stage, f"needs visible cells of side <= 2**-{threshold}")
+        tent = located_tent(system, stage, point)
+        if tent is not None and (cutoff_index is None or tent.index < cutoff_index or data.exhausted):
+            value += values[stage]
+        if not data.exhausted:
+            error += Fraction(4) ** stage * pow2(-threshold) / 2
+    return tentsystem.CertifiedValue(value=value, error=error + pow2(-precision - 1))
+
+
+def outcome(call, *args):
+    """What a call returns, or the class and text of the error it raises."""
+    try:
+        return call(*args)
+    except (ValueError, OverflowError, InsufficientDepthError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def oscillation_points(draw, system):
+    """Points in stage cells at non-dyadic offsets, on their ramps, random rationals, dyadic points, TARGET."""
+    n = system.dimension
+    kind = draw(st.sampled_from(["inside"] * 3 + ["ramp"] * 2 + ["rational", "dyadic", "target"]))
+    if kind == "target" and n == 2:
+        return TARGET
+    if kind in ("inside", "ramp"):
+        stage = draw(st.integers(min(system.cutoff + 1, system.depth), system.depth))
+        block = draw(st.sampled_from(system.partition.blocks_at(stage)))
+        local = draw(st.integers(0, min(block.count, 40) - 1))
+        cell = block.cell(local)
+        eps = ramp_exponent(stage, block.start_index + local, block.cell_scale)
+        lower = [Fraction(c, 1 << cell.scale) for c in cell.corner]
+        offsets = [cell.side() * Fraction(draw(st.integers(1, 4)), 5) for _ in range(n)]
+        if kind == "ramp" and eps <= POW2_MATERIALIZE_CAP:
+            # one axis past the first sits on the ramp at a third of its width
+            offsets[draw(st.integers(1, n - 1))] = pow2(-eps) / 3
+        return tuple(x + o for x, o in zip(lower, offsets))
+    if kind == "dyadic":
+        return tuple(Fraction(draw(st.integers(0, 64)), 64) for _ in range(n))
+    denom = draw(st.integers(1, 200)) * 2 + 1
+    return tuple(Fraction(draw(st.integers(0, denom)), denom) for _ in range(n))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_oscillation_and_evaluation_match_the_fraction_formulas(
+    toy_system5, toy_system8, clamped_system, mixed_system, data
+):
+    # checks, evaluations and sums at a few points, in shuffled order, so
+    # that the system's kept point changes between calls
+    source = data.draw(st.sampled_from(["toy5", "toy8", "clamped", "mixed", "random"]))
+    if source == "random":
+        stages, budget = data.draw(nested_explicit_stages())
+        built = build_tent_system(explicit_test(stages), depth=len(stages) - 1, cutoff=0, budget=budget)
+    else:
+        built = {"toy5": toy_system5, "toy8": toy_system8, "clamped": clamped_system, "mixed": mixed_system}[source]
+    cutoff = data.draw(st.integers(0, max(built.depth - 1, 0)))
+    system = TentSystem(built.partition, cutoff, built.budget)
+    points = data.draw(st.lists(oscillation_points(system), min_size=1, max_size=3))
+    calls = [("oscillation", p, m) for p in points for m in range(system.depth + 2)]
+    calls += [("evaluate", p, m) for p in points for m in range(system.depth + 2)]
+    calls += [("sum", p, None) for p in points]
+    for check, point, m in data.draw(st.permutations(calls)):
+        if check == "oscillation":
+            assert outcome(system.oscillation_check, point, m) == outcome(fraction_oscillation, system, point, m)
+        elif check == "evaluate":
+            assert outcome(system.evaluate, point, m) == outcome(fraction_evaluate, system, point, m)
+        else:
+            assert value(system.as_function(), point) == sum(located_stage_values(system, point).values(), F(0))
