@@ -142,8 +142,8 @@ class Partition:
 
     def locate(
         self, stage: int, numerators: Sequence[int], denominator: int
-    ) -> tuple[int, DyadicCube] | None:
-        """Index and cube of the stage cell whose half-open box holds the point N / D.
+    ) -> tuple[int, int, tuple[int, ...]] | None:
+        """Index, scale and integer corner of the stage cell whose half-open box holds the point N / D.
 
         A stage's sources are disjoint, so its source family finds the block
         with one lookup per source scale (CubeFamily.locate).
@@ -151,13 +151,14 @@ class Partition:
         block = self._sources[stage].locate(numerators, denominator)
         if block is None:
             return None
-        corner = tuple((n << block.cell_scale) // denominator for n in numerators)
-        shift = block.cell_scale - block.source.scale
+        scale = block.cell_scale
+        corner = tuple([(n << scale) // denominator for n in numerators])
+        shift = scale - block.source.scale
         mask = (1 << shift) - 1
         local = 0
         for c in corner:  # the inverse of Block.corner
             local = (local << shift) | c & mask
-        return block.start_index + local, DyadicCube(self.dimension, block.cell_scale, corner)
+        return block.start_index + local, scale, corner
 
     def first_cell_scale(self, stage: int) -> int:
         blocks = self.blocks_at(stage)
@@ -275,16 +276,61 @@ def build_partition(test: NestedTest, depth: int, budget: int) -> Partition:
 # Tent functions
 
 
+def _tent_terms(
+    corner: Sequence[int], scale: int, eps_exponent: int, numerators: Sequence[int], denominator: int, shift: int
+) -> tuple[int, int, int]:
+    """2**shift times the exact value at N / D of the tent over a cell, as integers (r, u, j): the value is r * 2**u / D**j.
+
+    The cell has side 2**-scale and corner c / 2**scale, and its ramps have
+    width eps = 2**-eps_exponent.  Every distance to a cell face is an
+    integer in the unit 1 / (D * 2**scale): a margin r lies on the ramp iff
+    r * 2**t < D, for t = eps_exponent - scale, which a bit-length check
+    decides before any shift by t.  A point that lands on a ramp thinner
+    than 2**-POW2_MATERIALIZE_CAP raises OverflowError.  r = 0 outside the
+    closed cell.  The one rule of a tent's value: TentFunction.value builds
+    its Fraction, and the system's sums and slopes add the triples.
+    """
+    t = eps_exponent - scale
+    width = denominator.bit_length()
+    ramped = result = 0
+    for axis, (c, n) in enumerate(zip(corner, numerators)):
+        at = (n << scale) - c * denominator
+        near = min(at, denominator - at)
+        if near <= 0:
+            return 0, 0, 0
+        if not axis:
+            result = near  # the ridge
+        elif near.bit_length() + t <= width and near << t < denominator:
+            if eps_exponent > POW2_MATERIALIZE_CAP:
+                raise OverflowError("a representable point landed on an unrepresentably thin ramp")
+            result *= near
+            ramped += 1
+    # ridge * prod(near * 2**t / D) / (D * 2**scale), times 2**shift
+    return result, ramped * t - scale + shift, ramped + 1
+
+
+def _tent_excludes(
+    corner: Sequence[int], scale: int, eps_exponent: int, numerators: Sequence[int], denominator: int
+) -> bool:
+    """Whether the point N / D misses the open region where the tent of _tent_terms has first slope +-1."""
+    t = eps_exponent - scale
+    width = denominator.bit_length()
+    for axis, (c, n) in enumerate(zip(corner, numerators)):
+        at = (n << scale) - c * denominator
+        near = min(at, denominator - at)
+        if near <= 0 or axis and near.bit_length() + t <= width and near << t <= denominator:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class TentFunction:
     """Piecewise-linear bump on a cell: ridge in axis 1, ramps elsewhere.
 
-    eps = 2**-eps_exponent; the exponent can be astronomically large.  A point
-    is read as integer numerators N over one denominator D, and every distance
-    to a cell face as an integer in the unit 1 / (D * 2**scale): a margin r
-    lies on the ramp iff r * 2**t < D, for t = eps_exponent - scale, which a
-    bit-length check decides before any shift by t.  A point that lands on a
-    ramp thinner than 2**-POW2_MATERIALIZE_CAP raises OverflowError.
+    eps = 2**-eps_exponent; the exponent can be astronomically large.  The
+    value is _tent_terms's, read at N / D.  It serves the standalone `tent`
+    descriptor: the tent sum reads its located cells as integers and builds
+    no TentFunction.
     """
 
     cell: DyadicCube
@@ -292,48 +338,11 @@ class TentFunction:
     index: int
     eps_exponent: int
 
-    def _terms(self, numerators: Sequence[int], denominator: int, shift: int = 0) -> tuple[int, int, int]:
-        """2**shift times the exact tent value at N / D as integers (r, u, j): the value is r * 2**u / D**j.
-
-        r = 0 outside the closed cell.  The one rule of a tent's value: value
-        builds its Fraction, and the system's sums and slopes add the triples.
-        """
-        scale, corner = self.cell.scale, self.cell.corner
-        t = self.eps_exponent - scale
-        width = denominator.bit_length()
-        ramped = result = 0
-        for axis, (c, n) in enumerate(zip(corner, numerators)):
-            at = (n << scale) - c * denominator
-            near = min(at, denominator - at)
-            if near <= 0:
-                return 0, 0, 0
-            if not axis:
-                result = near  # the ridge
-            elif near.bit_length() + t <= width and near << t < denominator:
-                if self.eps_exponent > POW2_MATERIALIZE_CAP:
-                    raise OverflowError("a representable point landed on an unrepresentably thin ramp")
-                result *= near
-                ramped += 1
-        # ridge * prod(near * 2**t / D) / (D * 2**scale), times 2**shift
-        return result, ramped * t - scale + shift, ramped + 1
-
-    def value(self, numerators: Sequence[int], denominator: int, shift: int = 0) -> Fraction:
-        """2**shift times the exact tent value at N / D; zero outside the closed cell."""
-        result, up, below = self._terms(numerators, denominator, shift)
+    def value(self, numerators: Sequence[int], denominator: int) -> Fraction:
+        """The exact tent value at N / D; zero outside the closed cell."""
+        result, up, below = _tent_terms(self.cell.corner, self.cell.scale, self.eps_exponent, numerators, denominator, 0)
         below = denominator**below
         return Fraction(result << up, below) if up >= 0 else Fraction(result, below << -up)
-
-    def in_exclusion(self, numerators: Sequence[int], denominator: int) -> bool:
-        """Whether the point N / D misses the open region with first slope +-1."""
-        scale = self.cell.scale
-        t = self.eps_exponent - scale
-        width = denominator.bit_length()
-        for axis, (c, n) in enumerate(zip(self.cell.corner, numerators)):
-            at = (n << scale) - c * denominator
-            near = min(at, denominator - at)
-            if near <= 0 or axis and near.bit_length() + t <= width and near << t <= denominator:
-                return True
-        return False
 
     def as_function(self) -> ComputableFunction:
         # each partial slope is at most 2**(stage+index), so the gradient is
@@ -369,9 +378,24 @@ def _over_one_denominator(terms: Sequence[tuple[int, int, int]], denominator: in
     return [(r * denominator ** (n - j)) << (u + e) if r else 0 for r, u, j in terms], denominator**n << e
 
 
+# A located stage cell as plain integers: (index, scale, corner), with the
+# cell's side 2**-scale and its corner over 2**scale (Partition.locate)
+_StageCell = tuple[int, int, tuple[int, ...]]
+
+_ZERO = Fraction(0)  # the sum at every point that misses the first summed stage
+
+
+def _stage_terms(
+    stage: int, cell: _StageCell, numerators: Sequence[int], denominator: int, shift: int = 0
+) -> tuple[int, int, int]:
+    """2**shift * 4**stage times the tent over a located stage cell at N / D, as _tent_terms."""
+    index, scale, corner = cell
+    return _tent_terms(corner, scale, ramp_exponent(stage, index, scale), numerators, denominator, 2 * stage + shift)
+
+
 @dataclass(eq=False)
 class _Located:
-    """A point N / D, the tent over it at each summed stage (TentSystem._walk), and their values once read.
+    """A point N / D, its cell at each summed stage (TentSystem._walk), and their values once read.
 
     A stage is valued when first read, so a caller that reads a prefix of
     the stages never values the tents past it.
@@ -379,17 +403,17 @@ class _Located:
 
     numerators: Sequence[int]
     denominator: int
-    tents: dict[int, TentFunction]
+    cells: dict[int, _StageCell]
     _valued: dict[int, tuple[int, int, int]] = field(default_factory=dict)
 
     def terms(self, stage: int) -> tuple[int, int, int]:
-        """4**stage times the stage's tent at the point, as TentFunction._terms; zero where no cell holds it."""
+        """4**stage times the stage's tent at the point, as _stage_terms; zero where no cell holds it."""
         found = self._valued.get(stage)
         if found is None:
-            tent = self.tents.get(stage)
-            if tent is None:
+            cell = self.cells.get(stage)
+            if cell is None:
                 return 0, 0, 0
-            found = self._valued[stage] = tent._terms(self.numerators, self.denominator, 2 * stage)
+            found = self._valued[stage] = _stage_terms(stage, cell, self.numerators, self.denominator)
         return found
 
 
@@ -491,9 +515,9 @@ class TentSystem:
     def depth(self) -> int:
         return self.partition.stage_count - 1
 
-    def _walk(self, numerators: Sequence[int], denominator: int) -> dict[int, TentFunction]:
-        """The point N / D located at each summed stage, from cutoff + 1 up to the first that misses."""
-        tents: dict[int, TentFunction] = {}
+    def _walk(self, numerators: Sequence[int], denominator: int) -> dict[int, _StageCell]:
+        """The cell of N / D at each summed stage, from cutoff + 1 up to the first that misses."""
+        cells: dict[int, _StageCell] = {}
         for stage in range(self.cutoff + 1, self.depth + 1):
             hit = self.partition.locate(stage, numerators, denominator)
             if hit is None:
@@ -501,9 +525,8 @@ class TentSystem:
                 # build_partition (and verify_properties) puts every stage-m
                 # source inside the stage-(m-1) sources: no later stage holds it
                 break
-            index, cell = hit
-            tents[stage] = tent_for(cell, stage, index)
-        return tents
+            cells[stage] = hit
+        return cells
 
     def _located(self, numerators: Sequence[int], denominator: int) -> _Located:
         """The walk of N / D, kept for the next call: the checks of one point locate it once.
@@ -524,10 +547,10 @@ class TentSystem:
             return self.modulus_exponent(i + 2)
 
         def value(numerators: Sequence[int], denominator: int) -> Fraction:
-            tents = self._walk(numerators, denominator)
-            if not tents:
-                return Fraction(0)
-            terms = [tent._terms(numerators, denominator, 2 * k) for k, tent in tents.items()]
+            cells = self._walk(numerators, denominator)
+            if not cells:
+                return _ZERO
+            terms = [_stage_terms(k, cell, numerators, denominator) for k, cell in cells.items()]
             summed, below = _over_one_denominator(terms, denominator)
             return Fraction(sum(summed), below)
 
@@ -566,8 +589,8 @@ class TentSystem:
             cutoff_index = next((b.start_index for b in data.blocks if b.cell_scale >= threshold), None)
             if cutoff_index is None and not data.exhausted:
                 raise InsufficientDepthError(stage, too_coarse)
-            tent = walk.tents.get(stage)
-            if tent is not None and (cutoff_index is None or tent.index < cutoff_index or data.exhausted):
+            cell = walk.cells.get(stage)
+            if cell is not None and (cutoff_index is None or cell[0] < cutoff_index or data.exhausted):
                 terms.append(walk.terms(stage))
             if not data.exhausted:
                 exposed += 1 << 2 * stage
@@ -597,7 +620,14 @@ class TentSystem:
 
         The target must sit inside a visible stage cell, off its exclusion
         region, with non-dyadic coordinates (dyadic points are excluded from
-        the construction wholesale).
+        the construction wholesale).  tail_ok asks each stage-k slope past m
+        to be at most 2**(2-k).  The nesting ratio gives 2**(1-k) while the
+        step z + h stays in stage-m cells no coarser than z's (its own cell,
+        say): a stage-k tent is at most d_k / 2 high, the nesting ratio puts
+        d_k <= 8**-k * d_m for the stage-k cells over z and over z + h, and
+        h = d_m / 4, so a slope is at most 4**k * (d_k / 2) / (d_m / 4).  A
+        step into a coarser stage-m block has no such bound, and tail_ok can
+        be false there.
         """
         z = tuple(z)
         if any(is_dyadic(c) for c in z):
@@ -606,15 +636,16 @@ class TentSystem:
             raise ValueError(f"stage {stage} is outside the built range")
         numerators, denominator = common_denominator(z)
         walk = self._located(numerators, denominator)
-        tent = walk.tents.get(stage)
-        if tent is None:
+        cell = walk.cells.get(stage)
+        if cell is None:
             raise ValueError(f"point is not inside any visible stage-{stage} cell")
-        if tent.in_exclusion(numerators, denominator):
+        index, scale, corner = cell
+        if _tent_excludes(corner, scale, ramp_exponent(stage, index, scale), numerators, denominator):
             raise ValueError("point sits in the exclusion region of its cell")
         summed = range(self.cutoff + 1, self.depth + 1)
         # z + h * e1 over the denominator D * 2**up, for h = +-1 / 2**up and
         # up = scale + 2: a slope is 2**up times a difference of values
-        up = tent.cell.scale + 2
+        up = scale + 2
         rest = [n << up for n in numerators[1:]]
         at_z = [(r, u + up, j) for r, u, j in map(walk.terms, summed)]
         bound = (1 << 2 * (stage - 1)) - 4  # 4**(m-1) - 4, for m > cutoff >= 0
@@ -627,10 +658,10 @@ class TentSystem:
             if not 0 <= first <= denominator << up:
                 continue
             shifted = ([first, *rest], denominator << up)
-            tents = self._walk(*shifted)
+            cells = self._walk(*shifted)
             at_shifted = []
             for k in summed:
-                r, u, j = tents[k]._terms(*shifted, 2 * k + up) if k in tents else (0, 0, 0)
+                r, u, j = _stage_terms(k, cells[k], *shifted, up) if k in cells else (0, 0, 0)
                 at_shifted.append((r, u - up * j, j))  # (D * 2**up)**j = D**j * 2**(up * j)
             values, below = _over_one_denominator(at_shifted + at_z, denominator)
             # stage k's slope is a / below
@@ -646,10 +677,10 @@ class TentSystem:
             per_stage[sign] = tuple((k, Fraction(a, below)) for k, a in zip(summed, slopes))
         if not totals:
             raise ValueError("both oscillation steps leave the unit cube")
-        d = tent.cell.side()
+        d = pow2(-scale)
         return OscillationReport(
             stage=stage,
-            cell_index=tent.index,
+            cell_index=index,
             cell_side=d,
             step=d / 4,
             totals=totals,

@@ -78,8 +78,14 @@ def exclusion_intervals(tent, axis):
     return ((lo, lo + eps), (hi - eps, hi))
 
 
-def value_at(tent, point, shift=0):
-    return tent.value(*common_denominator(point), shift)
+def value_at(tent, point):
+    return tent.value(*common_denominator(point))
+
+
+def shifted_value(tent, numerators, denominator, shift):
+    """2**shift times the tent at N / D, by the system's integer rule: (r, u, j) reads r * 2**u / D**j."""
+    r, u, j = tentsystem._tent_terms(tent.cell.corner, tent.cell.scale, tent.eps_exponent, numerators, denominator, shift)
+    return Fraction(r, denominator**j) * Fraction(2) ** u
 
 
 def value(f, point):
@@ -87,14 +93,36 @@ def value(f, point):
     return f.eval(*common_denominator(point))
 
 
+def excludes(tent, numerators, denominator):
+    """The system's integer exclusion rule for the tent, at N / D."""
+    return tentsystem._tent_excludes(tent.cell.corner, tent.cell.scale, tent.eps_exponent, numerators, denominator)
+
+
 def excluded_at(tent, point):
-    return tent.in_exclusion(*common_denominator(point))
+    return excludes(tent, *common_denominator(point))
+
+
+def located_cell(partition, stage, numerators, denominator):
+    """partition.locate's integers (index, scale, corner) as (index, DyadicCube); None where no cell holds N / D."""
+    hit = partition.locate(stage, numerators, denominator)
+    if hit is None:
+        return None
+    index, scale, corner = hit
+    return index, DyadicCube(partition.dimension, scale, corner)
+
+
+def walked_tents(system, numerators, denominator):
+    """The tent over N / D at each summed stage that holds it, built from the system's walk of integer cells."""
+    return {
+        m: tent_for(DyadicCube(system.dimension, scale, corner), m, index)
+        for m, (index, scale, corner) in system._walk(numerators, denominator).items()
+    }
 
 
 def stage_values(system, point):
     """4**m times the tent over the point at each summed stage m that holds it, as the system locates them."""
     at = common_denominator(point)
-    return {m: tent.value(*at, 2 * m) for m, tent in system._walk(*at).items()}
+    return {m: shifted_value(tent, *at, 2 * m) for m, tent in walked_tents(system, *at).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +317,7 @@ def test_budget_exhaustion_reports_blocking_cube():
 def test_locate_matches_cell(toy_system5):
     partition = toy_system5.partition
     for stage in range(1, 6):
-        index, cell = partition.locate(stage, *common_denominator(TARGET))
+        index, cell = located_cell(partition, stage, *common_denominator(TARGET))
         assert cell.contains_point(TARGET)
         (block,) = [b for b in partition.blocks_at(stage) if 0 <= index - b.start_index < b.count]
         assert block.cell(index - block.start_index) == cell
@@ -370,7 +398,7 @@ def test_truncated_value_sums_visible_stages(toy_system5):
     assert total == by_stage
     # stage 0 holds the target but sits below the cutoff
     assert values.get(0, 0) == 0
-    index, cell = system.partition.locate(0, *common_denominator(TARGET))
+    index, cell = located_cell(system.partition, 0, *common_denominator(TARGET))
     assert value_at(tent_for(cell, 0, index), TARGET) > 0
 
 
@@ -790,7 +818,7 @@ def located_stage_values(system, point):
     """Oracle: every summed stage located, with no early exit, and valued by the Fraction formula."""
     values = {}
     for stage in range(system.cutoff + 1, system.depth + 1):
-        hit = system.partition.locate(stage, *common_denominator(point))
+        hit = located_cell(system.partition, stage, *common_denominator(point))
         if hit is not None:
             index, cell = hit
             values[stage] = Fraction(4) ** stage * oracle_value(tent_for(cell, stage, index), point)
@@ -882,9 +910,10 @@ def test_locate_matches_the_block_scan_oracle(toy_system5, toy_system8, clamped_
     point = data.draw(probe_points(system))
     for stage in range(system.depth + 1):
         expected = scan_locate(system.partition, stage, point)
-        assert system.partition.locate(stage, *common_denominator(point)) == expected
+        assert located_cell(system.partition, stage, *common_denominator(point)) == expected
         if expected is not None:
             index, cell = expected
+            assert system.partition.locate(stage, *common_denominator(point)) == (index, cell.scale, cell.corner)
             (block,) = [b for b in system.partition.blocks_at(stage) if 0 <= index - b.start_index < b.count]
             assert block.cell(index - block.start_index) == cell
 
@@ -904,8 +933,8 @@ def test_integer_tent_rule_matches_the_fraction_formula(
     scaled = ([n * k for n in numerators], denominator * k)
     tents = []
     for stage in range(system.depth + 1):
-        hit = system.partition.locate(stage, numerators, denominator)
-        assert hit == system.partition.locate(stage, *scaled)
+        assert system.partition.locate(stage, numerators, denominator) == system.partition.locate(stage, *scaled)
+        hit = located_cell(system.partition, stage, numerators, denominator)
         if hit is not None:
             tents.append(tent_for(hit[1], stage, hit[0]))
     stage = data.draw(st.integers(0, system.depth))
@@ -923,9 +952,9 @@ def test_integer_tent_rule_matches_the_fraction_formula(
         else:
             for at in ((numerators, denominator), scaled):
                 assert tent.value(*at) == expected
-                assert tent.value(*at, 2 * tent.stage) == Fraction(4) ** tent.stage * expected
+                assert shifted_value(tent, *at, 2 * tent.stage) == Fraction(4) ** tent.stage * expected
         excluded = oracle_in_exclusion(tent, point)
-        assert tent.in_exclusion(numerators, denominator) == tent.in_exclusion(*scaled) == excluded
+        assert excludes(tent, numerators, denominator) == excludes(tent, *scaled) == excluded
 
 
 def test_a_point_on_an_over_cap_ramp_raises_the_fraction_formula_error():
@@ -1079,7 +1108,7 @@ def test_repeated_and_alternating_exclusion_calls_match_the_oracle(toy_test):
 
 def located_tent(system, stage, point):
     """The tent over the point at a stage, or None where no visible cell holds it."""
-    hit = system.partition.locate(stage, *common_denominator(point))
+    hit = located_cell(system.partition, stage, *common_denominator(point))
     return None if hit is None else tent_for(hit[1], stage, hit[0])
 
 
@@ -1188,13 +1217,8 @@ def oscillation_points(draw, system):
     return tuple(Fraction(draw(st.integers(0, denom)), denom) for _ in range(n))
 
 
-@given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_oscillation_and_evaluation_match_the_fraction_formulas(
-    toy_system5, toy_system8, clamped_system, mixed_system, data
-):
-    # checks, evaluations and sums at a few points, in shuffled order, so
-    # that the system's kept point changes between calls
+def drawn_system(data, toy_system5, toy_system8, clamped_system, mixed_system):
+    """tent-toy (depth 5 and 8), the clamped or the mixed system, or a random nested explicit test, at a drawn cutoff."""
     source = data.draw(st.sampled_from(["toy5", "toy8", "clamped", "mixed", "random"]))
     if source == "random":
         stages, budget = data.draw(nested_explicit_stages())
@@ -1202,7 +1226,17 @@ def test_oscillation_and_evaluation_match_the_fraction_formulas(
     else:
         built = {"toy5": toy_system5, "toy8": toy_system8, "clamped": clamped_system, "mixed": mixed_system}[source]
     cutoff = data.draw(st.integers(0, max(built.depth - 1, 0)))
-    system = TentSystem(built.partition, cutoff, built.budget)
+    return TentSystem(built.partition, cutoff, built.budget)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_oscillation_and_evaluation_match_the_fraction_formulas(
+    toy_system5, toy_system8, clamped_system, mixed_system, data
+):
+    # checks, evaluations and sums at a few points, in shuffled order, so
+    # that the system's kept point changes between calls
+    system = drawn_system(data, toy_system5, toy_system8, clamped_system, mixed_system)
     points = data.draw(st.lists(oscillation_points(system), min_size=1, max_size=3))
     calls = [("oscillation", p, m) for p in points for m in range(system.depth + 2)]
     calls += [("evaluate", p, m) for p in points for m in range(system.depth + 2)]
@@ -1214,3 +1248,124 @@ def test_oscillation_and_evaluation_match_the_fraction_formulas(
             assert outcome(system.evaluate, point, m) == outcome(fraction_evaluate, system, point, m)
         else:
             assert value(system.as_function(), point) == sum(located_stage_values(system, point).values(), F(0))
+
+
+# ---------------------------------------------------------------------------
+# The modulus audit's own points
+
+
+@st.composite
+def audit_draws(draw, system):
+    """Integer numerators over the audit grid 2**(h(m) + 6) of a stage m, as functions.modulus_audit draws them.
+
+    Each coordinate is inside a drawn cell, 0, the top 2**(h + 6), a face
+    of the cell, a point on or at the end of its ramp, or anywhere on the
+    grid; the faces and ramps are those the grid holds exactly.  The
+    audit's y moves one numerator by 1 to 64 either way and stays in the
+    cube, so some draws do the same.
+    """
+    stage = draw(st.integers(1, system.depth))
+    grid = system.modulus_exponent(stage) + 6
+    top = 1 << grid
+    cells = [
+        (block, local, ramp_exponent(i, block.start_index + local, block.cell_scale))
+        for i in range(system.depth + 1)
+        for block in system.partition.blocks_at(i)
+        for local in range(min(block.count, 40))
+        if block.cell_scale <= grid
+    ]
+    block, local, eps = draw(st.sampled_from(cells))
+    side = 1 << (grid - block.cell_scale)
+    numerators = []
+    for c in block.corner(local):
+        kind = draw(st.sampled_from(["inside"] * 4 + ["zero", "top", "face", "ramp", "anywhere"]))
+        if kind == "inside":
+            numerators.append(c * side + draw(st.integers(1, side - 1)) if side > 1 else c)
+        elif kind == "zero":
+            numerators.append(0)
+        elif kind == "top":
+            numerators.append(top)
+        elif kind == "face" or kind == "ramp" and eps > grid:
+            numerators.append((c + draw(st.integers(0, 1))) * side)
+        elif kind == "ramp":
+            # a quarter-step of the ramp width from either face, up to its inner end
+            near = (1 << (grid - eps)) * draw(st.integers(1, 4)) // 4 if eps + 2 <= grid else 1 << (grid - eps)
+            numerators.append(c * side + near if draw(st.booleans()) else (c + 1) * side - near)
+        else:
+            numerators.append(draw(st.integers(0, top)))
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, system.dimension - 1))
+        moved = numerators[axis] + draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 64))
+        assume(0 <= moved <= top)
+        numerators[axis] = moved
+    return numerators, top
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_sum_at_the_audits_points_equals_the_fraction_oracle(
+    toy_system5, toy_system8, clamped_system, mixed_system, data
+):
+    # the audit hands f its numerators over 2**(h + 6) unreduced; the sum
+    # must read them as the every-stage Fraction oracle reads the point
+    system = drawn_system(data, toy_system5, toy_system8, clamped_system, mixed_system)
+    assume(system.depth >= 1)
+    numerators, denominator = data.draw(audit_draws(system))
+    point = tuple(Fraction(n, denominator) for n in numerators)
+    got = outcome(system.as_function().eval, numerators, denominator)
+    expected = outcome(lambda: sum(located_stage_values(system, point).values(), F(0)))
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The tail of the oscillation slopes
+
+
+def step_stays_as_fine(system, z, stage, sign):
+    """Whether z + sign * (cell side) / 4 along axis 0 lies in no stage cell, or in one no coarser than z's."""
+    at_z = system.partition.locate(stage, *common_denominator(z))
+    shifted = (z[0] + sign * pow2(-at_z[1]) / 4, *z[1:])
+    hit = system.partition.locate(stage, *common_denominator(shifted))
+    return hit is None or hit[1] >= at_z[1]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_tail_slopes_past_the_probed_stage_are_at_most_2_to_the_1_minus_k(
+    toy_system5, toy_system8, clamped_system, mixed_system, data
+):
+    # a stage-k tent is at most d_k / 2 high and h = d_m / 4; the nesting
+    # ratio puts d_k <= 8**-k * d_m for the stage-k cells over z and over
+    # z + h while z + h stays in stage-m cells no coarser than z's, so each
+    # stage-k slope is at most 4**k * (d_k / 2) / (d_m / 4) <= 2**(1 - k),
+    # half the 2**(2 - k) that tail_ok compares with
+    system = drawn_system(data, toy_system5, toy_system8, clamped_system, mixed_system)
+    z = data.draw(oscillation_points(system))
+    for m in range(system.cutoff + 1, system.depth + 1):
+        try:
+            report = system.oscillation_check(z, m)
+        except ValueError:
+            continue
+        bounded = [sign for sign in report.per_stage if step_stays_as_fine(system, z, m, sign)]
+        for sign in bounded:
+            for k, slope in report.per_stage[sign]:
+                if k > m:
+                    assert abs(slope) <= pow2(1 - k)
+        if len(bounded) == len(report.per_stage):
+            assert report.tail_ok
+
+
+def test_tail_ok_fails_where_the_step_crosses_into_a_coarser_block():
+    # stage 1 has a scale-4 block B = [1/2, 1] x [0, 1/2] and a scale-8 block
+    # A just left of it; z sits in A, 1/3072 from B, so z + h (h = 1/1024)
+    # lands in B's stage-2 cells of side 1/1024, whose tent slope is 16/3
+    coarse, fine = DyadicCube(2, 1, (1, 0)), DyadicCube(2, 5, (15, 0))
+    stages = [[unit_cube(2)], [coarse, fine], [DyadicCube(2, 4, (8, 0))]]
+    system = build_tent_system(explicit_test(stages), depth=2, cutoff=0, budget=4)
+    assert [b.cell_scale for b in system.partition.blocks_at(1)] == [4, 8]
+    z = (F(1, 2) - F(1, 3072), F(1, 96))
+    report = system.oscillation_check(z, 1)
+    assert not step_stays_as_fine(system, z, 1, 1) and step_stays_as_fine(system, z, 1, -1)
+    assert report.per_stage == {1: ((1, F(4, 3)), (2, F(16, 3))), -1: ((1, F(-4)), (2, F(0)))}
+    assert report.passed and not report.tail_ok
+    assert report == fraction_oscillation(system, z, 1)
