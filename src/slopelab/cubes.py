@@ -149,23 +149,26 @@ class CubeFamily:
                         index.setdefault(tuple(c >> (scale - at) for c in corner), []).append((scale, corner))
         return index.get(cube.corner, [])
 
-    def overlapping(self, cube: DyadicCube) -> list:
-        """The items of the members that meet cube: the one containing it, or else those inside it."""
+    def cover(self, cube: DyadicCube) -> tuple[list, bool]:
+        """The items of the members that meet cube, and whether their union covers it.
+
+        They are the one member containing cube, which covers it, or else the
+        members inside it, which cover it when they fill its volume.
+        """
         item = self.ancestor(cube)
         if item is not None:
-            return [item]
-        return [self._members[scale][corner] for scale, corner in self._below(cube)]
-
-    def contains(self, cube: DyadicCube) -> bool:
-        """Whether the union covers cube: a member contains it, or the members inside fill its volume."""
-        if self.ancestor(cube) is not None:
-            return True
+            return [item], True
         inside = self._below(cube)
         if not inside:
-            return False
+            return [], False
         finest = max(scale for scale, _ in inside)
         cells = sum(1 << ((finest - scale) * cube.dimension) for scale, _ in inside)
-        return cells == 1 << ((finest - cube.scale) * cube.dimension)
+        items = [self._members[scale][corner] for scale, corner in inside]
+        return items, cells == 1 << ((finest - cube.scale) * cube.dimension)
+
+    def contains(self, cube: DyadicCube) -> bool:
+        """Whether the union covers cube (cover)."""
+        return self.cover(cube)[1]
 
     def subtract(self, cube: DyadicCube) -> list[DyadicCube]:
         """Maximal dyadic subcubes of cube disjoint from every member, in child order."""

@@ -15,8 +15,9 @@ from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 # Largest |exponent| for which 2**e is materialized as a Fraction.  Beyond
-# this, callers refuse (OverflowError or a config error) or clamp a bound
-# upward with pow2_upper; tent ramps are decided by bit lengths.
+# this, callers refuse (OverflowError or a config error), the exclusion sweep
+# counts a thinner term as 2**-POW2_MATERIALIZE_CAP, and tent ramps are
+# decided by bit lengths.
 POW2_MATERIALIZE_CAP = 1 << 14
 
 Vector = tuple[Fraction, ...]

@@ -183,8 +183,10 @@ class Partition:
         for m, stage in enumerate(self.stages):
             entry = {"stage": m}
             sources = CubeFamily()
-            for block in stage.blocks:
-                if sources.overlapping(block.source):
+            # coarsest first: dyadic cubes are nested or disjoint, so a source
+            # meets an earlier one exactly when that one contains it
+            for block in sorted(stage.blocks, key=lambda b: b.source.scale):
+                if sources.ancestor(block.source) is not None:
                     raise PartitionError(f"stage {m}: overlapping sources")
                 sources.add(block.source, block)
             raw = CubeFamily.maximal(stage.raw)
@@ -202,8 +204,8 @@ class Partition:
             if m > 0:
                 parents = self._sources[m - 1]
                 for block in stage.blocks:
-                    relevant = parents.overlapping(block.source)
-                    if not parents.contains(block.source):
+                    relevant, covered = parents.cover(block.source)
+                    if not covered:
                         raise PartitionError(f"stage {m}: block escapes the previous stage")
                     for p in relevant:
                         if block.cell_scale < 3 * m + p.cell_scale:
@@ -253,8 +255,8 @@ def build_partition(test: NestedTest, depth: int, budget: int) -> Partition:
                 if m == 0:
                     delta_scale = piece.scale
                 else:
-                    covering = parents.overlapping(piece)
-                    if not parents.contains(piece):
+                    covering, covered = parents.cover(piece)
+                    if not covered:
                         raise BuildBudgetError(m, piece)
                     delta_scale = max(piece.scale, max(b.cell_scale for b in covering))
                 cell_scale = 3 * m + delta_scale
@@ -703,38 +705,48 @@ class TentSystem:
         as the sum of min(VISIBLE_PER_BLOCK, count) over the blocks, and those
         too thin to materialize.  Ramp exponents grow with the cell index, so
         the materializable cells of a block are its first
-        CAP - i - cell_scale - start_index locals, and only their corners are
-        built.  The closed-form bound sums 2**-(i+j) * side over the cells
-        past m by blocks, clamping unrepresentably small terms upward, plus
-        the analytic 16**-i envelope of the stages beyond the build.  Built
-        once and kept with the system, so each stage's blocks are read once.
-        Spans are integer numerators over 2**e, for e the finest materialized
-        eps exponent, bound terms over the finest term's power of two, and
-        both are summed from the deepest up.
+        CAP - i - cell_scale - start_index locals.  A stage's cells at one scale
+        and coordinate c along an axis have nested corner intervals, the first
+        in index order the widest, so a stage reads one span pair per (scale,
+        c), with c the source's coordinate shifted up plus a local's
+        base-2**shift digit: no corner is built.  The closed-form bound sums
+        2**-(i+j) * side over the cells past m by blocks, clamping
+        unrepresentably small terms upward, plus the analytic 16**-i envelope
+        of the stages beyond the build.  Built once and kept with the system.
+        Spans are integer numerators over 2**e, for e the finest eps exponent
+        read, bound terms over the finest term's power of two, and both are
+        summed from the deepest up.
         """
         cap = POW2_MATERIALIZE_CAP
-        later = range(1, self.depth + 1)
-        visible = [[min(VISIBLE_PER_BLOCK, b.count) for b in self.partition.blocks_at(i)] for i in later]
-        thick = [
-            [(b.cell_scale, ramp_exponent(i, b.start_index + local, b.cell_scale), b.corner(local))
-             for b, count in zip(self.partition.blocks_at(i), counts)
-             for local in range(min(count, cap - i - b.cell_scale - b.start_index))]
-            for i, counts in zip(later, visible)
-        ]
-        terms = [
-            [min(i + b.cell_scale + b.start_index - 1, cap) for b in self.partition.blocks_at(i)]
-            for i in later
-        ]
-        finest = max((eps for cells in thick for _, eps, _ in cells), default=0)
-        finest_term = max((e for exponents in terms for e in exponents), default=0)
+        axes = range(1, self.dimension)
+        stages = []  # per stage: visible cells, materializable ones, per axis (scale, c) -> eps, bound exponents
+        for i in range(1, self.depth + 1):
+            blocks = self.partition.blocks_at(i)
+            widest: dict[int, dict[tuple[int, int], int]] = {axis: {} for axis in axes}
+            cells = thick = 0
+            for b in blocks:
+                count = min(VISIBLE_PER_BLOCK, b.count)
+                k = max(min(count, cap - i - b.cell_scale - b.start_index), 0)
+                cells, thick = cells + count, thick + k
+                shift = b.cell_scale - b.source.scale
+                for axis, spans in widest.items():
+                    w = shift * (self.dimension - 1 - axis)  # a local's digit for the axis is local >> w & mask
+                    base = b.source.corner[axis] << shift
+                    for digit in range(min((k - 1 >> w) + 1, b.cells_per_axis)):  # first at local digit << w
+                        key = (b.cell_scale, base + digit)
+                        if key not in spans:
+                            spans[key] = ramp_exponent(i, b.start_index + (digit << w), b.cell_scale)
+            stages.append((cells, thick, widest, [min(i + b.cell_scale + b.start_index - 1, cap) for b in blocks]))
+        finest = max((eps for _, _, widest, _ in stages for spans in widest.values() for eps in spans.values()), default=0)
+        finest_term = max((e for *_, exponents in stages for e in exponents), default=0)
         tail = Fraction(16) ** (-(self.depth + 1)) * Fraction(16, 15)
-        merged: dict[int, list[tuple[int, int]]] = {axis: [] for axis in range(1, self.dimension)}
+        merged: dict[int, list[tuple[int, int]]] = {axis: [] for axis in axes}
         past = [({axis: Fraction(0) for axis in merged}, 0, 0, tail)]  # past the deepest stage
         summed = 0
-        for counts, materialized, exponents in zip(reversed(visible), reversed(thick), reversed(terms)):
+        for cells, thick, widest, exponents in reversed(stages):
             for axis, spans in merged.items():
-                for scale, eps, corner in materialized:
-                    lo = corner[axis] << (finest - scale)
+                for (scale, c), eps in widest[axis].items():
+                    lo = c << (finest - scale)
                     hi = lo + (1 << (finest - scale))
                     width = 1 << (finest - eps)
                     spans += [(lo, lo + width), (hi - width, hi)]
@@ -742,8 +754,7 @@ class TentSystem:
             summed += sum(1 << (finest_term - e) for e in exponents)
             _, seen, clamped, _ = past[-1]
             bound = dyadic_fraction(summed, finest_term) + tail
-            cells = sum(counts)
-            past.append((unions, seen + cells, clamped + cells - len(materialized), bound))
+            past.append((unions, seen + cells, clamped + cells - thick, bound))
         return past[::-1]
 
     def exclusion_visible(self, stage: int, axis: int) -> ExclusionReport:

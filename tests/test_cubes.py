@@ -274,12 +274,13 @@ def test_the_family_answers_as_the_scans_and_the_grid_do(dim, data):
     # the same members: each kept cube is its own ancestor, and no more are held
     assert len(family) == len(kept)
     assert all(family.ancestor(cube) == cube for cube in kept)
-    assert sorted(family.overlapping(target)) == sorted(c for c in kept if c.intersects(target))
+    meeting, covers = family.cover(target)
+    assert sorted(meeting) == sorted(c for c in kept if c.intersects(target))
     common = max(c.scale for c in cubes + [target])
     measure = brute_grid_measure(cubes, common)
     assert family.measure() == measure
     covered = brute_grid_measure(cubes + [target], common) == measure
-    assert family.contains(target) == scan_union_contains(cubes, target) == covered
+    assert covers == family.contains(target) == scan_union_contains(cubes, target) == covered
     assert family.subtract(target) == scan_subtract_covered(target, cubes)
     # points: a cell centre at the finest scale, and a random rational
     denominator = 1 << (common + 1)
@@ -295,14 +296,15 @@ def test_members_carry_their_items_and_the_family_one_dimension():
     coarse, fine = DyadicCube(2, 1, (0, 0)), DyadicCube(2, 3, (7, 7))
     family.add(coarse, "coarse")
     family.add(fine)
-    assert family.overlapping(DyadicCube(2, 2, (1, 0))) == ["coarse"]
-    assert family.overlapping(DyadicCube(2, 1, (1, 1))) == [fine]
-    assert family.overlapping(DyadicCube(2, 1, (1, 0))) == []
+    assert family.cover(DyadicCube(2, 2, (1, 0))) == (["coarse"], True)
+    assert family.cover(DyadicCube(2, 1, (1, 1))) == ([fine], False)
+    assert family.cover(DyadicCube(2, 1, (1, 0))) == ([], False)
     assert family.locate((1, 1), 4) == "coarse"
     # a member added after a query at a coarser scale is found by its index
     later = DyadicCube(2, 2, (2, 2))
     family.add(later)
-    assert sorted(family.overlapping(DyadicCube(2, 1, (1, 1)))) == [later, fine]
+    meeting, covers = family.cover(DyadicCube(2, 1, (1, 1)))
+    assert sorted(meeting) == [later, fine] and not covers
     with pytest.raises(ValueError, match=r"mixed dimensions in cube union: \[1, 2\]"):
         family.add(unit_cube(1))
     with pytest.raises(ValueError, match=r"mixed dimensions in cube union: \[1, 2\]"):

@@ -1,13 +1,15 @@
-"""The tent sum reads its located stages as integers; it builds no cube or tent.
+"""The tent sum and the exclusion sweep read cells as integers; they build no cube or tent.
 
 tentsystem.py is parsed.  A located stage is the integer triple (index,
 scale, corner) that Partition.locate returns, and a tent's value comes
 from the module's integer rule.  So the code that locates and values the
 sum's points (the walk, its memo entry _Located, the sum, evaluate,
 oscillation_check and the modulus audit) may not reference DyadicCube,
-TentFunction or tent_for, nor call Block.cell, which builds a cube.
-Annotations do not count.  Cubes and tents stay for the partition's
-bookkeeping and the standalone `tent` descriptor.
+TentFunction or tent_for, nor call Block.cell, which builds a cube, or
+Block.corner, which builds a corner tuple.  The exclusion sweep reads a
+visible cell's coordinate along one axis straight from its block and is
+held to the same rule.  Annotations do not count.  Cubes and tents stay
+for the partition's bookkeeping and the standalone `tent` descriptor.
 """
 
 import ast
@@ -23,6 +25,7 @@ GUARDED = {
     "TentSystem.evaluate",
     "TentSystem.oscillation_check",
     "TentSystem.modulus_audit",
+    "TentSystem._exclusion_sweep",
     "_Located",
     "_stage_terms",
 }
@@ -33,7 +36,8 @@ def builder_uses(tree: ast.AST) -> list[tuple[int, str | None, str]]:
 
     The scope is the module-level function or class, or Class.method for a
     method; a function nested in either keeps its scope.  A call of an
-    attribute `cell` is Block.cell, which builds a DyadicCube.
+    attribute `cell` is Block.cell, which builds a DyadicCube, and a call of
+    an attribute `corner` is Block.corner; reading a cube's `corner` is no call.
     """
     found = []
 
@@ -44,8 +48,8 @@ def builder_uses(tree: ast.AST) -> list[tuple[int, str | None, str]]:
             found.append((node.lineno, scope, node.id))
         elif isinstance(node, ast.Attribute) and node.attr in BUILDERS:
             found.append((node.lineno, scope, node.attr))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "cell":
-            found.append((node.lineno, scope, "Block.cell"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("cell", "corner"):
+            found.append((node.lineno, scope, f"Block.{node.func.attr}"))
         annotation = getattr(node, "returns" if isinstance(node, ast.FunctionDef) else "annotation", None)
         children = [child for child in ast.iter_child_nodes(node) if child is not annotation]
         if isinstance(node, ast.FunctionDef):
@@ -83,6 +87,9 @@ def test_the_walk_finds_each_kind_of_use():
         "        return block.cell(0), slopelab.tentsystem.TentFunction\n"
         "    def exclusion_visible(self):\n"
         "        return block.cell(0)\n"
+        "    @cached_property\n"
+        "    def _exclusion_sweep(self):\n"
+        "        return block.source.corner[1], block.corner(0)\n"
         "def _stage_terms():\n"
         "    return DyadicCube\n"
     )
@@ -94,13 +101,15 @@ def test_the_walk_finds_each_kind_of_use():
         (11, "TentSystem._walk", "Block.cell"),
         (11, "TentSystem._walk", "TentFunction"),
         (13, "TentSystem.exclusion_visible", "Block.cell"),
-        (15, "_stage_terms", "DyadicCube"),
+        (16, "TentSystem._exclusion_sweep", "Block.corner"),
+        (18, "_stage_terms", "DyadicCube"),
     ]
-    assert [line for line, scope, _ in uses if guarded(scope)] == [6, 10, 11, 11, 15]
+    assert [line for line, scope, _ in uses if guarded(scope)] == [6, 10, 11, 11, 16, 18]
 
 
 def test_the_sum_builds_no_cube_or_tent():
     uses = builder_uses(ast.parse(TENTSYSTEM.read_text(encoding="utf-8")))
     scopes = {scope for _, scope, _ in uses}
-    assert "tent_for" in scopes and "Block.cell" in scopes  # the builders are still found
+    # the builders are still found
+    assert {"tent_for", "Block.cell"} <= scopes and "Block.corner" in {name for _, _, name in uses}
     assert [f"tentsystem.py:{line} in {scope}: {name}" for line, scope, name in uses if guarded(scope)] == []

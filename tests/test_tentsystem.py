@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -223,6 +224,55 @@ def test_overlapping_sources_rejected():
             dimension=2,
             stages=[StageData(blocks=[whole, inner], raw=[whole.source], exhausted=True)],
         )
+
+
+@st.composite
+def shuffled_sources(draw):
+    """Cubes of mixed scales in random order, each equal to, inside, around or apart from an earlier one."""
+    dim = draw(st.integers(1, 3))
+
+    def fresh():
+        scale = draw(st.integers(1, 3))
+        return DyadicCube(dim, scale, tuple(draw(st.integers(0, (1 << scale) - 1)) for _ in range(dim)))
+
+    cubes = [fresh()]
+    for _ in range(draw(st.integers(0, 5))):
+        base = draw(st.sampled_from(cubes))
+        kind = draw(st.sampled_from(["equal", "inside", "around", "fresh"]))
+        if kind == "equal":
+            cubes.append(base)
+        elif kind == "inside":
+            extra = draw(st.integers(1, 2))
+            corner = tuple((c << extra) + draw(st.integers(0, (1 << extra) - 1)) for c in base.corner)
+            cubes.append(DyadicCube(dim, base.scale + extra, corner))
+        elif kind == "around":
+            up = draw(st.integers(1, base.scale)) if base.scale else 0
+            cubes.append(DyadicCube(dim, base.scale - up, tuple(c >> up for c in base.corner)))
+        else:
+            cubes.append(fresh())
+    return dim, draw(st.permutations(cubes))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_verifier_refuses_a_stage_exactly_when_two_sources_meet(data):
+    # one block per source, all with the same cell scale, at stage 0 or
+    # under a unit-cube stage 0; the stage's raw cubes are its sources, so
+    # every other check passes
+    dim, sources = data.draw(shuffled_sources())
+    m = data.draw(st.integers(0, 1))
+    cell_scale = 3 * m + max(cube.scale for cube in sources)
+    blocks, start = [], 1
+    for cube in sources:
+        blocks.append(Block(start, cube, cell_scale, cube.scale))
+        start += blocks[-1].count
+    stages = [StageData(blocks=[Block(1, unit_cube(dim), 0, 0)], raw=[unit_cube(dim)], exhausted=True)][:m]
+    stages.append(StageData(blocks=blocks, raw=list(sources), exhausted=True))
+    if any(a.intersects(b) for a, b in combinations(sources, 2)):
+        with pytest.raises(PartitionError, match=f"^stage {m}: overlapping sources$"):
+            Partition(dimension=dim, stages=stages)
+    else:
+        assert Partition(dimension=dim, stages=stages).verify_properties()["stages"][m]["covers_enumeration"]
 
 
 def test_a_block_off_its_enumeration_is_rejected():
@@ -1033,53 +1083,54 @@ def test_oscillation_check_locates_the_target_once_per_stage(toy_system5, monkey
     assert located(TARGET) == [1, 2, 3, 4, 5]
 
 
-def test_the_exclusion_sweep_builds_each_visible_tent_once(toy_test, monkeypatch):
-    # the sweep builds the corner of each materializable visible cell once per
-    # system, never the corner of a cell too thin to materialize, and no tent
-    # at all
-    built = []
+def test_the_exclusion_sweep_reads_each_visible_coordinate_once(toy_test, monkeypatch):
+    # per stage and axis, the sweep reads one ramp exponent for each distinct
+    # (scale, coordinate) of the materializable visible cells, that of the
+    # first such cell, whose corner interval is the widest; it reads none for
+    # a cell too thin to materialize, builds no corner, cell or tent, and a
+    # second sweep of the same system reads nothing
+    read = []
+    ramp, corner = tentsystem.ramp_exponent, Block.corner
+
+    def refuse(*args):
+        raise AssertionError("the sweep built a corner, a cell or a tent")
+
+    monkeypatch.setattr(tentsystem, "ramp_exponent", lambda *args: read.append(args) or ramp(*args))
+    monkeypatch.setattr(tentsystem, "tent_for", refuse)
+    monkeypatch.setattr(Block, "corner", refuse)
+    monkeypatch.setattr(Block, "cell", refuse)
     thin = []
-    monkeypatch.setattr(tentsystem, "tent_for", lambda *args: built.append(args))
     for system in (
         build_tent_system(toy_test, depth=5, cutoff=0, budget=4),
         build_tent_system(explicit_test(STRADDLING_STAGES), depth=1, cutoff=0, budget=2),
         build_tent_system(explicit_test(CLAMPED_STAGES), depth=2, cutoff=0, budget=2),
     ):
-        stage_of = {id(block): i for i in range(system.depth + 1) for block in system.partition.blocks_at(i)}
-        corners = []
-        corner = Block.corner
-
-        def counted(block, local):
-            corners.append((stage_of[id(block)], block.start_index + local))
-            return corner(block, local)
-
-        monkeypatch.setattr(Block, "corner", counted)
-
-        def visible(per_block, thin):
-            return [
-                (i, index)
-                for i in range(1, system.depth + 1)
-                for block in system.partition.blocks_at(i)
-                for index in range(block.start_index, block.start_index + min(per_block, block.count))
-                if (ramp_exponent(i, index, block.cell_scale) > POW2_MATERIALIZE_CAP) == thin
-            ]
-
         for per_block in (16, 3, 40):
             monkeypatch.setattr(tentsystem, "VISIBLE_PER_BLOCK", per_block)
+            first = {}  # (stage, axis, scale, coordinate) -> the first visible index there
+            thin_cells = 0
+            for i in range(1, system.depth + 1):
+                for block in system.partition.blocks_at(i):
+                    for local in range(min(per_block, block.count)):
+                        index = block.start_index + local
+                        if ramp(i, index, block.cell_scale) > POW2_MATERIALIZE_CAP:
+                            thin_cells += 1
+                            continue
+                        for axis in range(1, system.dimension):
+                            key = (i, axis, block.cell_scale, corner(block, local)[axis])
+                            first.setdefault(key, index)
+            expected = sorted((i, index, scale) for (i, _, scale, _), index in first.items())
             fresh = TentSystem(system.partition, system.cutoff, system.budget)
-            # a second sweep of the same system builds no corner again
-            for built_now in (visible(per_block, False), []):
-                corners.clear()
+            for read_now in (expected, []):
+                read.clear()
                 for m in range(system.depth + 1):  # the CLI's sweep
                     for axis in range(1, system.dimension):
                         fresh.exclusion_visible(m, axis)
-                assert sorted(corners) == built_now
-        monkeypatch.setattr(Block, "corner", corner)
-        thin.append(len(visible(40, True)))
+                assert sorted(read) == read_now
+        thin.append(thin_cells)
     # the straddling block has 2 of its first 40 cells past the cap, and the
     # clamped system's second stage-2 block all 40
     assert thin == [0, 2, 40]
-    assert built == []
 
 
 def test_exclusion_visible_refuses_a_negative_stage(toy_system5):
