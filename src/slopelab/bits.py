@@ -1,9 +1,10 @@
 """Binary expansions and bit-source interleaving.
 
-Bit sources are total deterministic query interfaces: the same index always
-yields the same bit, and any finite prefix is obtainable.  Points with a
-dyadic coordinate are rejected from expansion because both of their binary
-expansions would be legitimate, which would break interleaving determinism.
+Bit sources are total deterministic prefix rules: any finite prefix is
+obtainable in one piece, and each prefix starts every longer one.  Points
+with a dyadic coordinate are rejected from expansion because both of their
+binary expansions would be legitimate, which would break interleaving
+determinism.
 """
 
 from __future__ import annotations
@@ -23,34 +24,23 @@ class DyadicCoordinateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BitSource:
-    """Deterministic total map index -> {0, 1}.
+    """Deterministic total map index -> {0, 1}, read as prefixes.
 
-    ``whole(n)``, when given, returns the prefix of length n > 0 in one
-    piece, the bits the per-bit loop of ``prefix`` would read one by one.
+    ``rule(n)`` returns the prefix of length n >= 0 in one piece, a tuple of
+    n bits that is the start of every longer prefix.
     """
 
-    fn: Callable[[int], int]
-    label: str = "bits"
-    whole: Callable[[int], Bits] | None = None
-
-    def bit(self, index: int) -> int:
-        if index < 0:
-            raise IndexError("bit index must be nonnegative")
-        value = self.fn(index)
-        if value not in (0, 1):
-            raise ValueError(f"{self.label}: bit {index} evaluated to {value!r}")
-        return value
+    rule: Callable[[int], Bits]
+    label: str
 
     def prefix(self, length: int) -> Bits:
-        if self.whole is not None and length > 0:
-            return self.whole(length)
-        return tuple(self.bit(k) for k in range(length))
+        return self.rule(length)
 
 
 def constant_bits(bit: int) -> BitSource:
     if bit not in (0, 1):
         raise ValueError("constant bit must be 0 or 1")
-    return BitSource(lambda _k: bit, label=f"const{bit}")
+    return BitSource(lambda n: (bit,) * n, f"const{bit}")
 
 
 def pattern_bits(pattern: Sequence[int], repeat: bool = True) -> BitSource:
@@ -59,8 +49,8 @@ def pattern_bits(pattern: Sequence[int], repeat: bool = True) -> BitSource:
     if not pat or any(b not in (0, 1) for b in pat):
         raise ValueError("pattern must be a nonempty 0/1 sequence")
     if repeat:
-        return BitSource(lambda k: pat[k % len(pat)], "pattern", lambda n: (pat * -(-n // len(pat)))[:n])
-    return BitSource(lambda k: pat[k] if k < len(pat) else 0, label="pattern")
+        return BitSource(lambda n: (pat * -(-n // len(pat)))[:n], "pattern")
+    return BitSource(lambda n: pat[:n] + (0,) * (n - len(pat)), "pattern")
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> the bytes 0 and 1
@@ -70,7 +60,7 @@ def bits_of_fraction(value: Fraction) -> BitSource:
     """The binary expansion of value in [0, 1]; dyadic values are rejected.
 
     Bit k is the last binary digit of floor(value * 2**(k + 1)), so a prefix
-    of length n is the n binary digits of floor(value * 2**n), written once.
+    of length n > 0 is the n binary digits of floor(value * 2**n), written once.
     """
     if not 0 <= value <= 1:
         raise ValueError(f"{value} lies outside [0, 1]")
@@ -78,13 +68,10 @@ def bits_of_fraction(value: Fraction) -> BitSource:
         raise DyadicCoordinateError(f"{value} is dyadic; expansion is ambiguous")
     num, den = value.numerator, value.denominator
 
-    def bit(k: int) -> int:
-        return ((num << (k + 1)) // den) & 1
+    def rule(n: int) -> Bits:
+        return tuple(format((num << n) // den, f"0{n}b").encode().translate(_DIGIT_BITS)) if n else ()
 
-    def whole(n: int) -> Bits:
-        return tuple(format((num << n) // den, f"0{n}b").encode().translate(_DIGIT_BITS))
-
-    return BitSource(bit, label=f"0.{num}/{den}", whole=whole)
+    return BitSource(rule, f"0.{num}/{den}")
 
 
 def fraction_from_bits(bits: Sequence[int]) -> Fraction:
@@ -102,10 +89,10 @@ def interleave(sources: Sequence[BitSource]) -> BitSource:
     srcs = tuple(sources)
     n = len(srcs)
 
-    def whole(length: int) -> Bits:
+    def rule(length: int) -> Bits:
         bits = [0] * length
         for j, src in enumerate(srcs):
             bits[j::n] = src.prefix(len(range(j, length, n)))
         return tuple(bits)
 
-    return BitSource(lambda k: srcs[k % n].bit(k // n), label=f"interleave{n}", whole=whole)
+    return BitSource(rule, f"interleave{n}")

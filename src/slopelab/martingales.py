@@ -14,9 +14,9 @@ report finite-depth capital statistics, never a randomness verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, product, repeat
 from math import gcd
 from operator import add, rshift
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -56,40 +56,33 @@ def _prefix_indices(bits: Bits) -> Iterator[int]:
 
 @dataclass(frozen=True, eq=False)
 class Martingale:
-    """Nonnegative exact capital function on binary strings.
+    """Nonnegative exact capital function on binary strings, read as two walks.
 
     A string sigma is held as (length, index) with index = sigma read in
     binary, so sigma0 and sigma1 are (length + 1, 2 * index) and
-    (length + 1, 2 * index + 1).  ``capital(length, index)`` is one value.
-    ``level_walk``, when given, does what ``levels`` does in a way that
-    shares work between the levels.  ``path_walk(bits)``, when given, yields
-    the capitals of bits' prefixes of lengths 0..len(bits) as integer pairs
-    (numerator, denominator > 0), sharing work between consecutive prefixes.
+    (length + 1, 2 * index + 1).  ``levels(depth)`` yields the capitals of
+    lengths 0..depth, each level as integer numerators over one denominator.
+    ``path(bits)`` yields the capitals of bits' prefixes of lengths
+    0..len(bits) as integer pairs (numerator, denominator > 0).
     """
 
-    capital: Callable[[int, int], Fraction]
-    label: str = "martingale"
-    level_walk: Callable[[int], Iterator[tuple[list[int], int]]] | None = None
-    path_walk: Callable[[Bits], Iterator[tuple[int, int]]] | None = None
-
-    def levels(self, depth: int) -> Iterator[tuple[list[int], int]]:
-        """The capitals of lengths 0..depth, each level as integer numerators over one denominator."""
-        if self.level_walk is not None:
-            return self.level_walk(depth)
-        return (
-            common_denominator(self.capital(length, index) for index in range(1 << length))
-            for length in range(depth + 1)
-        )
+    levels: Callable[[int], Iterator[tuple[list[int], int]]]
+    path: Callable[[Bits], Iterator[tuple[int, int]]]
+    label: str
 
     def at(self, sigma: Sequence[int]) -> Fraction:
-        index = _index(map(int, sigma))
-        value = self.capital(len(sigma), index)
-        if value.numerator < 0:  # a Fraction's sign; cheaper than comparing Fractions
-            raise self._negative(len(sigma), index, value)
+        """The capital of sigma: the last pair of its path."""
+        bits = tuple(map(int, sigma))
+        index = _index(bits)
+        *_, (numerator, denominator) = self.path(bits)
+        value = Fraction(numerator, denominator)
+        if numerator < 0:
+            raise _negative(self.label, len(bits), index, value)
         return value
 
-    def _negative(self, length: int, index: int, value: Fraction) -> NegativeCapitalError:
-        return NegativeCapitalError(f"{self.label}: negative capital {value} at {_sigma(length, index)}")
+
+def _negative(label: str, length: int, index: int, value: Fraction) -> NegativeCapitalError:
+    return NegativeCapitalError(f"{label}: negative capital {value} at {_sigma(length, index)}")
 
 
 def check_fairness(m: Martingale, depth: int) -> Bits | None:
@@ -109,14 +102,14 @@ def check_fairness(m: Martingale, depth: int) -> Bits | None:
     levels = m.levels(depth)
     parent, parent_den = next(levels)
     if parent[0] < 0:
-        raise m._negative(0, 0, Fraction(parent[0], parent_den))
+        raise _negative(m.label, 0, 0, Fraction(parent[0], parent_den))
     for length in range(depth):
         child, child_den = next(levels)
         twice = 2 * child_den
         for index, (b, left, right) in enumerate(zip(parent, child[::2], child[1::2])):
             if left < 0 or right < 0:
                 at = 2 * index if left < 0 else 2 * index + 1
-                raise m._negative(length + 1, at, Fraction(child[at], child_den))
+                raise _negative(m.label, length + 1, at, Fraction(child[at], child_den))
             if b * twice != (left + right) * parent_den:
                 return _sigma(length, index)
         parent, parent_den = child, child_den
@@ -129,20 +122,18 @@ def constant_martingale(value: Fraction | int | str = 1) -> Martingale:
         raise ValueError("capital must be nonnegative")
     p, q = v.as_integer_ratio()
     return Martingale(
-        lambda _length, _index: v,
-        label="constant",
-        level_walk=lambda depth: (([p] * (1 << length), q) for length in range(depth + 1)),
+        lambda depth: (([p] * (1 << length), q) for length in range(depth + 1)),
+        lambda bits: repeat((p, q), len(bits) + 1),
+        "constant",
     )
 
 
 def all_on_ones_martingale() -> Martingale:
-    """Stake everything on the next bit being 1; capital 2**|sigma| on 11...1."""
+    """Stake everything on the next bit being 1; capital 2**|sigma| on 11...1, else 0."""
     return Martingale(
-        lambda length, index: Fraction(1 << length) if index == (1 << length) - 1 else Fraction(0),
-        label="all-on-ones",
-        level_walk=lambda depth: (
-            ([0] * ((1 << length) - 1) + [1 << length], 1) for length in range(depth + 1)
-        ),
+        lambda depth: (([0] * ((1 << length) - 1) + [1 << length], 1) for length in range(depth + 1)),
+        lambda bits: zip(accumulate(bits, lambda stake, bit: stake << 1 if bit else 0, initial=1), repeat(1)),
+        "all-on-ones",
     )
 
 
@@ -153,9 +144,11 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
     valid extension).  A key that is not a 0/1 string raises ValueError.
     The capitals are NOT validated here; run check_fairness to audit them.
 
-    The level walk puts the table over one denominator once.  Level L + 1
-    is level L with each entry repeated for both children, then overwritten
-    at the tabled strings of length L + 1, so every string keeps its longest
+    Both walks put the table over one denominator once, and both raise
+    ValueError when the table lacks the empty string.  Level L + 1 is level
+    L with each entry repeated for both children, then overwritten at the
+    tabled strings of length L + 1; a path carries the numerator of the
+    longest tabled prefix it has passed.  So every string keeps its longest
     tabled prefix's numerator, past the table's depth too.
     """
     parsed = {}
@@ -163,25 +156,19 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
         if key.strip("01"):
             raise ValueError(f"table key {key!r} is not a 0/1 string")
         parsed[len(key), int(key or "0", 2)] = parse_rational(value)
-    top = max((length for length, _ in parsed), default=0)
     numerators, denominator = common_denominator(parsed.values())
+    table = dict(zip(parsed, numerators))  # (length, index) -> numerator over denominator
     tabled: dict[int, list[tuple[int, int]]] = {}  # length -> (index, numerator) of its tabled strings
-    for (length, index), numerator in zip(parsed, numerators):
+    for (length, index), numerator in table.items():
         tabled.setdefault(length, []).append((index, numerator))
 
-    def capital(length: int, index: int) -> Fraction:
-        if length > top:
-            length, index = top, index >> (length - top)
-        while (length, index) not in parsed:
-            if length == 0:
-                raise ValueError("table lacks the empty string")
-            length, index = length - 1, index >> 1
-        return parsed[length, index]
-
-    def level_walk(depth: int) -> Iterator[tuple[list[int], int]]:
-        if 0 not in tabled:
+    def root() -> int:
+        if (0, 0) not in table:
             raise ValueError("table lacks the empty string")
-        level = [tabled[0][0][1]]
+        return table[0, 0]
+
+    def levels(depth: int) -> Iterator[tuple[list[int], int]]:
+        level = [root()]
         yield level, denominator
         for length in range(1, depth + 1):
             level = list(chain.from_iterable(zip(level, level)))
@@ -189,7 +176,13 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
                 level[index] = numerator
             yield level, denominator
 
-    return Martingale(capital, label="table", level_walk=level_walk)
+    def path(bits: Bits) -> Iterator[tuple[int, int]]:
+        numerator = root()
+        for cell in enumerate(_prefix_indices(bits)):
+            numerator = table.get(cell, numerator)
+            yield numerator, denominator
+
+    return Martingale(levels, path, "table")
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +195,14 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
     2*slope(sigma) = slope(sigma0) + slope(sigma1) holds for ANY f: the
     average of the halves' slopes telescopes to the whole interval's slope.
     """
-    if f.dimension != 1:
-        raise ValueError("slope martingales read one-variable functions")
+    _one_variable(f)
     ((numerator, denominator),) = _slope_pairs(f, [(len(sigma), _index(sigma))])
     return Fraction(numerator, denominator)
+
+
+def _one_variable(f: ComputableFunction) -> None:
+    if f.dimension != 1:
+        raise ValueError("slope martingales read one-variable functions")
 
 
 def _slope_pairs(f: ComputableFunction, cells: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -225,14 +222,10 @@ def _slope_pairs(f: ComputableFunction, cells: Iterable[tuple[int, int]]) -> Ite
         yield ((f.eval((index + 1,), width) - f.eval((index,), width)) * width).as_integer_ratio()
 
 
-def audit_monotone(f: ComputableFunction) -> None:
-    """Reject f unless it is nondecreasing on the dyadic grid k / 2**6: no slope there is negative."""
+def audit_monotone(m: Martingale) -> None:
+    """Reject a slope martingale unless no capital at length 6 is negative: f is nondecreasing on k / 2**6."""
     width = 1 << 6
-    if f.slopes is not None:
-        rises, _ = f.slopes(6, 0, width)
-    else:
-        values = [f.eval((k,), width) for k in range(width + 1)]
-        rises = [b - a for a, b in zip(values, values[1:])]
+    *_, (rises, _) = m.levels(6)
     for k, rise in enumerate(rises):
         if rise < 0:
             raise MonotonicityError(
@@ -267,8 +260,10 @@ def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
 
 def slope_martingale(f: ComputableFunction) -> Martingale:
     """Capital(sigma) = slope of the monotone f over [sigma]; nonnegative, fair: box-slope at n = 1."""
-    audit_monotone(f)
-    return replace(box_slope_martingale(f, 0, 0), label="slope", path_walk=lambda bits: _slope_path(f, bits))
+    _one_variable(f)
+    m = box_slope_martingale(f, 0, 0)
+    audit_monotone(m)
+    return Martingale(m.levels, m.path, "slope")
 
 
 def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Martingale:
@@ -314,11 +309,13 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
         y = [t << (top - horizon) for t in y]
         return f.eval((*y[:axis], k << (top - scale), *y[axis:]), 1 << top)
 
-    def capital(length: int, index: int) -> Fraction:
-        (shifts, scale), (cell, k) = held(length), cells(length, index)
-        spans = [range(c << shift, (c + 1) << shift) for c, shift in zip(cell, shifts)]
-        rise = sum((value(k + 1, scale, y) - value(k, scale, y) for y in product(*spans)), Fraction(0))
-        return rise * (1 << scale) / (1 << sum(shifts))
+    def path(bits: Bits) -> Iterator[tuple[int, int]]:
+        """Each prefix's capital by the per-node rule: f's mean rise along the axis over the box's corners."""
+        for length, index in enumerate(_prefix_indices(bits)):
+            (shifts, scale), (cell, k) = held(length), cells(length, index)
+            spans = [range(c << shift, (c + 1) << shift) for c, shift in zip(cell, shifts)]
+            rise = sum((value(k + 1, scale, y) - value(k, scale, y) for y in product(*spans)), Fraction(0))
+            yield (rise * (1 << scale) / (1 << sum(shifts))).as_integer_ratio()
 
     def grids(depth: int) -> Iterator[tuple[list[list[int]], int]]:
         """f on the axis grids k / 2**s, s = 0, 1, ..., one column per corner y, over one denominator.
@@ -354,11 +351,12 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 level = [rises[block][k] for block, k in (cells(length, i) for i in range(1 << length))]
             yield level, denominator << sum(shifts)  # over D * |B|
 
-    if n == 1 and f.slopes is not None:  # a closed form states each level; the axis scale is the length
-        return Martingale(
-            capital, label=label, level_walk=lambda depth: (f.slopes(s, 0, 1 << s) for s in range(depth + 1))
-        )
-    return Martingale(capital, label=label, level_walk=level_walk)
+    if n > 1:
+        return Martingale(level_walk, path, label)
+    levels = level_walk  # at n = 1 the capital is the slope over sigma's interval, whatever the horizon
+    if f.slopes is not None:  # a closed form states each level; the axis scale is the length
+        levels = lambda depth: (f.slopes(s, 0, 1 << s) for s in range(depth + 1))
+    return Martingale(levels, lambda bits: _slope_path(f, bits), label)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +393,12 @@ def run_bet(
 ) -> BetRun:
     """Play m against the source's prefixes of length 0..depth.
 
-    The capitals come from m's path walk when it has one, else from
-    ``capital`` on each prefix, as pairs (numerator, denominator > 0).  Each
-    pair is put in lowest terms by one rule: strip the common twos, then
-    divide by the gcd of the numerator and the denominator's odd part, which
-    a dyadic capital skips.  Capitals are compared with each denominator
-    split into its odd part and its twos, so a dyadic comparison is a shift.
+    The capitals come from m's path walk as pairs (numerator, denominator >
+    0).  Each pair is put in lowest terms by one rule: strip the common
+    twos, then divide by the gcd of the numerator and the denominator's odd
+    part, which a dyadic capital skips.  Capitals are compared with each
+    denominator split into its odd part and its twos, so a dyadic comparison
+    is a shift.
     The maximum and the crossings are read in one pass: a threshold not yet
     crossed lies above the running maximum, so only a new strict maximum can
     cross it.
@@ -408,19 +406,15 @@ def run_bet(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     prefix = source.prefix(depth)
-    if m.path_walk is not None:
-        pairs = m.path_walk(prefix)
-    else:
-        pairs = (c.as_integer_ratio() for c in map(m.capital, range(depth + 1), _prefix_indices(prefix)))
     crossings: dict[Fraction, int | None] = dict.fromkeys(thresholds)
     pending = sorted(crossings)  # the thresholds not yet crossed, lowest first
     trajectory: list[tuple[int, int]] = []
     best = low = None  # (numerator, odd part, twos) of the maximum and the tail minimum
     best_at = low_at = 0
     tail = (depth + 1) // 2
-    for length, (num, den) in enumerate(pairs):
+    for length, (num, den) in enumerate(m.path(prefix)):
         if num < 0:
-            raise m._negative(length, _index(prefix[:length]), Fraction(num, den))
+            raise _negative(m.label, length, _index(prefix[:length]), Fraction(num, den))
         common = num | den
         shared = (common & -common).bit_length() - 1
         num, den = num >> shared, den >> shared

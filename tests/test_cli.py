@@ -358,6 +358,14 @@ def test_bet_command_refuses_a_table_without_the_empty_string(tmp_path, capsys, 
     assert capsys.readouterr() == ("", "error: table lacks the empty string\n")
 
 
+@pytest.mark.parametrize("function", [{"kind": "product"}, {"kind": "linear", "coeffs": ["1/1", "1/1"]}])
+def test_bet_command_refuses_a_slope_function_of_two_variables(tmp_path, capsys, function):
+    payload = {**bet_config(), "martingale": {"kind": "slope", "function": function}}
+    config = write_config(tmp_path, "bet.json", payload)
+    assert main(["bet", "--config", config]) == 2
+    assert capsys.readouterr() == ("", "error: slope martingales read one-variable functions\n")
+
+
 ZERO_DENOMINATOR = "error: rational literal '1/0' has a zero denominator\n"
 NOT_A_LITERAL = 'error: 0.5 is not a rational literal; write it as a "p/q" string\n'
 

@@ -4,7 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -102,7 +102,7 @@ def test_slope_martingale_rejects_decreasing():
     with pytest.raises(MonotonicityError):
         slope_martingale(piecewise_linear([(0, 1), (1, 0)]))
     with pytest.raises(MonotonicityError):
-        audit_monotone(abs_distance_1d(F(1, 2)))
+        audit_monotone(box_slope_martingale(abs_distance_1d(F(1, 2)), 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -122,8 +122,11 @@ def test_the_monotone_audit_refuses_alike_with_and_without_slopes(points, first)
 
 def test_slope_readers_refuse_two_variable_functions():
     for f in (product_xy(), constant_function(1, 2)):
-        assert outcome(slope_martingale, f) == ("raise", ValueError, "expected 2 coordinates, got 1")
-        assert outcome(interval_slope, f, (0, 1)) == ("raise", ValueError, "slope martingales read one-variable functions")
+        # refused before any evaluation, with one message for both readers
+        refused = ("raise", ValueError, "slope martingales read one-variable functions")
+        calls = []
+        assert outcome(slope_martingale, counted(f, calls)) == outcome(interval_slope, f, (0, 1)) == refused
+        assert calls == []
 
 
 def test_every_closed_form_a_bet_descriptor_builds_states_its_slopes():
@@ -223,7 +226,7 @@ def test_run_bet_uses_exactly_the_prefix():
         calls.append((length, index))
         return F(1)
 
-    run_bet(Martingale(probe), pattern_bits([0, 1]), 4)
+    run_bet(from_nodes(probe), pattern_bits([0, 1]), 4)
     # (length, index) of (), (0,), (0, 1), (0, 1, 0), (0, 1, 0, 1)
     assert calls == [(0, 0), (1, 0), (2, 1), (3, 2), (4, 5)]
 
@@ -268,7 +271,7 @@ def test_slope_average_identity_for_arbitrary_pwlinear(seed):
 @given(st.integers(0, 2**31 - 1), st.lists(st.integers(0, 1), max_size=12).map(tuple))
 @settings(max_examples=60, deadline=None)
 def test_interval_slope_and_the_grid_path_are_box_slope_capitals(seed, bits):
-    # interval_slope and the slope path's closed-form branch share one n = 1 rule:
+    # interval_slope and the n = 1 slope path share one rule:
     # a closed form's slope window, or two evaluations when there is none
     rng = random.Random(seed)
     center = F(rng.randrange(0, 97), 96)
@@ -276,32 +279,56 @@ def test_interval_slope_and_the_grid_path_are_box_slope_capitals(seed, bits):
     functions = [square_1d(), cube_1d(), pwlinear, abs_distance_1d(center), sum_functions([pwlinear, abs_distance_1d(center)])]
     assert [f.slopes is not None for f in functions] == [True, True, True, False, False]
     for f in functions:
-        capital = box_slope_martingale(f, 0, 0).capital
-        expected = [capital(length, int("".join(map(str, bits[:length])) or "0", 2)) for length in range(len(bits) + 1)]
+        expected = [slope_oracle(f, bits[:length]) for length in range(len(bits) + 1)]
         assert [interval_slope(f, bits[:length]) for length in range(len(bits) + 1)] == expected
-        if f.slopes is not None:
-            assert [F(*pair) for pair in slope_martingale(f).path_walk(bits)] == expected
+        assert walked_path(box_slope_martingale(f, 0, 0), bits) == expected
 
 
 # ---------------------------------------------------------------------------
 # The level walk against the node-by-node reference
 
 
-def fairness_oracle(m, depth):
+def prefix_indices(bits):
+    """The indices of bits' prefixes of lengths 0..len(bits), each prefix read as a binary numeral."""
+    return accumulate(bits, lambda index, bit: 2 * index + bit, initial=0)
+
+
+def from_nodes(rule, label="hand-built"):
+    """A hand-built Martingale whose level walk and path walk both read rule(length, index) -> Fraction."""
+    return Martingale(
+        lambda depth: (common_denominator(rule(length, i) for i in range(1 << length)) for length in range(depth + 1)),
+        lambda bits: (rule(length, index).as_integer_ratio() for length, index in enumerate(prefix_indices(bits))),
+        label,
+    )
+
+
+def checked(rule, label):
+    """sigma -> rule(sigma), refused below zero as Martingale.at refuses a negative capital."""
+
+    def capital(sigma):
+        value = rule(tuple(sigma))
+        if value < 0:
+            raise NegativeCapitalError(f"{label}: negative capital {value} at {tuple(sigma)}")
+        return value
+
+    return capital
+
+
+def fairness_oracle(capital, depth):
     """The node-by-node audit on bit tuples that check_fairness replaced."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     for length in range(depth):
         for sigma in product((0, 1), repeat=length):
-            if 2 * m.at(sigma) != m.at(sigma + (0,)) + m.at(sigma + (1,)):
+            if 2 * capital(sigma) != capital(sigma + (0,)) + capital(sigma + (1,)):
                 return sigma
     return None
 
 
-def trajectory_oracle(m, source, depth):
-    """The capital path as run_bet computed it: m.at on every prefix."""
+def trajectory_oracle(capital, source, depth):
+    """The capital path, one capital per prefix of the source."""
     prefix = source.prefix(depth)
-    return tuple(m.at(prefix[:k]) for k in range(depth + 1))
+    return tuple(capital(prefix[:k]) for k in range(depth + 1))
 
 
 def outcome(call, *args):
@@ -320,12 +347,14 @@ def summary_oracle(trajectory, thresholds):
     return pairs(trajectory), max(trajectory), min(trajectory[(depth + 1) // 2 :]), list(crossings.items())
 
 
-def assert_matches_oracles(m, audit_depths, rng, path_depth):
+def assert_matches_oracles(m, rule, audit_depths, rng, path_depth):
+    """check_fairness and run_bet on m agree with the per-node rule sigma -> capital."""
+    capital = checked(rule, m.label)
     for depth in audit_depths:
-        assert outcome(check_fairness, m, depth) == outcome(fairness_oracle, m, depth)
+        assert outcome(check_fairness, m, depth) == outcome(fairness_oracle, capital, depth)
     for _ in range(3):
         source = pattern_bits([rng.randrange(2) for _ in range(rng.randint(1, 6))])
-        expected = outcome(trajectory_oracle, m, source, path_depth)
+        expected = outcome(trajectory_oracle, capital, source, path_depth)
         if expected[0] == "raise":
             assert outcome(run_bet, m, source, path_depth) == expected
             continue
@@ -346,6 +375,11 @@ def table_oracle(values: dict, sigma) -> F:
             raise ValueError("table lacks the empty string")
         key = key[:-1]
     return F(values[key])
+
+
+def all_on_ones_oracle(sigma) -> F:
+    """2**|sigma| on a string of ones, 0 once a zero has come."""
+    return F(2 ** len(sigma)) if all(sigma) else F(0)
 
 
 def memoised(f):
@@ -405,12 +439,9 @@ def test_table_martingales_match_node_by_node_oracles(seed):
     depth = rng.randint(1, 4)
     table = random_table(rng, depth)
     m = table_martingale(table)
-    assert_matches_oracles(m, range(depth + 3), rng, depth + 3)
-    for length in range(depth + 3):
-        for sigma in product((0, 1), repeat=length):
-            assert outcome(m.capital, length, int("0" + "".join(map(str, sigma)), 2)) == outcome(
-                table_oracle, table, sigma
-            )
+    rule = functools.partial(table_oracle, table)
+    assert_matches_oracles(m, rule, range(depth + 3), rng, depth + 3)
+    assert_walks_match(m, rule, depth + 2)
 
 
 def walked_levels(m, depth):
@@ -418,19 +449,28 @@ def walked_levels(m, depth):
     return [[F(n, denominator) for n in level] for level, denominator in m.levels(depth)]
 
 
-def node_levels(m, depth):
-    """The capitals of lengths 0..depth, one capital(length, index) call per node."""
-    return [[m.capital(length, index) for index in range(1 << length)] for length in range(depth + 1)]
+def walked_path(m, bits):
+    """m.path(bits) read as Fractions, prefix by prefix."""
+    return [F(*pair) for pair in m.path(bits)]
 
 
-def counted_capital(m, calls):
-    """m with a capital that records every node it is called at."""
+def oracle_levels(rule, depth):
+    """The per-node rule on every string of lengths 0..depth, each level in index order."""
+    return [[rule(sigma) for sigma in product((0, 1), repeat=length)] for length in range(depth + 1)]
 
-    def capital(length, index):
-        calls.append((length, index))
-        return m.capital(length, index)
 
-    return dataclasses.replace(m, capital=capital)
+def assert_walks_match(m, rule, depth):
+    """m.levels(depth), and m.path(sigma) for every sigma of length depth, equal the per-node rule.
+
+    Every shorter string is a prefix of some sigma, so its capital lies on that path.
+    """
+    expected = outcome(oracle_levels, rule, depth)
+    assert outcome(walked_levels, m, depth) == expected
+    for index, sigma in enumerate(product((0, 1), repeat=depth)):
+        if expected[0] == "value":
+            assert walked_path(m, sigma) == [expected[1][k][index >> (depth - k)] for k in range(depth + 1)]
+        else:
+            assert outcome(walked_path, m, sigma) == outcome(lambda: [rule(sigma[:k]) for k in range(depth + 1)])
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -439,27 +479,30 @@ def test_level_walks_of_the_cli_kinds_match_their_capitals_node_by_node(seed):
     rng = random.Random(seed)
     depth = rng.randint(1, 4)
     table = random_table(rng, depth)
-    constant = constant_martingale(F(rng.randrange(0, 50), rng.randint(1, 7)))
-    for m in (table_martingale(table), all_on_ones_martingale(), constant):
-        assert m.level_walk is not None
+    value = F(rng.randrange(0, 50), rng.randint(1, 7))
+    kinds = [
+        (table_martingale(table), functools.partial(table_oracle, table)),
+        (all_on_ones_martingale(), all_on_ones_oracle),
+        (constant_martingale(value), lambda _sigma: value),
+    ]
+    for m, rule in kinds:
         for audit_depth in range(depth + 4):  # below, at and beyond the table's depth
-            assert outcome(walked_levels, m, audit_depth) == outcome(node_levels, m, audit_depth)
-            calls = []
-            audited = outcome(check_fairness, counted_capital(m, calls), audit_depth)
-            assert audited == outcome(fairness_oracle, m, audit_depth)
-            assert calls == []
+            assert_walks_match(m, rule, audit_depth)
+            assert outcome(check_fairness, m, audit_depth) == outcome(fairness_oracle, checked(rule, m.label), audit_depth)
     if "" not in table:
         lacking = ("raise", ValueError, "table lacks the empty string")
-        assert outcome(walked_levels, table_martingale(table), 0) == lacking
-        assert outcome(fairness_oracle, table_martingale(table), 1) == lacking
+        m, rule = kinds[0]
+        assert outcome(walked_levels, m, 0) == outcome(walked_path, m, ()) == lacking
+        assert outcome(fairness_oracle, checked(rule, m.label), 1) == lacking
 
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_closed_form_martingales_match_node_by_node_oracles(seed):
     rng = random.Random(seed)
-    for m in (all_on_ones_martingale(), constant_martingale(F(rng.randrange(0, 50), rng.randint(1, 7)))):
-        assert_matches_oracles(m, range(8), rng, 12)
+    value = F(rng.randrange(0, 50), rng.randint(1, 7))
+    for m, rule in ((all_on_ones_martingale(), all_on_ones_oracle), (constant_martingale(value), lambda _sigma: value)):
+        assert_matches_oracles(m, rule, range(8), rng, 12)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -468,12 +511,16 @@ def test_slope_martingales_match_node_by_node_oracles(seed):
     rng = random.Random(seed)
     functions = (random_monotone_pwlinear(rng), square_1d(), cube_1d(), identity_1d())
     for f in functions:
+        rule = functools.partial(slope_oracle, f)
+        assert_walks_match(slope_martingale(memoised(dataclasses.replace(f, slopes=None))), rule, 7)
         m = slope_martingale(memoised(f))
-        assert_matches_oracles(m, (0, 1, 7), rng, 24)
+        assert_walks_match(m, rule, 7)
+        assert_matches_oracles(m, rule, (0, 1, 7), rng, 24)
         for length in (0, 1, 5, 40):
             sigma = tuple(rng.randrange(2) for _ in range(length))
             assert m.at(sigma) == slope_oracle(f, sigma)
-    assert_matches_oracles(slope_martingale(memoised(rng.choice(functions))), (), rng, rng.randint(200, 256))
+    f = rng.choice(functions)
+    assert_matches_oracles(slope_martingale(memoised(f)), functools.partial(slope_oracle, f), (), rng, rng.randint(200, 256))
 
 
 def random_non_dyadic_pwlinear(rng: random.Random):
@@ -492,14 +539,15 @@ def test_slope_paths_over_non_dyadic_knots_match_node_by_node_oracles(seed):
     rng = random.Random(seed)
     f = random_non_dyadic_pwlinear(rng)
     m = slope_martingale(memoised(f))
-    assert_matches_oracles(m, (0, 1, 7), rng, 24)
+    rule = functools.partial(slope_oracle, f)
+    assert_matches_oracles(m, rule, (0, 1, 7), rng, 24)
     # the closed-form path and the evaluating path agree capital by capital
     evaluating = slope_martingale(memoised(dataclasses.replace(f, slopes=None)))
     source = pattern_bits([rng.randrange(2) for _ in range(rng.randint(1, 6))])
     depth = rng.randint(200, 256)
     run = run_bet(m, source, depth)
     assert run == run_bet(evaluating, source, depth)
-    trajectory = trajectory_oracle(m, source, depth)
+    trajectory = trajectory_oracle(rule, source, depth)
     assert run.trajectory == pairs(trajectory)
     # a threshold equal to a capital is crossed at the first length that reaches it
     top = max(trajectory)
@@ -526,9 +574,9 @@ def test_run_bet_reduces_and_compares_unreduced_pairs_like_fractions(data):
     trajectory = [F(n, d) for n, d in path]
     drawn = st.sampled_from(trajectory) | st.fractions(0, 300, max_denominator=64)
     thresholds = data.draw(st.lists(drawn, max_size=4))
-    walked = Martingale(lambda length, index: trajectory[length], path_walk=lambda bits: iter(path))
+    nodewise = from_nodes(lambda length, _index: trajectory[length])
     depth = len(path) - 1
-    for m in (walked, Martingale(walked.capital)):  # the path's pairs, and each prefix's capital
+    for m in (dataclasses.replace(nodewise, path=lambda bits: iter(path)), nodewise):  # the pairs as drawn, and reduced
         # the oracle's trajectory is each Fraction's as_integer_ratio(): lowest terms, denominator > 0
         run = run_bet(m, constant_bits(0), depth, thresholds)
         summary = (run.trajectory, run.max_capital, run.min_tail_capital, list(run.threshold_crossings.items()))
@@ -543,12 +591,13 @@ def test_fine_scale_dip_raises_like_the_oracles():
     dip = (0, 0, 0, 0, 0, 0, 1)
     message = f"slope: negative capital -2 at {dip}"
     rejected = ("raise", NegativeCapitalError, message)
+    capital = checked(functools.partial(slope_oracle, f), "slope")
     assert outcome(check_fairness, m, 8) == rejected
-    assert outcome(fairness_oracle, m, 8) == rejected
+    assert outcome(fairness_oracle, capital, 8) == rejected
     assert check_fairness(m, 6) is None
     source = pattern_bits(dip, repeat=False)
     assert outcome(lambda: run_bet(m, source, 9)) == rejected
-    assert outcome(trajectory_oracle, m, source, 9) == rejected
+    assert outcome(trajectory_oracle, capital, source, 9) == rejected
     evaluating = slope_martingale(dataclasses.replace(f, slopes=None))
     assert outcome(lambda: run_bet(evaluating, source, 9)) == rejected
 
@@ -557,7 +606,7 @@ def test_fairness_witness_precedes_a_later_negative_capital():
     # "0" is unfair; "11" is negative but comes later in length-major order
     table = {"": "1", "0": "1", "1": "1", "00": "1", "01": "2", "10": "2", "11": "-1"}
     m = table_martingale(table)
-    assert check_fairness(m, 2) == fairness_oracle(m, 2) == (0,)
+    assert check_fairness(m, 2) == fairness_oracle(checked(functools.partial(table_oracle, table), "table"), 2) == (0,)
     with pytest.raises(ValueError, match=r"negative capital -1 at \(1, 1\)"):
         m.at((1, 1))
 
@@ -630,9 +679,10 @@ def test_slope_martingales_of_sums_and_scales_match_node_by_node_oracles(seed):
     # slope -2 + c on [1/128, 1/64]: negative there unless c >= 2
     dip = piecewise_linear([(0, 0), (F(1, 128), F(1, 32)), (F(1, 64), F(1, 64)), (1, 1)])
     dipped = sum_functions([dip, scale_function(F(rng.randrange(0, 18), 8), identity_1d())])
-    for g in (f, scale_function(F(rng.randint(1, 9), rng.randint(1, 7)), f)):
-        assert_matches_oracles(slope_martingale(memoised(g)), (0, 1, 7), rng, 24)
-    assert_matches_oracles(slope_martingale(memoised(dipped)), (8,), rng, 24)
+    for g in map(memoised, (f, scale_function(F(rng.randint(1, 9), rng.randint(1, 7)), f))):
+        assert_matches_oracles(slope_martingale(g), functools.partial(slope_oracle, g), (0, 1, 7), rng, 24)
+    dipped = memoised(dipped)
+    assert_matches_oracles(slope_martingale(dipped), functools.partial(slope_oracle, dipped), (8,), rng, 24)
 
 
 def test_the_audit_checks_the_law_of_a_level_walk():
@@ -643,7 +693,7 @@ def test_the_audit_checks_the_law_of_a_level_walk():
                 numerators[5] += 1
             yield numerators, 3 << length
 
-    m = Martingale(lambda _length, _index: F(1), level_walk=walk)
+    m = dataclasses.replace(from_nodes(lambda _length, _index: F(1)), levels=walk)
     assert check_fairness(m, 2) is None
     assert check_fairness(m, 3) == (1, 0)
 
@@ -664,6 +714,11 @@ def box_slope_oracle(f, axis, horizon, sigma):
     for j in range(n):
         if j != axis:
             bits = sigma[j::n]
+            if len(bits) > horizon:
+                raise ValueError(
+                    f"box-slope(axis={axis}, horizon={horizon}): a string of length {len(sigma)} "
+                    f"is finer than the horizon {horizon} in coordinate {j}"
+                )
             left = fraction_from_bits(bits)
             corners.append([left + F(t, 2**horizon) for t in range(2 ** (horizon - len(bits)))])
     slopes = []
@@ -782,12 +837,14 @@ def test_box_slope_level_walks_match_their_capitals_node_by_node(seed, shape):
     else:  # no closed forms: a function that is not monotone, and its monotone shift
         f, bound = random_exact_function(rng, n)
         functions = [f, kn_decompose(f, bound)[0]]
-    for f in functions:
+    for f in map(memoised, functions):
         for axis in range(n):
-            m = box_slope_martingale(memoised(f), axis, horizon)
-            assert m.level_walk is not None
-            nodewise = Martingale(m.capital, label=m.label)
+            m = box_slope_martingale(f, axis, horizon)
+            rule = functools.cache(functools.partial(box_slope_oracle, f, axis, horizon))
             deepest = deepest_length(n, axis, horizon) if n > 1 else 8  # at n = 1 no length is too fine
             for depth in range(deepest + 2):  # one level past the deepest admissible length
-                assert outcome(walked_levels, m, depth) == outcome(walked_levels, nodewise, depth)
-                assert outcome(check_fairness, m, depth) == outcome(check_fairness, nodewise, depth)
+                assert outcome(walked_levels, m, depth) == outcome(oracle_levels, rule, depth)
+                assert outcome(check_fairness, m, depth) == outcome(fairness_oracle, checked(rule, m.label), depth)
+            assert_walks_match(m, rule, deepest)
+            too_fine = (0,) * (deepest + 1)
+            assert outcome(walked_path, m, too_fine) == outcome(lambda: [rule(too_fine[:k]) for k in range(deepest + 2)])

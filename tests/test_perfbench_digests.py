@@ -63,46 +63,3 @@ def test_bet_path_pool_matches_reference_digests_without_closed_forms(tmp_path, 
     monkeypatch.setattr(slopelab.serialize, "function_from_descriptor", without_closed_form)
     assert_default_pool_matches_reference_digests("bet-path", tmp_path)
     assert any(stripped)
-
-
-def assert_bet_pool_matches_reference_digests_without(walk, workload, tmp_path, monkeypatch):
-    """The pool's digests with the given walk stripped from every martingale it builds."""
-    parse = slopelab.serialize.martingale_from_descriptor
-    stripped = []
-
-    def without_walk(desc):
-        m = parse(desc)
-        stripped.append(getattr(m, walk) is not None)
-        return dataclasses.replace(m, **{walk: None})
-
-    monkeypatch.setattr(slopelab.serialize, "martingale_from_descriptor", without_walk)
-    assert_default_pool_matches_reference_digests(workload, tmp_path)
-    assert any(stripped)
-
-
-@pytest.mark.parametrize("workload", ["bet-audit", "bet-path"])
-def test_bet_pools_match_reference_digests_without_level_walks(workload, tmp_path, monkeypatch):
-    # every martingale loses its level walk, so the fairness audit reads capitals node by node
-    assert_bet_pool_matches_reference_digests_without("level_walk", workload, tmp_path, monkeypatch)
-
-
-@pytest.mark.parametrize("workload", ["bet-audit", "bet-path"])
-def test_bet_pools_match_reference_digests_without_path_walks(workload, tmp_path, monkeypatch):
-    # every martingale loses its path walk, so run_bet reduces each prefix's capital pair itself
-    assert_bet_pool_matches_reference_digests_without("path_walk", workload, tmp_path, monkeypatch)
-
-
-@pytest.mark.parametrize("workload", ["bet-audit", "bet-path"])
-def test_bet_pools_match_reference_digests_without_whole_prefixes(workload, tmp_path, monkeypatch):
-    # every bit source, nested ones too, loses its whole-prefix rule, so run_bet reads the path bit by bit
-    parse = slopelab.serialize.source_from_descriptor
-    stripped = []
-
-    def without_whole(desc):
-        source = parse(desc)
-        stripped.append(source.whole is not None)
-        return dataclasses.replace(source, whole=None)
-
-    monkeypatch.setattr(slopelab.serialize, "source_from_descriptor", without_whole)
-    assert_default_pool_matches_reference_digests(workload, tmp_path)
-    assert any(stripped)
