@@ -31,7 +31,6 @@ class BitSource:
     """
 
     rule: Callable[[int], Bits]
-    label: str
 
     def prefix(self, length: int) -> Bits:
         return self.rule(length)
@@ -40,7 +39,7 @@ class BitSource:
 def constant_bits(bit: int) -> BitSource:
     if bit not in (0, 1):
         raise ValueError("constant bit must be 0 or 1")
-    return BitSource(lambda n: (bit,) * n, f"const{bit}")
+    return BitSource(lambda n: (bit,) * n)
 
 
 def pattern_bits(pattern: Sequence[int], repeat: bool = True) -> BitSource:
@@ -49,8 +48,8 @@ def pattern_bits(pattern: Sequence[int], repeat: bool = True) -> BitSource:
     if not pat or any(b not in (0, 1) for b in pat):
         raise ValueError("pattern must be a nonempty 0/1 sequence")
     if repeat:
-        return BitSource(lambda n: (pat * -(-n // len(pat)))[:n], "pattern")
-    return BitSource(lambda n: pat[:n] + (0,) * (n - len(pat)), "pattern")
+        return BitSource(lambda n: (pat * -(-n // len(pat)))[:n])
+    return BitSource(lambda n: pat[:n] + (0,) * (n - len(pat)))
 
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")  # ASCII binary digits -> the bytes 0 and 1
@@ -71,7 +70,7 @@ def bits_of_fraction(value: Fraction) -> BitSource:
     def rule(n: int) -> Bits:
         return tuple(format((num << n) // den, f"0{n}b").encode().translate(_DIGIT_BITS)) if n else ()
 
-    return BitSource(rule, f"0.{num}/{den}")
+    return BitSource(rule)
 
 
 def fraction_from_bits(bits: Sequence[int]) -> Fraction:
@@ -95,4 +94,4 @@ def interleave(sources: Sequence[BitSource]) -> BitSource:
             bits[j::n] = src.prefix(len(range(j, length, n)))
         return tuple(bits)
 
-    return BitSource(rule, f"interleave{n}")
+    return BitSource(rule)

@@ -298,10 +298,16 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 )
         return [horizon - s for j, s in enumerate(scales) if j != axis], scales[axis]
 
-    def cells(length: int, index: int) -> tuple[tuple[int, ...], int]:
-        """The cells of the box that (length, index) codes: the other coordinates', and the axis's."""
-        sigma = _sigma(length, index)
-        return tuple(_index(sigma[j::n]) for j in range(n) if j != axis), _index(sigma[axis::n])
+    def split(nodes: list[tuple[tuple[int, ...], int]], length: int) -> list[tuple[tuple[int, ...], int]]:
+        """The cells of the nodes at length + 1 from those at length: the other coordinates', the axis's.
+
+        Node 2i + b takes node i's cells and adds bit b to coordinate length mod n.
+        """
+        j = length % n
+        if j == axis:
+            return [(block, 2 * k + b) for block, k in nodes for b in (0, 1)]
+        j -= j > axis
+        return [((*block[:j], 2 * block[j] + b, *block[j + 1 :]), k) for block, k in nodes for b in (0, 1)]
 
     def value(k: int, scale: int, y: Sequence[int]) -> Fraction:
         """f at k / 2**scale on the axis and y / 2**horizon off it."""
@@ -311,8 +317,11 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
 
     def path(bits: Bits) -> Iterator[tuple[int, int]]:
         """Each prefix's capital by the per-node rule: f's mean rise along the axis over the box's corners."""
-        for length, index in enumerate(_prefix_indices(bits)):
-            (shifts, scale), (cell, k) = held(length), cells(length, index)
+        node = ((0,) * (n - 1), 0)
+        for length in range(len(bits) + 1):
+            if length:
+                node = split([node], length - 1)[bits[length - 1]]
+            (shifts, scale), (cell, k) = held(length), node
             spans = [range(c << shift, (c + 1) << shift) for c, shift in zip(cell, shifts)]
             rise = sum((value(k + 1, scale, y) - value(k, scale, y) for y in product(*spans)), Fraction(0))
             yield (rise * (1 << scale) / (1 << sum(shifts))).as_integer_ratio()
@@ -336,8 +345,11 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
     def level_walk(depth: int) -> Iterator[tuple[list[int], int]]:
         """Node (k, B) has 2**s * (S(k + 1, B) - S(k, B)) / |B|, S(k, B) summing f at axis point k over B."""
         walk, columns = grids(depth), [[]]
+        nodes = [((0,) * (n - 1), 0)]
         for length in range(depth + 1):
             shifts, scale = held(length)
+            if length and n > 1:  # at n = 1 a node's index is its axis cell
+                nodes = split(nodes, length - 1)
             if len(columns[0]) <= 1 << scale:  # the axis gained a bit
                 columns, denominator = next(walk)
             sums: dict[tuple[int, ...], list[int]] = {}  # block -> S(., B)
@@ -348,7 +360,7 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
             if len(rises) == 1:  # only the axis holds bits, so a node's index is its axis cell
                 (level,) = rises.values()
             else:
-                level = [rises[block][k] for block, k in (cells(length, i) for i in range(1 << length))]
+                level = [rises[block][k] for block, k in nodes]
             yield level, denominator << sum(shifts)  # over D * |B|
 
     if n > 1:

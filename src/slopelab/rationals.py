@@ -86,7 +86,8 @@ def format_ratios(pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
     Decimal power, multiplied up by 2**(t - t_prev), whose digits are reused
     while t holds.  Every other denominator goes through format_ratio.  The
     strings are yielded one at a time, so a caller that wraps each one holds
-    only its own copy.
+    only its own copy.  Each is ASCII, an optional "-", digits, "/" and
+    digits, so it is its own JSON string body.
     """
     twos, power, digits = 0, Decimal(1), "1"  # the running power 2**twos and its digits
     for numerator, denominator in pairs:

@@ -30,9 +30,9 @@ def to_plain(value: Any) -> Any:
     A Fraction is its "p/q" string.  A dataclass is the mapping of its
     fields, its children left exact for canonical_json to render: a cell
     index is a decimal string, since it can outgrow the integers JSON readers
-    hold; a bet run's trajectory renders from its integer pairs by
-    format_ratios, as bet_csv renders it; and an exclusion report also
-    carries its within_bound verdict.
+    hold; a bet run's trajectory is the list of format_ratios strings of its
+    integer pairs, as bet_csv renders them, which canonical_json writes in
+    one join; and an exclusion report also carries its within_bound verdict.
     """
     if isinstance(value, Fraction):
         return format_rational(value)
@@ -43,13 +43,17 @@ def to_plain(value: Any) -> Any:
     if is_dataclass(value):
         shallow = {f.name: getattr(value, f.name) for f in fields(value)}
         if isinstance(value, mg.BetRun):
-            shallow["trajectory"] = list(format_ratios(value.trajectory))
+            shallow["trajectory"] = _Ratios(format_ratios(value.trajectory))
         if "cell_index" in shallow:
             shallow["cell_index"] = format_integer(value.cell_index)
         if isinstance(value, ExclusionReport):
             shallow["within_bound"] = value.within_bound
         return shallow
     return value
+
+
+class _Ratios(list):
+    """format_ratios strings: ASCII digits, "-" and "/", so each is its own JSON string body."""
 
 
 def _key(key: Any) -> str:
@@ -85,6 +89,9 @@ def _render(value: Any, newline: str, out: list[str]) -> None:
 def _render_container(value: dict | list | tuple, newline: str, out: list[str]) -> None:
     """A dict by sorted string keys, colliding keys keeping the last value; a list or tuple in order."""
     inner = newline + "  "
+    if type(value) is _Ratios and value:  # one join, no escaper; an empty one is "[]" as below
+        out.extend((f'[{inner}"', f'",{inner}"'.join(value), f'"{newline}]'))
+        return
     if isinstance(value, dict):
         opening, closing = "{", "}"
         keyed = sorted({k if type(k) is str else _key(k): v for k, v in value.items()}.items())
@@ -326,5 +333,5 @@ def check_bundle(data: Mapping) -> None:
 
 def bet_csv(run: mg.BetRun) -> str:
     """One "length,capital" row per prefix of the bet path, rendered as the JSON trajectory is."""
-    rows = [f"{k},{text}" for k, text in enumerate(format_ratios(run.trajectory))]
-    return "\n".join(["length,capital", *rows]) + "\n"
+    rows = (f"{k},{text}\n" for k, text in enumerate(format_ratios(run.trajectory)))
+    return "".join(["length,capital\n", *rows])

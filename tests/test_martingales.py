@@ -212,10 +212,13 @@ def test_bet_csv_rows_and_the_json_trajectory_render_the_same_strings():
     ]
     assert runs[0].trajectory[-1] == (2 * ((1 << 4200) // 3) + 1, 1 << 4200)
     for run in runs:
-        header, *rows = bet_csv(run).splitlines()
+        csv = bet_csv(run)
+        header, *rows = csv.splitlines()
         trajectory = json.loads(canonical_json(run))["trajectory"]
         assert rows == [f"{k},{text}" for k, text in enumerate(trajectory)]
         assert trajectory == [format_ratio(p, q) for p, q in run.trajectory]
+        old_rows = [f"{k},{format_ratio(p, q)}" for k, (p, q) in enumerate(run.trajectory)]
+        assert csv == "\n".join(["length,capital", *old_rows]) + "\n"
     assert [q for _, q in runs[2].trajectory] == [1, 2, 1, 1, 1, 1]
 
 

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -153,9 +154,13 @@ def trajectories(draw):
 @given(trajectories())
 @example([(1, 1 << t) for t in (0, 2, 2, 16384, 16384, 16383, 4096, 16384, 16385)])
 @example([(0, 1), (5, 3), (0, 1 << 16384), (7, 1 << 16384), (3, 1), (1, 1 << 9)])
+@example([(-1, 1), (-3, 1 << 16385), (-(10**5000), 7), (-5, 1 << 16385)])
 @settings(max_examples=150, deadline=None)
 def test_format_ratios_renders_each_pair_as_format_ratio(pairs):
-    assert list(format_ratios(pairs)) == [format_ratio(p, q) for p, q in pairs]
+    texts = list(format_ratios(pairs))
+    assert texts == [format_ratio(p, q) for p, q in pairs]
+    # canonical_json writes these as their own JSON string bodies, unescaped
+    assert all(re.fullmatch(r"-?[0-9]+/[0-9]+", text) for text in texts)
 
 
 def test_format_ratios_renders_twos_past_the_str_digit_limit():

@@ -6,16 +6,20 @@ keys and an indent of 2.  It lives here only, as the oracle of the one walk.
 """
 
 import json
+import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopelab.bits import bits_of_fraction
 from slopelab.cubes import DyadicCube
 from slopelab.derivatives import ProbeVerdict
-from slopelab.martingales import BetRun
+from slopelab.functions import cube_1d, square_1d
+from slopelab.martingales import BetRun, run_bet, slope_martingale
 from slopelab.nullsets import concentric_test, explicit_test
 from slopelab.rationals import format_rational
 from slopelab.serialize import bundle, canonical_json, to_plain
@@ -132,6 +136,9 @@ def test_canonical_json_matches_the_plain_data_rule(payload):
         {"1/2": "string", F(1, 2): "fraction"},
         {"a": [], "b": {}, "c": [[], {}], "d": ()},
         {"run": BetRun(((1, 3), (-2, 1)), F(1, 3), F(-2), {F(1, 2): None, F(3): 1})},
+        BetRun((), F(0), F(0), {}),
+        BetRun(((-5, 3), (-1, 7), (0, 1), (-(10**60), 9), (4, 1 << 80)), F(4, 1 << 80), F(-5, 3), {F(-1): 0}),
+        {"run": run_bet(slope_martingale(cube_1d()), bits_of_fraction(F(1, 3)), 1536, [F(1, 2)])},
         [DyadicCube(2, 1, (1, 0)), Pair(F(-1, 3), -0.0)],
         {True: 1, None: 2, 3: F(7, 5)},
         bundle(build_tent_system(concentric_test(["1/3", "1/3"], 2), 3, 0, 4)),
@@ -152,3 +159,27 @@ def test_canonical_json_refuses_what_json_refuses(payload, error):
     with pytest.raises(error) as raised:
         canonical_json(payload)
     assert str(raised.value) == str(expected.value)
+
+
+def escaper_calls(payload) -> int:
+    """How many times json's C string escaper runs while canonical_json renders payload."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "c_call" and arg is encode_basestring_ascii
+
+    sys.setprofile(profile)
+    try:
+        canonical_json(payload)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_bet_trajectory_is_written_without_escaping_each_capital():
+    m = slope_martingale(square_1d())
+    short, long = (run_bet(m, bits_of_fraction(F(1, 3)), depth) for depth in (16, 1500))
+    counts = [escaper_calls({"command": "bet", **to_plain(run)}) for run in (short, long)]
+    assert counts[0] > 0  # the keys are escaped, so the count sees the escaper
+    assert counts[0] == counts[1]
