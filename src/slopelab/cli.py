@@ -28,8 +28,15 @@ from .rationals import decimal_string, in_unit_cube, parse_rational
 from .serialize import ConfigError, integers, require, typed
 
 
-class BundleRejected(Exception):
-    """A bundle that is not the system its own fields rebuild."""
+class _CheckFailed(Exception):
+    """A check about the mathematics failed; the message is the whole stderr line of exit 1."""
+
+
+def _verdict(failures: list[str]) -> int:
+    """Exit 0 for a report that lists no failure; else exit 1, naming the first failure and the count."""
+    if failures:
+        raise _CheckFailed(f"failures in the report: {len(failures)}; the first: {failures[0]}")
+    return 0
 
 
 def _load_config(path: str) -> dict:
@@ -133,8 +140,7 @@ def cmd_bet(args: argparse.Namespace) -> int:
         raise ConfigError(f"config key 'audit_depth' must be >= 0, not {audit_depth}")
     witness = mg.check_fairness(martingale, min(depth, audit_depth))
     if witness is not None:
-        sys.stderr.write(f"fairness audit failed at sigma = {''.join(map(str, witness))!r}\n")
-        return 1
+        raise _CheckFailed(f"fairness audit failed at sigma = {''.join(map(str, witness))!r}")
     thresholds = [parse_rational(t) for t in typed(config, "thresholds", list, [])]
     run = mg.run_bet(martingale, source, depth, thresholds)
     if args.format == "csv":
@@ -161,7 +167,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
         except (
             ValueError, KeyError, TypeError, AttributeError, OverflowError, ts.BuildBudgetError
         ) as exc:
-            raise BundleRejected(exc) from exc
+            raise _CheckFailed(f"bundle verification failed: {exc}") from exc
         _write_out(
             sz.canonical_json(
                 {"command": "tent-system", "bundle": args.check_bundle, "verified": True}
@@ -187,8 +193,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     precisions = integers(config, "precisions", [])
     audit = ns.audit_nesting(test, depth, budget)
     if audit is not None:
-        sys.stderr.write(f"nesting audit failed at stage {audit[0]}: {audit[1].to_json()}\n")
-        return 1
+        raise _CheckFailed(f"nesting audit failed at stage {audit[0]}: {audit[1].to_json()}")
     system = ts.build_tent_system(test, depth, cutoff, budget)
     _check_points(config.get("points", []), points, system.dimension)
     failures: list[str] = []
@@ -241,7 +246,7 @@ def cmd_tent_system(args: argparse.Namespace) -> int:
     if args.bundle:
         Path(args.bundle).write_text(sz.canonical_json(sz.bundle(system)), encoding="utf-8")
     _write_out(sz.canonical_json(report), args.out)
-    return 1 if failures else 0
+    return _verdict(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,7 @@ def cmd_dore_maleva(args: argparse.Namespace) -> int:
         "failures": failures,
     }
     _write_out(sz.canonical_json(report), args.out)
-    return 1 if failures else 0
+    return _verdict(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +358,7 @@ EXITS = (
     (ts.InsufficientDepthError, 2, "config error: a precision in 'precisions' needs a deeper build: {}"),
     ((mg.MonotonicityError, mg.NegativeCapitalError), 1, "martingale rejected: {}"),
     ((ts.BuildBudgetError, ts.PartitionError), 1, "build failed: {}"),
-    (BundleRejected, 1, "bundle verification failed: {}"),
+    (_CheckFailed, 1, "{}"),
     ((ValueError, KeyError, OSError, OverflowError), 2, "error: {}"),
 )
 

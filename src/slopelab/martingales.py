@@ -190,36 +190,23 @@ def table_martingale(values: Mapping[str, Fraction | str]) -> Martingale:
 
 
 def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
-    """Exact slope of f over the dyadic interval coded by sigma.
+    """Exact slope of f over the dyadic interval coded by sigma: a closed form's window, or two evaluations.
 
     2*slope(sigma) = slope(sigma0) + slope(sigma1) holds for ANY f: the
     average of the halves' slopes telescopes to the whole interval's slope.
     """
     _one_variable(f)
-    ((numerator, denominator),) = _slope_pairs(f, [(len(sigma), _index(sigma))])
-    return Fraction(numerator, denominator)
+    length, index = len(sigma), _index(sigma)
+    if f.slopes is not None:
+        (numerator,), denominator = f.slopes(length, index, index + 1)
+        return Fraction(numerator, denominator)
+    width = 1 << length
+    return (f.eval((index + 1,), width) - f.eval((index,), width)) * width
 
 
 def _one_variable(f: ComputableFunction) -> None:
     if f.dimension != 1:
         raise ValueError("slope martingales read one-variable functions")
-
-
-def _slope_pairs(f: ComputableFunction, cells: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """The slope of a one-variable f over each interval (length, index), as (numerator, denominator > 0).
-
-    A closed form states the slope as its window (length, index, index + 1);
-    otherwise f is evaluated at both ends.
-    """
-    slopes = f.slopes
-    if slopes is not None:
-        for length, index in cells:
-            (numerator,), denominator = slopes(length, index, index + 1)
-            yield numerator, denominator
-        return
-    for length, index in cells:
-        width = 1 << length
-        yield ((f.eval((index + 1,), width) - f.eval((index,), width)) * width).as_integer_ratio()
 
 
 def audit_monotone(m: Martingale) -> None:
@@ -233,29 +220,11 @@ def audit_monotone(m: Martingale) -> None:
             )
 
 
-def _slope_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
-    """Slopes of f over the dyadic intervals that bits' prefixes code, shortest first.
-
-    A closed form states the slope over interval i at length L as its window
-    (L, i, i + 1), with no evaluation.  Otherwise f is held at both ends
-    of the current interval; each bit costs one new evaluation, at the
-    midpoint, which becomes the end that the bit moves.
-    """
-    if f.slopes is not None:
-        yield from _slope_pairs(f, enumerate(_prefix_indices(bits)))
-        return
-    hi, lo = f.eval((1,), 1), f.eval((0,), 1)
-    yield (hi - lo).as_integer_ratio()
-    index = 0
-    for length, bit in enumerate(bits, 1):
-        width = 1 << length
-        mid = f.eval((2 * index + 1,), width)
-        index = 2 * index + bit
-        if bit:
-            lo = mid
-        else:
-            hi = mid
-        yield ((hi - lo) * width).as_integer_ratio()
+def _window_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
+    """A closed form's slopes over the intervals that bits' prefixes code: the window (L, i, i + 1) each."""
+    for length, index in enumerate(_prefix_indices(bits)):
+        (numerator,), denominator = f.slopes(length, index, index + 1)
+        yield numerator, denominator
 
 
 def slope_martingale(f: ComputableFunction) -> Martingale:
@@ -298,17 +267,6 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 )
         return [horizon - s for j, s in enumerate(scales) if j != axis], scales[axis]
 
-    def split(nodes: list[tuple[tuple[int, ...], int]], length: int) -> list[tuple[tuple[int, ...], int]]:
-        """The cells of the nodes at length + 1 from those at length: the other coordinates', the axis's.
-
-        Node 2i + b takes node i's cells and adds bit b to coordinate length mod n.
-        """
-        j = length % n
-        if j == axis:
-            return [(block, 2 * k + b) for block, k in nodes for b in (0, 1)]
-        j -= j > axis
-        return [((*block[:j], 2 * block[j] + b, *block[j + 1 :]), k) for block, k in nodes for b in (0, 1)]
-
     def value(k: int, scale: int, y: Sequence[int]) -> Fraction:
         """f at k / 2**scale on the axis and y / 2**horizon off it."""
         top = max(scale, horizon)
@@ -316,15 +274,27 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
         return f.eval((*y[:axis], k << (top - scale), *y[axis:]), 1 << top)
 
     def path(bits: Bits) -> Iterator[tuple[int, int]]:
-        """Each prefix's capital by the per-node rule: f's mean rise along the axis over the box's corners."""
-        node = ((0,) * (n - 1), 0)
+        """Each prefix's capital from its endpoint columns: [y, f(a, y), f(b, y)] per corner y still in its box.
+
+        An axis bit evaluates f once per column, at the new midpoint, which
+        becomes the end that the bit moves; any other bit keeps the columns
+        whose y lies in its coordinate's new cell.
+        """
+        columns = [[y, value(0, 0, y), value(1, 0, y)] for y in corners]
+        k = 0  # the axis cell
         for length in range(len(bits) + 1):
+            shifts, scale = held(length)
             if length:
-                node = split([node], length - 1)[bits[length - 1]]
-            (shifts, scale), (cell, k) = held(length), node
-            spans = [range(c << shift, (c + 1) << shift) for c, shift in zip(cell, shifts)]
-            rise = sum((value(k + 1, scale, y) - value(k, scale, y) for y in product(*spans)), Fraction(0))
-            yield (rise * (1 << scale) / (1 << sum(shifts))).as_integer_ratio()
+                j, bit = (length - 1) % n, bits[length - 1]
+                if j == axis:
+                    mid, k = 2 * k + 1, 2 * k + bit
+                    for column in columns:  # bit 1 moves the left end, bit 0 the right
+                        column[2 - bit] = value(mid, scale, column[0])
+                else:
+                    j -= j > axis
+                    columns = [column for column in columns if column[0][j] >> shifts[j] & 1 == bit]
+            rise, denominator = sum(b - a for _, a, b in columns).as_integer_ratio()
+            yield rise << scale, denominator * len(columns)
 
     def grids(depth: int) -> Iterator[tuple[list[list[int]], int]]:
         """f on the axis grids k / 2**s, s = 0, 1, ..., one column per corner y, over one denominator.
@@ -348,8 +318,13 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
         nodes = [((0,) * (n - 1), 0)]
         for length in range(depth + 1):
             shifts, scale = held(length)
-            if length and n > 1:  # at n = 1 a node's index is its axis cell
-                nodes = split(nodes, length - 1)
+            if length and n > 1:  # node 2i + b takes node i's cells and adds bit b to coordinate j
+                j = (length - 1) % n
+                if j == axis:
+                    nodes = [(block, 2 * k + b) for block, k in nodes for b in (0, 1)]
+                else:
+                    j -= j > axis
+                    nodes = [((*block[:j], 2 * block[j] + b, *block[j + 1 :]), k) for block, k in nodes for b in (0, 1)]
             if len(columns[0]) <= 1 << scale:  # the axis gained a bit
                 columns, denominator = next(walk)
             sums: dict[tuple[int, ...], list[int]] = {}  # block -> S(., B)
@@ -363,12 +338,11 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 level = [rises[block][k] for block, k in nodes]
             yield level, denominator << sum(shifts)  # over D * |B|
 
-    if n > 1:
+    if f.slopes is None:
         return Martingale(level_walk, path, label)
-    levels = level_walk  # at n = 1 the capital is the slope over sigma's interval, whatever the horizon
-    if f.slopes is not None:  # a closed form states each level; the axis scale is the length
-        levels = lambda depth: (f.slopes(s, 0, 1 << s) for s in range(depth + 1))
-    return Martingale(levels, lambda bits: _slope_path(f, bits), label)
+    # only a one-variable closed form states slopes: levels and prefixes are its windows, the axis scale the length
+    levels = lambda depth: (f.slopes(s, 0, 1 << s) for s in range(depth + 1))
+    return Martingale(levels, lambda bits: _window_path(f, bits), label)
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,44 @@ def test_dore_maleva_command(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, payload, report_sha256, line",
+    [
+        pytest.param(
+            "dore-maleva",
+            {"params": {"kind": "explicit", "N": [3, 3], "p": ["3", "1"]}, "stages": 2},
+            "dc62c7bb5edf244e82217852e84fecfdea7768e3fda6715a213637a3e288260d",
+            "failures in the report: 1; the first: remaining measure fails to decrease at stage 2\n",
+            id="dore-maleva",
+        ),
+        pytest.param(
+            "tent-system",
+            {
+                "test": {"kind": "concentric", "point": ["1/3", "1/3"], "scale_step": 2},
+                "depth": 3,
+                "points": [["1/5", "4/5"]],
+            },
+            "bb0c22f03ea1df02c75a355bdfd9859c8d278ed8ff32cd725058e24624d9b5fb",
+            "failures in the report: 3; the first: oscillation check unusable at stage 1: "
+            "point is not inside any visible stage-1 cell\n",
+            id="tent-system",
+        ),
+    ],
+)
+def test_a_report_with_failures_exits_1_with_one_line_after_writing(
+    tmp_path, capsys, command, payload, report_sha256, line
+):
+    # the report and the bundle are written first; the line names the first failure and the count
+    config = write_config(tmp_path, "config.json", payload)
+    bundle = ["--bundle", str(tmp_path / "bundle.json")] if command == "tent-system" else []
+    assert main([command, "--config", config, *bundle]) == 1
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha256
+    assert err == line
+    assert f"report: {len(json.loads(out)['failures'])};" in err
+    assert all(Path(path).exists() for path in bundle[1:])
+
+
 def test_dore_maleva_zero_stages(tmp_path):
     config = write_config(tmp_path, "dm.json", {"stages": 0, "geometry": False})
     out = tmp_path / "dm.out.json"

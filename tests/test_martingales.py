@@ -274,8 +274,8 @@ def test_slope_average_identity_for_arbitrary_pwlinear(seed):
 @given(st.integers(0, 2**31 - 1), st.lists(st.integers(0, 1), max_size=12).map(tuple))
 @settings(max_examples=60, deadline=None)
 def test_interval_slope_and_the_grid_path_are_box_slope_capitals(seed, bits):
-    # interval_slope and the n = 1 slope path share one rule:
-    # a closed form's slope window, or two evaluations when there is none
+    # interval_slope reads a closed form's window, or f at both ends; the
+    # n = 1 path reads the same windows, or walks f's endpoint column
     rng = random.Random(seed)
     center = F(rng.randrange(0, 97), 96)
     pwlinear = random_monotone_pwlinear(rng)
@@ -822,6 +822,25 @@ def test_box_slope_rejects_bad_arguments():
         box_slope_martingale(linear_form([2, 3]), 2, 3)
     with pytest.raises(ValueError, match="horizon must be >= 0"):
         box_slope_martingale(linear_form([2, 3]), 0, -1)
+
+
+@pytest.mark.parametrize("n, horizon", [(1, 0), (1, 3), (2, 3), (3, 2)])
+def test_a_box_slope_path_evaluates_each_column_end_and_midpoint_once(n, horizon):
+    # f at both axis ends of every corner's column, then one midpoint per
+    # column still in the box at each axis bit; no point twice
+    f, _ = random_exact_function(random.Random(10 * n + horizon), n)
+    rng = random.Random(horizon)
+    calls = []
+    for axis in range(n):
+        m = box_slope_martingale(counted(f, calls), axis, horizon)
+        length = deepest_length(n, axis, horizon) if n > 1 else 12  # at n = 1 no length is too fine
+        bits = tuple(rng.randrange(2) for _ in range(length))
+        others = list(accumulate((p % n != axis for p in range(length)), initial=0))  # other coordinates' bits held
+        corners = 2 ** ((n - 1) * horizon)
+        left = [corners >> others[p] for p in range(length) if p % n == axis]  # columns left at each axis bit
+        calls.clear()
+        assert len(walked_path(m, bits)) == length + 1
+        assert len(calls) == len(set(calls)) == 2 * corners + sum(left)
 
 
 SHAPES = [(1, 0), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2)]  # (n, horizon)
