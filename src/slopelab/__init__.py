@@ -10,11 +10,10 @@ from .bits import (
     BitSource,
     bits_of_fraction,
     constant_bits,
-    fraction_from_bits,
     interleave,
     pattern_bits,
 )
-from .cubes import CubeFamily, DyadicCube, cube_union_contains, union_measure, unit_cube
+from .cubes import CubeFamily, DyadicCube, unit_cube
 from .derivatives import (
     CONSISTENT,
     VIOLATED,

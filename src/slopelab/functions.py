@@ -17,7 +17,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -56,45 +55,48 @@ class ComputableFunction:
         return self.evaluator(numerators, denominator)
 
 
-def _affine_pieces_slopes(
-    knots: Sequence[Fraction], intercepts: Sequence[Fraction], gradients: Sequence[Fraction]
-) -> Callable[[int, int, int], Slopes]:
-    """Slopes of x |-> intercepts[j] + gradients[j] * x on [knots[j], knots[j + 1]].
+def _affine_pieces(
+    pieces: Sequence[tuple[int, int, int, int]], scale: int
+) -> tuple[Evaluator, Callable[[int, int, int], Slopes]]:
+    """The values and the slopes of x |-> (a_j + s_j * x) / S on the piece j that ends at the knot p_j / q_j.
 
-    The knots run from 0 to 1.  Over the lcm D of every coefficient's
-    denominator, piece j is the integer affine map k |-> a_j * 2**L + s_j * k
-    on the grid k / 2**L, over D * 2**L, so an interval inside piece j has
-    the slope s_j over D.  An interval with knots strictly inside takes the
-    difference of the values of the pieces that hold its two ends.  Each
-    piece's right knot is held as the integers (p, q).
+    The pieces are (a_j, s_j, p_j, q_j), their knots increase to 1 from 0,
+    and a knot takes its left piece.  At N / D the value is
+    (a * D + s * N) / (S * D); an interval k / 2**L inside piece j has the
+    slope s_j over S, and one with a knot strictly inside reads the value
+    rule at its two ends.
     """
-    scale = lcm(*(c.denominator for c in (*intercepts, *gradients)))
-    pieces = [
-        (a.numerator * (scale // a.denominator), s.numerator * (scale // s.denominator), *end.as_integer_ratio())
-        for a, s, end in zip(intercepts, gradients, knots[1:])
-    ]
+
+    def at(n: int, d: int) -> int:  # S * d * f(n / d), on the piece ending at the first knot >= n / d
+        a, s, _, _ = pieces[bisect_left(pieces, True, key=lambda piece: n * piece[3] <= piece[2] * d)]
+        return a * d + s * n
+
+    def value(numerators: Sequence[int], denominator: int) -> Fraction:
+        n = numerators[0]
+        if not 0 <= n <= denominator:
+            raise ValueError(f"{Fraction(n, denominator)} outside [0, 1]")
+        return Fraction(at(n, denominator), scale * denominator)
 
     def slopes(level: int, start: int, stop: int) -> Slopes:
         numerators: list[int] = []
         k = start
-        for j, (a, s, p, q) in enumerate(pieces):
+        for _, s, p, q in pieces:
             end = (p << level) // q  # the last k with k / 2**L <= p / q
             if end < k:
                 continue
-            if end >= stop:  # the rest of the window lies inside piece j
+            if end >= stop:  # the rest of the window lies inside this piece
                 numerators += [s] * (stop - k)
                 break
             numerators += [s] * (end - k)
             k = end
             if (p << level) % q:  # the knot is strictly inside interval k
-                b, t = next((b, t) for b, t, right, den in pieces[j + 1:] if (right << level) // den > k)
-                numerators.append(((b - a) << level) + t * (k + 1) - s * k)
+                numerators.append(at(k + 1, 1 << level) - at(k, 1 << level))
                 k += 1
                 if k == stop:
                     break
         return numerators, scale
 
-    return slopes
+    return value, slopes
 
 
 def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
@@ -103,8 +105,8 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
     if not m:
         raise ValueError("linear form needs dimension >= 1")
     shift = int_ceil_log2(1 + ceil_sqrt(norm_sq(m)))
-    slopes = _affine_pieces_slopes((Fraction(0), Fraction(1)), (Fraction(0),), m) if len(m) == 1 else None
     coeffs, scale = common_denominator(m)  # <m, N / D> = <coeffs, N> / (scale D)
+    slopes = _affine_pieces([(0, coeffs[0], 1, 1)], scale)[1] if len(m) == 1 else None
     return ComputableFunction(
         len(m), lambda n, d: Fraction(sum(map(mul, coeffs, n)), scale * d), lambda i: i + shift, slopes
     )
@@ -271,18 +273,11 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
     ]
     max_slope = max((abs(s) for s in gradients), default=Fraction(0))
     shift = max(0, ceil_log2(max_slope)) if max_slope > 0 else 0
-
-    def fn(numerators: Sequence[int], denominator: int) -> Fraction:
-        x = Fraction(numerators[0], denominator)
-        if not 0 <= x <= 1:
-            raise ValueError(f"{x} outside [0, 1]")
-        # the segment ending at the first knot >= x; a knot takes its left segment
-        segment = bisect_left(xs, x, 1) - 1
-        x0, y0 = knots[segment]
-        return y0 + (x - x0) * gradients[segment]
-
     intercepts = [y0 - x0 * s for (x0, y0), s in zip(knots, gradients)]
-    return ComputableFunction(1, fn, lambda i: i + shift, _affine_pieces_slopes(xs, intercepts, gradients))
+    numerators, scale = common_denominator(intercepts + gradients)  # the intercepts', then the gradients'
+    pieces = [(a, s, *x.as_integer_ratio()) for a, s, x in zip(numerators, numerators[len(gradients):], xs[1:])]
+    value, slopes = _affine_pieces(pieces, scale)
+    return ComputableFunction(1, value, lambda i: i + shift, slopes)
 
 
 def square_1d() -> ComputableFunction:

@@ -192,7 +192,7 @@ def function_from_descriptor(desc: Mapping) -> fn.ComputableFunction:
         return fn.piecewise_linear([parse_point(p) for p in typed(desc, "points", list)])
     if kind == "tent":
         cell = cube_from_descriptor(require(desc, "cell"))
-        return tent_for(cell, typed(desc, "stage", int), typed(desc, "index", int)).as_function()
+        return tent_for(cell, typed(desc, "stage", int), typed(desc, "index", int))
     if kind == "sum":
         return fn.sum_functions([function_from_descriptor(d) for d in typed(desc, "of", list)])
     if kind == "scale":

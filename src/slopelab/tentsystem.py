@@ -289,7 +289,7 @@ def _tent_terms(
     r * 2**t < D, for t = eps_exponent - scale, which a bit-length check
     decides before any shift by t.  A point that lands on a ramp thinner
     than 2**-POW2_MATERIALIZE_CAP raises OverflowError.  r = 0 outside the
-    closed cell.  The one rule of a tent's value: TentFunction.value builds
+    closed cell.  The one rule of a tent's value: tent_for's function builds
     its Fraction, and the system's sums and slopes add the triples.
     """
     t = eps_exponent - scale
@@ -325,47 +325,31 @@ def _tent_excludes(
     return False
 
 
-@dataclass(frozen=True)
-class TentFunction:
-    """Piecewise-linear bump on a cell: ridge in axis 1, ramps elsewhere.
-
-    eps = 2**-eps_exponent; the exponent can be astronomically large.  The
-    value is _tent_terms's, read at N / D.  It serves the standalone `tent`
-    descriptor: the tent sum reads its located cells as integers and builds
-    no TentFunction.
-    """
-
-    cell: DyadicCube
-    stage: int
-    index: int
-    eps_exponent: int
-
-    def value(self, numerators: Sequence[int], denominator: int) -> Fraction:
-        """The exact tent value at N / D; zero outside the closed cell."""
-        result, up, below = _tent_terms(self.cell.corner, self.cell.scale, self.eps_exponent, numerators, denominator, 0)
-        below = denominator**below
-        return Fraction(result << up, below) if up >= 0 else Fraction(result, below << -up)
-
-    def as_function(self) -> ComputableFunction:
-        # each partial slope is at most 2**(stage+index), so the gradient is
-        # at most sqrt(n) times that
-        steep = self.stage + self.index + int_ceil_log2(ceil_sqrt(self.cell.dimension))
-        return ComputableFunction(dimension=self.cell.dimension, evaluator=self.value, modulus=lambda i: i + steep)
-
-
 def ramp_exponent(stage: int, index: int, scale: int) -> int:
     """eps exponent of the tent over cell index of a stage, for cells of side 2**-scale."""
     return stage + index + 1 + scale
 
 
-def tent_for(cell: DyadicCube, stage: int, index: int) -> TentFunction:
-    """Tent over a cell with ramp width 2**-(stage+index+1) times the side.
+def tent_for(cell: DyadicCube, stage: int, index: int) -> ComputableFunction:
+    """Tent over a cell with ramp width 2**-(stage+index+1) times the side: ridge in axis 1, ramps elsewhere.
 
     stage = index = 0 gives ramps of half the side, which leave no plateau.
+    Its value is _tent_terms's, read at N / D; the tent sum reads its
+    located cells as integers and calls no tent_for.
     """
     if stage < 0 or index < 0:
         raise ValueError("stage and index are natural numbers")
-    return TentFunction(cell, stage, index, ramp_exponent(stage, index, cell.scale))
+    corner, scale, eps = cell.corner, cell.scale, ramp_exponent(stage, index, cell.scale)
+
+    def value(numerators: Sequence[int], denominator: int) -> Fraction:
+        terms = _tent_terms(corner, scale, eps, numerators, denominator, 0)
+        (summed,), below = _over_one_denominator([terms], denominator)
+        return Fraction(summed, below)
+
+    # each partial slope is at most 2**(stage+index), so the gradient is at
+    # most sqrt(n) times that
+    steep = stage + index + int_ceil_log2(ceil_sqrt(cell.dimension))
+    return ComputableFunction(cell.dimension, value, lambda i: i + steep)
 
 
 def _over_one_denominator(terms: Sequence[tuple[int, int, int]], denominator: int) -> tuple[list[int], int]:

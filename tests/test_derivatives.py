@@ -75,7 +75,7 @@ def test_slope_axis_errors():
 
 def test_slope_axis_on_tent_ramp_is_one_over_eps():
     # unit-square tent, stage 0 index 1: ramp width 1/4 in the second axis
-    tent = tent_for(DyadicCube(2, 0, (0, 0)), 0, 1).as_function()
+    tent = tent_for(DyadicCube(2, 0, (0, 0)), 0, 1)
     x = (F(1, 2), F(1, 16))
     # peak 1/2 times ramp slope 1/eps = 4
     assert slope_dir(tent, x, unit_axis(2, 1), [F(1, 16)]) == [F(1, 2) * 4]

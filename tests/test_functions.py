@@ -382,9 +382,22 @@ knot_lists = st.lists(
 ).map(lambda inner: [F(0)] + sorted(set(inner) - {0, 1}) + [F(1)])
 
 
-def pwlinear_through(xs):
+def knots_through(xs):
+    """(x, y) knots over the abscissae xs."""
     ys = st.sampled_from([F(0), F(1, 3), F(-2, 5)]) | rationals  # repeats make flat pieces
-    return st.lists(ys, min_size=len(xs), max_size=len(xs)).map(lambda values: piecewise_linear(list(zip(xs, values))))
+    return st.lists(ys, min_size=len(xs), max_size=len(xs)).map(lambda values: list(zip(xs, values)))
+
+
+def pwlinear_through(xs):
+    return knots_through(xs).map(piecewise_linear)
+
+
+def interpolate(knots, x):
+    """The Fraction interpolation formula through (x, y) knots from 0 to 1, at x."""
+    if not 0 <= x <= 1:
+        raise ValueError(f"{x} outside [0, 1]")
+    (a, ya), (b, yb) = next(pair for pair in zip(knots, knots[1:]) if x <= pair[1][0])
+    return ya + (x - a) * (yb - ya) / (b - a)
 
 
 polynomials = st.sampled_from([square_1d(), cube_1d(), identity_1d()]) | rationals.map(lambda c: linear_form([c]))
@@ -399,12 +412,19 @@ sums_and_scales = st.recursive(
 )
 
 
-@given(closed_forms, st.integers(0, 9))
+@given(polynomials | knot_lists.flatmap(knots_through), st.integers(0, 9))
 @settings(max_examples=80, deadline=None)
-def test_closed_form_grids_equal_pointwise_evaluation(f, level):
-    # a whole level of slopes, as the slope walk reads it
+def test_closed_form_grids_equal_pointwise_evaluation(form, level):
+    # a whole level of slopes, as the slope walk reads it; a piecewise-linear
+    # function's windows and values read one rule, so both also meet the
+    # Fraction interpolation formula through its knots
+    f = piecewise_linear(form) if isinstance(form, list) else form
     assert f.slopes is not None
-    assert window_slopes(f, level, 0, 1 << level) == walked_slopes(f, level) == pointwise_slopes(f, level)
+    windows = window_slopes(f, level, 0, 1 << level)
+    assert windows == walked_slopes(f, level) == pointwise_slopes(f, level)
+    if isinstance(form, list):
+        grid = [interpolate(form, F(k, 1 << level)) for k in range((1 << level) + 1)]
+        assert windows == [(b - a) * (1 << level) for a, b in zip(grid, grid[1:])]
 
 
 @given(sums_and_scales, st.integers(0, 9))
@@ -495,14 +515,8 @@ def descriptors(draw, n, depth=2):
     if kind == "pwlinear":
         xs = [F(0)] + sorted(draw(st.sets(unit.filter(lambda c: 0 < c < 1), max_size=3))) + [F(1)]
         ys = draw(st.lists(small, min_size=len(xs), max_size=len(xs)))
-
-        def interpolant(x):
-            if not 0 <= x[0] <= 1:
-                raise ValueError(f"{x[0]} outside [0, 1]")
-            (a, ya), (b, yb) = next(pair for pair in zip(zip(xs, ys), zip(xs[1:], ys[1:])) if x[0] <= pair[1][0])
-            return ya + (x[0] - a) * (yb - ya) / (b - a)
-
-        return {"kind": kind, "points": [[str(a), str(b)] for a, b in zip(xs, ys)]}, interpolant
+        knots = list(zip(xs, ys))
+        return {"kind": kind, "points": [[str(a), str(b)] for a, b in knots]}, lambda x: interpolate(knots, x[0])
     if kind == "sum":
         parts = draw(st.lists(descriptors(n, depth - 1), min_size=1, max_size=3))
         return {"kind": kind, "of": [d for d, _ in parts]}, lambda x: sum((g(x) for _, g in parts), F(0))

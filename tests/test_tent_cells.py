@@ -8,8 +8,9 @@ oscillation_check and the modulus audit) may not reference DyadicCube,
 TentFunction or tent_for, nor call Block.cell, which builds a cube, or
 Block.corner, which builds a corner tuple.  The exclusion sweep reads a
 visible cell's coordinate along one axis straight from its block and is
-held to the same rule.  Annotations do not count.  Cubes and tents stay
-for the partition's bookkeeping and the standalone `tent` descriptor.
+held to the same rule.  Annotations do not count.  Cubes stay for the
+partition's bookkeeping, and tent_for builds the standalone `tent`
+descriptor's function from the same integer rule.
 """
 
 import ast
@@ -111,5 +112,5 @@ def test_the_sum_builds_no_cube_or_tent():
     uses = builder_uses(ast.parse(TENTSYSTEM.read_text(encoding="utf-8")))
     scopes = {scope for _, scope, _ in uses}
     # the builders are still found
-    assert {"tent_for", "Block.cell"} <= scopes and "Block.corner" in {name for _, _, name in uses}
+    assert {"Block.cell"} <= scopes and "Block.corner" in {name for _, _, name in uses}
     assert [f"tentsystem.py:{line} in {scope}: {name}" for line, scope, name in uses if guarded(scope)] == []

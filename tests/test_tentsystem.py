@@ -39,53 +39,49 @@ TARGET = (F(1, 3), F(1, 3))
 # The Fraction tent formula, kept as the oracle of the integer one
 
 
-def oracle_value(tent, point):
-    """Exact tent value at a rational point; zero outside the closed cell."""
-    lo, hi = tent.cell.interval(0)
+def oracle_value(cell, eps, point):
+    """Exact value at a rational point of the tent over a cell with ramps 2**-eps wide; zero outside the closed cell."""
+    lo, hi = cell.interval(0)
     left, right = point[0] - lo, hi - point[0]
     if left <= 0 or right <= 0:
         return Fraction(0)
     result = min(left, right)
-    for axis in range(1, tent.cell.dimension):
-        lo, hi = tent.cell.interval(axis)
+    for axis in range(1, cell.dimension):
+        lo, hi = cell.interval(axis)
         near = min(point[axis] - lo, hi - point[axis])
         if near <= 0:
             return Fraction(0)
-        if floor_log2(near) < -tent.eps_exponent:
-            # near < eps: the quotient near / eps needs a real power of 2
-            if tent.eps_exponent > POW2_MATERIALIZE_CAP:
+        if floor_log2(near) < -eps:
+            # near < 2**-eps: the quotient near / 2**-eps needs a real power of 2
+            if eps > POW2_MATERIALIZE_CAP:
                 raise OverflowError("a representable point landed on an unrepresentably thin ramp")
-            result *= near * pow2(tent.eps_exponent)
+            result *= near * pow2(eps)
     return result
 
 
-def oracle_in_exclusion(tent, point):
-    """Whether the point misses the open region with first slope +-1."""
-    lo, hi = tent.cell.interval(0)
+def oracle_in_exclusion(cell, eps, point):
+    """Whether the point misses the open region where the tent (as oracle_value) has first slope +-1."""
+    lo, hi = cell.interval(0)
     if not lo < point[0] < hi:
         return True
-    for axis in range(1, tent.cell.dimension):
-        lo, hi = tent.cell.interval(axis)
+    for axis in range(1, cell.dimension):
+        lo, hi = cell.interval(axis)
         near = min(point[axis] - lo, hi - point[axis])
-        if near <= 0 or ceil_log2(near) <= -tent.eps_exponent:
+        if near <= 0 or ceil_log2(near) <= -eps:
             return True
     return False
 
 
-def exclusion_intervals(tent, axis):
-    """The two removed corner intervals of the tent's axis projection."""
-    eps = pow2(-tent.eps_exponent)  # raises beyond the materialization cap
-    lo, hi = tent.cell.interval(axis)
-    return ((lo, lo + eps), (hi - eps, hi))
+def exclusion_intervals(cell, eps, axis):
+    """The two removed corner intervals of the axis projection of the tent (as oracle_value)."""
+    width = pow2(-eps)  # raises beyond the materialization cap
+    lo, hi = cell.interval(axis)
+    return ((lo, lo + width), (hi - width, hi))
 
 
-def value_at(tent, point):
-    return tent.value(*common_denominator(point))
-
-
-def shifted_value(tent, numerators, denominator, shift):
-    """2**shift times the tent at N / D, by the system's integer rule: (r, u, j) reads r * 2**u / D**j."""
-    r, u, j = tentsystem._tent_terms(tent.cell.corner, tent.cell.scale, tent.eps_exponent, numerators, denominator, shift)
+def shifted_value(cell, eps, numerators, denominator, shift):
+    """2**shift times the tent (as oracle_value) at N / D, by the system's integer rule: (r, u, j) reads r * 2**u / D**j."""
+    r, u, j = tentsystem._tent_terms(cell.corner, cell.scale, eps, numerators, denominator, shift)
     return Fraction(r, denominator**j) * Fraction(2) ** u
 
 
@@ -94,13 +90,13 @@ def value(f, point):
     return f.eval(*common_denominator(point))
 
 
-def excludes(tent, numerators, denominator):
-    """The system's integer exclusion rule for the tent, at N / D."""
-    return tentsystem._tent_excludes(tent.cell.corner, tent.cell.scale, tent.eps_exponent, numerators, denominator)
+def excludes(cell, eps, numerators, denominator):
+    """The system's integer exclusion rule for the tent (as oracle_value), at N / D."""
+    return tentsystem._tent_excludes(cell.corner, cell.scale, eps, numerators, denominator)
 
 
-def excluded_at(tent, point):
-    return excludes(tent, *common_denominator(point))
+def excluded_at(cell, eps, point):
+    return excludes(cell, eps, *common_denominator(point))
 
 
 def located_cell(partition, stage, numerators, denominator):
@@ -112,18 +108,13 @@ def located_cell(partition, stage, numerators, denominator):
     return index, DyadicCube(partition.dimension, scale, corner)
 
 
-def walked_tents(system, numerators, denominator):
-    """The tent over N / D at each summed stage that holds it, built from the system's walk of integer cells."""
-    return {
-        m: tent_for(DyadicCube(system.dimension, scale, corner), m, index)
-        for m, (index, scale, corner) in system._walk(numerators, denominator).items()
-    }
-
-
 def stage_values(system, point):
-    """4**m times the tent over the point at each summed stage m that holds it, as the system locates them."""
+    """4**m times the tent over the point at each summed stage m that holds it, as the system's walk locates them."""
     at = common_denominator(point)
-    return {m: shifted_value(tent, *at, 2 * m) for m, tent in walked_tents(system, *at).items()}
+    return {
+        m: shifted_value(DyadicCube(system.dimension, scale, corner), ramp_exponent(m, index, scale), *at, 2 * m)
+        for m, (index, scale, corner) in system._walk(*at).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +370,22 @@ def test_locate_matches_cell(toy_system5):
 
 def test_tent_center_value_and_support():
     tent = tent_for(unit_cube(2), 0, 1)  # eps = 1/4
-    assert value_at(tent, (F(1, 2), F(1, 2))) == F(1, 2)
-    assert value_at(tent, (F(1, 2), F(1, 8))) == F(1, 4)  # on the ramp
+    assert value(tent, (F(1, 2), F(1, 2))) == F(1, 2)
+    assert value(tent, (F(1, 2), F(1, 8))) == F(1, 4)  # on the ramp
     for boundary in ((F(0), F(1, 2)), (F(1), F(1, 2)), (F(1, 2), F(0)), (F(1, 2), F(1))):
-        assert value_at(tent, boundary) == 0
+        assert value(tent, boundary) == 0
 
 
 def test_degenerate_tent_has_no_plateau():
     # eps is half the side, so the ramps in the second axis meet at the center
     tent = tent_for(unit_cube(2), 0, 0)
-    assert value_at(tent, (F(1, 2), F(1, 2))) == F(1, 2)
-    assert value_at(tent, (F(1, 2), F(1, 4))) == F(1, 4)
-    assert value_at(tent, (F(1, 2), F(3, 8))) == F(3, 8)
+    assert value(tent, (F(1, 2), F(1, 2))) == F(1, 2)
+    assert value(tent, (F(1, 2), F(1, 4))) == F(1, 4)
+    assert value(tent, (F(1, 2), F(3, 8))) == F(3, 8)
 
 
 def test_tent_slope_law_inside_plateau():
-    tent = tent_for(unit_cube(2), 0, 1).as_function()
+    tent = tent_for(unit_cube(2), 0, 1)
     x = (F(1, 3), F(1, 2))
     h = F(1, 16)
     left = (value(tent, (x[0] + h, x[1])) - value(tent, x)) / h
@@ -408,7 +399,7 @@ def test_tent_slope_law_inside_plateau():
 def test_tent_modulus_holds_off_the_axes(dimension):
     # the pair walks along (-3/5, -4/5) from the center: both partials move
     # at once, so the gradient reaches sqrt(2) times the ramp slope
-    tent = tent_for(unit_cube(dimension), 0, 0).as_function()
+    tent = tent_for(unit_cube(dimension), 0, 0)
     center = tuple(F(1, 2) for _ in range(dimension))
     for i in range(1, 8):
         t = pow2(-tent.modulus(i))
@@ -418,22 +409,24 @@ def test_tent_modulus_holds_off_the_axes(dimension):
 
 
 def test_tent_bounded_by_half_side():
-    tent = tent_for(DyadicCube(2, 2, (1, 2)), 1, 3)
+    cell = DyadicCube(2, 2, (1, 2))
+    tent = tent_for(cell, 1, 3)
     rng = random.Random(3)
     for _ in range(200):
         p = (F(rng.randrange(257), 256), F(rng.randrange(257), 256))
-        assert 0 <= value_at(tent, p) <= tent.cell.side() / 2
+        assert 0 <= value(tent, p) <= cell.side() / 2
 
 
 def test_tent_exclusion_membership():
-    tent = tent_for(unit_cube(2), 0, 1)  # eps = 1/4
-    assert not excluded_at(tent, (F(1, 2), F(1, 2)))
-    assert excluded_at(tent, (F(1, 2), F(1, 8)))  # inside the ramp corner
-    assert excluded_at(tent, (F(1, 2), F(1, 4)))  # on the ramp's inner end
-    assert not excluded_at(tent, (F(1, 2), F(1, 4) + F(1, 1 << 40)))
-    assert excluded_at(tent, (F(0), F(1, 2)))
-    ((a0, a1), (b0, b1)) = exclusion_intervals(tent, 1)
-    assert (a1 - a0) + (b1 - b0) == 2 * pow2(-tent.eps_exponent)
+    cell, eps = unit_cube(2), ramp_exponent(0, 1, 0)  # the ramps of tent_for(cell, 0, 1), 1/4 wide
+    assert eps == 2
+    assert not excluded_at(cell, eps, (F(1, 2), F(1, 2)))
+    assert excluded_at(cell, eps, (F(1, 2), F(1, 8)))  # inside the ramp corner
+    assert excluded_at(cell, eps, (F(1, 2), F(1, 4)))  # on the ramp's inner end
+    assert not excluded_at(cell, eps, (F(1, 2), F(1, 4) + F(1, 1 << 40)))
+    assert excluded_at(cell, eps, (F(0), F(1, 2)))
+    ((a0, a1), (b0, b1)) = exclusion_intervals(cell, eps, 1)
+    assert (a1 - a0) + (b1 - b0) == 2 * pow2(-eps)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +442,7 @@ def test_truncated_value_sums_visible_stages(toy_system5):
     # stage 0 holds the target but sits below the cutoff
     assert values.get(0, 0) == 0
     index, cell = located_cell(system.partition, 0, *common_denominator(TARGET))
-    assert value_at(tent_for(cell, 0, index), TARGET) > 0
+    assert value(tent_for(cell, 0, index), TARGET) > 0
 
 
 def test_truncated_value_zero_away_from_cells(toy_system5):
@@ -563,12 +556,12 @@ def test_exclusion_interval_lengths_match_formula():
     # lambda(E^k) = 2 * eps for a single visible tent
     system = build_tent_system(constant_unit_test(2), depth=1, cutoff=0, budget=1)
     report = sweep_at(system, 4).exclusion_visible(0, 1)
-    tents = [
-        tent_for(block.cell(local), 1, block.start_index + local)
+    ramps = [
+        ramp_exponent(1, block.start_index + local, block.cell_scale)
         for block in system.partition.blocks_at(1)
         for local in range(min(4, block.count))
     ]
-    expected = sum((2 * pow2(-t.eps_exponent) for t in tents), Fraction(0))
+    expected = sum((2 * pow2(-eps) for eps in ramps), Fraction(0))
     # intervals of distinct cells in one slab may merge; the union is <= the sum
     assert report.visible_union <= expected
     assert report.visible_union > 0
@@ -712,12 +705,12 @@ def fraction_exclusion(system, stage, axis, per_block):
         for block in system.partition.blocks_at(i):
             bound += pow2_upper(-(i + block.cell_scale + block.start_index - 1))
             for local in range(min(per_block, block.count)):
-                tent = tent_for(block.cell(local), i, block.start_index + local)
+                eps = ramp_exponent(i, block.start_index + local, block.cell_scale)
                 count += 2
-                if tent.eps_exponent > POW2_MATERIALIZE_CAP:
-                    slack += 2 * pow2_upper(-tent.eps_exponent)
+                if eps > POW2_MATERIALIZE_CAP:
+                    slack += 2 * pow2_upper(-eps)
                 else:
-                    intervals.extend(exclusion_intervals(tent, axis))
+                    intervals.extend(exclusion_intervals(block.cell(local), eps, axis))
     bound += Fraction(16) ** (-(system.depth + 1)) * Fraction(16, 15)
     return fraction_union_length(intervals), slack, count, bound
 
@@ -871,7 +864,7 @@ def located_stage_values(system, point):
         hit = located_cell(system.partition, stage, *common_denominator(point))
         if hit is not None:
             index, cell = hit
-            values[stage] = Fraction(4) ** stage * oracle_value(tent_for(cell, stage, index), point)
+            values[stage] = Fraction(4) ** stage * oracle_value(cell, ramp_exponent(stage, index, cell.scale), point)
     return values
 
 
@@ -981,30 +974,31 @@ def test_integer_tent_rule_matches_the_fraction_formula(
     numerators, denominator = common_denominator(point)
     k = data.draw(st.sampled_from([1, 3, 1 << 70]))
     scaled = ([n * k for n in numerators], denominator * k)
-    tents = []
+    cells = []  # (stage, index, cell)
     for stage in range(system.depth + 1):
         assert system.partition.locate(stage, numerators, denominator) == system.partition.locate(stage, *scaled)
         hit = located_cell(system.partition, stage, numerators, denominator)
         if hit is not None:
-            tents.append(tent_for(hit[1], stage, hit[0]))
+            cells.append((stage, *hit))
     stage = data.draw(st.integers(0, system.depth))
     block = data.draw(st.sampled_from(system.partition.blocks_at(stage)))
     local = data.draw(st.integers(0, min(block.count, 40) - 1))
-    tents.append(tent_for(block.cell(local), stage, block.start_index + local))
-    for tent in tents:
+    cells.append((stage, block.start_index + local, block.cell(local)))
+    for stage, index, cell in cells:
+        tent, eps = tent_for(cell, stage, index), ramp_exponent(stage, index, cell.scale)
         try:
-            expected = oracle_value(tent, point)
+            expected = oracle_value(cell, eps, point)
         except OverflowError as exc:
             for at in ((numerators, denominator), scaled):
                 with pytest.raises(OverflowError) as err:
-                    tent.value(*at)
+                    tent.eval(*at)
                 assert str(err.value) == str(exc)
         else:
             for at in ((numerators, denominator), scaled):
-                assert tent.value(*at) == expected
-                assert shifted_value(tent, *at, 2 * tent.stage) == Fraction(4) ** tent.stage * expected
-        excluded = oracle_in_exclusion(tent, point)
-        assert excludes(tent, numerators, denominator) == excludes(tent, *scaled) == excluded
+                assert tent.eval(*at) == expected
+                assert shifted_value(cell, eps, *at, 2 * stage) == Fraction(4) ** stage * expected
+        excluded = oracle_in_exclusion(cell, eps, point)
+        assert excludes(cell, eps, numerators, denominator) == excludes(cell, eps, *scaled) == excluded
 
 
 def test_a_point_on_an_over_cap_ramp_raises_the_fraction_formula_error():
@@ -1013,15 +1007,16 @@ def test_a_point_on_an_over_cap_ramp_raises_the_fraction_formula_error():
     for dimension, point in ((2, (F(1, 2), thin)), (2, (F(1, 3), 1 - thin)), (3, (F(1, 2), thin, F(0)))):
         # eps = 2**-(cap + 1); in dimension 3 the point also sits on a face
         # of the third axis, which comes after the thin ramp
-        tent = tent_for(unit_cube(dimension), 0, POW2_MATERIALIZE_CAP)
+        cell = unit_cube(dimension)
+        tent, eps = tent_for(cell, 0, POW2_MATERIALIZE_CAP), ramp_exponent(0, POW2_MATERIALIZE_CAP, 0)
         with pytest.raises(OverflowError) as oracle:
-            oracle_value(tent, point)
+            oracle_value(cell, eps, point)
         with pytest.raises(OverflowError) as integer:
-            value_at(tent, point)
+            value(tent, point)
         assert str(integer.value) == str(oracle.value) == message
-        assert excluded_at(tent, point) and oracle_in_exclusion(tent, point)
+        assert excluded_at(cell, eps, point) and oracle_in_exclusion(cell, eps, point)
         middle = tuple(F(1, 2) for _ in range(dimension))
-        assert value_at(tent, middle) == oracle_value(tent, middle) == F(1, 2)
+        assert value(tent, middle) == oracle_value(cell, eps, middle) == F(1, 2)
 
 
 def counted_locate(monkeypatch, partition):
@@ -1157,12 +1152,6 @@ def test_repeated_and_alternating_exclusion_calls_match_the_oracle(toy_test):
 # Oscillation and evaluation against their Fraction formulas
 
 
-def located_tent(system, stage, point):
-    """The tent over the point at a stage, or None where no visible cell holds it."""
-    hit = located_cell(system.partition, stage, *common_denominator(point))
-    return None if hit is None else tent_for(hit[1], stage, hit[0])
-
-
 def fraction_oscillation(system, z, stage):
     """Oracle: the oscillation report by Fraction slopes, every stage located afresh at z and at z +- h."""
     z = tuple(z)
@@ -1170,12 +1159,13 @@ def fraction_oscillation(system, z, stage):
         raise ValueError("target point must have non-dyadic coordinates")
     if not system.cutoff < stage <= system.depth:
         raise ValueError(f"stage {stage} is outside the built range")
-    tent = located_tent(system, stage, z)
-    if tent is None:
+    hit = located_cell(system.partition, stage, *common_denominator(z))
+    if hit is None:
         raise ValueError(f"point is not inside any visible stage-{stage} cell")
-    if oracle_in_exclusion(tent, z):
+    index, cell = hit
+    if oracle_in_exclusion(cell, ramp_exponent(stage, index, cell.scale), z):
         raise ValueError("point sits in the exclusion region of its cell")
-    d = tent.cell.side()
+    d = cell.side()
     step = d / 4
     at_z = located_stage_values(system, z)
     totals, per_stage = {}, {}
@@ -1201,7 +1191,7 @@ def fraction_oscillation(system, z, stage):
     bound = Fraction(4) ** (stage - 1) - 4
     return tentsystem.OscillationReport(
         stage=stage,
-        cell_index=tent.index,
+        cell_index=index,
         cell_side=d,
         step=step,
         totals=totals,
@@ -1227,8 +1217,8 @@ def fraction_evaluate(system, point, precision):
         cutoff_index = next((b.start_index for b in data.blocks if b.cell_scale >= threshold), None)
         if cutoff_index is None and not data.exhausted:
             raise InsufficientDepthError(stage, f"needs visible cells of side <= 2**-{threshold}")
-        tent = located_tent(system, stage, point)
-        if tent is not None and (cutoff_index is None or tent.index < cutoff_index or data.exhausted):
+        hit = located_cell(system.partition, stage, *common_denominator(point))
+        if hit is not None and (cutoff_index is None or hit[0] < cutoff_index or data.exhausted):
             value += values[stage]
         if not data.exhausted:
             error += Fraction(4) ** stage * pow2(-threshold) / 2
