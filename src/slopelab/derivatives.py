@@ -25,6 +25,7 @@ from .rationals import (
     Vector,
     as_vector,
     common_denominator,
+    common_denominator_of_pairs,
     dot,
     in_unit_cube,
     norm_sq,
@@ -71,8 +72,8 @@ def _step_point(x: _Point, v: _Point, h: tuple[int, int]) -> _Point | None:
     return (point, top) if all(0 <= n <= top for n in point) else None
 
 
-def _step_points(x: _Point, v: Sequence[Fraction | int], steps: Sequence[tuple[int, int]]) -> list[_Point | None]:
-    """x + h*v for each step h that the step rule admits, None for the others.
+def _step_points(x: _Point, v: _Point, steps: Sequence[tuple[int, int]]) -> list[_Point | None]:
+    """x + h*v for each step h that the step rule admits, None for the others; v = r/s over one denominator.
 
     The quotient probes also need x itself in the unit cube; outside it
     every step is refused.
@@ -80,8 +81,7 @@ def _step_points(x: _Point, v: Sequence[Fraction | int], steps: Sequence[tuple[i
     numerators, denominator = x
     if not all(0 <= n <= denominator for n in numerators):
         return [None] * len(steps)
-    direction = common_denominator(v)
-    return [_step_point(x, direction, h) for h in steps]
+    return [_step_point(x, v, h) for h in steps]
 
 
 def slope_dir(
@@ -93,14 +93,14 @@ def slope_dir(
     evaluated; f(x) is read once.
     """
     at, v = common_denominator(x), as_vector(v)
-    points = _step_points(at, v, [h.as_integer_ratio() for h in steps])
+    points = _step_points(at, common_denominator(v), [h.as_integer_ratio() for h in steps])
     for h, point in zip(steps, points):
         if h == 0:
             raise ValueError("zero step")
         if point is None:
             raise ValueError(f"step {h} along ({', '.join(map(str, v))}) leaves the unit cube")
-    fx = f.eval(*at)
-    return [(f.eval(*point) - fx) / h for h, point in zip(steps, points)]
+    fx = Fraction(*f.eval(*at))
+    return [(Fraction(*f.eval(*point)) - fx) / h for h, point in zip(steps, points)]
 
 
 def _tail_bracket(
@@ -108,17 +108,19 @@ def _tail_bracket(
 ) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Lowest and highest two-sided slope along axis over the tail of the levels.
 
-    The steps are (1, 2**k) and (-1, 2**k) for k in levels, kept when the
-    step rule admits them.  The tail is the levels from len(levels) // 2 on,
-    or the ones before when no tail step is admitted; only its steps are
-    evaluated.  Returns the (step, slope) pairs of the first minimum and the
+    The steps are (1, 2**k) and (-1, 2**k) for k in levels along the
+    integer direction (e_axis, 1), kept when the step rule admits them.  The
+    tail is the levels from len(levels) // 2 on, or the ones before when no
+    tail step is admitted; only its steps are evaluated.  Returns the (step, slope) pairs of the first minimum and the
     first maximum.  The values sit over one denominator D, so the slope at
     the step h = ±2**-k is ±2**k (N(x + h e) - N(x)) / D and the integer
     before the D orders the slopes.
     """
     if not levels:
         raise ValueError("depth must reach the first step")
-    e = unit_axis(f.dimension, axis)
+    if not 0 <= axis < f.dimension:
+        raise ValueError(f"axis {axis} out of range for dimension {f.dimension}")
+    e = [int(i == axis) for i in range(f.dimension)], 1
     half = len(levels) // 2
     for part in (levels[half:], levels[:half]):
         steps = [(sign, pow2_scale(-k)) for k in part for sign in (1, -1)]
@@ -127,7 +129,7 @@ def _tail_bracket(
             break
     else:
         raise ValueError(f"no feasible step along axis {axis}")
-    (nx, *numerators), den = common_denominator([f.eval(*x)] + [f.eval(*point) for _, point in kept])
+    (nx, *numerators), den = common_denominator_of_pairs([f.eval(*x)] + [f.eval(*point) for _, point in kept])
     keys = [sign * q * (n - nx) for ((sign, q), _), n in zip(kept, numerators)]
     lo, hi = (pick(range(len(keys)), key=keys.__getitem__) for pick in (min, max))
     return tuple((Fraction(*kept[i][0]), Fraction(keys[i], den)) for i in (lo, hi))
@@ -199,10 +201,10 @@ def dir_derivative_via_basis(
     if any(t <= 0 for t in panel):
         raise ValueError("panel steps must be positive")
     failures = []
-    gz, fx = g.eval(*common_denominator(z)), f_hat.eval(*common_denominator(x))
+    gz, fx = Fraction(*g.eval(*common_denominator(z))), Fraction(*f_hat.eval(*common_denominator(x)))
     for t in panel:
-        lhs = (g.eval(*common_denominator(vadd(z, vscale(t, e1)))) - gz) / t
-        rhs = (f_hat.eval(*common_denominator(vadd(x, vscale(t, direction)))) - fx) / t
+        lhs = (Fraction(*g.eval(*common_denominator(vadd(z, vscale(t, e1))))) - gz) / t
+        rhs = (Fraction(*f_hat.eval(*common_denominator(vadd(x, vscale(t, direction))))) - fx) / t
         if lhs != rhs:
             failures.append({"t": t, "lhs": lhs, "rhs": rhs})
     return BasisReduction(g=g, z=z, identity_holds=not failures, failures=tuple(failures))
@@ -229,11 +231,12 @@ def linearity_defect(
     x, at, du, dv = tuple(x), common_denominator(x), as_vector(u), as_vector(v)
     p, q = max_step.as_integer_ratio()
     candidates = [(1, scale) for scale in [pow2_scale(-k) for k in range(1, depth + 1)] if q <= p * scale]
-    admitted = [_step_points(at, d, candidates) for d in (du, dv, vadd(du, dv))]
+    admitted = [_step_points(at, common_denominator(d), candidates) for d in (du, dv, vadd(du, dv))]
     steps = [(scale, points) for (_, scale), *points in zip(candidates, *admitted) if None not in points]
     if not steps:
         raise ValueError("empty feasible grid")
-    (nx, *numerators), den = common_denominator([f.eval(*at)] + [f.eval(*pt) for _, points in steps for pt in points])
+    values = [f.eval(*at)] + [f.eval(*pt) for _, points in steps for pt in points]
+    (nx, *numerators), den = common_denominator_of_pairs(values)
     grouped = zip(steps, *[iter(numerators)] * 3)  # each step with its N_u, N_v and N_uv
     defects = [(Fraction(1, scale), Fraction(abs(a + b - c - nx) * scale, den)) for (scale, _), a, b, c in grouped]
     h_min, best = min(defects, key=lambda t: t[1])
@@ -299,9 +302,9 @@ def first_order_remainder(f: ComputableFunction, x: Vector, h: Vector, b: Fracti
     for axis, point in enumerate(shifted):
         if point is None:
             raise ValueError(f"step {b} along axis {axis} leaves the unit cube")
-    fx = f.eval(*at)
-    row = [(f.eval(*point) - fx) / b for point in shifted]
-    return abs(f.eval(*stepped) - fx - dot(row, h))
+    fx = Fraction(*f.eval(*at))
+    row = [(Fraction(*f.eval(*point)) - fx) / b for point in shifted]
+    return abs(Fraction(*f.eval(*stepped)) - fx - dot(row, h))
 
 
 def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> ProbeVerdict:
@@ -341,7 +344,7 @@ def diff_class_b(f: ComputableFunction, x: Sequence[Fraction], depth: int) -> Pr
     for key in h_keys + [key for keys in row_keys.values() for key in keys]:
         if key not in values:
             values[key] = f.eval(*steps[key])
-    numerators, den = common_denominator(values.values())
+    numerators, den = common_denominator_of_pairs(values.values())
     by_key, nx = dict(zip(values, numerators)), numerators[0]
     gammas = {b: [by_key[key] - nx for key in keys] for b, keys in row_keys.items()}
     failure = None  # (e, h key, b key, R) of the first pair failing the largest ε so far

@@ -1,9 +1,9 @@
 """Computable functions on the unit n-cube and the concrete families used here.
 
-A function is a pair (evaluator, modulus): the evaluator returns the exact
-rational value f(x) at a rational point x, read as integer numerators N over
-one positive denominator D (x = N / D, not necessarily in lowest terms), and
-the modulus h certifies
+A function is a pair (evaluator, modulus): the evaluator reads a rational
+point x as integer numerators N over one positive denominator D, x = N / D,
+and returns f(x) exactly as an integer pair (numerator, denominator > 0),
+neither necessarily in lowest terms.  The modulus h certifies
 ||x - y|| <= 2**-h(i)  =>  |f(x) - f(y)| <= 2**-i.  Every function here is
 built from rational data, so every comparison made with its values is exact.
 A one-variable closed form also states its slopes over the dyadic intervals
@@ -27,6 +27,7 @@ from .rationals import (
     ceil_log2,
     ceil_sqrt,
     common_denominator,
+    common_denominator_of_pairs,
     dot,
     int_ceil_log2,
     norm_sq,
@@ -36,7 +37,8 @@ from .rationals import (
     vsub,
 )
 
-Evaluator = Callable[[Sequence[int], int], Fraction]  # (N, D) -> f(N / D)
+# (N, D) -> (a, b) with f(N / D) = a / b and b > 0, not necessarily in lowest terms
+Evaluator = Callable[[Sequence[int], int], tuple[int, int]]
 Modulus = Callable[[int], int]
 Slopes = tuple[list[int], int]  # 2**L * (f((k + 1) / 2**L) - f(k / 2**L)) for start <= k < stop, over one denominator
 
@@ -48,8 +50,8 @@ class ComputableFunction:
     modulus: Modulus
     slopes: Callable[[int, int, int], Slopes] | None = None  # (level, start, stop), for a one-variable closed form
 
-    def eval(self, numerators: Sequence[int], denominator: int) -> Fraction:
-        """f at the point N / D."""
+    def eval(self, numerators: Sequence[int], denominator: int) -> tuple[int, int]:
+        """f at the point N / D, as (numerator, denominator > 0)."""
         if len(numerators) != self.dimension:
             raise ValueError(f"expected {self.dimension} coordinates, got {len(numerators)}")
         return self.evaluator(numerators, denominator)
@@ -61,8 +63,8 @@ def _affine_pieces(
     """The values and the slopes of x |-> (a_j + s_j * x) / S on the piece j that ends at the knot p_j / q_j.
 
     The pieces are (a_j, s_j, p_j, q_j), their knots increase to 1 from 0,
-    and a knot takes its left piece.  At N / D the value is
-    (a * D + s * N) / (S * D); an interval k / 2**L inside piece j has the
+    and a knot takes its left piece.  At N / D the value is the pair
+    (a * D + s * N, S * D); an interval k / 2**L inside piece j has the
     slope s_j over S, and one with a knot strictly inside reads the value
     rule at its two ends.
     """
@@ -71,11 +73,11 @@ def _affine_pieces(
         a, s, _, _ = pieces[bisect_left(pieces, True, key=lambda piece: n * piece[3] <= piece[2] * d)]
         return a * d + s * n
 
-    def value(numerators: Sequence[int], denominator: int) -> Fraction:
+    def value(numerators: Sequence[int], denominator: int) -> tuple[int, int]:
         n = numerators[0]
         if not 0 <= n <= denominator:
             raise ValueError(f"{Fraction(n, denominator)} outside [0, 1]")
-        return Fraction(at(n, denominator), scale * denominator)
+        return at(n, denominator), scale * denominator
 
     def slopes(level: int, start: int, stop: int) -> Slopes:
         numerators: list[int] = []
@@ -108,12 +110,12 @@ def linear_form(coeffs: Sequence[Fraction | int | str]) -> ComputableFunction:
     coeffs, scale = common_denominator(m)  # <m, N / D> = <coeffs, N> / (scale D)
     slopes = _affine_pieces([(0, coeffs[0], 1, 1)], scale)[1] if len(m) == 1 else None
     return ComputableFunction(
-        len(m), lambda n, d: Fraction(sum(map(mul, coeffs, n)), scale * d), lambda i: i + shift, slopes
+        len(m), lambda n, d: (sum(map(mul, coeffs, n)), scale * d), lambda i: i + shift, slopes
     )
 
 
 def constant_function(value: Fraction | int | str, dimension: int = 1) -> ComputableFunction:
-    v = Fraction(value)
+    v = Fraction(value).as_integer_ratio()
     return ComputableFunction(dimension, lambda _n, _d: v, lambda _i: 0)
 
 
@@ -133,9 +135,14 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
     if len(dims) > 1:
         raise ValueError("summands must share a dimension")
     count_shift = int_ceil_log2(len(parts))
+
+    def evaluator(numerators: Sequence[int], denominator: int) -> tuple[int, int]:
+        summed, below = common_denominator_of_pairs([p.eval(numerators, denominator) for p in parts])
+        return sum(summed), below
+
     return ComputableFunction(
         dimension=dims.pop(),
-        evaluator=lambda n, d: sum((p.eval(n, d) for p in parts), Fraction(0)),
+        evaluator=evaluator,
         modulus=lambda i: max(p.modulus(i + count_shift) for p in parts),
     )
 
@@ -143,9 +150,10 @@ def sum_functions(parts: Sequence[ComputableFunction]) -> ComputableFunction:
 def scale_function(factor: Fraction | int | str, f: ComputableFunction) -> ComputableFunction:
     c = Fraction(factor)
     shift = 0 if c == 0 else max(0, ceil_log2(abs(c)))
+    p, q = c.as_integer_ratio()
     return ComputableFunction(
         dimension=f.dimension,
-        evaluator=lambda n, d: Fraction(0) if c == 0 else c * f.eval(n, d),
+        evaluator=lambda n, d: (0, 1) if not p else tuple(map(mul, (p, q), f.eval(n, d))),  # (p a, q b)
         modulus=lambda i: f.modulus(i + shift),
     )
 
@@ -246,7 +254,7 @@ def compose_affine(f: ComputableFunction, transform: AffineIsometry) -> Computab
     entries, scale = common_denominator(list(chain(*transform.matrix, transform.offset)))
     rows, offset = [entries[i * n:(i + 1) * n] for i in range(n)], entries[n * n:]
 
-    def evaluator(numerators: Sequence[int], denominator: int) -> Fraction:
+    def evaluator(numerators: Sequence[int], denominator: int) -> tuple[int, int]:
         top = scale * denominator
         image = [min(sum(map(mul, row, numerators)) + b * denominator, top) for row, b in zip(rows, offset)]
         return f.eval(image, top)
@@ -282,14 +290,14 @@ def piecewise_linear(points: Sequence[tuple[Fraction | str, Fraction | str]]) ->
 
 def square_1d() -> ComputableFunction:
     return ComputableFunction(
-        1, lambda n, d: Fraction(n[0] * n[0], d * d), lambda i: i + 1,
+        1, lambda n, d: (n[0] * n[0], d * d), lambda i: i + 1,
         lambda level, start, stop: (list(range(2 * start + 1, 2 * stop + 1, 2)), 1 << level),
     )
 
 
 def cube_1d() -> ComputableFunction:
     return ComputableFunction(
-        1, lambda n, d: Fraction(n[0] ** 3, d**3), lambda i: i + 2,
+        1, lambda n, d: (n[0] ** 3, d**3), lambda i: i + 2,
         lambda level, start, stop: ([3 * k * (k + 1) + 1 for k in range(start, stop)], 1 << 2 * level),
     )
 
@@ -301,19 +309,19 @@ def identity_1d() -> ComputableFunction:
 def abs_distance_1d(center: Fraction | str) -> ComputableFunction:
     c = Fraction(center)
     p, q = c.numerator, c.denominator
-    return ComputableFunction(1, lambda n, d: Fraction(abs(n[0] * q - p * d), q * d), lambda i: i)
+    return ComputableFunction(1, lambda n, d: (abs(n[0] * q - p * d), q * d), lambda i: i)
 
 
 def product_xy() -> ComputableFunction:
-    return ComputableFunction(2, lambda n, d: Fraction(n[0] * n[1], d * d), lambda i: i + 1)
+    return ComputableFunction(2, lambda n, d: (n[0] * n[1], d * d), lambda i: i + 1)
 
 
 def abs_diff_2d() -> ComputableFunction:
-    return ComputableFunction(2, lambda n, d: Fraction(abs(n[0] - n[1]), d), lambda i: i + 1)
+    return ComputableFunction(2, lambda n, d: (abs(n[0] - n[1]), d), lambda i: i + 1)
 
 
 def min_x_flip_y() -> ComputableFunction:
-    return ComputableFunction(2, lambda n, d: Fraction(min(n[0], d - n[1]), d), lambda i: i)
+    return ComputableFunction(2, lambda n, d: (min(n[0], d - n[1]), d), lambda i: i)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +335,8 @@ def modulus_audit(f: ComputableFunction, level: int, pairs: int, rng) -> list[di
     by k, 1 <= k <= 64, so the distance (k/64) * 2**-h is exact and y stays
     in the cube iff its moved numerator stays in [0, 2**(h + 6)].  Pairs
     leaving the cube are redrawn, up to 20 * pairs draws.  f reads the
-    numerators as drawn; the difference is built only when f(x) != f(y),
-    and Fraction points for violations only.
+    numerators as drawn; its two pairs are cross-multiplied, the difference
+    is built only when f(x) != f(y), and Fraction points for violations only.
     Returns the violations (empty on success).
     """
     if pairs < 0:
@@ -350,10 +358,10 @@ def modulus_audit(f: ComputableFunction, level: int, pairs: int, rng) -> list[di
         if not 0 <= y[axis] <= denom:
             continue
         checked += 1
-        at_x, at_y = f.eval(x, denom), f.eval(y, denom)
-        if at_x == at_y:  # most pairs of a sparse f, such as the tent sum, read 0 twice
+        (a, b), (c, e) = f.eval(x, denom), f.eval(y, denom)
+        if a * e == c * b:  # most pairs of a sparse f, such as the tent sum, read 0 twice
             continue
-        diff = abs(at_x - at_y)
+        diff = Fraction(abs(a * e - c * b), b * e)
         if diff > allowed:
             x_point, y_point = (tuple(Fraction(n, denom) for n in p) for p in (x, y))
             violations.append({"x": x_point, "y": y_point, "difference": diff, "allowed": allowed})

@@ -201,7 +201,7 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
         (numerator,), denominator = f.slopes(length, index, index + 1)
         return Fraction(numerator, denominator)
     width = 1 << length
-    return (f.eval((index + 1,), width) - f.eval((index,), width)) * width
+    return (Fraction(*f.eval((index + 1,), width)) - Fraction(*f.eval((index,), width))) * width
 
 
 def _one_variable(f: ComputableFunction) -> None:
@@ -271,7 +271,7 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
         """f at k / 2**scale on the axis and y / 2**horizon off it."""
         top = max(scale, horizon)
         y = [t << (top - horizon) for t in y]
-        return f.eval((*y[:axis], k << (top - scale), *y[axis:]), 1 << top)
+        return Fraction(*f.eval((*y[:axis], k << (top - scale), *y[axis:]), 1 << top))
 
     def path(bits: Bits) -> Iterator[tuple[int, int]]:
         """Each prefix's capital from its endpoint columns: [y, f(a, y), f(b, y)] per corner y still in its box.

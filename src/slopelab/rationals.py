@@ -123,9 +123,14 @@ def decimal_string(value: Fraction, digits: int) -> str:
 
 def common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """The values as integer numerators over their least common denominator."""
-    values = list(values)
-    denominator = lcm(*{v.denominator for v in values})
-    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+    return common_denominator_of_pairs(v.as_integer_ratio() for v in values)
+
+
+def common_denominator_of_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integer pairs (a, b > 0), read as a / b, as numerators over the least common multiple of their b."""
+    pairs = list(pairs)
+    denominator = lcm(*{b for _, b in pairs})
+    return [a * (denominator // b) for a, b in pairs], denominator
 
 
 def is_dyadic(value: Fraction) -> bool:

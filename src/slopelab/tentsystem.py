@@ -289,8 +289,8 @@ def _tent_terms(
     r * 2**t < D, for t = eps_exponent - scale, which a bit-length check
     decides before any shift by t.  A point that lands on a ramp thinner
     than 2**-POW2_MATERIALIZE_CAP raises OverflowError.  r = 0 outside the
-    closed cell.  The one rule of a tent's value: tent_for's function builds
-    its Fraction, and the system's sums and slopes add the triples.
+    closed cell.  The one rule of a tent's value: tent_for's function returns
+    it as an integer pair, and the system's sums and slopes add the triples.
     """
     t = eps_exponent - scale
     width = denominator.bit_length()
@@ -341,10 +341,10 @@ def tent_for(cell: DyadicCube, stage: int, index: int) -> ComputableFunction:
         raise ValueError("stage and index are natural numbers")
     corner, scale, eps = cell.corner, cell.scale, ramp_exponent(stage, index, cell.scale)
 
-    def value(numerators: Sequence[int], denominator: int) -> Fraction:
+    def value(numerators: Sequence[int], denominator: int) -> tuple[int, int]:
         terms = _tent_terms(corner, scale, eps, numerators, denominator, 0)
         (summed,), below = _over_one_denominator([terms], denominator)
-        return Fraction(summed, below)
+        return summed, below
 
     # each partial slope is at most 2**(stage+index), so the gradient is at
     # most sqrt(n) times that
@@ -367,8 +367,6 @@ def _over_one_denominator(terms: Sequence[tuple[int, int, int]], denominator: in
 # A located stage cell as plain integers: (index, scale, corner), with the
 # cell's side 2**-scale and its corner over 2**scale (Partition.locate)
 _StageCell = tuple[int, int, tuple[int, ...]]
-
-_ZERO = Fraction(0)  # the sum at every point that misses the first summed stage
 
 
 def _stage_terms(
@@ -532,13 +530,13 @@ class TentSystem:
                 raise InsufficientDepthError(i + 2, f"is beyond the built depth {self.depth}")
             return self.modulus_exponent(i + 2)
 
-        def value(numerators: Sequence[int], denominator: int) -> Fraction:
+        def value(numerators: Sequence[int], denominator: int) -> tuple[int, int]:
             cells = self._walk(numerators, denominator)
-            if not cells:
-                return _ZERO
+            if not cells:  # the point misses the first summed stage
+                return 0, 1
             terms = [_stage_terms(k, cell, numerators, denominator) for k, cell in cells.items()]
             summed, below = _over_one_denominator(terms, denominator)
-            return Fraction(sum(summed), below)
+            return sum(summed), below
 
         return ComputableFunction(self.dimension, value, modulus)
 

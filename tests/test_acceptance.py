@@ -47,8 +47,8 @@ TARGET = (F(1, 3), F(1, 3))
 
 
 def value(f, point):
-    """f at a Fraction point, handed over as numerators over one denominator."""
-    return f.eval(*common_denominator(point))
+    """f at a Fraction point, handed over as numerators over one denominator, as a Fraction."""
+    return F(*f.eval(*common_denominator(point)))
 
 
 def _announce(number: int, text: str) -> None:

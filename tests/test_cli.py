@@ -41,7 +41,7 @@ def test_function_descriptor_round_trips():
         ],
     }
     f = function_from_descriptor(desc)
-    assert f.eval(*common_denominator((F(1, 2), F(1, 2)))) == F(5, 2) + F(1, 8)
+    assert F(*f.eval(*common_denominator((F(1, 2), F(1, 2))))) == F(5, 2) + F(1, 8)
     with pytest.raises(ValueError):
         function_from_descriptor({"kind": "nope"})
 
@@ -54,7 +54,7 @@ def test_affine_descriptor_requires_isometry():
         "of": {"kind": "linear", "coeffs": ["2/1", "3/1"]},
     }
     g = function_from_descriptor(desc)
-    assert g.eval(*common_denominator((F(1, 4), F(0)))) == F(1, 4) * F(18, 5)
+    assert F(*g.eval(*common_denominator((F(1, 4), F(0))))) == F(1, 4) * F(18, 5)
     # a stretch breaks any modulus derived from the inner one: composed with
     # abs-diff, h(i + 1) = i + 2 allows 1/16 at i = 4 for points 1/64 apart,
     # but (0, 0) and (1/64, 0) would differ by 1/4
@@ -709,7 +709,7 @@ def test_tent_descriptor_loads():
         "index": 1,
     }
     tent = function_from_descriptor(desc)
-    assert tent.eval(*common_denominator((F(1, 2), F(1, 2)))) == F(1, 2)
+    assert F(*tent.eval(*common_denominator((F(1, 2), F(1, 2))))) == F(1, 2)
 
 
 def test_nested_test_descriptor_round_trips():

@@ -40,12 +40,12 @@ F = Fraction
 
 @functools.lru_cache(maxsize=1 << 16)
 def value(f, point):
-    """f at a Fraction point, handed over as numerators over one denominator.
+    """f at a Fraction point, handed over as numerators over one denominator, as a Fraction.
 
     Memoised by f and the point, which a Fraction tuple holds in lowest
     terms: the full-scan oracles below read each point many times.
     """
-    return f.eval(*common_denominator(point))
+    return F(*f.eval(*common_denominator(point)))
 
 
 def fractions(numerators, denominator):
@@ -54,8 +54,8 @@ def fractions(numerators, denominator):
 
 
 def on_fractions(formula):
-    """An evaluator that computes the formula on the point N / D as Fractions."""
-    return lambda numerators, denominator: formula(fractions(numerators, denominator))
+    """An evaluator that computes the formula on the point N / D as Fractions, and returns its integer pair."""
+    return lambda numerators, denominator: formula(fractions(numerators, denominator)).as_integer_ratio()
 
 
 def test_slope_axis_linear_is_coefficient():
@@ -109,6 +109,12 @@ def test_partial_probe_smooth_product():
     lo, hi = verdict.bracket
     assert lo <= F(1, 3) <= hi
     assert lo == hi == F(1, 3)  # second factor is fixed, slopes are exact
+
+
+def test_a_partial_probe_refuses_an_axis_outside_the_dimension():
+    for axis in (2, -1):
+        with pytest.raises(ValueError, match=rf"^axis {axis} out of range for dimension 2$"):
+            partial_probe(product_xy(), (F(1, 3), F(1, 3)), axis, 4)
 
 
 def test_partial_probe_kink_violation_and_replay():
@@ -657,7 +663,7 @@ def test_the_integer_step_rule_matches_the_fraction_step(n, data):
     at = common_denominator(x)
     step = h.as_integer_ratio()
     assert as_fractions(_step_point(at, common_denominator(v), step)) == (stepped if in_unit_cube(stepped) else None)
-    admitted = [as_fractions(point) for point in _step_points(at, v, [step])]
+    admitted = [as_fractions(point) for point in _step_points(at, common_denominator(v), [step])]
     assert admitted == [stepped if in_unit_cube(x) and in_unit_cube(stepped) else None]
 
 

@@ -44,8 +44,8 @@ F = Fraction
 
 
 def value(f, point):
-    """f at a Fraction point, handed over as numerators over one denominator."""
-    return f.eval(*common_denominator(point))
+    """f at a Fraction point, handed over as numerators over one denominator, as a Fraction."""
+    return F(*f.eval(*common_denominator(point)))
 
 
 def fractions(numerators, denominator):
@@ -54,8 +54,8 @@ def fractions(numerators, denominator):
 
 
 def on_fractions(formula):
-    """An evaluator that computes the formula on the point N / D as Fractions."""
-    return lambda numerators, denominator: formula(fractions(numerators, denominator))
+    """An evaluator that computes the formula on the point N / D as Fractions, and returns its integer pair."""
+    return lambda numerators, denominator: formula(fractions(numerators, denominator)).as_integer_ratio()
 
 
 def test_linear_form_values():
@@ -342,6 +342,16 @@ def test_modulus_audit_draws_the_fraction_samplers_stream(dimension, seed):
             assert all(type(c) is Fraction for c in (*v["x"], *v["y"]))
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_modulus_audit_compares_values_not_numerators(seed):
+    # 4 / (1 + x) as the pair (4 D, D + N): every value the audit reads has
+    # the numerator 4 * 2**(h + 6), so only the denominators tell f(x) from f(y)
+    f = ComputableFunction(1, lambda n, d: (4 * d, d + n[0]), lambda i: i)
+    got = audited(modulus_audit, f, 3, 40, seed)
+    assert got == audited(fraction_modulus_audit, f, 3, 40, seed)
+    assert got[0]
+
+
 def test_modulus_audit_past_the_cap_raises_as_the_fraction_sampler():
     f = ComputableFunction(1, on_fractions(lambda p: p[0]), lambda i: POW2_MATERIALIZE_CAP + 1)
     for sampler in (modulus_audit, fraction_modulus_audit):
@@ -358,7 +368,7 @@ def pointwise_slopes(f, level, start=0, stop=None):
     """2**L * (f((k + 1) / 2**L) - f(k / 2**L)) for start <= k < stop, one evaluation per end."""
     width = 1 << level
     stop = width if stop is None else stop
-    return [(f.eval((k + 1,), width) - f.eval((k,), width)) * width for k in range(start, stop)]
+    return [(F(*f.eval((k + 1,), width)) - F(*f.eval((k,), width))) * width for k in range(start, stop)]
 
 
 def window_slopes(f, level, start, stop):
@@ -540,6 +550,17 @@ def outcome(call, *args):
         return ("raise", str(exc))
 
 
+def exact(f):
+    """f's evaluator as a Fraction, once its value is checked to be an integer pair with a positive denominator."""
+
+    def read(numerators, denominator):
+        a, b = f.eval(numerators, denominator)
+        assert type(a) is int and type(b) is int and b > 0, (a, b)
+        return F(a, b)
+
+    return read
+
+
 multiples = st.sampled_from([2, 3]) | st.integers(1, 80).map(lambda j: 1 << j)
 
 
@@ -556,8 +577,21 @@ def test_every_descriptor_kind_reads_n_over_d_whatever_the_common_factor(drawn, 
     (desc, formula), (numerators, denominator) = drawn
     f = function_from_descriptor(desc)
     expected = outcome(formula, fractions(numerators, denominator))
-    assert outcome(f.eval, numerators, denominator) == expected
-    assert outcome(f.eval, [k * n for n in numerators], k * denominator) == expected
+    assert outcome(exact(f), numerators, denominator) == expected
+    assert outcome(exact(f), [k * n for n in numerators], k * denominator) == expected
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(descriptors(n, depth=3), points(n))), st.integers(1, 1 << 70))
+@settings(max_examples=200, deadline=None)
+def test_nested_descriptors_value_an_unreduced_point_as_its_lowest_terms(drawn, k):
+    # sums of scales of clamps of compositions, three deep: every value is a
+    # pair over a positive denominator, and the point k N / k D reads the same
+    # number as N / D, which is the Fraction formula's
+    (desc, formula), (numerators, denominator) = drawn
+    f = function_from_descriptor(desc)
+    expected = outcome(formula, fractions(numerators, denominator))
+    assert outcome(exact(f), [k * n for n in numerators], k * denominator) == expected
+    assert outcome(exact(f), numerators, denominator) == expected
 
 
 @given(st.data(), multiples)
@@ -570,7 +604,7 @@ def test_a_tent_system_reads_n_over_d_whatever_the_common_factor(toy_system5, da
         st.tuples(st.lists(near, min_size=2, max_size=2), st.just(3 << j)) | points(2)
     )
     f = toy_system5.as_function()
-    assert f.eval([k * n for n in numerators], k * denominator) == f.eval(numerators, denominator)
+    assert exact(f)([k * n for n in numerators], k * denominator) == exact(f)(numerators, denominator)
 
 
 
@@ -599,3 +633,51 @@ def slope_windows(draw):
 def test_slope_windows_equal_the_evaluator_at_each_interval(window):
     f, level, start, stop = window
     assert window_slopes(f, level, start, stop) == pointwise_slopes(f, level, start, stop)
+
+
+# ---------------------------------------------------------------------------
+# A value is an integer pair: evaluating builds no Fraction
+
+
+def counting_fractions(mp):
+    """A list that grows by one for each Fraction built while mp holds the patch."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    mp.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
+def test_evaluating_any_family_or_the_tent_sum_builds_no_fraction(toy_system5):
+    pwlinear = piecewise_linear([(0, F(1, 3)), (F(2, 7), F(-1, 2)), (F(5, 8), 2), (1, 0)])
+    rotation = affine_isometry([[F(3, 5), F(-4, 5)], [F(4, 5), F(3, 5)]], [F(1, 5), F(0)])
+    tent = function_from_descriptor({"kind": "tent", "cell": {"dim": 2, "scale": 1, "corner": [0, 1]}, "stage": 1, "index": 2})
+    one = [
+        linear_form([F(-7, 3)]), constant_function(F(5, 6)), abs_distance_1d(F(1, 3)), square_1d(), cube_1d(),
+        identity_1d(), pwlinear, clamp_extend(cube_1d()), scale_function(F(-3, 4), pwlinear),
+        scale_function(0, square_1d()), sum_functions([pwlinear, abs_distance_1d(F(2, 5)), constant_function(F(1, 7))]),
+    ]
+    two = [
+        linear_form([F(2, 3), F(-1, 5)]), constant_function(-2, 2), product_xy(), abs_diff_2d(), min_x_flip_y(), tent,
+        compose_affine(sum_functions([product_xy(), tent]), rotation), kn_decompose(min_x_flip_y(), 1)[0],
+    ]
+    system = toy_system5.as_function()
+    hit, miss = ([1, 1], 3), ([7, 1], 8)  # near the target (1/3, 1/3), and far from it
+    assert toy_system5.partition.locate(toy_system5.cutoff + 1, *hit) is not None
+    assert toy_system5.partition.locate(toy_system5.cutoff + 1, *miss) is None
+    points = {1: [([0], 1), ([1], 3), ([10], 30), ([5], 8), ([1], 1)], 2: [([1, 1], 3), ([3, 6], 16), ([4, 12], 16)]}
+    with pytest.MonkeyPatch.context() as mp:
+        built = counting_fractions(mp)
+        F(1, 3) + F(1, 3)  # the count sees a Fraction built by arithmetic
+        assert built
+        built.clear()
+        values = [f.eval(*point) for f in one for point in points[1]]
+        values += [f.eval(*point) for f in two for point in points[2]]
+        values += [system.eval(*hit), system.eval([5 * n for n in hit[0]], 5 * hit[1]), system.eval(*miss)]
+        assert built == []
+    assert all(type(a) is int and type(b) is int and b > 0 for a, b in values)
+    assert F(*values[-3]) == F(*values[-2]) != 0 and values[-1] == (0, 1)

@@ -400,8 +400,8 @@ def memoised(f):
 
 
 def value(f, point):
-    """f at a Fraction point, handed over as numerators over one denominator."""
-    return f.eval(*common_denominator(point))
+    """f at a Fraction point, handed over as numerators over one denominator, as a Fraction."""
+    return F(*f.eval(*common_denominator(point)))
 
 
 def fractions(numerators, denominator):
@@ -728,7 +728,7 @@ def box_slope_oracle(f, axis, horizon, sigma):
     for y in product(*corners):
         y = list(y)
         section = ComputableFunction(
-            1, lambda n, d, y=y: value(f, tuple(y[:axis] + [F(n[0], d)] + y[axis:])), lambda i: i
+            1, lambda n, d, y=y: value(f, tuple(y[:axis] + [F(n[0], d)] + y[axis:])).as_integer_ratio(), lambda i: i
         )
         slopes.append(interval_slope(section, sigma[axis::n]))
     return sum(slopes, F(0)) / len(slopes)
@@ -748,7 +748,7 @@ def random_exact_function(rng: random.Random, n: int):
     def fn(numerators, denominator):
         x = fractions(numerators, denominator)
         total = sum((value(g, (x[i],)) for i, g in enumerate(parts)), F(0))
-        return total + sum((c * x[i] * x[j] for i, j, c in pairs), F(0))
+        return (total + sum((c * x[i] * x[j] for i, j, c in pairs), F(0))).as_integer_ratio()
 
     return ComputableFunction(n, fn, lambda i: i + 8), bound + 1
 

@@ -4,13 +4,15 @@ tentsystem.py is parsed.  A located stage is the integer triple (index,
 scale, corner) that Partition.locate returns, and a tent's value comes
 from the module's integer rule.  So the code that locates and values the
 sum's points (the walk, its memo entry _Located, the sum, evaluate,
-oscillation_check and the modulus audit) may not reference DyadicCube,
-TentFunction or tent_for, nor call Block.cell, which builds a cube, or
-Block.corner, which builds a corner tuple.  The exclusion sweep reads a
-visible cell's coordinate along one axis straight from its block and is
-held to the same rule.  Annotations do not count.  Cubes stay for the
-partition's bookkeeping, and tent_for builds the standalone `tent`
-descriptor's function from the same integer rule.
+oscillation_check and the modulus audit) may not reference DyadicCube or
+tent_for, nor call Block.cell, which builds a cube, or Block.corner, which
+builds a corner tuple.  The exclusion sweep reads a visible cell's
+coordinate along one axis straight from its block and is held to the same
+rule.  Annotations do not count.  Cubes stay for the partition's
+bookkeeping, and tent_for builds the standalone `tent` descriptor's
+function from the same integer rule.  No tent class exists: BUILDERS still
+names TentFunction, the one there was, so that a class of that name cannot
+come back into the guarded code.
 """
 
 import ast

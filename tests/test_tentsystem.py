@@ -86,8 +86,8 @@ def shifted_value(cell, eps, numerators, denominator, shift):
 
 
 def value(f, point):
-    """f at a Fraction point, handed over as numerators over one denominator."""
-    return f.eval(*common_denominator(point))
+    """f at a Fraction point, handed over as numerators over one denominator, as a Fraction."""
+    return F(*f.eval(*common_denominator(point)))
 
 
 def excludes(cell, eps, numerators, denominator):
@@ -995,7 +995,7 @@ def test_integer_tent_rule_matches_the_fraction_formula(
                 assert str(err.value) == str(exc)
         else:
             for at in ((numerators, denominator), scaled):
-                assert tent.eval(*at) == expected
+                assert F(*tent.eval(*at)) == expected
                 assert shifted_value(cell, eps, *at, 2 * stage) == Fraction(4) ** stage * expected
         excluded = oracle_in_exclusion(cell, eps, point)
         assert excludes(cell, eps, numerators, denominator) == excludes(cell, eps, *scaled) == excluded
@@ -1353,7 +1353,7 @@ def test_the_sum_at_the_audits_points_equals_the_fraction_oracle(
     assume(system.depth >= 1)
     numerators, denominator = data.draw(audit_draws(system))
     point = tuple(Fraction(n, denominator) for n in numerators)
-    got = outcome(system.as_function().eval, numerators, denominator)
+    got = outcome(lambda: F(*system.as_function().eval(numerators, denominator)))
     expected = outcome(lambda: sum(located_stage_values(system, point).values(), F(0)))
     assert got == expected
 
