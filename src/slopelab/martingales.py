@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bits import Bits, BitSource
 from .functions import ComputableFunction
-from .rationals import common_denominator, parse_rational
+from .rationals import common_denominator, common_denominator_of_pairs, parse_rational
 
 
 class MonotonicityError(ValueError):
@@ -63,7 +63,8 @@ class Martingale:
     (length + 1, 2 * index + 1).  ``levels(depth)`` yields the capitals of
     lengths 0..depth, each level as integer numerators over one denominator.
     ``path(bits)`` yields the capitals of bits' prefixes of lengths
-    0..len(bits) as integer pairs (numerator, denominator > 0).
+    0..len(bits) as integer pairs (numerator, denominator > 0).  Neither a
+    level's denominator nor a path pair need be in lowest terms.
     """
 
     levels: Callable[[int], Iterator[tuple[list[int], int]]]
@@ -75,14 +76,13 @@ class Martingale:
         bits = tuple(map(int, sigma))
         index = _index(bits)
         *_, (numerator, denominator) = self.path(bits)
-        value = Fraction(numerator, denominator)
         if numerator < 0:
-            raise _negative(self.label, len(bits), index, value)
-        return value
+            raise _negative(self.label, len(bits), index, numerator, denominator)
+        return Fraction(numerator, denominator)
 
 
-def _negative(label: str, length: int, index: int, value: Fraction) -> NegativeCapitalError:
-    return NegativeCapitalError(f"{label}: negative capital {value} at {_sigma(length, index)}")
+def _negative(label: str, length: int, index: int, numerator: int, denominator: int) -> NegativeCapitalError:
+    return NegativeCapitalError(f"{label}: negative capital {Fraction(numerator, denominator)} at {_sigma(length, index)}")
 
 
 def check_fairness(m: Martingale, depth: int) -> Bits | None:
@@ -102,14 +102,14 @@ def check_fairness(m: Martingale, depth: int) -> Bits | None:
     levels = m.levels(depth)
     parent, parent_den = next(levels)
     if parent[0] < 0:
-        raise _negative(m.label, 0, 0, Fraction(parent[0], parent_den))
+        raise _negative(m.label, 0, 0, parent[0], parent_den)
     for length in range(depth):
         child, child_den = next(levels)
         twice = 2 * child_den
         for index, (b, left, right) in enumerate(zip(parent, child[::2], child[1::2])):
             if left < 0 or right < 0:
                 at = 2 * index if left < 0 else 2 * index + 1
-                raise _negative(m.label, length + 1, at, Fraction(child[at], child_den))
+                raise _negative(m.label, length + 1, at, child[at], child_den)
             if b * twice != (left + right) * parent_den:
                 return _sigma(length, index)
         parent, parent_den = child, child_den
@@ -201,7 +201,8 @@ def interval_slope(f: ComputableFunction, sigma: Bits) -> Fraction:
         (numerator,), denominator = f.slopes(length, index, index + 1)
         return Fraction(numerator, denominator)
     width = 1 << length
-    return (Fraction(*f.eval((index + 1,), width)) - Fraction(*f.eval((index,), width))) * width
+    (a, b), (c, d) = f.eval((index,), width), f.eval((index + 1,), width)
+    return Fraction((c * b - a * d) * width, b * d)
 
 
 def _one_variable(f: ComputableFunction) -> None:
@@ -215,9 +216,7 @@ def audit_monotone(m: Martingale) -> None:
     *_, (rises, _) = m.levels(6)
     for k, rise in enumerate(rises):
         if rise < 0:
-            raise MonotonicityError(
-                f"f({Fraction(k + 1, width)}) < f({Fraction(k, width)}) on the audit grid"
-            )
+            raise MonotonicityError(f"f({Fraction(k + 1, width)}) < f({Fraction(k, width)}) on the audit grid")
 
 
 def _window_path(f: ComputableFunction, bits: Bits) -> Iterator[tuple[int, int]]:
@@ -267,11 +266,11 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 )
         return [horizon - s for j, s in enumerate(scales) if j != axis], scales[axis]
 
-    def value(k: int, scale: int, y: Sequence[int]) -> Fraction:
-        """f at k / 2**scale on the axis and y / 2**horizon off it."""
+    def value(k: int, scale: int, y: Sequence[int]) -> tuple[int, int]:
+        """f's pair at k / 2**scale on the axis and y / 2**horizon off it."""
         top = max(scale, horizon)
         y = [t << (top - horizon) for t in y]
-        return Fraction(*f.eval((*y[:axis], k << (top - scale), *y[axis:]), 1 << top))
+        return f.eval((*y[:axis], k << (top - scale), *y[axis:]), 1 << top)
 
     def path(bits: Bits) -> Iterator[tuple[int, int]]:
         """Each prefix's capital from its endpoint columns: [y, f(a, y), f(b, y)] per corner y still in its box.
@@ -293,8 +292,8 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 else:
                     j -= j > axis
                     columns = [column for column in columns if column[0][j] >> shifts[j] & 1 == bit]
-            rise, denominator = sum(b - a for _, a, b in columns).as_integer_ratio()
-            yield rise << scale, denominator * len(columns)
+            ends, denominator = common_denominator_of_pairs(chain.from_iterable(column[1:] for column in columns))
+            yield (sum(ends[1::2]) - sum(ends[::2])) << scale, denominator * len(columns)
 
     def grids(depth: int) -> Iterator[tuple[list[list[int]], int]]:
         """f on the axis grids k / 2**s, s = 0, 1, ..., one column per corner y, over one denominator.
@@ -309,7 +308,7 @@ def box_slope_martingale(f: ComputableFunction, axis: int, horizon: int) -> Mart
                 for y, column in zip(corners, columns):
                     midpoints = [value(k, scale, y) for k in range(1, width, 2)]
                     column[:] = [v for pair in zip(column, midpoints) for v in pair] + [column[-1]]
-            numerators, denominator = common_denominator(chain.from_iterable(columns))
+            numerators, denominator = common_denominator_of_pairs(chain.from_iterable(columns))
             yield [numerators[i : i + width + 1] for i in range(0, len(numerators), width + 1)], denominator
 
     def level_walk(depth: int) -> Iterator[tuple[list[int], int]]:
@@ -400,7 +399,7 @@ def run_bet(
     tail = (depth + 1) // 2
     for length, (num, den) in enumerate(m.path(prefix)):
         if num < 0:
-            raise _negative(m.label, length, _index(prefix[:length]), Fraction(num, den))
+            raise _negative(m.label, length, _index(prefix[:length]), num, den)
         common = num | den
         shared = (common & -common).bit_length() - 1
         num, den = num >> shared, den >> shared

@@ -7,6 +7,23 @@ from slopelab import build_tent_system, concentric_test
 TARGET = (Fraction(1, 3), Fraction(1, 3))
 
 
+@pytest.fixture
+def counting_fractions(monkeypatch):
+    """A list that grows by one for each Fraction built while the test runs; clear it before the code it counts."""
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    Fraction(1, 3) + Fraction(1, 3)  # the count sees a Fraction built by arithmetic
+    assert built
+    built.clear()
+    return built
+
+
 @pytest.fixture(scope="session")
 def toy_test():
     return concentric_test(TARGET, scale_step=2)

@@ -1029,6 +1029,27 @@ GOLDEN_RUNS = [
         id="bet-square-decimals",
     ),
     pytest.param(
+        ["bet", "--config", "bet-evaluated.json"],
+        0,
+        "2517764471021edf7e02b42cf9887c5a43c9419a8b8a8a49257c621e9dd38495",
+        EMPTY_SHA256,
+        id="bet-evaluated",
+    ),
+    pytest.param(
+        ["bet", "--config", "bet-evaluated.json", "--format", "csv"],
+        0,
+        "56ed8af9fabe8f30eb6a22bf2348c64f615a8f049bbc758d38621f64e078ff5d",
+        EMPTY_SHA256,
+        id="bet-evaluated-csv",
+    ),
+    pytest.param(
+        ["bet", "--config", "bet-evaluated.json", "--decimals", "30"],
+        0,
+        "3ad8f3446db1493c527a6c013a3225712e87e10ab441a106925d0ce983444f28",
+        EMPTY_SHA256,
+        id="bet-evaluated-decimals",
+    ),
+    pytest.param(
         ["tent-system", "--config", "tent-toy.json", "--seed", "1"],
         0,
         "906ca44623df98afc7e3a3ca93653cedcab454ca18a75f297c5a91aa7cb885c4",

@@ -279,8 +279,9 @@ def test_interval_slope_and_the_grid_path_are_box_slope_capitals(seed, bits):
     rng = random.Random(seed)
     center = F(rng.randrange(0, 97), 96)
     pwlinear = random_monotone_pwlinear(rng)
-    functions = [square_1d(), cube_1d(), pwlinear, abs_distance_1d(center), sum_functions([pwlinear, abs_distance_1d(center)])]
-    assert [f.slopes is not None for f in functions] == [True, True, True, False, False]
+    summed = sum_functions([pwlinear, abs_distance_1d(center)])
+    functions = [square_1d(), cube_1d(), pwlinear, abs_distance_1d(center), summed, unreduced(summed)]
+    assert [f.slopes is not None for f in functions] == [True, True, True, False, False, False]
     for f in functions:
         expected = [slope_oracle(f, bits[:length]) for length in range(len(bits) + 1)]
         assert [interval_slope(f, bits[:length]) for length in range(len(bits) + 1)] == expected
@@ -734,8 +735,19 @@ def box_slope_oracle(f, axis, horizon, sigma):
     return sum(slopes, F(0)) / len(slopes)
 
 
+def unreduced(f):
+    """f with its pair at N / D scaled by 1 + N_0 mod 5, so the pairs of one grid carry different denominators."""
+
+    def evaluator(numerators, denominator):
+        a, b = f.eval(numerators, denominator)
+        k = 1 + numerators[0] % 5
+        return k * a, k * b
+
+    return dataclasses.replace(f, evaluator=evaluator)
+
+
 def random_exact_function(rng: random.Random, n: int):
-    """One pwlinear part per coordinate plus products x_i * x_j, and a Lipschitz bound."""
+    """One pwlinear part per coordinate plus products x_i * x_j, as unreduced pairs, and a Lipschitz bound."""
     parts, bound = [], F(0)
     for _ in range(n):
         xs = [F(0), F(rng.randint(1, 7), 8), F(1)]
@@ -750,7 +762,7 @@ def random_exact_function(rng: random.Random, n: int):
         total = sum((value(g, (x[i],)) for i, g in enumerate(parts)), F(0))
         return (total + sum((c * x[i] * x[j] for i, j, c in pairs), F(0))).as_integer_ratio()
 
-    return ComputableFunction(n, fn, lambda i: i + 8), bound + 1
+    return unreduced(ComputableFunction(n, fn, lambda i: i + 8)), bound + 1
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)]))
@@ -870,3 +882,30 @@ def test_box_slope_level_walks_match_their_capitals_node_by_node(seed, shape):
             assert_walks_match(m, rule, deepest)
             too_fine = (0,) * (deepest + 1)
             assert outcome(walked_path, m, too_fine) == outcome(lambda: [rule(too_fine[:k]) for k in range(deepest + 2)])
+
+
+def test_box_slope_walks_and_interval_slope_build_a_fraction_only_for_the_reported_slope(counting_fractions):
+    # f's pairs reach the capitals as integers: the audits and the path walks
+    # build no Fraction, and interval_slope builds only the one it returns
+    f = sum_functions([min_x_flip_y(), linear_form([1, 1])])
+    g = sum_functions([cube_1d(), scale_function(F(1, 2), abs_distance_1d(F(1, 3))), identity_1d()])
+    box, slope = box_slope_martingale(f, 0, 6), slope_martingale(g)
+    assert f.slopes is None and g.slopes is None
+    box_bits = interleave([bits_of_fraction(F(1, 3)), bits_of_fraction(F(2, 5))]).prefix(12)
+    slope_bits = bits_of_fraction(F(2, 7)).prefix(256)
+    calls = [
+        lambda: check_fairness(box, 12),
+        lambda: list(box.path(box_bits)),
+        lambda: check_fairness(slope, 12),
+        lambda: list(slope.path(slope_bits)),
+        lambda: interval_slope(g, slope_bits[:10]),
+    ]
+    built, results = [], []
+    for call in calls:
+        counting_fractions.clear()
+        results.append(call())
+        built.append(len(counting_fractions))
+    assert built == [0, 0, 0, 0, 1]
+    assert results[0] is None and results[2] is None
+    assert [F(*pair) for pair in results[1]] == [box_slope_oracle(f, 0, 6, box_bits[:k]) for k in range(13)]
+    assert results[4] == slope_oracle(g, slope_bits[:10]) == F(*results[3][10])
